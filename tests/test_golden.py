@@ -1,0 +1,90 @@
+"""Golden reproducibility hashes of reduced-path scenarios.
+
+Each case runs one small scenario at threads 1 and 2 and compares the
+sha256 of its report.csv (plus, for simulate, of the dumped trajectory
+files) with the value recorded here.  The hashes are the guard for
+refactors that must not move any reported number: a change that moves
+one has to say why.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from twoscale.harness import Scenario, run_scenario, run_simulate
+from twoscale.systems import LinearBenchmarkParams, SystemSpec, register_system
+
+BENCH_PARAMS = {"a11": -1.0, "a12": 1.0, "s1": 0.3,
+                "c1": 1.0, "c2": 2.0, "c3": 0.5, "s2": 0.3}
+BENCH_SYS = {"kind": "linear_benchmark", "params": BENCH_PARAMS}
+BLOWUP_SYS = {"kind": "registered", "name": "golden_blowup"}
+
+
+def _blowup_factory():
+    # Fast drift -y + y^3: noise kicks some paths over the barrier at
+    # |y| = 1, after which they diverge within a few fast time units.
+    return SystemSpec(
+        n=1, m=1, tau=1.0,
+        b1=lambda chi, phi: -chi.values[-1] + phi.values[-1],
+        sigma1=lambda chi: np.array([[0.3]]),
+        b2=lambda chi, y, y_tau: -y + y ** 3,
+        sigma2=lambda chi, y, y_tau: np.array([[0.9]]),
+        benchmark=LinearBenchmarkParams(**BENCH_PARAMS),
+        name="golden_blowup",
+    )
+
+
+register_system("golden_blowup", _blowup_factory, replace=True)
+
+_BASE = {"system": BENCH_SYS, "tau": 1.0, "T": 0.5, "p": 2.0, "paths": 4, "seed": 5}
+
+CASES = {
+    "converge": dict(_BASE, experiment="converge", epsilons=[0.25, 0.125, 0.0625]),
+    "converge_estimator": dict(
+        _BASE, experiment="converge", T=0.1, h_factor=0.1, epsilons=[0.2, 0.1],
+        paths=2, drift_source="estimator",
+        estimator={"burn_in": 5.0, "horizon": 1.0, "replicas": 2, "h": 0.1}),
+    "auxiliary_gap": dict(_BASE, experiment="auxiliary_gap", T=0.25,
+                          epsilons=[0.05, 0.02, 0.01]),
+    "segment_continuity": dict(_BASE, experiment="segment_continuity", T=1.0,
+                               epsilons=[0.05], p=4.0, paths=3),
+    "simulate_dump": dict(_BASE, experiment="simulate", epsilons=[0.25], paths=3),
+    "converge_diverging": dict(_BASE, experiment="converge", system=BLOWUP_SYS,
+                               epsilons=[0.25, 0.125, 0.0625]),
+    "auxiliary_gap_diverging": dict(_BASE, experiment="auxiliary_gap", system=BLOWUP_SYS,
+                                    epsilons=[0.1, 0.05, 0.02]),
+    "frozen": dict(_BASE, experiment="frozen", epsilons=[], h=0.02, T=1.0,
+                   burn_in=2.0, horizon=4.0, replicas=2,
+                   mixing_replicas=8, checkpoints=3),
+}
+
+GOLDEN = {
+    "auxiliary_gap": "5790b11d9ab140babe4339f0c9162cc4175ea3add1cf3751a1e26d1511dfc60c",
+    "auxiliary_gap_diverging": "e842a53c760af953420eb997abdb8e94ff0e270aff5e0d780f3294a8ae7825be",
+    "converge": "e6b791467fd1759b59595e3d28812fe974e1b576eb02b5379fe5bc5c813f0004",
+    "converge_diverging": "4793ec5768807571b2ed4460b9518926fb6752420ebaf2fe4dd3abd974d83277",
+    "converge_estimator": "68148c699e72dbbcef26973e1e0bbb84c0458c1f06334ae0a719b17fa51252fc",
+    "frozen": "ecc232dbb879929d6c779c9a0db5cad1dc4e8bda688c3dc6b9aa24d4f7142c72",
+    "segment_continuity": "1e44b3623fc7e3f62d1654ad6f57eec627881d8829b2125d3f17abb1af0c00c0",
+    "simulate_dump": "3aab6dfde4b0c719b1d8d59a0b412972286bddc184b701e37af7d1bd12b0d5df",
+}
+
+
+def _digest(name, threads, tmp_path):
+    scenario = Scenario.from_config(dict(CASES[name], threads=threads))
+    if name == "simulate_dump":
+        report = run_simulate(scenario, dump_dir=tmp_path, stem="golden")
+    else:
+        report = run_scenario(scenario)
+    sha = hashlib.sha256(report.csv_text().encode())
+    for dump in sorted(tmp_path.glob("golden_*.csv")):
+        sha.update(dump.name.encode())
+        sha.update(dump.read_bytes())
+    return sha.hexdigest()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_report_hash(name, threads, tmp_path):
+    assert _digest(name, threads, tmp_path) == GOLDEN[name]
