@@ -22,20 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError, UsageError
+from .errors import DomainError, UsageError
 from .frozen import DriftEstimatorBudget, estimate_averaged_drift
-from .noise import NoiseStream, StreamFactory, fast_increments, gaussian_increments
+from .noise import NoiseStream, StreamFactory
 from .segment import Segment, exact_steps
 from .solver import (
     DEFAULT_KAPPA_STAB,
-    DIVERGENCE_CAP,
     TimeGrid,
-    fast_lag_steps,
     TrajectoryBundle,
-    _blowup,
-    _check_segment,
-    _check_streams,
     _coupled_core,
+    _pair_bundle,
+    _pair_increments,
     make_grid,
     simulate_sdde,
 )
@@ -120,87 +117,26 @@ def simulate_auxiliary(
 ) -> AuxiliaryPair:
     """Run the true pair and the block-frozen auxiliary pair on shared noise.
 
-    The coupled (X, Y) recursion runs first on increments drawn from
-    (w1, w2).  The auxiliary pair replays those exact increments; its
-    slow process uses coefficients frozen at the true slow window at
-    each block start, and its fast process restarts from the true fast
-    state at every block boundary (bit-exact reset, audited by callers).
+    Both members run the one coupled recursion of solver._coupled_core on
+    the same increments drawn from (w1, w2).  The first pass is the true
+    pair (X, Y), bit-identical to simulate_coupled.  The second reruns
+    the recursion with block freezing and resets: at each block start
+    the coefficients' slow window is frozen to the true slow window
+    (sigma1 evaluated once per block) and the auxiliary fast process
+    restarts from the true fast state (bit-exact reset, audited by
+    callers).
     """
-    if not (0.0 < epsilon <= 1.0):
-        raise DomainError(f"epsilon must lie in (0, 1], got {epsilon}")
-    if grid.h > kappa_stab * epsilon * (1.0 + 1e-12):
-        raise DomainError(
-            f"step h={grid.h} violates the stability cap {kappa_stab}*epsilon"
-        )
+    dw1, dwf = _pair_increments(spec, xi, eta, epsilon, grid, w1, w2, kappa_stab)
     delta_steps = exact_steps(min(schedule.delta, grid.T), grid.h, "delta")
-    if exact_steps(spec.tau, grid.h, "tau") != grid.tau_steps:
-        raise UsageError(f"grid was built for a different delay than spec.tau={spec.tau}")
-    _check_segment(xi, grid, spec.n, "xi")
-    _check_segment(eta, grid, spec.n, "eta")
-    _check_streams(spec, w1, w2)
-
-    dw1 = gaussian_increments(w1, grid.steps, grid.h)
-    dwf = fast_increments(w2, grid.steps, grid.h, epsilon)
-    x, y = _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf)
-
-    n, m = spec.n, spec.m
-    h = grid.h
-    ts = grid.tau_steps
-    tau = grid.tau
-    h_over_eps = h / epsilon
-    lag = fast_lag_steps(epsilon, grid)
-    b1, sigma1, b2, sigma2 = spec.b1, spec.sigma1, spec.b2, spec.sigma2
-    wrap = Segment._wrap
-
-    xt = np.empty((grid.total, n))
-    yt = np.empty((grid.total, n))
-    xt[: ts + 1] = xi.values
-    yt[: ts + 1] = eta.values
-
-    frozen_seg = None
-    s_frozen = None
-    resets = []
-    for k in range(grid.steps):
-        i = ts + k
-        if k % delta_steps == 0:
-            # Block start: freeze the TRUE slow window, restart aux fast
-            # from the TRUE fast state.
-            frozen_seg = wrap(tau, h, x[k: i + 1])
-            s_frozen = np.asarray(sigma1(frozen_seg), dtype=float)
-            if s_frozen.shape != (n, m):
-                raise DataError(f"sigma1 returned shape {s_frozen.shape}, expected ({n}, {m})")
-            yt[i] = y[i]
-            resets.append(i)
-        ytseg = wrap(tau, h, yt[k: i + 1])
-        yk = yt[i]
-        ytau = yt[i - lag]
-
-        bx = np.asarray(b1(frozen_seg, ytseg), dtype=float)
-        if bx.shape != (n,):
-            raise DataError(f"b1 returned shape {bx.shape}, expected ({n},)")
-        by = np.asarray(b2(frozen_seg, yk, ytau), dtype=float)
-        if by.shape != (n,):
-            raise DataError(f"b2 returned shape {by.shape}, expected ({n},)")
-        sy = np.asarray(sigma2(frozen_seg, yk, ytau), dtype=float)
-        if sy.shape != (n, m):
-            raise DataError(f"sigma2 returned shape {sy.shape}, expected ({n}, {m})")
-
-        xt[i + 1] = xt[i] + bx * h + s_frozen @ dw1[k]
-        yt[i + 1] = yk + by * h_over_eps + sy @ dwf[k]
-
-        if not (np.abs(xt[i + 1]).max() <= DIVERGENCE_CAP):
-            raise _blowup(k, h, (xt[i], yt[i]), "auxiliary slow component diverged")
-        if not (np.abs(yt[i + 1]).max() <= DIVERGENCE_CAP):
-            raise _blowup(k, h, (xt[i], yt[i]), "auxiliary fast component diverged")
-
-    for arr in (x, y, xt, yt):
-        arr.setflags(write=False)
-    coupled = TrajectoryBundle(grid=grid, slow_path=x, fast_path=y,
-                               epsilon=float(epsilon), labels=("X", "Y"))
-    aux = TrajectoryBundle(grid=grid, slow_path=xt, fast_path=yt,
-                           epsilon=float(epsilon), labels=("Xtilde", "Ytilde"))
-    return AuxiliaryPair(coupled=coupled, auxiliary=aux, schedule=schedule,
-                         reset_indices=np.asarray(resets, dtype=int))
+    x, y, _ = _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf)
+    xt, yt, resets = _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf,
+                                   freeze=(x, y, delta_steps))
+    return AuxiliaryPair(
+        coupled=_pair_bundle(grid, x, y, epsilon, ("X", "Y")),
+        auxiliary=_pair_bundle(grid, xt, yt, epsilon, ("Xtilde", "Ytilde")),
+        schedule=schedule,
+        reset_indices=np.asarray(resets, dtype=int),
+    )
 
 
 def closed_form_drift(spec: SystemSpec):

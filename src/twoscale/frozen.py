@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     DataError,
@@ -28,7 +27,7 @@ from .errors import (
     UsageError,
 )
 from .noise import W2, NoiseStream, StreamFactory
-from .segment import Segment, constant_segment, exact_steps
+from .segment import Segment, _node_norms, constant_segment, exact_steps
 from .solver import TimeGrid, TrajectoryBundle, simulate_sdde
 from .systems import SystemSpec
 
@@ -202,11 +201,7 @@ def mixing_decay(
         # Same stream address twice: bit-identical driving increments.
         ya = simulate_frozen(spec, zeta, eta, grid, streams.stream(r, W2)).path("fast")
         yb = simulate_frozen(spec, zeta, eta_prime, grid, streams.stream(r, W2)).path("fast")
-        diff = ya - yb
-        if spec.n == 1:
-            node = np.abs(diff[:, 0])
-        else:
-            node = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        node = _node_norms(ya - yb)
         for j in range(1, n_checks + 1):
             a = ts + j * ts
             gaps[j - 1] += node[a - ts: a + 1].max() ** 2
@@ -267,6 +262,8 @@ def wasserstein2_truncated(sample_a, sample_b) -> float:
         else:
             d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).max(axis=1)
         cost[i] = np.minimum(1.0, d) ** 2
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(cost)
     total = float(np.sort(cost[rows, cols]).sum())
     return float(np.sqrt(total / n))

@@ -7,10 +7,11 @@ serialize to report.csv (fixed column schema, append-only versioned) and
 report.json.
 
 Determinism contract: a scenario's CSV body is a pure function of its
-config.  Path tasks draw from streams addressed by (seed, path, tag),
-workers return values in task order, and reductions run in fixed path
-order, so serial and parallel execution produce byte-identical reports;
-the sha256 of the CSV text is included as the reproducibility hash.
+config.  Paths draw from streams addressed by (seed, path, tag), each
+row's paths run in contiguous chunks whose results come back in path
+order, and reductions run in fixed path order, so serial and parallel
+execution produce byte-identical reports; the sha256 of the CSV text is
+included as the reproducibility hash.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .averaging import (
+    _INV_E,
     DeltaSchedule,
     EstimatedDriftSource,
     closed_form_drift,
@@ -66,7 +68,8 @@ EXPERIMENTS = (
     "frozen", "mixing", "check", "simulate",
 )
 
-_INV_E = math.exp(-1.0)
+# Experiments that reduce their paths to moments with standard errors.
+_MOMENT_EXPERIMENTS = ("converge", "auxiliary_gap", "segment_continuity")
 
 _ALLOWED_KEYS = {
     "experiment", "system", "tau", "T", "h", "h_factor", "kappa_stab",
@@ -82,16 +85,21 @@ def _divides(span: float, h: float) -> bool:
     return abs(ratio - round(ratio)) <= 1e-9 * max(1.0, abs(ratio))
 
 
-def _cfg_number(cfg, key, default, *, positive=False, nonneg=False):
-    raw = cfg.get(key, default)
-    if raw is None:
-        return None
+def _number(raw, what: str) -> float:
+    """raw as a finite float; ConfigError for anything else, bools included."""
     try:
+        if isinstance(raw, bool):
+            raise TypeError
         val = float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {raw!r}") from None
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must be a number, got {raw!r}") from None
     if not math.isfinite(val):
-        raise ConfigError(f"{key} must be finite, got {val}")
+        raise ConfigError(f"{what} must be finite, got {val}")
+    return val
+
+
+def _cfg_number(cfg, key, default, *, positive=False, nonneg=False):
+    val = _number(cfg.get(key, default), key)
     if positive and val <= 0.0:
         raise ConfigError(f"{key} must be positive, got {val}")
     if nonneg and val < 0.0:
@@ -102,8 +110,10 @@ def _cfg_number(cfg, key, default, *, positive=False, nonneg=False):
 def _cfg_int(cfg, key, default, *, minimum=None):
     raw = cfg.get(key, default)
     try:
+        if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+            raise TypeError
         val = int(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
     if minimum is not None and val < minimum:
         raise ConfigError(f"{key} must be >= {minimum}, got {val}")
@@ -184,10 +194,7 @@ class Scenario:
             raise ConfigError(f"epsilons must be a list, got {eps_raw!r}")
         epsilons = []
         for e in eps_raw:
-            try:
-                val = float(e)
-            except (TypeError, ValueError):
-                raise ConfigError(f"epsilon entries must be numbers, got {e!r}") from None
+            val = _number(e, "epsilon entries")
             if not (0.0 < val <= 1.0):
                 raise ConfigError(f"epsilon must lie in (0, 1], got {val}")
             epsilons.append(val)
@@ -206,7 +213,11 @@ class Scenario:
 
         p = _cfg_number(raw, "p", 2.0, positive=True)
         paths = _cfg_int(raw, "paths", 64, minimum=1)
-        seed = _cfg_int(raw, "seed", 12345)
+        if experiment in _MOMENT_EXPERIMENTS and paths < 2:
+            raise ConfigError(
+                f"{experiment} needs paths >= 2 for a moment's standard error, got {paths}"
+            )
+        seed = _cfg_int(raw, "seed", 12345, minimum=0)
         threads = _cfg_int(raw, "threads", 1, minimum=1)
 
         def seg_cfg(key, default):
@@ -217,6 +228,10 @@ class Scenario:
                 raise ConfigError(
                     f"{key} must be an object with 'constant' or 'values', got {val!r}"
                 )
+            if "constant" in val:
+                const = val["constant"]
+                for c in const if isinstance(const, list) else [const]:
+                    _number(c, f"{key} constant")
             return val
 
         xi = seg_cfg("xi", {"constant": 1.0})
@@ -253,7 +268,7 @@ class Scenario:
         if deltas_raw is not None:
             if not isinstance(deltas_raw, (list, tuple)) or len(deltas_raw) < 1:
                 raise ConfigError("deltas must be a non-empty list")
-            deltas = sorted((float(d) for d in deltas_raw), reverse=True)
+            deltas = sorted((_number(d, "deltas entries") for d in deltas_raw), reverse=True)
             if any(d <= 0.0 for d in deltas):
                 raise ConfigError(f"deltas must be positive, got {deltas}")
 
@@ -262,7 +277,7 @@ class Scenario:
         if st_raw is not None:
             if not isinstance(st_raw, (list, tuple)) or len(st_raw) < 1:
                 raise ConfigError("sample_times must be a non-empty list")
-            sample_times = [float(t) for t in st_raw]
+            sample_times = [_number(t, "sample_times entries") for t in st_raw]
             if any(not (0.0 < t <= T) for t in sample_times):
                 raise ConfigError(f"sample_times must lie in (0, T], got {sample_times}")
 
@@ -300,19 +315,11 @@ class Scenario:
             "delta": delta,
             "dump_paths": dump_paths,
         }
-        return cls(
-            experiment=experiment, system=system, tau=tau, T=T, h=h,
-            h_factor=h_factor, kappa_stab=kappa_stab, epsilons=tuple(epsilons),
-            p=p, paths=paths, seed=seed, threads=threads,
-            xi=xi, eta=eta, eta_prime=eta_prime,
-            burn_in=burn_in, horizon=horizon, replicas=replicas,
-            mixing_replicas=mixing_replicas, checkpoints=checkpoints,
-            drift_source=drift_source, estimator=estimator,
+        return cls(**dict(
+            config, epsilons=tuple(epsilons),
             deltas=tuple(deltas) if deltas is not None else None,
             sample_times=tuple(sample_times) if sample_times is not None else None,
-            lambda3_cap=lambda3_cap, trials=trials, delta=delta,
-            dump_paths=dump_paths, config=config,
-        )
+        ), config=config)
 
     def digest(self) -> str:
         # Worker count and dump flags change execution, not results.
@@ -324,7 +331,9 @@ class Scenario:
     def build_spec(self):
         sys_cfg = dict(self.system)
         declared = sys_cfg.get("tau")
-        if declared is not None and abs(float(declared) - self.tau) > 1e-12 * self.tau:
+        if declared is not None:
+            declared = _number(declared, "system tau")
+        if declared is not None and abs(declared - self.tau) > 1e-12 * self.tau:
             raise ConfigError(
                 f"system tau={declared} conflicts with scenario tau={self.tau}"
             )
@@ -496,12 +505,103 @@ def _finish(scenario: Scenario, rows, gates, warns, t0, frozen_summary=None) -> 
     return report
 
 
-def _run_tasks(fn, payloads, threads):
-    if threads <= 1 or len(payloads) <= 1:
-        return [fn(pl) for pl in payloads]
-    chunk = max(1, math.ceil(len(payloads) / (threads * 4)))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, payloads, chunksize=chunk))
+# ------------------------------------------------------- path ensembles
+
+@dataclass(frozen=True, eq=False)
+class _Chunk:
+    """What a path body sees: one parsed scenario on one row's grid."""
+
+    scenario: Scenario
+    spec: object
+    epsilon: float
+    grid: object
+    xi: Segment
+    eta: Segment
+    streams: StreamFactory
+    extra: dict
+
+    def coupled(self, path: int):
+        return simulate_coupled(
+            self.spec, self.xi, self.eta, self.epsilon, self.grid,
+            self.streams.stream(path, W1), self.streams.stream(path, W2),
+            kappa_stab=self.scenario.kappa_stab,
+        )
+
+
+def _run_chunk(job):
+    """Run paths [start, stop) of one row through body, in path order.
+
+    The scenario is parsed and the grid, start segments and stream
+    factory are built once per chunk, so set-up errors propagate; a
+    TwoscaleError inside a path becomes that path's ("err", type, message).
+    """
+    body, config, epsilon, h, extra, start, stop = job
+    scen = Scenario.from_config(config)
+    spec = scen.build_spec()
+    chunk = _Chunk(
+        scenario=scen, spec=spec, epsilon=epsilon,
+        grid=make_grid(scen.T, h, scen.tau),
+        xi=scen.materialize_segment("xi", h, spec.n),
+        eta=scen.materialize_segment("eta", h, spec.n),
+        streams=StreamFactory(scen.seed, spec.m), extra=extra,
+    )
+    out = []
+    for path in range(start, stop):
+        try:
+            out.append(("ok", body(chunk, path)))
+        except TwoscaleError as exc:
+            out.append(("err", type(exc).__name__, str(exc)))
+    return out
+
+
+def _run_ensemble(scenario: Scenario, body, rows) -> list:
+    """Per-path results of every (epsilon, h, extra) row, in path order.
+
+    Each row is cut into contiguous path chunks, one per worker, that
+    never span two rows; paths draw from streams addressed by their own
+    index, so the results do not depend on the cut.
+    """
+    paths, threads = scenario.paths, scenario.threads
+    per_row = min(threads, paths)
+    bounds = [paths * j // per_row for j in range(per_row + 1)]
+    jobs = [(body, scenario.config, epsilon, h, extra, bounds[j], bounds[j + 1])
+            for epsilon, h, extra in rows for j in range(per_row)]
+    if threads <= 1 or len(jobs) <= 1:
+        done = [_run_chunk(job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
+            done = list(pool.map(_run_chunk, jobs))
+    return [[r for chunk in done[i: i + per_row] for r in chunk]
+            for i in range(0, len(done), per_row)]
+
+
+def _row_values(results, row):
+    """Per-path values of a row, or (None, error row) if any path failed.
+
+    The error row keeps row's coordinates and reports the first failing
+    path's error type and message with the number of failed paths.
+    """
+    errors = [r for r in results if r[0] == "err"]
+    if not errors:
+        return [r[1] for r in results], None
+    _, kind, msg = errors[0]
+    extra = dict(row["extra"], error_type=kind, error=msg, failed_paths=len(errors))
+    return None, dict(row, value=None, std_error=None, extra=extra)
+
+
+def _row(epsilon, delta, p, paths, kind, h) -> dict:
+    return {"epsilon": epsilon, "delta": delta, "p": p, "paths": paths,
+            "value": None, "std_error": None, "extra": {"kind": kind, "h": h}}
+
+
+def _with_moment(row: dict, moment, **extra) -> dict:
+    return dict(row, paths=moment.paths, value=moment.value,
+                std_error=moment.std_error, extra=dict(row["extra"], **extra))
+
+
+def _failed_paths_gate(error_row: dict) -> dict:
+    return {"name": "rows_complete", "passed": False,
+            "detail": f"{error_row['extra']['failed_paths']} failed path(s)"}
 
 
 def _monotone_gate(moments, std_errors):
@@ -526,32 +626,13 @@ def _monotone_gate(moments, std_errors):
 
 # ---------------------------------------------------------------- converge
 
-def _converge_value(config: dict, epsilon: float, h: float, path: int) -> float:
-    scen = Scenario.from_config(config)
-    spec = scen.build_spec()
-    grid = make_grid(scen.T, h, scen.tau)
-    xi = scen.materialize_segment("xi", h, spec.n)
-    eta = scen.materialize_segment("eta", h, spec.n)
-    fac = StreamFactory(scen.seed, spec.m)
-    coupled = simulate_coupled(
-        spec, xi, eta, epsilon, grid,
-        fac.stream(path, W1), fac.stream(path, W2),
-        kappa_stab=scen.kappa_stab,
-    )
+def _converge_path(c: _Chunk, path: int) -> float:
+    coupled = c.coupled(path)
     # Fresh stream with the same address: the averaged equation replays
     # the identical W1 increments (pathwise coupling).
-    averaged = simulate_averaged(spec, xi, scen.drift_callable(spec), grid,
-                                 fac.stream(path, W1))
-    return sup_distance(coupled, averaged, (0.0, scen.T))
-
-
-def _converge_task(payload):
-    try:
-        val = _converge_value(payload["config"], payload["epsilon"],
-                              payload["h"], payload["path"])
-        return ("ok", float(val))
-    except TwoscaleError as exc:
-        return ("err", type(exc).__name__, str(exc))
+    averaged = simulate_averaged(c.spec, c.xi, c.scenario.drift_callable(c.spec), c.grid,
+                                 c.streams.stream(path, W1))
+    return float(sup_distance(coupled, averaged, (0.0, c.scenario.T)))
 
 
 def run_converge(scenario: Scenario) -> ExperimentReport:
@@ -567,41 +648,18 @@ def run_converge(scenario: Scenario) -> ExperimentReport:
     if not scenario.epsilons:
         raise UsageError("converge needs a non-empty epsilons list")
     eps_desc = sorted(scenario.epsilons, reverse=True)
-    payloads = []
-    h_by_eps = {}
-    for eps in eps_desc:
-        h_by_eps[eps] = scenario.resolve_h(epsilon=eps)
-        for path in range(scenario.paths):
-            payloads.append({
-                "config": scenario.config, "epsilon": eps,
-                "h": h_by_eps[eps], "path": path,
-            })
-    results = _run_tasks(_converge_task, payloads, scenario.threads)
+    hs = [scenario.resolve_h(epsilon=eps) for eps in eps_desc]
+    results = _run_ensemble(scenario, _converge_path, [(e, h, {}) for e, h in zip(eps_desc, hs)])
 
     rows = []
     ok_rows = []
-    idx = 0
-    for eps in eps_desc:
-        chunk = results[idx: idx + scenario.paths]
-        idx += scenario.paths
-        errors = [r for r in chunk if r[0] == "err"]
-        if errors:
-            kind, msg = errors[0][1], errors[0][2]
-            rows.append({
-                "epsilon": eps, "delta": None, "p": scenario.p,
-                "paths": scenario.paths, "value": None, "std_error": None,
-                "extra": {"kind": "sup_gap_moment", "h": h_by_eps[eps],
-                          "error_type": kind, "error": msg,
-                          "failed_paths": len(errors)},
-            })
+    for eps, h, res in zip(eps_desc, hs, results):
+        row = _row(eps, None, scenario.p, scenario.paths, "sup_gap_moment", h)
+        gaps, error_row = _row_values(res, row)
+        if error_row is not None:
+            rows.append(error_row)
             continue
-        moment = p_moment([r[1] for r in chunk], scenario.p)
-        row = {
-            "epsilon": eps, "delta": None, "p": scenario.p,
-            "paths": moment.paths, "value": moment.value,
-            "std_error": moment.std_error,
-            "extra": {"kind": "sup_gap_moment", "h": h_by_eps[eps]},
-        }
+        row = _with_moment(row, p_moment(gaps, scenario.p))
         rows.append(row)
         ok_rows.append(row)
 
@@ -614,15 +672,17 @@ def run_converge(scenario: Scenario) -> ExperimentReport:
         except UsageError:
             fit = None
     if fit is not None:
-        rows.append({
-            "epsilon": None, "delta": None, "p": scenario.p,
-            "paths": scenario.paths, "value": fit.slope, "std_error": None,
-            "extra": {"kind": "slope_fit", "intercept": fit.intercept,
-                      "r_squared": fit.r_squared, "points": len(fit.xs)},
-        })
+        rows.append(_slope_row(None, scenario, fit))
 
     gates = _trend_gates(ok_rows, complete=len(ok_rows) == len(eps_desc))
     return _finish(scenario, rows, gates, [], t0)
+
+
+def _slope_row(epsilon, scenario: Scenario, fit) -> dict:
+    return {"epsilon": epsilon, "delta": None, "p": scenario.p,
+            "paths": scenario.paths, "value": fit.slope, "std_error": None,
+            "extra": {"kind": "slope_fit", "intercept": fit.intercept,
+                      "r_squared": fit.r_squared, "points": len(fit.xs)}}
 
 
 def _trend_gates(ok_rows, complete: bool):
@@ -663,41 +723,23 @@ def _resolve_schedule(scenario: Scenario, epsilon: float):
                          N_delta=n), warn
 
 
-def _aux_value(config: dict, epsilon: float, h: float, path: int):
-    scen = Scenario.from_config(config)
-    spec = scen.build_spec()
-    schedule, _ = _resolve_schedule(scen, epsilon)
-    grid = make_grid(scen.T, h, scen.tau)
-    xi = scen.materialize_segment("xi", h, spec.n)
-    eta = scen.materialize_segment("eta", h, spec.n)
-    fac = StreamFactory(scen.seed, spec.m)
+def _aux_path(c: _Chunk, path: int):
     pair = simulate_auxiliary(
-        spec, xi, eta, epsilon, schedule, grid,
-        fac.stream(path, W1), fac.stream(path, W2),
-        kappa_stab=scen.kappa_stab,
+        c.spec, c.xi, c.eta, c.epsilon, c.extra["schedule"], c.grid,
+        c.streams.stream(path, W1), c.streams.stream(path, W2),
+        kappa_stab=c.scenario.kappa_stab,
     )
-    x_gap = sup_distance(pair.coupled, pair.auxiliary, (0.0, scen.T))
+    x_gap = sup_distance(pair.coupled, pair.auxiliary, (0.0, c.scenario.T))
     y = pair.coupled.path("fast")
     yt = pair.auxiliary.path("fast")
-    ts = grid.tau_steps
+    ts = c.grid.tau_steps
     audit = 0.0
     y_gap = 0.0
     for i in pair.reset_indices:
-        point = float(np.linalg.norm(yt[i] - y[i]))
-        audit = max(audit, point)
+        audit = max(audit, float(np.linalg.norm(yt[i] - y[i])))
         diff = yt[i - ts: i + 1] - y[i - ts: i + 1]
-        seg_gap = float(np.sqrt((diff * diff).sum(axis=1)).max())
-        y_gap = max(y_gap, seg_gap)
-    return x_gap, y_gap, audit
-
-
-def _aux_task(payload):
-    try:
-        x_gap, y_gap, audit = _aux_value(payload["config"], payload["epsilon"],
-                                         payload["h"], payload["path"])
-        return ("ok", float(x_gap), float(y_gap), float(audit))
-    except TwoscaleError as exc:
-        return ("err", type(exc).__name__, str(exc))
+        y_gap = max(y_gap, float(np.sqrt((diff * diff).sum(axis=1)).max()))
+    return float(x_gap), y_gap, audit
 
 
 def run_auxiliary_gap(scenario: Scenario) -> ExperimentReport:
@@ -712,63 +754,33 @@ def run_auxiliary_gap(scenario: Scenario) -> ExperimentReport:
         raise UsageError("auxiliary_gap needs a non-empty epsilons list")
     eps_desc = sorted(scenario.epsilons, reverse=True)
     warns = []
-    payloads = []
-    sched_by_eps = {}
-    h_by_eps = {}
+    sweep = []
     for eps in eps_desc:
         schedule, warn = _resolve_schedule(scenario, eps)
         if warn:
             warns.append(warn)
-        sched_by_eps[eps] = schedule
-        h_by_eps[eps] = scenario.resolve_h(epsilon=eps, anchor=schedule.delta)
-        for path in range(scenario.paths):
-            payloads.append({
-                "config": scenario.config, "epsilon": eps,
-                "h": h_by_eps[eps], "path": path,
-            })
-    results = _run_tasks(_aux_task, payloads, scenario.threads)
+        h = scenario.resolve_h(epsilon=eps, anchor=schedule.delta)
+        sweep.append((eps, h, {"schedule": schedule}))
+    results = _run_ensemble(scenario, _aux_path, sweep)
 
     rows = []
     ok_rows = []
-    idx = 0
-    for eps in eps_desc:
-        chunk = results[idx: idx + scenario.paths]
-        idx += scenario.paths
-        delta = sched_by_eps[eps].delta
-        errors = [r for r in chunk if r[0] == "err"]
-        if errors:
-            kind, msg = errors[0][1], errors[0][2]
-            rows.append({
-                "epsilon": eps, "delta": delta, "p": scenario.p,
-                "paths": scenario.paths, "value": None, "std_error": None,
-                "extra": {"kind": "aux_slow_gap_moment", "h": h_by_eps[eps],
-                          "error_type": kind, "error": msg,
-                          "failed_paths": len(errors)},
-            })
+    for (eps, h, extra), res in zip(sweep, results):
+        schedule = extra["schedule"]
+        row = _row(eps, schedule.delta, scenario.p, scenario.paths, "aux_slow_gap_moment", h)
+        gaps, error_row = _row_values(res, row)
+        if error_row is not None:
+            rows.append(error_row)
             continue
-        x_moment = p_moment([r[1] for r in chunk], scenario.p)
-        y_moment = p_moment([r[2] for r in chunk], scenario.p)
-        audit_max = max(r[3] for r in chunk)
-        row = {
-            "epsilon": eps, "delta": delta, "p": scenario.p,
-            "paths": x_moment.paths, "value": x_moment.value,
-            "std_error": x_moment.std_error,
-            "extra": {"kind": "aux_slow_gap_moment", "h": h_by_eps[eps],
-                      "N_delta": sched_by_eps[eps].N_delta,
-                      "reset_audit_max": audit_max},
-        }
-        rows.append(row)
-        rows.append({
-            "epsilon": eps, "delta": delta, "p": scenario.p,
-            "paths": y_moment.paths, "value": y_moment.value,
-            "std_error": y_moment.std_error,
-            "extra": {"kind": "aux_fast_checkpoint_gap_moment", "h": h_by_eps[eps]},
-        })
-        rows.append({
-            "epsilon": eps, "delta": delta, "p": None,
-            "paths": scenario.paths, "value": audit_max, "std_error": None,
-            "extra": {"kind": "reset_audit", "h": h_by_eps[eps]},
-        })
+        x_gaps, y_gaps, audits = zip(*gaps)
+        audit_max = max(audits)
+        row = _with_moment(row, p_moment(x_gaps, scenario.p),
+                           N_delta=schedule.N_delta, reset_audit_max=audit_max)
+        fast = _row(eps, schedule.delta, scenario.p, scenario.paths,
+                    "aux_fast_checkpoint_gap_moment", h)
+        audit = _row(eps, schedule.delta, None, scenario.paths, "reset_audit", h)
+        rows += [row, _with_moment(fast, p_moment(y_gaps, scenario.p)),
+                 dict(audit, value=audit_max)]
         ok_rows.append(row)
 
     gates = _trend_gates(ok_rows, complete=len(ok_rows) == len(eps_desc))
@@ -794,28 +806,10 @@ def run_auxiliary_gap(scenario: Scenario) -> ExperimentReport:
 
 # ----------------------------------------------------- segment continuity
 
-def _segcont_values(config: dict, epsilon: float, h: float, deltas, times, path: int):
-    scen = Scenario.from_config(config)
-    spec = scen.build_spec()
-    grid = make_grid(scen.T, h, scen.tau)
-    xi = scen.materialize_segment("xi", h, spec.n)
-    eta = scen.materialize_segment("eta", h, spec.n)
-    fac = StreamFactory(scen.seed, spec.m)
-    coupled = simulate_coupled(
-        spec, xi, eta, epsilon, grid,
-        fac.stream(path, W1), fac.stream(path, W2),
-        kappa_stab=scen.kappa_stab,
-    )
-    return [segment_displacement_moment(coupled, d, scen.p, times) for d in deltas]
-
-
-def _segcont_task(payload):
-    try:
-        vals = _segcont_values(payload["config"], payload["epsilon"], payload["h"],
-                               payload["deltas"], payload["times"], payload["path"])
-        return ("ok", [float(v) for v in vals])
-    except TwoscaleError as exc:
-        return ("err", type(exc).__name__, str(exc))
+def _segcont_path(c: _Chunk, path: int) -> list:
+    coupled = c.coupled(path)
+    return [float(segment_displacement_moment(coupled, d, c.scenario.p, c.extra["times"]))
+            for d in c.extra["deltas"]]
 
 
 def run_segment_continuity(scenario: Scenario) -> ExperimentReport:
@@ -867,49 +861,25 @@ def run_segment_continuity(scenario: Scenario) -> ExperimentReport:
             r = max(1, ((2 * j + 1) * d_max_steps) // 16)
             idxs.add(min(grid.steps, j * grid.steps // 8 + r))
         times = [k * h for k in sorted(idxs) if k > 0]
-    payloads = [{
-        "config": scenario.config, "epsilon": epsilon, "h": h,
-        "deltas": deltas, "times": times, "path": path,
-    } for path in range(scenario.paths)]
-    results = _run_tasks(_segcont_task, payloads, scenario.threads)
+    extra = {"deltas": deltas, "times": times}
+    [results] = _run_ensemble(scenario, _segcont_path, [(epsilon, h, extra)])
+    row = _row(epsilon, None, scenario.p, scenario.paths, "segment_displacement_moment", h)
+    values, error_row = _row_values(results, row)
+    if error_row is not None:
+        return _finish(scenario, [error_row], [_failed_paths_gate(error_row)], warns, t0)
 
-    errors = [r for r in results if r[0] == "err"]
-    rows = []
-    gates = []
-    if errors:
-        kind, msg = errors[0][1], errors[0][2]
-        rows.append({
-            "epsilon": epsilon, "delta": None, "p": scenario.p,
-            "paths": scenario.paths, "value": None, "std_error": None,
-            "extra": {"kind": "segment_displacement_moment", "h": h,
-                      "error_type": kind, "error": msg,
-                      "failed_paths": len(errors)},
-        })
-        gates.append({"name": "rows_complete", "passed": False,
-                      "detail": f"{len(errors)} failed path(s)"})
-        return _finish(scenario, rows, gates, warns, t0)
-
-    per_path = np.array([r[1] for r in results])  # (paths, n_deltas)
+    per_path = np.array(values)  # (paths, n_deltas)
     moments = per_path.mean(axis=0)
-    ses = per_path.std(axis=0, ddof=1) / math.sqrt(len(results))
-    for j, d in enumerate(deltas):
-        rows.append({
-            "epsilon": epsilon, "delta": d, "p": scenario.p,
-            "paths": scenario.paths, "value": float(moments[j]),
-            "std_error": float(ses[j]),
-            "extra": {"kind": "segment_displacement_moment", "h": h,
-                      "sample_times": len(times)},
-        })
+    ses = per_path.std(axis=0, ddof=1) / math.sqrt(len(values))
+    rows = [dict(row, delta=d, value=float(moments[j]), std_error=float(ses[j]),
+                 extra=dict(row["extra"], sample_times=len(times)))
+            for j, d in enumerate(deltas)]
+    gates = []
 
     floor = 0.9 * (scenario.p - 2.0) / 2.0
     if len(deltas) >= 3 and (moments > 0.0).all():
         fit = slope_fit(list(reversed(deltas)), list(reversed(moments.tolist())))
-        rows.append({
-            "epsilon": epsilon, "delta": None, "p": scenario.p,
-            "paths": scenario.paths, "value": fit.slope, "std_error": None,
-            "extra": {"kind": "slope_fit", "intercept": fit.intercept,
-                      "r_squared": fit.r_squared, "points": len(fit.xs)},
-        })
+        rows.append(_slope_row(epsilon, scenario, fit))
         gates.append({
             "name": "slope_floor",
             "passed": bool(fit.slope >= floor),
@@ -1090,26 +1060,11 @@ def run_check(scenario: Scenario) -> ExperimentReport:
 
 # -------------------------------------------------------------- simulate
 
-def _simulate_task(payload):
-    try:
-        scen = Scenario.from_config(payload["config"])
-        spec = scen.build_spec()
-        epsilon, h, path = payload["epsilon"], payload["h"], payload["path"]
-        grid = make_grid(scen.T, h, scen.tau)
-        xi = scen.materialize_segment("xi", h, spec.n)
-        eta = scen.materialize_segment("eta", h, spec.n)
-        fac = StreamFactory(scen.seed, spec.m)
-        bundle = simulate_coupled(
-            spec, xi, eta, epsilon, grid,
-            fac.stream(path, W1), fac.stream(path, W2),
-            kappa_stab=scen.kappa_stab,
-        )
-        if payload.get("dump_dir"):
-            _dump_bundle(bundle, Path(payload["dump_dir"]),
-                         f"{payload['stem']}_{path}.csv")
-        return ("ok", float(np.linalg.norm(bundle.endpoint("slow"))))
-    except TwoscaleError as exc:
-        return ("err", type(exc).__name__, str(exc))
+def _simulate_path(c: _Chunk, path: int) -> float:
+    bundle = c.coupled(path)
+    if c.extra["dump_dir"]:
+        _dump_bundle(bundle, Path(c.extra["dump_dir"]), f"{c.extra['stem']}_{path}.csv")
+    return float(np.linalg.norm(bundle.endpoint("slow")))
 
 
 def _dump_bundle(bundle, out_dir: Path, name: str):
@@ -1136,41 +1091,22 @@ def run_simulate(scenario: Scenario, *, dump_dir=None, stem: str = "scenario") -
     t0 = time.perf_counter()
     epsilon = scenario.epsilons[0] if scenario.epsilons else 0.05
     h = scenario.resolve_h(epsilon=epsilon)
-    payloads = [{
-        "config": scenario.config, "epsilon": epsilon, "h": h, "path": path,
-        "dump_dir": str(dump_dir) if dump_dir is not None else None,
-        "stem": stem,
-    } for path in range(scenario.paths)]
-    results = _run_tasks(_simulate_task, payloads, scenario.threads)
-    errors = [r for r in results if r[0] == "err"]
-    rows = []
-    if errors:
-        kind, msg = errors[0][1], errors[0][2]
-        rows.append({
-            "epsilon": epsilon, "delta": None, "p": 1.0,
-            "paths": scenario.paths, "value": None, "std_error": None,
-            "extra": {"kind": "endpoint_slow_norm", "h": h,
-                      "error_type": kind, "error": msg,
-                      "failed_paths": len(errors)},
-        })
-        gates = [{"name": "rows_complete", "passed": False,
-                  "detail": f"{len(errors)} failed path(s)"}]
-        return _finish(scenario, rows, gates, [], t0)
-    endpoints = [r[1] for r in results]
+    extra = {"dump_dir": str(dump_dir) if dump_dir is not None else None, "stem": stem}
+    [results] = _run_ensemble(scenario, _simulate_path, [(epsilon, h, extra)])
+    row = _row(epsilon, None, 1.0, scenario.paths, "endpoint_slow_norm", h)
+    endpoints, error_row = _row_values(results, row)
+    if error_row is not None:
+        return _finish(scenario, [error_row], [_failed_paths_gate(error_row)], [], t0)
     if len(endpoints) >= 2:
         moment = p_moment(endpoints, 1.0)
         value, se, paths = moment.value, moment.std_error, moment.paths
     else:
         value, se, paths = float(endpoints[0]), 0.0, 1
-    rows.append({
-        "epsilon": epsilon, "delta": None, "p": 1.0, "paths": paths,
-        "value": value, "std_error": se,
-        "extra": {"kind": "endpoint_slow_norm", "h": h,
-                  "dumped": dump_dir is not None},
-    })
+    row = dict(row, paths=paths, value=value, std_error=se,
+               extra=dict(row["extra"], dumped=dump_dir is not None))
     gates = [{"name": "rows_complete", "passed": True,
-              "detail": f"{len(results)} path(s)"}]
-    return _finish(scenario, rows, gates, [], t0)
+              "detail": f"{len(endpoints)} path(s)"}]
+    return _finish(scenario, [row], gates, [], t0)
 
 
 _RUNNERS = {

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .segment import exact_steps
+from .segment import _node_norms, exact_steps
 from .solver import TrajectoryBundle
 
 
@@ -37,12 +37,6 @@ def _same_grid(a: TrajectoryBundle, b: TrajectoryBundle):
     ga, gb = a.grid, b.grid
     if (ga.steps, ga.tau_steps) != (gb.steps, gb.tau_steps) or abs(ga.h - gb.h) > 1e-12 * ga.h:
         raise UsageError("bundles live on different grids")
-
-
-def _node_norms(diff: np.ndarray) -> np.ndarray:
-    if diff.shape[1] == 1:
-        return np.abs(diff[:, 0])
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
 def sup_distance(

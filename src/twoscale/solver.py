@@ -5,9 +5,11 @@ Two kernels live here.  simulate_coupled advances the slow/fast pair
     Y_{k+1} = Y_k + (1/eps) b2(Xseg_k, Y_k, Y(t_k - tau)) h
                   + sigma2(Xseg_k, Y_k, Y(t_k - tau)) dWfast_k
 where dWfast comes from fast_increments (already carrying the 1/sqrt(eps)
-scale).  simulate_sdde advances a single equation whose drift and
-diffusion are arbitrary functionals of the trailing window; the frozen
-and averaged equations are both built on it.
+scale).  The same recursion, with the slow window frozen per block and
+the fast state reset, runs the auxiliary pair of averaging.py.
+simulate_sdde advances a single equation whose drift and diffusion are
+arbitrary functionals of the trailing window; the frozen and averaged
+equations are both built on it.
 
 Delay arithmetic is pure index bookkeeping: h divides tau exactly, so
 Y(t_k - tau) is the array entry tau_steps rows back and no float time
@@ -129,18 +131,15 @@ def _blowup(step: int, h: float, state_rows, detail: str):
     return DivergenceError(step, (step + 1) * h, last, detail)
 
 
-def simulate_coupled(
-    spec: SystemSpec,
-    xi: Segment,
-    eta: Segment,
-    epsilon: float,
-    grid: TimeGrid,
-    w1: NoiseStream,
-    w2: NoiseStream,
-    *,
-    kappa_stab: float = DEFAULT_KAPPA_STAB,
-) -> TrajectoryBundle:
-    """Integrate the coupled slow/fast pair; returns paths labelled (X, Y)."""
+def _coef(value, shape: tuple, name: str) -> np.ndarray:
+    out = np.asarray(value, dtype=float)
+    if out.shape != shape:
+        raise DataError(f"{name} returned shape {out.shape}, expected {shape}")
+    return out
+
+
+def _pair_increments(spec, xi, eta, epsilon, grid, w1, w2, kappa_stab):
+    """Validate the inputs of a pair run and draw its (dW1, fast dW2) increments."""
     if not (0.0 < epsilon <= 1.0):
         raise DomainError(f"epsilon must lie in (0, 1], got {epsilon}")
     if grid.h > kappa_stab * epsilon * (1.0 + 1e-12):
@@ -153,14 +152,32 @@ def simulate_coupled(
     _check_segment(xi, grid, spec.n, "xi")
     _check_segment(eta, grid, spec.n, "eta")
     _check_streams(spec, w1, w2)
+    return (gaussian_increments(w1, grid.steps, grid.h),
+            fast_increments(w2, grid.steps, grid.h, epsilon))
 
-    dw1 = gaussian_increments(w1, grid.steps, grid.h)
-    dwf = fast_increments(w2, grid.steps, grid.h, epsilon)
-    x, y = _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf)
+
+def _pair_bundle(grid: TimeGrid, x, y, epsilon: float, labels) -> TrajectoryBundle:
     x.setflags(write=False)
     y.setflags(write=False)
     return TrajectoryBundle(grid=grid, slow_path=x, fast_path=y,
-                            epsilon=float(epsilon), labels=("X", "Y"))
+                            epsilon=float(epsilon), labels=labels)
+
+
+def simulate_coupled(
+    spec: SystemSpec,
+    xi: Segment,
+    eta: Segment,
+    epsilon: float,
+    grid: TimeGrid,
+    w1: NoiseStream,
+    w2: NoiseStream,
+    *,
+    kappa_stab: float = DEFAULT_KAPPA_STAB,
+) -> TrajectoryBundle:
+    """Integrate the coupled slow/fast pair; returns paths labelled (X, Y)."""
+    dw1, dwf = _pair_increments(spec, xi, eta, epsilon, grid, w1, w2, kappa_stab)
+    x, y, _ = _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf)
+    return _pair_bundle(grid, x, y, epsilon, ("X", "Y"))
 
 
 def fast_lag_steps(epsilon: float, grid: TimeGrid) -> int:
@@ -176,9 +193,18 @@ def fast_lag_steps(epsilon: float, grid: TimeGrid) -> int:
     return max(1, round(epsilon * grid.tau_steps))
 
 
-def _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf):
-    """Shared recursion; also consumed by the auxiliary construction."""
+def _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf, freeze=None):
+    """Euler recursion of the pair; returns (x, y, block-start indices).
+
+    freeze=(x_true, y_true, delta_steps) runs the block-frozen auxiliary
+    pair instead: every delta_steps steps the slow window the
+    coefficients read is frozen to x_true's, sigma1 is evaluated once for
+    the block, and the fast state restarts from y_true (bit-exact).  The
+    pair's own slow state still integrates, driven by the frozen
+    coefficients; block starts are returned for the reset audit.
+    """
     n, m = spec.n, spec.m
+    vec, mat = (n,), (n, m)
     h = grid.h
     ts = grid.tau_steps
     tau = grid.tau
@@ -186,40 +212,47 @@ def _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf):
     lag = fast_lag_steps(epsilon, grid)
     b1, sigma1, b2, sigma2 = spec.b1, spec.sigma1, spec.b2, spec.sigma2
     wrap = Segment._wrap
+    if freeze is None:
+        slow_msg = "slow component left the admissible range"
+        fast_msg = "fast component left the admissible range"
+    else:
+        x_true, y_true, delta_steps = freeze
+        slow_msg = "auxiliary slow component diverged"
+        fast_msg = "auxiliary fast component diverged"
 
     x = np.empty((grid.total, n))
     y = np.empty((grid.total, n))
     x[: ts + 1] = xi.values
     y[: ts + 1] = eta.values
+    resets = []
 
     for k in range(grid.steps):
         i = ts + k
-        xseg = wrap(tau, h, x[k: i + 1])
+        if freeze is None:
+            xseg = wrap(tau, h, x[k: i + 1])
+        elif k % delta_steps == 0:
+            xseg = wrap(tau, h, x_true[k: i + 1])
+            sx = _coef(sigma1(xseg), mat, "sigma1")
+            y[i] = y_true[i]
+            resets.append(i)
         yseg = wrap(tau, h, y[k: i + 1])
         yk = y[i]
         ytau = y[i - lag]
 
-        bx = np.asarray(b1(xseg, yseg), dtype=float)
-        if bx.shape != (n,):
-            raise DataError(f"b1 returned shape {bx.shape}, expected ({n},)")
-        sx = np.asarray(sigma1(xseg), dtype=float)
-        if sx.shape != (n, m):
-            raise DataError(f"sigma1 returned shape {sx.shape}, expected ({n}, {m})")
-        by = np.asarray(b2(xseg, yk, ytau), dtype=float)
-        if by.shape != (n,):
-            raise DataError(f"b2 returned shape {by.shape}, expected ({n},)")
-        sy = np.asarray(sigma2(xseg, yk, ytau), dtype=float)
-        if sy.shape != (n, m):
-            raise DataError(f"sigma2 returned shape {sy.shape}, expected ({n}, {m})")
+        bx = _coef(b1(xseg, yseg), vec, "b1")
+        if freeze is None:
+            sx = _coef(sigma1(xseg), mat, "sigma1")
+        by = _coef(b2(xseg, yk, ytau), vec, "b2")
+        sy = _coef(sigma2(xseg, yk, ytau), mat, "sigma2")
 
         x[i + 1] = x[i] + bx * h + sx @ dw1[k]
         y[i + 1] = yk + by * h_over_eps + sy @ dwf[k]
 
         if not (np.abs(x[i + 1]).max() <= DIVERGENCE_CAP):
-            raise _blowup(k, h, (x[i], y[i]), "slow component left the admissible range")
+            raise _blowup(k, h, (x[i], y[i]), slow_msg)
         if not (np.abs(y[i + 1]).max() <= DIVERGENCE_CAP):
-            raise _blowup(k, h, (x[i], y[i]), "fast component left the admissible range")
-    return x, y
+            raise _blowup(k, h, (x[i], y[i]), fast_msg)
+    return x, y, resets
 
 
 def simulate_sdde(
@@ -258,12 +291,8 @@ def simulate_sdde(
     for k in range(grid.steps):
         i = ts + k
         seg = wrap(tau, h, path[k: i + 1])
-        b = np.asarray(drift(seg), dtype=float)
-        if b.shape != (n,):
-            raise DataError(f"drift returned shape {b.shape}, expected ({n},)")
-        s = np.asarray(diffusion(seg), dtype=float)
-        if s.shape != (n, m):
-            raise DataError(f"diffusion returned shape {s.shape}, expected ({n}, {m})")
+        b = _coef(drift(seg), (n,), "drift")
+        s = _coef(diffusion(seg), (n, m), "diffusion")
         path[i + 1] = path[i] + b * h + s @ dw[k]
         if not (np.abs(path[i + 1]).max() <= DIVERGENCE_CAP):
             raise _blowup(k, h, (path[i],), f"{label} left the admissible range")

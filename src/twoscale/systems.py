@@ -414,12 +414,12 @@ def build_system(config: dict) -> SystemSpec:
         tau = float(config.get("tau", 1.0))
         try:
             bench = LinearBenchmarkParams(**{k: float(v) for k, v in params.items()})
-        except TypeError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad linear_benchmark params: {exc}") from exc
         return linear_benchmark(bench, tau=tau)
     if kind == "registered":
         name = config.get("name")
-        if name not in _REGISTRY:
+        if not isinstance(name, str) or name not in _REGISTRY:
             raise ConfigError(f"unknown registered system {name!r}")
         spec = _REGISTRY[name]()
         if not isinstance(spec, SystemSpec):

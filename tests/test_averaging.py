@@ -13,12 +13,12 @@ from twoscale.averaging import (
     simulate_auxiliary,
     simulate_averaged,
 )
-from twoscale.errors import DomainError, UsageError
+from twoscale.errors import DivergenceError, DomainError, UsageError
 from twoscale.frozen import DriftEstimatorBudget
 from twoscale.metrics import sup_distance
 from twoscale.noise import W1, W2, NoiseStream
 from twoscale.segment import constant_segment
-from twoscale.solver import make_grid, simulate_coupled
+from twoscale.solver import _coupled_core, make_grid, simulate_coupled
 from twoscale.systems import LinearBenchmarkParams, SystemSpec, linear_benchmark
 
 BENCH = LinearBenchmarkParams(a11=-1.0, a12=1.0, s1=0.3, c1=1.0, c2=2.0, c3=0.5, s2=0.3)
@@ -128,6 +128,23 @@ def test_auxiliary_resets_are_bit_exact():
     assert audit == 0.0
     # Between resets the auxiliary drifts away, so the paths are not equal.
     assert not np.array_equal(y, yt)
+
+
+def test_auxiliary_pass_reports_its_divergence():
+    """The frozen pass labels a blow-up as the auxiliary pair's."""
+    spec = linear_benchmark(BENCH)
+    h = 1.0 / 160.0
+    g = make_grid(T=0.5, h=h, tau=1.0)
+    xi = constant_segment(1.0, h, 1.0)
+    eta = constant_segment(1.0, h, 0.0)
+    dw1 = np.zeros((g.steps, 1))
+    dwf = np.zeros((g.steps, 1))
+    x, y, _ = _coupled_core(spec, xi, eta, 0.1, g, dw1, dwf)
+    # A true slow window far past the cap drives a11 * chi(0) * h out of range.
+    huge = np.full_like(x, 1e16)
+    with pytest.raises(DivergenceError, match="auxiliary slow component diverged") as info:
+        _coupled_core(spec, xi, eta, 0.1, g, dw1, dwf, freeze=(huge, y, 20))
+    assert info.value.step_index == 0
 
 
 def test_auxiliary_slow_gap_shrinks_with_epsilon():

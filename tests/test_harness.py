@@ -5,10 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoscale.cli import main as cli_main
 from twoscale.errors import ConfigError, UsageError
 from twoscale.harness import (
+    _ALLOWED_KEYS,
     CSV_COLUMNS,
     EXPERIMENTS,
     SCHEMA_VERSION,
@@ -38,6 +41,21 @@ def _cfg(**over):
     }
     base.update(over)
     return base
+
+
+# Each of these fails Scenario.from_config with a ConfigError.
+_BAD_PARSE_CONFIGS = [
+    _cfg(experiment="segment_continuity", deltas=[0.25, "abc"]),
+    _cfg(experiment="segment_continuity", deltas=[float("inf")]),
+    _cfg(sample_times=[0.25, "abc"]),
+    _cfg(paths=True),
+    _cfg(seed=1.7),
+    _cfg(seed=-1),
+    _cfg(xi={"constant": "abc"}),
+    _cfg(paths=1),
+    _cfg(experiment="auxiliary_gap", epsilons=[0.05, 0.01], paths=1),
+    _cfg(experiment="segment_continuity", epsilons=[0.05], paths=1),
+]
 
 
 def test_from_config_validation_errors():
@@ -71,6 +89,58 @@ def test_from_config_validation_errors():
         Scenario.from_config(_cfg(sample_times=[2.0]))  # past T
     with pytest.raises(ConfigError):
         Scenario.from_config(_cfg(deltas=[]))
+    for bad in _BAD_PARSE_CONFIGS:
+        with pytest.raises(ConfigError):
+            Scenario.from_config(bad)
+    bad_params = dict(BENCH_SYS["params"], c1="abc")
+    with pytest.raises(ConfigError, match="linear_benchmark params"):
+        Scenario.from_config(_cfg(system=dict(BENCH_SYS, params=bad_params))).build_spec()
+    # A single path is still a valid plain simulation.
+    assert Scenario.from_config(_cfg(experiment="simulate", paths=1)).paths == 1
+
+
+
+_json_leaf = (st.none() | st.booleans() | st.integers() | st.floats()
+              | st.text(max_size=4)
+              | st.sampled_from(["abc", "1.5", "Infinity", "auto", "estimator"]))
+_json = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+_numberish = st.integers(-2, 100) | st.floats(-1.0, 3.0) | _json
+_field = (_numberish | st.lists(_numberish, max_size=4)
+          | st.fixed_dictionaries({}, optional={"constant": _numberish, "values": _json}))
+_system = _json | st.fixed_dictionaries(
+    {"kind": st.sampled_from(["linear_benchmark", "registered"]) | _json},
+    optional={"params": _json, "name": _json, "tau": _numberish},
+)
+
+
+@st.composite
+def _configs(draw):
+    """A valid config of a random experiment with a few fields replaced."""
+    cfg = _cfg(experiment=draw(st.sampled_from(EXPERIMENTS)), epsilons=[0.05, 0.02])
+    for key in draw(st.lists(st.sampled_from(sorted(_ALLOWED_KEYS)), max_size=3, unique=True)):
+        cfg[key] = draw(_system if key == "system" else _field)
+    if draw(st.booleans()):
+        params = dict(BENCH_SYS["params"])
+        params[draw(st.sampled_from(sorted(params)))] = draw(_numberish)
+        cfg["system"] = dict(BENCH_SYS, params=params)
+    return cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(_configs())
+def test_any_json_config_parses_or_raises_config_error(cfg):
+    """Parsing and building the system never fail with anything but ConfigError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            Scenario.from_config(cfg).build_spec()
+        except ConfigError:
+            pass
 
 
 def test_scalar_epsilon_key_accepted():
@@ -372,6 +442,18 @@ def test_cli_config_errors_exit_four(tmp_path, capsys):
     # Bad usage (missing required flag) also maps to 4, not argparse's 2.
     assert cli_main(["converge"]) == 4
     capsys.readouterr()
+    bad_params = dict(BENCH_SYS["params"], c1="abc")
+    cases = _BAD_PARSE_CONFIGS + [_cfg(system=dict(BENCH_SYS, params=bad_params))]
+    commands = {"converge": "converge", "auxiliary_gap": "aux-gap",
+                "segment_continuity": "seg-cont"}
+    for i, cfg in enumerate(cases):
+        path = _write_cfg(tmp_path, f"case{i}.json", cfg)
+        out = tmp_path / f"out{i}"
+        assert cli_main([commands[cfg["experiment"]], "--config", path,
+                         "--out", str(out)]) == 4, cfg
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 def test_cli_divergence_exit_three(tmp_path):
