@@ -15,12 +15,9 @@ from .segment import (
     exact_steps,
     lipschitz_modulus,
     segment_from_dict,
-    segment_from_function,
-    segment_to_dict,
     sup_norm,
-    value_at,
 )
-from .noise import AUX, W1, W2, NoiseStream, StreamFactory, fast_increments, gaussian_increments
+from .noise import W1, W2, NoiseStream, StreamFactory, fast_increments, gaussian_increments
 from .systems import (
     DissipativityReport,
     GrowthReport,
@@ -47,9 +44,7 @@ from .frozen import (
     AveragedDriftEstimate,
     DecayFit,
     DriftEstimatorBudget,
-    LipschitzProbeResult,
     estimate_averaged_drift,
-    lipschitz_probe_bbar,
     mixing_decay,
     simulate_frozen,
     wasserstein2_truncated,
@@ -58,7 +53,6 @@ from .averaging import (
     AuxiliaryPair,
     DeltaSchedule,
     EstimatedDriftSource,
-    breakpoint,
     closed_form_drift,
     khasminskii_delta,
     simulate_auxiliary,

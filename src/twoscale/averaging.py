@@ -77,22 +77,6 @@ def khasminskii_delta(epsilon: float, tau: float) -> DeltaSchedule:
     )
 
 
-def breakpoint(t: float, delta: float) -> float:
-    """Largest block boundary floor(t/delta)*delta not after t.
-
-    Computed with a one-part-in-1e9 snap so that a t which IS a float
-    block boundary maps to itself and the operation is exactly
-    idempotent; mid-block times are unaffected.
-    """
-    if delta <= 0.0:
-        raise DomainError(f"delta must be positive, got {delta}")
-    if t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    q = t / delta
-    k = math.floor(q + 1e-9 * max(1.0, q))
-    return k * delta
-
-
 @dataclass(frozen=True, eq=False)
 class AuxiliaryPair:
     """Coupled pair plus its block-frozen auxiliary counterpart."""
@@ -184,7 +168,6 @@ class EstimatedDriftSource:
         seed: int,
         *,
         quant: float = 1e-4,
-        eta: Segment | None = None,
     ):
         if quant <= 0.0:
             raise DomainError(f"quant must be positive, got {quant}")
@@ -192,7 +175,6 @@ class EstimatedDriftSource:
         self.budget = budget
         self.seed = int(seed)
         self.quant = float(quant)
-        self.eta = eta
         self.sub_grid = make_grid(budget.burn_in + budget.horizon, sub_h, spec.tau)
         self.calls = 0
         self.cache_misses = 0
@@ -215,7 +197,6 @@ class EstimatedDriftSource:
         est = estimate_averaged_drift(
             self.spec, seg, self.budget.burn_in, self.budget.horizon,
             self.budget.replicas, self.sub_grid, StreamFactory(sub_seed, self.spec.m),
-            eta=self.eta,
         )
         se = float(np.max(est.std_error)) if est.std_error.size else 0.0
         if se > self.max_std_error:

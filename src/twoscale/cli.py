@@ -98,10 +98,9 @@ def main(argv=None) -> int:
         scenario = Scenario.from_config(cfg)
         out_dir = Path(args.out)
         if scenario.experiment == "simulate":
-            dump = args.dump_paths or scenario.dump_paths
             report = run_simulate(
                 scenario,
-                dump_dir=out_dir if dump else None,
+                dump_dir=out_dir if args.dump_paths else None,
                 stem=Path(args.config).stem,
             )
         else:

@@ -15,12 +15,11 @@ truncated sup metric 1 ^ ||.||_inf for distributional diagnostics.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    DataError,
     DegenerateFitError,
     DivergenceError,
     DomainError,
@@ -61,13 +60,6 @@ class DriftEstimatorBudget:
     replicas: int
 
 
-@dataclass(frozen=True)
-class LipschitzProbeResult:
-    max_ratio: float
-    ratios: list = field(default_factory=list)
-    std_errors: list = field(default_factory=list)
-
-
 def simulate_frozen(
     spec: SystemSpec,
     zeta: Segment,
@@ -104,7 +96,6 @@ def estimate_averaged_drift(
     streams: StreamFactory,
     *,
     eta: Segment | None = None,
-    stream_offset: int = 0,
 ) -> AveragedDriftEstimate:
     """Time-average b1(zeta, Y-window) along frozen trajectories.
 
@@ -141,7 +132,7 @@ def estimate_averaged_drift(
     tau, h = grid.tau, grid.h
     replica_means = np.empty((replicas, spec.n))
     for r in range(replicas):
-        w2 = streams.stream(stream_offset + r, W2)
+        w2 = streams.stream(r, W2)
         try:
             bundle = simulate_frozen(spec, zeta, eta, grid, w2)
         except DivergenceError as exc:
@@ -256,51 +247,11 @@ def wasserstein2_truncated(sample_a, sample_b) -> float:
     bv = np.stack([s.values for s in b])
     cost = np.empty((n, n))
     for i in range(n):
-        diff = av[i][None, :, :] - bv
-        if first.n == 1:
-            d = np.abs(diff[:, :, 0]).max(axis=1)
-        else:
-            d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).max(axis=1)
+        diff = (av[i][None, :, :] - bv).reshape(-1, first.n)
+        d = _node_norms(diff).reshape(n, -1).max(axis=1)
         cost[i] = np.minimum(1.0, d) ** 2
     from scipy.optimize import linear_sum_assignment
 
     rows, cols = linear_sum_assignment(cost)
     total = float(np.sort(cost[rows, cols]).sum())
     return float(np.sqrt(total / n))
-
-
-def lipschitz_probe_bbar(
-    spec: SystemSpec,
-    zeta_pairs,
-    budget: DriftEstimatorBudget,
-    grid: TimeGrid,
-    streams: StreamFactory,
-) -> LipschitzProbeResult:
-    """Finite-difference probe of the averaged drift's window sensitivity.
-
-    For each (zeta, zeta') pair returns |bbar(zeta) - bbar(zeta')| over
-    the window sup gap, with bbar estimated by estimate_averaged_drift.
-    Purely diagnostic; the estimates' standard errors are reported so
-    callers can judge how much of the ratio is noise.
-    """
-    pairs = list(zeta_pairs)
-    if not pairs:
-        raise UsageError("zeta_pairs must be non-empty")
-    ratios = []
-    ses = []
-    for i, (za, zb) in enumerate(pairs):
-        diff = za.values - zb.values
-        gap = float(np.sqrt((diff * diff).sum(axis=1)).max())
-        if gap == 0.0:
-            raise UsageError(f"pair {i} is coincident; probe needs distinct windows")
-        ea = estimate_averaged_drift(
-            spec, za, budget.burn_in, budget.horizon, budget.replicas, grid, streams,
-            stream_offset=(2 * i) * budget.replicas,
-        )
-        eb = estimate_averaged_drift(
-            spec, zb, budget.burn_in, budget.horizon, budget.replicas, grid, streams,
-            stream_offset=(2 * i + 1) * budget.replicas,
-        )
-        ratios.append(float(np.linalg.norm(ea.value - eb.value)) / gap)
-        ses.append((float(np.linalg.norm(ea.std_error)), float(np.linalg.norm(eb.std_error))))
-    return LipschitzProbeResult(max_ratio=max(ratios), ratios=ratios, std_errors=ses)

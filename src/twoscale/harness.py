@@ -22,7 +22,7 @@ import math
 import time
 import warnings as _warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,9 +44,17 @@ from .frozen import (
 )
 from .metrics import p_moment, segment_displacement_moment, slope_fit, sup_distance
 from .noise import W1, W2, StreamFactory
-from .segment import Segment, constant_segment, exact_steps, lipschitz_modulus, segment_from_dict
+from .segment import (
+    Segment,
+    _node_norms,
+    constant_segment,
+    exact_steps,
+    lipschitz_modulus,
+    segment_from_dict,
+)
 from .solver import make_grid, simulate_coupled
 from .systems import (
+    _number,
     build_system,
     check_dissipativity,
     check_growth_and_lipschitz,
@@ -76,26 +84,8 @@ _ALLOWED_KEYS = {
     "epsilon", "epsilons", "p", "paths", "seed", "threads",
     "xi", "eta", "eta_prime", "burn_in", "horizon", "replicas",
     "mixing_replicas", "checkpoints", "drift_source", "estimator",
-    "deltas", "sample_times", "lambda3_cap", "trials", "delta", "dump_paths",
+    "deltas", "sample_times", "lambda3_cap", "trials", "delta",
 }
-
-
-def _divides(span: float, h: float) -> bool:
-    ratio = span / h
-    return abs(ratio - round(ratio)) <= 1e-9 * max(1.0, abs(ratio))
-
-
-def _number(raw, what: str) -> float:
-    """raw as a finite float; ConfigError for anything else, bools included."""
-    try:
-        if isinstance(raw, bool):
-            raise TypeError
-        val = float(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{what} must be a number, got {raw!r}") from None
-    if not math.isfinite(val):
-        raise ConfigError(f"{what} must be finite, got {val}")
-    return val
 
 
 def _cfg_number(cfg, key, default, *, positive=False, nonneg=False):
@@ -151,8 +141,6 @@ class Scenario:
     lambda3_cap: float
     trials: int
     delta: object  # "auto" or float
-    dump_paths: bool
-    config: dict = field(repr=False)
 
     @classmethod
     def from_config(cls, raw: dict) -> "Scenario":
@@ -268,7 +256,8 @@ class Scenario:
         if deltas_raw is not None:
             if not isinstance(deltas_raw, (list, tuple)) or len(deltas_raw) < 1:
                 raise ConfigError("deltas must be a non-empty list")
-            deltas = sorted((_number(d, "deltas entries") for d in deltas_raw), reverse=True)
+            deltas = tuple(sorted((_number(d, "deltas entries") for d in deltas_raw),
+                                  reverse=True))
             if any(d <= 0.0 for d in deltas):
                 raise ConfigError(f"deltas must be positive, got {deltas}")
 
@@ -277,54 +266,26 @@ class Scenario:
         if st_raw is not None:
             if not isinstance(st_raw, (list, tuple)) or len(st_raw) < 1:
                 raise ConfigError("sample_times must be a non-empty list")
-            sample_times = [_number(t, "sample_times entries") for t in st_raw]
+            sample_times = tuple(_number(t, "sample_times entries") for t in st_raw)
             if any(not (0.0 < t <= T) for t in sample_times):
                 raise ConfigError(f"sample_times must lie in (0, T], got {sample_times}")
 
         lambda3_cap = _cfg_number(raw, "lambda3_cap", 10.0, nonneg=True)
         trials = _cfg_int(raw, "trials", 2000, minimum=1)
-        dump_paths = bool(raw.get("dump_paths", False))
-
-        config = {
-            "experiment": experiment,
-            "system": system,
-            "tau": tau,
-            "T": T,
-            "h": h,
-            "h_factor": h_factor,
-            "kappa_stab": kappa_stab,
-            "epsilons": list(epsilons),
-            "p": p,
-            "paths": paths,
-            "seed": seed,
-            "threads": threads,
-            "xi": xi,
-            "eta": eta,
-            "eta_prime": eta_prime,
-            "burn_in": burn_in,
-            "horizon": horizon,
-            "replicas": replicas,
-            "mixing_replicas": mixing_replicas,
-            "checkpoints": checkpoints,
-            "drift_source": drift_source,
-            "estimator": estimator,
-            "deltas": list(deltas) if deltas is not None else None,
-            "sample_times": list(sample_times) if sample_times is not None else None,
-            "lambda3_cap": lambda3_cap,
-            "trials": trials,
-            "delta": delta,
-            "dump_paths": dump_paths,
-        }
-        return cls(**dict(
-            config, epsilons=tuple(epsilons),
-            deltas=tuple(deltas) if deltas is not None else None,
-            sample_times=tuple(sample_times) if sample_times is not None else None,
-        ), config=config)
+        return cls(
+            experiment=experiment, system=system, tau=tau, T=T, h=h, h_factor=h_factor,
+            kappa_stab=kappa_stab, epsilons=tuple(epsilons), p=p, paths=paths, seed=seed,
+            threads=threads, xi=xi, eta=eta, eta_prime=eta_prime, burn_in=burn_in,
+            horizon=horizon, replicas=replicas, mixing_replicas=mixing_replicas,
+            checkpoints=checkpoints, drift_source=drift_source, estimator=estimator,
+            deltas=deltas, sample_times=sample_times, lambda3_cap=lambda3_cap,
+            trials=trials, delta=delta,
+        )
 
     def digest(self) -> str:
-        # Worker count and dump flags change execution, not results.
-        core = {k: v for k, v in self.config.items()
-                if k not in ("threads", "dump_paths")}
+        # The worker count changes execution, not results.
+        core = asdict(self)
+        del core["threads"]
         canonical = json.dumps(core, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
@@ -396,8 +357,12 @@ class Scenario:
         # the divisor up until all three land on the same grid.
         for k in range(k0, k0 + 4096):
             h = base / k
-            if _divides(self.tau, h) and _divides(self.T, h):
-                return h
+            try:
+                exact_steps(self.tau, h, "tau")
+                exact_steps(self.T, h, "T")
+            except TwoscaleError:
+                continue
+            return h
         raise ConfigError(
             f"no step near {target} divides tau={self.tau}, T={self.T}, "
             f"and block {base}; choose commensurate durations"
@@ -531,12 +496,11 @@ class _Chunk:
 def _run_chunk(job):
     """Run paths [start, stop) of one row through body, in path order.
 
-    The scenario is parsed and the grid, start segments and stream
-    factory are built once per chunk, so set-up errors propagate; a
-    TwoscaleError inside a path becomes that path's ("err", type, message).
+    The system, grid, start segments and stream factory are built once
+    per chunk, so set-up errors propagate; a TwoscaleError inside a path
+    becomes that path's ("err", type, message).
     """
-    body, config, epsilon, h, extra, start, stop = job
-    scen = Scenario.from_config(config)
+    body, scen, epsilon, h, extra, start, stop = job
     spec = scen.build_spec()
     chunk = _Chunk(
         scenario=scen, spec=spec, epsilon=epsilon,
@@ -564,7 +528,7 @@ def _run_ensemble(scenario: Scenario, body, rows) -> list:
     paths, threads = scenario.paths, scenario.threads
     per_row = min(threads, paths)
     bounds = [paths * j // per_row for j in range(per_row + 1)]
-    jobs = [(body, scenario.config, epsilon, h, extra, bounds[j], bounds[j + 1])
+    jobs = [(body, scenario, epsilon, h, extra, bounds[j], bounds[j + 1])
             for epsilon, h, extra in rows for j in range(per_row)]
     if threads <= 1 or len(jobs) <= 1:
         done = [_run_chunk(job) for job in jobs]
@@ -737,8 +701,7 @@ def _aux_path(c: _Chunk, path: int):
     y_gap = 0.0
     for i in pair.reset_indices:
         audit = max(audit, float(np.linalg.norm(yt[i] - y[i])))
-        diff = yt[i - ts: i + 1] - y[i - ts: i + 1]
-        y_gap = max(y_gap, float(np.sqrt((diff * diff).sum(axis=1)).max()))
+        y_gap = max(y_gap, float(_node_norms(yt[i - ts: i + 1] - y[i - ts: i + 1]).max()))
     return float(x_gap), y_gap, audit
 
 

@@ -43,15 +43,10 @@ def sup_distance(
     a: TrajectoryBundle,
     b: TrajectoryBundle,
     window: tuple[float, float] | None = None,
-    *,
-    which: str = "slow",
-    segment_norm: bool = False,
 ) -> float:
-    """Largest pointwise gap between two bundles over a time window.
+    """Largest pointwise gap between two bundles' slow paths over a time window.
 
-    Defaults to comparing slow paths at grid times of [0, T]; which may
-    select the fast paths, and segment_norm extends the comparison to
-    whole windows, i.e. the max additionally reaches back over [t0-tau, t0].
+    The window defaults to the grid times of [0, T].
     """
     _same_grid(a, b)
     g = a.grid
@@ -60,9 +55,7 @@ def sup_distance(
         raise UsageError(f"empty window ({t0}, {t1})")
     i0 = g.index_of(t0)
     i1 = g.index_of(t1)
-    if segment_norm:
-        i0 -= g.tau_steps
-    diff = a.path(which)[i0: i1 + 1] - b.path(which)[i0: i1 + 1]
+    diff = a.path("slow")[i0: i1 + 1] - b.path("slow")[i0: i1 + 1]
     return float(_node_norms(diff).max())
 
 
@@ -82,26 +75,18 @@ def p_moment(samples, p: float) -> MomentEstimate:
 
 
 def segment_displacement_moment(
-    bundles,
+    bundle: TrajectoryBundle,
     delta: float,
     p: float,
     sample_times,
-    *,
-    which: str = "slow",
 ) -> float:
-    """Average of ||window(t) - window(t_delta)||_sup^p over times and paths.
+    """Average of ||window(t) - window(t_delta)||_sup^p over the sample times.
 
-    t_delta is the block start preceding t, computed in index space so a
-    t exactly on a boundary contributes 0.  delta must be a grid multiple.
+    Windows are taken from the bundle's slow path.  t_delta is the block
+    start preceding t, computed in index space so a t exactly on a
+    boundary contributes 0.  delta must be a grid multiple.
     """
-    if isinstance(bundles, TrajectoryBundle):
-        bundles = [bundles]
-    bundles = list(bundles)
-    if not bundles:
-        raise UsageError("need at least one bundle")
-    g = bundles[0].grid
-    for b in bundles[1:]:
-        _same_grid(bundles[0], b)
+    g = bundle.grid
     if p <= 0.0:
         raise DomainError(f"moment order p must be positive, got {p}")
     try:
@@ -122,17 +107,14 @@ def segment_displacement_moment(
             raise UsageError(f"sample time {t} outside (0, T]")
         ks.append(k)
 
+    path = bundle.path("slow")
     acc = 0.0
-    count = 0
-    for b in bundles:
-        path = b.path(which)
-        for k in ks:
-            kd = (k // delta_steps) * delta_steps
-            i, id_ = ts + k, ts + kd
-            diff = path[i - ts: i + 1] - path[id_ - ts: id_ + 1]
-            acc += float(_node_norms(diff).max()) ** p
-            count += 1
-    return acc / count
+    for k in ks:
+        kd = (k // delta_steps) * delta_steps
+        i, id_ = ts + k, ts + kd
+        diff = path[i - ts: i + 1] - path[id_ - ts: id_ + 1]
+        acc += float(_node_norms(diff).max()) ** p
+    return acc / len(ks)
 
 
 def slope_fit(xs, ys) -> SlopeFit:

@@ -27,9 +27,8 @@ from .errors import DomainError, UsageError
 
 W1 = "W1"
 W2 = "W2"
-AUX = "AUX"
 
-_TAG_CODES = {W1: 1, W2: 2, AUX: 3}
+_TAG_CODES = {W1: 1, W2: 2}
 
 _U53 = 2.0 ** -53
 

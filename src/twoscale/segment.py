@@ -3,8 +3,7 @@
 A Segment holds the last tau units of a path sampled every h units: values
 has shape (M + 1, n) with M = tau / h, and row i is the state at offset
 -tau + i * h.  Row M is "now" (offset 0), row 0 is the oldest point.  The
-window is immutable; stepping forward produces a new Segment via
-shift_append.
+window is immutable.
 
 All delay bookkeeping in the package is done in index space on top of
 these windows, so tau / h (and later delta / h) must be an exact integer
@@ -21,10 +20,6 @@ from .errors import DataError, DomainError, UsageError
 
 # Relative slack when deciding whether a float ratio is an integer.
 _DIV_RTOL = 1e-9
-# Evaluation offsets may overshoot the window ends by this fraction of h
-# (accumulated float error from t - tau style arithmetic); anything worse
-# is a caller bug.
-_EVAL_SLACK = 1e-6
 
 
 def exact_steps(span: float, h: float, what: str = "span") -> int:
@@ -88,9 +83,6 @@ class Segment:
     def grid_steps(self) -> int:
         return self.values.shape[0] - 1
 
-    def at(self, theta: float) -> np.ndarray:
-        return value_at(self, theta)
-
 
 def _node_norms(arr: np.ndarray) -> np.ndarray:
     # Euclidean length of each row; exact |.| in the scalar case so that
@@ -103,44 +95,6 @@ def _node_norms(arr: np.ndarray) -> np.ndarray:
 def sup_norm(seg: Segment) -> float:
     """Largest Euclidean node norm over the window."""
     return float(_node_norms(seg.values).max())
-
-
-def value_at(seg: Segment, theta: float) -> np.ndarray:
-    """State at offset theta in [-tau, 0], linearly interpolated.
-
-    Offsets that land on a grid node (within float slack) return that row
-    exactly.  Offsets overshooting either end by at most _EVAL_SLACK * h
-    are clamped; anything further out raises DomainError.
-    """
-    m = seg.grid_steps
-    pos = (theta + seg.tau) / seg.h
-    if pos < 0.0 or pos > m:
-        if pos >= -_EVAL_SLACK and pos <= m + _EVAL_SLACK:
-            pos = min(max(pos, 0.0), float(m))
-        else:
-            raise DomainError(
-                f"offset theta={theta} outside [-tau, 0] for tau={seg.tau}"
-            )
-    nearest = int(round(pos))
-    if abs(pos - nearest) <= _DIV_RTOL * max(1.0, pos):
-        return seg.values[nearest].copy()
-    lo = int(np.floor(pos))
-    frac = pos - lo
-    return (1.0 - frac) * seg.values[lo] + frac * seg.values[lo + 1]
-
-
-def shift_append(seg: Segment, new_value) -> Segment:
-    """Advance the window one step: drop the oldest node, append new_value."""
-    row = np.asarray(new_value, dtype=float)
-    if row.ndim == 0:
-        row = row[None]
-    if row.shape != (seg.n,):
-        raise DataError(f"new value must have shape ({seg.n},), got {row.shape}")
-    if not np.isfinite(row).all():
-        raise DataError("new segment value must be finite")
-    values = np.concatenate([seg.values[1:], row[None, :]])
-    values.setflags(write=False)
-    return Segment._wrap(seg.tau, seg.h, values)
 
 
 def lipschitz_modulus(seg: Segment) -> float:
@@ -163,28 +117,6 @@ def constant_segment(tau: float, h: float, value, n: int | None = None) -> Segme
     steps = exact_steps(tau, h, "tau")
     values = np.tile(row, (steps + 1, 1))
     return Segment(tau, h, values)
-
-
-def segment_from_function(tau: float, h: float, f) -> Segment:
-    """Sample f(theta) on the grid theta = -tau + i * h."""
-    steps = exact_steps(tau, h, "tau")
-    thetas = (np.arange(steps + 1) - steps) * h
-    rows = []
-    for th in thetas:
-        row = np.asarray(f(float(th)), dtype=float)
-        if row.ndim == 0:
-            row = row[None]
-        rows.append(row)
-    return Segment(tau, h, np.stack(rows))
-
-
-def segment_to_dict(seg: Segment) -> dict:
-    return {
-        "tau": seg.tau,
-        "h": seg.h,
-        "n": seg.n,
-        "values": seg.values.tolist(),
-    }
 
 
 def segment_from_dict(data: dict) -> Segment:

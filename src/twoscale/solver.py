@@ -92,18 +92,6 @@ class TrajectoryBundle:
             raise UsageError(f"bundle {self.labels} has no {which} path")
         return arr
 
-    def value(self, t: float, which: str = "slow") -> np.ndarray:
-        return self.path(which)[self.grid.index_of(t)]
-
-    def segment_at(self, t: float, which: str = "slow") -> Segment:
-        """Trailing window ending at grid time t >= 0."""
-        idx = self.grid.index_of(t)
-        ts = self.grid.tau_steps
-        if idx < ts:
-            raise DomainError(f"segment at t={t} would reach before -tau")
-        window = self.path(which)[idx - ts: idx + 1]
-        return Segment._wrap(self.grid.tau, self.grid.h, window)
-
     def endpoint(self, which: str = "slow") -> np.ndarray:
         return self.path(which)[-1]
 

@@ -15,6 +15,7 @@ averaged quantities, which the test harness uses as ground truth.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -22,9 +23,22 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, UsageError
-from .segment import Segment, exact_steps, lipschitz_modulus, sup_norm
+from .segment import Segment, _node_norms, exact_steps, lipschitz_modulus, sup_norm
 
 _VIOLATION_TOL = 1e-9
+
+
+def _number(raw, what: str) -> float:
+    """raw as a finite float; ConfigError for anything else, bools included."""
+    try:
+        if isinstance(raw, bool):
+            raise TypeError
+        val = float(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must be a number, got {raw!r}") from None
+    if not math.isfinite(val):
+        raise ConfigError(f"{what} must be finite, got {val}")
+    return val
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,10 +110,6 @@ class LinearBenchmarkParams:
     def kappa(self) -> float:
         """Rate of the scalar averaged equation: a11 + a12 * gain."""
         return self.a11 + self.a12 * self.gain
-
-    def stationary_mean(self, zeta0: float) -> float:
-        """Mean of the frozen stationary law when the slow window ends at zeta0."""
-        return self.gain * zeta0
 
     def averaged_drift(self, seg: Segment) -> np.ndarray:
         """Closed-form averaged slow drift kappa * chi(0)."""
@@ -319,8 +329,7 @@ def check_growth_and_lipschitz(
         growth.append(g)
         s_chi = _as_mat(spec.sigma1(chi), spec.n, spec.m, "sigma1", i)
         s_phi = _as_mat(spec.sigma1(phi), spec.n, spec.m, "sigma1", i)
-        diff = phi.values - chi.values
-        gap = float(np.sqrt((diff * diff).sum(axis=1)).max())
+        gap = float(_node_norms(phi.values - chi.values).max())
         if gap > 0.0:
             ell = float(np.linalg.norm(s_phi - s_chi)) / gap
             if lip_witness is None or ell > lip_witness["ratio"]:
@@ -412,9 +421,10 @@ def build_system(config: dict) -> SystemSpec:
         if not isinstance(params, dict):
             raise ConfigError("linear_benchmark config needs a params object")
         tau = float(config.get("tau", 1.0))
+        values = {k: _number(v, f"linear_benchmark params {k}") for k, v in params.items()}
         try:
-            bench = LinearBenchmarkParams(**{k: float(v) for k, v in params.items()})
-        except (TypeError, ValueError, OverflowError) as exc:
+            bench = LinearBenchmarkParams(**values)
+        except TypeError as exc:
             raise ConfigError(f"bad linear_benchmark params: {exc}") from exc
         return linear_benchmark(bench, tau=tau)
     if kind == "registered":

@@ -7,7 +7,6 @@ import pytest
 from twoscale.averaging import (
     DeltaSchedule,
     EstimatedDriftSource,
-    breakpoint,
     closed_form_drift,
     khasminskii_delta,
     simulate_auxiliary,
@@ -61,29 +60,6 @@ def test_block_schedule_invariants_randomized():
         assert sch.delta <= sch.delta_raw * (1.0 + 1e-12)
         assert sch.N_delta == math.ceil(tau / sch.delta_raw)
         assert sch.N_delta * sch.delta == pytest.approx(tau, rel=1e-12)
-
-
-def test_breakpoint_floor_and_idempotence():
-    assert breakpoint(0.5, 1.0 / 3.0) == pytest.approx(1.0 / 3.0)
-    assert breakpoint(0.0, 0.25) == 0.0
-    # A float boundary maps to itself, so applying it twice is a no-op.
-    delta = 1.0 / 47.0
-    for k in (1, 7, 46, 203):
-        t = k * delta
-        assert breakpoint(t, delta) == pytest.approx(t, rel=1e-12)
-        assert breakpoint(breakpoint(t, delta), delta) == breakpoint(t, delta)
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        t = float(rng.uniform(0.0, 10.0))
-        d = float(rng.uniform(0.01, 1.0))
-        b = breakpoint(t, d)
-        assert b <= t + 1e-9
-        assert t - b < d * (1.0 + 1e-9)
-        assert breakpoint(b, d) == b
-    with pytest.raises(DomainError):
-        breakpoint(1.0, 0.0)
-    with pytest.raises(DomainError):
-        breakpoint(-0.1, 0.5)
 
 
 def _manual_schedule(epsilon, delta, tau=1.0):

@@ -57,15 +57,20 @@ CASES = {
     "frozen": dict(_BASE, experiment="frozen", epsilons=[], h=0.02, T=1.0,
                    burn_in=2.0, horizon=4.0, replicas=2,
                    mixing_replicas=8, checkpoints=3),
+    "check": dict(_BASE, experiment="check", trials=200),
+    "mixing": dict(_BASE, experiment="mixing", h=0.02, T=1.0,
+                   mixing_replicas=8, checkpoints=3),
 }
 
 GOLDEN = {
     "auxiliary_gap": "5790b11d9ab140babe4339f0c9162cc4175ea3add1cf3751a1e26d1511dfc60c",
     "auxiliary_gap_diverging": "e842a53c760af953420eb997abdb8e94ff0e270aff5e0d780f3294a8ae7825be",
+    "check": "c12eb11809c9ad819232c09953c0ea60361c89bdcafd88df0f632ac55c0b6e35",
     "converge": "e6b791467fd1759b59595e3d28812fe974e1b576eb02b5379fe5bc5c813f0004",
     "converge_diverging": "4793ec5768807571b2ed4460b9518926fb6752420ebaf2fe4dd3abd974d83277",
     "converge_estimator": "68148c699e72dbbcef26973e1e0bbb84c0458c1f06334ae0a719b17fa51252fc",
     "frozen": "ecc232dbb879929d6c779c9a0db5cad1dc4e8bda688c3dc6b9aa24d4f7142c72",
+    "mixing": "c2be10a1542a55289874cf0d175667318e50587ff9e2b1dcb1fab166ec47b821",
     "segment_continuity": "1e44b3623fc7e3f62d1654ad6f57eec627881d8829b2125d3f17abb1af0c00c0",
     "simulate_dump": "3aab6dfde4b0c719b1d8d59a0b412972286bddc184b701e37af7d1bd12b0d5df",
 }

@@ -55,6 +55,7 @@ _BAD_PARSE_CONFIGS = [
     _cfg(paths=1),
     _cfg(experiment="auxiliary_gap", epsilons=[0.05, 0.01], paths=1),
     _cfg(experiment="segment_continuity", epsilons=[0.05], paths=1),
+    _cfg(dump_paths=True),  # trajectory dumps are the --dump-paths flag only
 ]
 
 
@@ -92,9 +93,10 @@ def test_from_config_validation_errors():
     for bad in _BAD_PARSE_CONFIGS:
         with pytest.raises(ConfigError):
             Scenario.from_config(bad)
-    bad_params = dict(BENCH_SYS["params"], c1="abc")
-    with pytest.raises(ConfigError, match="linear_benchmark params"):
-        Scenario.from_config(_cfg(system=dict(BENCH_SYS, params=bad_params))).build_spec()
+    for bad_value in ("abc", True):
+        bad_params = dict(BENCH_SYS["params"], c1=bad_value)
+        with pytest.raises(ConfigError, match="linear_benchmark params"):
+            Scenario.from_config(_cfg(system=dict(BENCH_SYS, params=bad_params))).build_spec()
     # A single path is still a valid plain simulation.
     assert Scenario.from_config(_cfg(experiment="simulate", paths=1)).paths == 1
 
@@ -161,9 +163,8 @@ def test_block_schedule_epsilons_checked_at_config_time():
 def test_digest_ignores_execution_knobs():
     a = Scenario.from_config(_cfg())
     b = Scenario.from_config(_cfg(threads=4))
-    c = Scenario.from_config(_cfg(dump_paths=True))
     d = Scenario.from_config(_cfg(seed=778))
-    assert a.digest() == b.digest() == c.digest()
+    assert a.digest() == b.digest()
     assert a.digest() != d.digest()
     assert len(a.digest()) == 16
 
@@ -442,8 +443,10 @@ def test_cli_config_errors_exit_four(tmp_path, capsys):
     # Bad usage (missing required flag) also maps to 4, not argparse's 2.
     assert cli_main(["converge"]) == 4
     capsys.readouterr()
-    bad_params = dict(BENCH_SYS["params"], c1="abc")
-    cases = _BAD_PARSE_CONFIGS + [_cfg(system=dict(BENCH_SYS, params=bad_params))]
+    cases = _BAD_PARSE_CONFIGS + [
+        _cfg(system=dict(BENCH_SYS, params=dict(BENCH_SYS["params"], c1="abc"))),
+        _cfg(system=dict(BENCH_SYS, params=dict(BENCH_SYS["params"], a11=True))),
+    ]
     commands = {"converge": "converge", "auxiliary_gap": "aux-gap",
                 "segment_continuity": "seg-cont"}
     for i, cfg in enumerate(cases):

@@ -11,11 +11,8 @@ def _bundle(grid, slow=None, fast=None):
                             epsilon=None, labels=("T",))
 
 
-def _linear_bundle(grid, slope=1.0, which="slow"):
-    path = slope * grid.times()[:, None]
-    if which == "slow":
-        return _bundle(grid, slow=path)
-    return _bundle(grid, fast=path)
+def _linear_bundle(grid, slope=1.0):
+    return _bundle(grid, slow=slope * grid.times()[:, None])
 
 
 def test_sup_distance_zero_for_identical_paths():
@@ -32,23 +29,21 @@ def test_sup_distance_hand_value_and_window():
     # Gap at time t is |t|; max over [0, 1] is 1, over [0, 0.5] is 0.5.
     assert sup_distance(a, b) == 1.0
     assert sup_distance(a, b, (0.0, 0.5)) == 0.5
-    # segment_norm reaches back over [t0 - tau, t0]: gap at -0.5 is 0.5.
-    assert sup_distance(a, b, (0.0, 0.0), segment_norm=True) == 0.5
     assert sup_distance(a, b, (0.0, 0.0)) == 0.0
 
 
-def test_sup_distance_fast_selector_and_errors():
+def test_sup_distance_errors():
     g = make_grid(T=1.0, h=0.25, tau=0.5)
-    fa = _linear_bundle(g, slope=1.0, which="fast")
-    fb = _linear_bundle(g, slope=-1.0, which="fast")
-    assert sup_distance(fa, fb, which="fast") == 2.0
+    a = _linear_bundle(g, slope=1.0)
+    b = _linear_bundle(g, slope=-1.0)
+    assert sup_distance(a, b) == 2.0
     with pytest.raises(UsageError):
-        sup_distance(fa, fb)  # no slow path stored
+        sup_distance(_bundle(g, fast=a.path()), b)  # no slow path stored
     other = make_grid(T=1.0, h=0.125, tau=0.5)
     with pytest.raises(UsageError):
-        sup_distance(fa, _linear_bundle(other, which="fast"), which="fast")
+        sup_distance(a, _linear_bundle(other))
     with pytest.raises(UsageError):
-        sup_distance(fa, fb, (0.5, 0.25), which="fast")
+        sup_distance(a, b, (0.5, 0.25))
 
 
 def test_sup_distance_vector_rows_use_euclidean_norm():
@@ -127,16 +122,6 @@ def test_displacement_moment_linear_path():
     assert segment_displacement_moment(b, delta, 2.0, [0.5]) == 0.0
 
 
-def test_displacement_moment_averages_over_bundles():
-    g = make_grid(T=1.0, h=0.0625, tau=0.25)
-    flat = _bundle(g, slow=np.zeros((g.total, 1)))
-    lin = _linear_bundle(g)
-    times = [0.375]
-    single = segment_displacement_moment(lin, 0.25, 2.0, times)
-    both = segment_displacement_moment([lin, flat], 0.25, 2.0, times)
-    assert both == pytest.approx(single / 2.0, rel=1e-12)
-
-
 def test_displacement_moment_validation():
     g = make_grid(T=1.0, h=0.0625, tau=0.25)
     b = _linear_bundle(g)
@@ -150,5 +135,3 @@ def test_displacement_moment_validation():
         segment_displacement_moment(b, 0.25, 2.0, [0.0])  # not in (0, T]
     with pytest.raises(DomainError):
         segment_displacement_moment(b, 0.25, -1.0, [0.5])
-    with pytest.raises(UsageError):
-        segment_displacement_moment([], 0.25, 2.0, [0.5])

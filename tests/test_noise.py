@@ -3,7 +3,6 @@ import pytest
 
 from twoscale.errors import DomainError, UsageError
 from twoscale.noise import (
-    AUX,
     W1,
     W2,
     NoiseStream,
@@ -36,7 +35,7 @@ def test_split_draws_equal_one_draw():
 def test_distinct_addresses_differ():
     base = NoiseStream(1, 0, W1).normals(64)
     for other in (NoiseStream(1, 1, W1), NoiseStream(1, 0, W2),
-                  NoiseStream(1, 0, AUX), NoiseStream(2, 0, W1)):
+                  NoiseStream(2, 0, W1)):
         assert not np.array_equal(base, other.normals(64))
 
 
@@ -117,9 +116,9 @@ def test_fast_increments_variance_scaling():
 
 def test_factory_wires_seed_and_dimension():
     fac = StreamFactory(seed=314, m=2)
-    s = fac.stream(7, AUX)
-    assert (s.seed, s.path_index, s.tag, s.m) == (314, 7, AUX, 2)
-    direct = NoiseStream(314, 7, AUX, 2)
+    s = fac.stream(7, W2)
+    assert (s.seed, s.path_index, s.tag, s.m) == (314, 7, W2, 2)
+    direct = NoiseStream(314, 7, W2, 2)
     assert np.array_equal(s.normals(20), direct.normals(20))
 
 

@@ -237,13 +237,8 @@ def test_bundle_accessors():
                          NoiseStream(17, 0, W1), NoiseStream(17, 0, W2))
     assert b.labels == ("X", "Y")
     assert b.epsilon == 0.25
-    # segment_at(t) is the trailing window of the stored path.
-    seg = b.segment_at(0.25, "fast")
-    i = g.index_of(0.25)
-    assert np.array_equal(seg.values, b.path("fast")[i - g.tau_steps: i + 1])
-    assert np.array_equal(b.value(0.5), b.endpoint())
-    with pytest.raises(DomainError):
-        b.segment_at(-0.25)
+    assert b.path("slow").shape == b.path("fast").shape == (g.total, 1)
+    assert np.array_equal(b.endpoint("fast"), b.path("fast")[-1])
 
     solo = simulate_sdde(1, 1, lambda s: np.zeros(1), lambda s: np.zeros((1, 1)),
                          _const(g, 0.0), g, NoiseStream(0, 0, W1), role="fast")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from twoscale.errors import ConfigError, DataError, DomainError, UsageError
-from twoscale.segment import Segment, constant_segment, segment_from_function
+from twoscale.segment import Segment, constant_segment
 from twoscale.systems import (
     LinearBenchmarkParams,
     SystemSpec,
@@ -24,13 +24,11 @@ def test_benchmark_closed_forms():
     assert BENCH.dissipative
     assert BENCH.gain == pytest.approx(2.0 / 3.0)
     assert BENCH.kappa == pytest.approx(-1.0 / 3.0)
-    assert BENCH.stationary_mean(1.0) == pytest.approx(2.0 / 3.0)
-    assert BENCH.stationary_mean(-3.0) == pytest.approx(-2.0)
     assert BENCH.lambda_pair == (3.5, 0.5)
 
 
 def test_benchmark_averaged_drift_reads_window_endpoint():
-    seg = segment_from_function(1.0, 0.25, lambda th: 2.0 + th)
+    seg = Segment(1.0, 0.25, 2.0 + (np.arange(5) - 4) * 0.25)
     out = BENCH.averaged_drift(seg)
     assert out.shape == (1,)
     assert out[0] == pytest.approx(BENCH.kappa * 2.0)
@@ -177,7 +175,7 @@ def test_growth_check_flags_superlinear_drift():
 
 
 def test_initial_segment_slope_cap():
-    ramp = segment_from_function(1.0, 0.125, lambda th: 2.0 * th)
+    ramp = Segment(1.0, 0.125, 2.0 * (np.arange(9) - 8) * 0.125)
     assert check_initial_segment(ramp, 10.0)
     assert check_initial_segment(ramp, 2.0)
     assert not check_initial_segment(ramp, 1.0)
