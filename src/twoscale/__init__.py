@@ -47,7 +47,6 @@ from .frozen import (
     estimate_averaged_drift,
     mixing_decay,
     simulate_frozen,
-    wasserstein2_truncated,
 )
 from .averaging import (
     AuxiliaryPair,

@@ -40,6 +40,10 @@ from .systems import SystemSpec
 
 _INV_E = math.exp(-1.0)
 
+# Sub-seed resolution of EstimatedDriftSource: windows that round to the
+# same multiples of this share their sub-simulation streams.
+_SEED_QUANT = 1e-4
+
 
 @dataclass(frozen=True)
 class DeltaSchedule:
@@ -152,46 +156,28 @@ def simulate_averaged(
 class EstimatedDriftSource:
     """Averaged drift evaluated by on-demand frozen sub-simulation.
 
-    Each distinct slow window triggers a fresh estimate_averaged_drift
-    run whose streams are seeded from a digest of the window, so the
-    evaluator is a pure function of (window, seed, budget).  Windows are
-    memoized on a quantized digest (quant per coordinate) because exact
-    continuous-state caching is impossible; the quantization bias is
-    measurable against the benchmark closed form.
+    Every call runs a fresh estimate_averaged_drift whose streams are
+    seeded from a digest of the window rounded to _SEED_QUANT, so the
+    evaluator is a pure function of (window, seed, budget).  Nothing is
+    memoized: a diffusing path does not revisit a window.
     """
 
-    def __init__(
-        self,
-        spec: SystemSpec,
-        budget: DriftEstimatorBudget,
-        sub_h: float,
-        seed: int,
-        *,
-        quant: float = 1e-4,
-    ):
-        if quant <= 0.0:
-            raise DomainError(f"quant must be positive, got {quant}")
+    def __init__(self, spec: SystemSpec, budget: DriftEstimatorBudget, sub_h: float, seed: int):
         self.spec = spec
         self.budget = budget
         self.seed = int(seed)
-        self.quant = float(quant)
         self.sub_grid = make_grid(budget.burn_in + budget.horizon, sub_h, spec.tau)
         self.calls = 0
-        self.cache_misses = 0
         self.max_std_error = 0.0
-        self._cache: dict[bytes, np.ndarray] = {}
 
-    def _key(self, seg: Segment) -> bytes:
-        q = np.round(seg.values / self.quant).astype(np.int64)
-        return q.tobytes()
+    @property
+    def cache_misses(self) -> int:
+        # Sub-simulations run: one per call.
+        return self.calls
 
     def __call__(self, seg: Segment) -> np.ndarray:
         self.calls += 1
-        key = self._key(seg)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        self.cache_misses += 1
+        key = np.round(seg.values / _SEED_QUANT).astype(np.int64).tobytes()
         digest = hashlib.blake2b(key + b"|" + str(self.seed).encode(), digest_size=8)
         sub_seed = int.from_bytes(digest.digest(), "big")
         est = estimate_averaged_drift(
@@ -201,7 +187,4 @@ class EstimatedDriftSource:
         se = float(np.max(est.std_error)) if est.std_error.size else 0.0
         if se > self.max_std_error:
             self.max_std_error = se
-        value = est.value.copy()
-        value.setflags(write=False)
-        self._cache[key] = value
-        return value
+        return est.value

@@ -122,8 +122,6 @@ def main(argv=None) -> int:
         print(f"warning: {warning}")
     print(f"report: {csv_path}")
     print(f"hash: {report.reproducibility_hash}")
-    if report.frozen_summary is not None:
-        print(json.dumps(report.frozen_summary, sort_keys=True, indent=2))
 
     if report.had_divergence:
         return 3

@@ -7,9 +7,9 @@ Under the one-sided contraction condition (see systems.check_dissipativity)
 this process forgets its start exponentially fast and has a unique
 stationary law; the averaged slow drift is the stationary average of
 b1(zeta, .).  This module estimates that average by long-run time
-averaging, measures the forgetting rate through synchronously coupled
-pairs, and provides a small-sample Wasserstein distance built on the
-truncated sup metric 1 ^ ||.||_inf for distributional diagnostics.
+averaging and measures the forgetting rate through synchronously coupled
+pairs.  The coupled gap also bounds the distance between the frozen laws
+from two starts: in the truncated sup metric, W2^2 <= E[sup gap^2].
 """
 
 from __future__ import annotations
@@ -35,12 +35,8 @@ GAP_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class AveragedDriftEstimate:
-    zeta: Segment
     value: np.ndarray
     std_error: np.ndarray
-    burn_in: float
-    horizon: float
-    replicas: int
 
 
 @dataclass(frozen=True)
@@ -153,10 +149,7 @@ def estimate_averaged_drift(
         std_error = replica_means.std(axis=0, ddof=1) / np.sqrt(replicas)
     else:
         std_error = np.zeros(spec.n)
-    return AveragedDriftEstimate(
-        zeta=zeta, value=value, std_error=std_error,
-        burn_in=float(burn_in), horizon=float(horizon), replicas=int(replicas),
-    )
+    return AveragedDriftEstimate(value=value, std_error=std_error)
 
 
 def mixing_decay(
@@ -167,8 +160,6 @@ def mixing_decay(
     grid: TimeGrid,
     replicas: int,
     streams: StreamFactory,
-    *,
-    gap_floor: float = GAP_FLOOR,
 ) -> DecayFit:
     """Fit the contraction rate of synchronously coupled frozen pairs.
 
@@ -176,7 +167,7 @@ def mixing_decay(
     W2 stream per replica, so their gap is driven purely by the dynamics.
     g(t) = replica mean of the squared window sup gap is recorded at
     checkpoints t = tau, 2 tau, ... and log g is fitted by least squares
-    over the checkpoints with g above gap_floor; fitted_rate = -slope.
+    over the checkpoints with g above GAP_FLOOR; fitted_rate = -slope.
     Fewer than 3 usable checkpoints raise DegenerateFitError (gaps that
     hit the floor that fast are themselves strong evidence of mixing).
     """
@@ -199,10 +190,10 @@ def mixing_decay(
     gaps /= replicas
 
     times = [(j + 1) * grid.tau for j in range(n_checks)]
-    usable = [(t, g) for t, g in zip(times, gaps) if g > gap_floor]
+    usable = [(t, g) for t, g in zip(times, gaps) if g > GAP_FLOOR]
     if len(usable) < 3:
         raise DegenerateFitError(
-            f"only {len(usable)} checkpoints above the gap floor {gap_floor}; "
+            f"only {len(usable)} checkpoints above the gap floor {GAP_FLOOR}; "
             "the coupled gap contracts too fast to fit (mixing itself is not in doubt)"
         )
     ts_fit = np.array([t for t, _ in usable])
@@ -218,40 +209,3 @@ def mixing_decay(
         fitted_rate=float(-slope),
         r_squared=float(r2),
     )
-
-
-def wasserstein2_truncated(sample_a, sample_b) -> float:
-    """Exact L2 Wasserstein distance in the truncated sup metric.
-
-    Cost between members is (1 ^ sup-gap)^2; the optimal pairing is
-    solved exactly, so this is only offered for samples of up to 256
-    segments (callers subsample larger ensembles).  Matched costs are
-    summed in sorted order, making the result exactly symmetric.
-    """
-    a = list(sample_a)
-    b = list(sample_b)
-    if len(a) != len(b):
-        raise UsageError(f"sample sizes differ: {len(a)} vs {len(b)}")
-    if not a:
-        raise UsageError("samples must be non-empty")
-    if len(a) > 256:
-        raise UsageError(f"exact matching limited to 256 segments, got {len(a)}")
-    first = a[0]
-    for seg in (*a, *b):
-        if (seg.grid_steps != first.grid_steps or seg.n != first.n
-                or abs(seg.h - first.h) > 1e-12 * first.h):
-            raise UsageError("all segments must share (tau, h, n)")
-
-    n = len(a)
-    av = np.stack([s.values for s in a])
-    bv = np.stack([s.values for s in b])
-    cost = np.empty((n, n))
-    for i in range(n):
-        diff = (av[i][None, :, :] - bv).reshape(-1, first.n)
-        d = _node_norms(diff).reshape(n, -1).max(axis=1)
-        cost[i] = np.minimum(1.0, d) ** 2
-    from scipy.optimize import linear_sum_assignment
-
-    rows, cols = linear_sum_assignment(cost)
-    total = float(np.sort(cost[rows, cols]).sum())
-    return float(np.sqrt(total / n))

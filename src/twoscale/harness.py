@@ -100,7 +100,7 @@ def _cfg_number(cfg, key, default, *, positive=False, nonneg=False):
 def _cfg_int(cfg, key, default, *, minimum=None):
     raw = cfg.get(key, default)
     try:
-        if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        if isinstance(raw, (bool, str)) or (isinstance(raw, float) and not raw.is_integer()):
             raise TypeError
         val = int(raw)
     except (TypeError, ValueError, OverflowError):
@@ -218,8 +218,14 @@ class Scenario:
                 )
             if "constant" in val:
                 const = val["constant"]
-                for c in const if isinstance(const, list) else [const]:
-                    _number(c, f"{key} constant")
+                entries = const if isinstance(const, list) else [const]
+            else:
+                rows = val["values"]
+                if not isinstance(rows, list):
+                    raise ConfigError(f"{key} values must be a list, got {rows!r}")
+                entries = [c for r in rows for c in (r if isinstance(r, list) else [r])]
+            for c in entries:
+                _number(c, f"{key} entries")
             return val
 
         xi = seg_cfg("xi", {"constant": 1.0})
@@ -240,7 +246,7 @@ class Scenario:
         est_raw = raw.get("estimator", {})
         if not isinstance(est_raw, dict):
             raise ConfigError("estimator must be an object")
-        est_unknown = set(est_raw) - {"burn_in", "horizon", "replicas", "h", "quant"}
+        est_unknown = set(est_raw) - {"burn_in", "horizon", "replicas", "h"}
         if est_unknown:
             raise ConfigError(f"unknown estimator keys: {sorted(est_unknown)}")
         estimator = {
@@ -248,7 +254,6 @@ class Scenario:
             "horizon": _cfg_number(est_raw, "horizon", 20.0 * tau, positive=True),
             "replicas": _cfg_int(est_raw, "replicas", 4, minimum=1),
             "h": _cfg_number(est_raw, "h", tau / 100.0, positive=True),
-            "quant": _cfg_number(est_raw, "quant", 1e-4, positive=True),
         }
 
         deltas_raw = raw.get("deltas")
@@ -376,10 +381,7 @@ class Scenario:
             horizon=self.estimator["horizon"],
             replicas=self.estimator["replicas"],
         )
-        return EstimatedDriftSource(
-            spec, budget, self.estimator["h"], self.seed,
-            quant=self.estimator["quant"],
-        )
+        return EstimatedDriftSource(spec, budget, self.estimator["h"], self.seed)
 
 
 @dataclass(eq=False)
@@ -391,7 +393,6 @@ class ExperimentReport:
     warnings: list
     runtime_seconds: float
     reproducibility_hash: str
-    frozen_summary: dict | None = None
 
     @property
     def passed(self) -> bool:
@@ -431,7 +432,6 @@ class ExperimentReport:
             "warnings": self.warnings,
             "runtime_seconds": self.runtime_seconds,
             "reproducibility_hash": self.reproducibility_hash,
-            "frozen_summary": self.frozen_summary,
             "passed": self.passed,
         }
 
@@ -455,7 +455,7 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _finish(scenario: Scenario, rows, gates, warns, t0, frozen_summary=None) -> ExperimentReport:
+def _finish(scenario: Scenario, rows, gates, warns, t0) -> ExperimentReport:
     report = ExperimentReport(
         experiment=scenario.experiment,
         scenario_digest=scenario.digest(),
@@ -464,7 +464,6 @@ def _finish(scenario: Scenario, rows, gates, warns, t0, frozen_summary=None) -> 
         warnings=list(warns),
         runtime_seconds=time.perf_counter() - t0,
         reproducibility_hash="",
-        frozen_summary=frozen_summary,
     )
     report.reproducibility_hash = hashlib.sha256(report.csv_text().encode()).hexdigest()
     return report
@@ -674,17 +673,13 @@ def _trend_gates(ok_rows, complete: bool):
 
 # ---------------------------------------------------------- auxiliary gap
 
-def _resolve_schedule(scenario: Scenario, epsilon: float):
-    if scenario.delta == "auto":
-        return khasminskii_delta(epsilon, scenario.tau), None
-    delta = float(scenario.delta)
-    n = max(1, round(scenario.tau / delta))
-    snapped = scenario.tau / n
-    warn = None
+def _snap_to_tau(tau: float, delta: float, warns: list) -> tuple[float, int]:
+    """Snap delta to tau / N so blocks tile the delay; a moved delta is warned."""
+    n = max(1, round(tau / delta))
+    snapped = tau / n
     if abs(snapped - delta) > 1e-9 * delta:
-        warn = f"delta={delta} snapped to tau/{n}={snapped}"
-    return DeltaSchedule(epsilon=epsilon, delta_raw=delta, delta=snapped,
-                         N_delta=n), warn
+        warns.append(f"delta={delta} snapped to tau/{n}={snapped}")
+    return snapped, n
 
 
 def _aux_path(c: _Chunk, path: int):
@@ -719,9 +714,12 @@ def run_auxiliary_gap(scenario: Scenario) -> ExperimentReport:
     warns = []
     sweep = []
     for eps in eps_desc:
-        schedule, warn = _resolve_schedule(scenario, eps)
-        if warn:
-            warns.append(warn)
+        if scenario.delta == "auto":
+            schedule = khasminskii_delta(eps, scenario.tau)
+        else:
+            delta, n = _snap_to_tau(scenario.tau, scenario.delta, warns)
+            schedule = DeltaSchedule(epsilon=eps, delta_raw=scenario.delta, delta=delta,
+                                     N_delta=n)
         h = scenario.resolve_h(epsilon=eps, anchor=schedule.delta)
         sweep.append((eps, h, {"schedule": schedule}))
     results = _run_ensemble(scenario, _aux_path, sweep)
@@ -789,14 +787,7 @@ def run_segment_continuity(scenario: Scenario) -> ExperimentReport:
         scenario.tau / 16.0, scenario.tau / 32.0,
         scenario.tau / 64.0, scenario.tau / 128.0,
     ]
-    # Snap each delta to tau/N so blocks tile the delay.
-    normed = []
-    for d in deltas:
-        n = max(1, round(scenario.tau / d))
-        nd = scenario.tau / n
-        if abs(nd - d) > 1e-9 * d:
-            warns.append(f"delta={d} snapped to tau/{n}={nd}")
-        normed.append(nd)
+    normed = [_snap_to_tau(scenario.tau, d, warns)[0] for d in deltas]
     deltas = sorted(set(normed), reverse=True)
     if len(deltas) < len(normed):
         warns.append("duplicate deltas merged after snapping")
@@ -866,101 +857,58 @@ def _zeta_digest(seg: Segment) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def _offset_segment(seg: Segment, offset: float) -> Segment:
-    return Segment(seg.tau, seg.h, seg.values + offset)
-
-
 def run_frozen(scenario: Scenario) -> ExperimentReport:
-    """Stationary averaged-drift estimate plus the mixing-rate fit."""
+    """Frozen fast equation at the window xi: bbar estimate and mixing fit.
+
+    experiment "frozen" reports the stationary averaged-drift estimate
+    and the contraction-rate fit; "mixing" reports the fit only.
+    """
     t0 = time.perf_counter()
     spec = scenario.build_spec()
     h = scenario.resolve_h(default_target=scenario.tau / 1000.0)
     zeta = scenario.materialize_segment("xi", h, spec.n)
     eta = scenario.materialize_segment("eta", h, spec.n)
     fac = StreamFactory(scenario.seed, spec.m)
-    warns = []
+    rows, warns = [], []
 
-    grid_est = make_grid(scenario.burn_in + scenario.horizon, h, scenario.tau)
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always")
-        est = estimate_averaged_drift(
-            spec, zeta, scenario.burn_in, scenario.horizon,
-            scenario.replicas, grid_est, fac, eta=eta,
-        )
-    warns.extend(str(w.message) for w in caught)
+    if scenario.experiment == "frozen":
+        grid_est = make_grid(scenario.burn_in + scenario.horizon, h, scenario.tau)
+        with _warnings.catch_warnings(record=True) as caught:
+            _warnings.simplefilter("always")
+            est = estimate_averaged_drift(
+                spec, zeta, scenario.burn_in, scenario.horizon,
+                scenario.replicas, grid_est, fac, eta=eta,
+            )
+        warns = [str(w.message) for w in caught]
+        row = _row(None, None, None, scenario.replicas, "bbar_estimate", h)
+        rows.append(dict(
+            row,
+            value=float(est.value[0]) if spec.n == 1 else float(np.linalg.norm(est.value)),
+            std_error=float(np.linalg.norm(est.std_error)),
+            extra=dict(row["extra"], bbar=[float(v) for v in est.value],
+                       std_error=[float(s) for s in est.std_error],
+                       burn_in=scenario.burn_in, horizon=scenario.horizon,
+                       zeta_digest=_zeta_digest(zeta)),
+        ))
 
-    rows = [{
-        "epsilon": None, "delta": None, "p": None,
-        "paths": scenario.replicas,
-        "value": float(est.value[0]) if spec.n == 1 else float(np.linalg.norm(est.value)),
-        "std_error": float(np.linalg.norm(est.std_error)),
-        "extra": {"kind": "bbar_estimate", "h": h,
-                  "bbar": [float(v) for v in est.value],
-                  "std_error": [float(s) for s in est.std_error],
-                  "burn_in": scenario.burn_in, "horizon": scenario.horizon,
-                  "zeta_digest": _zeta_digest(zeta)},
-    }]
-
-    fit, fit_rows, fit_gate = _mixing_part(scenario, spec, zeta, eta, h, fac)
-    rows.extend(fit_rows)
-    gates = [fit_gate]
-
-    frozen_summary = {
-        "zeta_digest": _zeta_digest(zeta),
-        "bbar": [float(v) for v in est.value],
-        "std_error": [float(s) for s in est.std_error],
-        "fitted_rate": fit.fitted_rate if fit is not None else None,
-        "r_squared": fit.r_squared if fit is not None else None,
-    }
-    return _finish(scenario, rows, gates, warns, t0, frozen_summary=frozen_summary)
-
-
-def _mixing_part(scenario: Scenario, spec, zeta, eta, h, fac):
     grid = make_grid(scenario.checkpoints * scenario.tau, h, scenario.tau)
-    if scenario.eta_prime is not None:
-        eta_prime = scenario.materialize_segment("eta_prime", h, spec.n)
-    else:
-        eta_prime = _offset_segment(eta, 1.0)
+    eta_prime = scenario.materialize_segment("eta_prime", h, spec.n)
+    if eta_prime is None:
+        eta_prime = Segment(eta.tau, eta.h, eta.values + 1.0)
+    row = _row(None, None, None, scenario.mixing_replicas, "mixing_fit", h)
     try:
-        fit = mixing_decay(spec, zeta, eta, eta_prime, grid,
-                           scenario.mixing_replicas, fac)
+        fit = mixing_decay(spec, zeta, eta, eta_prime, grid, scenario.mixing_replicas, fac)
     except DegenerateFitError as exc:
-        row = {
-            "epsilon": None, "delta": None, "p": None,
-            "paths": scenario.mixing_replicas, "value": None, "std_error": None,
-            "extra": {"kind": "mixing_fit", "degenerate": True, "detail": str(exc),
-                      "h": h},
-        }
+        rows.append(dict(row, extra=dict(row["extra"], degenerate=True, detail=str(exc))))
         gate = {"name": "mixing_rate_positive", "passed": True,
                 "detail": "gap contracted below the fit floor (strong mixing)"}
-        return None, [row], gate
-    row = {
-        "epsilon": None, "delta": None, "p": None,
-        "paths": scenario.mixing_replicas, "value": fit.fitted_rate,
-        "std_error": None,
-        "extra": {"kind": "mixing_fit", "r_squared": fit.r_squared,
-                  "times": fit.times, "log_gaps": fit.log_gaps, "h": h},
-    }
-    gate = {"name": "mixing_rate_positive", "passed": bool(fit.fitted_rate > 0.0),
-            "detail": f"fitted_rate={fit.fitted_rate:.4f}, r2={fit.r_squared:.4f}"}
-    return fit, [row], gate
-
-
-def run_mixing(scenario: Scenario) -> ExperimentReport:
-    """Synchronous-coupling contraction fit only."""
-    t0 = time.perf_counter()
-    spec = scenario.build_spec()
-    h = scenario.resolve_h(default_target=scenario.tau / 1000.0)
-    zeta = scenario.materialize_segment("xi", h, spec.n)
-    eta = scenario.materialize_segment("eta", h, spec.n)
-    fac = StreamFactory(scenario.seed, spec.m)
-    fit, rows, gate = _mixing_part(scenario, spec, zeta, eta, h, fac)
-    summary = None
-    if fit is not None:
-        summary = {"zeta_digest": _zeta_digest(zeta), "bbar": None,
-                   "std_error": None, "fitted_rate": fit.fitted_rate,
-                   "r_squared": fit.r_squared}
-    return _finish(scenario, rows, [gate], [], t0, frozen_summary=summary)
+    else:
+        rows.append(dict(row, value=fit.fitted_rate,
+                         extra=dict(row["extra"], r_squared=fit.r_squared,
+                                    times=fit.times, log_gaps=fit.log_gaps)))
+        gate = {"name": "mixing_rate_positive", "passed": bool(fit.fitted_rate > 0.0),
+                "detail": f"fitted_rate={fit.fitted_rate:.4f}, r2={fit.r_squared:.4f}"}
+    return _finish(scenario, rows, [gate], warns, t0)
 
 
 # ----------------------------------------------------------------- check
@@ -1077,7 +1025,7 @@ _RUNNERS = {
     "auxiliary_gap": run_auxiliary_gap,
     "segment_continuity": run_segment_continuity,
     "frozen": run_frozen,
-    "mixing": run_mixing,
+    "mixing": run_frozen,
     "check": run_check,
     "simulate": run_simulate,
 }

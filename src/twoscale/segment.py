@@ -7,7 +7,7 @@ window is immutable.
 
 All delay bookkeeping in the package is done in index space on top of
 these windows, so tau / h (and later delta / h) must be an exact integer
-ratio.  exact_steps is the single place that ratio is checked.
+ratio.  _integer_ratio is the single place that ratio is checked.
 """
 
 from __future__ import annotations
@@ -22,19 +22,25 @@ from .errors import DataError, DomainError, UsageError
 _DIV_RTOL = 1e-9
 
 
+def _integer_ratio(ratio: float) -> int | None:
+    """round(ratio) if ratio is an integer within _DIV_RTOL, else None."""
+    k = int(round(ratio))
+    return k if abs(ratio - k) <= _DIV_RTOL * max(1.0, abs(ratio)) else None
+
+
 def exact_steps(span: float, h: float, what: str = "span") -> int:
     """Return span / h as an int, requiring the division to be exact.
 
-    Exact means within _DIV_RTOL relative error; the snapped integer is
-    returned so downstream code never touches the float ratio again.
+    The snapped integer is returned so downstream code never touches the
+    float ratio again.
     """
     if h <= 0.0:
         raise DomainError(f"step h={h} must be positive")
     if span <= 0.0:
         raise DomainError(f"{what}={span} must be positive")
     ratio = span / h
-    steps = int(round(ratio))
-    if steps < 1 or abs(ratio - steps) > _DIV_RTOL * max(1.0, ratio):
+    steps = _integer_ratio(ratio)
+    if steps is None or steps < 1:
         raise DomainError(
             f"{what}={span!r} is not an integer multiple of h={h!r} (ratio {ratio!r})"
         )

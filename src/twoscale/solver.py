@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DataError, DivergenceError, DomainError, UsageError
 from .noise import NoiseStream, fast_increments, gaussian_increments
-from .segment import Segment, exact_steps
+from .segment import Segment, _integer_ratio, exact_steps
 from .systems import SystemSpec
 
 DIVERGENCE_CAP = 1e12
@@ -60,9 +60,8 @@ class TimeGrid:
 
     def index_of(self, t: float) -> int:
         """Absolute array index of grid time t in [-tau, T]."""
-        ratio = t / self.h
-        k = int(round(ratio))
-        if abs(ratio - k) > 1e-9 * max(1.0, abs(ratio)):
+        k = _integer_ratio(t / self.h)
+        if k is None:
             raise UsageError(f"t={t} does not lie on the grid (h={self.h})")
         idx = k + self.tau_steps
         if idx < 0 or idx >= self.total:

@@ -29,9 +29,9 @@ _VIOLATION_TOL = 1e-9
 
 
 def _number(raw, what: str) -> float:
-    """raw as a finite float; ConfigError for anything else, bools included."""
+    """raw as a finite float; ConfigError for anything else, bools and strings included."""
     try:
-        if isinstance(raw, bool):
+        if isinstance(raw, (bool, str)):
             raise TypeError
         val = float(raw)
     except (TypeError, ValueError, OverflowError):

@@ -12,14 +12,10 @@ from scipy.optimize import brentq
 
 from twoscale.averaging import closed_form_drift, khasminskii_delta, simulate_averaged
 from twoscale.errors import DomainError
-from twoscale.frozen import (
-    estimate_averaged_drift,
-    mixing_decay,
-    wasserstein2_truncated,
-)
+from twoscale.frozen import estimate_averaged_drift, mixing_decay
 from twoscale.harness import Scenario, run_scenario
 from twoscale.noise import W1, W2, NoiseStream, StreamFactory
-from twoscale.segment import Segment, constant_segment
+from twoscale.segment import constant_segment
 from twoscale.solver import make_grid
 from twoscale.systems import (
     LinearBenchmarkParams,
@@ -193,7 +189,7 @@ def test_criterion_7_dissipativity_verdicts():
 
 
 def test_criterion_8_reproducibility_and_metric_sanity():
-    """Bit-identical reruns serial and parallel; W2 axioms; noise marginals."""
+    """Bit-identical reruns serial and parallel; noise marginals."""
     cfg = {
         "experiment": "converge",
         "system": BENCH_SYS,
@@ -206,27 +202,12 @@ def test_criterion_8_reproducibility_and_metric_sanity():
     parallel = run_scenario(Scenario.from_config(dict(cfg, threads=3)))
     stable = (first.csv_text() == second.csv_text() == parallel.csv_text())
 
-    rng = np.random.default_rng(2718)
-    tau, h, steps = 1.0, 0.25, 4
-    axioms = True
-    for _ in range(100):
-        mk = lambda: [Segment(tau, h, rng.standard_normal(steps + 1))
-                      for _ in range(8)]
-        a, b, c = mk(), mk(), mk()
-        dab = wasserstein2_truncated(a, b)
-        axioms = axioms and dab == wasserstein2_truncated(b, a)
-        axioms = axioms and wasserstein2_truncated(a, a) == 0.0
-        axioms = axioms and (wasserstein2_truncated(a, c)
-                             <= dab + wasserstein2_truncated(b, c) + 1e-12)
-        axioms = axioms and 0.0 <= dab <= 1.0
-
     n = 100_000
     draws = NoiseStream(12, 0, W2).normals(n)
     marginals = (abs(float(draws.mean())) < 4.0 / np.sqrt(n)
                  and abs(float(draws.var()) - 1.0) < 4.0 * np.sqrt(2.0 / n))
 
-    ok = stable and axioms and marginals
-    _verdict(8, "deterministic replay, metric axioms, calibrated noise", ok)
+    ok = stable and marginals
+    _verdict(8, "deterministic replay, calibrated noise", ok)
     assert stable, "csv text differed between reruns or thread counts"
-    assert axioms
     assert marginals, (float(draws.mean()), float(draws.var()))

@@ -1,4 +1,3 @@
-import itertools
 import warnings
 
 import numpy as np
@@ -10,10 +9,9 @@ from twoscale.frozen import (
     estimate_averaged_drift,
     mixing_decay,
     simulate_frozen,
-    wasserstein2_truncated,
 )
 from twoscale.noise import W2, NoiseStream, StreamFactory
-from twoscale.segment import Segment, constant_segment
+from twoscale.segment import constant_segment
 from twoscale.solver import make_grid
 from twoscale.systems import LinearBenchmarkParams, SystemSpec, linear_benchmark
 
@@ -76,7 +74,6 @@ def test_averaged_drift_exact_when_fast_independent():
         est = estimate_averaged_drift(spec, zeta, 2.0, 10.0, 3, g, StreamFactory(1))
     assert est.value[0] == pytest.approx(-3.0, abs=1e-12)
     assert est.std_error[0] == pytest.approx(0.0, abs=1e-12)
-    assert est.replicas == 3
 
 
 def test_averaged_drift_matches_benchmark_closed_form():
@@ -167,82 +164,3 @@ def test_mixing_decay_input_validation():
         mixing_decay(spec, zeta, eta, etap, make_grid(5.0, h, 1.0), 4, StreamFactory(0))
     with pytest.raises(UsageError, match="delay spans"):
         mixing_decay(spec, zeta, eta, etap, make_grid(2.0, h, 1.0), 8, StreamFactory(0))
-
-
-def _const_seg(v):
-    return constant_segment(1.0, 0.5, v)
-
-
-def test_wasserstein_singleton_hand_values():
-    # Gap 5 truncates to 1; gap 0.25 passes through.
-    assert wasserstein2_truncated([_const_seg(0.0)], [_const_seg(5.0)]) == 1.0
-    assert wasserstein2_truncated([_const_seg(0.0)], [_const_seg(0.25)]) == 0.25
-    assert wasserstein2_truncated([_const_seg(1.0)], [_const_seg(1.0)]) == 0.0
-
-
-def test_wasserstein_two_point_assignment():
-    a = [_const_seg(0.0), _const_seg(1.0)]
-    b = [_const_seg(0.1), _const_seg(1.0)]
-    # Optimal pairing matches 0 with 0.1: cost (0.01 + 0) / 2.
-    assert wasserstein2_truncated(a, b) == pytest.approx(np.sqrt(0.005))
-
-
-def _brute_force_w2(a, b):
-    n = len(a)
-    av = np.stack([s.values for s in a])
-    bv = np.stack([s.values for s in b])
-    best = np.inf
-    for perm in itertools.permutations(range(n)):
-        total = 0.0
-        for i, j in enumerate(perm):
-            gap = np.abs(av[i] - bv[j]).max() if av.shape[2] == 1 else \
-                np.sqrt(((av[i] - bv[j]) ** 2).sum(axis=1)).max()
-            total += min(1.0, float(gap)) ** 2
-        best = min(best, total)
-    return float(np.sqrt(best / n))
-
-
-def test_wasserstein_matches_permutation_enumeration():
-    """Assignment solver against brute force over all pairings, N <= 6."""
-    rng = np.random.default_rng(808)
-    tau, h = 1.0, 0.25
-    steps = 4
-    for trial in range(30):
-        n = int(rng.integers(2, 7))
-        a = [Segment(tau, h, 0.8 * rng.standard_normal(steps + 1)) for _ in range(n)]
-        b = [Segment(tau, h, 0.8 * rng.standard_normal(steps + 1)) for _ in range(n)]
-        fast = wasserstein2_truncated(a, b)
-        slow = _brute_force_w2(a, b)
-        assert fast == pytest.approx(slow, abs=1e-12)
-
-
-def test_wasserstein_metric_axioms_randomized():
-    rng = np.random.default_rng(1213)
-    tau, h = 1.0, 0.25
-    steps = 4
-    for trial in range(40):
-        n = int(rng.integers(1, 6))
-        mk = lambda: [Segment(tau, h, rng.standard_normal(steps + 1))
-                      for _ in range(n)]
-        a, b, c = mk(), mk(), mk()
-        dab = wasserstein2_truncated(a, b)
-        dba = wasserstein2_truncated(b, a)
-        assert dab == dba  # exactly, by sorted-cost summation
-        assert wasserstein2_truncated(a, a) == 0.0
-        dac = wasserstein2_truncated(a, c)
-        dbc = wasserstein2_truncated(b, c)
-        assert dac <= dab + dbc + 1e-12
-        assert 0.0 <= dab <= 1.0  # truncation bounds the distance
-
-
-def test_wasserstein_input_validation():
-    a = [_const_seg(0.0)]
-    with pytest.raises(UsageError):
-        wasserstein2_truncated(a, [_const_seg(0.0), _const_seg(1.0)])
-    with pytest.raises(UsageError):
-        wasserstein2_truncated([], [])
-    with pytest.raises(UsageError):
-        wasserstein2_truncated(a, [constant_segment(1.0, 0.25, 0.0)])  # h differs
-    big = [_const_seg(0.0)] * 257
-    with pytest.raises(UsageError):
-        wasserstein2_truncated(big, big)

@@ -60,6 +60,14 @@ CASES = {
     "check": dict(_BASE, experiment="check", trials=200),
     "mixing": dict(_BASE, experiment="mixing", h=0.02, T=1.0,
                    mixing_replicas=8, checkpoints=3),
+    # Identical starts: the coupled gap is 0, so the fit is degenerate.
+    "mixing_degenerate": dict(_BASE, experiment="mixing", h=0.02, T=1.0,
+                              mixing_replicas=8, checkpoints=3,
+                              eta={"constant": 0.0}, eta_prime={"constant": 0.0}),
+    "aux_fixed_delta": dict(_BASE, experiment="auxiliary_gap", paths=3, T=0.25,
+                            epsilons=[0.05, 0.02], delta=0.3),
+    "segcont_deltas": dict(_BASE, experiment="segment_continuity", paths=3, T=1.0,
+                           epsilons=[0.05], p=4.0, deltas=[0.3, 0.1, 0.05, 0.049]),
 }
 
 GOLDEN = {
@@ -71,12 +79,29 @@ GOLDEN = {
     "converge_estimator": "68148c699e72dbbcef26973e1e0bbb84c0458c1f06334ae0a719b17fa51252fc",
     "frozen": "ecc232dbb879929d6c779c9a0db5cad1dc4e8bda688c3dc6b9aa24d4f7142c72",
     "mixing": "c2be10a1542a55289874cf0d175667318e50587ff9e2b1dcb1fab166ec47b821",
+    "mixing_degenerate": "82ad7375ce59134ae5afdd86f85dc693d18bf9d1f57d4226ec4266ca88608cf9",
+    "aux_fixed_delta": "1e6fa34de4fe7f95afd6c765d04bacba12f1b728e99746baa954373a53a1c55a",
+    "segcont_deltas": "760468670487ebc7eb18842c2e6eb40ac3d49114b2d8b724646b32e49b12497c",
     "segment_continuity": "1e44b3623fc7e3f62d1654ad6f57eec627881d8829b2125d3f17abb1af0c00c0",
     "simulate_dump": "3aab6dfde4b0c719b1d8d59a0b412972286bddc184b701e37af7d1bd12b0d5df",
 }
 
 
-def _digest(name, threads, tmp_path):
+_SNAP_03 = "delta=0.3 snapped to tau/3=0.3333333333333333"
+
+# The delta-snapping warnings the fixed-delta cases report.
+GOLDEN_WARNINGS = {
+    "aux_fixed_delta": [_SNAP_03, _SNAP_03],
+    "segcont_deltas": [
+        _SNAP_03,
+        "delta=0.049 snapped to tau/20=0.05",
+        "duplicate deltas merged after snapping",
+        "delta=0.3333333333333333 snapped to 133*h=0.3325",
+    ],
+}
+
+
+def _run(name, threads, tmp_path):
     scenario = Scenario.from_config(dict(CASES[name], threads=threads))
     if name == "simulate_dump":
         report = run_simulate(scenario, dump_dir=tmp_path, stem="golden")
@@ -86,10 +111,13 @@ def _digest(name, threads, tmp_path):
     for dump in sorted(tmp_path.glob("golden_*.csv")):
         sha.update(dump.name.encode())
         sha.update(dump.read_bytes())
-    return sha.hexdigest()
+    return sha.hexdigest(), report.warnings
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_report_hash(name, threads, tmp_path):
-    assert _digest(name, threads, tmp_path) == GOLDEN[name]
+    digest, warnings = _run(name, threads, tmp_path)
+    assert digest == GOLDEN[name]
+    if name in GOLDEN_WARNINGS:
+        assert warnings == GOLDEN_WARNINGS[name]

@@ -1,13 +1,18 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twoscale
 from twoscale.cli import main as cli_main
 from twoscale.errors import ConfigError, UsageError
 from twoscale.harness import (
@@ -56,6 +61,9 @@ _BAD_PARSE_CONFIGS = [
     _cfg(experiment="auxiliary_gap", epsilons=[0.05, 0.01], paths=1),
     _cfg(experiment="segment_continuity", epsilons=[0.05], paths=1),
     _cfg(dump_paths=True),  # trajectory dumps are the --dump-paths flag only
+    _cfg(xi={"values": [True] * 5}),
+    _cfg(xi={"values": ["1", "2", "3", "4", "5"]}),
+    _cfg(drift_source="estimator", estimator={"quant": 1e-4}),  # no estimator memo
 ]
 
 
@@ -340,17 +348,20 @@ def test_segment_continuity_report():
 
 
 def test_frozen_report_and_summary():
+    """b-bar and the mixing rate are reported as rows, with no separate summary."""
     cfg = _cfg(experiment="frozen", epsilons=[], h=0.02,
                burn_in=2.0, horizon=4.0, replicas=2,
                mixing_replicas=8, checkpoints=3, T=1.0)
     report = run_scenario(Scenario.from_config(cfg))
     kinds = [r["extra"]["kind"] for r in report.rows]
     assert kinds == ["bbar_estimate", "mixing_fit"]
-    summary = report.frozen_summary
-    assert summary is not None
-    assert summary["bbar"] == report.rows[0]["extra"]["bbar"]
-    assert summary["fitted_rate"] == report.rows[1]["value"]
-    assert len(summary["zeta_digest"]) == 16
+    bbar, mixing = (r["extra"] for r in report.rows)
+    assert report.rows[0]["value"] == bbar["bbar"][0]
+    assert len(bbar["std_error"]) == 1
+    assert len(bbar["zeta_digest"]) == 16
+    assert report.rows[1]["value"] > 0.0
+    assert 0.0 <= mixing["r_squared"] <= 1.0
+    assert "frozen_summary" not in report.to_json_dict()
     # Short burn-in is legal but flagged.
     assert any("burn_in" in w for w in report.warnings)
     assert {g["name"] for g in report.gates} == {"mixing_rate_positive"}
@@ -362,8 +373,8 @@ def test_mixing_runner_fit_only():
                eta={"constant": 0.0}, eta_prime={"constant": 1.0})
     report = run_scenario(Scenario.from_config(cfg))
     assert [r["extra"]["kind"] for r in report.rows] == ["mixing_fit"]
-    assert report.frozen_summary["bbar"] is None
-    assert report.frozen_summary["fitted_rate"] > 0.0
+    assert report.rows[0]["value"] > 0.0
+    assert report.warnings == []
     assert report.passed
 
 
@@ -492,10 +503,37 @@ def test_cli_frozen_prints_summary(tmp_path, capsys):
                      "--out", str(tmp_path / "out")])
     assert code == 0
     out = capsys.readouterr().out
-    assert '"bbar"' in out
-    assert '"fitted_rate"' in out
+    # The gate line carries the rate; b-bar and the rate are report rows.
+    assert "gate mixing_rate_positive: pass (fitted_rate=" in out
+    assert '"bbar"' not in out
     payload = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert payload["frozen_summary"]["bbar"] is not None
+    assert "frozen_summary" not in payload
+    assert [r["extra"]["kind"] for r in payload["rows"]] == ["bbar_estimate", "mixing_fit"]
+
+
+def test_cli_runs_without_loading_scipy(tmp_path):
+    """scipy is a test-only dependency: no CLI run may import it."""
+    frozen = _write_cfg(tmp_path, "frozen.json", _cfg(
+        experiment="frozen", epsilons=[], h=0.02, burn_in=2.0, horizon=4.0,
+        replicas=2, mixing_replicas=8, checkpoints=3, T=1.0))
+    converge = _write_cfg(tmp_path, "converge.json", _cfg(
+        T=0.1, h_factor=0.1, epsilons=[0.2, 0.1], paths=2, seed=5,
+        drift_source="estimator",
+        estimator={"burn_in": 5.0, "horizon": 1.0, "replicas": 2, "h": 0.1}))
+    script = (
+        "import sys, warnings\n"
+        "from twoscale.cli import main\n"
+        "warnings.simplefilter('ignore')\n"
+        f"codes = [main(['frozen', '--config', {frozen!r}, '--out', {str(tmp_path / 'f')!r}]),\n"
+        f"         main(['converge', '--config', {converge!r}, '--out', {str(tmp_path / 'c')!r}])]\n"
+        "print(codes, 'scipy' in sys.modules)\n"
+    )
+    src = str(Path(twoscale.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0] False", done.stdout
 
 
 def test_cli_overrides_reach_the_run(tmp_path):
