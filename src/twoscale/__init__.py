@@ -14,7 +14,6 @@ from .segment import (
     constant_segment,
     exact_steps,
     lipschitz_modulus,
-    segment_from_dict,
     sup_norm,
 )
 from .noise import W1, W2, NoiseStream, StreamFactory, fast_increments, gaussian_increments
@@ -35,7 +34,6 @@ from .systems import (
 )
 from .solver import (
     TimeGrid,
-    TrajectoryBundle,
     make_grid,
     simulate_coupled,
     simulate_sdde,

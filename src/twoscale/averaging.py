@@ -29,9 +29,7 @@ from .segment import Segment, exact_steps
 from .solver import (
     DEFAULT_KAPPA_STAB,
     TimeGrid,
-    TrajectoryBundle,
     _coupled_core,
-    _pair_bundle,
     _pair_increments,
     make_grid,
     simulate_sdde,
@@ -83,11 +81,15 @@ def khasminskii_delta(epsilon: float, tau: float) -> DeltaSchedule:
 
 @dataclass(frozen=True, eq=False)
 class AuxiliaryPair:
-    """Coupled pair plus its block-frozen auxiliary counterpart."""
+    """Coupled pair (x, y) plus its block-frozen auxiliary pair (x_aux, y_aux).
 
-    coupled: TrajectoryBundle
-    auxiliary: TrajectoryBundle
-    schedule: DeltaSchedule
+    All four are read-only (grid.total, n) path arrays.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    x_aux: np.ndarray
+    y_aux: np.ndarray
     reset_indices: np.ndarray  # absolute array indices of block starts
 
 
@@ -117,14 +119,9 @@ def simulate_auxiliary(
     dw1, dwf = _pair_increments(spec, xi, eta, epsilon, grid, w1, w2, kappa_stab)
     delta_steps = exact_steps(min(schedule.delta, grid.T), grid.h, "delta")
     x, y, _ = _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf)
-    xt, yt, resets = _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf,
-                                   freeze=(x, y, delta_steps))
-    return AuxiliaryPair(
-        coupled=_pair_bundle(grid, x, y, epsilon, ("X", "Y")),
-        auxiliary=_pair_bundle(grid, xt, yt, epsilon, ("Xtilde", "Ytilde")),
-        schedule=schedule,
-        reset_indices=np.asarray(resets, dtype=int),
-    )
+    x_aux, y_aux, resets = _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf,
+                                         freeze=(x, y, delta_steps))
+    return AuxiliaryPair(x, y, x_aux, y_aux, np.asarray(resets, dtype=int))
 
 
 def closed_form_drift(spec: SystemSpec):
@@ -140,17 +137,18 @@ def simulate_averaged(
     drift_source,
     grid: TimeGrid,
     w1: NoiseStream,
-) -> TrajectoryBundle:
-    """Integrate dXbar = bbar1(Xbar_t) dt + sigma1(Xbar_t) dW1.
+) -> np.ndarray:
+    """Integrate dXbar = bbar1(Xbar_t) dt + sigma1(Xbar_t) dW1; returns the path.
 
-    drift_source(seg) supplies bbar1: either a closed form or an
-    EstimatedDriftSource.  Pass a stream with the same address as the
-    coupled run's W1 to realize the shared-noise comparison.
+    drift_source(window) supplies bbar1 on the (M + 1, n) window array:
+    either a closed form or an EstimatedDriftSource.  Pass a stream with
+    the same address as the coupled run's W1 to realize the shared-noise
+    comparison.
     """
     if not callable(drift_source):
-        raise UsageError("drift_source must be callable on a Segment")
+        raise UsageError("drift_source must be callable on a window array")
     return simulate_sdde(spec.n, spec.m, drift_source, spec.sigma1, xi, grid, w1,
-                         role="slow", label="Xbar")
+                         label="Xbar")
 
 
 class EstimatedDriftSource:
@@ -175,13 +173,13 @@ class EstimatedDriftSource:
         # Sub-simulations run: one per call.
         return self.calls
 
-    def __call__(self, seg: Segment) -> np.ndarray:
+    def __call__(self, window: np.ndarray) -> np.ndarray:
         self.calls += 1
-        key = np.round(seg.values / _SEED_QUANT).astype(np.int64).tobytes()
+        key = np.round(window / _SEED_QUANT).astype(np.int64).tobytes()
         digest = hashlib.blake2b(key + b"|" + str(self.seed).encode(), digest_size=8)
         sub_seed = int.from_bytes(digest.digest(), "big")
         est = estimate_averaged_drift(
-            self.spec, seg, self.budget.burn_in, self.budget.horizon,
+            self.spec, window, self.budget.burn_in, self.budget.horizon,
             self.budget.replicas, self.sub_grid, StreamFactory(sub_seed, self.spec.m),
         )
         se = float(np.max(est.std_error)) if est.std_error.size else 0.0

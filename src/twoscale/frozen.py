@@ -26,8 +26,9 @@ from .errors import (
     UsageError,
 )
 from .noise import W2, NoiseStream, StreamFactory
+from .metrics import _log_linear_fit
 from .segment import Segment, _node_norms, constant_segment, exact_steps
-from .solver import TimeGrid, TrajectoryBundle, simulate_sdde
+from .solver import TimeGrid, simulate_sdde
 from .systems import SystemSpec
 
 GAP_FLOOR = 1e-12
@@ -58,33 +59,31 @@ class DriftEstimatorBudget:
 
 def simulate_frozen(
     spec: SystemSpec,
-    zeta: Segment,
+    zeta: np.ndarray,
     eta: Segment,
     grid: TimeGrid,
     w2: NoiseStream,
-) -> TrajectoryBundle:
-    """Integrate the fast equation with the slow window pinned at zeta."""
-    if zeta.n != spec.n:
-        raise UsageError(f"zeta has dimension {zeta.n}, system needs {spec.n}")
+) -> np.ndarray:
+    """Integrate the fast equation with the slow window pinned at zeta.
+
+    zeta is an (M + 1, n) window array; returns the read-only fast path.
+    """
+    if zeta.ndim != 2 or zeta.shape[1] != spec.n:
+        raise UsageError(f"zeta has shape {zeta.shape}, system needs n={spec.n}")
     b2, sigma2 = spec.b2, spec.sigma2
 
-    def drift(seg: Segment) -> np.ndarray:
-        return b2(zeta, seg.values[-1], seg.values[0])
+    def drift(window: np.ndarray) -> np.ndarray:
+        return b2(zeta, window[-1], window[0])
 
-    def diffusion(seg: Segment) -> np.ndarray:
-        return sigma2(zeta, seg.values[-1], seg.values[0])
+    def diffusion(window: np.ndarray) -> np.ndarray:
+        return sigma2(zeta, window[-1], window[0])
 
-    return simulate_sdde(spec.n, spec.m, drift, diffusion, eta, grid, w2,
-                         role="fast", label="Yzeta")
-
-
-def _default_eta(spec: SystemSpec, grid: TimeGrid) -> Segment:
-    return constant_segment(grid.tau, grid.h, np.zeros(spec.n))
+    return simulate_sdde(spec.n, spec.m, drift, diffusion, eta, grid, w2, label="Yzeta")
 
 
 def estimate_averaged_drift(
     spec: SystemSpec,
-    zeta: Segment,
+    zeta: np.ndarray,
     burn_in: float,
     horizon: float,
     replicas: int,
@@ -95,9 +94,10 @@ def estimate_averaged_drift(
 ) -> AveragedDriftEstimate:
     """Time-average b1(zeta, Y-window) along frozen trajectories.
 
-    Each replica runs one trajectory, drops [0, burn_in], then averages
-    b1 over every grid step of [burn_in, burn_in + horizon]; the reported
-    value is the replica mean and std_error the replica scatter / sqrt(R).
+    zeta is the pinned (M + 1, n) slow window array.  Each replica runs
+    one trajectory, drops [0, burn_in], then averages b1 over every grid
+    step of [burn_in, burn_in + horizon]; the reported value is the
+    replica mean and std_error the replica scatter / sqrt(R).
     The start bias decays exponentially, so burn_in of a few multiples of
     1/rate suffices; below 5 tau a warning is emitted.
     """
@@ -120,28 +120,23 @@ def estimate_averaged_drift(
             f"grid horizon T={grid.T} shorter than burn_in + horizon = {burn_in + horizon}"
         )
     if eta is None:
-        eta = _default_eta(spec, grid)
+        eta = constant_segment(grid.tau, grid.h, np.zeros(spec.n))
 
     ts = grid.tau_steps
     b1 = spec.b1
-    wrap = Segment._wrap
-    tau, h = grid.tau, grid.h
     replica_means = np.empty((replicas, spec.n))
     for r in range(replicas):
         w2 = streams.stream(r, W2)
         try:
-            bundle = simulate_frozen(spec, zeta, eta, grid, w2)
+            y = simulate_frozen(spec, zeta, eta, grid, w2)
         except DivergenceError as exc:
             raise DivergenceError(
                 exc.step_index, exc.time, exc.last_state,
                 "frozen trajectory diverged; run check_dissipativity on this system",
             ) from exc
-        y = bundle.path("fast")
         acc = np.zeros(spec.n)
         for k in range(k_burn, k_burn + k_len + 1):
-            i = ts + k
-            seg = wrap(tau, h, y[k: i + 1])
-            acc += np.asarray(b1(zeta, seg), dtype=float)
+            acc += np.asarray(b1(zeta, y[k: ts + k + 1]), dtype=float)
         replica_means[r] = acc / (k_len + 1)
 
     value = replica_means.mean(axis=0)
@@ -154,7 +149,7 @@ def estimate_averaged_drift(
 
 def mixing_decay(
     spec: SystemSpec,
-    zeta: Segment,
+    zeta: np.ndarray,
     eta: Segment,
     eta_prime: Segment,
     grid: TimeGrid,
@@ -181,8 +176,8 @@ def mixing_decay(
     gaps = np.zeros(n_checks)
     for r in range(replicas):
         # Same stream address twice: bit-identical driving increments.
-        ya = simulate_frozen(spec, zeta, eta, grid, streams.stream(r, W2)).path("fast")
-        yb = simulate_frozen(spec, zeta, eta_prime, grid, streams.stream(r, W2)).path("fast")
+        ya = simulate_frozen(spec, zeta, eta, grid, streams.stream(r, W2))
+        yb = simulate_frozen(spec, zeta, eta_prime, grid, streams.stream(r, W2))
         node = _node_norms(ya - yb)
         for j in range(1, n_checks + 1):
             a = ts + j * ts
@@ -198,14 +193,10 @@ def mixing_decay(
         )
     ts_fit = np.array([t for t, _ in usable])
     logs = np.log(np.array([g for _, g in usable]))
-    slope, intercept = np.polyfit(ts_fit, logs, 1)
-    pred = slope * ts_fit + intercept
-    ss_res = float(((logs - pred) ** 2).sum())
-    ss_tot = float(((logs - logs.mean()) ** 2).sum())
-    r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
+    slope, _, r2 = _log_linear_fit(ts_fit, logs)
     return DecayFit(
         times=ts_fit.tolist(),
         log_gaps=logs.tolist(),
-        fitted_rate=float(-slope),
-        r_squared=float(r2),
+        fitted_rate=-slope,
+        r_squared=r2,
     )

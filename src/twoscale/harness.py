@@ -44,14 +44,7 @@ from .frozen import (
 )
 from .metrics import p_moment, segment_displacement_moment, slope_fit, sup_distance
 from .noise import W1, W2, StreamFactory
-from .segment import (
-    Segment,
-    _node_norms,
-    constant_segment,
-    exact_steps,
-    lipschitz_modulus,
-    segment_from_dict,
-)
+from .segment import Segment, _node_norms, constant_segment, exact_steps, lipschitz_modulus
 from .solver import make_grid, simulate_coupled
 from .systems import (
     _number,
@@ -212,9 +205,10 @@ class Scenario:
             val = raw.get(key, default)
             if val is None:
                 return None
-            if not isinstance(val, dict) or not ({"constant", "values"} & set(val)):
+            if not isinstance(val, dict) or set(val) not in ({"constant"}, {"values"}):
                 raise ConfigError(
-                    f"{key} must be an object with 'constant' or 'values', got {val!r}"
+                    f"{key} must be an object with exactly one key, 'constant' or "
+                    f"'values', got {val!r}"
                 )
             if "constant" in val:
                 const = val["constant"]
@@ -226,6 +220,11 @@ class Scenario:
                 entries = [c for r in rows for c in (r if isinstance(r, list) else [r])]
             for c in entries:
                 _number(c, f"{key} entries")
+            if "values" in val:
+                try:
+                    np.array(val["values"], dtype=float)
+                except ValueError:
+                    raise ConfigError(f"{key} values must be rows of equal length") from None
             return val
 
         xi = seg_cfg("xi", {"constant": 1.0})
@@ -255,6 +254,16 @@ class Scenario:
             "replicas": _cfg_int(est_raw, "replicas", 4, minimum=1),
             "h": _cfg_number(est_raw, "h", tau / 100.0, positive=True),
         }
+        if drift_source == "estimator":
+            # The spans the estimator's sub-simulation grid has to tile.
+            spans = {"tau": tau, "burn_in + horizon": estimator["burn_in"] + estimator["horizon"],
+                     "horizon": estimator["horizon"], "burn_in": estimator["burn_in"]}
+            try:
+                for what, span in spans.items():
+                    if span > 0.0:
+                        exact_steps(span, estimator["h"], what)
+            except TwoscaleError as exc:
+                raise ConfigError(f"estimator h={estimator['h']} misaligned: {exc}") from exc
 
         deltas_raw = raw.get("deltas")
         deltas = None
@@ -320,7 +329,7 @@ class Scenario:
             if isinstance(value, (int, float)):
                 value = np.full(n, float(value))
             return constant_segment(self.tau, h, value, n=n)
-        seg = segment_from_dict({"tau": self.tau, "h": h, **cfg})
+        seg = Segment(self.tau, h, cfg["values"])
         if seg.n != n:
             raise ConfigError(f"{role} has dimension {seg.n}, system needs {n}")
         return seg
@@ -590,12 +599,12 @@ def _monotone_gate(moments, std_errors):
 # ---------------------------------------------------------------- converge
 
 def _converge_path(c: _Chunk, path: int) -> float:
-    coupled = c.coupled(path)
+    x, _ = c.coupled(path)
     # Fresh stream with the same address: the averaged equation replays
     # the identical W1 increments (pathwise coupling).
-    averaged = simulate_averaged(c.spec, c.xi, c.scenario.drift_callable(c.spec), c.grid,
-                                 c.streams.stream(path, W1))
-    return float(sup_distance(coupled, averaged, (0.0, c.scenario.T)))
+    xbar = simulate_averaged(c.spec, c.xi, c.scenario.drift_callable(c.spec), c.grid,
+                             c.streams.stream(path, W1))
+    return sup_distance(x, xbar, c.grid)
 
 
 def run_converge(scenario: Scenario) -> ExperimentReport:
@@ -688,16 +697,15 @@ def _aux_path(c: _Chunk, path: int):
         c.streams.stream(path, W1), c.streams.stream(path, W2),
         kappa_stab=c.scenario.kappa_stab,
     )
-    x_gap = sup_distance(pair.coupled, pair.auxiliary, (0.0, c.scenario.T))
-    y = pair.coupled.path("fast")
-    yt = pair.auxiliary.path("fast")
+    x_gap = sup_distance(pair.x, pair.x_aux, c.grid)
+    y, yt = pair.y, pair.y_aux
     ts = c.grid.tau_steps
     audit = 0.0
     y_gap = 0.0
     for i in pair.reset_indices:
         audit = max(audit, float(np.linalg.norm(yt[i] - y[i])))
         y_gap = max(y_gap, float(_node_norms(yt[i - ts: i + 1] - y[i - ts: i + 1]).max()))
-    return float(x_gap), y_gap, audit
+    return x_gap, y_gap, audit
 
 
 def run_auxiliary_gap(scenario: Scenario) -> ExperimentReport:
@@ -768,8 +776,8 @@ def run_auxiliary_gap(scenario: Scenario) -> ExperimentReport:
 # ----------------------------------------------------- segment continuity
 
 def _segcont_path(c: _Chunk, path: int) -> list:
-    coupled = c.coupled(path)
-    return [float(segment_displacement_moment(coupled, d, c.scenario.p, c.extra["times"]))
+    x, _ = c.coupled(path)
+    return [float(segment_displacement_moment(x, c.grid, d, c.scenario.p, c.extra["times"]))
             for d in c.extra["deltas"]]
 
 
@@ -804,6 +812,11 @@ def run_segment_continuity(scenario: Scenario) -> ExperimentReport:
     grid = make_grid(scenario.T, h, scenario.tau)
     if scenario.sample_times is not None:
         times = list(scenario.sample_times)
+        for t in times:
+            try:
+                grid.index_of(t)
+            except TwoscaleError as exc:
+                raise ConfigError(f"sample time {t} is off the run's grid: {exc}") from exc
     else:
         # Block-boundary samples would make every displacement zero, and
         # a shared offset would make them delta-independent.  Odd
@@ -876,7 +889,7 @@ def run_frozen(scenario: Scenario) -> ExperimentReport:
         with _warnings.catch_warnings(record=True) as caught:
             _warnings.simplefilter("always")
             est = estimate_averaged_drift(
-                spec, zeta, scenario.burn_in, scenario.horizon,
+                spec, zeta.values, scenario.burn_in, scenario.horizon,
                 scenario.replicas, grid_est, fac, eta=eta,
             )
         warns = [str(w.message) for w in caught]
@@ -897,7 +910,8 @@ def run_frozen(scenario: Scenario) -> ExperimentReport:
         eta_prime = Segment(eta.tau, eta.h, eta.values + 1.0)
     row = _row(None, None, None, scenario.mixing_replicas, "mixing_fit", h)
     try:
-        fit = mixing_decay(spec, zeta, eta, eta_prime, grid, scenario.mixing_replicas, fac)
+        fit = mixing_decay(spec, zeta.values, eta, eta_prime, grid, scenario.mixing_replicas,
+                           fac)
     except DegenerateFitError as exc:
         rows.append(dict(row, extra=dict(row["extra"], degenerate=True, detail=str(exc))))
         gate = {"name": "mixing_rate_positive", "passed": True,
@@ -972,28 +986,20 @@ def run_check(scenario: Scenario) -> ExperimentReport:
 # -------------------------------------------------------------- simulate
 
 def _simulate_path(c: _Chunk, path: int) -> float:
-    bundle = c.coupled(path)
+    x, y = c.coupled(path)
     if c.extra["dump_dir"]:
-        _dump_bundle(bundle, Path(c.extra["dump_dir"]), f"{c.extra['stem']}_{path}.csv")
-    return float(np.linalg.norm(bundle.endpoint("slow")))
+        _dump_paths(c.grid.times(), x, y, Path(c.extra["dump_dir"]),
+                    f"{c.extra['stem']}_{path}.csv")
+    return float(np.linalg.norm(x[-1]))
 
 
-def _dump_bundle(bundle, out_dir: Path, name: str):
+def _dump_paths(times, x, y, out_dir: Path, name: str):
     out_dir.mkdir(parents=True, exist_ok=True)
-    n = bundle.path("slow").shape[1]
-    header = "t," + ",".join(f"x_{i + 1}" for i in range(n))
-    fast = bundle.fast_path is not None
-    if fast:
-        header += "," + ",".join(f"y_{i + 1}" for i in range(n))
+    n = x.shape[1]
+    header = ",".join(["t"] + [f"x_{i + 1}" for i in range(n)] + [f"y_{i + 1}" for i in range(n)])
     lines = [header]
-    times = bundle.grid.times()
-    x = bundle.path("slow")
-    y = bundle.path("fast") if fast else None
-    for i, t in enumerate(times):
-        cells = [repr(float(t))] + [repr(float(v)) for v in x[i]]
-        if fast:
-            cells += [repr(float(v)) for v in y[i]]
-        lines.append(",".join(cells))
+    for t, xr, yr in zip(times, x, y):
+        lines.append(",".join(repr(float(v)) for v in (t, *xr, *yr)))
     (out_dir / name).write_text("\n".join(lines) + "\n")
 
 

@@ -1,8 +1,9 @@
-"""Ensemble statistics over trajectory bundles.
+"""Ensemble statistics over path arrays.
 
-Sup distances are taken over grid nodes (consistent with the segment
-module's node-max convention), moments carry plain standard errors, and
-scaling exponents come from least squares on log-log data.
+Paths are the (grid.total, n) arrays the kernels return.  Sup distances
+are taken over grid nodes (consistent with the segment module's node-max
+convention), moments carry plain standard errors, and scaling exponents
+come from least squares on log-log data.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .segment import _node_norms, exact_steps
-from .solver import TrajectoryBundle
 
 
 @dataclass(frozen=True)
@@ -33,30 +33,15 @@ class SlopeFit:
     r_squared: float
 
 
-def _same_grid(a: TrajectoryBundle, b: TrajectoryBundle):
-    ga, gb = a.grid, b.grid
-    if (ga.steps, ga.tau_steps) != (gb.steps, gb.tau_steps) or abs(ga.h - gb.h) > 1e-12 * ga.h:
-        raise UsageError("bundles live on different grids")
-
-
-def sup_distance(
-    a: TrajectoryBundle,
-    b: TrajectoryBundle,
-    window: tuple[float, float] | None = None,
-) -> float:
-    """Largest pointwise gap between two bundles' slow paths over a time window.
-
-    The window defaults to the grid times of [0, T].
-    """
-    _same_grid(a, b)
-    g = a.grid
-    t0, t1 = window if window is not None else (0.0, g.T)
-    if t1 < t0:
-        raise UsageError(f"empty window ({t0}, {t1})")
-    i0 = g.index_of(t0)
-    i1 = g.index_of(t1)
-    diff = a.path("slow")[i0: i1 + 1] - b.path("slow")[i0: i1 + 1]
-    return float(_node_norms(diff).max())
+def sup_distance(a: np.ndarray, b: np.ndarray, grid) -> float:
+    """Largest pointwise gap between two paths over the nodes of [0, T]."""
+    if a.shape != b.shape or a.shape[0] != grid.total:
+        raise UsageError(
+            f"paths of shapes {a.shape} and {b.shape} do not both span "
+            f"the grid's {grid.total} nodes"
+        )
+    ts = grid.tau_steps
+    return float(_node_norms(a[ts:] - b[ts:]).max())
 
 
 def p_moment(samples, p: float) -> MomentEstimate:
@@ -75,39 +60,38 @@ def p_moment(samples, p: float) -> MomentEstimate:
 
 
 def segment_displacement_moment(
-    bundle: TrajectoryBundle,
+    path: np.ndarray,
+    grid,
     delta: float,
     p: float,
     sample_times,
 ) -> float:
     """Average of ||window(t) - window(t_delta)||_sup^p over the sample times.
 
-    Windows are taken from the bundle's slow path.  t_delta is the block
+    Windows are taken from the (grid.total, n) path.  t_delta is the block
     start preceding t, computed in index space so a t exactly on a
     boundary contributes 0.  delta must be a grid multiple.
     """
-    g = bundle.grid
     if p <= 0.0:
         raise DomainError(f"moment order p must be positive, got {p}")
     try:
-        delta_steps = exact_steps(delta, g.h, "delta")
+        delta_steps = exact_steps(delta, grid.h, "delta")
     except DomainError as exc:
         raise UsageError(f"delta={delta} is not aligned with the grid: {exc}") from exc
-    ts = g.tau_steps
+    ts = grid.tau_steps
     times = list(sample_times)
     if not times:
         raise UsageError("sample_times must be non-empty")
     ks = []
     for t in times:
         try:
-            k = g.index_of(t) - ts
+            k = grid.index_of(t) - ts
         except DomainError as exc:
             raise UsageError(f"sample time {t} outside (0, T]: {exc}") from exc
-        if k < 1 or k > g.steps:
+        if k < 1 or k > grid.steps:
             raise UsageError(f"sample time {t} outside (0, T]")
         ks.append(k)
 
-    path = bundle.path("slow")
     acc = 0.0
     for k in ks:
         kd = (k // delta_steps) * delta_steps
@@ -129,10 +113,16 @@ def slope_fit(xs, ys) -> SlopeFit:
         raise UsageError("xs must be strictly increasing")
     lx = np.log(x)
     ly = np.log(y)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    pred = slope * lx + intercept
-    ss_res = float(((ly - pred) ** 2).sum())
-    ss_tot = float(((ly - ly.mean()) ** 2).sum())
+    slope, intercept, r2 = _log_linear_fit(lx, ly)
+    return SlopeFit(xs=lx.tolist(), ys=ly.tolist(), slope=slope,
+                    intercept=intercept, r_squared=r2)
+
+
+def _log_linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line y ~ slope * x + intercept with its r^2 (clipped at 0)."""
+    slope, intercept = np.polyfit(x, y, 1)
+    pred = slope * x + intercept
+    ss_res = float(((y - pred) ** 2).sum())
+    ss_tot = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
-    return SlopeFit(xs=lx.tolist(), ys=ly.tolist(), slope=float(slope),
-                    intercept=float(intercept), r_squared=float(r2))
+    return float(slope), float(intercept), float(r2)

@@ -1,9 +1,10 @@
 """History windows on a uniform grid.
 
-A Segment holds the last tau units of a path sampled every h units: values
-has shape (M + 1, n) with M = tau / h, and row i is the state at offset
--tau + i * h.  Row M is "now" (offset 0), row 0 is the oldest point.  The
-window is immutable.
+A window is the last tau units of a path sampled every h units: an array
+of shape (M + 1, n) with M = tau / h, whose row i is the state at offset
+-tau + i * h.  Row M is "now" (offset 0), row 0 is the oldest point.
+Coefficient maps receive windows as plain slices of the path array being
+built; a Segment is the validated, immutable start window of a run.
 
 All delay bookkeeping in the package is done in index space on top of
 these windows, so tau / h (and later delta / h) must be an exact integer
@@ -12,6 +13,7 @@ ratio.  _integer_ratio is the single place that ratio is checked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +25,9 @@ _DIV_RTOL = 1e-9
 
 
 def _integer_ratio(ratio: float) -> int | None:
-    """round(ratio) if ratio is an integer within _DIV_RTOL, else None."""
+    """round(ratio) if ratio is a finite integer within _DIV_RTOL, else None."""
+    if not math.isfinite(ratio):
+        return None
     k = int(round(ratio))
     return k if abs(ratio - k) <= _DIV_RTOL * max(1.0, abs(ratio)) else None
 
@@ -72,15 +76,6 @@ class Segment:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
-    @classmethod
-    def _wrap(cls, tau: float, h: float, values: np.ndarray) -> "Segment":
-        # Trusted constructor for hot loops: no copy, no validation.
-        seg = object.__new__(cls)
-        object.__setattr__(seg, "tau", tau)
-        object.__setattr__(seg, "h", h)
-        object.__setattr__(seg, "values", values)
-        return seg
-
     @property
     def n(self) -> int:
         return self.values.shape[1]
@@ -98,9 +93,9 @@ def _node_norms(arr: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", arr, arr))
 
 
-def sup_norm(seg: Segment) -> float:
-    """Largest Euclidean node norm over the window."""
-    return float(_node_norms(seg.values).max())
+def sup_norm(window: np.ndarray) -> float:
+    """Largest Euclidean node norm over an (M + 1, n) window array."""
+    return float(_node_norms(window).max())
 
 
 def lipschitz_modulus(seg: Segment) -> float:
@@ -123,17 +118,3 @@ def constant_segment(tau: float, h: float, value, n: int | None = None) -> Segme
     steps = exact_steps(tau, h, "tau")
     values = np.tile(row, (steps + 1, 1))
     return Segment(tau, h, values)
-
-
-def segment_from_dict(data: dict) -> Segment:
-    try:
-        tau = float(data["tau"])
-        h = float(data["h"])
-        values = np.asarray(data["values"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed segment payload: {exc}") from exc
-    seg = Segment(tau, h, values)
-    declared = data.get("n")
-    if declared is not None and int(declared) != seg.n:
-        raise DataError(f"segment payload declares n={declared} but values have n={seg.n}")
-    return seg

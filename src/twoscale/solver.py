@@ -11,6 +11,11 @@ simulate_sdde advances a single equation whose drift and diffusion are
 arbitrary functionals of the trailing window; the frozen and averaged
 equations are both built on it.
 
+Only arrays cross the kernel boundary.  A coefficient map receives each
+window as the (tau_steps + 1, n) slice of the path array being built,
+row tau_steps being "now", and the kernels return read-only
+(grid.total, n) path arrays that start with the history window.
+
 Delay arithmetic is pure index bookkeeping: h divides tau exactly, so
 Y(t_k - tau) is the array entry tau_steps rows back and no float time
 comparison ever happens in the hot loop.  The explicit scheme needs
@@ -75,26 +80,6 @@ def make_grid(T: float, h: float, tau: float) -> TimeGrid:
     return TimeGrid(T=float(T), h=float(h), steps=steps, tau_steps=tau_steps)
 
 
-@dataclass(frozen=True, eq=False)
-class TrajectoryBundle:
-    """Sampled paths on a grid, including the history window."""
-
-    grid: TimeGrid
-    slow_path: np.ndarray | None
-    fast_path: np.ndarray | None
-    epsilon: float | None
-    labels: tuple[str, ...]
-
-    def path(self, which: str = "slow") -> np.ndarray:
-        arr = self.slow_path if which == "slow" else self.fast_path
-        if arr is None:
-            raise UsageError(f"bundle {self.labels} has no {which} path")
-        return arr
-
-    def endpoint(self, which: str = "slow") -> np.ndarray:
-        return self.path(which)[-1]
-
-
 def _check_streams(spec: SystemSpec, *streams: NoiseStream):
     for s in streams:
         if s.m != spec.m:
@@ -143,13 +128,6 @@ def _pair_increments(spec, xi, eta, epsilon, grid, w1, w2, kappa_stab):
             fast_increments(w2, grid.steps, grid.h, epsilon))
 
 
-def _pair_bundle(grid: TimeGrid, x, y, epsilon: float, labels) -> TrajectoryBundle:
-    x.setflags(write=False)
-    y.setflags(write=False)
-    return TrajectoryBundle(grid=grid, slow_path=x, fast_path=y,
-                            epsilon=float(epsilon), labels=labels)
-
-
 def simulate_coupled(
     spec: SystemSpec,
     xi: Segment,
@@ -160,11 +138,11 @@ def simulate_coupled(
     w2: NoiseStream,
     *,
     kappa_stab: float = DEFAULT_KAPPA_STAB,
-) -> TrajectoryBundle:
-    """Integrate the coupled slow/fast pair; returns paths labelled (X, Y)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate the coupled slow/fast pair; returns the read-only (X, Y) paths."""
     dw1, dwf = _pair_increments(spec, xi, eta, epsilon, grid, w1, w2, kappa_stab)
     x, y, _ = _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf)
-    return _pair_bundle(grid, x, y, epsilon, ("X", "Y"))
+    return x, y
 
 
 def fast_lag_steps(epsilon: float, grid: TimeGrid) -> int:
@@ -183,6 +161,9 @@ def fast_lag_steps(epsilon: float, grid: TimeGrid) -> int:
 def _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf, freeze=None):
     """Euler recursion of the pair; returns (x, y, block-start indices).
 
+    x and y are read-only (grid.total, n) arrays.  The maps read the
+    windows x[k:i+1] and y[k:i+1] in place, row tau_steps being "now".
+
     freeze=(x_true, y_true, delta_steps) runs the block-frozen auxiliary
     pair instead: every delta_steps steps the slow window the
     coefficients read is frozen to x_true's, sigma1 is evaluated once for
@@ -194,11 +175,9 @@ def _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf, freeze=None):
     vec, mat = (n,), (n, m)
     h = grid.h
     ts = grid.tau_steps
-    tau = grid.tau
     h_over_eps = h / epsilon
     lag = fast_lag_steps(epsilon, grid)
     b1, sigma1, b2, sigma2 = spec.b1, spec.sigma1, spec.b2, spec.sigma2
-    wrap = Segment._wrap
     if freeze is None:
         slow_msg = "slow component left the admissible range"
         fast_msg = "fast component left the admissible range"
@@ -216,13 +195,13 @@ def _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf, freeze=None):
     for k in range(grid.steps):
         i = ts + k
         if freeze is None:
-            xseg = wrap(tau, h, x[k: i + 1])
+            xseg = x[k: i + 1]
         elif k % delta_steps == 0:
-            xseg = wrap(tau, h, x_true[k: i + 1])
+            xseg = x_true[k: i + 1]
             sx = _coef(sigma1(xseg), mat, "sigma1")
             y[i] = y_true[i]
             resets.append(i)
-        yseg = wrap(tau, h, y[k: i + 1])
+        yseg = y[k: i + 1]
         yk = y[i]
         ytau = y[i - lag]
 
@@ -239,6 +218,8 @@ def _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf, freeze=None):
             raise _blowup(k, h, (x[i], y[i]), slow_msg)
         if not (np.abs(y[i + 1]).max() <= DIVERGENCE_CAP):
             raise _blowup(k, h, (x[i], y[i]), fast_msg)
+    x.setflags(write=False)
+    y.setflags(write=False)
     return x, y, resets
 
 
@@ -251,25 +232,21 @@ def simulate_sdde(
     grid: TimeGrid,
     w: NoiseStream,
     *,
-    role: str = "slow",
     label: str = "X",
-) -> TrajectoryBundle:
+) -> np.ndarray:
     """Integrate one delay equation with window-functional coefficients.
 
-    drift(seg) -> R^n and diffusion(seg) -> R^{n x m} see the trailing
-    window of the path being built.  role picks whether the result is
-    stored as the bundle's slow or fast path.
+    drift(window) -> R^n and diffusion(window) -> R^{n x m} see the
+    trailing (tau_steps + 1, n) window of the path being built, row
+    tau_steps being "now".  Returns the read-only (grid.total, n) path;
+    label names the equation in divergence messages.
     """
-    if role not in ("slow", "fast"):
-        raise UsageError(f"role must be 'slow' or 'fast', got {role!r}")
     _check_segment(xi, grid, n, "xi")
     if w.m != m:
         raise UsageError(f"stream dimension m={w.m} does not match m={m}")
 
     h = grid.h
     ts = grid.tau_steps
-    tau = grid.tau
-    wrap = Segment._wrap
     dw = gaussian_increments(w, grid.steps, h)
 
     path = np.empty((grid.total, n))
@@ -277,16 +254,12 @@ def simulate_sdde(
 
     for k in range(grid.steps):
         i = ts + k
-        seg = wrap(tau, h, path[k: i + 1])
-        b = _coef(drift(seg), (n,), "drift")
-        s = _coef(diffusion(seg), (n, m), "diffusion")
+        window = path[k: i + 1]
+        b = _coef(drift(window), (n,), "drift")
+        s = _coef(diffusion(window), (n, m), "diffusion")
         path[i + 1] = path[i] + b * h + s @ dw[k]
         if not (np.abs(path[i + 1]).max() <= DIVERGENCE_CAP):
             raise _blowup(k, h, (path[i],), f"{label} left the admissible range")
 
     path.setflags(write=False)
-    if role == "slow":
-        return TrajectoryBundle(grid=grid, slow_path=path, fast_path=None,
-                                epsilon=None, labels=(label,))
-    return TrajectoryBundle(grid=grid, slow_path=None, fast_path=path,
-                            epsilon=None, labels=(label,))
+    return path

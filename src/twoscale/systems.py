@@ -4,7 +4,9 @@ A SystemSpec bundles the four coefficient maps of a slow/fast pair with
 delay: the slow drift b1(chi, phi) and diffusion sigma1(chi) read whole
 history windows, while the fast drift b2(chi, y, y_tau) and diffusion
 sigma2(chi, y, y_tau) read the slow window plus the fast state now and
-one delay ago.  Maps must be pure and finite-valued; the checkers in
+one delay ago.  Windows are float64 arrays of shape (M + 1, n) with row
+M = tau / h being "now" (chi[-1] is the current slow state); y and y_tau
+have shape (n,).  Maps must be pure and finite-valued; the checkers in
 this module probe the structural conditions the averaging experiments
 rely on (one-sided contraction of the fast pair, linear growth and
 Lipschitz behaviour of the slow pair, a Lipschitz start window).
@@ -111,9 +113,9 @@ class LinearBenchmarkParams:
         """Rate of the scalar averaged equation: a11 + a12 * gain."""
         return self.a11 + self.a12 * self.gain
 
-    def averaged_drift(self, seg: Segment) -> np.ndarray:
+    def averaged_drift(self, chi: np.ndarray) -> np.ndarray:
         """Closed-form averaged slow drift kappa * chi(0)."""
-        return self.kappa * seg.values[-1]
+        return self.kappa * chi[-1]
 
 
 def linear_benchmark(params: LinearBenchmarkParams, tau: float = 1.0) -> SystemSpec:
@@ -125,16 +127,16 @@ def linear_benchmark(params: LinearBenchmarkParams, tau: float = 1.0) -> SystemS
     s2_mat = np.array([[params.s2]])
     s2_mat.setflags(write=False)
 
-    def b1(chi: Segment, phi: Segment) -> np.ndarray:
-        return a11 * chi.values[-1] + a12 * phi.values[-1]
+    def b1(chi: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        return a11 * chi[-1] + a12 * phi[-1]
 
-    def sigma1(chi: Segment) -> np.ndarray:
+    def sigma1(chi: np.ndarray) -> np.ndarray:
         return s1_mat
 
-    def b2(chi: Segment, y: np.ndarray, y_tau: np.ndarray) -> np.ndarray:
-        return c1 * chi.values[-1] - c2 * y + c3 * y_tau
+    def b2(chi: np.ndarray, y: np.ndarray, y_tau: np.ndarray) -> np.ndarray:
+        return c1 * chi[-1] - c2 * y + c3 * y_tau
 
-    def sigma2(chi: Segment, y: np.ndarray, y_tau: np.ndarray) -> np.ndarray:
+    def sigma2(chi: np.ndarray, y: np.ndarray, y_tau: np.ndarray) -> np.ndarray:
         return s2_mat
 
     return SystemSpec(
@@ -329,7 +331,7 @@ def check_growth_and_lipschitz(
         growth.append(g)
         s_chi = _as_mat(spec.sigma1(chi), spec.n, spec.m, "sigma1", i)
         s_phi = _as_mat(spec.sigma1(phi), spec.n, spec.m, "sigma1", i)
-        gap = float(_node_norms(phi.values - chi.values).max())
+        gap = float(_node_norms(phi - chi).max())
         if gap > 0.0:
             ell = float(np.linalg.norm(s_phi - s_chi)) / gap
             if lip_witness is None or ell > lip_witness["ratio"]:
@@ -359,8 +361,8 @@ def spot_check_purity(spec: SystemSpec, *, h: float | None = None, rng_seed: int
         h = spec.tau / 8.0
     steps = exact_steps(spec.tau, h, "tau")
     rng = np.random.default_rng(rng_seed)
-    chi = Segment(spec.tau, h, rng.standard_normal((steps + 1, spec.n)))
-    phi = Segment(spec.tau, h, rng.standard_normal((steps + 1, spec.n)))
+    chi = rng.standard_normal((steps + 1, spec.n))
+    phi = rng.standard_normal((steps + 1, spec.n))
     y = rng.standard_normal(spec.n)
     y_tau = rng.standard_normal(spec.n)
     pairs = [
@@ -373,11 +375,11 @@ def spot_check_purity(spec: SystemSpec, *, h: float | None = None, rng_seed: int
 
 
 def random_point_sampler(tau: float, h: float, n: int, amplitude: float = 3.0):
-    """Sampler of (chi, x, x', y, y') tuples for check_dissipativity."""
+    """Sampler of (chi, x, x', y, y') tuples for check_dissipativity; chi is a window array."""
     steps = exact_steps(tau, h, "tau")
 
     def sample(rng: np.random.Generator):
-        chi = Segment(tau, h, amplitude * rng.standard_normal((steps + 1, n)))
+        chi = amplitude * rng.standard_normal((steps + 1, n))
         pts = amplitude * rng.standard_normal((4, n))
         return (chi, pts[0], pts[1], pts[2], pts[3])
 
@@ -385,13 +387,13 @@ def random_point_sampler(tau: float, h: float, n: int, amplitude: float = 3.0):
 
 
 def random_segment_pair_sampler(tau: float, h: float, n: int, amplitude: float = 3.0):
-    """Sampler of (chi, phi) window pairs with comparable amplitudes."""
+    """Sampler of (chi, phi) window-array pairs with comparable amplitudes."""
     steps = exact_steps(tau, h, "tau")
 
     def sample(rng: np.random.Generator):
         amp = amplitude * rng.uniform(0.2, 1.0)
-        chi = Segment(tau, h, amp * rng.standard_normal((steps + 1, n)))
-        phi = Segment(tau, h, amp * rng.standard_normal((steps + 1, n)))
+        chi = amp * rng.standard_normal((steps + 1, n))
+        phi = amp * rng.standard_normal((steps + 1, n))
         return chi, phi
 
     return sample

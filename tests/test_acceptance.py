@@ -45,9 +45,9 @@ def test_criterion_1_averaged_endpoint_closed_form():
     h = 0.001
     g = make_grid(T=1.0, h=h, tau=1.0)
     xi = constant_segment(1.0, h, 1.0)
-    bundle = simulate_averaged(spec, xi, closed_form_drift(spec), g,
-                               NoiseStream(0, 0, W1))
-    end = float(bundle.endpoint()[0])
+    xbar = simulate_averaged(spec, xi, closed_form_drift(spec), g,
+                             NoiseStream(0, 0, W1))
+    end = float(xbar[-1, 0])
     ref = np.array([1.0])
     zero = np.zeros((1, 1)) @ np.zeros(1)
     for _ in range(g.steps):
@@ -64,7 +64,7 @@ def test_criterion_2_frozen_drift_estimate_hits_kappa():
     spec = linear_benchmark(BENCH)
     h = 0.001
     g = make_grid(T=60.0, h=h, tau=1.0)
-    zeta = constant_segment(1.0, h, 1.0)
+    zeta = constant_segment(1.0, h, 1.0).values
     est = estimate_averaged_drift(spec, zeta, 10.0, 50.0, 16, g, StreamFactory(2))
     target = BENCH.kappa * 1.0
     err = abs(float(est.value[0]) - target)
@@ -85,7 +85,7 @@ def test_criterion_3_mixing_rate_brackets_the_root():
     spec = linear_benchmark(BENCH)
     h = 0.001
     g = make_grid(T=8.0, h=h, tau=1.0)
-    zeta = constant_segment(1.0, h, 1.0)
+    zeta = constant_segment(1.0, h, 1.0).values
     fit = mixing_decay(spec, zeta,
                        constant_segment(1.0, h, 1.0),
                        constant_segment(1.0, h, 2.0),

@@ -78,12 +78,10 @@ def test_auxiliary_coupled_part_matches_direct_run():
     sch = _manual_schedule(0.1, 0.25)
     pair = simulate_auxiliary(spec, xi, eta, 0.1, sch, g,
                               NoiseStream(8, 0, W1), NoiseStream(8, 0, W2))
-    direct = simulate_coupled(spec, xi, eta, 0.1, g,
-                              NoiseStream(8, 0, W1), NoiseStream(8, 0, W2))
-    assert np.array_equal(pair.coupled.path("slow"), direct.path("slow"))
-    assert np.array_equal(pair.coupled.path("fast"), direct.path("fast"))
-    assert pair.auxiliary.labels == ("Xtilde", "Ytilde")
-    assert pair.schedule is sch
+    x, y = simulate_coupled(spec, xi, eta, 0.1, g,
+                            NoiseStream(8, 0, W1), NoiseStream(8, 0, W2))
+    assert np.array_equal(pair.x, x)
+    assert np.array_equal(pair.y, y)
 
 
 def test_auxiliary_resets_are_bit_exact():
@@ -98,8 +96,8 @@ def test_auxiliary_resets_are_bit_exact():
     delta_steps = int(round(sch.delta / h))
     expect = [g.tau_steps + k for k in range(0, g.steps, delta_steps)]
     assert pair.reset_indices.tolist() == expect
-    y = pair.coupled.path("fast")
-    yt = pair.auxiliary.path("fast")
+    y = pair.y
+    yt = pair.y_aux
     audit = max(float(np.abs(yt[i] - y[i]).max()) for i in pair.reset_indices)
     assert audit == 0.0
     # Between resets the auxiliary drifts away, so the paths are not equal.
@@ -135,7 +133,7 @@ def test_auxiliary_slow_gap_shrinks_with_epsilon():
         for p in range(4):
             pair = simulate_auxiliary(spec, xi, eta, eps, sch, g,
                                       NoiseStream(5, p, W1), NoiseStream(5, p, W2))
-            vals.append(sup_distance(pair.coupled, pair.auxiliary))
+            vals.append(sup_distance(pair.x, pair.x_aux, g))
         gaps[eps] = float(np.mean(vals))
     assert gaps[0.005] < 0.5 * gaps[0.05]
 
@@ -163,14 +161,14 @@ def test_averaged_deterministic_endpoint():
     h = 0.001
     g = make_grid(T=1.0, h=h, tau=1.0)
     xi = constant_segment(1.0, h, 1.0)
-    bundle = simulate_averaged(spec, xi, closed_form_drift(spec), g,
-                               NoiseStream(0, 0, W1))
+    xbar = simulate_averaged(spec, xi, closed_form_drift(spec), g,
+                             NoiseStream(0, 0, W1))
     ref = np.array([1.0])
     zero = np.zeros((1, 1)) @ np.zeros(1)
     for _ in range(g.steps):
         ref = ref + (params.kappa * ref) * h + zero
-    assert bundle.endpoint()[0] == ref[0]
-    assert abs(bundle.endpoint()[0] - np.exp(params.kappa)) < 2e-3
+    assert xbar[-1, 0] == ref[0]
+    assert abs(xbar[-1, 0] - np.exp(params.kappa)) < 2e-3
 
 
 def test_averaged_tracks_coupled_run_on_shared_noise():
@@ -179,11 +177,11 @@ def test_averaged_tracks_coupled_run_on_shared_noise():
     g = make_grid(T=0.5, h=h, tau=1.0)
     xi = constant_segment(1.0, h, 1.0)
     eta = constant_segment(1.0, h, 0.0)
-    coupled = simulate_coupled(spec, xi, eta, 0.01, g,
-                               NoiseStream(11, 0, W1), NoiseStream(11, 0, W2))
-    averaged = simulate_averaged(spec, xi, closed_form_drift(spec), g,
-                                 NoiseStream(11, 0, W1))
-    assert sup_distance(coupled, averaged) < 0.05
+    x, _ = simulate_coupled(spec, xi, eta, 0.01, g,
+                            NoiseStream(11, 0, W1), NoiseStream(11, 0, W2))
+    xbar = simulate_averaged(spec, xi, closed_form_drift(spec), g,
+                             NoiseStream(11, 0, W1))
+    assert sup_distance(x, xbar, g) < 0.05
 
 
 def test_averaged_stationary_statistics():
@@ -197,7 +195,7 @@ def test_averaged_stationary_statistics():
     drift = closed_form_drift(spec)
     n_paths = 1500
     ends = np.array([
-        simulate_averaged(spec, xi, drift, g, NoiseStream(1234, i, W1)).endpoint()[0]
+        simulate_averaged(spec, xi, drift, g, NoiseStream(1234, i, W1))[-1, 0]
         for i in range(n_paths)
     ])
     a = 1.0 + params.kappa * h
@@ -226,7 +224,7 @@ def test_estimated_drift_source_accuracy_and_cache():
     spec = linear_benchmark(BENCH)
     budget = DriftEstimatorBudget(burn_in=5.0, horizon=20.0, replicas=4)
     src = EstimatedDriftSource(spec, budget, sub_h=0.01, seed=77)
-    zeta = constant_segment(1.0, 0.01, 1.0)
+    zeta = constant_segment(1.0, 0.01, 1.0).values
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         v1 = src(zeta)
@@ -241,7 +239,7 @@ def test_estimated_drift_source_accuracy_and_cache():
 def test_estimated_drift_source_is_reproducible():
     spec = linear_benchmark(BENCH)
     budget = DriftEstimatorBudget(burn_in=3.0, horizon=8.0, replicas=3)
-    zeta = constant_segment(1.0, 0.02, -0.5)
+    zeta = constant_segment(1.0, 0.02, -0.5).values
     outs = []
     for _ in range(2):
         src = EstimatedDriftSource(spec, budget, sub_h=0.02, seed=9)
@@ -270,6 +268,6 @@ def test_estimator_route_agrees_with_closed_form_route():
                                    NoiseStream(31, 0, W1))
     # Shared W1 cancels the noise; what is left is the drift estimate error
     # integrated over [0, T].
-    assert sup_distance(by_estimate, by_formula) < 0.05
+    assert sup_distance(by_estimate, by_formula, g) < 0.05
     # One sub-simulation per step of the averaged equation.
     assert src.calls == src.cache_misses == g.steps

@@ -26,7 +26,7 @@ def _blowup_factory():
     # |y| = 1, after which they diverge within a few fast time units.
     return SystemSpec(
         n=1, m=1, tau=1.0,
-        b1=lambda chi, phi: -chi.values[-1] + phi.values[-1],
+        b1=lambda chi, phi: -chi[-1] + phi[-1],
         sigma1=lambda chi: np.array([[0.3]]),
         b2=lambda chi, y, y_tau: -y + y ** 3,
         sigma2=lambda chi, y, y_tau: np.array([[0.9]]),

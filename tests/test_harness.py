@@ -64,6 +64,14 @@ _BAD_PARSE_CONFIGS = [
     _cfg(xi={"values": [True] * 5}),
     _cfg(xi={"values": ["1", "2", "3", "4", "5"]}),
     _cfg(drift_source="estimator", estimator={"quant": 1e-4}),  # no estimator memo
+    # A segment object takes exactly one of constant/values and no other key.
+    _cfg(xi={"values": [1.0] * 5, "h": 0.5}),
+    _cfg(xi={"values": [1.0] * 5, "n": "abc"}),
+    _cfg(eta={"constant": 0.0, "values": [0.0] * 5}),
+    _cfg(xi={"values": "nope"}),
+    _cfg(xi={"values": [[1.0, 2.0], [3.0]]}),  # ragged rows
+    # The estimator's step must tile tau, burn_in and horizon.
+    _cfg(drift_source="estimator", estimator={"h": 0.03}),
 ]
 
 
@@ -457,6 +465,10 @@ def test_cli_config_errors_exit_four(tmp_path, capsys):
     cases = _BAD_PARSE_CONFIGS + [
         _cfg(system=dict(BENCH_SYS, params=dict(BENCH_SYS["params"], c1="abc"))),
         _cfg(system=dict(BENCH_SYS, params=dict(BENCH_SYS["params"], a11=True))),
+        # Off the grid the runner resolves; rejected before any path runs.
+        _cfg(experiment="segment_continuity", epsilons=[0.05], T=1.0, p=4.0,
+             sample_times=[0.3333]),
+        _cfg(h=5e-324),  # tau / h overflows to inf
     ]
     commands = {"converge": "converge", "auxiliary_gap": "aux-gap",
                 "segment_continuity": "seg-cont"}

@@ -3,47 +3,41 @@ import pytest
 
 from twoscale.errors import DomainError, UsageError
 from twoscale.metrics import p_moment, segment_displacement_moment, slope_fit, sup_distance
-from twoscale.solver import TrajectoryBundle, make_grid
+from twoscale.solver import make_grid
 
 
-def _bundle(grid, slow=None, fast=None):
-    return TrajectoryBundle(grid=grid, slow_path=slow, fast_path=fast,
-                            epsilon=None, labels=("T",))
-
-
-def _linear_bundle(grid, slope=1.0):
-    return _bundle(grid, slow=slope * grid.times()[:, None])
+def _linear_path(grid, slope=1.0):
+    return slope * grid.times()[:, None]
 
 
 def test_sup_distance_zero_for_identical_paths():
     g = make_grid(T=1.0, h=0.25, tau=0.5)
-    a = _linear_bundle(g)
-    b = _linear_bundle(g)
-    assert sup_distance(a, b) == 0.0
+    a = _linear_path(g)
+    b = _linear_path(g)
+    assert sup_distance(a, b, g) == 0.0
 
 
 def test_sup_distance_hand_value_and_window():
     g = make_grid(T=1.0, h=0.25, tau=0.5)
-    a = _linear_bundle(g, slope=1.0)
-    b = _linear_bundle(g, slope=2.0)
-    # Gap at time t is |t|; max over [0, 1] is 1, over [0, 0.5] is 0.5.
-    assert sup_distance(a, b) == 1.0
-    assert sup_distance(a, b, (0.0, 0.5)) == 0.5
-    assert sup_distance(a, b, (0.0, 0.0)) == 0.0
+    a = _linear_path(g, slope=1.0)
+    b = _linear_path(g, slope=2.0)
+    # Gap at time t is |t|; max over [0, 1] is 1.
+    assert sup_distance(a, b, g) == 1.0
+    # The window is [0, T]: the history gap of 0.5 at t = -0.5 is not read.
+    short = make_grid(T=0.25, h=0.25, tau=0.5)
+    assert sup_distance(_linear_path(short, 1.0), _linear_path(short, 2.0), short) == 0.25
 
 
 def test_sup_distance_errors():
     g = make_grid(T=1.0, h=0.25, tau=0.5)
-    a = _linear_bundle(g, slope=1.0)
-    b = _linear_bundle(g, slope=-1.0)
-    assert sup_distance(a, b) == 2.0
-    with pytest.raises(UsageError):
-        sup_distance(_bundle(g, fast=a.path()), b)  # no slow path stored
+    a = _linear_path(g, slope=1.0)
+    b = _linear_path(g, slope=-1.0)
+    assert sup_distance(a, b, g) == 2.0
     other = make_grid(T=1.0, h=0.125, tau=0.5)
     with pytest.raises(UsageError):
-        sup_distance(a, _linear_bundle(other))
+        sup_distance(a, _linear_path(other), g)  # shapes differ
     with pytest.raises(UsageError):
-        sup_distance(a, b, (0.5, 0.25))
+        sup_distance(_linear_path(other), _linear_path(other), g)  # not this grid's length
 
 
 def test_sup_distance_vector_rows_use_euclidean_norm():
@@ -51,9 +45,7 @@ def test_sup_distance_vector_rows_use_euclidean_norm():
     base = np.zeros((g.total, 2))
     offset = base.copy()
     offset[g.index_of(0.25)] = [3.0, 4.0]
-    a = _bundle(g, slow=base)
-    b = _bundle(g, slow=offset)
-    assert sup_distance(a, b) == 5.0
+    assert sup_distance(base, offset, g) == 5.0
 
 
 def test_p_moment_hand_values():
@@ -111,27 +103,27 @@ def test_slope_fit_validation():
 def test_displacement_moment_linear_path():
     """On x(t) = t the window shift gap is exactly t - t_delta."""
     g = make_grid(T=1.0, h=0.0625, tau=0.25)
-    b = _linear_bundle(g)
+    x = _linear_path(g)
     delta = 0.25
     # Mid-block samples: gaps 0.0625, 0.125, 0.1875 under delta = 0.25.
     times = [0.3125, 0.375, 0.4375]
-    moment = segment_displacement_moment(b, delta, 2.0, times)
+    moment = segment_displacement_moment(x, g, delta, 2.0, times)
     expect = np.mean([(t - 0.25) ** 2 for t in times])
     assert moment == pytest.approx(expect, rel=1e-12)
     # A sample exactly on a block boundary contributes zero.
-    assert segment_displacement_moment(b, delta, 2.0, [0.5]) == 0.0
+    assert segment_displacement_moment(x, g, delta, 2.0, [0.5]) == 0.0
 
 
 def test_displacement_moment_validation():
     g = make_grid(T=1.0, h=0.0625, tau=0.25)
-    b = _linear_bundle(g)
+    x = _linear_path(g)
     with pytest.raises(UsageError):
-        segment_displacement_moment(b, 0.3, 2.0, [0.5])  # delta off grid
+        segment_displacement_moment(x, g, 0.3, 2.0, [0.5])  # delta off grid
     with pytest.raises(UsageError):
-        segment_displacement_moment(b, 0.25, 2.0, [])
+        segment_displacement_moment(x, g, 0.25, 2.0, [])
     with pytest.raises(UsageError):
-        segment_displacement_moment(b, 0.25, 2.0, [1.5])  # past T
+        segment_displacement_moment(x, g, 0.25, 2.0, [1.5])  # past T
     with pytest.raises(UsageError):
-        segment_displacement_moment(b, 0.25, 2.0, [0.0])  # not in (0, T]
+        segment_displacement_moment(x, g, 0.25, 2.0, [0.0])  # not in (0, T]
     with pytest.raises(DomainError):
-        segment_displacement_moment(b, 0.25, -1.0, [0.5])
+        segment_displacement_moment(x, g, 0.25, -1.0, [0.5])

@@ -28,8 +28,8 @@ def test_benchmark_closed_forms():
 
 
 def test_benchmark_averaged_drift_reads_window_endpoint():
-    seg = Segment(1.0, 0.25, 2.0 + (np.arange(5) - 4) * 0.25)
-    out = BENCH.averaged_drift(seg)
+    chi = (2.0 + (np.arange(5) - 4) * 0.25)[:, None]
+    out = BENCH.averaged_drift(chi)
     assert out.shape == (1,)
     assert out[0] == pytest.approx(BENCH.kappa * 2.0)
 
@@ -50,8 +50,8 @@ def test_benchmark_params_must_be_finite():
 def test_linear_benchmark_coefficients():
     spec = linear_benchmark(BENCH, tau=1.0)
     assert (spec.n, spec.m, spec.tau) == (1, 1, 1.0)
-    chi = constant_segment(1.0, 0.25, 2.0)
-    phi = constant_segment(1.0, 0.25, -1.0)
+    chi = constant_segment(1.0, 0.25, 2.0).values
+    phi = constant_segment(1.0, 0.25, -1.0).values
     assert spec.b1(chi, phi)[0] == pytest.approx(-1.0 * 2.0 + 1.0 * -1.0)
     assert spec.sigma1(chi)[0, 0] == 0.3
     y = np.array([0.5])
@@ -152,7 +152,7 @@ def test_growth_check_flags_superlinear_drift():
     steps = 4
 
     def b1(chi, phi):
-        return chi.values[-1] ** 3
+        return chi[-1] ** 3
 
     def sigma1(chi):
         return np.array([[0.3]])
@@ -166,8 +166,8 @@ def test_growth_check_flags_superlinear_drift():
         # fast enough that the last quartile dwarfs the earlier maximum.
         state["i"] += 1
         amp = 0.5 * 1.15 ** state["i"]
-        chi = Segment(1.0, 0.25, amp * np.ones(steps + 1))
-        phi = Segment(1.0, 0.25, rng.standard_normal(steps + 1))
+        chi = amp * np.ones((steps + 1, 1))
+        phi = rng.standard_normal((steps + 1, 1))
         return chi, phi
 
     rep = check_growth_and_lipschitz(spec, ramped, 64, rng_seed=0)
@@ -231,9 +231,8 @@ def test_samplers_produce_wellformed_tuples():
     rng = np.random.default_rng(1)
     pt = random_point_sampler(1.0, 0.25, 2)(rng)
     chi, x, xp, y, yp = pt
-    assert chi.n == 2
+    assert chi.shape == (5, 2)
     for v in (x, xp, y, yp):
         assert v.shape == (2,)
     chi2, phi2 = random_segment_pair_sampler(1.0, 0.25, 3)(rng)
-    assert chi2.n == phi2.n == 3
-    assert chi2.grid_steps == 4
+    assert chi2.shape == phi2.shape == (5, 3)
