@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .frozen import DriftEstimatorBudget, estimate_averaged_drift
-from .noise import NoiseStream, StreamFactory
-from .segment import Segment, exact_steps
+from .noise import StreamFactory
+from .segment import exact_steps
 from .solver import (
     DEFAULT_KAPPA_STAB,
     TimeGrid,
@@ -81,9 +81,10 @@ def khasminskii_delta(epsilon: float, tau: float) -> DeltaSchedule:
 
 @dataclass(frozen=True, eq=False)
 class AuxiliaryPair:
-    """Coupled pair (x, y) plus its block-frozen auxiliary pair (x_aux, y_aux).
+    """Coupled pairs (x, y) plus their block-frozen auxiliary pairs (x_aux, y_aux).
 
-    All four are read-only (grid.total, n) path arrays.
+    All four are read-only (grid.total, P, n) path arrays; errors[p] is
+    the error path p failed with (the true pass's first), or None.
     """
 
     x: np.ndarray
@@ -91,37 +92,39 @@ class AuxiliaryPair:
     x_aux: np.ndarray
     y_aux: np.ndarray
     reset_indices: np.ndarray  # absolute array indices of block starts
+    errors: list
 
 
 def simulate_auxiliary(
     spec: SystemSpec,
-    xi: Segment,
-    eta: Segment,
+    xi: np.ndarray,
+    eta: np.ndarray,
     epsilon: float,
     schedule: DeltaSchedule,
     grid: TimeGrid,
-    w1: NoiseStream,
-    w2: NoiseStream,
+    w1s,
+    w2s,
     *,
     kappa_stab: float = DEFAULT_KAPPA_STAB,
 ) -> AuxiliaryPair:
-    """Run the true pair and the block-frozen auxiliary pair on shared noise.
+    """Run a batch of true pairs and block-frozen auxiliary pairs on shared noise.
 
-    Both members run the one coupled recursion of solver._coupled_core on
-    the same increments drawn from (w1, w2).  The first pass is the true
-    pair (X, Y), bit-identical to simulate_coupled.  The second reruns
-    the recursion with block freezing and resets: at each block start
-    the coefficients' slow window is frozen to the true slow window
-    (sigma1 evaluated once per block) and the auxiliary fast process
-    restarts from the true fast state (bit-exact reset, audited by
-    callers).
+    Both passes run the one coupled recursion of solver._coupled_core on
+    the same increments, drawn from one (w1s[p], w2s[p]) stream pair per
+    path.  The first pass is the true pair (X, Y), bit-identical to
+    simulate_coupled.  The second reruns the recursion with block
+    freezing and resets: at each block start the coefficients' slow
+    window is frozen to the true slow window (sigma1 evaluated once per
+    block) and the auxiliary fast process restarts from the true fast
+    state (bit-exact reset, audited by callers).
     """
-    dw1, dwf = _pair_increments(spec, xi, eta, epsilon, grid, w1, w2, kappa_stab)
+    xi, eta, dw1, dwf = _pair_increments(spec, xi, eta, epsilon, grid, w1s, w2s, kappa_stab)
     delta_steps = exact_steps(min(schedule.delta, grid.T), grid.h, "delta")
-    x, y, _ = _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf)
-    x_aux, y_aux, resets = _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf,
-                                         freeze=(x, y, delta_steps))
-    return AuxiliaryPair(x, y, x_aux, y_aux, np.asarray(resets, dtype=int))
+    x, y, errors = _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf)
+    x_aux, y_aux, errors = _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf,
+                                         freeze=(x, y, delta_steps, errors))
+    resets = grid.tau_steps + np.arange(0, grid.steps, delta_steps)
+    return AuxiliaryPair(x, y, x_aux, y_aux, resets, errors)
 
 
 def closed_form_drift(spec: SystemSpec):
@@ -133,31 +136,33 @@ def closed_form_drift(spec: SystemSpec):
 
 def simulate_averaged(
     spec: SystemSpec,
-    xi: Segment,
+    xi: np.ndarray,
     drift_source,
     grid: TimeGrid,
-    w1: NoiseStream,
-) -> np.ndarray:
-    """Integrate dXbar = bbar1(Xbar_t) dt + sigma1(Xbar_t) dW1; returns the path.
+    w1s,
+):
+    """Integrate a batch of dXbar = bbar1(Xbar_t) dt + sigma1(Xbar_t) dW1.
 
-    drift_source(window) supplies bbar1 on the (M + 1, n) window array:
-    either a closed form or an EstimatedDriftSource.  Pass a stream with
-    the same address as the coupled run's W1 to realize the shared-noise
-    comparison.
+    drift_source(window) supplies bbar1, shape (P, n), on the
+    (M + 1, P, n) window array: either a closed form or an
+    EstimatedDriftSource.  Pass streams with the same addresses as the
+    coupled run's W1 to realize the shared-noise comparison.  Returns
+    (path, errors) as simulate_sdde does.
     """
     if not callable(drift_source):
         raise UsageError("drift_source must be callable on a window array")
-    return simulate_sdde(spec.n, spec.m, drift_source, spec.sigma1, xi, grid, w1,
+    return simulate_sdde(spec.n, spec.m, drift_source, spec.sigma1, xi, grid, w1s,
                          label="Xbar")
 
 
 class EstimatedDriftSource:
     """Averaged drift evaluated by on-demand frozen sub-simulation.
 
-    Every call runs a fresh estimate_averaged_drift whose streams are
-    seeded from a digest of the window rounded to _SEED_QUANT, so the
-    evaluator is a pure function of (window, seed, budget).  Nothing is
-    memoized: a diffusing path does not revisit a window.
+    Every window of a call runs a fresh estimate_averaged_drift whose
+    streams are seeded from a digest of the window rounded to
+    _SEED_QUANT, so the evaluator is a pure function of (window, seed,
+    budget) per path.  calls counts windows.  Nothing is memoized: a
+    diffusing path does not revisit a window.
     """
 
     def __init__(self, spec: SystemSpec, budget: DriftEstimatorBudget, sub_h: float, seed: int):
@@ -173,7 +178,11 @@ class EstimatedDriftSource:
         # Sub-simulations run: one per call.
         return self.calls
 
-    def __call__(self, window: np.ndarray) -> np.ndarray:
+    def __call__(self, windows: np.ndarray) -> np.ndarray:
+        """bbar1 of each (M + 1, n) window of the (M + 1, P, n) batch, shape (P, n)."""
+        return np.array([self._estimate(windows[:, p]) for p in range(windows.shape[1])])
+
+    def _estimate(self, window: np.ndarray) -> np.ndarray:
         self.calls += 1
         key = np.round(window / _SEED_QUANT).astype(np.int64).tobytes()
         digest = hashlib.blake2b(key + b"|" + str(self.seed).encode(), digest_size=8)

@@ -25,11 +25,11 @@ from .errors import (
     DomainError,
     UsageError,
 )
-from .noise import W2, NoiseStream, StreamFactory
+from .noise import W2, StreamFactory
 from .metrics import _log_linear_fit
-from .segment import Segment, _node_norms, constant_segment, exact_steps
+from .segment import _node_norms, exact_steps
 from .solver import TimeGrid, simulate_sdde
-from .systems import SystemSpec
+from .systems import SystemSpec, _drift
 
 GAP_FLOOR = 1e-12
 
@@ -60,25 +60,33 @@ class DriftEstimatorBudget:
 def simulate_frozen(
     spec: SystemSpec,
     zeta: np.ndarray,
-    eta: Segment,
+    eta: np.ndarray,
     grid: TimeGrid,
-    w2: NoiseStream,
-) -> np.ndarray:
-    """Integrate the fast equation with the slow window pinned at zeta.
+    w2s,
+):
+    """Integrate a batch of the fast equation with the slow window pinned at zeta.
 
-    zeta is an (M + 1, n) window array; returns the read-only fast path.
+    zeta is an (M + 1, n) window array that every path reads through a
+    broadcast view, eta the (M + 1, n) start window, and w2s holds one
+    stream per path.  Returns (path, errors) as simulate_sdde does.
     """
     if zeta.ndim != 2 or zeta.shape[1] != spec.n:
         raise UsageError(f"zeta has shape {zeta.shape}, system needs n={spec.n}")
     b2, sigma2 = spec.b2, spec.sigma2
+    # Every column is zeta, so the first P columns serve a batch of P live paths.
+    pinned = np.broadcast_to(zeta[:, None], (zeta.shape[0], len(w2s), spec.n))
 
     def drift(window: np.ndarray) -> np.ndarray:
-        return b2(zeta, window[-1], window[0])
+        return b2(pinned[:, : window.shape[1]], window[-1], window[0])
 
     def diffusion(window: np.ndarray) -> np.ndarray:
-        return sigma2(zeta, window[-1], window[0])
+        return sigma2(pinned[:, : window.shape[1]], window[-1], window[0])
 
-    return simulate_sdde(spec.n, spec.m, drift, diffusion, eta, grid, w2, label="Yzeta")
+    return simulate_sdde(spec.n, spec.m, drift, diffusion, eta, grid, w2s, label="Yzeta")
+
+
+def _first_error(errors):
+    return next((e for e in errors if e is not None), None)
 
 
 def estimate_averaged_drift(
@@ -90,16 +98,17 @@ def estimate_averaged_drift(
     grid: TimeGrid,
     streams: StreamFactory,
     *,
-    eta: Segment | None = None,
+    eta: np.ndarray | None = None,
 ) -> AveragedDriftEstimate:
     """Time-average b1(zeta, Y-window) along frozen trajectories.
 
-    zeta is the pinned (M + 1, n) slow window array.  Each replica runs
-    one trajectory, drops [0, burn_in], then averages b1 over every grid
-    step of [burn_in, burn_in + horizon]; the reported value is the
-    replica mean and std_error the replica scatter / sqrt(R).
-    The start bias decays exponentially, so burn_in of a few multiples of
-    1/rate suffices; below 5 tau a warning is emitted.
+    zeta is the pinned (M + 1, n) slow window array.  The R replicas run
+    as one batch of frozen trajectories from the start window eta (zero
+    by default); each drops [0, burn_in], then averages b1 over every
+    grid step of [burn_in, burn_in + horizon], summed in time order.  The
+    reported value is the replica mean and std_error the replica scatter
+    / sqrt(R).  The start bias decays exponentially, so burn_in of a few
+    multiples of 1/rate suffices; below 5 tau a warning is emitted.
     """
     if replicas < 1:
         raise UsageError(f"replicas must be >= 1, got {replicas}")
@@ -119,25 +128,26 @@ def estimate_averaged_drift(
         raise UsageError(
             f"grid horizon T={grid.T} shorter than burn_in + horizon = {burn_in + horizon}"
         )
-    if eta is None:
-        eta = constant_segment(grid.tau, grid.h, np.zeros(spec.n))
-
     ts = grid.tau_steps
+    if eta is None:
+        eta = np.zeros((ts + 1, spec.n))
+
+    y, errors = simulate_frozen(spec, zeta, eta, grid,
+                                [streams.stream(r, W2) for r in range(replicas)])
+    exc = _first_error(errors)
+    if isinstance(exc, DivergenceError):
+        raise DivergenceError(
+            exc.step_index, exc.time, exc.last_state,
+            "frozen trajectory diverged; run check_dissipativity on this system",
+        ) from exc
+    if exc is not None:
+        raise exc
     b1 = spec.b1
-    replica_means = np.empty((replicas, spec.n))
-    for r in range(replicas):
-        w2 = streams.stream(r, W2)
-        try:
-            y = simulate_frozen(spec, zeta, eta, grid, w2)
-        except DivergenceError as exc:
-            raise DivergenceError(
-                exc.step_index, exc.time, exc.last_state,
-                "frozen trajectory diverged; run check_dissipativity on this system",
-            ) from exc
-        acc = np.zeros(spec.n)
-        for k in range(k_burn, k_burn + k_len + 1):
-            acc += np.asarray(b1(zeta, y[k: ts + k + 1]), dtype=float)
-        replica_means[r] = acc / (k_len + 1)
+    chi = np.broadcast_to(zeta[:, None], (zeta.shape[0], replicas, spec.n))
+    acc = np.zeros((replicas, spec.n))
+    for k in range(k_burn, k_burn + k_len + 1):
+        acc += _drift(b1(chi, y[k: ts + k + 1]), replicas, spec.n, "b1")
+    replica_means = acc / (k_len + 1)
 
     value = replica_means.mean(axis=0)
     if replicas >= 2:
@@ -150,17 +160,17 @@ def estimate_averaged_drift(
 def mixing_decay(
     spec: SystemSpec,
     zeta: np.ndarray,
-    eta: Segment,
-    eta_prime: Segment,
+    eta: np.ndarray,
+    eta_prime: np.ndarray,
     grid: TimeGrid,
     replicas: int,
     streams: StreamFactory,
 ) -> DecayFit:
     """Fit the contraction rate of synchronously coupled frozen pairs.
 
-    Two trajectories started from eta and eta_prime replay the identical
-    W2 stream per replica, so their gap is driven purely by the dynamics.
-    g(t) = replica mean of the squared window sup gap is recorded at
+    Two batches of trajectories started from the (M + 1, n) windows eta
+    and eta_prime replay the identical W2 stream per replica, so their
+    gap is driven purely by the dynamics.  g(t) = replica mean of the squared window sup gap is recorded at
     checkpoints t = tau, 2 tau, ... and log g is fitted by least squares
     over the checkpoints with g above GAP_FLOOR; fitted_rate = -slope.
     Fewer than 3 usable checkpoints raise DegenerateFitError (gaps that
@@ -173,12 +183,17 @@ def mixing_decay(
     if n_checks < 3:
         raise UsageError(f"grid covers only {n_checks} delay spans; need >= 3")
 
+    # Same stream addresses twice: bit-identical driving increments.
+    ya, errors_a = simulate_frozen(spec, zeta, eta, grid,
+                                   [streams.stream(r, W2) for r in range(replicas)])
+    yb, errors_b = simulate_frozen(spec, zeta, eta_prime, grid,
+                                   [streams.stream(r, W2) for r in range(replicas)])
+    exc = _first_error(e for pair in zip(errors_a, errors_b) for e in pair)
+    if exc is not None:
+        raise exc
     gaps = np.zeros(n_checks)
     for r in range(replicas):
-        # Same stream address twice: bit-identical driving increments.
-        ya = simulate_frozen(spec, zeta, eta, grid, streams.stream(r, W2))
-        yb = simulate_frozen(spec, zeta, eta_prime, grid, streams.stream(r, W2))
-        node = _node_norms(ya - yb)
+        node = _node_norms(ya[:, r] - yb[:, r])
         for j in range(1, n_checks + 1):
             a = ts + j * ts
             gaps[j - 1] += node[a - ts: a + 1].max() ** 2

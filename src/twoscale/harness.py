@@ -8,10 +8,11 @@ report.json.
 
 Determinism contract: a scenario's CSV body is a pure function of its
 config.  Paths draw from streams addressed by (seed, path, tag), each
-row's paths run in contiguous chunks whose results come back in path
-order, and reductions run in fixed path order, so serial and parallel
-execution produce byte-identical reports; the sha256 of the CSV text is
-included as the reproducibility hash.
+row's paths run in contiguous chunks, each chunk integrated as one batch
+whose per-path results come back in path order, and reductions run in
+fixed path order, so serial and parallel execution produce byte-identical
+reports whatever the chunk cut; the sha256 of the CSV text is included
+as the reproducibility hash.
 """
 
 from __future__ import annotations
@@ -330,8 +331,8 @@ class Scenario:
                 value = np.full(n, float(value))
             return constant_segment(self.tau, h, value, n=n)
         seg = Segment(self.tau, h, cfg["values"])
-        if seg.n != n:
-            raise ConfigError(f"{role} has dimension {seg.n}, system needs {n}")
+        if seg.values.shape[1] != n:
+            raise ConfigError(f"{role} has dimension {seg.values.shape[1]}, system needs {n}")
         return seg
 
     def resolve_h(self, epsilon: float | None = None, anchor: float | None = None,
@@ -482,48 +483,53 @@ def _finish(scenario: Scenario, rows, gates, warns, t0) -> ExperimentReport:
 
 @dataclass(frozen=True, eq=False)
 class _Chunk:
-    """What a path body sees: one parsed scenario on one row's grid."""
+    """What a chunk body sees: one parsed scenario on one row's grid."""
 
     scenario: Scenario
     spec: object
     epsilon: float
     grid: object
-    xi: Segment
-    eta: Segment
+    xi: np.ndarray
+    eta: np.ndarray
     streams: StreamFactory
     extra: dict
 
-    def coupled(self, path: int):
+    def noise(self, paths, tag: str) -> list:
+        return [self.streams.stream(path, tag) for path in paths]
+
+    def coupled(self, paths):
         return simulate_coupled(
             self.spec, self.xi, self.eta, self.epsilon, self.grid,
-            self.streams.stream(path, W1), self.streams.stream(path, W2),
+            self.noise(paths, W1), self.noise(paths, W2),
             kappa_stab=self.scenario.kappa_stab,
         )
 
 
 def _run_chunk(job):
-    """Run paths [start, stop) of one row through body, in path order.
+    """Run paths [start, stop) of one row through body as one batch.
 
-    The system, grid, start segments and stream factory are built once
-    per chunk, so set-up errors propagate; a TwoscaleError inside a path
-    becomes that path's ("err", type, message).
+    The system, grid, start windows and stream factory are built once
+    per chunk, so set-up errors propagate.  body(chunk, paths) returns
+    one result per path in path order, a TwoscaleError instance for a
+    failed path; each becomes ("ok", value) or ("err", type, message).
+    A TwoscaleError raised by body itself fails every path of the chunk.
     """
     body, scen, epsilon, h, extra, start, stop = job
     spec = scen.build_spec()
     chunk = _Chunk(
         scenario=scen, spec=spec, epsilon=epsilon,
         grid=make_grid(scen.T, h, scen.tau),
-        xi=scen.materialize_segment("xi", h, spec.n),
-        eta=scen.materialize_segment("eta", h, spec.n),
+        xi=scen.materialize_segment("xi", h, spec.n).values,
+        eta=scen.materialize_segment("eta", h, spec.n).values,
         streams=StreamFactory(scen.seed, spec.m), extra=extra,
     )
-    out = []
-    for path in range(start, stop):
-        try:
-            out.append(("ok", body(chunk, path)))
-        except TwoscaleError as exc:
-            out.append(("err", type(exc).__name__, str(exc)))
-    return out
+    paths = range(start, stop)
+    try:
+        results = body(chunk, paths)
+    except TwoscaleError as exc:
+        results = [exc] * len(paths)
+    return [("err", type(r).__name__, str(r)) if isinstance(r, TwoscaleError) else ("ok", r)
+            for r in results]
 
 
 def _run_ensemble(scenario: Scenario, body, rows) -> list:
@@ -598,13 +604,21 @@ def _monotone_gate(moments, std_errors):
 
 # ---------------------------------------------------------------- converge
 
-def _converge_path(c: _Chunk, path: int) -> float:
-    x, _ = c.coupled(path)
-    # Fresh stream with the same address: the averaged equation replays
-    # the identical W1 increments (pathwise coupling).
-    xbar = simulate_averaged(c.spec, c.xi, c.scenario.drift_callable(c.spec), c.grid,
-                             c.streams.stream(path, W1))
-    return sup_distance(x, xbar, c.grid)
+def _converge_chunk(c: _Chunk, paths) -> list:
+    x, _, out = c.coupled(paths)
+    live = [j for j, err in enumerate(out) if err is None]
+    if live:
+        # Fresh streams with the same addresses: the averaged equation
+        # replays the identical W1 increments (pathwise coupling).  Only
+        # the paths that reached it can fail here.
+        try:
+            xbar, errors = simulate_averaged(c.spec, c.xi, c.scenario.drift_callable(c.spec),
+                                             c.grid, c.noise([paths[j] for j in live], W1))
+        except TwoscaleError as exc:
+            xbar, errors = None, [exc] * len(live)
+        for col, (j, err) in enumerate(zip(live, errors)):
+            out[j] = err if err is not None else sup_distance(x[:, j], xbar[:, col], c.grid)
+    return out
 
 
 def run_converge(scenario: Scenario) -> ExperimentReport:
@@ -621,7 +635,7 @@ def run_converge(scenario: Scenario) -> ExperimentReport:
         raise UsageError("converge needs a non-empty epsilons list")
     eps_desc = sorted(scenario.epsilons, reverse=True)
     hs = [scenario.resolve_h(epsilon=eps) for eps in eps_desc]
-    results = _run_ensemble(scenario, _converge_path, [(e, h, {}) for e, h in zip(eps_desc, hs)])
+    results = _run_ensemble(scenario, _converge_chunk, [(e, h, {}) for e, h in zip(eps_desc, hs)])
 
     rows = []
     ok_rows = []
@@ -691,21 +705,26 @@ def _snap_to_tau(tau: float, delta: float, warns: list) -> tuple[float, int]:
     return snapped, n
 
 
-def _aux_path(c: _Chunk, path: int):
+def _aux_chunk(c: _Chunk, paths) -> list:
     pair = simulate_auxiliary(
         c.spec, c.xi, c.eta, c.epsilon, c.extra["schedule"], c.grid,
-        c.streams.stream(path, W1), c.streams.stream(path, W2),
-        kappa_stab=c.scenario.kappa_stab,
+        c.noise(paths, W1), c.noise(paths, W2), kappa_stab=c.scenario.kappa_stab,
     )
-    x_gap = sup_distance(pair.x, pair.x_aux, c.grid)
-    y, yt = pair.y, pair.y_aux
     ts = c.grid.tau_steps
-    audit = 0.0
-    y_gap = 0.0
-    for i in pair.reset_indices:
-        audit = max(audit, float(np.linalg.norm(yt[i] - y[i])))
-        y_gap = max(y_gap, float(_node_norms(yt[i - ts: i + 1] - y[i - ts: i + 1]).max()))
-    return x_gap, y_gap, audit
+    out = []
+    for j, err in enumerate(pair.errors):
+        if err is not None:
+            out.append(err)
+            continue
+        x_gap = sup_distance(pair.x[:, j], pair.x_aux[:, j], c.grid)
+        y, yt = pair.y[:, j], pair.y_aux[:, j]
+        audit = 0.0
+        y_gap = 0.0
+        for i in pair.reset_indices:
+            audit = max(audit, float(np.linalg.norm(yt[i] - y[i])))
+            y_gap = max(y_gap, float(_node_norms(yt[i - ts: i + 1] - y[i - ts: i + 1]).max()))
+        out.append((x_gap, y_gap, audit))
+    return out
 
 
 def run_auxiliary_gap(scenario: Scenario) -> ExperimentReport:
@@ -730,7 +749,7 @@ def run_auxiliary_gap(scenario: Scenario) -> ExperimentReport:
                                      N_delta=n)
         h = scenario.resolve_h(epsilon=eps, anchor=schedule.delta)
         sweep.append((eps, h, {"schedule": schedule}))
-    results = _run_ensemble(scenario, _aux_path, sweep)
+    results = _run_ensemble(scenario, _aux_chunk, sweep)
 
     rows = []
     ok_rows = []
@@ -775,10 +794,13 @@ def run_auxiliary_gap(scenario: Scenario) -> ExperimentReport:
 
 # ----------------------------------------------------- segment continuity
 
-def _segcont_path(c: _Chunk, path: int) -> list:
-    x, _ = c.coupled(path)
-    return [float(segment_displacement_moment(x, c.grid, d, c.scenario.p, c.extra["times"]))
-            for d in c.extra["deltas"]]
+def _segcont_chunk(c: _Chunk, paths) -> list:
+    x, _, errors = c.coupled(paths)
+    return [err if err is not None else
+            [float(segment_displacement_moment(x[:, j], c.grid, d, c.scenario.p,
+                                               c.extra["times"]))
+             for d in c.extra["deltas"]]
+            for j, err in enumerate(errors)]
 
 
 def run_segment_continuity(scenario: Scenario) -> ExperimentReport:
@@ -829,7 +851,7 @@ def run_segment_continuity(scenario: Scenario) -> ExperimentReport:
             idxs.add(min(grid.steps, j * grid.steps // 8 + r))
         times = [k * h for k in sorted(idxs) if k > 0]
     extra = {"deltas": deltas, "times": times}
-    [results] = _run_ensemble(scenario, _segcont_path, [(epsilon, h, extra)])
+    [results] = _run_ensemble(scenario, _segcont_chunk, [(epsilon, h, extra)])
     row = _row(epsilon, None, scenario.p, scenario.paths, "segment_displacement_moment", h)
     values, error_row = _row_values(results, row)
     if error_row is not None:
@@ -890,7 +912,7 @@ def run_frozen(scenario: Scenario) -> ExperimentReport:
             _warnings.simplefilter("always")
             est = estimate_averaged_drift(
                 spec, zeta.values, scenario.burn_in, scenario.horizon,
-                scenario.replicas, grid_est, fac, eta=eta,
+                scenario.replicas, grid_est, fac, eta=eta.values,
             )
         warns = [str(w.message) for w in caught]
         row = _row(None, None, None, scenario.replicas, "bbar_estimate", h)
@@ -906,12 +928,11 @@ def run_frozen(scenario: Scenario) -> ExperimentReport:
 
     grid = make_grid(scenario.checkpoints * scenario.tau, h, scenario.tau)
     eta_prime = scenario.materialize_segment("eta_prime", h, spec.n)
-    if eta_prime is None:
-        eta_prime = Segment(eta.tau, eta.h, eta.values + 1.0)
+    eta_prime = eta.values + 1.0 if eta_prime is None else eta_prime.values
     row = _row(None, None, None, scenario.mixing_replicas, "mixing_fit", h)
     try:
-        fit = mixing_decay(spec, zeta.values, eta, eta_prime, grid, scenario.mixing_replicas,
-                           fac)
+        fit = mixing_decay(spec, zeta.values, eta.values, eta_prime, grid,
+                           scenario.mixing_replicas, fac)
     except DegenerateFitError as exc:
         rows.append(dict(row, extra=dict(row["extra"], degenerate=True, detail=str(exc))))
         gate = {"name": "mixing_rate_positive", "passed": True,
@@ -985,12 +1006,16 @@ def run_check(scenario: Scenario) -> ExperimentReport:
 
 # -------------------------------------------------------------- simulate
 
-def _simulate_path(c: _Chunk, path: int) -> float:
-    x, y = c.coupled(path)
-    if c.extra["dump_dir"]:
-        _dump_paths(c.grid.times(), x, y, Path(c.extra["dump_dir"]),
-                    f"{c.extra['stem']}_{path}.csv")
-    return float(np.linalg.norm(x[-1]))
+def _simulate_chunk(c: _Chunk, paths) -> list:
+    x, y, out = c.coupled(paths)
+    for j, path in enumerate(paths):
+        if out[j] is not None:
+            continue
+        if c.extra["dump_dir"]:
+            _dump_paths(c.grid.times(), x[:, j], y[:, j], Path(c.extra["dump_dir"]),
+                        f"{c.extra['stem']}_{path}.csv")
+        out[j] = float(np.linalg.norm(x[-1, j]))
+    return out
 
 
 def _dump_paths(times, x, y, out_dir: Path, name: str):
@@ -1009,7 +1034,7 @@ def run_simulate(scenario: Scenario, *, dump_dir=None, stem: str = "scenario") -
     epsilon = scenario.epsilons[0] if scenario.epsilons else 0.05
     h = scenario.resolve_h(epsilon=epsilon)
     extra = {"dump_dir": str(dump_dir) if dump_dir is not None else None, "stem": stem}
-    [results] = _run_ensemble(scenario, _simulate_path, [(epsilon, h, extra)])
+    [results] = _run_ensemble(scenario, _simulate_chunk, [(epsilon, h, extra)])
     row = _row(epsilon, None, 1.0, scenario.paths, "endpoint_slow_norm", h)
     endpoints, error_row = _row_values(results, row)
     if error_row is not None:

@@ -3,8 +3,9 @@
 A window is the last tau units of a path sampled every h units: an array
 of shape (M + 1, n) with M = tau / h, whose row i is the state at offset
 -tau + i * h.  Row M is "now" (offset 0), row 0 is the oldest point.
-Coefficient maps receive windows as plain slices of the path array being
-built; a Segment is the validated, immutable start window of a run.
+Coefficient maps receive a batch of windows, (M + 1, P, n), as plain
+slices of the path array being built; a Segment is the validated,
+immutable start window of a run, and the kernels take its values.
 
 All delay bookkeeping in the package is done in index space on top of
 these windows, so tau / h (and later delta / h) must be an exact integer
@@ -76,14 +77,6 @@ class Segment:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def grid_steps(self) -> int:
-        return self.values.shape[0] - 1
-
 
 def _node_norms(arr: np.ndarray) -> np.ndarray:
     # Euclidean length of each row; exact |.| in the scalar case so that
@@ -100,8 +93,6 @@ def sup_norm(window: np.ndarray) -> float:
 
 def lipschitz_modulus(seg: Segment) -> float:
     """Largest per-step slope |v[i+1] - v[i]| / h over the window."""
-    if seg.grid_steps == 0:
-        return 0.0
     diffs = np.diff(seg.values, axis=0)
     return float(_node_norms(diffs).max() / seg.h)
 

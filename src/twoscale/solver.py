@@ -11,10 +11,15 @@ simulate_sdde advances a single equation whose drift and diffusion are
 arbitrary functionals of the trailing window; the frozen and averaged
 equations are both built on it.
 
-Only arrays cross the kernel boundary.  A coefficient map receives each
-window as the (tau_steps + 1, n) slice of the path array being built,
-row tau_steps being "now", and the kernels return read-only
-(grid.total, n) path arrays that start with the history window.
+Both kernels step a batch of P paths at once, time-major.  A path array
+has shape (grid.total, P, n) and starts with the (tau_steps + 1, n)
+history window; a coefficient map receives each window as the
+(tau_steps + 1, P, n) slice of the array being built, row tau_steps being
+"now" (chi[-1] is the (P, n) current state).  Maps act on the last axis:
+a drift returns (P, n), a diffusion (n, m) for the whole batch or
+(P, n, m).  Path p draws from its own streams and every operation is
+elementwise over the batch axis (sigma @ dW is an ordered sum over the m
+noise components), so a path's numbers do not depend on its batch.
 
 Delay arithmetic is pure index bookkeeping: h divides tau exactly, so
 Y(t_k - tau) is the array entry tau_steps rows back and no float time
@@ -22,8 +27,11 @@ comparison ever happens in the hot loop.  The explicit scheme needs
 h / eps bounded for the contractive linear part of the fast drift, so
 simulate_coupled enforces h <= kappa_stab * eps (default 0.1).
 
-Any state coordinate going non-finite or past DIVERGENCE_CAP aborts with
-DivergenceError carrying the step index and the last finite state.
+A path whose state goes non-finite or past DIVERGENCE_CAP, or whose
+coefficient maps raise a TwoscaleError, leaves the batch with exactly the
+error its one-path run raises (a DivergenceError carries the step index
+and the last finite state); the other paths keep stepping.  Each kernel
+returns one error slot per path, None for a path that completed.
 """
 
 from __future__ import annotations
@@ -32,14 +40,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DivergenceError, DomainError, UsageError
-from .noise import NoiseStream, fast_increments, gaussian_increments
-from .segment import Segment, _integer_ratio, exact_steps
-from .systems import SystemSpec
+from .errors import DivergenceError, DomainError, TwoscaleError, UsageError
+from .noise import fast_increments, gaussian_increments
+from .segment import _integer_ratio, exact_steps
+from .systems import SystemSpec, _diffusion, _drift
 
 DIVERGENCE_CAP = 1e12
 
 DEFAULT_KAPPA_STAB = 0.1
+
+# max over all entries, NaN-propagating, without ndarray.max's Python wrapper
+_amax = np.maximum.reduce
+
+_ALL = slice(None)
 
 
 @dataclass(frozen=True)
@@ -80,22 +93,23 @@ def make_grid(T: float, h: float, tau: float) -> TimeGrid:
     return TimeGrid(T=float(T), h=float(h), steps=steps, tau_steps=tau_steps)
 
 
-def _check_streams(spec: SystemSpec, *streams: NoiseStream):
-    for s in streams:
-        if s.m != spec.m:
-            raise UsageError(f"stream dimension m={s.m} does not match spec m={spec.m}")
-
-
-def _check_segment(seg: Segment, grid: TimeGrid, n: int, name: str):
-    if not isinstance(seg, Segment):
-        raise UsageError(f"{name} must be a Segment, got {type(seg).__name__}")
-    if seg.grid_steps != grid.tau_steps or abs(seg.h - grid.h) > 1e-12 * grid.h:
+def _history(start, grid: TimeGrid, n: int, name: str) -> np.ndarray:
+    arr = np.asarray(start, dtype=float)
+    if arr.shape != (grid.tau_steps + 1, n):
         raise UsageError(
-            f"{name} grid (tau={seg.tau}, h={seg.h}) incompatible with "
-            f"simulation grid (tau={grid.tau}, h={grid.h})"
+            f"{name} has shape {arr.shape}; the grid and system need ({grid.tau_steps + 1}, {n})"
         )
-    if seg.n != n:
-        raise UsageError(f"{name} has dimension {seg.n}, system needs {n}")
+    return arr
+
+
+def _increments(streams, m: int, draw) -> np.ndarray:
+    """draw(stream) for one stream per path, stacked time-major: (steps, P, m)."""
+    if len(streams) == 0:
+        raise UsageError("need one noise stream per path, got none")
+    for s in streams:
+        if s.m != m:
+            raise UsageError(f"stream dimension m={s.m} does not match m={m}")
+    return np.stack([draw(s) for s in streams], axis=1)
 
 
 def _blowup(step: int, h: float, state_rows, detail: str):
@@ -103,15 +117,96 @@ def _blowup(step: int, h: float, state_rows, detail: str):
     return DivergenceError(step, (step + 1) * h, last, detail)
 
 
-def _coef(value, shape: tuple, name: str) -> np.ndarray:
-    out = np.asarray(value, dtype=float)
-    if out.shape != shape:
-        raise DataError(f"{name} returned shape {out.shape}, expected {shape}")
-    return out
+def _noise(s: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    """s @ dW for every path of the (P, m) increments, summed over m in order."""
+    if dw.shape[1] == 1:
+        return s[..., 0] * dw
+    inc = s[..., 0] * dw[:, :1]
+    for j in range(1, dw.shape[1]):
+        inc = inc + s[..., j] * dw[:, j: j + 1]
+    return inc
 
 
-def _pair_increments(spec, xi, eta, epsilon, grid, w1, w2, kappa_stab):
-    """Validate the inputs of a pair run and draw its (dW1, fast dW2) increments."""
+def _blowups(k: int, h: float, new, last, messages) -> dict:
+    """{column: DivergenceError} of the columns whose new state left the range.
+
+    Called once the batch check failed.  new[c] is checked in order and
+    its failure is named by messages[c]; last holds the columns' previous
+    states, concatenated into last_state.
+    """
+    failed = {}
+    for a, msg in zip(new, messages):
+        for j in np.flatnonzero(~(np.abs(a).max(axis=1) <= DIVERGENCE_CAP)):
+            if j not in failed:
+                failed[j] = _blowup(k, h, [s[j] for s in last], msg)
+    return failed
+
+
+def _take(keep: np.ndarray, *arrays):
+    """The kept path columns (axis 1) of each array; None passes through."""
+    return [None if a is None else a[:, keep] for a in arrays]
+
+
+class _Batch:
+    """The live paths of a batch and the error of every path that failed.
+
+    Working column j holds path cols[j].  A failed path leaves the batch:
+    drop() moves its rows into the output arrays, NaN from the failing
+    step on, and the kernel compacts its working arrays to the returned
+    mask, so the survivors keep stepping on slices without per-step copies.
+    """
+
+    def __init__(self, size: int):
+        self.cols = np.arange(size)
+        self.errors = [None] * size
+
+    def start(self, history: np.ndarray, grid: TimeGrid) -> np.ndarray:
+        out = np.empty((grid.total, self.cols.size, history.shape[1]))
+        out[: grid.tau_steps + 1] = history[:, None]
+        return out
+
+    def trace(self, exc: TwoscaleError, coefs) -> dict:
+        """{column: error} of the columns behind exc, raised by the batched maps.
+
+        coefs(slice(j, j + 1), 1) reruns the maps on column j alone, so
+        each failing path gets the error its one-path run raises.  If no
+        single column raises, exc propagates.
+        """
+        if self.cols.size == 1:
+            return {0: exc}
+        failed = {}
+        for j in range(self.cols.size):
+            try:
+                coefs(slice(j, j + 1), 1)
+            except TwoscaleError as one:
+                failed[j] = one
+        if not failed:
+            raise exc
+        return failed
+
+    def drop(self, failed: dict, row: int, outs, works) -> np.ndarray:
+        """Retire the failed columns as of array row; returns the keep mask."""
+        keep = np.ones(self.cols.size, dtype=bool)
+        keep[list(failed)] = False
+        dead = self.cols[~keep]
+        for j, exc in failed.items():
+            self.errors[self.cols[j]] = exc
+        for out, work in zip(outs, works):
+            if work is not out:
+                out[:row, dead] = work[:row, ~keep]
+            out[row:, dead] = np.nan
+        self.cols = self.cols[keep]
+        return keep
+
+    def finish(self, outs, works):
+        for out, work in zip(outs, works):
+            if work is not out:
+                out[:, self.cols] = work
+            out.setflags(write=False)
+
+
+def _pair_increments(spec, xi, eta, epsilon, grid, w1s, w2s, kappa_stab):
+    """Validate a batch of pair runs: (xi, eta, dW1, fast dW2), increments (steps, P, m)."""
     if not (0.0 < epsilon <= 1.0):
         raise DomainError(f"epsilon must lie in (0, 1], got {epsilon}")
     if grid.h > kappa_stab * epsilon * (1.0 + 1e-12):
@@ -121,28 +216,33 @@ def _pair_increments(spec, xi, eta, epsilon, grid, w1, w2, kappa_stab):
         )
     if exact_steps(spec.tau, grid.h, "tau") != grid.tau_steps:
         raise UsageError(f"grid was built for a different delay than spec.tau={spec.tau}")
-    _check_segment(xi, grid, spec.n, "xi")
-    _check_segment(eta, grid, spec.n, "eta")
-    _check_streams(spec, w1, w2)
-    return (gaussian_increments(w1, grid.steps, grid.h),
-            fast_increments(w2, grid.steps, grid.h, epsilon))
+    xi = _history(xi, grid, spec.n, "xi")
+    eta = _history(eta, grid, spec.n, "eta")
+    if len(w1s) != len(w2s):
+        raise UsageError(f"{len(w1s)} W1 streams for {len(w2s)} W2 streams")
+    return (xi, eta,
+            _increments(w1s, spec.m, lambda w: gaussian_increments(w, grid.steps, grid.h)),
+            _increments(w2s, spec.m, lambda w: fast_increments(w, grid.steps, grid.h, epsilon)))
 
 
 def simulate_coupled(
     spec: SystemSpec,
-    xi: Segment,
-    eta: Segment,
+    xi: np.ndarray,
+    eta: np.ndarray,
     epsilon: float,
     grid: TimeGrid,
-    w1: NoiseStream,
-    w2: NoiseStream,
+    w1s,
+    w2s,
     *,
     kappa_stab: float = DEFAULT_KAPPA_STAB,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the coupled slow/fast pair; returns the read-only (X, Y) paths."""
-    dw1, dwf = _pair_increments(spec, xi, eta, epsilon, grid, w1, w2, kappa_stab)
-    x, y, _ = _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf)
-    return x, y
+):
+    """Integrate a batch of coupled slow/fast pairs from the (M + 1, n) starts xi, eta.
+
+    w1s and w2s hold one stream per path.  Returns (x, y, errors): the
+    read-only (grid.total, P, n) paths and each path's error or None.
+    """
+    xi, eta, dw1, dwf = _pair_increments(spec, xi, eta, epsilon, grid, w1s, w2s, kappa_stab)
+    return _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf)
 
 
 def fast_lag_steps(epsilon: float, grid: TimeGrid) -> int:
@@ -159,68 +259,92 @@ def fast_lag_steps(epsilon: float, grid: TimeGrid) -> int:
 
 
 def _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf, freeze=None):
-    """Euler recursion of the pair; returns (x, y, block-start indices).
+    """Euler recursion of a batch of pairs; returns (x, y, errors).
 
-    x and y are read-only (grid.total, n) arrays.  The maps read the
-    windows x[k:i+1] and y[k:i+1] in place, row tau_steps being "now".
+    x and y are read-only (grid.total, P, n) arrays, P = dw1.shape[1].
+    The maps read the windows x[k:i+1] and y[k:i+1] in place, row
+    tau_steps being "now".
 
-    freeze=(x_true, y_true, delta_steps) runs the block-frozen auxiliary
-    pair instead: every delta_steps steps the slow window the
-    coefficients read is frozen to x_true's, sigma1 is evaluated once for
-    the block, and the fast state restarts from y_true (bit-exact).  The
-    pair's own slow state still integrates, driven by the frozen
-    coefficients; block starts are returned for the reset audit.
+    freeze=(x_true, y_true, delta_steps, true_errors) runs the
+    block-frozen auxiliary pairs of the same paths instead: every
+    delta_steps steps the slow window the coefficients read is frozen to
+    x_true's, sigma1 is evaluated once for the block, and the fast state
+    restarts from y_true (bit-exact).  The pair's own slow state still
+    integrates, driven by the frozen coefficients.  A path that failed
+    the true pass keeps that error and does not step.
     """
     n, m = spec.n, spec.m
-    vec, mat = (n,), (n, m)
     h = grid.h
     ts = grid.tau_steps
     h_over_eps = h / epsilon
     lag = fast_lag_steps(epsilon, grid)
     b1, sigma1, b2, sigma2 = spec.b1, spec.sigma1, spec.b2, spec.sigma2
+    batch = _Batch(dw1.shape[1])
+    x = xw = batch.start(xi, grid)
+    y = yw = batch.start(eta, grid)
+    xt = yt = sx_block = None
+    failed = {}
     if freeze is None:
-        slow_msg = "slow component left the admissible range"
-        fast_msg = "fast component left the admissible range"
+        messages = ("slow component left the admissible range",
+                    "fast component left the admissible range")
     else:
-        x_true, y_true, delta_steps = freeze
-        slow_msg = "auxiliary slow component diverged"
-        fast_msg = "auxiliary fast component diverged"
+        xt, yt, delta_steps, true_errors = freeze
+        messages = ("auxiliary slow component diverged", "auxiliary fast component diverged")
+        failed = {j: e for j, e in enumerate(true_errors) if e is not None}
 
-    x = np.empty((grid.total, n))
-    y = np.empty((grid.total, n))
-    x[: ts + 1] = xi.values
-    y[: ts + 1] = eta.values
-    resets = []
-
-    for k in range(grid.steps):
+    def coefs(k, sel, p):
         i = ts + k
         if freeze is None:
-            xseg = x[k: i + 1]
-        elif k % delta_steps == 0:
-            xseg = x_true[k: i + 1]
-            sx = _coef(sigma1(xseg), mat, "sigma1")
-            y[i] = y_true[i]
-            resets.append(i)
-        yseg = y[k: i + 1]
-        yk = y[i]
-        ytau = y[i - lag]
-
-        bx = _coef(b1(xseg, yseg), vec, "b1")
+            xseg = xw[k: i + 1, sel]
+        else:
+            kb = k - k % delta_steps
+            xseg = xt[kb: kb + ts + 1, sel]
+            if k == kb:
+                sx = _diffusion(sigma1(xseg), p, n, m, "sigma1")
+            else:
+                sx = sx_block if sx_block.ndim == 2 else sx_block[sel]
+        yk = yw[i, sel]
+        ytau = yw[i - lag, sel]
+        bx = _drift(b1(xseg, yw[k: i + 1, sel]), p, n, "b1")
         if freeze is None:
-            sx = _coef(sigma1(xseg), mat, "sigma1")
-        by = _coef(b2(xseg, yk, ytau), vec, "b2")
-        sy = _coef(sigma2(xseg, yk, ytau), mat, "sigma2")
+            sx = _diffusion(sigma1(xseg), p, n, m, "sigma1")
+        by = _drift(b2(xseg, yk, ytau), p, n, "b2")
+        sy = _diffusion(sigma2(xseg, yk, ytau), p, n, m, "sigma2")
+        return bx, sx, by, sy
 
-        x[i + 1] = x[i] + bx * h + sx @ dw1[k]
-        y[i + 1] = yk + by * h_over_eps + sy @ dwf[k]
-
-        if not (np.abs(x[i + 1]).max() <= DIVERGENCE_CAP):
-            raise _blowup(k, h, (x[i], y[i]), slow_msg)
-        if not (np.abs(y[i + 1]).max() <= DIVERGENCE_CAP):
-            raise _blowup(k, h, (x[i], y[i]), fast_msg)
-    x.setflags(write=False)
-    y.setflags(write=False)
-    return x, y, resets
+    row = ts + 1
+    k = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            if failed:
+                keep = batch.drop(failed, row, (x, y), (xw, yw))
+                xw, yw, dw1, dwf, xt, yt = _take(keep, xw, yw, dw1, dwf, xt, yt)
+                if sx_block is not None and sx_block.ndim == 3:
+                    sx_block = sx_block[keep]
+                failed = {}
+            if k == grid.steps or batch.cols.size == 0:
+                break
+            i = ts + k
+            row = i + 1
+            if freeze is not None and k % delta_steps == 0:
+                yw[i] = yt[i]
+            try:
+                bx, sx, by, sy = coefs(k, _ALL, batch.cols.size)
+            except TwoscaleError as exc:
+                failed = batch.trace(exc, lambda sel, p: coefs(k, sel, p))
+                continue
+            sx_block = sx
+            xn, yn = xw[i + 1], yw[i + 1]
+            np.add(xw[i], bx * h, out=xn)
+            xn += _noise(sx, dw1[k])
+            np.add(yw[i], by * h_over_eps, out=yn)
+            yn += _noise(sy, dwf[k])
+            if not (_amax(np.absolute(xn), axis=None) <= DIVERGENCE_CAP
+                    and _amax(np.absolute(yn), axis=None) <= DIVERGENCE_CAP):
+                failed = _blowups(k, h, (xn, yn), (xw[i], yw[i]), messages)
+            k += 1
+    batch.finish((x, y), (xw, yw))
+    return x, y, batch.errors
 
 
 def simulate_sdde(
@@ -228,38 +352,57 @@ def simulate_sdde(
     m: int,
     drift,
     diffusion,
-    xi: Segment,
+    xi: np.ndarray,
     grid: TimeGrid,
-    w: NoiseStream,
+    ws,
     *,
     label: str = "X",
-) -> np.ndarray:
-    """Integrate one delay equation with window-functional coefficients.
+):
+    """Integrate a batch of one delay equation with window-functional coefficients.
 
-    drift(window) -> R^n and diffusion(window) -> R^{n x m} see the
-    trailing (tau_steps + 1, n) window of the path being built, row
-    tau_steps being "now".  Returns the read-only (grid.total, n) path;
+    drift(window) -> (P, n) and diffusion(window) -> (n, m) or (P, n, m)
+    see the trailing (tau_steps + 1, P, n) window of the paths being
+    built, row tau_steps being "now".  xi is the (M + 1, n) start window
+    and ws holds one stream per path.  Returns (path, errors): the
+    read-only (grid.total, P, n) paths and each path's error or None;
     label names the equation in divergence messages.
     """
-    _check_segment(xi, grid, n, "xi")
-    if w.m != m:
-        raise UsageError(f"stream dimension m={w.m} does not match m={m}")
-
+    xi = _history(xi, grid, n, "xi")
     h = grid.h
     ts = grid.tau_steps
-    dw = gaussian_increments(w, grid.steps, h)
+    dw = _increments(ws, m, lambda w: gaussian_increments(w, grid.steps, h))
+    batch = _Batch(dw.shape[1])
+    path = work = batch.start(xi, grid)
+    messages = (f"{label} left the admissible range",)
 
-    path = np.empty((grid.total, n))
-    path[: ts + 1] = xi.values
+    def coefs(k, sel, p):
+        window = work[k: ts + k + 1, sel]
+        return (_drift(drift(window), p, n, "drift"),
+                _diffusion(diffusion(window), p, n, m, "diffusion"))
 
-    for k in range(grid.steps):
-        i = ts + k
-        window = path[k: i + 1]
-        b = _coef(drift(window), (n,), "drift")
-        s = _coef(diffusion(window), (n, m), "diffusion")
-        path[i + 1] = path[i] + b * h + s @ dw[k]
-        if not (np.abs(path[i + 1]).max() <= DIVERGENCE_CAP):
-            raise _blowup(k, h, (path[i],), f"{label} left the admissible range")
-
-    path.setflags(write=False)
-    return path
+    failed = {}
+    row = ts + 1
+    k = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            if failed:
+                keep = batch.drop(failed, row, (path,), (work,))
+                work, dw = _take(keep, work, dw)
+                failed = {}
+            if k == grid.steps or batch.cols.size == 0:
+                break
+            i = ts + k
+            row = i + 1
+            try:
+                b, s = coefs(k, _ALL, batch.cols.size)
+            except TwoscaleError as exc:
+                failed = batch.trace(exc, lambda sel, p: coefs(k, sel, p))
+                continue
+            new = work[i + 1]
+            np.add(work[i], b * h, out=new)
+            new += _noise(s, dw[k])
+            if not _amax(np.absolute(new), axis=None) <= DIVERGENCE_CAP:
+                failed = _blowups(k, h, (new,), (work[i],), messages)
+            k += 1
+    batch.finish((path,), (work,))
+    return path, batch.errors

@@ -4,12 +4,16 @@ A SystemSpec bundles the four coefficient maps of a slow/fast pair with
 delay: the slow drift b1(chi, phi) and diffusion sigma1(chi) read whole
 history windows, while the fast drift b2(chi, y, y_tau) and diffusion
 sigma2(chi, y, y_tau) read the slow window plus the fast state now and
-one delay ago.  Windows are float64 arrays of shape (M + 1, n) with row
-M = tau / h being "now" (chi[-1] is the current slow state); y and y_tau
-have shape (n,).  Maps must be pure and finite-valued; the checkers in
-this module probe the structural conditions the averaging experiments
-rely on (one-sided contraction of the fast pair, linear growth and
-Lipschitz behaviour of the slow pair, a Lipschitz start window).
+one delay ago.  Maps see a batch of P paths at once: windows are float64
+arrays of shape (M + 1, P, n) with row M = tau / h being "now" (chi[-1]
+is the (P, n) current slow state), and y and y_tau have shape (P, n).
+Maps act on the last axis and return a drift of shape (P, n) and a
+diffusion of shape (n, m), shared by the batch, or (P, n, m).  Maps must
+be pure, finite-valued and act on each path on its own; the checkers in
+this module present every sample as a batch of one path and probe the
+structural conditions the averaging experiments rely on (one-sided
+contraction of the fast pair, linear growth and Lipschitz behaviour of
+the slow pair, a Lipschitz start window).
 
 The built-in scalar linear family has closed-form stationary and
 averaged quantities, which the test harness uses as ground truth.
@@ -181,10 +185,38 @@ def _as_vec(value, n: int, what: str, sample_index: int) -> np.ndarray:
     return out
 
 
-def _as_mat(value, n: int, m: int, what: str, sample_index: int) -> np.ndarray:
+def _drift(value, p: int, n: int, name: str) -> np.ndarray:
+    """A drift map's value as a (p, n) array; DataError for any other shape."""
     out = np.asarray(value, dtype=float)
-    if out.shape != (n, m):
-        raise DataError(f"{what} returned shape {out.shape}, expected ({n}, {m})")
+    if out.shape != (p, n):
+        raise DataError(f"{name} returned shape {out.shape}, expected (paths, n) = ({p}, {n})")
+    return out
+
+
+def _diffusion(value, p: int, n: int, m: int, name: str) -> np.ndarray:
+    """A diffusion map's value, (n, m) or (p, n, m); DataError for any other shape."""
+    out = np.asarray(value, dtype=float)
+    if out.shape != (n, m) and out.shape != (p, n, m):
+        raise DataError(
+            f"{name} returned shape {out.shape}, expected (n, m) = ({n}, {m}) "
+            f"or (paths, n, m) = ({p}, {n}, {m})"
+        )
+    return out
+
+
+def _one_drift(value, n: int, what: str, sample_index: int) -> np.ndarray:
+    """The (n,) drift of a one-path batch, checked finite."""
+    out = _drift(value, 1, n, what)[0]
+    if not np.isfinite(out).all():
+        raise DataError(f"{what} returned non-finite value {out!r} on sample {sample_index}")
+    return out
+
+
+def _one_diffusion(value, n: int, m: int, what: str, sample_index: int) -> np.ndarray:
+    """The (n, m) diffusion of a one-path batch, checked finite."""
+    out = _diffusion(value, 1, n, m, what)
+    if out.ndim == 3:
+        out = out[0]
     if not np.isfinite(out).all():
         raise DataError(f"{what} returned non-finite value on sample {sample_index}")
     return out
@@ -233,10 +265,11 @@ def check_dissipativity(
         xp = _as_vec(xp, spec.n, "sample x'", i)
         y = _as_vec(y, spec.n, "sample y", i)
         yp = _as_vec(yp, spec.n, "sample y'", i)
-        b = _as_vec(spec.b2(chi, x, y), spec.n, "b2", i)
-        bp = _as_vec(spec.b2(chi, xp, yp), spec.n, "b2", i)
-        s = _as_mat(spec.sigma2(chi, x, y), spec.n, spec.m, "sigma2", i)
-        sp = _as_mat(spec.sigma2(chi, xp, yp), spec.n, spec.m, "sigma2", i)
+        c = np.asarray(chi, dtype=float)[:, None]
+        b = _one_drift(spec.b2(c, x[None], y[None]), spec.n, "b2", i)
+        bp = _one_drift(spec.b2(c, xp[None], yp[None]), spec.n, "b2", i)
+        s = _one_diffusion(spec.sigma2(c, x[None], y[None]), spec.n, spec.m, "sigma2", i)
+        sp = _one_diffusion(spec.sigma2(c, xp[None], yp[None]), spec.n, spec.m, "sigma2", i)
         dx = x - xp
         dy = y - yp
         q[i] = 2.0 * float(dx @ (b - bp)) + float(((s - sp) ** 2).sum())
@@ -321,7 +354,9 @@ def check_growth_and_lipschitz(
     growth_witness = None
     lip_witness = None
     for i, (chi, phi) in enumerate(samples):
-        b = _as_vec(spec.b1(chi, phi), spec.n, "b1", i)
+        c = np.asarray(chi, dtype=float)[:, None]
+        f = np.asarray(phi, dtype=float)[:, None]
+        b = _one_drift(spec.b1(c, f), spec.n, "b1", i)
         g = float(np.linalg.norm(b)) / (1.0 + sup_norm(chi))
         if growth_witness is None or g > growth_witness["ratio"]:
             growth_witness = {
@@ -329,8 +364,8 @@ def check_growth_and_lipschitz(
                 "chi_sup": sup_norm(chi), "phi_sup": sup_norm(phi),
             }
         growth.append(g)
-        s_chi = _as_mat(spec.sigma1(chi), spec.n, spec.m, "sigma1", i)
-        s_phi = _as_mat(spec.sigma1(phi), spec.n, spec.m, "sigma1", i)
+        s_chi = _one_diffusion(spec.sigma1(c), spec.n, spec.m, "sigma1", i)
+        s_phi = _one_diffusion(spec.sigma1(f), spec.n, spec.m, "sigma1", i)
         gap = float(_node_norms(phi - chi).max())
         if gap > 0.0:
             ell = float(np.linalg.norm(s_phi - s_chi)) / gap
@@ -361,10 +396,11 @@ def spot_check_purity(spec: SystemSpec, *, h: float | None = None, rng_seed: int
         h = spec.tau / 8.0
     steps = exact_steps(spec.tau, h, "tau")
     rng = np.random.default_rng(rng_seed)
-    chi = rng.standard_normal((steps + 1, spec.n))
-    phi = rng.standard_normal((steps + 1, spec.n))
-    y = rng.standard_normal(spec.n)
-    y_tau = rng.standard_normal(spec.n)
+    # One-path batches: windows (M + 1, 1, n), states (1, n).
+    chi = rng.standard_normal((steps + 1, 1, spec.n))
+    phi = rng.standard_normal((steps + 1, 1, spec.n))
+    y = rng.standard_normal((1, spec.n))
+    y_tau = rng.standard_normal((1, spec.n))
     pairs = [
         (spec.b1(chi, phi), spec.b1(chi, phi)),
         (spec.sigma1(chi), spec.sigma1(chi)),

@@ -73,13 +73,13 @@ def test_auxiliary_coupled_part_matches_direct_run():
     spec = linear_benchmark(BENCH)
     h = 1.0 / 160.0
     g = make_grid(T=0.5, h=h, tau=1.0)
-    xi = constant_segment(1.0, h, 1.0)
-    eta = constant_segment(1.0, h, 0.0)
+    xi = constant_segment(1.0, h, 1.0).values
+    eta = constant_segment(1.0, h, 0.0).values
     sch = _manual_schedule(0.1, 0.25)
     pair = simulate_auxiliary(spec, xi, eta, 0.1, sch, g,
-                              NoiseStream(8, 0, W1), NoiseStream(8, 0, W2))
-    x, y = simulate_coupled(spec, xi, eta, 0.1, g,
-                            NoiseStream(8, 0, W1), NoiseStream(8, 0, W2))
+                              [NoiseStream(8, 0, W1)], [NoiseStream(8, 0, W2)])
+    x, y, _ = simulate_coupled(spec, xi, eta, 0.1, g,
+                               [NoiseStream(8, 0, W1)], [NoiseStream(8, 0, W2)])
     assert np.array_equal(pair.x, x)
     assert np.array_equal(pair.y, y)
 
@@ -88,11 +88,11 @@ def test_auxiliary_resets_are_bit_exact():
     spec = linear_benchmark(BENCH)
     h = 1.0 / 160.0
     g = make_grid(T=0.5, h=h, tau=1.0)
-    xi = constant_segment(1.0, h, 1.0)
-    eta = constant_segment(1.0, h, 0.0)
+    xi = constant_segment(1.0, h, 1.0).values
+    eta = constant_segment(1.0, h, 0.0).values
     sch = _manual_schedule(0.1, 0.125)
     pair = simulate_auxiliary(spec, xi, eta, 0.1, sch, g,
-                              NoiseStream(9, 0, W1), NoiseStream(9, 0, W2))
+                              [NoiseStream(9, 0, W1)], [NoiseStream(9, 0, W2)])
     delta_steps = int(round(sch.delta / h))
     expect = [g.tau_steps + k for k in range(0, g.steps, delta_steps)]
     assert pair.reset_indices.tolist() == expect
@@ -109,16 +109,17 @@ def test_auxiliary_pass_reports_its_divergence():
     spec = linear_benchmark(BENCH)
     h = 1.0 / 160.0
     g = make_grid(T=0.5, h=h, tau=1.0)
-    xi = constant_segment(1.0, h, 1.0)
-    eta = constant_segment(1.0, h, 0.0)
-    dw1 = np.zeros((g.steps, 1))
-    dwf = np.zeros((g.steps, 1))
-    x, y, _ = _coupled_core(spec, xi, eta, 0.1, g, dw1, dwf)
+    xi = constant_segment(1.0, h, 1.0).values
+    eta = constant_segment(1.0, h, 0.0).values
+    dw1 = np.zeros((g.steps, 1, 1))
+    dwf = np.zeros((g.steps, 1, 1))
+    x, y, errors = _coupled_core(spec, xi, eta, 0.1, g, dw1, dwf)
     # A true slow window far past the cap drives a11 * chi(0) * h out of range.
     huge = np.full_like(x, 1e16)
-    with pytest.raises(DivergenceError, match="auxiliary slow component diverged") as info:
-        _coupled_core(spec, xi, eta, 0.1, g, dw1, dwf, freeze=(huge, y, 20))
-    assert info.value.step_index == 0
+    _, _, [err] = _coupled_core(spec, xi, eta, 0.1, g, dw1, dwf, freeze=(huge, y, 20, errors))
+    assert isinstance(err, DivergenceError)
+    assert "auxiliary slow component diverged" in str(err)
+    assert err.step_index == 0
 
 
 def test_auxiliary_slow_gap_shrinks_with_epsilon():
@@ -126,14 +127,13 @@ def test_auxiliary_slow_gap_shrinks_with_epsilon():
     gaps = {}
     for eps, h in ((0.05, 1.0 / 240.0), (0.005, 1.0 / 2001.0)):
         g = make_grid(T=1.0, h=h, tau=1.0)
-        xi = constant_segment(1.0, h, 1.0)
-        eta = constant_segment(1.0, h, 0.0)
+        xi = constant_segment(1.0, h, 1.0).values
+        eta = constant_segment(1.0, h, 0.0).values
         sch = khasminskii_delta(eps, 1.0)
-        vals = []
-        for p in range(4):
-            pair = simulate_auxiliary(spec, xi, eta, eps, sch, g,
-                                      NoiseStream(5, p, W1), NoiseStream(5, p, W2))
-            vals.append(sup_distance(pair.x, pair.x_aux, g))
+        pair = simulate_auxiliary(spec, xi, eta, eps, sch, g,
+                                  [NoiseStream(5, p, W1) for p in range(4)],
+                                  [NoiseStream(5, p, W2) for p in range(4)])
+        vals = [sup_distance(pair.x[:, p], pair.x_aux[:, p], g) for p in range(4)]
         gaps[eps] = float(np.mean(vals))
     assert gaps[0.005] < 0.5 * gaps[0.05]
 
@@ -142,15 +142,15 @@ def test_auxiliary_validation():
     spec = linear_benchmark(BENCH)
     h = 0.01
     g = make_grid(T=0.5, h=h, tau=1.0)
-    xi = constant_segment(1.0, h, 1.0)
-    eta = constant_segment(1.0, h, 0.0)
+    xi = constant_segment(1.0, h, 1.0).values
+    eta = constant_segment(1.0, h, 0.0).values
     sch = _manual_schedule(0.05, 0.25)
     with pytest.raises(DomainError):
         simulate_auxiliary(spec, xi, eta, 1.5, sch, g,
-                           NoiseStream(0, 0, W1), NoiseStream(0, 0, W2))
+                           [NoiseStream(0, 0, W1)], [NoiseStream(0, 0, W2)])
     with pytest.raises(DomainError, match="stability"):
         simulate_auxiliary(spec, xi, eta, 0.05, sch, g,
-                           NoiseStream(0, 0, W1), NoiseStream(0, 0, W2))
+                           [NoiseStream(0, 0, W1)], [NoiseStream(0, 0, W2)])
 
 
 def test_averaged_deterministic_endpoint():
@@ -160,28 +160,28 @@ def test_averaged_deterministic_endpoint():
     spec = linear_benchmark(params)
     h = 0.001
     g = make_grid(T=1.0, h=h, tau=1.0)
-    xi = constant_segment(1.0, h, 1.0)
-    xbar = simulate_averaged(spec, xi, closed_form_drift(spec), g,
-                             NoiseStream(0, 0, W1))
+    xi = constant_segment(1.0, h, 1.0).values
+    xbar, _ = simulate_averaged(spec, xi, closed_form_drift(spec), g,
+                                [NoiseStream(0, 0, W1)])
     ref = np.array([1.0])
     zero = np.zeros((1, 1)) @ np.zeros(1)
     for _ in range(g.steps):
         ref = ref + (params.kappa * ref) * h + zero
-    assert xbar[-1, 0] == ref[0]
-    assert abs(xbar[-1, 0] - np.exp(params.kappa)) < 2e-3
+    assert xbar[-1, 0, 0] == ref[0]
+    assert abs(xbar[-1, 0, 0] - np.exp(params.kappa)) < 2e-3
 
 
 def test_averaged_tracks_coupled_run_on_shared_noise():
     spec = linear_benchmark(BENCH)
     h = 0.001
     g = make_grid(T=0.5, h=h, tau=1.0)
-    xi = constant_segment(1.0, h, 1.0)
-    eta = constant_segment(1.0, h, 0.0)
-    x, _ = simulate_coupled(spec, xi, eta, 0.01, g,
-                            NoiseStream(11, 0, W1), NoiseStream(11, 0, W2))
-    xbar = simulate_averaged(spec, xi, closed_form_drift(spec), g,
-                             NoiseStream(11, 0, W1))
-    assert sup_distance(x, xbar, g) < 0.05
+    xi = constant_segment(1.0, h, 1.0).values
+    eta = constant_segment(1.0, h, 0.0).values
+    x, _, _ = simulate_coupled(spec, xi, eta, 0.01, g,
+                               [NoiseStream(11, 0, W1)], [NoiseStream(11, 0, W2)])
+    xbar, _ = simulate_averaged(spec, xi, closed_form_drift(spec), g,
+                                [NoiseStream(11, 0, W1)])
+    assert sup_distance(x[:, 0], xbar[:, 0], g) < 0.05
 
 
 def test_averaged_stationary_statistics():
@@ -191,13 +191,12 @@ def test_averaged_stationary_statistics():
     spec = linear_benchmark(params)
     h = 0.004
     g = make_grid(T=1.0, h=h, tau=1.0)
-    xi = constant_segment(1.0, h, 1.0)
+    xi = constant_segment(1.0, h, 1.0).values
     drift = closed_form_drift(spec)
     n_paths = 1500
-    ends = np.array([
-        simulate_averaged(spec, xi, drift, g, NoiseStream(1234, i, W1))[-1, 0]
-        for i in range(n_paths)
-    ])
+    xbar, _ = simulate_averaged(spec, xi, drift, g,
+                                [NoiseStream(1234, i, W1) for i in range(n_paths)])
+    ends = xbar[-1, :, 0]
     a = 1.0 + params.kappa * h
     K = g.steps
     mean_oracle = a ** K
@@ -216,22 +215,22 @@ def test_closed_form_drift_requires_benchmark():
     with pytest.raises(UsageError):
         closed_form_drift(plain)
     with pytest.raises(UsageError):
-        simulate_averaged(plain, constant_segment(1.0, 0.5, 0.0), "not callable",
-                          make_grid(1.0, 0.5, 1.0), NoiseStream(0, 0, W1))
+        simulate_averaged(plain, constant_segment(1.0, 0.5, 0.0).values, "not callable",
+                          make_grid(1.0, 0.5, 1.0), [NoiseStream(0, 0, W1)])
 
 
 def test_estimated_drift_source_accuracy_and_cache():
     spec = linear_benchmark(BENCH)
     budget = DriftEstimatorBudget(burn_in=5.0, horizon=20.0, replicas=4)
     src = EstimatedDriftSource(spec, budget, sub_h=0.01, seed=77)
-    zeta = constant_segment(1.0, 0.01, 1.0).values
+    zeta = constant_segment(1.0, 0.01, 1.0).values[:, None]  # a batch of one window
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         v1 = src(zeta)
         # No memo: the same window is simulated again, from the same sub-seed.
         v2 = src(zeta)
     tol = max(3.5 * src.max_std_error, 0.03)
-    assert abs(float(v1[0]) - BENCH.kappa) < tol
+    assert abs(float(v1[0, 0]) - BENCH.kappa) < tol
     assert np.array_equal(v1, v2)
     assert (src.calls, src.cache_misses) == (2, 2)
 
@@ -239,7 +238,7 @@ def test_estimated_drift_source_accuracy_and_cache():
 def test_estimated_drift_source_is_reproducible():
     spec = linear_benchmark(BENCH)
     budget = DriftEstimatorBudget(burn_in=3.0, horizon=8.0, replicas=3)
-    zeta = constant_segment(1.0, 0.02, -0.5).values
+    zeta = constant_segment(1.0, 0.02, -0.5).values[:, None]
     outs = []
     for _ in range(2):
         src = EstimatedDriftSource(spec, budget, sub_h=0.02, seed=9)
@@ -260,14 +259,14 @@ def test_estimator_route_agrees_with_closed_form_route():
     src = EstimatedDriftSource(spec, budget, sub_h=0.02, seed=55)
     h = 0.01
     g = make_grid(T=0.3, h=h, tau=1.0)
-    xi = constant_segment(1.0, h, 1.0)
+    xi = constant_segment(1.0, h, 1.0).values
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        by_estimate = simulate_averaged(spec, xi, src, g, NoiseStream(31, 0, W1))
-    by_formula = simulate_averaged(spec, xi, closed_form_drift(spec), g,
-                                   NoiseStream(31, 0, W1))
+        by_estimate, _ = simulate_averaged(spec, xi, src, g, [NoiseStream(31, 0, W1)])
+    by_formula, _ = simulate_averaged(spec, xi, closed_form_drift(spec), g,
+                                      [NoiseStream(31, 0, W1)])
     # Shared W1 cancels the noise; what is left is the drift estimate error
     # integrated over [0, T].
-    assert sup_distance(by_estimate, by_formula, g) < 0.05
+    assert sup_distance(by_estimate[:, 0], by_formula[:, 0], g) < 0.05
     # One sub-simulation per step of the averaged equation.
     assert src.calls == src.cache_misses == g.steps

@@ -22,7 +22,7 @@ BENCH = LinearBenchmarkParams(a11=-1.0, a12=1.0, s1=0.3, c1=1.0, c2=2.0, c3=0.5,
 def _pure_decay_spec():
     return SystemSpec(
         n=1, m=1, tau=1.0,
-        b1=lambda chi, phi: np.zeros(1),
+        b1=lambda chi, phi: np.zeros_like(chi[-1]),
         sigma1=lambda chi: np.zeros((1, 1)),
         b2=lambda chi, y, yt: -y,
         sigma2=lambda chi, y, yt: np.zeros((1, 1)),
@@ -34,9 +34,9 @@ def test_simulate_frozen_deterministic_decay():
     g = make_grid(T=5.0, h=h, tau=1.0)
     spec = _pure_decay_spec()
     zeta = constant_segment(1.0, h, 7.0).values  # ignored by this b2
-    eta = constant_segment(1.0, h, 1.0)
-    y = simulate_frozen(spec, zeta, eta, g, NoiseStream(0, 0, W2))
-    end = float(y[-1, 0])
+    eta = constant_segment(1.0, h, 1.0).values
+    y, _ = simulate_frozen(spec, zeta, eta, g, [NoiseStream(0, 0, W2)])
+    end = float(y[-1, 0, 0])
     assert abs(end - np.exp(-5.0)) < 5e-4
 
 
@@ -44,7 +44,7 @@ def test_simulate_frozen_reads_pinned_window():
     # b2 = chi(0) - y: stationary point is zeta's endpoint.
     spec = SystemSpec(
         n=1, m=1, tau=1.0,
-        b1=lambda chi, phi: np.zeros(1),
+        b1=lambda chi, phi: np.zeros_like(chi[-1]),
         sigma1=lambda chi: np.zeros((1, 1)),
         b2=lambda chi, y, yt: chi[-1] - y,
         sigma2=lambda chi, y, yt: np.zeros((1, 1)),
@@ -52,12 +52,12 @@ def test_simulate_frozen_reads_pinned_window():
     h = 0.01
     g = make_grid(T=8.0, h=h, tau=1.0)
     zeta = constant_segment(1.0, h, 3.0).values
-    eta = constant_segment(1.0, h, 0.0)
-    y = simulate_frozen(spec, zeta, eta, g, NoiseStream(0, 0, W2))
-    assert abs(float(y[-1, 0]) - 3.0) < 1e-3
+    eta = constant_segment(1.0, h, 0.0).values
+    y, _ = simulate_frozen(spec, zeta, eta, g, [NoiseStream(0, 0, W2)])
+    assert abs(float(y[-1, 0, 0]) - 3.0) < 1e-3
     with pytest.raises(UsageError):
         simulate_frozen(spec, constant_segment(1.0, h, np.zeros(2)).values, eta, g,
-                        NoiseStream(0, 0, W2))
+                        [NoiseStream(0, 0, W2)])
 
 
 def test_averaged_drift_exact_when_fast_independent():
@@ -118,8 +118,8 @@ def test_mixing_decay_pure_contraction_rate():
     spec = _pure_decay_spec()
     zeta = constant_segment(1.0, h, 0.0).values
     fit = mixing_decay(spec, zeta,
-                       constant_segment(1.0, h, 1.0),
-                       constant_segment(1.0, h, 0.0),
+                       constant_segment(1.0, h, 1.0).values,
+                       constant_segment(1.0, h, 0.0).values,
                        g, 8, StreamFactory(3))
     assert abs(fit.fitted_rate - 2.0) < 0.05
     assert fit.r_squared > 0.999
@@ -132,8 +132,8 @@ def test_mixing_decay_benchmark_rate_near_root():
     spec = linear_benchmark(BENCH)
     zeta = constant_segment(1.0, h, 1.0).values
     fit = mixing_decay(spec, zeta,
-                       constant_segment(1.0, h, 0.0),
-                       constant_segment(1.0, h, 1.0),
+                       constant_segment(1.0, h, 0.0).values,
+                       constant_segment(1.0, h, 1.0).values,
                        g, 8, StreamFactory(21))
     assert fit.r_squared >= 0.98
     # The synchronously coupled gap of the linear fast equation solves
@@ -148,7 +148,7 @@ def test_mixing_decay_identical_starts_degenerate():
     g = make_grid(T=5.0, h=h, tau=1.0)
     spec = linear_benchmark(BENCH)
     zeta = constant_segment(1.0, h, 1.0).values
-    eta = constant_segment(1.0, h, 0.5)
+    eta = constant_segment(1.0, h, 0.5).values
     with pytest.raises(DegenerateFitError):
         mixing_decay(spec, zeta, eta, eta, g, 8, StreamFactory(0))
 
@@ -157,8 +157,8 @@ def test_mixing_decay_input_validation():
     h = 0.05
     spec = linear_benchmark(BENCH)
     zeta = constant_segment(1.0, h, 0.0).values
-    eta = constant_segment(1.0, h, 1.0)
-    etap = constant_segment(1.0, h, 0.0)
+    eta = constant_segment(1.0, h, 1.0).values
+    etap = constant_segment(1.0, h, 0.0).values
     with pytest.raises(UsageError, match="replicas"):
         mixing_decay(spec, zeta, eta, etap, make_grid(5.0, h, 1.0), 4, StreamFactory(0))
     with pytest.raises(UsageError, match="delay spans"):

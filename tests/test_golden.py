@@ -114,7 +114,7 @@ def _run(name, threads, tmp_path):
     return sha.hexdigest(), report.warnings
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_report_hash(name, threads, tmp_path):
     digest, warnings = _run(name, threads, tmp_path)

@@ -25,6 +25,7 @@ from twoscale.harness import (
     run_simulate,
 )
 from twoscale.systems import SystemSpec, register_system
+from test_golden import _blowup_factory as _golden_blowup
 
 BENCH_SYS = {
     "kind": "linear_benchmark",
@@ -486,7 +487,7 @@ def test_cli_divergence_exit_three(tmp_path):
     def factory():
         return SystemSpec(
             n=1, m=1, tau=0.5,
-            b1=lambda chi, phi: np.zeros(1),
+            b1=lambda chi, phi: np.zeros_like(chi[-1]),
             sigma1=lambda chi: np.zeros((1, 1)),
             b2=lambda chi, y, yt: y ** 3,
             sigma2=lambda chi, y, yt: np.zeros((1, 1)),
@@ -504,6 +505,66 @@ def test_cli_divergence_exit_three(tmp_path):
     code = cli_main(["simulate", "--config", cfg_path,
                      "--out", str(tmp_path / "out")])
     assert code == 3
+
+
+def _flat_drift_factory():
+    # b1 drops the state axis: shape (P,) where the contract asks for (P, n).
+    return SystemSpec(
+        n=1, m=1, tau=1.0,
+        b1=lambda chi, phi: chi[-1, :, 0],
+        sigma1=lambda chi: np.array([[0.3]]),
+        b2=lambda chi, y, yt: chi[-1] - y,
+        sigma2=lambda chi, y, yt: np.array([[0.3]]),
+    )
+
+
+def test_misshaped_drift_gives_error_rows_and_exit_two(tmp_path, capsys):
+    """A drift of shape (P,) fails every path with one DataError, for any chunk cut."""
+    register_system("flat_drift", _flat_drift_factory, replace=True)
+    system = {"kind": "registered", "name": "flat_drift"}
+    hashes = set()
+    for threads, paths in ((1, 4), (2, 4), (1, 2), (2, 2)):
+        report = run_scenario(Scenario.from_config(
+            _cfg(system=system, epsilons=[0.25, 0.125], paths=paths, threads=threads)))
+        for row in report.rows:
+            assert row["extra"]["error_type"] == "DataError"
+            assert row["extra"]["failed_paths"] == paths
+            assert "b1 returned shape (1,), expected (paths, n) = (1, 1)" in row["extra"]["error"]
+        hashes.add((paths, report.reproducibility_hash))
+    assert len(hashes) == 2  # one hash per path count, whatever the threads
+    report = run_scenario(Scenario.from_config(
+        _cfg(experiment="simulate", system=system, epsilons=[0.25], paths=1)))
+    assert report.rows[0]["extra"]["error_type"] == "DataError"
+    cfg_path = _write_cfg(tmp_path, "flat.json", _cfg(system=system, paths=3))
+    capsys.readouterr()
+    code = cli_main(["converge", "--config", cfg_path, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.out + captured.err
+    assert "gate rows_complete: FAIL" in captured.out
+
+
+def test_averaged_stage_errors_only_reach_surviving_paths():
+    """A path that diverges in the coupled pass keeps that error over later stages.
+
+    The system has no closed-form drift, so every path that survives the
+    coupled pass fails the averaged stage with a UsageError; paths 0 and
+    1 diverge first and must report the divergence.
+    """
+    def factory():
+        spec = _golden_blowup()
+        return SystemSpec(n=1, m=1, tau=1.0, b1=spec.b1, sigma1=spec.sigma1,
+                          b2=spec.b2, sigma2=spec.sigma2)
+
+    register_system("blowup_without_closed_form", factory, replace=True)
+    for threads in (1, 2):
+        report = run_scenario(Scenario.from_config(_cfg(
+            system={"kind": "registered", "name": "blowup_without_closed_form"},
+            epsilons=[0.125], paths=4, seed=5, threads=threads)))
+        [row] = report.rows
+        assert row["extra"]["error_type"] == "DivergenceError"
+        assert row["extra"]["failed_paths"] == 4
+        assert report.had_divergence
 
 
 def test_cli_frozen_prints_summary(tmp_path, capsys):

@@ -91,8 +91,7 @@ def test_lipschitz_modulus_picks_worst_step():
 
 def test_constant_segment_dimensions():
     seg = constant_segment(1.0, 0.25, np.array([1.0, -2.0]), n=2)
-    assert seg.n == 2
-    assert seg.grid_steps == 4
+    assert seg.values.shape == (5, 2)
     assert sup_norm(seg.values) == pytest.approx(np.sqrt(5.0))
     with pytest.raises(UsageError):
         constant_segment(1.0, 0.25, np.array([1.0]), n=2)

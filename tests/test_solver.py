@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -28,7 +29,7 @@ BENCH = LinearBenchmarkParams(a11=-1.0, a12=1.0, s1=0.3, c1=1.0, c2=2.0, c3=0.5,
 
 
 def _const(grid, value):
-    return constant_segment(grid.tau, grid.h, value)
+    return constant_segment(grid.tau, grid.h, value).values
 
 
 def test_make_grid_and_index_of():
@@ -64,7 +65,7 @@ def test_coupled_replay_is_bit_identical():
 
     def run():
         return simulate_coupled(spec, xi, eta, 0.1, g,
-                                NoiseStream(42, 0, W1), NoiseStream(42, 0, W2))
+                                [NoiseStream(42, 0, W1)], [NoiseStream(42, 0, W2)])[:2]
 
     (xa, ya), (xb, yb) = run(), run()
     assert np.array_equal(xa, xb)
@@ -78,8 +79,8 @@ def test_epsilon_one_matches_hand_assembled_recursion():
     g = make_grid(T=1.0, h=h, tau=1.0)
     xi = _const(g, 1.0)
     eta = _const(g, 0.5)
-    x_run, y_run = simulate_coupled(spec, xi, eta, 1.0, g,
-                                    NoiseStream(7, 3, W1), NoiseStream(7, 3, W2))
+    x_run, y_run, _ = simulate_coupled(spec, xi, eta, 1.0, g,
+                                       [NoiseStream(7, 3, W1)], [NoiseStream(7, 3, W2)])
 
     dw1 = gaussian_increments(NoiseStream(7, 3, W1), g.steps, h)
     dwf = fast_increments(NoiseStream(7, 3, W2), g.steps, h, 1.0)
@@ -97,8 +98,8 @@ def test_epsilon_one_matches_hand_assembled_recursion():
         x[i + 1] = x[i] + bx * h + s1 @ dw1[k]
         y[i + 1] = y[i] + by * h + s2 @ dwf[k]
 
-    assert np.array_equal(x_run, x)
-    assert np.array_equal(y_run, y)
+    assert np.array_equal(x_run[:, 0], x)
+    assert np.array_equal(y_run[:, 0], y)
 
 
 def test_noise_free_coupled_converges_under_refinement():
@@ -110,9 +111,9 @@ def test_noise_free_coupled_converges_under_refinement():
 
     def endpoint(h):
         g = make_grid(T=1.0, h=h, tau=1.0)
-        x, _ = simulate_coupled(spec, _const(g, 1.0), _const(g, 0.0), eps, g,
-                                NoiseStream(0, 0, W1), NoiseStream(0, 0, W2))
-        return float(x[-1, 0])
+        x, _, _ = simulate_coupled(spec, _const(g, 1.0), _const(g, 0.0), eps, g,
+                                   [NoiseStream(0, 0, W1)], [NoiseStream(0, 0, W2)])
+        return float(x[-1, 0, 0])
 
     ref = endpoint(0.001)
     e1 = abs(endpoint(0.01) - ref)
@@ -127,18 +128,18 @@ def test_sdde_linear_decay_endpoint():
     g = make_grid(T=1.0, h=h, tau=0.1)
     xi = _const(g, 1.0)
 
-    path = simulate_sdde(
+    path, _ = simulate_sdde(
         1, 1,
         lambda window: -window[-1],
         lambda window: np.zeros((1, 1)),
-        xi, g, NoiseStream(1, 0, W1),
+        xi, g, [NoiseStream(1, 0, W1)],
     )
     # Reference: the identical float recursion, then the continuous limit.
     ref = np.array([1.0])
     for _ in range(g.steps):
         ref = ref + (-ref) * h + np.zeros((1, 1)) @ np.zeros(1) * np.sqrt(h)
-    assert path[-1, 0] == ref[0]
-    assert abs(path[-1, 0] - np.exp(-1.0)) < 2e-3
+    assert path[-1, 0, 0] == ref[0]
+    assert abs(path[-1, 0, 0] - np.exp(-1.0)) < 2e-3
 
 
 def test_sdde_pure_noise_collapses_to_cumsum():
@@ -146,15 +147,15 @@ def test_sdde_pure_noise_collapses_to_cumsum():
     h = 0.01
     g = make_grid(T=1.0, h=h, tau=0.2)
     xi = _const(g, 2.0)
-    path = simulate_sdde(
+    path, _ = simulate_sdde(
         1, 1,
-        lambda window: np.zeros(1),
+        lambda window: np.zeros_like(window[-1]),
         lambda window: np.eye(1),
-        xi, g, NoiseStream(31, 0, W1),
+        xi, g, [NoiseStream(31, 0, W1)],
     )
     dw = gaussian_increments(NoiseStream(31, 0, W1), g.steps, h)
     expect = 2.0 + np.concatenate([[0.0], np.cumsum(dw[:, 0])])
-    assert np.allclose(path[g.tau_steps:, 0], expect, rtol=0, atol=1e-12)
+    assert np.allclose(path[g.tau_steps:, 0, 0], expect, rtol=0, atol=1e-12)
 
 
 def test_sdde_delayed_drift_reads_window_start():
@@ -163,14 +164,14 @@ def test_sdde_delayed_drift_reads_window_start():
     h = 0.05
     g = make_grid(T=0.5, h=h, tau=0.5)
     xi = _const(g, 1.0)
-    path = simulate_sdde(
+    path, _ = simulate_sdde(
         1, 1,
         lambda window: -window[0],
         lambda window: np.zeros((1, 1)),
-        xi, g, NoiseStream(0, 0, W1),
+        xi, g, [NoiseStream(0, 0, W1)],
     )
     times = np.arange(g.steps + 1) * h
-    assert np.allclose(path[g.tau_steps:, 0], 1.0 - times, atol=1e-12)
+    assert np.allclose(path[g.tau_steps:, 0, 0], 1.0 - times, atol=1e-12)
 
 
 def test_moment_bound_uniform_over_epsilon():
@@ -179,11 +180,10 @@ def test_moment_bound_uniform_over_epsilon():
     worst = 0.0
     for eps in (0.2, 0.1, 0.05):
         g = make_grid(T=0.5, h=0.005, tau=1.0)
-        sups = []
-        for path in range(8):
-            x, _ = simulate_coupled(spec, _const(g, 1.0), _const(g, 0.0), eps, g,
-                                    NoiseStream(99, path, W1), NoiseStream(99, path, W2))
-            sups.append(float(np.abs(x[g.tau_steps:, 0]).max()))
+        x, _, _ = simulate_coupled(spec, _const(g, 1.0), _const(g, 0.0), eps, g,
+                                   [NoiseStream(99, path, W1) for path in range(8)],
+                                   [NoiseStream(99, path, W2) for path in range(8)])
+        sups = np.abs(x[g.tau_steps:, :, 0]).max(axis=0)
         worst = max(worst, float(np.mean(np.square(sups))))
     assert worst < 5.0
 
@@ -192,47 +192,43 @@ def test_stability_cap_enforced():
     spec = linear_benchmark(BENCH)
     g = make_grid(T=0.5, h=0.05, tau=1.0)
     xi, eta = _const(g, 1.0), _const(g, 0.0)
+    w1, w2 = [NoiseStream(0, 0, W1)], [NoiseStream(0, 0, W2)]
     with pytest.raises(DomainError, match="stability cap"):
-        simulate_coupled(spec, xi, eta, 0.1, g,
-                         NoiseStream(0, 0, W1), NoiseStream(0, 0, W2))
+        simulate_coupled(spec, xi, eta, 0.1, g, w1, w2)
     # Same h is fine for epsilon = 1.
-    simulate_coupled(spec, xi, eta, 1.0, g,
-                     NoiseStream(0, 0, W1), NoiseStream(0, 0, W2))
+    simulate_coupled(spec, xi, eta, 1.0, g, w1, w2)
     with pytest.raises(DomainError):
-        simulate_coupled(spec, xi, eta, 1.5, g,
-                         NoiseStream(0, 0, W1), NoiseStream(0, 0, W2))
+        simulate_coupled(spec, xi, eta, 1.5, g, w1, w2)
     with pytest.raises(DomainError):
-        simulate_coupled(spec, xi, eta, 0.0, g,
-                         NoiseStream(0, 0, W1), NoiseStream(0, 0, W2))
+        simulate_coupled(spec, xi, eta, 0.0, g, w1, w2)
 
 
 def test_input_compatibility_checks():
     spec = linear_benchmark(BENCH)
     g = make_grid(T=0.5, h=0.05, tau=1.0)
-    other = constant_segment(1.0, 0.1, 1.0)  # wrong h
+    other = constant_segment(1.0, 0.1, 1.0).values  # wrong h
     with pytest.raises(UsageError):
         simulate_coupled(spec, other, _const(g, 0.0), 1.0, g,
-                         NoiseStream(0, 0, W1), NoiseStream(0, 0, W2))
+                         [NoiseStream(0, 0, W1)], [NoiseStream(0, 0, W2)])
     wide = NoiseStream(0, 0, W1, m=2)
     with pytest.raises(UsageError):
         simulate_coupled(spec, _const(g, 1.0), _const(g, 0.0), 1.0, g,
-                         wide, NoiseStream(0, 0, W2))
+                         [wide], [NoiseStream(0, 0, W2)])
 
 
 def test_divergence_error_carries_context():
     # Cubic fast drift with a start above the basin: blows up in a few steps.
     spec = SystemSpec(
         n=1, m=1, tau=0.5,
-        b1=lambda chi, phi: np.zeros(1),
+        b1=lambda chi, phi: np.zeros_like(chi[-1]),
         sigma1=lambda chi: np.zeros((1, 1)),
         b2=lambda chi, y, yt: y ** 3,
         sigma2=lambda chi, y, yt: np.zeros((1, 1)),
     )
     g = make_grid(T=1.0, h=0.005, tau=0.5)
-    with pytest.raises(DivergenceError) as info:
-        simulate_coupled(spec, _const(g, 0.0), _const(g, 2.0), 0.05, g,
-                         NoiseStream(0, 0, W1), NoiseStream(0, 0, W2))
-    err = info.value
+    _, _, [err] = simulate_coupled(spec, _const(g, 0.0), _const(g, 2.0), 0.05, g,
+                                   [NoiseStream(0, 0, W1)], [NoiseStream(0, 0, W2)])
+    assert isinstance(err, DivergenceError)
     assert err.step_index < 20
     assert err.time == pytest.approx((err.step_index + 1) * g.h)
     assert np.isfinite(err.last_state).all()
@@ -240,7 +236,7 @@ def test_divergence_error_carries_context():
 
 
 def test_maps_receive_window_arrays():
-    """Maps and drift sources read (tau_steps + 1, n) arrays whose last row is now."""
+    """Maps and drift sources read (tau_steps + 1, P, n) arrays whose last row is now."""
     seen = []
 
     def record(name, window):
@@ -270,19 +266,22 @@ def test_maps_receive_window_arrays():
     spec = build_system({"kind": "registered", "name": "recording_maps"})
     g = make_grid(T=0.25, h=0.025, tau=0.5)
     ts = g.tau_steps
-    xi = constant_segment(g.tau, g.h, [1.0, -1.0])
-    eta = constant_segment(g.tau, g.h, [0.5, 0.0])
+    xi = constant_segment(g.tau, g.h, [1.0, -1.0]).values
+    eta = constant_segment(g.tau, g.h, [0.5, 0.0]).values
 
     def calls(name):
         rows = [(kind, w) for n, kind, w in seen if n == name]
         assert rows and all(kind is np.ndarray for kind, _ in rows)
         return [w for _, w in rows]
 
-    x, y = simulate_coupled(spec, xi, eta, 0.5, g, NoiseStream(3, 0, W1), NoiseStream(3, 0, W2))
+    x, y, _ = simulate_coupled(spec, xi, eta, 0.5, g,
+                               [NoiseStream(3, p, W1) for p in range(2)],
+                               [NoiseStream(3, p, W2) for p in range(2)])
+    assert x.shape == (g.total, 2, 2)
     for name in ("chi", "phi", "sigma1", "b2", "sigma2"):
         windows = calls(name)
         assert len(windows) == g.steps
-        assert all(w.shape == (ts + 1, 2) for w in windows)
+        assert all(w.shape == (ts + 1, 2, 2) for w in windows)
     for k, (chi, phi) in enumerate(zip(calls("chi"), calls("phi"))):
         assert np.array_equal(chi, x[k: ts + k + 1])
         assert np.array_equal(chi[-1], x[ts + k])
@@ -294,26 +293,147 @@ def test_maps_receive_window_arrays():
         record("drift", window)
         return -window[-1]
 
-    xbar = simulate_averaged(spec, xi, drift, g, NoiseStream(3, 0, W1))
+    xbar, _ = simulate_averaged(spec, xi, drift, g, [NoiseStream(3, p, W1) for p in range(2)])
     windows = calls("drift")
     assert len(windows) == g.steps
     for k, w in enumerate(windows):
-        assert w.shape == (ts + 1, 2)
+        assert w.shape == (ts + 1, 2, 2)
         assert np.array_equal(w[-1], xbar[ts + k])
 
     seen.clear()
     sub = make_grid(T=0.5, h=0.05, tau=0.5)
-    zeta = xi.values
+    zeta = xi
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # burn_in below 5 tau
         estimate_averaged_drift(spec, zeta, 0.25, 0.25, 1, sub, StreamFactory(4))
     chis, phis = calls("chi"), calls("phi")
-    assert all(np.array_equal(c, zeta) for c in chis)
-    assert all(p.shape == (sub.tau_steps + 1, 2) for p in phis)
+    assert all(np.array_equal(c[:, 0], zeta) for c in chis)
+    assert all(p.shape == (sub.tau_steps + 1, 1, 2) for p in phis)
     # b1 reads the frozen path's windows over [burn_in, burn_in + horizon].
-    yf = simulate_frozen(spec, zeta, constant_segment(sub.tau, sub.h, np.zeros(2)), sub,
-                         StreamFactory(4).stream(0, W2))
+    yf, _ = simulate_frozen(spec, zeta, np.zeros((sub.tau_steps + 1, 2)), sub,
+                            [StreamFactory(4).stream(0, W2)])
     k_burn = 5
     assert len(phis) == 6
     for j, phi in enumerate(phis):
         assert np.array_equal(phi[-1], yf[sub.tau_steps + k_burn + j])
+
+
+def _same_error(a, b):
+    assert type(a) is type(b)
+    assert str(a) == str(b)
+    if isinstance(a, DivergenceError):
+        assert (a.step_index, a.time) == (b.step_index, b.time)
+        assert np.array_equal(a.last_state, b.last_state)
+
+
+def _assert_batch_matches_singles(batch, singles):
+    """batch = (*arrays, errors) of P paths; singles = the same per one-path run."""
+    *arrays, errors = batch
+    for p, (*one, [err]) in enumerate(singles):
+        if err is None:
+            assert errors[p] is None
+            for a, b in zip(arrays, one):
+                assert np.array_equal(a[:, p], b[:, 0])
+        else:
+            _same_error(errors[p], err)
+
+
+def test_diverging_paths_leave_the_batch_unharmed():
+    """A batch with diverging paths gives every path its one-path result, warning-free."""
+    from test_golden import _blowup_factory
+    from twoscale.averaging import DeltaSchedule, simulate_auxiliary
+
+    spec = _blowup_factory()
+    eps, h = 0.25, 0.0125
+    g = make_grid(T=0.5, h=h, tau=1.0)
+    xi, eta = _const(g, 1.0), _const(g, 0.0)
+    schedule = DeltaSchedule(epsilon=eps, delta_raw=0.125, delta=0.125, N_delta=8)
+    paths = range(10)
+
+    def streams(ps, tag):
+        return [NoiseStream(5, p, tag) for p in ps]
+
+    def coupled(ps):
+        return simulate_coupled(spec, xi, eta, eps, g, streams(ps, W1), streams(ps, W2))
+
+    def auxiliary(ps):
+        pair = simulate_auxiliary(spec, xi, eta, eps, schedule, g,
+                                  streams(ps, W1), streams(ps, W2))
+        return pair.x, pair.y, pair.x_aux, pair.y_aux, pair.errors
+
+    zeta = np.zeros((21, 1))
+    sub = make_grid(T=6.0, h=0.05, tau=1.0)
+
+    def frozen(ps):
+        return simulate_frozen(spec, zeta, np.zeros((21, 1)), sub, streams(ps, W2))
+
+    short = make_grid(T=1.0, h=0.01, tau=0.1)
+
+    def explosive(ps):
+        # exp overflows on the step that leaves the admissible range.
+        return simulate_sdde(1, 1, lambda w: np.exp(w[-1]) - 1.0, lambda w: np.eye(1),
+                             np.zeros((11, 1)), short, [NoiseStream(2, p, W1) for p in ps])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kernel in (coupled, auxiliary, frozen, explosive):
+            batch = kernel(paths)
+            errors = batch[-1]
+            assert any(e is None for e in errors), kernel.__name__
+            assert any(isinstance(e, DivergenceError) for e in errors), kernel.__name__
+            _assert_batch_matches_singles(batch, [kernel([p]) for p in paths])
+
+
+def test_map_error_is_traced_to_its_path():
+    """A map that raises for one path fails only that path, with its one-path error."""
+    from twoscale.errors import DataError
+
+    def b2(chi, y, y_tau):
+        if (y > 1.5).any():
+            raise DataError(f"fast state {float(y.max()):.17g} above 1.5")
+        return chi[-1] - y
+
+    spec = SystemSpec(n=1, m=1, tau=0.5,
+                      b1=lambda chi, phi: -chi[-1] + phi[-1],
+                      sigma1=lambda chi: np.array([[0.3]]),
+                      b2=b2, sigma2=lambda chi, y, y_tau: np.array([[0.9]]))
+    g = make_grid(T=0.5, h=0.005, tau=0.5)
+
+    def run(ps):
+        return simulate_coupled(spec, _const(g, 0.0), _const(g, 0.0), 0.1, g,
+                                [NoiseStream(8, p, W1) for p in ps],
+                                [NoiseStream(8, p, W2) for p in ps])
+
+    batch = run(range(8))
+    kinds = [type(e).__name__ for e in batch[-1]]
+    assert "DataError" in kinds and "NoneType" in kinds
+    _assert_batch_matches_singles(batch, [run([p]) for p in range(8)])
+
+
+def test_maps_must_return_batch_shapes():
+    """A drift of shape (P,) or a diffusion of shape (m,) is a DataError naming the shapes."""
+    from twoscale.errors import DataError
+
+    g = make_grid(T=0.1, h=0.01, tau=0.1)
+    xi = _const(g, 1.0)
+
+    def ws():
+        return [NoiseStream(0, p, W1) for p in range(3)]
+
+    cases = [
+        (lambda w: w[-1, :, 0], lambda w: np.eye(1), r"drift returned shape \(1,\), "
+         r"expected \(paths, n\) = \(1, 1\)"),
+        (lambda w: -w[-1], lambda w: np.ones(1), r"diffusion returned shape \(1,\), "
+         r"expected \(n, m\) = \(1, 1\) or \(paths, n, m\) = \(1, 1, 1\)"),
+    ]
+    for drift, diffusion, message in cases:
+        for streams in (ws(), ws()[:1]):
+            _, errors = simulate_sdde(1, 1, drift, diffusion, xi, g, streams)
+            assert all(isinstance(e, DataError) for e in errors)
+            assert all(re.search(message, str(e)) for e in errors)
+    # A per-path diffusion (P, n, m) is the same as the shared (n, m) one.
+    shared, _ = simulate_sdde(1, 1, lambda w: -w[-1], lambda w: np.full((1, 1), 0.5),
+                              xi, g, ws())
+    per_path, _ = simulate_sdde(1, 1, lambda w: -w[-1],
+                                lambda w: np.full((w.shape[1], 1, 1), 0.5), xi, g, ws())
+    assert np.array_equal(shared, per_path)
