@@ -158,11 +158,12 @@ def simulate_averaged(
 class EstimatedDriftSource:
     """Averaged drift evaluated by on-demand frozen sub-simulation.
 
-    Every window of a call runs a fresh estimate_averaged_drift whose
-    streams are seeded from a digest of the window rounded to
-    _SEED_QUANT, so the evaluator is a pure function of (window, seed,
-    budget) per path.  calls counts windows.  Nothing is memoized: a
-    diffusing path does not revisit a window.
+    A call runs one estimate_averaged_drift for all P windows of its
+    batch.  Each window's streams are seeded from a digest of the window
+    rounded to _SEED_QUANT, so a window's value is a pure function of
+    (window, seed, budget), whatever batch it comes in.  calls counts
+    windows.  Nothing is memoized: a diffusing path does not revisit a
+    window.
     """
 
     def __init__(self, spec: SystemSpec, budget: DriftEstimatorBudget, sub_h: float, seed: int):
@@ -175,23 +176,22 @@ class EstimatedDriftSource:
 
     @property
     def cache_misses(self) -> int:
-        # Sub-simulations run: one per call.
+        # Windows estimated: every one of them.
         return self.calls
 
     def __call__(self, windows: np.ndarray) -> np.ndarray:
         """bbar1 of each (M + 1, n) window of the (M + 1, P, n) batch, shape (P, n)."""
-        return np.array([self._estimate(windows[:, p]) for p in range(windows.shape[1])])
+        factories = [StreamFactory(self._sub_seed(windows[:, p]), self.spec.m)
+                     for p in range(windows.shape[1])]
+        self.calls += len(factories)
+        est = estimate_averaged_drift(
+            self.spec, windows, self.budget.burn_in, self.budget.horizon,
+            self.budget.replicas, self.sub_grid, factories,
+        )
+        self.max_std_error = max(self.max_std_error, float(np.max(est.std_error)))
+        return est.value
 
-    def _estimate(self, window: np.ndarray) -> np.ndarray:
-        self.calls += 1
+    def _sub_seed(self, window: np.ndarray) -> int:
         key = np.round(window / _SEED_QUANT).astype(np.int64).tobytes()
         digest = hashlib.blake2b(key + b"|" + str(self.seed).encode(), digest_size=8)
-        sub_seed = int.from_bytes(digest.digest(), "big")
-        est = estimate_averaged_drift(
-            self.spec, window, self.budget.burn_in, self.budget.horizon,
-            self.budget.replicas, self.sub_grid, StreamFactory(sub_seed, self.spec.m),
-        )
-        se = float(np.max(est.std_error)) if est.std_error.size else 0.0
-        if se > self.max_std_error:
-            self.max_std_error = se
-        return est.value
+        return int.from_bytes(digest.digest(), "big")

@@ -66,23 +66,24 @@ def simulate_frozen(
 ):
     """Integrate a batch of the fast equation with the slow window pinned at zeta.
 
-    zeta is an (M + 1, n) window array that every path reads through a
-    broadcast view, eta the (M + 1, n) start window, and w2s holds one
-    stream per path.  Returns (path, errors) as simulate_sdde does.
+    zeta is either one (M + 1, n) window that every path reads through a
+    broadcast view, or an (M + 1, P, n) array whose column p path p
+    (stream w2s[p]) reads; a failed path takes its column out of the
+    batch with it.  eta is the (M + 1, n) start window.  Returns
+    (path, errors) as simulate_sdde does.
     """
-    if zeta.ndim != 2 or zeta.shape[1] != spec.n:
-        raise UsageError(f"zeta has shape {zeta.shape}, system needs n={spec.n}")
+    paths, n = len(w2s), spec.n
+    if zeta.ndim == 2 and zeta.shape[1] == n:
+        zeta = np.broadcast_to(zeta[:, None], (zeta.shape[0], paths, n))
+    elif zeta.ndim != 3 or zeta.shape[1:] != (paths, n):
+        raise UsageError(
+            f"zeta has shape {zeta.shape}; {paths} path(s) of a system with n={n} "
+            f"need (M + 1, {n}) or (M + 1, {paths}, {n})"
+        )
     b2, sigma2 = spec.b2, spec.sigma2
-    # Every column is zeta, so the first P columns serve a batch of P live paths.
-    pinned = np.broadcast_to(zeta[:, None], (zeta.shape[0], len(w2s), spec.n))
-
-    def drift(window: np.ndarray) -> np.ndarray:
-        return b2(pinned[:, : window.shape[1]], window[-1], window[0])
-
-    def diffusion(window: np.ndarray) -> np.ndarray:
-        return sigma2(pinned[:, : window.shape[1]], window[-1], window[0])
-
-    return simulate_sdde(spec.n, spec.m, drift, diffusion, eta, grid, w2s, label="Yzeta")
+    return simulate_sdde(n, spec.m, lambda chi, w: b2(chi, w[-1], w[0]),
+                         lambda chi, w: sigma2(chi, w[-1], w[0]), eta, grid, w2s,
+                         label="Yzeta", pinned=zeta)
 
 
 def _first_error(errors):
@@ -96,20 +97,35 @@ def estimate_averaged_drift(
     horizon: float,
     replicas: int,
     grid: TimeGrid,
-    streams: StreamFactory,
+    streams,
     *,
     eta: np.ndarray | None = None,
 ) -> AveragedDriftEstimate:
     """Time-average b1(zeta, Y-window) along frozen trajectories.
 
-    zeta is the pinned (M + 1, n) slow window array.  The R replicas run
-    as one batch of frozen trajectories from the start window eta (zero
-    by default); each drops [0, burn_in], then averages b1 over every
-    grid step of [burn_in, burn_in + horizon], summed in time order.  The
-    reported value is the replica mean and std_error the replica scatter
-    / sqrt(R).  The start bias decays exponentially, so burn_in of a few
-    multiples of 1/rate suffices; below 5 tau a warning is emitted.
+    zeta is one pinned (M + 1, n) slow window with its StreamFactory, or
+    a batch of P windows (M + 1, P, n) with a sequence of P factories;
+    the single window is the batch of one.  All P x R replicas run as
+    one frozen sub-simulation, column p * R + r being replica r of
+    window p, driven by stream (r, W2) of window p's factory and started
+    from the window eta (zero by default).  Each drops [0, burn_in],
+    then averages b1 over every grid step of [burn_in, burn_in +
+    horizon], summed in time order.  A window's value is its replica
+    mean and std_error its replica scatter / sqrt(R), shape (n,) for one
+    window and (P, n) for a batch.  If any replica fails, the first
+    failure in column order is raised.  The start bias decays
+    exponentially, so burn_in of a few multiples of 1/rate suffices;
+    below 5 tau a warning is emitted.
     """
+    one = zeta.ndim == 2
+    windows = zeta[:, None] if one else zeta
+    if one:
+        streams = [streams]
+    if windows.ndim != 3 or windows.shape[1:] != (len(streams), spec.n):
+        raise UsageError(
+            f"zeta has shape {zeta.shape}; {len(streams)} stream factories of a system "
+            f"with n={spec.n} need (M + 1, {len(streams)}, {spec.n})"
+        )
     if replicas < 1:
         raise UsageError(f"replicas must be >= 1, got {replicas}")
     if horizon <= 0.0:
@@ -132,8 +148,9 @@ def estimate_averaged_drift(
     if eta is None:
         eta = np.zeros((ts + 1, spec.n))
 
-    y, errors = simulate_frozen(spec, zeta, eta, grid,
-                                [streams.stream(r, W2) for r in range(replicas)])
+    chi = np.repeat(windows, replicas, axis=1)
+    y, errors = simulate_frozen(spec, chi, eta, grid,
+                                [f.stream(r, W2) for f in streams for r in range(replicas)])
     exc = _first_error(errors)
     if isinstance(exc, DivergenceError):
         raise DivergenceError(
@@ -142,18 +159,23 @@ def estimate_averaged_drift(
         ) from exc
     if exc is not None:
         raise exc
-    b1 = spec.b1
-    chi = np.broadcast_to(zeta[:, None], (zeta.shape[0], replicas, spec.n))
-    acc = np.zeros((replicas, spec.n))
+    b1, cols = spec.b1, chi.shape[1]
+    acc = np.zeros((cols, spec.n))
     for k in range(k_burn, k_burn + k_len + 1):
-        acc += _drift(b1(chi, y[k: ts + k + 1]), replicas, spec.n, "b1")
+        acc += _drift(b1(chi, y[k: ts + k + 1]), cols, spec.n, "b1")
     replica_means = acc / (k_len + 1)
 
-    value = replica_means.mean(axis=0)
-    if replicas >= 2:
-        std_error = replica_means.std(axis=0, ddof=1) / np.sqrt(replicas)
-    else:
-        std_error = np.zeros(spec.n)
+    # Each window's statistics reduce its own contiguous (R, n) block, the
+    # array a one-window call reduces, so batching moves no bit.
+    value = np.empty((len(streams), spec.n))
+    std_error = np.zeros_like(value)
+    for p in range(len(streams)):
+        block = replica_means[p * replicas: (p + 1) * replicas]
+        value[p] = block.mean(axis=0)
+        if replicas >= 2:
+            std_error[p] = block.std(axis=0, ddof=1) / np.sqrt(replicas)
+    if one:
+        return AveragedDriftEstimate(value=value[0], std_error=std_error[0])
     return AveragedDriftEstimate(value=value, std_error=std_error)
 
 

@@ -65,21 +65,29 @@ CSV_COLUMNS = (
     "paths", "value", "std_error", "extra_json",
 )
 
-EXPERIMENTS = (
-    "converge", "auxiliary_gap", "segment_continuity",
-    "frozen", "mixing", "check", "simulate",
-)
+_COMMON_KEYS = {"experiment", "system", "tau", "T", "h", "seed", "threads"}
+_ENSEMBLE_KEYS = _COMMON_KEYS | {"epsilon", "epsilons", "h_factor", "kappa_stab", "paths",
+                                 "xi", "eta"}
+_FROZEN_KEYS = _COMMON_KEYS | {"xi", "eta", "eta_prime", "mixing_replicas", "checkpoints"}
+
+# experiment -> the config keys it reads; any other key is rejected, since
+# it would move the scenario digest without moving a result.
+_EXPERIMENT_KEYS = {
+    "converge": _ENSEMBLE_KEYS | {"p", "drift_source", "estimator"},
+    "auxiliary_gap": _ENSEMBLE_KEYS | {"p", "delta"},
+    "segment_continuity": _ENSEMBLE_KEYS | {"p", "deltas", "sample_times"},
+    "frozen": _FROZEN_KEYS | {"burn_in", "horizon", "replicas"},
+    "mixing": _FROZEN_KEYS,
+    "check": _COMMON_KEYS | {"xi", "trials", "lambda3_cap"},
+    "simulate": _ENSEMBLE_KEYS,
+}
+
+EXPERIMENTS = tuple(_EXPERIMENT_KEYS)
 
 # Experiments that reduce their paths to moments with standard errors.
 _MOMENT_EXPERIMENTS = ("converge", "auxiliary_gap", "segment_continuity")
 
-_ALLOWED_KEYS = {
-    "experiment", "system", "tau", "T", "h", "h_factor", "kappa_stab",
-    "epsilon", "epsilons", "p", "paths", "seed", "threads",
-    "xi", "eta", "eta_prime", "burn_in", "horizon", "replicas",
-    "mixing_replicas", "checkpoints", "drift_source", "estimator",
-    "deltas", "sample_times", "lambda3_cap", "trials", "delta",
-}
+_ALLOWED_KEYS = set().union(*_EXPERIMENT_KEYS.values())
 
 
 def _cfg_number(cfg, key, default, *, positive=False, nonneg=False):
@@ -149,6 +157,16 @@ class Scenario:
             raise ConfigError(
                 f"experiment must be one of {EXPERIMENTS}, got {experiment!r}"
             )
+        ignored = set(raw) - _EXPERIMENT_KEYS[experiment]
+        if raw.get("epsilons") is not None and "epsilon" in raw:
+            ignored.add("epsilon")
+        if raw.get("h", "auto") != "auto" and "h_factor" in raw:
+            ignored.add("h_factor")
+        if raw.get("drift_source") != "estimator" and "estimator" in raw:
+            ignored.add("estimator")
+        if ignored:
+            raise ConfigError(f"experiment {experiment!r} does not read config keys "
+                              f"{sorted(ignored)}")
         system = raw.get("system")
         if not isinstance(system, dict):
             raise ConfigError("config needs a system object")

@@ -357,6 +357,7 @@ def simulate_sdde(
     ws,
     *,
     label: str = "X",
+    pinned: np.ndarray | None = None,
 ):
     """Integrate a batch of one delay equation with window-functional coefficients.
 
@@ -366,6 +367,10 @@ def simulate_sdde(
     and ws holds one stream per path.  Returns (path, errors): the
     read-only (grid.total, P, n) paths and each path's error or None;
     label names the equation in divergence messages.
+
+    pinned, an array whose axis 1 holds one column per path, is a fixed
+    argument the maps read first, as drift(pinned, window): it leaves the
+    batch with its path, so a path only ever reads its own column.
     """
     xi = _history(xi, grid, n, "xi")
     h = grid.h
@@ -376,9 +381,11 @@ def simulate_sdde(
     messages = (f"{label} left the admissible range",)
 
     def coefs(k, sel, p):
-        window = work[k: ts + k + 1, sel]
-        return (_drift(drift(window), p, n, "drift"),
-                _diffusion(diffusion(window), p, n, m, "diffusion"))
+        args = (work[k: ts + k + 1, sel],)
+        if pinned is not None:
+            args = (pinned[:, sel],) + args
+        return (_drift(drift(*args), p, n, "drift"),
+                _diffusion(diffusion(*args), p, n, m, "diffusion"))
 
     failed = {}
     row = ts + 1
@@ -387,7 +394,7 @@ def simulate_sdde(
         while True:
             if failed:
                 keep = batch.drop(failed, row, (path,), (work,))
-                work, dw = _take(keep, work, dw)
+                work, dw, pinned = _take(keep, work, dw, pinned)
                 failed = {}
             if k == grid.steps or batch.cols.size == 0:
                 break

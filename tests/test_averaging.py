@@ -252,6 +252,54 @@ def test_estimated_drift_source_is_reproducible():
     assert not np.array_equal(outs[0], other)
 
 
+@pytest.mark.parametrize("replicas", [1, 3, 9])
+def test_estimator_batch_equals_one_window_calls(replicas):
+    """One call on P windows gives what P one-window calls give, bit for bit."""
+    spec = linear_benchmark(BENCH)
+    budget = DriftEstimatorBudget(burn_in=3.0, horizon=2.0, replicas=replicas)
+    h = 0.05
+    rng = np.random.default_rng(4)
+    windows = np.stack([constant_segment(1.0, h, v).values + 0.1 * rng.normal(size=(21, 1))
+                        for v in (-0.5, 0.0, 0.7, 1.3, 0.7)], axis=1)
+    together = EstimatedDriftSource(spec, budget, sub_h=h, seed=9)
+    apart = EstimatedDriftSource(spec, budget, sub_h=h, seed=9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        batch = together(windows)
+        singles = [apart(windows[:, p: p + 1]) for p in range(windows.shape[1])]
+    assert batch.shape == (5, 1)
+    assert batch.tobytes() == np.concatenate(singles).tobytes()
+    assert together.calls == apart.calls == 5
+    assert together.max_std_error == apart.max_std_error
+    assert (together.max_std_error > 0.0) == (replicas > 1)
+
+
+def test_diverging_estimate_fails_only_its_path():
+    """A window whose frozen run blows up fails its own path with its one-path error."""
+    from test_frozen import switch_spec
+    from test_solver import _assert_batch_matches_singles
+
+    spec = switch_spec(1.0)  # frozen runs above zeta(0) = 1 blow up
+    budget = DriftEstimatorBudget(burn_in=3.0, horizon=2.0, replicas=2)
+    h = 0.05
+    g = make_grid(T=0.2, h=h, tau=1.0)
+    xi = constant_segment(1.0, h, 1.0).values
+    paths = range(6)
+
+    def run(ps):
+        src = EstimatedDriftSource(spec, budget, sub_h=h, seed=3)
+        return simulate_averaged(spec, xi, src, g, [NoiseStream(9, p, W1) for p in ps])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # burn_in below 5 tau
+        batch = run(paths)
+        singles = [run([p]) for p in paths]
+    errors = batch[1]
+    assert any(e is None for e in errors)
+    assert any(isinstance(e, DivergenceError) for e in errors)
+    _assert_batch_matches_singles(batch, singles)
+
+
 def test_estimator_route_agrees_with_closed_form_route():
     """Integrate the averaged equation through both drift sources on one stream."""
     spec = linear_benchmark(BENCH)

@@ -60,6 +60,53 @@ def test_simulate_frozen_reads_pinned_window():
                         [NoiseStream(0, 0, W2)])
 
 
+def switch_spec(threshold: float) -> SystemSpec:
+    """Fast drift -y while zeta(0) <= threshold, 1 + y^3 (finite-time blow-up) above it."""
+    return SystemSpec(
+        n=1, m=1, tau=1.0,
+        b1=lambda chi, phi: -chi[-1] + phi[-1],
+        sigma1=lambda chi: np.array([[0.3]]),
+        b2=lambda chi, y, yt: np.where(chi[-1] > threshold, 1.0 + y ** 3, -y),
+        sigma2=lambda chi, y, yt: np.array([[0.3]]),
+    )
+
+
+def test_per_column_zeta_leaves_the_batch_with_its_path():
+    """Survivors keep reading their own window after a path leaves the batch."""
+    from test_solver import _assert_batch_matches_singles
+
+    spec = switch_spec(1.0)
+    h = 0.05
+    g = make_grid(T=4.0, h=h, tau=1.0)
+    levels = [2.0, 0.0, 2.0, 0.5, 0.0]
+    zeta = np.stack([constant_segment(1.0, h, v).values for v in levels], axis=1)
+    eta = np.zeros((g.tau_steps + 1, 1))
+    paths = range(len(levels))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = simulate_frozen(spec, zeta, eta, g, [NoiseStream(3, p, W2) for p in paths])
+        singles = [simulate_frozen(spec, zeta[:, p: p + 1], eta, g, [NoiseStream(3, p, W2)])
+                   for p in paths]
+    assert [e is None for e in batch[1]] == [v <= 1.0 for v in levels]
+    _assert_batch_matches_singles(batch, singles)
+
+
+def test_simulate_frozen_rejects_misshaped_zeta():
+    spec = _pure_decay_spec()
+    h = 0.05
+    g = make_grid(T=1.0, h=h, tau=1.0)
+    eta = np.zeros((g.tau_steps + 1, 1))
+    streams = [NoiseStream(0, p, W2) for p in range(3)]
+    for zeta in (np.zeros((g.tau_steps + 1, 2, 1)),   # two windows for three paths
+                 np.zeros((g.tau_steps + 1, 3, 2)),   # wrong n
+                 np.zeros((g.tau_steps + 1, 2)),
+                 np.zeros(g.tau_steps + 1)):
+        with pytest.raises(UsageError) as info:
+            simulate_frozen(spec, zeta, eta, g, streams)
+        assert str(zeta.shape) in str(info.value)
+        assert "(M + 1, 3, 1)" in str(info.value)
+
+
 def test_averaged_drift_exact_when_fast_independent():
     """b1 ignoring the fast window makes the time average collapse exactly."""
     params = LinearBenchmarkParams(a11=-2.0, a12=0.0, s1=0.1,
@@ -109,6 +156,10 @@ def test_averaged_drift_budget_validation():
     with pytest.raises(UsageError):
         # burn_in + horizon overruns the grid.
         estimate_averaged_drift(spec, zeta, 5.0, 4.0, 2, g, StreamFactory(0))
+    with pytest.raises(UsageError, match=r"\(21, 2, 1\)"):
+        # Two windows, one stream factory.
+        estimate_averaged_drift(spec, np.stack([zeta, zeta], axis=1), 1.0, 4.0, 2, g,
+                                [StreamFactory(0)])
 
 
 def test_mixing_decay_pure_contraction_rate():

@@ -1,6 +1,6 @@
 """Golden reproducibility hashes of reduced-path scenarios.
 
-Each case runs one small scenario at threads 1 and 2 and compares the
+Each case runs one small scenario at threads 1, 2 and 3 and compares the
 sha256 of its report.csv (plus, for simulate, of the dumped trajectory
 files) with the value recorded here.  The hashes are the guard for
 refactors that must not move any reported number: a change that moves
@@ -37,24 +37,29 @@ def _blowup_factory():
 
 register_system("golden_blowup", _blowup_factory, replace=True)
 
-_BASE = {"system": BENCH_SYS, "tau": 1.0, "T": 0.5, "p": 2.0, "paths": 4, "seed": 5}
+_BASE = {"system": BENCH_SYS, "tau": 1.0, "T": 0.5, "seed": 5}
+# Experiments that reduce paths to p-th moments also read p and paths.
+_MOMENTS = dict(_BASE, p=2.0, paths=4)
+_ESTIMATOR = dict(_MOMENTS, experiment="converge", T=0.1, h_factor=0.1, epsilons=[0.2, 0.1],
+                  drift_source="estimator",
+                  estimator={"burn_in": 5.0, "horizon": 1.0, "replicas": 2, "h": 0.1})
 
 CASES = {
-    "converge": dict(_BASE, experiment="converge", epsilons=[0.25, 0.125, 0.0625]),
-    "converge_estimator": dict(
-        _BASE, experiment="converge", T=0.1, h_factor=0.1, epsilons=[0.2, 0.1],
-        paths=2, drift_source="estimator",
-        estimator={"burn_in": 5.0, "horizon": 1.0, "replicas": 2, "h": 0.1}),
-    "auxiliary_gap": dict(_BASE, experiment="auxiliary_gap", T=0.25,
+    "converge": dict(_MOMENTS, experiment="converge", epsilons=[0.25, 0.125, 0.0625]),
+    "converge_estimator": dict(_ESTIMATOR, paths=2),
+    # Five paths cut into uneven chunks at threads 2 and 3; the estimator
+    # estimates each chunk's windows as one batch.
+    "converge_estimator_uneven": dict(_ESTIMATOR, paths=5),
+    "auxiliary_gap": dict(_MOMENTS, experiment="auxiliary_gap", T=0.25,
                           epsilons=[0.05, 0.02, 0.01]),
-    "segment_continuity": dict(_BASE, experiment="segment_continuity", T=1.0,
+    "segment_continuity": dict(_MOMENTS, experiment="segment_continuity", T=1.0,
                                epsilons=[0.05], p=4.0, paths=3),
     "simulate_dump": dict(_BASE, experiment="simulate", epsilons=[0.25], paths=3),
-    "converge_diverging": dict(_BASE, experiment="converge", system=BLOWUP_SYS,
+    "converge_diverging": dict(_MOMENTS, experiment="converge", system=BLOWUP_SYS,
                                epsilons=[0.25, 0.125, 0.0625]),
-    "auxiliary_gap_diverging": dict(_BASE, experiment="auxiliary_gap", system=BLOWUP_SYS,
+    "auxiliary_gap_diverging": dict(_MOMENTS, experiment="auxiliary_gap", system=BLOWUP_SYS,
                                     epsilons=[0.1, 0.05, 0.02]),
-    "frozen": dict(_BASE, experiment="frozen", epsilons=[], h=0.02, T=1.0,
+    "frozen": dict(_BASE, experiment="frozen", h=0.02, T=1.0,
                    burn_in=2.0, horizon=4.0, replicas=2,
                    mixing_replicas=8, checkpoints=3),
     "check": dict(_BASE, experiment="check", trials=200),
@@ -64,9 +69,9 @@ CASES = {
     "mixing_degenerate": dict(_BASE, experiment="mixing", h=0.02, T=1.0,
                               mixing_replicas=8, checkpoints=3,
                               eta={"constant": 0.0}, eta_prime={"constant": 0.0}),
-    "aux_fixed_delta": dict(_BASE, experiment="auxiliary_gap", paths=3, T=0.25,
+    "aux_fixed_delta": dict(_MOMENTS, experiment="auxiliary_gap", paths=3, T=0.25,
                             epsilons=[0.05, 0.02], delta=0.3),
-    "segcont_deltas": dict(_BASE, experiment="segment_continuity", paths=3, T=1.0,
+    "segcont_deltas": dict(_MOMENTS, experiment="segment_continuity", paths=3, T=1.0,
                            epsilons=[0.05], p=4.0, deltas=[0.3, 0.1, 0.05, 0.049]),
 }
 
@@ -77,6 +82,8 @@ GOLDEN = {
     "converge": "e6b791467fd1759b59595e3d28812fe974e1b576eb02b5379fe5bc5c813f0004",
     "converge_diverging": "4793ec5768807571b2ed4460b9518926fb6752420ebaf2fe4dd3abd974d83277",
     "converge_estimator": "68148c699e72dbbcef26973e1e0bbb84c0458c1f06334ae0a719b17fa51252fc",
+    "converge_estimator_uneven":
+        "2d03b51a0aa3b5a1e2e0e1c9453bdc390c5f36b686b6b972c38e96be9471592e",
     "frozen": "ecc232dbb879929d6c779c9a0db5cad1dc4e8bda688c3dc6b9aa24d4f7142c72",
     "mixing": "c2be10a1542a55289874cf0d175667318e50587ff9e2b1dcb1fab166ec47b821",
     "mixing_degenerate": "82ad7375ce59134ae5afdd86f85dc693d18bf9d1f57d4226ec4266ca88608cf9",

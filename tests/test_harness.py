@@ -13,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twoscale
+from twoscale.cli import _SUBCOMMANDS
 from twoscale.cli import main as cli_main
 from twoscale.errors import ConfigError, UsageError
 from twoscale.harness import (
     _ALLOWED_KEYS,
+    _EXPERIMENT_KEYS,
     CSV_COLUMNS,
     EXPERIMENTS,
     SCHEMA_VERSION,
@@ -35,6 +37,7 @@ BENCH_SYS = {
 
 
 def _cfg(**over):
+    """A converge config with over applied, less the base keys the experiment does not read."""
     base = {
         "experiment": "converge",
         "system": BENCH_SYS,
@@ -45,6 +48,8 @@ def _cfg(**over):
         "paths": 6,
         "seed": 777,
     }
+    reads = _EXPERIMENT_KEYS.get(over.get("experiment", "converge"), _ALLOWED_KEYS)
+    base = {k: v for k, v in base.items() if k in reads}
     base.update(over)
     return base
 
@@ -53,7 +58,7 @@ def _cfg(**over):
 _BAD_PARSE_CONFIGS = [
     _cfg(experiment="segment_continuity", deltas=[0.25, "abc"]),
     _cfg(experiment="segment_continuity", deltas=[float("inf")]),
-    _cfg(sample_times=[0.25, "abc"]),
+    _cfg(experiment="segment_continuity", sample_times=[0.25, "abc"]),
     _cfg(paths=True),
     _cfg(seed=1.7),
     _cfg(seed=-1),
@@ -100,13 +105,13 @@ def test_from_config_validation_errors():
     with pytest.raises(ConfigError):
         Scenario.from_config(_cfg(drift_source="oracle"))
     with pytest.raises(ConfigError):
-        Scenario.from_config(_cfg(estimator={"mystery": 1}))
+        Scenario.from_config(_cfg(drift_source="estimator", estimator={"mystery": 1}))
     with pytest.raises(ConfigError):
         Scenario.from_config(_cfg(xi={"wrong": 1}))
     with pytest.raises(ConfigError):
-        Scenario.from_config(_cfg(sample_times=[2.0]))  # past T
+        Scenario.from_config(_cfg(experiment="segment_continuity", sample_times=[2.0]))  # past T
     with pytest.raises(ConfigError):
-        Scenario.from_config(_cfg(deltas=[]))
+        Scenario.from_config(_cfg(experiment="segment_continuity", deltas=[]))
     for bad in _BAD_PARSE_CONFIGS:
         with pytest.raises(ConfigError):
             Scenario.from_config(bad)
@@ -139,9 +144,13 @@ _system = _json | st.fixed_dictionaries(
 
 @st.composite
 def _configs(draw):
-    """A valid config of a random experiment with a few fields replaced."""
-    cfg = _cfg(experiment=draw(st.sampled_from(EXPERIMENTS)), epsilons=[0.05, 0.02])
-    for key in draw(st.lists(st.sampled_from(sorted(_ALLOWED_KEYS)), max_size=3, unique=True)):
+    """A valid config of a random experiment with a few of its fields replaced."""
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    cfg = _cfg(experiment=experiment)
+    reads = sorted(_EXPERIMENT_KEYS[experiment])
+    if "epsilons" in reads:
+        cfg["epsilons"] = [0.05, 0.02]
+    for key in draw(st.lists(st.sampled_from(reads), max_size=3, unique=True)):
         cfg[key] = draw(_system if key == "system" else _field)
     if draw(st.booleans()):
         params = dict(BENCH_SYS["params"])
@@ -184,6 +193,47 @@ def test_digest_ignores_execution_knobs():
     assert a.digest() == b.digest()
     assert a.digest() != d.digest()
     assert len(a.digest()) == 16
+
+
+# A valid value for every config key, so a rejection below can only come
+# from the experiment not reading the key.
+_VALID_VALUES = {
+    "epsilon": 0.1, "epsilons": [0.1], "h_factor": 0.05, "kappa_stab": 0.1, "paths": 4,
+    "xi": {"constant": 1.0}, "eta": {"constant": 0.0}, "eta_prime": {"constant": 1.0},
+    "p": 2.0, "drift_source": "closed_form", "estimator": {}, "delta": 0.25,
+    "deltas": [0.25, 0.125], "sample_times": [0.25], "burn_in": 5.0, "horizon": 5.0,
+    "replicas": 2, "mixing_replicas": 8, "checkpoints": 3, "trials": 3, "lambda3_cap": 10.0,
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_keys_the_experiment_does_not_read_exit_four(experiment, tmp_path, capsys):
+    """A key the experiment ignores would move the digest and nothing else: exit 4."""
+    cfg = _cfg(experiment=experiment)
+    Scenario.from_config(cfg)  # valid without the extra key
+    ignored = sorted(_ALLOWED_KEYS - _EXPERIMENT_KEYS[experiment])
+    assert ignored
+    for key in ignored:
+        with pytest.raises(ConfigError, match=rf"does not read config keys \['{key}'\]"):
+            Scenario.from_config(dict(cfg, **{key: _VALID_VALUES[key]}))
+    command = next(c for c, exps in _SUBCOMMANDS.items() if experiment in exps)
+    extra = {ignored[0]: _VALID_VALUES[ignored[0]]}
+    path = _write_cfg(tmp_path, "ignored.json", dict(cfg, **extra))
+    assert cli_main([command, "--config", path, "--out", str(tmp_path / "out")]) == 4
+    assert "does not read" in capsys.readouterr().err
+
+
+def test_keys_read_only_beside_another_key_are_rejected():
+    # epsilon is read only without epsilons, h_factor only under auto h,
+    # estimator only with the estimator source.
+    with pytest.raises(ConfigError, match=r"\['epsilon'\]"):
+        Scenario.from_config(_cfg(epsilon=0.5))
+    with pytest.raises(ConfigError, match=r"\['h_factor'\]"):
+        Scenario.from_config(_cfg(h=0.0125, h_factor=0.07))
+    with pytest.raises(ConfigError, match=r"\['estimator'\]"):
+        Scenario.from_config(_cfg(estimator={"replicas": 2}))
+    assert Scenario.from_config(_cfg(drift_source="estimator",
+                                     estimator={"replicas": 2})).estimator["replicas"] == 2
 
 
 def test_resolve_h_auto_commensurate():
@@ -358,7 +408,7 @@ def test_segment_continuity_report():
 
 def test_frozen_report_and_summary():
     """b-bar and the mixing rate are reported as rows, with no separate summary."""
-    cfg = _cfg(experiment="frozen", epsilons=[], h=0.02,
+    cfg = _cfg(experiment="frozen", h=0.02,
                burn_in=2.0, horizon=4.0, replicas=2,
                mixing_replicas=8, checkpoints=3, T=1.0)
     report = run_scenario(Scenario.from_config(cfg))
@@ -377,7 +427,7 @@ def test_frozen_report_and_summary():
 
 
 def test_mixing_runner_fit_only():
-    cfg = _cfg(experiment="mixing", epsilons=[], h=0.02,
+    cfg = _cfg(experiment="mixing", h=0.02,
                mixing_replicas=8, checkpoints=3, T=1.0,
                eta={"constant": 0.0}, eta_prime={"constant": 1.0})
     report = run_scenario(Scenario.from_config(cfg))
@@ -388,7 +438,7 @@ def test_mixing_runner_fit_only():
 
 
 def test_check_runner_benchmark_passes():
-    cfg = _cfg(experiment="check", epsilons=[], trials=200, T=1.0)
+    cfg = _cfg(experiment="check", trials=200, T=1.0)
     report = run_scenario(Scenario.from_config(cfg))
     assert report.passed
     kinds = [r["extra"]["kind"] for r in report.rows]
@@ -441,8 +491,7 @@ def test_cli_gate_failure_exit_two(tmp_path):
                    "c1": 1.0, "c2": 0.5, "c3": 2.0, "s2": 0.3},
     }
     cfg_path = _write_cfg(tmp_path, "check.json",
-                          _cfg(experiment="check", system=bad_sys,
-                               epsilons=[], trials=300, T=1.0))
+                          _cfg(experiment="check", system=bad_sys, trials=300, T=1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         code = cli_main(["check", "--config", cfg_path,
@@ -568,7 +617,7 @@ def test_averaged_stage_errors_only_reach_surviving_paths():
 
 
 def test_cli_frozen_prints_summary(tmp_path, capsys):
-    cfg = _cfg(experiment="frozen", epsilons=[], h=0.02,
+    cfg = _cfg(experiment="frozen", h=0.02,
                burn_in=2.0, horizon=4.0, replicas=2,
                mixing_replicas=8, checkpoints=3, T=1.0)
     cfg_path = _write_cfg(tmp_path, "frozen.json", cfg)
@@ -587,7 +636,7 @@ def test_cli_frozen_prints_summary(tmp_path, capsys):
 def test_cli_runs_without_loading_scipy(tmp_path):
     """scipy is a test-only dependency: no CLI run may import it."""
     frozen = _write_cfg(tmp_path, "frozen.json", _cfg(
-        experiment="frozen", epsilons=[], h=0.02, burn_in=2.0, horizon=4.0,
+        experiment="frozen", h=0.02, burn_in=2.0, horizon=4.0,
         replicas=2, mixing_replicas=8, checkpoints=3, T=1.0))
     converge = _write_cfg(tmp_path, "converge.json", _cfg(
         T=0.1, h_factor=0.1, epsilons=[0.2, 0.1], paths=2, seed=5,
