@@ -83,8 +83,7 @@ def khasminskii_delta(epsilon: float, tau: float) -> DeltaSchedule:
 class AuxiliaryPair:
     """Coupled pairs (x, y) plus their block-frozen auxiliary pairs (x_aux, y_aux).
 
-    All four are read-only (grid.total, P, n) path arrays; errors[p] is
-    the error path p failed with (the true pass's first), or None.
+    All four are read-only (grid.total, P, n) path arrays.
     """
 
     x: np.ndarray
@@ -92,7 +91,6 @@ class AuxiliaryPair:
     x_aux: np.ndarray
     y_aux: np.ndarray
     reset_indices: np.ndarray  # absolute array indices of block starts
-    errors: list
 
 
 def simulate_auxiliary(
@@ -116,15 +114,17 @@ def simulate_auxiliary(
     freezing and resets: at each block start the coefficients' slow
     window is frozen to the true slow window (sigma1 evaluated once per
     block) and the auxiliary fast process restarts from the true fast
-    state (bit-exact reset, audited by callers).
+    state (bit-exact reset, audited by callers).  The first failure of
+    the true pass is raised before the auxiliary pass starts, then the
+    auxiliary pass's first failure, as solver._coupled_core raises them.
     """
     xi, eta, dw1, dwf = _pair_increments(spec, xi, eta, epsilon, grid, w1s, w2s, kappa_stab)
     delta_steps = exact_steps(min(schedule.delta, grid.T), grid.h, "delta")
-    x, y, errors = _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf)
-    x_aux, y_aux, errors = _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf,
-                                         freeze=(x, y, delta_steps, errors))
+    x, y = _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf)
+    x_aux, y_aux = _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf,
+                                 freeze=(x, y, delta_steps))
     resets = grid.tau_steps + np.arange(0, grid.steps, delta_steps)
-    return AuxiliaryPair(x, y, x_aux, y_aux, resets, errors)
+    return AuxiliaryPair(x, y, x_aux, y_aux, resets)
 
 
 def closed_form_drift(spec: SystemSpec):
@@ -147,7 +147,9 @@ def simulate_averaged(
     (M + 1, P, n) window array: either a closed form or an
     EstimatedDriftSource.  Pass streams with the same addresses as the
     coupled run's W1 to realize the shared-noise comparison.  Returns
-    (path, errors) as simulate_sdde does.
+    the read-only (grid.total, P, n) paths and raises the first failure
+    of any path, a drift source's own error included, as simulate_sdde
+    does.
     """
     if not callable(drift_source):
         raise UsageError("drift_source must be callable on a window array")

@@ -68,9 +68,9 @@ def simulate_frozen(
 
     zeta is either one (M + 1, n) window that every path reads through a
     broadcast view, or an (M + 1, P, n) array whose column p path p
-    (stream w2s[p]) reads; a failed path takes its column out of the
-    batch with it.  eta is the (M + 1, n) start window.  Returns
-    (path, errors) as simulate_sdde does.
+    (stream w2s[p]) reads.  eta is the (M + 1, n) start window.  Returns
+    the read-only (grid.total, P, n) paths and raises the first failure
+    of any path, as simulate_sdde does.
     """
     paths, n = len(w2s), spec.n
     if zeta.ndim == 2 and zeta.shape[1] == n:
@@ -81,13 +81,8 @@ def simulate_frozen(
             f"need (M + 1, {n}) or (M + 1, {paths}, {n})"
         )
     b2, sigma2 = spec.b2, spec.sigma2
-    return simulate_sdde(n, spec.m, lambda chi, w: b2(chi, w[-1], w[0]),
-                         lambda chi, w: sigma2(chi, w[-1], w[0]), eta, grid, w2s,
-                         label="Yzeta", pinned=zeta)
-
-
-def _first_error(errors):
-    return next((e for e in errors if e is not None), None)
+    return simulate_sdde(n, spec.m, lambda w: b2(zeta, w[-1], w[0]),
+                         lambda w: sigma2(zeta, w[-1], w[0]), eta, grid, w2s, label="Yzeta")
 
 
 def estimate_averaged_drift(
@@ -112,8 +107,10 @@ def estimate_averaged_drift(
     then averages b1 over every grid step of [burn_in, burn_in +
     horizon], summed in time order.  A window's value is its replica
     mean and std_error its replica scatter / sqrt(R), shape (n,) for one
-    window and (P, n) for a batch.  If any replica fails, the first
-    failure in column order is raised.  The start bias decays
+    window and (P, n) for a batch.  If any replica fails, the batch's
+    first failure is raised: the earliest step, then the lowest column,
+    so of two failing replicas the one that fails first in time is
+    reported, not the lower-numbered one.  The start bias decays
     exponentially, so burn_in of a few multiples of 1/rate suffices;
     below 5 tau a warning is emitted.
     """
@@ -149,16 +146,14 @@ def estimate_averaged_drift(
         eta = np.zeros((ts + 1, spec.n))
 
     chi = np.repeat(windows, replicas, axis=1)
-    y, errors = simulate_frozen(spec, chi, eta, grid,
-                                [f.stream(r, W2) for f in streams for r in range(replicas)])
-    exc = _first_error(errors)
-    if isinstance(exc, DivergenceError):
+    try:
+        y = simulate_frozen(spec, chi, eta, grid,
+                            [f.stream(r, W2) for f in streams for r in range(replicas)])
+    except DivergenceError as exc:
         raise DivergenceError(
             exc.step_index, exc.time, exc.last_state,
             "frozen trajectory diverged; run check_dissipativity on this system",
         ) from exc
-    if exc is not None:
-        raise exc
     b1, cols = spec.b1, chi.shape[1]
     acc = np.zeros((cols, spec.n))
     for k in range(k_burn, k_burn + k_len + 1):
@@ -197,6 +192,8 @@ def mixing_decay(
     over the checkpoints with g above GAP_FLOOR; fitted_rate = -slope.
     Fewer than 3 usable checkpoints raise DegenerateFitError (gaps that
     hit the floor that fast are themselves strong evidence of mixing).
+    A failed trajectory raises the eta batch's first failure before any
+    of the eta_prime batch's.
     """
     if replicas < 8:
         raise UsageError(f"mixing_decay needs replicas >= 8, got {replicas}")
@@ -206,13 +203,9 @@ def mixing_decay(
         raise UsageError(f"grid covers only {n_checks} delay spans; need >= 3")
 
     # Same stream addresses twice: bit-identical driving increments.
-    ya, errors_a = simulate_frozen(spec, zeta, eta, grid,
-                                   [streams.stream(r, W2) for r in range(replicas)])
-    yb, errors_b = simulate_frozen(spec, zeta, eta_prime, grid,
-                                   [streams.stream(r, W2) for r in range(replicas)])
-    exc = _first_error(e for pair in zip(errors_a, errors_b) for e in pair)
-    if exc is not None:
-        raise exc
+    ya = simulate_frozen(spec, zeta, eta, grid, [streams.stream(r, W2) for r in range(replicas)])
+    yb = simulate_frozen(spec, zeta, eta_prime, grid,
+                         [streams.stream(r, W2) for r in range(replicas)])
     gaps = np.zeros(n_checks)
     for r in range(replicas):
         node = _node_norms(ya[:, r] - yb[:, r])

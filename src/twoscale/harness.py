@@ -9,10 +9,11 @@ report.json.
 Determinism contract: a scenario's CSV body is a pure function of its
 config.  Paths draw from streams addressed by (seed, path, tag), each
 row's paths run in contiguous chunks, each chunk integrated as one batch
-whose per-path results come back in path order, and reductions run in
-fixed path order, so serial and parallel execution produce byte-identical
-reports whatever the chunk cut; the sha256 of the CSV text is included
-as the reproducibility hash.
+whose per-path results come back in path order (a chunk with a failed
+path is rerun path by path), and reductions run in fixed path order, so
+serial and parallel execution produce byte-identical reports whatever
+the chunk cut; the sha256 of the CSV text is included as the
+reproducibility hash.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
 import warnings as _warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -523,14 +525,26 @@ class _Chunk:
         )
 
 
+def _attempt(body, chunk: _Chunk, paths) -> list:
+    """body(chunk, paths) as ("ok", value) per path, or its error for every path."""
+    try:
+        return [("ok", v) for v in body(chunk, paths)]
+    except TwoscaleError as exc:
+        return [("err", type(exc).__name__, str(exc))] * len(paths)
+
+
 def _run_chunk(job):
     """Run paths [start, stop) of one row through body as one batch.
 
     The system, grid, start windows and stream factory are built once
     per chunk, so set-up errors propagate.  body(chunk, paths) returns
-    one result per path in path order, a TwoscaleError instance for a
-    failed path; each becomes ("ok", value) or ("err", type, message).
-    A TwoscaleError raised by body itself fails every path of the chunk.
+    one value per path in path order, each reported as ("ok", value).
+    This is the one place that isolates a failed path: if body raises a
+    TwoscaleError, every path of the chunk is rerun alone on the same
+    chunk and gets its own value or ("err", type, message) from its
+    one-path run.  Each path keeps its own streams and every kernel
+    operation is elementwise over paths, so the results do not depend on
+    the chunk cut.
     """
     body, scen, epsilon, h, extra, start, stop = job
     spec = scen.build_spec()
@@ -542,12 +556,10 @@ def _run_chunk(job):
         streams=StreamFactory(scen.seed, spec.m), extra=extra,
     )
     paths = range(start, stop)
-    try:
-        results = body(chunk, paths)
-    except TwoscaleError as exc:
-        results = [exc] * len(paths)
-    return [("err", type(r).__name__, str(r)) if isinstance(r, TwoscaleError) else ("ok", r)
-            for r in results]
+    results = _attempt(body, chunk, paths)
+    if len(paths) > 1 and results[0][0] == "err":
+        results = [r for p in paths for r in _attempt(body, chunk, range(p, p + 1))]
+    return results
 
 
 def _run_ensemble(scenario: Scenario, body, rows) -> list:
@@ -555,7 +567,8 @@ def _run_ensemble(scenario: Scenario, body, rows) -> list:
 
     Each row is cut into contiguous path chunks, one per worker, that
     never span two rows; paths draw from streams addressed by their own
-    index, so the results do not depend on the cut.
+    index, so the results do not depend on the cut.  The pool gets at
+    most one worker per CPU; the cut still follows threads.
     """
     paths, threads = scenario.paths, scenario.threads
     per_row = min(threads, paths)
@@ -565,7 +578,8 @@ def _run_ensemble(scenario: Scenario, body, rows) -> list:
     if threads <= 1 or len(jobs) <= 1:
         done = [_run_chunk(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
+        workers = min(threads, len(jobs), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_run_chunk, jobs))
     return [[r for chunk in done[i: i + per_row] for r in chunk]
             for i in range(0, len(done), per_row)]
@@ -623,20 +637,12 @@ def _monotone_gate(moments, std_errors):
 # ---------------------------------------------------------------- converge
 
 def _converge_chunk(c: _Chunk, paths) -> list:
-    x, _, out = c.coupled(paths)
-    live = [j for j, err in enumerate(out) if err is None]
-    if live:
-        # Fresh streams with the same addresses: the averaged equation
-        # replays the identical W1 increments (pathwise coupling).  Only
-        # the paths that reached it can fail here.
-        try:
-            xbar, errors = simulate_averaged(c.spec, c.xi, c.scenario.drift_callable(c.spec),
-                                             c.grid, c.noise([paths[j] for j in live], W1))
-        except TwoscaleError as exc:
-            xbar, errors = None, [exc] * len(live)
-        for col, (j, err) in enumerate(zip(live, errors)):
-            out[j] = err if err is not None else sup_distance(x[:, j], xbar[:, col], c.grid)
-    return out
+    x, _ = c.coupled(paths)
+    # Fresh streams with the same addresses: the averaged equation
+    # replays the identical W1 increments (pathwise coupling).
+    xbar = simulate_averaged(c.spec, c.xi, c.scenario.drift_callable(c.spec), c.grid,
+                             c.noise(paths, W1))
+    return [sup_distance(x[:, j], xbar[:, j], c.grid) for j in range(len(paths))]
 
 
 def run_converge(scenario: Scenario) -> ExperimentReport:
@@ -730,10 +736,7 @@ def _aux_chunk(c: _Chunk, paths) -> list:
     )
     ts = c.grid.tau_steps
     out = []
-    for j, err in enumerate(pair.errors):
-        if err is not None:
-            out.append(err)
-            continue
+    for j in range(len(paths)):
         x_gap = sup_distance(pair.x[:, j], pair.x_aux[:, j], c.grid)
         y, yt = pair.y[:, j], pair.y_aux[:, j]
         audit = 0.0
@@ -813,12 +816,11 @@ def run_auxiliary_gap(scenario: Scenario) -> ExperimentReport:
 # ----------------------------------------------------- segment continuity
 
 def _segcont_chunk(c: _Chunk, paths) -> list:
-    x, _, errors = c.coupled(paths)
-    return [err if err is not None else
-            [float(segment_displacement_moment(x[:, j], c.grid, d, c.scenario.p,
+    x, _ = c.coupled(paths)
+    return [[float(segment_displacement_moment(x[:, j], c.grid, d, c.scenario.p,
                                                c.extra["times"]))
              for d in c.extra["deltas"]]
-            for j, err in enumerate(errors)]
+            for j in range(len(paths))]
 
 
 def run_segment_continuity(scenario: Scenario) -> ExperimentReport:
@@ -1025,15 +1027,12 @@ def run_check(scenario: Scenario) -> ExperimentReport:
 # -------------------------------------------------------------- simulate
 
 def _simulate_chunk(c: _Chunk, paths) -> list:
-    x, y, out = c.coupled(paths)
-    for j, path in enumerate(paths):
-        if out[j] is not None:
-            continue
-        if c.extra["dump_dir"]:
+    x, y = c.coupled(paths)
+    if c.extra["dump_dir"]:
+        for j, path in enumerate(paths):
             _dump_paths(c.grid.times(), x[:, j], y[:, j], Path(c.extra["dump_dir"]),
                         f"{c.extra['stem']}_{path}.csv")
-        out[j] = float(np.linalg.norm(x[-1, j]))
-    return out
+    return [float(np.linalg.norm(x[-1, j])) for j in range(len(paths))]
 
 
 def _dump_paths(times, x, y, out_dir: Path, name: str):

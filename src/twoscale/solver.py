@@ -27,11 +27,14 @@ comparison ever happens in the hot loop.  The explicit scheme needs
 h / eps bounded for the contractive linear part of the fast drift, so
 simulate_coupled enforces h <= kappa_stab * eps (default 0.1).
 
-A path whose state goes non-finite or past DIVERGENCE_CAP, or whose
-coefficient maps raise a TwoscaleError, leaves the batch with exactly the
-error its one-path run raises (a DivergenceError carries the step index
-and the last finite state); the other paths keep stepping.  Each kernel
-returns one error slot per path, None for a path that completed.
+A path whose state goes non-finite or past DIVERGENCE_CAP fails with a
+DivergenceError carrying the step index and the last finite state; a
+TwoscaleError raised by a coefficient map propagates as it is.  A kernel
+raises the first failure of its batch: the earliest step, and within
+that step the lowest column, the slow component checked before the fast
+one.  At P = 1 this is exactly the path's own error.  Kernels do not
+isolate failed paths; harness._run_chunk reruns a failed chunk path by
+path, so each path gets the error its one-path run raises.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, TwoscaleError, UsageError
+from .errors import DivergenceError, DomainError, UsageError
 from .noise import fast_increments, gaussian_increments
 from .segment import _integer_ratio, exact_steps
 from .systems import SystemSpec, _diffusion, _drift
@@ -51,9 +54,6 @@ DEFAULT_KAPPA_STAB = 0.1
 
 # max over all entries, NaN-propagating, without ndarray.max's Python wrapper
 _amax = np.maximum.reduce
-
-_ALL = slice(None)
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -112,9 +112,11 @@ def _increments(streams, m: int, draw) -> np.ndarray:
     return np.stack([draw(s) for s in streams], axis=1)
 
 
-def _blowup(step: int, h: float, state_rows, detail: str):
-    last = np.concatenate([np.asarray(r, float).ravel() for r in state_rows])
-    return DivergenceError(step, (step + 1) * h, last, detail)
+def _start(history: np.ndarray, grid: TimeGrid, paths: int) -> np.ndarray:
+    """A (grid.total, paths, n) path array whose first rows hold the history window."""
+    out = np.empty((grid.total, paths, history.shape[1]))
+    out[: grid.tau_steps + 1] = history[:, None]
+    return out
 
 
 def _noise(s: np.ndarray, dw: np.ndarray) -> np.ndarray:
@@ -127,82 +129,18 @@ def _noise(s: np.ndarray, dw: np.ndarray) -> np.ndarray:
     return inc
 
 
-def _blowups(k: int, h: float, new, last, messages) -> dict:
-    """{column: DivergenceError} of the columns whose new state left the range.
+def _raise_divergence(k: int, h: float, new, last, messages):
+    """Raise the DivergenceError of the lowest column whose new state left the range.
 
-    Called once the batch check failed.  new[c] is checked in order and
-    its failure is named by messages[c]; last holds the columns' previous
-    states, concatenated into last_state.
+    Called once the batch check failed.  Within that column new[c] is
+    checked before new[c + 1] and its failure is named by messages[c];
+    last holds the columns' previous states, concatenated into last_state.
     """
-    failed = {}
-    for a, msg in zip(new, messages):
-        for j in np.flatnonzero(~(np.abs(a).max(axis=1) <= DIVERGENCE_CAP)):
-            if j not in failed:
-                failed[j] = _blowup(k, h, [s[j] for s in last], msg)
-    return failed
-
-
-def _take(keep: np.ndarray, *arrays):
-    """The kept path columns (axis 1) of each array; None passes through."""
-    return [None if a is None else a[:, keep] for a in arrays]
-
-
-class _Batch:
-    """The live paths of a batch and the error of every path that failed.
-
-    Working column j holds path cols[j].  A failed path leaves the batch:
-    drop() moves its rows into the output arrays, NaN from the failing
-    step on, and the kernel compacts its working arrays to the returned
-    mask, so the survivors keep stepping on slices without per-step copies.
-    """
-
-    def __init__(self, size: int):
-        self.cols = np.arange(size)
-        self.errors = [None] * size
-
-    def start(self, history: np.ndarray, grid: TimeGrid) -> np.ndarray:
-        out = np.empty((grid.total, self.cols.size, history.shape[1]))
-        out[: grid.tau_steps + 1] = history[:, None]
-        return out
-
-    def trace(self, exc: TwoscaleError, coefs) -> dict:
-        """{column: error} of the columns behind exc, raised by the batched maps.
-
-        coefs(slice(j, j + 1), 1) reruns the maps on column j alone, so
-        each failing path gets the error its one-path run raises.  If no
-        single column raises, exc propagates.
-        """
-        if self.cols.size == 1:
-            return {0: exc}
-        failed = {}
-        for j in range(self.cols.size):
-            try:
-                coefs(slice(j, j + 1), 1)
-            except TwoscaleError as one:
-                failed[j] = one
-        if not failed:
-            raise exc
-        return failed
-
-    def drop(self, failed: dict, row: int, outs, works) -> np.ndarray:
-        """Retire the failed columns as of array row; returns the keep mask."""
-        keep = np.ones(self.cols.size, dtype=bool)
-        keep[list(failed)] = False
-        dead = self.cols[~keep]
-        for j, exc in failed.items():
-            self.errors[self.cols[j]] = exc
-        for out, work in zip(outs, works):
-            if work is not out:
-                out[:row, dead] = work[:row, ~keep]
-            out[row:, dead] = np.nan
-        self.cols = self.cols[keep]
-        return keep
-
-    def finish(self, outs, works):
-        for out, work in zip(outs, works):
-            if work is not out:
-                out[:, self.cols] = work
-            out.setflags(write=False)
+    bad = [~(np.abs(a).max(axis=1) <= DIVERGENCE_CAP) for a in new]
+    j = np.flatnonzero(np.logical_or.reduce(bad))[0]
+    detail = next(msg for b, msg in zip(bad, messages) if b[j])
+    last_state = np.concatenate([s[j] for s in last])
+    raise DivergenceError(k, (k + 1) * h, last_state, detail)
 
 
 def _pair_increments(spec, xi, eta, epsilon, grid, w1s, w2s, kappa_stab):
@@ -238,8 +176,9 @@ def simulate_coupled(
 ):
     """Integrate a batch of coupled slow/fast pairs from the (M + 1, n) starts xi, eta.
 
-    w1s and w2s hold one stream per path.  Returns (x, y, errors): the
-    read-only (grid.total, P, n) paths and each path's error or None.
+    w1s and w2s hold one stream per path.  Returns the read-only
+    (grid.total, P, n) paths (x, y); the first failure of any path is
+    raised (see the module docstring).
     """
     xi, eta, dw1, dwf = _pair_increments(spec, xi, eta, epsilon, grid, w1s, w2s, kappa_stab)
     return _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf)
@@ -259,19 +198,19 @@ def fast_lag_steps(epsilon: float, grid: TimeGrid) -> int:
 
 
 def _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf, freeze=None):
-    """Euler recursion of a batch of pairs; returns (x, y, errors).
+    """Euler recursion of a batch of pairs; returns the read-only paths (x, y).
 
-    x and y are read-only (grid.total, P, n) arrays, P = dw1.shape[1].
-    The maps read the windows x[k:i+1] and y[k:i+1] in place, row
-    tau_steps being "now".
+    x and y are (grid.total, P, n) arrays, P = dw1.shape[1].  The maps
+    read the windows x[k:i+1] and y[k:i+1] in place, row tau_steps being
+    "now".  The first failure of any path is raised: the earliest step,
+    then the lowest column, its slow component before its fast one.
 
-    freeze=(x_true, y_true, delta_steps, true_errors) runs the
-    block-frozen auxiliary pairs of the same paths instead: every
-    delta_steps steps the slow window the coefficients read is frozen to
-    x_true's, sigma1 is evaluated once for the block, and the fast state
-    restarts from y_true (bit-exact).  The pair's own slow state still
-    integrates, driven by the frozen coefficients.  A path that failed
-    the true pass keeps that error and does not step.
+    freeze=(x_true, y_true, delta_steps) runs the block-frozen auxiliary
+    pairs of the same paths instead: every delta_steps steps the slow
+    window the coefficients read is frozen to x_true's, sigma1 is
+    evaluated once for the block, and the fast state restarts from
+    y_true (bit-exact).  The pair's own slow state still integrates,
+    driven by the frozen coefficients.
     """
     n, m = spec.n, spec.m
     h = grid.h
@@ -279,72 +218,43 @@ def _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf, freeze=None):
     h_over_eps = h / epsilon
     lag = fast_lag_steps(epsilon, grid)
     b1, sigma1, b2, sigma2 = spec.b1, spec.sigma1, spec.b2, spec.sigma2
-    batch = _Batch(dw1.shape[1])
-    x = xw = batch.start(xi, grid)
-    y = yw = batch.start(eta, grid)
-    xt = yt = sx_block = None
-    failed = {}
+    p = dw1.shape[1]
+    x = _start(xi, grid, p)
+    y = _start(eta, grid, p)
     if freeze is None:
         messages = ("slow component left the admissible range",
                     "fast component left the admissible range")
     else:
-        xt, yt, delta_steps, true_errors = freeze
+        xt, yt, delta_steps = freeze
         messages = ("auxiliary slow component diverged", "auxiliary fast component diverged")
-        failed = {j: e for j, e in enumerate(true_errors) if e is not None}
-
-    def coefs(k, sel, p):
-        i = ts + k
-        if freeze is None:
-            xseg = xw[k: i + 1, sel]
-        else:
-            kb = k - k % delta_steps
-            xseg = xt[kb: kb + ts + 1, sel]
-            if k == kb:
-                sx = _diffusion(sigma1(xseg), p, n, m, "sigma1")
-            else:
-                sx = sx_block if sx_block.ndim == 2 else sx_block[sel]
-        yk = yw[i, sel]
-        ytau = yw[i - lag, sel]
-        bx = _drift(b1(xseg, yw[k: i + 1, sel]), p, n, "b1")
-        if freeze is None:
-            sx = _diffusion(sigma1(xseg), p, n, m, "sigma1")
-        by = _drift(b2(xseg, yk, ytau), p, n, "b2")
-        sy = _diffusion(sigma2(xseg, yk, ytau), p, n, m, "sigma2")
-        return bx, sx, by, sy
-
-    row = ts + 1
-    k = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            if failed:
-                keep = batch.drop(failed, row, (x, y), (xw, yw))
-                xw, yw, dw1, dwf, xt, yt = _take(keep, xw, yw, dw1, dwf, xt, yt)
-                if sx_block is not None and sx_block.ndim == 3:
-                    sx_block = sx_block[keep]
-                failed = {}
-            if k == grid.steps or batch.cols.size == 0:
-                break
+        for k in range(grid.steps):
             i = ts + k
-            row = i + 1
-            if freeze is not None and k % delta_steps == 0:
-                yw[i] = yt[i]
-            try:
-                bx, sx, by, sy = coefs(k, _ALL, batch.cols.size)
-            except TwoscaleError as exc:
-                failed = batch.trace(exc, lambda sel, p: coefs(k, sel, p))
-                continue
-            sx_block = sx
-            xn, yn = xw[i + 1], yw[i + 1]
-            np.add(xw[i], bx * h, out=xn)
+            if freeze is None:
+                xseg = x[k: i + 1]
+            else:
+                kb = k - k % delta_steps
+                xseg = xt[kb: kb + ts + 1]
+                if k == kb:
+                    y[i] = yt[i]
+                    sx = _diffusion(sigma1(xseg), p, n, m, "sigma1")
+            yk, ytau = y[i], y[i - lag]
+            bx = _drift(b1(xseg, y[k: i + 1]), p, n, "b1")
+            if freeze is None:
+                sx = _diffusion(sigma1(xseg), p, n, m, "sigma1")
+            by = _drift(b2(xseg, yk, ytau), p, n, "b2")
+            sy = _diffusion(sigma2(xseg, yk, ytau), p, n, m, "sigma2")
+            xn, yn = x[i + 1], y[i + 1]
+            np.add(x[i], bx * h, out=xn)
             xn += _noise(sx, dw1[k])
-            np.add(yw[i], by * h_over_eps, out=yn)
+            np.add(y[i], by * h_over_eps, out=yn)
             yn += _noise(sy, dwf[k])
             if not (_amax(np.absolute(xn), axis=None) <= DIVERGENCE_CAP
                     and _amax(np.absolute(yn), axis=None) <= DIVERGENCE_CAP):
-                failed = _blowups(k, h, (xn, yn), (xw[i], yw[i]), messages)
-            k += 1
-    batch.finish((x, y), (xw, yw))
-    return x, y, batch.errors
+                _raise_divergence(k, h, (xn, yn), (x[i], y[i]), messages)
+    x.setflags(write=False)
+    y.setflags(write=False)
+    return x, y
 
 
 def simulate_sdde(
@@ -357,59 +267,34 @@ def simulate_sdde(
     ws,
     *,
     label: str = "X",
-    pinned: np.ndarray | None = None,
 ):
     """Integrate a batch of one delay equation with window-functional coefficients.
 
     drift(window) -> (P, n) and diffusion(window) -> (n, m) or (P, n, m)
     see the trailing (tau_steps + 1, P, n) window of the paths being
     built, row tau_steps being "now".  xi is the (M + 1, n) start window
-    and ws holds one stream per path.  Returns (path, errors): the
-    read-only (grid.total, P, n) paths and each path's error or None;
-    label names the equation in divergence messages.
-
-    pinned, an array whose axis 1 holds one column per path, is a fixed
-    argument the maps read first, as drift(pinned, window): it leaves the
-    batch with its path, so a path only ever reads its own column.
+    and ws holds one stream per path.  Returns the read-only
+    (grid.total, P, n) paths.  The first failure of any path is raised:
+    the earliest step, then the lowest column; label names the equation
+    in divergence messages.
     """
     xi = _history(xi, grid, n, "xi")
     h = grid.h
     ts = grid.tau_steps
     dw = _increments(ws, m, lambda w: gaussian_increments(w, grid.steps, h))
-    batch = _Batch(dw.shape[1])
-    path = work = batch.start(xi, grid)
+    p = dw.shape[1]
+    path = _start(xi, grid, p)
     messages = (f"{label} left the admissible range",)
-
-    def coefs(k, sel, p):
-        args = (work[k: ts + k + 1, sel],)
-        if pinned is not None:
-            args = (pinned[:, sel],) + args
-        return (_drift(drift(*args), p, n, "drift"),
-                _diffusion(diffusion(*args), p, n, m, "diffusion"))
-
-    failed = {}
-    row = ts + 1
-    k = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            if failed:
-                keep = batch.drop(failed, row, (path,), (work,))
-                work, dw, pinned = _take(keep, work, dw, pinned)
-                failed = {}
-            if k == grid.steps or batch.cols.size == 0:
-                break
+        for k in range(grid.steps):
             i = ts + k
-            row = i + 1
-            try:
-                b, s = coefs(k, _ALL, batch.cols.size)
-            except TwoscaleError as exc:
-                failed = batch.trace(exc, lambda sel, p: coefs(k, sel, p))
-                continue
-            new = work[i + 1]
-            np.add(work[i], b * h, out=new)
+            window = path[k: i + 1]
+            b = _drift(drift(window), p, n, "drift")
+            s = _diffusion(diffusion(window), p, n, m, "diffusion")
+            new = path[i + 1]
+            np.add(path[i], b * h, out=new)
             new += _noise(s, dw[k])
             if not _amax(np.absolute(new), axis=None) <= DIVERGENCE_CAP:
-                failed = _blowups(k, h, (new,), (work[i],), messages)
-            k += 1
-    batch.finish((path,), (work,))
-    return path, batch.errors
+                _raise_divergence(k, h, (new,), (path[i],), messages)
+    path.setflags(write=False)
+    return path

@@ -45,8 +45,7 @@ def test_criterion_1_averaged_endpoint_closed_form():
     h = 0.001
     g = make_grid(T=1.0, h=h, tau=1.0)
     xi = constant_segment(1.0, h, 1.0).values
-    xbar, _ = simulate_averaged(spec, xi, closed_form_drift(spec), g,
-                                [NoiseStream(0, 0, W1)])
+    xbar = simulate_averaged(spec, xi, closed_form_drift(spec), g, [NoiseStream(0, 0, W1)])
     end = float(xbar[-1, 0, 0])
     ref = np.array([1.0])
     zero = np.zeros((1, 1)) @ np.zeros(1)

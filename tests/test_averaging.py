@@ -78,8 +78,8 @@ def test_auxiliary_coupled_part_matches_direct_run():
     sch = _manual_schedule(0.1, 0.25)
     pair = simulate_auxiliary(spec, xi, eta, 0.1, sch, g,
                               [NoiseStream(8, 0, W1)], [NoiseStream(8, 0, W2)])
-    x, y, _ = simulate_coupled(spec, xi, eta, 0.1, g,
-                               [NoiseStream(8, 0, W1)], [NoiseStream(8, 0, W2)])
+    x, y = simulate_coupled(spec, xi, eta, 0.1, g,
+                            [NoiseStream(8, 0, W1)], [NoiseStream(8, 0, W2)])
     assert np.array_equal(pair.x, x)
     assert np.array_equal(pair.y, y)
 
@@ -113,13 +113,14 @@ def test_auxiliary_pass_reports_its_divergence():
     eta = constant_segment(1.0, h, 0.0).values
     dw1 = np.zeros((g.steps, 1, 1))
     dwf = np.zeros((g.steps, 1, 1))
-    x, y, errors = _coupled_core(spec, xi, eta, 0.1, g, dw1, dwf)
+    x, y = _coupled_core(spec, xi, eta, 0.1, g, dw1, dwf)
     # A true slow window far past the cap drives a11 * chi(0) * h out of range.
     huge = np.full_like(x, 1e16)
-    _, _, [err] = _coupled_core(spec, xi, eta, 0.1, g, dw1, dwf, freeze=(huge, y, 20, errors))
-    assert isinstance(err, DivergenceError)
-    assert "auxiliary slow component diverged" in str(err)
-    assert err.step_index == 0
+    with pytest.raises(DivergenceError, match="auxiliary slow component diverged") as info:
+        _coupled_core(spec, xi, eta, 0.1, g, dw1, dwf, freeze=(huge, y, 20))
+    assert info.value.step_index == 0
+    assert np.array_equal(info.value.last_state, np.concatenate([x[g.tau_steps, 0],
+                                                                 y[g.tau_steps, 0]]))
 
 
 def test_auxiliary_slow_gap_shrinks_with_epsilon():
@@ -161,8 +162,7 @@ def test_averaged_deterministic_endpoint():
     h = 0.001
     g = make_grid(T=1.0, h=h, tau=1.0)
     xi = constant_segment(1.0, h, 1.0).values
-    xbar, _ = simulate_averaged(spec, xi, closed_form_drift(spec), g,
-                                [NoiseStream(0, 0, W1)])
+    xbar = simulate_averaged(spec, xi, closed_form_drift(spec), g, [NoiseStream(0, 0, W1)])
     ref = np.array([1.0])
     zero = np.zeros((1, 1)) @ np.zeros(1)
     for _ in range(g.steps):
@@ -177,10 +177,9 @@ def test_averaged_tracks_coupled_run_on_shared_noise():
     g = make_grid(T=0.5, h=h, tau=1.0)
     xi = constant_segment(1.0, h, 1.0).values
     eta = constant_segment(1.0, h, 0.0).values
-    x, _, _ = simulate_coupled(spec, xi, eta, 0.01, g,
-                               [NoiseStream(11, 0, W1)], [NoiseStream(11, 0, W2)])
-    xbar, _ = simulate_averaged(spec, xi, closed_form_drift(spec), g,
-                                [NoiseStream(11, 0, W1)])
+    x, _ = simulate_coupled(spec, xi, eta, 0.01, g,
+                            [NoiseStream(11, 0, W1)], [NoiseStream(11, 0, W2)])
+    xbar = simulate_averaged(spec, xi, closed_form_drift(spec), g, [NoiseStream(11, 0, W1)])
     assert sup_distance(x[:, 0], xbar[:, 0], g) < 0.05
 
 
@@ -194,8 +193,8 @@ def test_averaged_stationary_statistics():
     xi = constant_segment(1.0, h, 1.0).values
     drift = closed_form_drift(spec)
     n_paths = 1500
-    xbar, _ = simulate_averaged(spec, xi, drift, g,
-                                [NoiseStream(1234, i, W1) for i in range(n_paths)])
+    xbar = simulate_averaged(spec, xi, drift, g,
+                             [NoiseStream(1234, i, W1) for i in range(n_paths)])
     ends = xbar[-1, :, 0]
     a = 1.0 + params.kappa * h
     K = g.steps
@@ -274,32 +273,6 @@ def test_estimator_batch_equals_one_window_calls(replicas):
     assert (together.max_std_error > 0.0) == (replicas > 1)
 
 
-def test_diverging_estimate_fails_only_its_path():
-    """A window whose frozen run blows up fails its own path with its one-path error."""
-    from test_frozen import switch_spec
-    from test_solver import _assert_batch_matches_singles
-
-    spec = switch_spec(1.0)  # frozen runs above zeta(0) = 1 blow up
-    budget = DriftEstimatorBudget(burn_in=3.0, horizon=2.0, replicas=2)
-    h = 0.05
-    g = make_grid(T=0.2, h=h, tau=1.0)
-    xi = constant_segment(1.0, h, 1.0).values
-    paths = range(6)
-
-    def run(ps):
-        src = EstimatedDriftSource(spec, budget, sub_h=h, seed=3)
-        return simulate_averaged(spec, xi, src, g, [NoiseStream(9, p, W1) for p in ps])
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # burn_in below 5 tau
-        batch = run(paths)
-        singles = [run([p]) for p in paths]
-    errors = batch[1]
-    assert any(e is None for e in errors)
-    assert any(isinstance(e, DivergenceError) for e in errors)
-    _assert_batch_matches_singles(batch, singles)
-
-
 def test_estimator_route_agrees_with_closed_form_route():
     """Integrate the averaged equation through both drift sources on one stream."""
     spec = linear_benchmark(BENCH)
@@ -310,9 +283,9 @@ def test_estimator_route_agrees_with_closed_form_route():
     xi = constant_segment(1.0, h, 1.0).values
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        by_estimate, _ = simulate_averaged(spec, xi, src, g, [NoiseStream(31, 0, W1)])
-    by_formula, _ = simulate_averaged(spec, xi, closed_form_drift(spec), g,
-                                      [NoiseStream(31, 0, W1)])
+        by_estimate = simulate_averaged(spec, xi, src, g, [NoiseStream(31, 0, W1)])
+    by_formula = simulate_averaged(spec, xi, closed_form_drift(spec), g,
+                                   [NoiseStream(31, 0, W1)])
     # Shared W1 cancels the noise; what is left is the drift estimate error
     # integrated over [0, T].
     assert sup_distance(by_estimate[:, 0], by_formula[:, 0], g) < 0.05

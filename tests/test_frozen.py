@@ -35,7 +35,7 @@ def test_simulate_frozen_deterministic_decay():
     spec = _pure_decay_spec()
     zeta = constant_segment(1.0, h, 7.0).values  # ignored by this b2
     eta = constant_segment(1.0, h, 1.0).values
-    y, _ = simulate_frozen(spec, zeta, eta, g, [NoiseStream(0, 0, W2)])
+    y = simulate_frozen(spec, zeta, eta, g, [NoiseStream(0, 0, W2)])
     end = float(y[-1, 0, 0])
     assert abs(end - np.exp(-5.0)) < 5e-4
 
@@ -53,7 +53,7 @@ def test_simulate_frozen_reads_pinned_window():
     g = make_grid(T=8.0, h=h, tau=1.0)
     zeta = constant_segment(1.0, h, 3.0).values
     eta = constant_segment(1.0, h, 0.0).values
-    y, _ = simulate_frozen(spec, zeta, eta, g, [NoiseStream(0, 0, W2)])
+    y = simulate_frozen(spec, zeta, eta, g, [NoiseStream(0, 0, W2)])
     assert abs(float(y[-1, 0, 0]) - 3.0) < 1e-3
     with pytest.raises(UsageError):
         simulate_frozen(spec, constant_segment(1.0, h, np.zeros(2)).values, eta, g,
@@ -69,26 +69,6 @@ def switch_spec(threshold: float) -> SystemSpec:
         b2=lambda chi, y, yt: np.where(chi[-1] > threshold, 1.0 + y ** 3, -y),
         sigma2=lambda chi, y, yt: np.array([[0.3]]),
     )
-
-
-def test_per_column_zeta_leaves_the_batch_with_its_path():
-    """Survivors keep reading their own window after a path leaves the batch."""
-    from test_solver import _assert_batch_matches_singles
-
-    spec = switch_spec(1.0)
-    h = 0.05
-    g = make_grid(T=4.0, h=h, tau=1.0)
-    levels = [2.0, 0.0, 2.0, 0.5, 0.0]
-    zeta = np.stack([constant_segment(1.0, h, v).values for v in levels], axis=1)
-    eta = np.zeros((g.tau_steps + 1, 1))
-    paths = range(len(levels))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        batch = simulate_frozen(spec, zeta, eta, g, [NoiseStream(3, p, W2) for p in paths])
-        singles = [simulate_frozen(spec, zeta[:, p: p + 1], eta, g, [NoiseStream(3, p, W2)])
-                   for p in paths]
-    assert [e is None for e in batch[1]] == [v <= 1.0 for v in levels]
-    _assert_batch_matches_singles(batch, singles)
 
 
 def test_simulate_frozen_rejects_misshaped_zeta():

@@ -13,12 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twoscale
+from twoscale import harness
+from twoscale.averaging import khasminskii_delta
 from twoscale.cli import _SUBCOMMANDS
 from twoscale.cli import main as cli_main
-from twoscale.errors import ConfigError, UsageError
+from twoscale.errors import ConfigError, DataError, UsageError
 from twoscale.harness import (
     _ALLOWED_KEYS,
     _EXPERIMENT_KEYS,
+    _aux_chunk,
+    _converge_chunk,
+    _run_chunk,
     CSV_COLUMNS,
     EXPERIMENTS,
     SCHEMA_VERSION,
@@ -27,6 +32,8 @@ from twoscale.harness import (
     run_simulate,
 )
 from twoscale.systems import SystemSpec, register_system
+from test_frozen import switch_spec
+from test_golden import CASES as GOLDEN_CASES
 from test_golden import _blowup_factory as _golden_blowup
 
 BENCH_SYS = {
@@ -614,6 +621,86 @@ def test_averaged_stage_errors_only_reach_surviving_paths():
         assert row["extra"]["error_type"] == "DivergenceError"
         assert row["extra"]["failed_paths"] == 4
         assert report.had_divergence
+
+
+def _refusing_factory():
+    # A fast drift that refuses states above 1.5; some paths get there.
+    def b2(chi, y, y_tau):
+        if (y > 1.5).any():
+            raise DataError(f"fast state {float(y.max()):.17g} above 1.5")
+        return chi[-1] - y
+
+    spec = _golden_blowup()
+    return SystemSpec(n=1, m=1, tau=1.0, b1=spec.b1, sigma1=spec.sigma1, b2=b2,
+                      sigma2=spec.sigma2, benchmark=spec.benchmark)
+
+
+register_system("switch_at_one", lambda: switch_spec(1.0), replace=True)
+register_system("refusing_fast_drift", _refusing_factory, replace=True)
+
+# body, config and epsilon of one row in which some paths fail and others do not.
+_RERUN_CASES = {
+    "converge_diverging": (_converge_chunk, GOLDEN_CASES["converge_diverging"], 0.25),
+    "auxiliary_gap_diverging": (_aux_chunk, GOLDEN_CASES["auxiliary_gap_diverging"], 0.1),
+    # Frozen sub-simulations above zeta(0) = 1 blow up inside the estimator.
+    "estimator_diverging": (_converge_chunk, dict(
+        GOLDEN_CASES["converge_estimator"], system={"kind": "registered",
+                                                    "name": "switch_at_one"}), 0.2),
+    "map_error": (_converge_chunk, dict(
+        GOLDEN_CASES["converge"], system={"kind": "registered",
+                                          "name": "refusing_fast_drift"}), 0.25),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RERUN_CASES))
+def test_failed_chunk_is_rerun_path_by_path(case):
+    """A chunk with a failed path reports what its one-path chunks report, for any cut."""
+    body, cfg, eps = _RERUN_CASES[case]
+    scen = Scenario.from_config(dict(cfg, paths=6))
+    if body is _aux_chunk:
+        schedule = khasminskii_delta(eps, scen.tau)
+        row = (eps, scen.resolve_h(epsilon=eps, anchor=schedule.delta), {"schedule": schedule})
+    else:
+        row = (eps, scen.resolve_h(epsilon=eps), {})
+
+    def cut(bounds):
+        return [r for a, b in zip(bounds, bounds[1:])
+                for r in _run_chunk((body, scen, *row, a, b))]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the estimator's short burn_in
+        whole = cut([0, 6])
+        assert {r[0] for r in whole} == {"ok", "err"}
+        assert whole == cut(list(range(7)))
+        assert whole == cut([0, 1, 6])
+
+
+def test_pool_has_at_most_one_worker_per_cpu(monkeypatch):
+    """threads above the CPU count still cut the paths by threads, on fewer workers."""
+    opened = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    cfg = _cfg(experiment="simulate", epsilons=[0.25], paths=6, T=0.25)
+    serial = run_scenario(Scenario.from_config(cfg)).reproducibility_hash
+    for cpus, workers in ((2, 2), (None, 1), (64, 5)):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        report = run_scenario(Scenario.from_config(dict(cfg, threads=5)))
+        assert opened[-1] == workers
+        assert report.reproducibility_hash == serial
+    assert len(opened) == 3
 
 
 def test_cli_frozen_prints_summary(tmp_path, capsys):

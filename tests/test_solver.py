@@ -1,4 +1,3 @@
-import re
 import warnings
 
 import numpy as np
@@ -65,7 +64,7 @@ def test_coupled_replay_is_bit_identical():
 
     def run():
         return simulate_coupled(spec, xi, eta, 0.1, g,
-                                [NoiseStream(42, 0, W1)], [NoiseStream(42, 0, W2)])[:2]
+                                [NoiseStream(42, 0, W1)], [NoiseStream(42, 0, W2)])
 
     (xa, ya), (xb, yb) = run(), run()
     assert np.array_equal(xa, xb)
@@ -79,8 +78,8 @@ def test_epsilon_one_matches_hand_assembled_recursion():
     g = make_grid(T=1.0, h=h, tau=1.0)
     xi = _const(g, 1.0)
     eta = _const(g, 0.5)
-    x_run, y_run, _ = simulate_coupled(spec, xi, eta, 1.0, g,
-                                       [NoiseStream(7, 3, W1)], [NoiseStream(7, 3, W2)])
+    x_run, y_run = simulate_coupled(spec, xi, eta, 1.0, g,
+                                    [NoiseStream(7, 3, W1)], [NoiseStream(7, 3, W2)])
 
     dw1 = gaussian_increments(NoiseStream(7, 3, W1), g.steps, h)
     dwf = fast_increments(NoiseStream(7, 3, W2), g.steps, h, 1.0)
@@ -111,8 +110,8 @@ def test_noise_free_coupled_converges_under_refinement():
 
     def endpoint(h):
         g = make_grid(T=1.0, h=h, tau=1.0)
-        x, _, _ = simulate_coupled(spec, _const(g, 1.0), _const(g, 0.0), eps, g,
-                                   [NoiseStream(0, 0, W1)], [NoiseStream(0, 0, W2)])
+        x, _ = simulate_coupled(spec, _const(g, 1.0), _const(g, 0.0), eps, g,
+                                [NoiseStream(0, 0, W1)], [NoiseStream(0, 0, W2)])
         return float(x[-1, 0, 0])
 
     ref = endpoint(0.001)
@@ -128,7 +127,7 @@ def test_sdde_linear_decay_endpoint():
     g = make_grid(T=1.0, h=h, tau=0.1)
     xi = _const(g, 1.0)
 
-    path, _ = simulate_sdde(
+    path = simulate_sdde(
         1, 1,
         lambda window: -window[-1],
         lambda window: np.zeros((1, 1)),
@@ -147,7 +146,7 @@ def test_sdde_pure_noise_collapses_to_cumsum():
     h = 0.01
     g = make_grid(T=1.0, h=h, tau=0.2)
     xi = _const(g, 2.0)
-    path, _ = simulate_sdde(
+    path = simulate_sdde(
         1, 1,
         lambda window: np.zeros_like(window[-1]),
         lambda window: np.eye(1),
@@ -164,7 +163,7 @@ def test_sdde_delayed_drift_reads_window_start():
     h = 0.05
     g = make_grid(T=0.5, h=h, tau=0.5)
     xi = _const(g, 1.0)
-    path, _ = simulate_sdde(
+    path = simulate_sdde(
         1, 1,
         lambda window: -window[0],
         lambda window: np.zeros((1, 1)),
@@ -180,9 +179,9 @@ def test_moment_bound_uniform_over_epsilon():
     worst = 0.0
     for eps in (0.2, 0.1, 0.05):
         g = make_grid(T=0.5, h=0.005, tau=1.0)
-        x, _, _ = simulate_coupled(spec, _const(g, 1.0), _const(g, 0.0), eps, g,
-                                   [NoiseStream(99, path, W1) for path in range(8)],
-                                   [NoiseStream(99, path, W2) for path in range(8)])
+        x, _ = simulate_coupled(spec, _const(g, 1.0), _const(g, 0.0), eps, g,
+                                [NoiseStream(99, path, W1) for path in range(8)],
+                                [NoiseStream(99, path, W2) for path in range(8)])
         sups = np.abs(x[g.tau_steps:, :, 0]).max(axis=0)
         worst = max(worst, float(np.mean(np.square(sups))))
     assert worst < 5.0
@@ -216,22 +215,31 @@ def test_input_compatibility_checks():
                          [wide], [NoiseStream(0, 0, W2)])
 
 
-def test_divergence_error_carries_context():
+def _cubic_fast_spec():
     # Cubic fast drift with a start above the basin: blows up in a few steps.
-    spec = SystemSpec(
+    return SystemSpec(
         n=1, m=1, tau=0.5,
         b1=lambda chi, phi: np.zeros_like(chi[-1]),
         sigma1=lambda chi: np.zeros((1, 1)),
         b2=lambda chi, y, yt: y ** 3,
         sigma2=lambda chi, y, yt: np.zeros((1, 1)),
     )
+
+
+def test_divergence_error_carries_context():
+    """A one-path run raises its DivergenceError with the step, time and last state."""
+    spec = _cubic_fast_spec()
     g = make_grid(T=1.0, h=0.005, tau=0.5)
-    _, _, [err] = simulate_coupled(spec, _const(g, 0.0), _const(g, 2.0), 0.05, g,
-                                   [NoiseStream(0, 0, W1)], [NoiseStream(0, 0, W2)])
-    assert isinstance(err, DivergenceError)
-    assert err.step_index < 20
+    w1, w2 = [NoiseStream(0, 0, W1)], [NoiseStream(0, 0, W2)]
+    with pytest.raises(DivergenceError, match="fast component left") as info:
+        simulate_coupled(spec, _const(g, 0.0), _const(g, 2.0), 0.05, g, w1, w2)
+    err = info.value
+    assert 0 < err.step_index < 20
     assert err.time == pytest.approx((err.step_index + 1) * g.h)
-    assert np.isfinite(err.last_state).all()
+    # The run that stops one step short ends in exactly the reported state.
+    short = make_grid(T=err.step_index * g.h, h=g.h, tau=0.5)
+    x, y = simulate_coupled(spec, _const(g, 0.0), _const(g, 2.0), 0.05, short, w1, w2)
+    assert np.array_equal(err.last_state, np.concatenate([x[-1, 0], y[-1, 0]]))
     assert np.abs(err.last_state).max() <= DIVERGENCE_CAP
 
 
@@ -274,9 +282,9 @@ def test_maps_receive_window_arrays():
         assert rows and all(kind is np.ndarray for kind, _ in rows)
         return [w for _, w in rows]
 
-    x, y, _ = simulate_coupled(spec, xi, eta, 0.5, g,
-                               [NoiseStream(3, p, W1) for p in range(2)],
-                               [NoiseStream(3, p, W2) for p in range(2)])
+    x, y = simulate_coupled(spec, xi, eta, 0.5, g,
+                            [NoiseStream(3, p, W1) for p in range(2)],
+                            [NoiseStream(3, p, W2) for p in range(2)])
     assert x.shape == (g.total, 2, 2)
     for name in ("chi", "phi", "sigma1", "b2", "sigma2"):
         windows = calls(name)
@@ -293,7 +301,7 @@ def test_maps_receive_window_arrays():
         record("drift", window)
         return -window[-1]
 
-    xbar, _ = simulate_averaged(spec, xi, drift, g, [NoiseStream(3, p, W1) for p in range(2)])
+    xbar = simulate_averaged(spec, xi, drift, g, [NoiseStream(3, p, W1) for p in range(2)])
     windows = calls("drift")
     assert len(windows) == g.steps
     for k, w in enumerate(windows):
@@ -310,12 +318,55 @@ def test_maps_receive_window_arrays():
     assert all(np.array_equal(c[:, 0], zeta) for c in chis)
     assert all(p.shape == (sub.tau_steps + 1, 1, 2) for p in phis)
     # b1 reads the frozen path's windows over [burn_in, burn_in + horizon].
-    yf, _ = simulate_frozen(spec, zeta, np.zeros((sub.tau_steps + 1, 2)), sub,
+    yf = simulate_frozen(spec, zeta, np.zeros((sub.tau_steps + 1, 2)), sub,
                             [StreamFactory(4).stream(0, W2)])
     k_burn = 5
     assert len(phis) == 6
     for j, phi in enumerate(phis):
         assert np.array_equal(phi[-1], yf[sub.tau_steps + k_burn + j])
+
+
+
+
+def _golden_kernels():
+    """Batched runs in which some paths diverge: the golden blow-up system and switch_spec."""
+    from test_frozen import switch_spec
+    from test_golden import _blowup_factory
+    from twoscale.averaging import DeltaSchedule, simulate_auxiliary
+
+    spec = _blowup_factory()
+    eps = 0.25
+    g = make_grid(T=0.5, h=0.0125, tau=1.0)
+    xi, eta = _const(g, 1.0), _const(g, 0.0)
+    schedule = DeltaSchedule(epsilon=eps, delta_raw=0.125, delta=0.125, N_delta=8)
+    sub = make_grid(T=6.0, h=0.05, tau=1.0)
+    short = make_grid(T=1.0, h=0.01, tau=0.1)
+    # Frozen windows above zeta(0) = 1 make switch_spec's fast drift blow up.
+    levels = np.array([2.0, 0.0, 2.0, 0.5, 0.0, 1.5, 0.0, 2.0, -1.0, 0.0])
+    zetas = np.stack([constant_segment(1.0, 0.05, v).values for v in levels], axis=1)
+
+    def streams(ps, tag, seed=5):
+        return [NoiseStream(seed, p, tag) for p in ps]
+
+    def auxiliary(ps):
+        pair = simulate_auxiliary(spec, xi, eta, eps, schedule, g,
+                                  streams(ps, W1), streams(ps, W2))
+        return pair.x, pair.y, pair.x_aux, pair.y_aux
+
+    return {
+        "coupled": lambda ps: simulate_coupled(spec, xi, eta, eps, g,
+                                               streams(ps, W1), streams(ps, W2)),
+        "auxiliary": auxiliary,
+        "frozen": lambda ps: (simulate_frozen(spec, np.zeros((21, 1)), np.zeros((21, 1)), sub,
+                                              streams(ps, W2)),),
+        # exp overflows on the step that leaves the admissible range.
+        "explosive": lambda ps: (simulate_sdde(1, 1, lambda w: np.exp(w[-1]) - 1.0,
+                                               lambda w: np.eye(1), np.zeros((11, 1)), short,
+                                               streams(ps, W1, seed=2)),),
+        "per_column_zeta": lambda ps: (simulate_frozen(switch_spec(1.0), zetas[:, list(ps)],
+                                                       np.zeros((21, 1)), sub,
+                                                       streams(ps, W2, seed=3)),),
+    }
 
 
 def _same_error(a, b):
@@ -326,71 +377,122 @@ def _same_error(a, b):
         assert np.array_equal(a.last_state, b.last_state)
 
 
-def _assert_batch_matches_singles(batch, singles):
-    """batch = (*arrays, errors) of P paths; singles = the same per one-path run."""
-    *arrays, errors = batch
-    for p, (*one, [err]) in enumerate(singles):
-        if err is None:
-            assert errors[p] is None
-            for a, b in zip(arrays, one):
-                assert np.array_equal(a[:, p], b[:, 0])
-        else:
-            _same_error(errors[p], err)
+def _single_failures(kernel, paths):
+    """{path: DivergenceError} of the paths whose one-path run diverges."""
+    failed = {}
+    for p in paths:
+        try:
+            kernel([p])
+        except DivergenceError as exc:
+            failed[p] = exc
+    return failed
 
 
-def test_diverging_paths_leave_the_batch_unharmed():
-    """A batch with diverging paths gives every path its one-path result, warning-free."""
-    from test_golden import _blowup_factory
-    from twoscale.averaging import DeltaSchedule, simulate_auxiliary
+@pytest.mark.parametrize("name", ["coupled", "auxiliary", "frozen", "explosive",
+                                  "per_column_zeta"])
+def test_failing_batch_raises_its_earliest_failure(name):
+    """A batch raises the one-path error of its earliest failing step, lowest column first.
 
-    spec = _blowup_factory()
-    eps, h = 0.25, 0.0125
-    g = make_grid(T=0.5, h=h, tau=1.0)
-    xi, eta = _const(g, 1.0), _const(g, 0.0)
-    schedule = DeltaSchedule(epsilon=eps, delta_raw=0.125, delta=0.125, N_delta=8)
+    The auxiliary pass starts only once every true pair has completed.
+    No floating-point warning escapes a diverging batch.
+    """
+    kernel = _golden_kernels()[name]
     paths = range(10)
-
-    def streams(ps, tag):
-        return [NoiseStream(5, p, tag) for p in ps]
-
-    def coupled(ps):
-        return simulate_coupled(spec, xi, eta, eps, g, streams(ps, W1), streams(ps, W2))
-
-    def auxiliary(ps):
-        pair = simulate_auxiliary(spec, xi, eta, eps, schedule, g,
-                                  streams(ps, W1), streams(ps, W2))
-        return pair.x, pair.y, pair.x_aux, pair.y_aux, pair.errors
-
-    zeta = np.zeros((21, 1))
-    sub = make_grid(T=6.0, h=0.05, tau=1.0)
-
-    def frozen(ps):
-        return simulate_frozen(spec, zeta, np.zeros((21, 1)), sub, streams(ps, W2))
-
-    short = make_grid(T=1.0, h=0.01, tau=0.1)
-
-    def explosive(ps):
-        # exp overflows on the step that leaves the admissible range.
-        return simulate_sdde(1, 1, lambda w: np.exp(w[-1]) - 1.0, lambda w: np.eye(1),
-                             np.zeros((11, 1)), short, [NoiseStream(2, p, W1) for p in ps])
-
+    failed = _single_failures(kernel, paths)
+    assert 0 < len(failed) < len(paths)
+    first = min(failed, key=lambda p: ("auxiliary" in str(failed[p]),
+                                       failed[p].step_index, p))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for kernel in (coupled, auxiliary, frozen, explosive):
+        with pytest.raises(DivergenceError) as info:
+            kernel(paths)
+    _same_error(info.value, failed[first])
+
+
+def test_sdde_batch_raises_the_earliest_step_not_the_lowest_column():
+    """Of two diverging paths, the one that fails first in time is reported."""
+    kernel = _golden_kernels()["explosive"]
+    failed = _single_failures(kernel, range(10))
+    early = min(failed, key=lambda p: failed[p].step_index)
+    low = min(failed)
+    assert failed[early].step_index < failed[low].step_index
+    with pytest.raises(DivergenceError) as info:
+        kernel(range(low, early + 1))
+    _same_error(info.value, failed[early])
+
+
+def test_divergence_names_the_lowest_column_slow_before_fast():
+    """Within one step the lowest failing column is reported, its slow component first."""
+    from twoscale.solver import _raise_divergence
+
+    last = (np.arange(8.0).reshape(4, 2), -np.arange(8.0).reshape(4, 2))
+    xn, yn = np.zeros((4, 2)), np.zeros((4, 2))
+    xn[3, 0] = np.inf
+    yn[1, 1] = np.nan
+    yn[3, 1] = 2e12
+    with pytest.raises(DivergenceError, match="fast part") as info:
+        _raise_divergence(7, 0.5, (xn, yn), last, ("slow part", "fast part"))
+    assert (info.value.step_index, info.value.time) == (7, 4.0)
+    assert np.array_equal(info.value.last_state, [2.0, 3.0, -2.0, -3.0])
+    xn[1, 0] = -2e12
+    with pytest.raises(DivergenceError, match="slow part"):
+        _raise_divergence(7, 0.5, (xn, yn), last, ("slow part", "fast part"))
+
+
+def test_batch_without_failures_equals_its_singles():
+    """Every column of a batch is bit-identical to that path's one-path run."""
+    from test_frozen import switch_spec
+    from twoscale.averaging import DeltaSchedule, EstimatedDriftSource, simulate_auxiliary
+    from twoscale.frozen import DriftEstimatorBudget
+
+    spec = linear_benchmark(BENCH)
+    g = make_grid(T=0.25, h=0.0125, tau=1.0)
+    xi, eta = _const(g, 1.0), _const(g, 0.0)
+    schedule = DeltaSchedule(epsilon=0.25, delta_raw=0.125, delta=0.125, N_delta=8)
+    sub = make_grid(T=2.0, h=0.05, tau=1.0)
+    levels = [0.0, 0.5, -1.0, 0.9, 0.25]
+    zetas = np.stack([constant_segment(1.0, 0.05, v).values for v in levels], axis=1)
+    budget = DriftEstimatorBudget(burn_in=1.0, horizon=1.0, replicas=2)
+
+    def streams(ps, tag):
+        return [NoiseStream(6, p, tag) for p in ps]
+
+    def auxiliary(ps):
+        pair = simulate_auxiliary(spec, xi, eta, 0.25, schedule, g,
+                                  streams(ps, W1), streams(ps, W2))
+        return pair.x, pair.y, pair.x_aux, pair.y_aux
+
+    def estimated(ps):
+        src = EstimatedDriftSource(spec, budget, sub_h=0.05, seed=3)
+        return (simulate_averaged(spec, xi, src, g, streams(ps, W1)),)
+
+    kernels = [
+        lambda ps: simulate_coupled(spec, xi, eta, 0.25, g, streams(ps, W1), streams(ps, W2)),
+        auxiliary,
+        lambda ps: (simulate_frozen(switch_spec(1.0), zetas[:, list(ps)], np.zeros((21, 1)),
+                                    sub, streams(ps, W2)),),
+        estimated,
+    ]
+    paths = range(len(levels))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # burn_in below 5 tau
+        for kernel in kernels:
             batch = kernel(paths)
-            errors = batch[-1]
-            assert any(e is None for e in errors), kernel.__name__
-            assert any(isinstance(e, DivergenceError) for e in errors), kernel.__name__
-            _assert_batch_matches_singles(batch, [kernel([p]) for p in paths])
+            for p in paths:
+                for a, b in zip(batch, kernel([p])):
+                    assert not a.flags.writeable
+                    assert np.array_equal(a[:, p], b[:, 0])
 
 
-def test_map_error_is_traced_to_its_path():
-    """A map that raises for one path fails only that path, with its one-path error."""
+def test_map_error_propagates_from_the_kernel():
+    """A map's TwoscaleError leaves the kernel as it is, for one path or a batch."""
     from twoscale.errors import DataError
+
+    refusal = DataError("fast state above 1.5")
 
     def b2(chi, y, y_tau):
         if (y > 1.5).any():
-            raise DataError(f"fast state {float(y.max()):.17g} above 1.5")
+            raise refusal
         return chi[-1] - y
 
     spec = SystemSpec(n=1, m=1, tau=0.5,
@@ -404,10 +506,18 @@ def test_map_error_is_traced_to_its_path():
                                 [NoiseStream(8, p, W1) for p in ps],
                                 [NoiseStream(8, p, W2) for p in ps])
 
-    batch = run(range(8))
-    kinds = [type(e).__name__ for e in batch[-1]]
-    assert "DataError" in kinds and "NoneType" in kinds
-    _assert_batch_matches_singles(batch, [run([p]) for p in range(8)])
+    outcomes = []
+    for p in range(8):
+        try:
+            run([p])
+            outcomes.append(None)
+        except DataError as exc:
+            outcomes.append(exc)
+    assert None in outcomes and refusal in outcomes
+    assert all(e is None or e is refusal for e in outcomes)
+    with pytest.raises(DataError) as info:
+        run(range(8))
+    assert info.value is refusal
 
 
 def test_maps_must_return_batch_shapes():
@@ -417,23 +527,22 @@ def test_maps_must_return_batch_shapes():
     g = make_grid(T=0.1, h=0.01, tau=0.1)
     xi = _const(g, 1.0)
 
-    def ws():
-        return [NoiseStream(0, p, W1) for p in range(3)]
+    def ws(paths):
+        return [NoiseStream(0, p, W1) for p in range(paths)]
 
     cases = [
-        (lambda w: w[-1, :, 0], lambda w: np.eye(1), r"drift returned shape \(1,\), "
-         r"expected \(paths, n\) = \(1, 1\)"),
+        (lambda w: w[-1, :, 0], lambda w: np.eye(1), r"drift returned shape \({p},\), "
+         r"expected \(paths, n\) = \({p}, 1\)"),
         (lambda w: -w[-1], lambda w: np.ones(1), r"diffusion returned shape \(1,\), "
-         r"expected \(n, m\) = \(1, 1\) or \(paths, n, m\) = \(1, 1, 1\)"),
+         r"expected \(n, m\) = \(1, 1\) or \(paths, n, m\) = \({p}, 1, 1\)"),
     ]
     for drift, diffusion, message in cases:
-        for streams in (ws(), ws()[:1]):
-            _, errors = simulate_sdde(1, 1, drift, diffusion, xi, g, streams)
-            assert all(isinstance(e, DataError) for e in errors)
-            assert all(re.search(message, str(e)) for e in errors)
+        for paths in (3, 1):
+            with pytest.raises(DataError, match=message.format(p=paths)):
+                simulate_sdde(1, 1, drift, diffusion, xi, g, ws(paths))
     # A per-path diffusion (P, n, m) is the same as the shared (n, m) one.
-    shared, _ = simulate_sdde(1, 1, lambda w: -w[-1], lambda w: np.full((1, 1), 0.5),
-                              xi, g, ws())
-    per_path, _ = simulate_sdde(1, 1, lambda w: -w[-1],
-                                lambda w: np.full((w.shape[1], 1, 1), 0.5), xi, g, ws())
+    shared = simulate_sdde(1, 1, lambda w: -w[-1], lambda w: np.full((1, 1), 0.5),
+                           xi, g, ws(3))
+    per_path = simulate_sdde(1, 1, lambda w: -w[-1],
+                             lambda w: np.full((w.shape[1], 1, 1), 0.5), xi, g, ws(3))
     assert np.array_equal(shared, per_path)
