@@ -26,7 +26,7 @@ from .errors import (
     UsageError,
 )
 from .noise import W2, StreamFactory
-from .metrics import _log_linear_fit
+from .metrics import _float_pow, _log_linear_fit
 from .segment import _node_norms, exact_steps
 from .solver import TimeGrid, simulate_sdde
 from .systems import SystemSpec, _drift
@@ -66,19 +66,17 @@ def simulate_frozen(
 ):
     """Integrate a batch of the fast equation with the slow window pinned at zeta.
 
-    zeta is either one (M + 1, n) window that every path reads through a
-    broadcast view, or an (M + 1, P, n) array whose column p path p
-    (stream w2s[p]) reads.  eta is the (M + 1, n) start window.  Returns
-    the read-only (grid.total, P, n) paths and raises the first failure
-    of any path, as simulate_sdde does.
+    zeta is an (M + 1, P, n) array whose column p path p (stream w2s[p])
+    reads; paths that share one window read an np.broadcast_to view.
+    eta is the (M + 1, n) start window.  Returns the read-only
+    (grid.total, P, n) paths and raises the first failure of any path,
+    as simulate_sdde does.
     """
     paths, n = len(w2s), spec.n
-    if zeta.ndim == 2 and zeta.shape[1] == n:
-        zeta = np.broadcast_to(zeta[:, None], (zeta.shape[0], paths, n))
-    elif zeta.ndim != 3 or zeta.shape[1:] != (paths, n):
+    if zeta.ndim != 3 or zeta.shape[1:] != (paths, n):
         raise UsageError(
             f"zeta has shape {zeta.shape}; {paths} path(s) of a system with n={n} "
-            f"need (M + 1, {n}) or (M + 1, {paths}, {n})"
+            f"need (M + 1, {paths}, {n})"
         )
     b2, sigma2 = spec.b2, spec.sigma2
     return simulate_sdde(n, spec.m, lambda w: b2(zeta, w[-1], w[0]),
@@ -98,27 +96,22 @@ def estimate_averaged_drift(
 ) -> AveragedDriftEstimate:
     """Time-average b1(zeta, Y-window) along frozen trajectories.
 
-    zeta is one pinned (M + 1, n) slow window with its StreamFactory, or
-    a batch of P windows (M + 1, P, n) with a sequence of P factories;
-    the single window is the batch of one.  All P x R replicas run as
-    one frozen sub-simulation, column p * R + r being replica r of
-    window p, driven by stream (r, W2) of window p's factory and started
-    from the window eta (zero by default).  Each drops [0, burn_in],
-    then averages b1 over every grid step of [burn_in, burn_in +
-    horizon], summed in time order.  A window's value is its replica
-    mean and std_error its replica scatter / sqrt(R), shape (n,) for one
-    window and (P, n) for a batch.  If any replica fails, the batch's
+    zeta is a batch of P pinned slow windows, (M + 1, P, n), with a
+    sequence of P stream factories; a single window is the batch of one.
+    All P x R replicas run as one frozen sub-simulation, column p * R + r
+    being replica r of window p, driven by stream (r, W2) of window p's
+    factory and started from the window eta (zero by default).  Each
+    drops [0, burn_in], then averages b1 over every grid step of
+    [burn_in, burn_in + horizon], summed in time order.  Window p's
+    value[p] is its replica mean and std_error[p] its replica scatter /
+    sqrt(R), both of shape (P, n).  If any replica fails, the batch's
     first failure is raised: the earliest step, then the lowest column,
     so of two failing replicas the one that fails first in time is
     reported, not the lower-numbered one.  The start bias decays
     exponentially, so burn_in of a few multiples of 1/rate suffices;
     below 5 tau a warning is emitted.
     """
-    one = zeta.ndim == 2
-    windows = zeta[:, None] if one else zeta
-    if one:
-        streams = [streams]
-    if windows.ndim != 3 or windows.shape[1:] != (len(streams), spec.n):
+    if zeta.ndim != 3 or zeta.shape[1:] != (len(streams), spec.n):
         raise UsageError(
             f"zeta has shape {zeta.shape}; {len(streams)} stream factories of a system "
             f"with n={spec.n} need (M + 1, {len(streams)}, {spec.n})"
@@ -145,7 +138,7 @@ def estimate_averaged_drift(
     if eta is None:
         eta = np.zeros((ts + 1, spec.n))
 
-    chi = np.repeat(windows, replicas, axis=1)
+    chi = np.repeat(zeta, replicas, axis=1)
     try:
         y = simulate_frozen(spec, chi, eta, grid,
                             [f.stream(r, W2) for f in streams for r in range(replicas)])
@@ -158,20 +151,12 @@ def estimate_averaged_drift(
     acc = np.zeros((cols, spec.n))
     for k in range(k_burn, k_burn + k_len + 1):
         acc += _drift(b1(chi, y[k: ts + k + 1]), cols, spec.n, "b1")
-    replica_means = acc / (k_len + 1)
-
-    # Each window's statistics reduce its own contiguous (R, n) block, the
-    # array a one-window call reduces, so batching moves no bit.
-    value = np.empty((len(streams), spec.n))
-    std_error = np.zeros_like(value)
-    for p in range(len(streams)):
-        block = replica_means[p * replicas: (p + 1) * replicas]
-        value[p] = block.mean(axis=0)
-        if replicas >= 2:
-            std_error[p] = block.std(axis=0, ddof=1) / np.sqrt(replicas)
-    if one:
-        return AveragedDriftEstimate(value=value[0], std_error=std_error[0])
-    return AveragedDriftEstimate(value=value, std_error=std_error)
+    # Window p's statistics reduce its own (R, n) block, as a batch of one does.
+    blocks = (acc / (k_len + 1)).reshape(len(streams), replicas, spec.n)
+    std_error = np.zeros((len(streams), spec.n))
+    if replicas >= 2:
+        std_error = blocks.std(axis=1, ddof=1) / np.sqrt(replicas)
+    return AveragedDriftEstimate(value=blocks.mean(axis=1), std_error=std_error)
 
 
 def mixing_decay(
@@ -187,7 +172,8 @@ def mixing_decay(
 
     Two batches of trajectories started from the (M + 1, n) windows eta
     and eta_prime replay the identical W2 stream per replica, so their
-    gap is driven purely by the dynamics.  g(t) = replica mean of the squared window sup gap is recorded at
+    gap is driven purely by the dynamics; all read the slow window zeta.
+    g(t) = replica mean of the squared window sup gap is recorded at
     checkpoints t = tau, 2 tau, ... and log g is fitted by least squares
     over the checkpoints with g above GAP_FLOOR; fitted_rate = -slope.
     Fewer than 3 usable checkpoints raise DegenerateFitError (gaps that
@@ -203,16 +189,15 @@ def mixing_decay(
         raise UsageError(f"grid covers only {n_checks} delay spans; need >= 3")
 
     # Same stream addresses twice: bit-identical driving increments.
+    zeta = np.broadcast_to(zeta[:, None], (zeta.shape[0], replicas) + zeta.shape[1:])
     ya = simulate_frozen(spec, zeta, eta, grid, [streams.stream(r, W2) for r in range(replicas)])
     yb = simulate_frozen(spec, zeta, eta_prime, grid,
                          [streams.stream(r, W2) for r in range(replicas)])
-    gaps = np.zeros(n_checks)
-    for r in range(replicas):
-        node = _node_norms(ya[:, r] - yb[:, r])
-        for j in range(1, n_checks + 1):
-            a = ts + j * ts
-            gaps[j - 1] += node[a - ts: a + 1].max() ** 2
-    gaps /= replicas
+    node = _node_norms(ya - yb)
+    # Squared window sup gaps (checkpoint, replica), summed in replica order.
+    squares = np.stack([_float_pow(node[a - ts: a + 1].max(axis=0), 2)
+                        for a in range(2 * ts, ts + n_checks * ts + 1, ts)])
+    gaps = np.add.accumulate(squares, axis=1)[:, -1] / replicas
 
     times = [(j + 1) * grid.tau for j in range(n_checks)]
     usable = [(t, g) for t, g in zip(times, gaps) if g > GAP_FLOOR]

@@ -47,7 +47,8 @@ from .frozen import (
 )
 from .metrics import p_moment, segment_displacement_moment, slope_fit, sup_distance
 from .noise import W1, W2, StreamFactory
-from .segment import Segment, _node_norms, constant_segment, exact_steps, lipschitz_modulus
+from .segment import (Segment, _node_norms, _row_dots, constant_segment, exact_steps,
+                      lipschitz_modulus)
 from .solver import make_grid, simulate_coupled
 from .systems import (
     _number,
@@ -202,6 +203,8 @@ class Scenario:
             epsilons.append(val)
         if len(set(epsilons)) != len(epsilons):
             raise ConfigError(f"duplicate epsilon values: {epsilons}")
+        if experiment in ("converge", "auxiliary_gap") and not epsilons:
+            raise ConfigError(f"{experiment} needs a non-empty epsilons list")
 
         delta = raw.get("delta", "auto")
         if delta != "auto":
@@ -642,7 +645,7 @@ def _converge_chunk(c: _Chunk, paths) -> list:
     # replays the identical W1 increments (pathwise coupling).
     xbar = simulate_averaged(c.spec, c.xi, c.scenario.drift_callable(c.spec), c.grid,
                              c.noise(paths, W1))
-    return [sup_distance(x[:, j], xbar[:, j], c.grid) for j in range(len(paths))]
+    return sup_distance(x, xbar, c.grid).tolist()
 
 
 def run_converge(scenario: Scenario) -> ExperimentReport:
@@ -655,8 +658,9 @@ def run_converge(scenario: Scenario) -> ExperimentReport:
     first, and every row must complete.
     """
     t0 = time.perf_counter()
-    if not scenario.epsilons:
-        raise UsageError("converge needs a non-empty epsilons list")
+    if scenario.drift_source == "closed_form":
+        # A system without one fails here, before any path is simulated.
+        closed_form_drift(scenario.build_spec())
     eps_desc = sorted(scenario.epsilons, reverse=True)
     hs = [scenario.resolve_h(epsilon=eps) for eps in eps_desc]
     results = _run_ensemble(scenario, _converge_chunk, [(e, h, {}) for e, h in zip(eps_desc, hs)])
@@ -734,18 +738,14 @@ def _aux_chunk(c: _Chunk, paths) -> list:
         c.spec, c.xi, c.eta, c.epsilon, c.extra["schedule"], c.grid,
         c.noise(paths, W1), c.noise(paths, W2), kappa_stab=c.scenario.kappa_stab,
     )
-    ts = c.grid.tau_steps
-    out = []
-    for j in range(len(paths)):
-        x_gap = sup_distance(pair.x[:, j], pair.x_aux[:, j], c.grid)
-        y, yt = pair.y[:, j], pair.y_aux[:, j]
-        audit = 0.0
-        y_gap = 0.0
-        for i in pair.reset_indices:
-            audit = max(audit, float(np.linalg.norm(yt[i] - y[i])))
-            y_gap = max(y_gap, float(_node_norms(yt[i - ts: i + 1] - y[i - ts: i + 1]).max()))
-        out.append((x_gap, y_gap, audit))
-    return out
+    ts, y, yt = c.grid.tau_steps, pair.y, pair.y_aux
+    audit = y_gap = np.zeros(len(paths))
+    for i in pair.reset_indices:
+        jump = yt[i] - y[i]
+        audit = np.maximum(audit, np.sqrt(_row_dots(jump, jump)))
+        y_gap = np.maximum(y_gap, _node_norms(yt[i - ts: i + 1] - y[i - ts: i + 1]).max(axis=0))
+    x_gap = sup_distance(pair.x, pair.x_aux, c.grid)
+    return list(zip(x_gap.tolist(), y_gap.tolist(), audit.tolist()))
 
 
 def run_auxiliary_gap(scenario: Scenario) -> ExperimentReport:
@@ -756,8 +756,6 @@ def run_auxiliary_gap(scenario: Scenario) -> ExperimentReport:
     (max pointwise |Ytilde - Y| at boundaries, exactly 0 by construction).
     """
     t0 = time.perf_counter()
-    if not scenario.epsilons:
-        raise UsageError("auxiliary_gap needs a non-empty epsilons list")
     eps_desc = sorted(scenario.epsilons, reverse=True)
     warns = []
     sweep = []
@@ -817,10 +815,9 @@ def run_auxiliary_gap(scenario: Scenario) -> ExperimentReport:
 
 def _segcont_chunk(c: _Chunk, paths) -> list:
     x, _ = c.coupled(paths)
-    return [[float(segment_displacement_moment(x[:, j], c.grid, d, c.scenario.p,
-                                               c.extra["times"]))
-             for d in c.extra["deltas"]]
-            for j in range(len(paths))]
+    moments = [segment_displacement_moment(x, c.grid, d, c.scenario.p, c.extra["times"])
+               for d in c.extra["deltas"]]
+    return np.stack(moments, axis=1).tolist()
 
 
 def run_segment_continuity(scenario: Scenario) -> ExperimentReport:
@@ -931,19 +928,18 @@ def run_frozen(scenario: Scenario) -> ExperimentReport:
         with _warnings.catch_warnings(record=True) as caught:
             _warnings.simplefilter("always")
             est = estimate_averaged_drift(
-                spec, zeta.values, scenario.burn_in, scenario.horizon,
-                scenario.replicas, grid_est, fac, eta=eta.values,
+                spec, zeta.values[:, None], scenario.burn_in, scenario.horizon,
+                scenario.replicas, grid_est, [fac], eta=eta.values,
             )
         warns = [str(w.message) for w in caught]
         row = _row(None, None, None, scenario.replicas, "bbar_estimate", h)
         rows.append(dict(
             row,
-            value=float(est.value[0]) if spec.n == 1 else float(np.linalg.norm(est.value)),
+            value=float(est.value[0, 0]) if spec.n == 1 else float(np.linalg.norm(est.value)),
             std_error=float(np.linalg.norm(est.std_error)),
-            extra=dict(row["extra"], bbar=[float(v) for v in est.value],
-                       std_error=[float(s) for s in est.std_error],
-                       burn_in=scenario.burn_in, horizon=scenario.horizon,
-                       zeta_digest=_zeta_digest(zeta)),
+            extra=dict(row["extra"], bbar=est.value[0].tolist(),
+                       std_error=est.std_error[0].tolist(), burn_in=scenario.burn_in,
+                       horizon=scenario.horizon, zeta_digest=_zeta_digest(zeta)),
         ))
 
     grid = make_grid(scenario.checkpoints * scenario.tau, h, scenario.tau)
@@ -1032,7 +1028,7 @@ def _simulate_chunk(c: _Chunk, paths) -> list:
         for j, path in enumerate(paths):
             _dump_paths(c.grid.times(), x[:, j], y[:, j], Path(c.extra["dump_dir"]),
                         f"{c.extra['stem']}_{path}.csv")
-    return [float(np.linalg.norm(x[-1, j])) for j in range(len(paths))]
+    return np.sqrt(_row_dots(x[-1], x[-1])).tolist()
 
 
 def _dump_paths(times, x, y, out_dir: Path, name: str):

@@ -1,7 +1,8 @@
 """Ensemble statistics over path arrays.
 
-Paths are the (grid.total, n) arrays the kernels return.  Sup distances
-are taken over grid nodes (consistent with the segment module's node-max
+Paths come as the (grid.total, P, n) batches the kernels return, and the
+path metrics give one value per path, shape (P,).  Sup distances are
+taken over grid nodes (consistent with the segment module's node-max
 convention), moments carry plain standard errors, and scaling exponents
 come from least squares on log-log data.
 """
@@ -33,15 +34,20 @@ class SlopeFit:
     r_squared: float
 
 
-def sup_distance(a: np.ndarray, b: np.ndarray, grid) -> float:
-    """Largest pointwise gap between two paths over the nodes of [0, T]."""
-    if a.shape != b.shape or a.shape[0] != grid.total:
-        raise UsageError(
-            f"paths of shapes {a.shape} and {b.shape} do not both span "
-            f"the grid's {grid.total} nodes"
-        )
+def sup_distance(a: np.ndarray, b: np.ndarray, grid) -> np.ndarray:
+    """Largest gap between path p of a and of b over the nodes of [0, T], shape (P,)."""
+    if a.shape != b.shape or a.ndim != 3 or a.shape[0] != grid.total:
+        raise UsageError(f"paths of shapes {a.shape} and {b.shape} are not both "
+                         f"(grid.total, P, n) batches on the grid's {grid.total} nodes")
     ts = grid.tau_steps
-    return float(_node_norms(a[ts:] - b[ts:]).max())
+    return _node_norms(a[ts:] - b[ts:]).max(axis=0)
+
+
+def _float_pow(values: np.ndarray, p: float) -> np.ndarray:
+    # values ** p by the C library's pow, as Python floats compute it:
+    # numpy's vectorized power (and its x * x for p = 2) can round the
+    # last bit differently, which would move the reported moments.
+    return (values.astype(object) ** p).astype(float)
 
 
 def p_moment(samples, p: float) -> MomentEstimate:
@@ -60,20 +66,23 @@ def p_moment(samples, p: float) -> MomentEstimate:
 
 
 def segment_displacement_moment(
-    path: np.ndarray,
+    paths: np.ndarray,
     grid,
     delta: float,
     p: float,
     sample_times,
-) -> float:
-    """Average of ||window(t) - window(t_delta)||_sup^p over the sample times.
+) -> np.ndarray:
+    """Average of ||window(t) - window(t_delta)||_sup^p over the sample times, shape (P,).
 
-    Windows are taken from the (grid.total, n) path.  t_delta is the block
+    Path p sums its terms in sample-time order.  t_delta is the block
     start preceding t, computed in index space so a t exactly on a
     boundary contributes 0.  delta must be a grid multiple.
     """
     if p <= 0.0:
         raise DomainError(f"moment order p must be positive, got {p}")
+    if paths.ndim != 3 or paths.shape[0] != grid.total:
+        raise UsageError(f"paths of shape {paths.shape} are not a (grid.total, P, n) batch "
+                         f"on the grid's {grid.total} nodes")
     try:
         delta_steps = exact_steps(delta, grid.h, "delta")
     except DomainError as exc:
@@ -92,12 +101,12 @@ def segment_displacement_moment(
             raise UsageError(f"sample time {t} outside (0, T]")
         ks.append(k)
 
-    acc = 0.0
+    acc = np.zeros(paths.shape[1])
     for k in ks:
         kd = (k // delta_steps) * delta_steps
         i, id_ = ts + k, ts + kd
-        diff = path[i - ts: i + 1] - path[id_ - ts: id_ + 1]
-        acc += float(_node_norms(diff).max()) ** p
+        diff = paths[i - ts: i + 1] - paths[id_ - ts: id_ + 1]
+        acc += _float_pow(_node_norms(diff).max(axis=0), p)
     return acc / len(ks)
 
 

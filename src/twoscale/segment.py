@@ -79,11 +79,19 @@ class Segment:
 
 
 def _node_norms(arr: np.ndarray) -> np.ndarray:
-    # Euclidean length of each row; exact |.| in the scalar case so that
-    # sup_norm of a 1-d segment is free of sqrt(x*x) rounding.
-    if arr.shape[1] == 1:
-        return np.abs(arr[:, 0])
-    return np.sqrt(np.einsum("ij,ij->i", arr, arr))
+    # Euclidean length along the last axis; exact |.| in the scalar case
+    # so that sup_norm of a 1-d segment is free of sqrt(x*x) rounding.
+    if arr.shape[-1] == 1:
+        return np.abs(arr[..., 0])
+    return np.sqrt(np.einsum("...i,...i->...", arr, arr))
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a[i] @ b[i] for each row of two (count, k) arrays.  Stacked (1, k) @
+    # (k, 1) products run numpy's 1-d dot kernel, so each row keeps the
+    # bits of its own a[i] @ b[i] (and np.sqrt of it those of
+    # np.linalg.norm(a[i])); an einsum can round the sum differently.
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def sup_norm(window: np.ndarray) -> float:

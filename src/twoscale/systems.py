@@ -10,10 +10,10 @@ is the (P, n) current slow state), and y and y_tau have shape (P, n).
 Maps act on the last axis and return a drift of shape (P, n) and a
 diffusion of shape (n, m), shared by the batch, or (P, n, m).  Maps must
 be pure, finite-valued and act on each path on its own; the checkers in
-this module present every sample as a batch of one path and probe the
-structural conditions the averaging experiments rely on (one-sided
-contraction of the fast pair, linear growth and Lipschitz behaviour of
-the slow pair, a Lipschitz start window).
+this module call each map once on all their samples as one batch and
+probe the structural conditions the averaging experiments rely on
+(one-sided contraction of the fast pair, linear growth and Lipschitz
+behaviour of the slow pair, a Lipschitz start window).
 
 The built-in scalar linear family has closed-form stationary and
 averaged quantities, which the test harness uses as ground truth.
@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, UsageError
-from .segment import Segment, _node_norms, exact_steps, lipschitz_modulus, sup_norm
+from .segment import Segment, _node_norms, _row_dots, exact_steps, lipschitz_modulus
 
 _VIOLATION_TOL = 1e-9
 
@@ -174,17 +174,6 @@ class GrowthReport:
         return self.verdict == "pass"
 
 
-def _as_vec(value, n: int, what: str, sample_index: int) -> np.ndarray:
-    out = np.asarray(value, dtype=float)
-    if out.ndim == 0:
-        out = out[None]
-    if out.shape != (n,):
-        raise DataError(f"{what} returned shape {out.shape}, expected ({n},)")
-    if not np.isfinite(out).all():
-        raise DataError(f"{what} returned non-finite value {out!r} on sample {sample_index}")
-    return out
-
-
 def _drift(value, p: int, n: int, name: str) -> np.ndarray:
     """A drift map's value as a (p, n) array; DataError for any other shape."""
     out = np.asarray(value, dtype=float)
@@ -204,22 +193,36 @@ def _diffusion(value, p: int, n: int, m: int, name: str) -> np.ndarray:
     return out
 
 
-def _one_drift(value, n: int, what: str, sample_index: int) -> np.ndarray:
-    """The (n,) drift of a one-path batch, checked finite."""
-    out = _drift(value, 1, n, what)[0]
-    if not np.isfinite(out).all():
-        raise DataError(f"{what} returned non-finite value {out!r} on sample {sample_index}")
-    return out
+def _finite(value: np.ndarray, size: int, what: str) -> np.ndarray:
+    """value, checked finite in blocks of size entries: one per sample, or one for all."""
+    bad = ~np.isfinite(value.reshape(-1, size)).all(axis=1)
+    if bad.any():
+        raise DataError(f"non-finite {what} on sample {int(bad.argmax())}")
+    return value
 
 
-def _one_diffusion(value, n: int, m: int, what: str, sample_index: int) -> np.ndarray:
-    """The (n, m) diffusion of a one-path batch, checked finite."""
-    out = _diffusion(value, 1, n, m, what)
-    if out.ndim == 3:
-        out = out[0]
-    if not np.isfinite(out).all():
-        raise DataError(f"{what} returned non-finite value on sample {sample_index}")
-    return out
+def _fits(value, shape: tuple) -> bool:
+    try:
+        return np.asarray(value, dtype=float).shape == shape
+    except (TypeError, ValueError):
+        return False
+
+
+def _stacked(values, shape: tuple, what: str) -> np.ndarray:
+    """Sampled arrays as one finite (count, *shape) array; DataError names the first bad one."""
+    try:
+        out = np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or out.shape[1:] != shape:
+        i = next(i for i, v in enumerate(values) if not _fits(v, shape))
+        raise DataError(f"{what} of sample {i} is not a float array of shape {shape}")
+    return _finite(out, max(1, out[0].size), what)
+
+
+def _windows(values, shape: tuple, what: str) -> np.ndarray:
+    """Sampled (M + 1, n) windows as one contiguous (M + 1, count, n) batch."""
+    return np.ascontiguousarray(_stacked(values, shape, what).swapaxes(0, 1))
 
 
 def _materialize(sampler, trials: int, rng_seed: int) -> list:
@@ -256,25 +259,20 @@ def check_dissipativity(
     since that gap controls the contraction rate.
     """
     samples = _materialize(point_sampler, trials, rng_seed)
-    count = len(samples)
-    q = np.empty(count)
-    dx2 = np.empty(count)
-    dy2 = np.empty(count)
-    for i, (chi, x, xp, y, yp) in enumerate(samples):
-        x = _as_vec(x, spec.n, "sample x", i)
-        xp = _as_vec(xp, spec.n, "sample x'", i)
-        y = _as_vec(y, spec.n, "sample y", i)
-        yp = _as_vec(yp, spec.n, "sample y'", i)
-        c = np.asarray(chi, dtype=float)[:, None]
-        b = _one_drift(spec.b2(c, x[None], y[None]), spec.n, "b2", i)
-        bp = _one_drift(spec.b2(c, xp[None], yp[None]), spec.n, "b2", i)
-        s = _one_diffusion(spec.sigma2(c, x[None], y[None]), spec.n, spec.m, "sigma2", i)
-        sp = _one_diffusion(spec.sigma2(c, xp[None], yp[None]), spec.n, spec.m, "sigma2", i)
-        dx = x - xp
-        dy = y - yp
-        q[i] = 2.0 * float(dx @ (b - bp)) + float(((s - sp) ** 2).sum())
-        dx2[i] = float(dx @ dx)
-        dy2[i] = float(dy @ dy)
+    count, n, m = len(samples), spec.n, spec.m
+    chis, *points = zip(*samples)
+    chi = _windows(chis, np.shape(chis[0]), "chi")
+    x, xp, y, yp = (_stacked(v, (n,), what) for v, what in zip(points, ("x", "x'", "y", "y'")))
+    b, bp = (_finite(_drift(spec.b2(chi, u, v), count, n, "b2"), n, "b2 value")
+             for u, v in ((x, y), (xp, yp)))
+    s, sp = (_finite(_diffusion(spec.sigma2(chi, u, v), count, n, m, "sigma2"), n * m,
+                     "sigma2 value") for u, v in ((x, y), (xp, yp)))
+    dx = x - xp
+    dy = y - yp
+    # The Frobenius term sums each sample's own (n, m) block.
+    q = 2.0 * _row_dots(dx, b - bp) + ((s - sp) ** 2).reshape(-1, n * m).sum(axis=1)
+    dx2 = _row_dots(dx, dx)
+    dy2 = _row_dots(dy, dy)
 
     def worst_for(l1: float, l2: float) -> float:
         return float((q + l1 * dx2 - l2 * dy2).max())
@@ -317,7 +315,7 @@ def check_dissipativity(
     return DissipativityReport(l1, l2, worst, count, "pass" if ok else "fail")
 
 
-def _ratio_series_stable(ratios: list[float]) -> bool:
+def _ratio_series_stable(ratios: np.ndarray) -> bool:
     # Drift detector: the last quartile of the sampled ratios must not blow
     # past the maximum seen over the first three quarters.
     r = np.asarray(ratios, dtype=float)
@@ -349,38 +347,35 @@ def check_growth_and_lipschitz(
     quartile drifts above twice the earlier maximum.
     """
     samples = _materialize(segment_sampler, trials, rng_seed)
-    growth: list[float] = []
-    lip: list[float] = []
-    growth_witness = None
-    lip_witness = None
-    for i, (chi, phi) in enumerate(samples):
-        c = np.asarray(chi, dtype=float)[:, None]
-        f = np.asarray(phi, dtype=float)[:, None]
-        b = _one_drift(spec.b1(c, f), spec.n, "b1", i)
-        g = float(np.linalg.norm(b)) / (1.0 + sup_norm(chi))
-        if growth_witness is None or g > growth_witness["ratio"]:
-            growth_witness = {
-                "part": "b1_growth", "ratio": g,
-                "chi_sup": sup_norm(chi), "phi_sup": sup_norm(phi),
-            }
-        growth.append(g)
-        s_chi = _one_diffusion(spec.sigma1(c), spec.n, spec.m, "sigma1", i)
-        s_phi = _one_diffusion(spec.sigma1(f), spec.n, spec.m, "sigma1", i)
-        gap = float(_node_norms(phi - chi).max())
-        if gap > 0.0:
-            ell = float(np.linalg.norm(s_phi - s_chi)) / gap
-            if lip_witness is None or ell > lip_witness["ratio"]:
-                lip_witness = {
-                    "part": "sigma1_lipschitz", "ratio": ell,
-                    "chi_sup": sup_norm(chi), "phi_sup": sup_norm(phi),
-                }
-            lip.append(ell)
+    count, n, m = len(samples), spec.n, spec.m
+    chis, phis = zip(*samples)
+    chi, phi = (_windows(v, np.shape(chis[0]), what) for v, what in ((chis, "chi"), (phis, "phi")))
+    chi_sup = _node_norms(chi).max(axis=0)
+    phi_sup = _node_norms(phi).max(axis=0)
 
-    l_est = max(max(growth, default=0.0), max(lip, default=0.0))
+    def witness(part, ratios, at):
+        i = at[int(np.argmax(ratios))]
+        return {"part": part, "ratio": float(ratios.max()),
+                "chi_sup": float(chi_sup[i]), "phi_sup": float(phi_sup[i])}
+
+    b = _finite(_drift(spec.b1(chi, phi), count, n, "b1"), n, "b1 value")
+    growth = np.sqrt(_row_dots(b, b)) / (1.0 + chi_sup)
+    s_chi, s_phi = (_finite(_diffusion(spec.sigma1(w), count, n, m, "sigma1"), n * m,
+                            "sigma1 value") for w in (chi, phi))
+    gap = _node_norms(phi - chi).max(axis=0)
+    # Coincident pairs have no Lipschitz ratio; the Frobenius norm of each
+    # pair's (n, m) difference is the norm of its flattened block.
+    moved = np.flatnonzero(gap > 0.0)
+    diff = np.broadcast_to(s_phi - s_chi, (count, n, m)).reshape(count, n * m)[moved]
+    lip = np.sqrt(_row_dots(diff, diff)) / gap[moved]
+
+    l_est = max(float(growth.max()), float(lip.max(initial=0.0)))
     stable = _ratio_series_stable(growth) and _ratio_series_stable(lip)
     verdict = "pass" if (np.isfinite(l_est) and stable) else "fail"
-    witnesses = [w for w in (growth_witness, lip_witness) if w is not None]
-    return GrowthReport(L_estimate=float(l_est), max_ratio_points=witnesses, verdict=verdict)
+    witnesses = [witness("b1_growth", growth, np.arange(count))]
+    if moved.size:
+        witnesses.append(witness("sigma1_lipschitz", lip, moved))
+    return GrowthReport(L_estimate=l_est, max_ratio_points=witnesses, verdict=verdict)
 
 
 def check_initial_segment(seg: Segment, lambda3_cap: float) -> bool:

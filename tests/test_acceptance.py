@@ -63,14 +63,14 @@ def test_criterion_2_frozen_drift_estimate_hits_kappa():
     spec = linear_benchmark(BENCH)
     h = 0.001
     g = make_grid(T=60.0, h=h, tau=1.0)
-    zeta = constant_segment(1.0, h, 1.0).values
-    est = estimate_averaged_drift(spec, zeta, 10.0, 50.0, 16, g, StreamFactory(2))
+    zeta = constant_segment(1.0, h, 1.0).values[:, None]
+    est = estimate_averaged_drift(spec, zeta, 10.0, 50.0, 16, g, [StreamFactory(2)])
     target = BENCH.kappa * 1.0
-    err = abs(float(est.value[0]) - target)
-    tol = max(3.0 * float(est.std_error[0]), 0.02)
+    err = abs(float(est.value[0, 0]) - target)
+    tol = max(3.0 * float(est.std_error[0, 0]), 0.02)
     ok = err < tol
     _verdict(2, "estimated averaged drift within max(3*SE, 0.02) of kappa", ok)
-    assert ok, f"bbar {float(est.value[0]):.5f} vs {target:.5f}, err {err:.5f} tol {tol:.5f}"
+    assert ok, f"bbar {float(est.value[0, 0]):.5f} vs {target:.5f}, err {err:.5f} tol {tol:.5f}"
 
 
 def test_criterion_3_mixing_rate_brackets_the_root():

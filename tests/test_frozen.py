@@ -11,9 +11,10 @@ from twoscale.frozen import (
     simulate_frozen,
 )
 from twoscale.noise import W2, NoiseStream, StreamFactory
-from twoscale.segment import constant_segment
+from twoscale.segment import _node_norms, constant_segment
 from twoscale.solver import make_grid
-from twoscale.systems import LinearBenchmarkParams, SystemSpec, linear_benchmark
+from twoscale.systems import LinearBenchmarkParams, SystemSpec, build_system, linear_benchmark
+import test_golden  # noqa: F401  (registers the n = 2 system "golden_plane")
 
 BENCH = LinearBenchmarkParams(a11=-1.0, a12=1.0, s1=0.3, c1=1.0, c2=2.0, c3=0.5, s2=0.3)
 
@@ -33,7 +34,7 @@ def test_simulate_frozen_deterministic_decay():
     h = 0.005
     g = make_grid(T=5.0, h=h, tau=1.0)
     spec = _pure_decay_spec()
-    zeta = constant_segment(1.0, h, 7.0).values  # ignored by this b2
+    zeta = constant_segment(1.0, h, 7.0).values[:, None]  # ignored by this b2
     eta = constant_segment(1.0, h, 1.0).values
     y = simulate_frozen(spec, zeta, eta, g, [NoiseStream(0, 0, W2)])
     end = float(y[-1, 0, 0])
@@ -51,12 +52,12 @@ def test_simulate_frozen_reads_pinned_window():
     )
     h = 0.01
     g = make_grid(T=8.0, h=h, tau=1.0)
-    zeta = constant_segment(1.0, h, 3.0).values
+    zeta = constant_segment(1.0, h, 3.0).values[:, None]
     eta = constant_segment(1.0, h, 0.0).values
     y = simulate_frozen(spec, zeta, eta, g, [NoiseStream(0, 0, W2)])
     assert abs(float(y[-1, 0, 0]) - 3.0) < 1e-3
     with pytest.raises(UsageError):
-        simulate_frozen(spec, constant_segment(1.0, h, np.zeros(2)).values, eta, g,
+        simulate_frozen(spec, constant_segment(1.0, h, np.zeros(2)).values[:, None], eta, g,
                         [NoiseStream(0, 0, W2)])
 
 
@@ -80,6 +81,7 @@ def test_simulate_frozen_rejects_misshaped_zeta():
     for zeta in (np.zeros((g.tau_steps + 1, 2, 1)),   # two windows for three paths
                  np.zeros((g.tau_steps + 1, 3, 2)),   # wrong n
                  np.zeros((g.tau_steps + 1, 2)),
+                 np.zeros((g.tau_steps + 1, 1)),  # one window: pass a batch, (M + 1, 3, 1)
                  np.zeros(g.tau_steps + 1)):
         with pytest.raises(UsageError) as info:
             simulate_frozen(spec, zeta, eta, g, streams)
@@ -94,52 +96,57 @@ def test_averaged_drift_exact_when_fast_independent():
     spec = linear_benchmark(params)
     h = 0.02
     g = make_grid(T=12.0, h=h, tau=1.0)
-    zeta = constant_segment(1.0, h, 1.5).values
+    zeta = constant_segment(1.0, h, 1.5).values[:, None]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        est = estimate_averaged_drift(spec, zeta, 2.0, 10.0, 3, g, StreamFactory(1))
-    assert est.value[0] == pytest.approx(-3.0, abs=1e-12)
-    assert est.std_error[0] == pytest.approx(0.0, abs=1e-12)
+        est = estimate_averaged_drift(spec, zeta, 2.0, 10.0, 3, g, [StreamFactory(1)])
+    assert est.value.shape == est.std_error.shape == (1, 1)
+    assert est.value[0, 0] == pytest.approx(-3.0, abs=1e-12)
+    assert est.std_error[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_averaged_drift_matches_benchmark_closed_form():
     spec = linear_benchmark(BENCH)
     h = 0.01
     g = make_grid(T=38.0, h=h, tau=1.0)
-    zeta = constant_segment(1.0, h, 1.0).values
+    zeta = constant_segment(1.0, h, 1.0).values[:, None]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        est = estimate_averaged_drift(spec, zeta, 8.0, 30.0, 6, g, StreamFactory(5))
+        est = estimate_averaged_drift(spec, zeta, 8.0, 30.0, 6, g, [StreamFactory(5)])
     target = BENCH.kappa  # -1/3 for these parameters
-    tol = max(3.5 * float(est.std_error[0]), 0.03)
-    assert abs(float(est.value[0]) - target) < tol
+    tol = max(3.5 * float(est.std_error[0, 0]), 0.03)
+    assert abs(float(est.value[0, 0]) - target) < tol
 
 
 def test_averaged_drift_warns_on_short_burn_in():
     spec = linear_benchmark(BENCH)
     h = 0.05
     g = make_grid(T=6.0, h=h, tau=1.0)
-    zeta = constant_segment(1.0, h, 0.0).values
+    zeta = constant_segment(1.0, h, 0.0).values[:, None]
     with pytest.warns(UserWarning, match="burn_in"):
-        estimate_averaged_drift(spec, zeta, 1.0, 4.0, 2, g, StreamFactory(0))
+        estimate_averaged_drift(spec, zeta, 1.0, 4.0, 2, g, [StreamFactory(0)])
 
 
 def test_averaged_drift_budget_validation():
     spec = linear_benchmark(BENCH)
     h = 0.05
     g = make_grid(T=6.0, h=h, tau=1.0)
-    zeta = constant_segment(1.0, h, 0.0).values
+    zeta = constant_segment(1.0, h, 0.0).values[:, None]
+    factories = [StreamFactory(0)]
     with pytest.raises(UsageError):
-        estimate_averaged_drift(spec, zeta, 5.0, 4.0, 0, g, StreamFactory(0))
+        estimate_averaged_drift(spec, zeta, 5.0, 4.0, 0, g, factories)
     with pytest.raises(DomainError):
-        estimate_averaged_drift(spec, zeta, 5.0, -1.0, 2, g, StreamFactory(0))
+        estimate_averaged_drift(spec, zeta, 5.0, -1.0, 2, g, factories)
     with pytest.raises(UsageError):
         # burn_in + horizon overruns the grid.
-        estimate_averaged_drift(spec, zeta, 5.0, 4.0, 2, g, StreamFactory(0))
+        estimate_averaged_drift(spec, zeta, 5.0, 4.0, 2, g, factories)
     with pytest.raises(UsageError, match=r"\(21, 2, 1\)"):
         # Two windows, one stream factory.
-        estimate_averaged_drift(spec, np.stack([zeta, zeta], axis=1), 1.0, 4.0, 2, g,
-                                [StreamFactory(0)])
+        estimate_averaged_drift(spec, np.concatenate([zeta, zeta], axis=1), 1.0, 4.0, 2, g,
+                                factories)
+    with pytest.raises(UsageError, match=r"\(21, 1\)"):
+        # A lone (M + 1, n) window is not a batch.
+        estimate_averaged_drift(spec, zeta[:, 0], 1.0, 4.0, 2, g, factories)
 
 
 def test_mixing_decay_pure_contraction_rate():
@@ -194,3 +201,28 @@ def test_mixing_decay_input_validation():
         mixing_decay(spec, zeta, eta, etap, make_grid(5.0, h, 1.0), 4, StreamFactory(0))
     with pytest.raises(UsageError, match="delay spans"):
         mixing_decay(spec, zeta, eta, etap, make_grid(2.0, h, 1.0), 8, StreamFactory(0))
+
+
+def test_mixing_decay_sums_replicas_in_order():
+    """The batched gap reduction equals the replica-by-replica loop, bit for bit."""
+    spec = build_system({"kind": "registered", "name": "golden_plane"})  # state-dependent noise
+    h, replicas = 0.05, 24
+    g = make_grid(T=4.0, h=h, tau=1.0)
+    zeta = constant_segment(1.0, h, [1.0, -1.0]).values
+    eta = constant_segment(1.0, h, [0.0, 0.0]).values
+    eta_prime = constant_segment(1.0, h, [1.0, 0.5]).values
+    fit = mixing_decay(spec, zeta, eta, eta_prime, g, replicas, StreamFactory(7, 2))
+
+    zetas = np.broadcast_to(zeta[:, None], (len(zeta), replicas, 2))
+    ya, yb = (simulate_frozen(spec, zetas, start, g,
+                              [StreamFactory(7, 2).stream(r, W2) for r in range(replicas)])
+              for start in (eta, eta_prime))
+    ts = g.tau_steps
+    gaps = np.zeros(g.steps // ts)
+    for r in range(replicas):
+        node = _node_norms(ya[:, r] - yb[:, r])
+        for j in range(1, len(gaps) + 1):
+            a = ts + j * ts
+            gaps[j - 1] += node[a - ts: a + 1].max() ** 2
+    gaps /= replicas
+    assert fit.log_gaps == np.log(gaps).tolist()

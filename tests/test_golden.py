@@ -37,6 +37,31 @@ def _blowup_factory():
 
 register_system("golden_blowup", _blowup_factory, replace=True)
 
+
+def _plane_factory():
+    # n = m = 2 without a closed form.  The maps mix the two components
+    # elementwise (no matmul, whose rounding could depend on the batch),
+    # b1 reads the slow window one delay back, and sigma2 depends on the
+    # fast state, so it returns one (n, m) matrix per path.
+    s1 = np.array([[0.3, 0.1], [0.0, 0.2]])
+    s2 = np.array([[0.3, 0.05], [0.05, 0.2]])
+
+    def b1(chi, phi):
+        return -chi[-1] + 0.25 * chi[0] + phi[-1] + 0.3 * phi[-1][..., ::-1]
+
+    def b2(chi, y, y_tau):
+        return chi[-1] - 2.0 * y + 0.3 * y[..., ::-1] + 0.5 * y_tau
+
+    def sigma2(chi, y, y_tau):
+        return s2 * (1.0 + 0.2 * np.tanh(y))[:, :, None]
+
+    return SystemSpec(n=2, m=2, tau=1.0, b1=b1, sigma1=lambda chi: s1, b2=b2, sigma2=sigma2,
+                      name="golden_plane")
+
+
+register_system("golden_plane", _plane_factory, replace=True)
+PLANE_SYS = {"kind": "registered", "name": "golden_plane"}
+
 _BASE = {"system": BENCH_SYS, "tau": 1.0, "T": 0.5, "seed": 5}
 # Experiments that reduce paths to p-th moments also read p and paths.
 _MOMENTS = dict(_BASE, p=2.0, paths=4)
@@ -73,6 +98,21 @@ CASES = {
                             epsilons=[0.05, 0.02], delta=0.3),
     "segcont_deltas": dict(_MOMENTS, experiment="segment_continuity", paths=3, T=1.0,
                            epsilons=[0.05], p=4.0, deltas=[0.3, 0.1, 0.05, 0.049]),
+    # n = 2 with per-path sigma2: pins the Euclidean node norms and the
+    # order of every sum over the state axis.  Three paths give uneven
+    # chunks at threads 2.
+    "converge_n2": dict(_ESTIMATOR, system=PLANE_SYS, paths=3),
+    "auxiliary_gap_n2": dict(_MOMENTS, experiment="auxiliary_gap", system=PLANE_SYS, paths=3,
+                             T=0.25, epsilons=[0.05, 0.02]),
+    "segment_continuity_n2": dict(_MOMENTS, experiment="segment_continuity", system=PLANE_SYS,
+                                  paths=3, T=1.0, epsilons=[0.05], p=4.0),
+    "frozen_n2": dict(_BASE, experiment="frozen", system=PLANE_SYS, h=0.02, T=1.0,
+                      burn_in=2.0, horizon=4.0, replicas=2, mixing_replicas=8, checkpoints=3),
+    "mixing_n2": dict(_BASE, experiment="mixing", system=PLANE_SYS, h=0.02, T=1.0,
+                      mixing_replicas=8, checkpoints=3, eta_prime={"constant": [1.0, -0.5]}),
+    "check_n2": dict(_BASE, experiment="check", system=PLANE_SYS, trials=200),
+    "simulate_n2": dict(_BASE, experiment="simulate", system=PLANE_SYS, epsilons=[0.25],
+                        paths=3),
 }
 
 GOLDEN = {
@@ -91,13 +131,26 @@ GOLDEN = {
     "segcont_deltas": "760468670487ebc7eb18842c2e6eb40ac3d49114b2d8b724646b32e49b12497c",
     "segment_continuity": "1e44b3623fc7e3f62d1654ad6f57eec627881d8829b2125d3f17abb1af0c00c0",
     "simulate_dump": "3aab6dfde4b0c719b1d8d59a0b412972286bddc184b701e37af7d1bd12b0d5df",
+    "auxiliary_gap_n2": "302e890d7cdbf6a8586fca3e24e98908c4542c44c3cb783048cc7c0432d6d647",
+    "check_n2": "a91ee7cd3e07ea7ce639f823f6bfd12b95e03a9aa876e8c8a849363b5da0c2a6",
+    "converge_n2": "c0ab1dd923a60efe46ba8f92d9af1ef35e1a2a71de019eaebcae8c6bfe28453c",
+    "frozen_n2": "d3f4d3044a4edc8eafb906969792136cf3aa15c4ce8bd1a769fc3c29d9507866",
+    "mixing_n2": "1b6e6359b1a18f22e23b6860f01965c638af7ab7594b5cc39440841c7925d735",
+    "segment_continuity_n2":
+        "3d01eb43d6dd5fd21261f2267b2c167ad9aa45de228219fcb35d247fc7dae04f",
+    "simulate_n2": "0ea63702419dfb58678c4ff473a772e48f19e4ff6cfcb61bb14dc0b31a5a6ad2",
 }
 
 
 _SNAP_03 = "delta=0.3 snapped to tau/3=0.3333333333333333"
 
-# The delta-snapping warnings the fixed-delta cases report.
+_SHORT_BURN_IN = ("burn_in=2.0 is below 5*tau=5.0; the stationary average may still "
+                  "carry start bias")
+
+# The warnings the fixed-delta and short burn-in cases report.
 GOLDEN_WARNINGS = {
+    "frozen": [_SHORT_BURN_IN],
+    "frozen_n2": [_SHORT_BURN_IN],
     "aux_fixed_delta": [_SNAP_03, _SNAP_03],
     "segcont_deltas": [
         _SNAP_03,

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from twoscale.harness import (
     _aux_chunk,
     _converge_chunk,
     _run_chunk,
+    _segcont_chunk,
     CSV_COLUMNS,
     EXPERIMENTS,
     SCHEMA_VERSION,
@@ -31,7 +33,7 @@ from twoscale.harness import (
     run_scenario,
     run_simulate,
 )
-from twoscale.systems import SystemSpec, register_system
+from twoscale.systems import LinearBenchmarkParams, SystemSpec, register_system
 from test_frozen import switch_spec
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import _blowup_factory as _golden_blowup
@@ -150,14 +152,21 @@ _system = _json | st.fixed_dictionaries(
 
 
 @st.composite
-def _configs(draw):
-    """A valid config of a random experiment with a few of its fields replaced."""
+def _configs(draw, pinned=None):
+    """A valid config of a random experiment with a few of its fields replaced.
+
+    pinned maps keys to the value they take where the experiment reads
+    them (None: left out); a pinned key is never replaced.
+    """
+    pinned = pinned or {}
     experiment = draw(st.sampled_from(EXPERIMENTS))
     cfg = _cfg(experiment=experiment)
     reads = sorted(_EXPERIMENT_KEYS[experiment])
     if "epsilons" in reads:
         cfg["epsilons"] = [0.05, 0.02]
-    for key in draw(st.lists(st.sampled_from(reads), max_size=3, unique=True)):
+    cfg.update({k: v for k, v in pinned.items() if k in reads and v is not None})
+    free = [k for k in reads if k not in pinned]
+    for key in draw(st.lists(st.sampled_from(free), max_size=3, unique=True)):
         cfg[key] = draw(_system if key == "system" else _field)
     if draw(st.booleans()):
         params = dict(BENCH_SYS["params"])
@@ -176,6 +185,35 @@ def test_any_json_config_parses_or_raises_config_error(cfg):
             Scenario.from_config(cfg).build_spec()
         except ConfigError:
             pass
+
+
+# The keys that set a run's grid step, horizon and amount of work, pinned
+# so that every drawn config runs in a fraction of a second on one worker.
+_SMALL_RUN = {"tau": 1.0, "T": 0.05, "h": "auto", "h_factor": 0.05, "epsilons": [0.05, 0.02],
+              "epsilon": None, "delta": None, "deltas": None, "paths": 2, "threads": 1,
+              "trials": 50, "burn_in": 0.5, "horizon": 0.5, "replicas": 2,
+              "mixing_replicas": 8, "checkpoints": 3, "drift_source": "closed_form",
+              "estimator": None}
+
+# subcommand that runs each experiment
+_COMMAND_OF = {e: c for c, experiments in _SUBCOMMANDS.items() for e in experiments}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_configs(_SMALL_RUN), st.sampled_from(sorted(_SUBCOMMANDS)))
+def test_any_config_file_exits_with_a_documented_code(cfg, fallback):
+    """cli.main on any config gives exit 0, 2, 3 or 4 and never raises.
+
+    The config runs under its experiment's subcommand; a replaced
+    experiment key runs under the drawn fallback.
+    """
+    experiment = cfg["experiment"]
+    command = _COMMAND_OF.get(experiment, fallback) if isinstance(experiment, str) else fallback
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        path = _write_cfg(Path(tmp), "cfg.json", cfg)
+        code = cli_main([command, "--config", path, "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3, 4)
 
 
 def test_scalar_epsilon_key_accepted():
@@ -365,10 +403,15 @@ def test_report_write_files(tmp_path):
     assert isinstance(payload["passed"], bool)
 
 
-def test_empty_epsilons_rejected_at_run():
-    scen = Scenario.from_config(_cfg(epsilons=[]))
-    with pytest.raises(UsageError, match="epsilons"):
-        run_scenario(scen)
+def test_empty_epsilons_rejected_at_parse():
+    for experiment in ("converge", "auxiliary_gap"):
+        with pytest.raises(ConfigError, match="non-empty epsilons"):
+            Scenario.from_config(_cfg(experiment=experiment, epsilons=[]))
+        with pytest.raises(ConfigError, match="non-empty epsilons"):
+            Scenario.from_config(_cfg(experiment=experiment, epsilons=None))
+    # The single-epsilon experiments fall back to their default.
+    for experiment in ("segment_continuity", "simulate"):
+        assert Scenario.from_config(_cfg(experiment=experiment, epsilons=[])).epsilons == ()
 
 
 def test_runner_table_covers_experiments():
@@ -565,12 +608,14 @@ def test_cli_divergence_exit_three(tmp_path):
 
 def _flat_drift_factory():
     # b1 drops the state axis: shape (P,) where the contract asks for (P, n).
+    # The closed form lets converge start; the coupled pass then fails.
     return SystemSpec(
         n=1, m=1, tau=1.0,
         b1=lambda chi, phi: chi[-1, :, 0],
         sigma1=lambda chi: np.array([[0.3]]),
         b2=lambda chi, y, yt: chi[-1] - y,
         sigma2=lambda chi, y, yt: np.array([[0.3]]),
+        benchmark=LinearBenchmarkParams(**BENCH_SYS["params"]),
     )
 
 
@@ -603,24 +648,29 @@ def test_misshaped_drift_gives_error_rows_and_exit_two(tmp_path, capsys):
 def test_averaged_stage_errors_only_reach_surviving_paths():
     """A path that diverges in the coupled pass keeps that error over later stages.
 
-    The system has no closed-form drift, so every path that survives the
-    coupled pass fails the averaged stage with a UsageError; paths 0 and
-    1 diverge first and must report the divergence.
+    The fast drift -y + y^3 also blows up the estimator's frozen
+    sub-simulations, so every path that survives the coupled pass fails
+    the averaged stage; paths 0 and 1 diverge first and must report the
+    coupled divergence.
     """
-    def factory():
-        spec = _golden_blowup()
-        return SystemSpec(n=1, m=1, tau=1.0, b1=spec.b1, sigma1=spec.sigma1,
-                          b2=spec.b2, sigma2=spec.sigma2)
-
-    register_system("blowup_without_closed_form", factory, replace=True)
-    for threads in (1, 2):
-        report = run_scenario(Scenario.from_config(_cfg(
-            system={"kind": "registered", "name": "blowup_without_closed_form"},
-            epsilons=[0.125], paths=4, seed=5, threads=threads)))
-        [row] = report.rows
-        assert row["extra"]["error_type"] == "DivergenceError"
-        assert row["extra"]["failed_paths"] == 4
-        assert report.had_divergence
+    cfg = _cfg(system={"kind": "registered", "name": "golden_blowup"}, epsilons=[0.125],
+               paths=4, seed=5, drift_source="estimator",
+               estimator={"burn_in": 5.0, "horizon": 1.0, "replicas": 2, "h": 0.1})
+    coupled = "fast component left the admissible range"
+    averaged = "frozen trajectory diverged"
+    scen = Scenario.from_config(cfg)
+    job = (_converge_chunk, scen, 0.125, scen.resolve_h(epsilon=0.125), {}, 0, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the estimator's short burn_in
+        results = _run_chunk(job)
+        assert [(r[1], coupled in r[2], averaged in r[2]) for r in results] == [
+            ("DivergenceError", True, False)] * 2 + [("DivergenceError", False, True)] * 2
+        for threads in (1, 2):
+            report = run_scenario(Scenario.from_config(dict(cfg, threads=threads)))
+            [row] = report.rows
+            assert row["extra"]["error"] == results[0][2]
+            assert row["extra"]["failed_paths"] == 4
+            assert report.had_divergence
 
 
 def _refusing_factory():
@@ -673,6 +723,69 @@ def test_failed_chunk_is_rerun_path_by_path(case):
         assert {r[0] for r in whole} == {"ok", "err"}
         assert whole == cut(list(range(7)))
         assert whole == cut([0, 1, 6])
+
+
+def _cut_rows():
+    """body, scenario and row of each chunk body, on systems where no path fails."""
+    converge = Scenario.from_config(GOLDEN_CASES["converge"])
+    estimator = Scenario.from_config(GOLDEN_CASES["converge_n2"])
+    aux = Scenario.from_config(GOLDEN_CASES["auxiliary_gap_n2"])
+    schedule = khasminskii_delta(0.05, aux.tau)
+    segcont = Scenario.from_config(GOLDEN_CASES["segment_continuity_n2"])
+    return {
+        "converge_closed_form": (_converge_chunk, converge,
+                                 (0.25, converge.resolve_h(epsilon=0.25), {})),
+        "converge_estimator": (_converge_chunk, estimator,
+                               (0.2, estimator.resolve_h(epsilon=0.2), {})),
+        "auxiliary_gap": (_aux_chunk, aux, (
+            0.05, aux.resolve_h(epsilon=0.05, anchor=schedule.delta), {"schedule": schedule})),
+        # Blocks of tau/4, tau/8 and tau/16 on h = tau/256, sampled mid-block.
+        "segment_continuity": (_segcont_chunk, segcont, (0.05, 1.0 / 256.0, {
+            "deltas": [0.25, 0.125, 0.0625], "times": [0.3125, 0.5625, 0.8125]})),
+    }
+
+
+_CUT_ROWS = _cut_rows()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(_CUT_ROWS)), st.integers(1, 6), st.data())
+def test_chunk_cut_does_not_move_per_path_results(case, paths, data):
+    """Each path's result is the same whether its chunk is whole or cut anywhere.
+
+    Guards the batched reducers of the chunk bodies: a reduction that
+    mixed values between the paths of a batch would move with the cut.
+    """
+    body, scen, row = _CUT_ROWS[case]
+    cuts = data.draw(st.lists(st.integers(1, paths - 1), unique=True)) if paths > 1 else []
+    bounds = [0, *sorted(cuts), paths]
+    whole = _run_chunk((body, scen, *row, 0, paths))
+    assert [r[0] for r in whole] == ["ok"] * paths
+    assert [r for a, b in zip(bounds, bounds[1:])
+            for r in _run_chunk((body, scen, *row, a, b))] == whole
+
+
+def test_missing_closed_form_exits_four_before_any_path(tmp_path, monkeypatch, capsys):
+    """converge with the closed-form drift needs a system that has one, checked up front."""
+    def factory():
+        spec = _golden_blowup()
+        return SystemSpec(n=1, m=1, tau=1.0, b1=spec.b1, sigma1=spec.sigma1,
+                          b2=spec.b2, sigma2=spec.sigma2)
+
+    register_system("blowup_without_closed_form", factory, replace=True)
+    calls = []
+    monkeypatch.setattr(harness, "simulate_coupled", lambda *a, **k: calls.append(a))
+    cfg = _cfg(system={"kind": "registered", "name": "blowup_without_closed_form"},
+               epsilons=[0.25, 0.125], paths=6)
+    with pytest.raises(UsageError, match="no benchmark closed form"):
+        run_scenario(Scenario.from_config(cfg))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli_main(["converge", "--config", _write_cfg(tmp_path, "cfg.json", cfg),
+                     "--out", str(out)]) == 4
+    assert "no benchmark closed form" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
 
 
 def test_pool_has_at_most_one_worker_per_cpu(monkeypatch):

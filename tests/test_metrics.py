@@ -7,14 +7,15 @@ from twoscale.solver import make_grid
 
 
 def _linear_path(grid, slope=1.0):
-    return slope * grid.times()[:, None]
+    """A batch of one path x(t) = slope * t, shape (grid.total, 1, 1)."""
+    return slope * grid.times()[:, None, None]
 
 
 def test_sup_distance_zero_for_identical_paths():
     g = make_grid(T=1.0, h=0.25, tau=0.5)
     a = _linear_path(g)
     b = _linear_path(g)
-    assert sup_distance(a, b, g) == 0.0
+    assert sup_distance(a, b, g).tolist() == [0.0]
 
 
 def test_sup_distance_hand_value_and_window():
@@ -22,30 +23,40 @@ def test_sup_distance_hand_value_and_window():
     a = _linear_path(g, slope=1.0)
     b = _linear_path(g, slope=2.0)
     # Gap at time t is |t|; max over [0, 1] is 1.
-    assert sup_distance(a, b, g) == 1.0
+    assert sup_distance(a, b, g).tolist() == [1.0]
     # The window is [0, T]: the history gap of 0.5 at t = -0.5 is not read.
     short = make_grid(T=0.25, h=0.25, tau=0.5)
-    assert sup_distance(_linear_path(short, 1.0), _linear_path(short, 2.0), short) == 0.25
+    assert sup_distance(_linear_path(short, 1.0), _linear_path(short, 2.0), short) == [0.25]
 
 
 def test_sup_distance_errors():
     g = make_grid(T=1.0, h=0.25, tau=0.5)
     a = _linear_path(g, slope=1.0)
     b = _linear_path(g, slope=-1.0)
-    assert sup_distance(a, b, g) == 2.0
+    assert sup_distance(a, b, g).tolist() == [2.0]
     other = make_grid(T=1.0, h=0.125, tau=0.5)
     with pytest.raises(UsageError):
         sup_distance(a, _linear_path(other), g)  # shapes differ
     with pytest.raises(UsageError):
         sup_distance(_linear_path(other), _linear_path(other), g)  # not this grid's length
+    with pytest.raises(UsageError):
+        sup_distance(a[:, 0], b[:, 0], g)  # one (grid.total, n) path is not a batch
 
 
 def test_sup_distance_vector_rows_use_euclidean_norm():
     g = make_grid(T=0.5, h=0.25, tau=0.25)
-    base = np.zeros((g.total, 2))
+    base = np.zeros((g.total, 1, 2))
     offset = base.copy()
-    offset[g.index_of(0.25)] = [3.0, 4.0]
-    assert sup_distance(base, offset, g) == 5.0
+    offset[g.index_of(0.25), 0] = [3.0, 4.0]
+    assert sup_distance(base, offset, g).tolist() == [5.0]
+
+
+def test_sup_distance_pairs_path_p_with_path_p():
+    """Each path of a batch is compared with its own partner only."""
+    g = make_grid(T=1.0, h=0.25, tau=0.5)
+    a = np.concatenate([_linear_path(g, s) for s in (1.0, 2.0, 3.0)], axis=1)
+    b = np.concatenate([_linear_path(g, s) for s in (1.0, 1.0, 5.0)], axis=1)
+    assert sup_distance(a, b, g).tolist() == [0.0, 1.0, 2.0]
 
 
 def test_p_moment_hand_values():
@@ -109,9 +120,15 @@ def test_displacement_moment_linear_path():
     times = [0.3125, 0.375, 0.4375]
     moment = segment_displacement_moment(x, g, delta, 2.0, times)
     expect = np.mean([(t - 0.25) ** 2 for t in times])
-    assert moment == pytest.approx(expect, rel=1e-12)
+    assert moment.shape == (1,)
+    assert moment[0] == pytest.approx(expect, rel=1e-12)
     # A sample exactly on a block boundary contributes zero.
-    assert segment_displacement_moment(x, g, delta, 2.0, [0.5]) == 0.0
+    assert segment_displacement_moment(x, g, delta, 2.0, [0.5]).tolist() == [0.0]
+    # Each path of a batch gets its own moment: doubling the slope
+    # multiplies the second moment by four.
+    both = segment_displacement_moment(np.concatenate([x, 2.0 * x], axis=1), g, delta, 2.0,
+                                       times)
+    assert both.tolist() == [moment[0], 4.0 * moment[0]]
 
 
 def test_displacement_moment_validation():
@@ -127,3 +144,5 @@ def test_displacement_moment_validation():
         segment_displacement_moment(x, g, 0.25, 2.0, [0.0])  # not in (0, T]
     with pytest.raises(DomainError):
         segment_displacement_moment(x, g, 0.25, -1.0, [0.5])
+    with pytest.raises(UsageError):
+        segment_displacement_moment(x[:, 0], g, 0.25, 2.0, [0.5])  # not a batch

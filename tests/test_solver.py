@@ -310,16 +310,16 @@ def test_maps_receive_window_arrays():
 
     seen.clear()
     sub = make_grid(T=0.5, h=0.05, tau=0.5)
-    zeta = xi
+    zeta = xi[:, None]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # burn_in below 5 tau
-        estimate_averaged_drift(spec, zeta, 0.25, 0.25, 1, sub, StreamFactory(4))
+        estimate_averaged_drift(spec, zeta, 0.25, 0.25, 1, sub, [StreamFactory(4)])
     chis, phis = calls("chi"), calls("phi")
-    assert all(np.array_equal(c[:, 0], zeta) for c in chis)
+    assert all(np.array_equal(c, zeta) for c in chis)
     assert all(p.shape == (sub.tau_steps + 1, 1, 2) for p in phis)
     # b1 reads the frozen path's windows over [burn_in, burn_in + horizon].
     yf = simulate_frozen(spec, zeta, np.zeros((sub.tau_steps + 1, 2)), sub,
-                            [StreamFactory(4).stream(0, W2)])
+                         [StreamFactory(4).stream(0, W2)])
     k_burn = 5
     assert len(phis) == 6
     for j, phi in enumerate(phis):
@@ -357,8 +357,8 @@ def _golden_kernels():
         "coupled": lambda ps: simulate_coupled(spec, xi, eta, eps, g,
                                                streams(ps, W1), streams(ps, W2)),
         "auxiliary": auxiliary,
-        "frozen": lambda ps: (simulate_frozen(spec, np.zeros((21, 1)), np.zeros((21, 1)), sub,
-                                              streams(ps, W2)),),
+        "frozen": lambda ps: (simulate_frozen(spec, np.zeros((21, len(ps), 1)),
+                                              np.zeros((21, 1)), sub, streams(ps, W2)),),
         # exp overflows on the step that leaves the admissible range.
         "explosive": lambda ps: (simulate_sdde(1, 1, lambda w: np.exp(w[-1]) - 1.0,
                                                lambda w: np.eye(1), np.zeros((11, 1)), short,

@@ -17,6 +17,8 @@ from twoscale.systems import (
     spot_check_purity,
 )
 
+import test_golden  # noqa: F401  (registers the n = 2 system "golden_plane")
+
 BENCH = LinearBenchmarkParams(a11=-1.0, a12=1.0, s1=0.3, c1=1.0, c2=2.0, c3=0.5, s2=0.3)
 
 
@@ -236,3 +238,54 @@ def test_samplers_produce_wellformed_tuples():
         assert v.shape == (2,)
     chi2, phi2 = random_segment_pair_sampler(1.0, 0.25, 3)(rng)
     assert chi2.shape == phi2.shape == (5, 3)
+
+
+def test_checkers_name_the_first_bad_sample():
+    """Samples are stacked into one batch, yet a bad one is still named by its index."""
+    spec = linear_benchmark(BENCH)
+    rng = np.random.default_rng(4)
+    points = [random_point_sampler(1.0, 0.5, 1)(rng) for _ in range(6)]
+
+    def with_point(i, slot, value):
+        out = list(points)
+        out[i] = tuple(value if j == slot else v for j, v in enumerate(points[i]))
+        return out
+
+    cases = [
+        (with_point(3, 1, np.zeros(2)), r"x of sample 3 is not a float array of shape \(1,\)"),
+        (with_point(2, 4, 0.5), r"y' of sample 2 is not a float array of shape \(1,\)"),
+        (with_point(5, 2, ["abc"]), r"x' of sample 5 is not a float array of shape \(1,\)"),
+        (with_point(1, 2, {}), r"x' of sample 1 is not a float array of shape \(1,\)"),
+        (with_point(4, 3, np.array([np.nan])), "non-finite y on sample 4"),
+        (with_point(1, 0, np.full((3, 1), np.inf)), "non-finite chi on sample 1"),
+    ]
+    for samples, message in cases:
+        with pytest.raises(DataError, match=message):
+            check_dissipativity(spec, samples, 0, candidate=BENCH.lambda_pair)
+
+    # A map that returns a non-finite value on one sample of the batch.
+    spiky = SystemSpec(
+        n=1, m=1, tau=1.0, b1=lambda chi, phi: np.where(chi[-1] > 50.0, np.inf, 0.0),
+        sigma1=lambda chi: np.array([[0.3]]), b2=lambda c, y, yt: -y,
+        sigma2=lambda c, y, yt: np.where(y[:, :, None] > 50.0, np.nan, 0.1))
+    pairs = [(np.full((3, 1), v), np.zeros((3, 1))) for v in (1.0, 2.0, 99.0, 1.0)]
+    with pytest.raises(DataError, match="non-finite b1 value on sample 2"):
+        check_growth_and_lipschitz(spiky, pairs, 0)
+    with pytest.raises(DataError, match=r"phi of sample 1 is not a float array of shape \(3, 1\)"):
+        check_growth_and_lipschitz(spiky, [pairs[0], (pairs[1][0], np.zeros((4, 1)))], 0)
+    hot = with_point(5, 1, np.array([99.0]))  # x is the fast state the maps read as y
+    with pytest.raises(DataError, match="non-finite sigma2 value on sample 5"):
+        check_dissipativity(spiky, hot, 0)
+
+
+def test_checkers_match_their_one_sample_results():
+    """A batched check of many samples equals the checks of each sample on its own."""
+    spec = build_system({"kind": "registered", "name": "golden_plane"})
+    rng = np.random.default_rng(8)
+    points = [random_point_sampler(1.0, 0.25, 2)(rng) for _ in range(40)]
+    pairs = [random_segment_pair_sampler(1.0, 0.25, 2)(rng) for _ in range(40)]
+    worst = max(check_dissipativity(spec, [pt], 0, candidate=(2.0, 0.5)).worst_violation
+                for pt in points)
+    assert check_dissipativity(spec, points, 0, candidate=(2.0, 0.5)).worst_violation == worst
+    estimate = max(check_growth_and_lipschitz(spec, [pair], 0).L_estimate for pair in pairs)
+    assert check_growth_and_lipschitz(spec, pairs, 0).L_estimate == estimate
