@@ -3,13 +3,15 @@
 Each subcommand loads a scenario JSON, runs one experiment, writes
 report.csv / report.json into the output directory, and prints a gate
 summary.  Exit codes: 0 all gates passed, 2 a gate failed, 3 a
-trajectory diverged, 4 the config or invocation was invalid.
+trajectory diverged, 4 the config or invocation was invalid or the
+output could not be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -56,7 +58,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the base seed")
         p.add_argument("--threads", type=int, default=None,
-                       help="override the worker count")
+                       help="override the worker count: whole rows go to at most one "
+                            "worker per CPU, longest grid first; a row's paths are cut "
+                            "into chunks only when there are fewer rows than workers")
         p.add_argument("--dump-paths", action="store_true",
                        help="write per-path trajectory CSVs (simulate only)")
     return parser
@@ -90,6 +94,15 @@ def _load_config(path_str: str, command: str, args) -> dict:
     return cfg
 
 
+def _check_out_dir(out: Path) -> None:
+    """Fail before any path is simulated if out cannot become a writable directory."""
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise UsageError(f"cannot create output directory {out}: {existing} is not a directory")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise UsageError(f"cannot create output directory {out}: {existing} is not writable")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -97,6 +110,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config, args.command, args)
         scenario = Scenario.from_config(cfg)
         out_dir = Path(args.out)
+        _check_out_dir(out_dir)
         if scenario.experiment == "simulate":
             report = run_simulate(
                 scenario,
@@ -105,14 +119,14 @@ def main(argv=None) -> int:
             )
         else:
             report = run_scenario(scenario)
-    except (ConfigError, UsageError, DomainError, DataError) as exc:
+        csv_path, json_path = report.write(out_dir)
+    except (ConfigError, UsageError, DomainError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 3
 
-    csv_path, json_path = report.write(out_dir)
     print(f"experiment: {report.experiment}  digest: {report.scenario_digest}")
     print(f"rows: {len(report.rows)}  runtime: {report.runtime_seconds:.2f}s")
     for gate in report.gates:

@@ -568,24 +568,28 @@ def _run_chunk(job):
 def _run_ensemble(scenario: Scenario, body, rows) -> list:
     """Per-path results of every (epsilon, h, extra) row, in path order.
 
-    Each row is cut into contiguous path chunks, one per worker, that
-    never span two rows; paths draw from streams addressed by their own
-    index, so the results do not depend on the cut.  The pool gets at
-    most one worker per CPU; the cut still follows threads.
+    There are min(threads, CPUs) workers.  Each job is one whole row as
+    a single batch, unless there are fewer rows than workers: then each
+    row is cut into ceil(workers / rows) contiguous path chunks.  The
+    pool takes the jobs longest grid first (round(T / h) steps); one
+    worker runs them serially and opens no pool.  Paths draw from
+    streams addressed by their own index, so the results depend on
+    neither the cut nor the order.
     """
-    paths, threads = scenario.paths, scenario.threads
-    per_row = min(threads, paths)
+    paths = scenario.paths
+    workers = min(scenario.threads, os.cpu_count() or 1)
+    per_row = min(-(-workers // len(rows)), paths)
     bounds = [paths * j // per_row for j in range(per_row + 1)]
     jobs = [(body, scenario, epsilon, h, extra, bounds[j], bounds[j + 1])
             for epsilon, h, extra in rows for j in range(per_row)]
-    if threads <= 1 or len(jobs) <= 1:
+    if workers <= 1 or len(jobs) <= 1:
         done = [_run_chunk(job) for job in jobs]
     else:
-        workers = min(threads, len(jobs), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_run_chunk, jobs))
-    return [[r for chunk in done[i: i + per_row] for r in chunk]
-            for i in range(0, len(done), per_row)]
+        order = sorted(range(len(jobs)), key=lambda i: -round(scenario.T / jobs[i][3]))
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            done = dict(zip(order, pool.map(_run_chunk, [jobs[i] for i in order])))
+    return [[r for j in range(i, i + per_row) for r in done[j]]
+            for i in range(0, len(jobs), per_row)]
 
 
 def _row_values(results, row):

@@ -12,6 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from twoscale import harness
 from twoscale.harness import Scenario, run_scenario, run_simulate
 from twoscale.systems import LinearBenchmarkParams, SystemSpec, register_system
 
@@ -72,8 +73,9 @@ _ESTIMATOR = dict(_MOMENTS, experiment="converge", T=0.1, h_factor=0.1, epsilons
 CASES = {
     "converge": dict(_MOMENTS, experiment="converge", epsilons=[0.25, 0.125, 0.0625]),
     "converge_estimator": dict(_ESTIMATOR, paths=2),
-    # Five paths cut into uneven chunks at threads 2 and 3; the estimator
-    # estimates each chunk's windows as one batch.
+    # Five paths, cut into uneven chunks when the two rows get three or
+    # more workers (test_golden_hash_with_uneven_path_chunks); the
+    # estimator estimates each chunk's windows as one batch.
     "converge_estimator_uneven": dict(_ESTIMATOR, paths=5),
     "auxiliary_gap": dict(_MOMENTS, experiment="auxiliary_gap", T=0.25,
                           epsilons=[0.05, 0.02, 0.01]),
@@ -100,7 +102,7 @@ CASES = {
                            epsilons=[0.05], p=4.0, deltas=[0.3, 0.1, 0.05, 0.049]),
     # n = 2 with per-path sigma2: pins the Euclidean node norms and the
     # order of every sum over the state axis.  Three paths give uneven
-    # chunks at threads 2.
+    # chunks when the two rows get three workers.
     "converge_n2": dict(_ESTIMATOR, system=PLANE_SYS, paths=3),
     "auxiliary_gap_n2": dict(_MOMENTS, experiment="auxiliary_gap", system=PLANE_SYS, paths=3,
                              T=0.25, epsilons=[0.05, 0.02]),
@@ -181,3 +183,18 @@ def test_golden_report_hash(name, threads, tmp_path):
     assert digest == GOLDEN[name]
     if name in GOLDEN_WARNINGS:
         assert warnings == GOLDEN_WARNINGS[name]
+
+
+@pytest.mark.parametrize("threads", [3, 5])
+@pytest.mark.parametrize("name", ["converge_estimator_uneven", "converge_n2", "auxiliary_gap_n2"])
+def test_golden_hash_with_uneven_path_chunks(name, threads, tmp_path, monkeypatch, serial_pool):
+    """Two-row cases on more workers than rows cut each row into path chunks, some uneven."""
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    digest, _ = _run(name, threads, tmp_path)
+    assert digest == GOLDEN[name]
+    [pool] = serial_pool
+    paths = CASES[name]["paths"]
+    per_row = min(-(-threads // 2), paths)
+    assert [job[5:] for job in pool.jobs[:per_row]] == [
+        (paths * j // per_row, paths * (j + 1) // per_row) for j in range(per_row)]
+    assert len(pool.jobs) == 2 * per_row

@@ -788,32 +788,76 @@ def test_missing_closed_form_exits_four_before_any_path(tmp_path, monkeypatch, c
     assert not out.exists()
 
 
-def test_pool_has_at_most_one_worker_per_cpu(monkeypatch):
-    """threads above the CPU count still cut the paths by threads, on fewer workers."""
-    opened = []
+def test_unwritable_out_exits_four(tmp_path, monkeypatch, capsys):
+    """A file in the way of --out exits 4 before any path; a failed report write exits 4 too."""
+    cfg = _write_cfg(tmp_path, "sim.json",
+                     _cfg(experiment="simulate", epsilons=[0.25], paths=2, T=0.25))
+    (tmp_path / "afile").write_text("")
+    calls = []
+    coupled = harness.simulate_coupled
+    monkeypatch.setattr(harness, "simulate_coupled",
+                        lambda *a, **k: calls.append(a) or coupled(*a, **k))
+    for out in ("afile", "afile/x"):
+        for extra in ([], ["--dump-paths"]):
+            assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / out),
+                             *extra]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "afile is not a directory" in err
+    assert calls == []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            opened.append(max_workers)
+    blocked = tmp_path / "blocked"
+    (blocked / "report.csv").mkdir(parents=True)
+    assert cli_main(["simulate", "--config", cfg, "--out", str(blocked)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "report.csv" in err and "Traceback" not in err
+    assert len(calls) == 1
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
+def test_pool_has_at_most_one_worker_per_cpu(monkeypatch, serial_pool):
+    """The pool has min(threads, CPUs, jobs) workers, and none is opened for one worker.
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
-    cfg = _cfg(experiment="simulate", epsilons=[0.25], paths=6, T=0.25)
-    serial = run_scenario(Scenario.from_config(cfg)).reproducibility_hash
-    for cpus, workers in ((2, 2), (None, 1), (64, 5)):
+    Rows are cut into path chunks only when there are fewer rows than
+    workers, so the job count is rows * min(ceil(workers / rows), paths).
+    """
+    configs = {"simulate": _cfg(experiment="simulate", epsilons=[0.25], paths=6, T=0.25),
+               "converge": _cfg(paths=6, T=0.25)}  # one row and three rows
+    cases = [  # config, threads, cpu_count, pool size (None: no pool)
+        ("simulate", 5, None, None), ("simulate", 5, 1, None), ("simulate", 1, 64, None),
+        ("simulate", 5, 2, 2), ("simulate", 5, 64, 5), ("simulate", 8, 64, 6),
+        ("converge", 1, 64, None), ("converge", 2, 64, 2), ("converge", 5, 64, 5),
+    ]
+    serial = {name: run_scenario(Scenario.from_config(cfg)).reproducibility_hash
+              for name, cfg in configs.items()}
+    for name, threads, cpus, size in cases:
+        cfg = configs[name]
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
-        report = run_scenario(Scenario.from_config(dict(cfg, threads=5)))
-        assert opened[-1] == workers
-        assert report.reproducibility_hash == serial
-    assert len(opened) == 3
+        opened = len(serial_pool)
+        report = run_scenario(Scenario.from_config(dict(cfg, threads=threads)))
+        assert report.reproducibility_hash == serial[name]
+        if size is None:
+            assert len(serial_pool) == opened
+            continue
+        [pool] = serial_pool[opened:]
+        workers = min(threads, cpus)
+        rows = len(cfg["epsilons"])
+        assert len(pool.jobs) == rows * min(-(-workers // rows), cfg["paths"])
+        assert pool.max_workers == size == min(workers, len(pool.jobs))
+
+
+def test_pool_gets_whole_rows_longest_grid_first(monkeypatch, serial_pool):
+    """With as many rows as workers or more, each job is a full-P row, largest round(T / h) first."""
+    cfg = _cfg(experiment="auxiliary_gap", epsilons=[0.05, 0.01, 0.02, 0.005], paths=4, T=0.25)
+    serial = run_scenario(Scenario.from_config(cfg))
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    report = run_scenario(Scenario.from_config(dict(cfg, threads=2)))
+    [pool] = serial_pool
+    assert pool.max_workers == 2
+    assert [job[2] for job in pool.jobs] == [0.005, 0.01, 0.02, 0.05]
+    steps = [round(cfg["T"] / job[3]) for job in pool.jobs]
+    assert steps == sorted(steps, reverse=True) and len(set(steps)) == 4
+    assert [job[5:] for job in pool.jobs] == [(0, 4)] * 4
+    assert report.csv_text() == serial.csv_text()
+    assert report.warnings == serial.warnings
 
 
 def test_cli_frozen_prints_summary(tmp_path, capsys):
