@@ -19,7 +19,9 @@ history window; a coefficient map receives each window as the
 a drift returns (P, n), a diffusion (n, m) for the whole batch or
 (P, n, m).  Path p draws from its own streams and every operation is
 elementwise over the batch axis (sigma @ dW is an ordered sum over the m
-noise components), so a path's numbers do not depend on its batch.
+noise components), so a path's numbers do not depend on its batch.  A
+diffusion is constant while it returns the read-only, data-owning array
+it returned at step 0; its noise is then summed for all steps at once.
 
 Delay arithmetic is pure index bookkeeping: h divides tau exactly, so
 Y(t_k - tau) is the array entry tau_steps rows back and no float time
@@ -30,11 +32,12 @@ simulate_coupled enforces h <= kappa_stab * eps (default 0.1).
 A path whose state goes non-finite or past DIVERGENCE_CAP fails with a
 DivergenceError carrying the step index and the last finite state; a
 TwoscaleError raised by a coefficient map propagates as it is.  A kernel
-raises the first failure of its batch: the earliest step, and within
-that step the lowest column, the slow component checked before the fast
-one.  At P = 1 this is exactly the path's own error.  Kernels do not
-isolate failed paths; harness._run_chunk reruns a failed chunk path by
-path, so each path gets the error its one-path run raises.
+raises the first failure of its batch: the earliest step, then the
+lowest column, its slow component before its fast one; at P = 1, the
+path's own error.  Rows are checked every GUARD_STEPS = 16 steps, and a
+failed block (or one cut short by a map's error) is rescanned step by
+step.  Kernels do not isolate failed paths; harness._run_chunk reruns a
+failed chunk path by path, so each path gets its one-path run's error.
 """
 
 from __future__ import annotations
@@ -49,11 +52,13 @@ from .segment import _integer_ratio, exact_steps
 from .systems import SystemSpec, _diffusion, _drift
 
 DIVERGENCE_CAP = 1e12
+GUARD_STEPS = 16  # steps between checks of the rows written since the last
 
 DEFAULT_KAPPA_STAB = 0.1
 
 # max over all entries, NaN-propagating, without ndarray.max's Python wrapper
 _amax = np.maximum.reduce
+_VARYING = object()  # the "constant" diffusion value of a map that has none
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -120,13 +125,21 @@ def _start(history: np.ndarray, grid: TimeGrid, paths: int) -> np.ndarray:
 
 
 def _noise(s: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    """s @ dW for every path of the (P, m) increments, summed over m in order."""
-    if dw.shape[1] == 1:
+    """s @ dW for every path of the (..., P, m) increments, summed over m in order."""
+    if dw.shape[-1] == 1:
         return s[..., 0] * dw
-    inc = s[..., 0] * dw[:, :1]
-    for j in range(1, dw.shape[1]):
-        inc = inc + s[..., j] * dw[:, j: j + 1]
+    inc = s[..., 0] * dw[..., :1]
+    for j in range(1, dw.shape[-1]):
+        inc = inc + s[..., j] * dw[..., j: j + 1]
     return inc
+
+
+def _checked_noise(raw, k, dw, p, n, m, name):
+    """(s, const, rows): raw checked as a diffusion; rows[k] is _noise(s, dw[k]) if constant."""
+    s = _diffusion(raw, p, n, m, name)
+    if k == 0 and s.flags.owndata and not s.flags.writeable:
+        return s, s, _noise(s, dw)
+    return s, _VARYING, None
 
 
 def _raise_divergence(k: int, h: float, new, last, messages):
@@ -141,6 +154,17 @@ def _raise_divergence(k: int, h: float, new, last, messages):
     detail = next(msg for b, msg in zip(bad, messages) if b[j])
     last_state = np.concatenate([s[j] for s in last])
     raise DivergenceError(k, (k + 1) * h, last_state, detail)
+
+
+def _guard(paths, k0, k1, ts, h, messages):
+    """Check steps k0 <= k < k1 (rows ts + k + 1) in one max; rescan a failed block by step."""
+    block = [a[ts + k0 + 1: ts + k1 + 1] for a in paths]
+    if not all(_amax(np.absolute(b), axis=None, initial=0.0) <= DIVERGENCE_CAP for b in block):
+        for k in range(k0, k1):
+            new = [a[ts + k + 1] for a in paths]
+            if not all(np.absolute(b).max() <= DIVERGENCE_CAP for b in new):
+                _raise_divergence(k, h, new, [a[ts + k] for a in paths], messages)
+    return k1
 
 
 def _pair_increments(spec, xi, eta, epsilon, grid, w1s, w2s, kappa_stab):
@@ -227,31 +251,38 @@ def _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf, freeze=None):
     else:
         xt, yt, delta_steps = freeze
         messages = ("auxiliary slow component diverged", "auxiliary fast component diverged")
+    c1, c2, done = _VARYING, _VARYING, 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(grid.steps):
-            i = ts + k
-            if freeze is None:
-                xseg = x[k: i + 1]
-            else:
-                kb = k - k % delta_steps
-                xseg = xt[kb: kb + ts + 1]
-                if k == kb:
-                    y[i] = yt[i]
-                    sx = _diffusion(sigma1(xseg), p, n, m, "sigma1")
-            yk, ytau = y[i], y[i - lag]
-            bx = _drift(b1(xseg, y[k: i + 1]), p, n, "b1")
-            if freeze is None:
-                sx = _diffusion(sigma1(xseg), p, n, m, "sigma1")
-            by = _drift(b2(xseg, yk, ytau), p, n, "b2")
-            sy = _diffusion(sigma2(xseg, yk, ytau), p, n, m, "sigma2")
-            xn, yn = x[i + 1], y[i + 1]
-            np.add(x[i], bx * h, out=xn)
-            xn += _noise(sx, dw1[k])
-            np.add(y[i], by * h_over_eps, out=yn)
-            yn += _noise(sy, dwf[k])
-            if not (_amax(np.absolute(xn), axis=None) <= DIVERGENCE_CAP
-                    and _amax(np.absolute(yn), axis=None) <= DIVERGENCE_CAP):
-                _raise_divergence(k, h, (xn, yn), (x[i], y[i]), messages)
+        try:
+            for k in range(grid.steps):
+                i = ts + k
+                if freeze is None:
+                    xseg = x[k: i + 1]
+                else:
+                    kb = k - k % delta_steps
+                    xseg = xt[kb: kb + ts + 1]
+                    if k == kb:
+                        done = _guard((x, y), done, k, ts, h, messages)  # before row i is reset
+                        y[i] = yt[i]
+                        if (sx := sigma1(xseg)) is not c1:
+                            sx, c1, n1 = _checked_noise(sx, k, dw1, p, n, m, "sigma1")
+                yk, ytau = y[i], y[i - lag]
+                bx = _drift(b1(xseg, y[k: i + 1]), p, n, "b1")
+                if freeze is None and (sx := sigma1(xseg)) is not c1:
+                    sx, c1, n1 = _checked_noise(sx, k, dw1, p, n, m, "sigma1")
+                by = _drift(b2(xseg, yk, ytau), p, n, "b2")
+                if (sy := sigma2(xseg, yk, ytau)) is not c2:
+                    sy, c2, n2 = _checked_noise(sy, k, dwf, p, n, m, "sigma2")
+                xn, yn = x[i + 1], y[i + 1]
+                np.add(x[i], bx * h, out=xn)
+                xn += n1[k] if sx is c1 else _noise(sx, dw1[k])
+                np.add(y[i], by * h_over_eps, out=yn)
+                yn += n2[k] if sy is c2 else _noise(sy, dwf[k])
+                if k + 1 - done == GUARD_STEPS or k + 1 == grid.steps:
+                    done = _guard((x, y), done, k + 1, ts, h, messages)
+        except Exception:  # a map may raise on a state that diverged unseen: check first
+            _guard((x, y), done, k, ts, h, messages)
+            raise
     x.setflags(write=False)
     y.setflags(write=False)
     return x, y
@@ -285,16 +316,22 @@ def simulate_sdde(
     p = dw.shape[1]
     path = _start(xi, grid, p)
     messages = (f"{label} left the admissible range",)
+    c, done = _VARYING, 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(grid.steps):
-            i = ts + k
-            window = path[k: i + 1]
-            b = _drift(drift(window), p, n, "drift")
-            s = _diffusion(diffusion(window), p, n, m, "diffusion")
-            new = path[i + 1]
-            np.add(path[i], b * h, out=new)
-            new += _noise(s, dw[k])
-            if not _amax(np.absolute(new), axis=None) <= DIVERGENCE_CAP:
-                _raise_divergence(k, h, (new,), (path[i],), messages)
+        try:
+            for k in range(grid.steps):
+                i = ts + k
+                window = path[k: i + 1]
+                b = _drift(drift(window), p, n, "drift")
+                if (s := diffusion(window)) is not c:
+                    s, c, rows = _checked_noise(s, k, dw, p, n, m, "diffusion")
+                new = path[i + 1]
+                np.add(path[i], b * h, out=new)
+                new += rows[k] if s is c else _noise(s, dw[k])
+                if k + 1 - done == GUARD_STEPS or k + 1 == grid.steps:
+                    done = _guard((path,), done, k + 1, ts, h, messages)
+        except Exception:
+            _guard((path,), done, k, ts, h, messages)
+            raise
     path.setflags(write=False)
     return path

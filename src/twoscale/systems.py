@@ -8,12 +8,14 @@ one delay ago.  Maps see a batch of P paths at once: windows are float64
 arrays of shape (M + 1, P, n) with row M = tau / h being "now" (chi[-1]
 is the (P, n) current slow state), and y and y_tau have shape (P, n).
 Maps act on the last axis and return a drift of shape (P, n) and a
-diffusion of shape (n, m), shared by the batch, or (P, n, m).  Maps must
-be pure, finite-valued and act on each path on its own; the checkers in
-this module call each map once on all their samples as one batch and
-probe the structural conditions the averaging experiments rely on
-(one-sided contraction of the fast pair, linear growth and Lipschitz
-behaviour of the slow pair, a Lipschitz start window).
+diffusion of shape (n, m), shared by the batch, or (P, n, m); returning
+the same read-only array, owning its data, every call makes a diffusion
+constant.  Maps must be pure, finite-valued and act on each path on its
+own; kernels check for divergence every 16 steps, so a map may see a
+diverged state.  The checkers call each map once on all their samples as
+one batch and probe the structural conditions the averaging experiments
+rely on (one-sided contraction of the fast pair, linear growth and
+Lipschitz behaviour of the slow pair, a Lipschitz start window).
 
 The built-in scalar linear family has closed-form stationary and
 averaged quantities, which the test harness uses as ground truth.

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from twoscale.errors import DivergenceError, DomainError, UsageError
-from twoscale.averaging import simulate_averaged
+from twoscale.averaging import DeltaSchedule, simulate_auxiliary, simulate_averaged
 from twoscale.frozen import estimate_averaged_drift, simulate_frozen
 from twoscale.noise import W1, W2, NoiseStream, StreamFactory, fast_increments, gaussian_increments
 from twoscale.segment import Segment, constant_segment
 from twoscale.solver import (
     DIVERGENCE_CAP,
+    GUARD_STEPS,
     TimeGrid,
     fast_lag_steps,
     make_grid,
@@ -546,3 +547,189 @@ def test_maps_must_return_batch_shapes():
     per_path = simulate_sdde(1, 1, lambda w: -w[-1],
                              lambda w: np.full((w.shape[1], 1, 1), 0.5), xi, g, ws(3))
     assert np.array_equal(shared, per_path)
+
+
+# Divergence guard and constant-diffusion noise.  The systems below are
+# noise-free on h = 1/16, so every state is an exact multiple of h.  Each
+# expected error is the one a check after every step raises, pinned from
+# a kernel that made that check.
+H = 1 / 16
+
+
+def _zero_diffusion(*_):
+    return np.zeros((1, 1))
+
+
+def _climb(theta):
+    """A drift of 1 that jumps out of range once its state tops theta."""
+    return lambda state: np.where(state > theta, 1e14, 1.0)
+
+
+def _assert_error(info, step, time, last_state, detail):
+    err = info.value
+    assert str(err) == f"state diverged at step {step} (t={time:.6g}): {detail}"
+    assert (err.step_index, err.time) == (step, time)
+    assert np.array_equal(err.last_state, last_state)
+
+
+def test_auxiliary_fast_divergence_just_before_a_reset_is_raised():
+    """The reset overwrites the diverged row; it must be checked before that.
+
+    The slow state climbs by h per step, so within a block the frozen
+    slow state lags the auxiliary fast one by (k - kb) h; the fast drift
+    jumps out of range on the last step of the first block (step 4 of 5).
+    The true pair never diverges.
+    """
+    spec = SystemSpec(n=1, m=1, tau=0.5,
+                      b1=lambda chi, phi: np.ones_like(chi[-1]), sigma1=_zero_diffusion,
+                      b2=lambda chi, y, y_tau: np.where(y - chi[-1] > 3.5 * H, 1e14, 1.0),
+                      sigma2=_zero_diffusion)
+    g = make_grid(T=2.0, h=H, tau=0.5)
+    xi = np.zeros((g.tau_steps + 1, 1))
+    schedule = DeltaSchedule(epsilon=1.0, delta_raw=5 * H, delta=5 * H, N_delta=1)
+    with pytest.raises(DivergenceError) as info:
+        simulate_auxiliary(spec, xi, xi, 1.0, schedule, g,
+                           [NoiseStream(0, p, W1) for p in range(2)],
+                           [NoiseStream(0, p, W2) for p in range(2)])
+    _assert_error(info, 4, 0.3125, [0.25, 0.25], "auxiliary fast component diverged")
+
+
+def test_map_raising_on_an_unchecked_divergence_gives_the_divergence():
+    """A map that refuses a non-finite input, one step after an unchecked divergence."""
+    from twoscale.errors import DataError
+
+    def b1(chi, phi):
+        if not np.isfinite(phi[-1]).all():
+            raise DataError("b1 needs a finite fast state")
+        return np.zeros_like(chi[-1])
+
+    def drift(window):
+        if not np.isfinite(window[-1]).all():
+            raise DataError("drift needs a finite state")
+        return np.where(window[-1] > 0.3, np.inf, 1.0)
+
+    spec = SystemSpec(n=1, m=1, tau=0.5, b1=b1, sigma1=_zero_diffusion,
+                      b2=lambda chi, y, y_tau: np.where(y > 0.3, np.inf, 1.0),
+                      sigma2=_zero_diffusion)
+    g = make_grid(T=2.0, h=H, tau=0.5)
+    xi = np.zeros((g.tau_steps + 1, 1))
+    with pytest.raises(DivergenceError) as info:
+        simulate_coupled(spec, xi, xi, 1.0, g, [NoiseStream(0, 0, W1)], [NoiseStream(0, 0, W2)])
+    _assert_error(info, 5, 0.375, [0.0, 0.3125], "fast component left the admissible range")
+    with pytest.raises(DivergenceError) as info:
+        simulate_sdde(1, 1, drift, _zero_diffusion, xi, g, [NoiseStream(0, 0, W1)])
+    _assert_error(info, 5, 0.375, [0.3125], "X left the admissible range")
+
+
+@pytest.mark.parametrize("steps, step", [
+    (37, 0),   # the first step
+    (37, 36),  # the last step, inside the trailing partial block
+    (37, 33),  # inside the trailing partial block
+    (32, 31),  # the last step of the last full block
+    (5, 3),    # a grid shorter than one block
+])
+def test_divergence_at_the_block_edges(steps, step):
+    """Wherever the failing step falls against the guard's blocks, the error is the same."""
+    assert GUARD_STEPS == 16
+    g = make_grid(T=steps * H, h=H, tau=0.5)
+    xi = np.zeros((g.tau_steps + 1, 1))
+    climb = _climb((step - 0.5) * H)
+    state = step * H  # the last state, before the failing step
+
+    def ones(state):
+        return np.ones_like(state)
+
+    def run(slow_drift, fast_drift):
+        spec = SystemSpec(n=1, m=1, tau=0.5,
+                          b1=lambda chi, phi: slow_drift(chi[-1]), sigma1=_zero_diffusion,
+                          b2=lambda chi, y, y_tau: fast_drift(y), sigma2=_zero_diffusion)
+        simulate_coupled(spec, xi, xi, 1.0, g, [NoiseStream(0, p, W1) for p in range(3)],
+                         [NoiseStream(0, p, W2) for p in range(3)])
+
+    time = (step + 1) * H
+    with pytest.raises(DivergenceError) as info:
+        run(climb, ones)
+    _assert_error(info, step, time, [state, state], "slow component left the admissible range")
+    with pytest.raises(DivergenceError) as info:
+        run(ones, climb)
+    _assert_error(info, step, time, [state, state], "fast component left the admissible range")
+    with pytest.raises(DivergenceError) as info:
+        simulate_sdde(1, 1, lambda w: climb(w[-1]), _zero_diffusion, xi, g,
+                      [NoiseStream(0, p, W1) for p in range(3)])
+    _assert_error(info, step, time, [state], "X left the admissible range")
+
+
+def _diffusions(values):
+    """Diffusion maps of the given values, keyed by how they return them.
+
+    "cached" returns one read-only array; "fresh" a new copy each call;
+    "switching" the cached array while the window's first two rows are
+    history and a fresh array of other values after; "switching_fresh"
+    the same values as "switching", always as fresh copies.
+    """
+    cached = np.array(values, dtype=float)
+    cached.setflags(write=False)
+    other = 2.0 * cached
+
+    def switching(chi):
+        return cached if np.array_equal(chi[0], chi[1]) else other.copy()
+
+    return {
+        "cached": lambda chi, *_: cached,
+        "fresh": lambda chi, *_: cached.copy(),
+        "switching": lambda chi, *_: switching(chi),
+        "switching_fresh": lambda chi, *_: (cached.copy() if np.array_equal(chi[0], chi[1])
+                                           else other.copy()),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_constant_diffusion_noise_is_bit_identical(n, monkeypatch):
+    """A cached read-only diffusion takes the precomputed noise, with the same bits.
+
+    A diffusion that returns its step-0 array only for a while falls back
+    to the per-step sum and still matches.
+    """
+    from twoscale import solver
+
+    calls = []  # dw.ndim of every noise sum: 3 for a whole run, 2 for one step
+    noise = solver._noise
+
+    def counted_noise(s, dw):
+        calls.append(dw.ndim)
+        return noise(s, dw)
+
+    monkeypatch.setattr(solver, "_noise", counted_noise)
+    p = 3
+    g = make_grid(T=0.5, h=0.025, tau=0.25)
+    xi = constant_segment(g.tau, g.h, [1.0, -0.5][:n]).values
+    eta = constant_segment(g.tau, g.h, [0.0, 0.5][:n]).values
+    a = np.array([[1.0, 0.5], [-0.25, 1.5]])[:n, :n]
+    sig1 = _diffusions(np.array([[0.3, -0.2], [0.1, 0.4]])[:n, :n])
+    sig2 = _diffusions(np.array([[0.5, 0.25], [-0.3, 0.2]])[:n, :n])
+    schedule = DeltaSchedule(epsilon=0.25, delta_raw=0.125, delta=0.125, N_delta=2)
+
+    def run(mode):
+        spec = SystemSpec(n=n, m=n, tau=0.25,
+                          b1=lambda chi, phi: -chi[-1] @ a.T + 0.5 * phi[-1], sigma1=sig1[mode],
+                          b2=lambda chi, y, y_tau: chi[-1] - y + 0.25 * y_tau, sigma2=sig2[mode])
+        calls.clear()
+        pair = simulate_auxiliary(spec, xi, eta, 0.25, schedule, g,
+                                  [NoiseStream(9, q, W1, m=n) for q in range(p)],
+                                  [NoiseStream(9, q, W2, m=n) for q in range(p)])
+        path = simulate_sdde(n, n, lambda w: -w[-1] @ a.T, sig1[mode], xi, g,
+                             [NoiseStream(9, q, W1, m=n) for q in range(p)])
+        return (pair.x, pair.y, pair.x_aux, pair.y_aux, path), list(calls)
+
+    fast, fast_calls = run("cached")
+    slow, slow_calls = run("fresh")
+    # Five diffusions (sigma1, sigma2 in each pass and the sdde's), each summed once.
+    assert fast_calls == [3] * 5
+    assert slow_calls.count(3) == 0
+    for a_run, b_run in zip(fast, slow):
+        assert np.array_equal(a_run, b_run)
+    switched, switched_calls = run("switching")
+    reference, _ = run("switching_fresh")
+    assert switched_calls.count(3) == 5 and switched_calls.count(2) > 0
+    for a_run, b_run in zip(switched, reference):
+        assert np.array_equal(a_run, b_run)
