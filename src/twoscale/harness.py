@@ -25,7 +25,7 @@ import os
 import time
 import warnings as _warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -68,257 +68,216 @@ CSV_COLUMNS = (
     "paths", "value", "std_error", "extra_json",
 )
 
-_COMMON_KEYS = {"experiment", "system", "tau", "T", "h", "seed", "threads"}
-_ENSEMBLE_KEYS = _COMMON_KEYS | {"epsilon", "epsilons", "h_factor", "kappa_stab", "paths",
-                                 "xi", "eta"}
-_FROZEN_KEYS = _COMMON_KEYS | {"xi", "eta", "eta_prime", "mixing_replicas", "checkpoints"}
-
-# experiment -> the config keys it reads; any other key is rejected, since
-# it would move the scenario digest without moving a result.
-_EXPERIMENT_KEYS = {
-    "converge": _ENSEMBLE_KEYS | {"p", "drift_source", "estimator"},
-    "auxiliary_gap": _ENSEMBLE_KEYS | {"p", "delta"},
-    "segment_continuity": _ENSEMBLE_KEYS | {"p", "deltas", "sample_times"},
-    "frozen": _FROZEN_KEYS | {"burn_in", "horizon", "replicas"},
-    "mixing": _FROZEN_KEYS,
-    "check": _COMMON_KEYS | {"xi", "trials", "lambda3_cap"},
-    "simulate": _ENSEMBLE_KEYS,
-}
-
-EXPERIMENTS = tuple(_EXPERIMENT_KEYS)
-
 # Experiments that reduce their paths to moments with standard errors.
 _MOMENT_EXPERIMENTS = ("converge", "auxiliary_gap", "segment_continuity")
-
-_ALLOWED_KEYS = set().union(*_EXPERIMENT_KEYS.values())
-
-
-def _cfg_number(cfg, key, default, *, positive=False, nonneg=False):
-    val = _number(cfg.get(key, default), key)
-    if positive and val <= 0.0:
-        raise ConfigError(f"{key} must be positive, got {val}")
-    if nonneg and val < 0.0:
-        raise ConfigError(f"{key} must be >= 0, got {val}")
-    return val
+_FROZEN_EXPERIMENTS = ("frozen", "mixing")
+EXPERIMENTS = _MOMENT_EXPERIMENTS + _FROZEN_EXPERIMENTS + ("check", "simulate")
+_ENSEMBLE_EXPERIMENTS = _MOMENT_EXPERIMENTS + ("simulate",)
 
 
-def _cfg_int(cfg, key, default, *, minimum=None):
-    raw = cfg.get(key, default)
-    try:
-        if isinstance(raw, (bool, str)) or (isinstance(raw, float) and not raw.is_integer()):
-            raise TypeError
-        val = int(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {val}")
-    return val
+# ------------------------------------------------------- config keys
+# Each Scenario field is one config key, declared once by the _Key in its
+# metadata.  A parser returns the key's value or a ConfigError naming it.
+
+def _real(*, nonneg=False, most=math.inf):
+    """A finite number > 0 (>= 0 with nonneg) and <= most."""
+    def parse(raw, name):
+        val = _number(raw, name)
+        if not (0.0 < val <= most or nonneg and val == 0.0):
+            bound = (">= 0" if nonneg else "> 0") + (f" and <= {most}" if most < math.inf else "")
+            raise ConfigError(f"{name} must be {bound}, got {val}")
+        return val
+    return parse
+
+
+def _integer(minimum):
+    """An integer >= minimum; a float with an integral value counts."""
+    def parse(raw, name):
+        val = raw if type(raw) is int else _number(raw, name)
+        if val != int(val) or val < minimum:
+            raise ConfigError(f"{name} must be an integer >= {minimum}, got {raw!r}")
+        return int(val)
+    return parse
+
+
+def _one_of(choices):
+    def parse(raw, name):
+        if raw not in choices:
+            raise ConfigError(f"{name} must be one of {choices}, got {raw!r}")
+        return raw
+    return parse
+
+
+def _or(literal, parse):
+    """parse, except that literal ("auto" or null) stands for itself."""
+    return lambda raw, name: raw if raw == literal else parse(raw, name)
+
+
+def _object(raw, name):
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} must be an object, got {raw!r}")
+    return raw
+
+
+def _numbers(entry, *, empty=False, descending=False):
+    """A tuple of numbers read by entry, largest first with descending.
+
+    With empty, [] is allowed and null reads as (); else null is None.
+    """
+    def parse(raw, name):
+        if raw is None:
+            return () if empty else None
+        if not isinstance(raw, (list, tuple)) or not (raw or empty):
+            raise ConfigError(f"{name} must be a {'' if empty else 'non-empty '}list, "
+                              f"got {raw!r}")
+        vals = tuple(entry(v, f"{name} entries") for v in raw)
+        return tuple(sorted(vals, reverse=True)) if descending else vals
+    return parse
+
+
+def _segment(raw, name):
+    """A start window: {"constant": v} or {"values": rows}, every entry a number."""
+    if not isinstance(raw, dict) or set(raw) not in ({"constant"}, {"values"}):
+        raise ConfigError(f"{name} must be an object with exactly one key, 'constant' or "
+                          f"'values', got {raw!r}")
+    [(form, value)] = raw.items()
+    if form == "values" and not isinstance(value, list):
+        raise ConfigError(f"{name} values must be a list, got {value!r}")
+    rows = value if form == "values" else [value]
+    for row in rows:
+        for c in row if isinstance(row, list) else [row]:
+            _number(c, f"{name} entries")
+    if len({len(row) if isinstance(row, list) else None for row in rows}) > 1:
+        raise ConfigError(f"{name} values must be rows of equal length")
+    return dict(raw)
+
+
+@dataclass(frozen=True)
+class _Key:
+    """How one config key is read.
+
+    parse(value, name) normalizes a value, or is a nested table {key: _Key}
+    for an object of keys.  default, a value or a function of tau, is parsed
+    like a given one.  reads names the experiments that read the key.  A
+    single value under alias stands for this list key when it is not given.
+    """
+
+    parse: object
+    default: object = None
+    reads: tuple = EXPERIMENTS
+    alias: str | None = None
+
+    def read(self, cfg: dict, name: str, tau: float | None, label: str | None = None):
+        label = label or name
+        if cfg.get(name) is None and self.alias in cfg:
+            return self.parse([cfg[self.alias]], self.alias)
+        value = cfg.get(name, self.default(tau) if callable(self.default) else self.default)
+        if not isinstance(self.parse, dict):
+            return self.parse(value, label)
+        unknown = set(_object(value, label)) - set(self.parse)
+        if unknown:
+            raise ConfigError(f"unknown {label} keys: {sorted(unknown)}")
+        return {k: key.read(value, k, tau, f"{label} {k}") for k, key in self.parse.items()}
+
+
+def _key(parse, default=None, reads=EXPERIMENTS, alias=None):
+    return field(metadata={"key": _Key(parse, default, reads, alias)})
+
+
+# The budget of the estimator drift source's frozen sub-simulations.
+_ESTIMATOR_KEYS = {
+    "burn_in": _Key(_real(nonneg=True), lambda tau: 5.0 * tau),
+    "horizon": _Key(_real(), lambda tau: 20.0 * tau),
+    "replicas": _Key(_integer(1), 4),
+    "h": _Key(_real(), lambda tau: tau / 100.0),
+}
 
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Validated, normalized experiment configuration."""
+    """Validated, normalized experiment configuration: one field per config key."""
 
-    experiment: str
-    system: dict
-    tau: float
-    T: float
-    h: object  # "auto" or float
-    h_factor: float
-    kappa_stab: float
-    epsilons: tuple
-    p: float
-    paths: int
-    seed: int
-    threads: int
-    xi: dict
-    eta: dict
-    eta_prime: dict | None
-    burn_in: float
-    horizon: float
-    replicas: int
-    mixing_replicas: int
-    checkpoints: int
-    drift_source: str
-    estimator: dict
-    deltas: tuple | None
-    sample_times: tuple | None
-    lambda3_cap: float
-    trials: int
-    delta: object  # "auto" or float
+    experiment: str = _key(_one_of(EXPERIMENTS))
+    system: dict = _key(_object)
+    tau: float = _key(_real(), 1.0)
+    T: float = _key(_real(), 1.0)
+    h: object = _key(_or("auto", _real()), "auto")  # "auto" or float
+    h_factor: float = _key(_real(), 0.05, _ENSEMBLE_EXPERIMENTS)
+    kappa_stab: float = _key(_real(), 0.1, _ENSEMBLE_EXPERIMENTS)
+    epsilons: tuple = _key(_numbers(_real(most=1.0), empty=True), None, _ENSEMBLE_EXPERIMENTS,
+                           alias="epsilon")
+    p: float = _key(_real(), 2.0, _MOMENT_EXPERIMENTS)
+    paths: int = _key(_integer(1), 64, _ENSEMBLE_EXPERIMENTS)
+    seed: int = _key(_integer(0), 12345)
+    threads: int = _key(_integer(1), 1)
+    xi: dict = _key(_segment, {"constant": 1.0})
+    eta: dict = _key(_segment, {"constant": 0.0}, _ENSEMBLE_EXPERIMENTS + _FROZEN_EXPERIMENTS)
+    eta_prime: dict | None = _key(_or(None, _segment), None, _FROZEN_EXPERIMENTS)
+    burn_in: float = _key(_real(nonneg=True), lambda tau: 10.0 * tau, ("frozen",))
+    horizon: float = _key(_real(), lambda tau: 50.0 * tau, ("frozen",))
+    replicas: int = _key(_integer(1), 16, ("frozen",))
+    mixing_replicas: int = _key(_integer(8), 8, _FROZEN_EXPERIMENTS)
+    checkpoints: int = _key(_integer(3), 8, _FROZEN_EXPERIMENTS)
+    drift_source: str = _key(_one_of(("closed_form", "estimator")), "closed_form",
+                             ("converge",))
+    estimator: dict = _key(_ESTIMATOR_KEYS, {}, ("converge",))
+    deltas: tuple | None = _key(_numbers(_real(), descending=True), None,
+                                ("segment_continuity",))
+    sample_times: tuple | None = _key(_numbers(_number), None, ("segment_continuity",))
+    lambda3_cap: float = _key(_real(nonneg=True), 10.0, ("check",))
+    trials: int = _key(_integer(1), 2000, ("check",))
+    delta: object = _key(_or("auto", _real()), "auto", ("auxiliary_gap",))  # "auto" or float
 
     @classmethod
     def from_config(cls, raw: dict) -> "Scenario":
-        if not isinstance(raw, dict):
-            raise ConfigError(f"scenario config must be an object, got {type(raw).__name__}")
-        unknown = set(raw) - _ALLOWED_KEYS
+        unknown = set(_object(raw, "scenario config")) - _ALLOWED_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        v = {}
+        for f in fields(cls):
+            v[f.name] = f.metadata["key"].read(raw, f.name, v.get("tau"))
 
-        experiment = raw.get("experiment")
-        if experiment not in EXPERIMENTS:
-            raise ConfigError(
-                f"experiment must be one of {EXPERIMENTS}, got {experiment!r}"
-            )
+        # The rules that tie keys together.  A key that the run does not
+        # read would move the digest without moving a result.
+        experiment = v["experiment"]
+        unread_beside = {"epsilon": raw.get("epsilons") is not None, "h_factor": v["h"] != "auto",
+                         "estimator": v["drift_source"] != "estimator"}
         ignored = set(raw) - _EXPERIMENT_KEYS[experiment]
-        if raw.get("epsilons") is not None and "epsilon" in raw:
-            ignored.add("epsilon")
-        if raw.get("h", "auto") != "auto" and "h_factor" in raw:
-            ignored.add("h_factor")
-        if raw.get("drift_source") != "estimator" and "estimator" in raw:
-            ignored.add("estimator")
+        ignored |= {k for k, unread in unread_beside.items() if unread and k in raw}
         if ignored:
             raise ConfigError(f"experiment {experiment!r} does not read config keys "
                               f"{sorted(ignored)}")
-        system = raw.get("system")
-        if not isinstance(system, dict):
-            raise ConfigError("config needs a system object")
-
-        tau = _cfg_number(raw, "tau", 1.0, positive=True)
-        T = _cfg_number(raw, "T", 1.0, positive=True)
-
-        h = raw.get("h", "auto")
-        if h != "auto":
-            h = _cfg_number(raw, "h", None, positive=True)
-        kappa_stab = _cfg_number(raw, "kappa_stab", 0.1, positive=True)
-        h_factor = _cfg_number(raw, "h_factor", 0.05, positive=True)
-        if h_factor > kappa_stab:
-            raise ConfigError(
-                f"h_factor={h_factor} exceeds kappa_stab={kappa_stab}; "
-                "auto-resolved steps would violate the stability cap"
-            )
-
-        eps_raw = raw.get("epsilons")
-        if eps_raw is None and "epsilon" in raw:
-            eps_raw = [raw["epsilon"]]
-        if eps_raw is None:
-            eps_raw = []
-        if not isinstance(eps_raw, (list, tuple)):
-            raise ConfigError(f"epsilons must be a list, got {eps_raw!r}")
-        epsilons = []
-        for e in eps_raw:
-            val = _number(e, "epsilon entries")
-            if not (0.0 < val <= 1.0):
-                raise ConfigError(f"epsilon must lie in (0, 1], got {val}")
-            epsilons.append(val)
+        if v["h_factor"] > v["kappa_stab"]:
+            raise ConfigError(f"h_factor={v['h_factor']} exceeds kappa_stab={v['kappa_stab']}; "
+                              "auto-resolved steps would violate the stability cap")
+        epsilons = v["epsilons"]
         if len(set(epsilons)) != len(epsilons):
-            raise ConfigError(f"duplicate epsilon values: {epsilons}")
+            raise ConfigError(f"duplicate epsilon values: {list(epsilons)}")
         if experiment in ("converge", "auxiliary_gap") and not epsilons:
             raise ConfigError(f"{experiment} needs a non-empty epsilons list")
-
-        delta = raw.get("delta", "auto")
-        if delta != "auto":
-            delta = _cfg_number(raw, "delta", None, positive=True)
-        if experiment == "auxiliary_gap" and delta == "auto":
+        if experiment == "auxiliary_gap" and v["delta"] == "auto":
             bad = [e for e in epsilons if e >= _INV_E]
             if bad:
                 raise ConfigError(
-                    f"epsilons {bad} are >= 1/e; the block schedule needs eps < 1/e"
-                )
-
-        p = _cfg_number(raw, "p", 2.0, positive=True)
-        paths = _cfg_int(raw, "paths", 64, minimum=1)
-        if experiment in _MOMENT_EXPERIMENTS and paths < 2:
+                    f"epsilons {bad} are >= 1/e; the block schedule needs eps < 1/e")
+        if experiment in _MOMENT_EXPERIMENTS and v["paths"] < 2:
             raise ConfigError(
-                f"{experiment} needs paths >= 2 for a moment's standard error, got {paths}"
-            )
-        seed = _cfg_int(raw, "seed", 12345, minimum=0)
-        threads = _cfg_int(raw, "threads", 1, minimum=1)
-
-        def seg_cfg(key, default):
-            val = raw.get(key, default)
-            if val is None:
-                return None
-            if not isinstance(val, dict) or set(val) not in ({"constant"}, {"values"}):
-                raise ConfigError(
-                    f"{key} must be an object with exactly one key, 'constant' or "
-                    f"'values', got {val!r}"
-                )
-            if "constant" in val:
-                const = val["constant"]
-                entries = const if isinstance(const, list) else [const]
-            else:
-                rows = val["values"]
-                if not isinstance(rows, list):
-                    raise ConfigError(f"{key} values must be a list, got {rows!r}")
-                entries = [c for r in rows for c in (r if isinstance(r, list) else [r])]
-            for c in entries:
-                _number(c, f"{key} entries")
-            if "values" in val:
-                try:
-                    np.array(val["values"], dtype=float)
-                except ValueError:
-                    raise ConfigError(f"{key} values must be rows of equal length") from None
-            return val
-
-        xi = seg_cfg("xi", {"constant": 1.0})
-        eta = seg_cfg("eta", {"constant": 0.0})
-        eta_prime = seg_cfg("eta_prime", None)
-
-        burn_in = _cfg_number(raw, "burn_in", 10.0 * tau, nonneg=True)
-        horizon = _cfg_number(raw, "horizon", 50.0 * tau, positive=True)
-        replicas = _cfg_int(raw, "replicas", 16, minimum=1)
-        mixing_replicas = _cfg_int(raw, "mixing_replicas", 8, minimum=8)
-        checkpoints = _cfg_int(raw, "checkpoints", 8, minimum=3)
-
-        drift_source = raw.get("drift_source", "closed_form")
-        if drift_source not in ("closed_form", "estimator"):
-            raise ConfigError(
-                f"drift_source must be 'closed_form' or 'estimator', got {drift_source!r}"
-            )
-        est_raw = raw.get("estimator", {})
-        if not isinstance(est_raw, dict):
-            raise ConfigError("estimator must be an object")
-        est_unknown = set(est_raw) - {"burn_in", "horizon", "replicas", "h"}
-        if est_unknown:
-            raise ConfigError(f"unknown estimator keys: {sorted(est_unknown)}")
-        estimator = {
-            "burn_in": _cfg_number(est_raw, "burn_in", 5.0 * tau, nonneg=True),
-            "horizon": _cfg_number(est_raw, "horizon", 20.0 * tau, positive=True),
-            "replicas": _cfg_int(est_raw, "replicas", 4, minimum=1),
-            "h": _cfg_number(est_raw, "h", tau / 100.0, positive=True),
-        }
-        if drift_source == "estimator":
+                f"{experiment} needs paths >= 2 for a moment's standard error, got {v['paths']}")
+        if v["sample_times"] is not None and any(not (0.0 < t <= v["T"])
+                                                 for t in v["sample_times"]):
+            raise ConfigError(f"sample_times must lie in (0, T], got {v['sample_times']}")
+        if v["drift_source"] == "estimator":
+            est = v["estimator"]
             # The spans the estimator's sub-simulation grid has to tile.
-            spans = {"tau": tau, "burn_in + horizon": estimator["burn_in"] + estimator["horizon"],
-                     "horizon": estimator["horizon"], "burn_in": estimator["burn_in"]}
+            spans = {"tau": v["tau"], "burn_in + horizon": est["burn_in"] + est["horizon"],
+                     "horizon": est["horizon"], "burn_in": est["burn_in"]}
             try:
                 for what, span in spans.items():
                     if span > 0.0:
-                        exact_steps(span, estimator["h"], what)
+                        exact_steps(span, est["h"], what)
             except TwoscaleError as exc:
-                raise ConfigError(f"estimator h={estimator['h']} misaligned: {exc}") from exc
-
-        deltas_raw = raw.get("deltas")
-        deltas = None
-        if deltas_raw is not None:
-            if not isinstance(deltas_raw, (list, tuple)) or len(deltas_raw) < 1:
-                raise ConfigError("deltas must be a non-empty list")
-            deltas = tuple(sorted((_number(d, "deltas entries") for d in deltas_raw),
-                                  reverse=True))
-            if any(d <= 0.0 for d in deltas):
-                raise ConfigError(f"deltas must be positive, got {deltas}")
-
-        st_raw = raw.get("sample_times")
-        sample_times = None
-        if st_raw is not None:
-            if not isinstance(st_raw, (list, tuple)) or len(st_raw) < 1:
-                raise ConfigError("sample_times must be a non-empty list")
-            sample_times = tuple(_number(t, "sample_times entries") for t in st_raw)
-            if any(not (0.0 < t <= T) for t in sample_times):
-                raise ConfigError(f"sample_times must lie in (0, T], got {sample_times}")
-
-        lambda3_cap = _cfg_number(raw, "lambda3_cap", 10.0, nonneg=True)
-        trials = _cfg_int(raw, "trials", 2000, minimum=1)
-        return cls(
-            experiment=experiment, system=system, tau=tau, T=T, h=h, h_factor=h_factor,
-            kappa_stab=kappa_stab, epsilons=tuple(epsilons), p=p, paths=paths, seed=seed,
-            threads=threads, xi=xi, eta=eta, eta_prime=eta_prime, burn_in=burn_in,
-            horizon=horizon, replicas=replicas, mixing_replicas=mixing_replicas,
-            checkpoints=checkpoints, drift_source=drift_source, estimator=estimator,
-            deltas=deltas, sample_times=sample_times, lambda3_cap=lambda3_cap,
-            trials=trials, delta=delta,
-        )
+                raise ConfigError(f"estimator h={est['h']} misaligned: {exc}") from exc
+        return cls(**v)
 
     def digest(self) -> str:
         # The worker count changes execution, not results.
@@ -415,6 +374,16 @@ class Scenario:
             replicas=self.estimator["replicas"],
         )
         return EstimatedDriftSource(spec, budget, self.estimator["h"], self.seed)
+
+
+# experiment -> the config keys it reads; any other key is refused.
+_EXPERIMENT_KEYS = {
+    e: {name for f in fields(Scenario) for name in (f.name, f.metadata["key"].alias)
+        if name is not None and e in f.metadata["key"].reads}
+    for e in EXPERIMENTS
+}
+
+_ALLOWED_KEYS = set().union(*_EXPERIMENT_KEYS.values())
 
 
 @dataclass(eq=False)

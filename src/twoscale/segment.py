@@ -14,7 +14,6 @@ ratio.  _integer_ratio is the single place that ratio is checked.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +25,12 @@ _DIV_RTOL = 1e-9
 
 
 def _integer_ratio(ratio: float) -> int | None:
-    """round(ratio) if ratio is a finite integer within _DIV_RTOL, else None."""
-    if not math.isfinite(ratio):
+    """round(ratio) if ratio is a finite integer within _DIV_RTOL, else None.
+
+    From 2**53 up every float is an integer, so no ratio there shows that
+    a step divides a span.
+    """
+    if not abs(ratio) < 2.0 ** 53:
         return None
     k = int(round(ratio))
     return k if abs(ratio - k) <= _DIV_RTOL * max(1.0, abs(ratio)) else None

@@ -21,6 +21,7 @@ from twoscale.cli import main as cli_main
 from twoscale.errors import ConfigError, DataError, UsageError
 from twoscale.harness import (
     _ALLOWED_KEYS,
+    _ESTIMATOR_KEYS,
     _EXPERIMENT_KEYS,
     _aux_chunk,
     _converge_chunk,
@@ -87,6 +88,9 @@ _BAD_PARSE_CONFIGS = [
     _cfg(xi={"values": [[1.0, 2.0], [3.0]]}),  # ragged rows
     # The estimator's step must tile tau, burn_in and horizon.
     _cfg(drift_source="estimator", estimator={"h": 0.03}),
+    # Only eta_prime may be null.
+    _cfg(xi=None),
+    _cfg(eta=None),
 ]
 
 
@@ -279,6 +283,29 @@ def test_keys_read_only_beside_another_key_are_rejected():
         Scenario.from_config(_cfg(estimator={"replicas": 2}))
     assert Scenario.from_config(_cfg(drift_source="estimator",
                                      estimator={"replicas": 2})).estimator["replicas"] == 2
+
+
+@pytest.mark.parametrize("bad", ["abc", -1])
+def test_every_parse_error_names_its_key(bad):
+    """A string or a negative number on any key fails at parse, naming the key."""
+    for key in sorted(_ALLOWED_KEYS):
+        experiment = next(e for e in EXPERIMENTS if key in _EXPERIMENT_KEYS[e])
+        cfg = dict(_cfg(experiment=experiment), **{key: bad})
+        if key == "epsilon":
+            del cfg["epsilons"]
+        if key == "estimator":
+            cfg["drift_source"] = "estimator"
+        with pytest.raises(ConfigError, match=rf"^{key}\b"):
+            Scenario.from_config(cfg)
+    for key in _ESTIMATOR_KEYS:
+        with pytest.raises(ConfigError, match=rf"^estimator {key}\b"):
+            Scenario.from_config(_cfg(drift_source="estimator", estimator={key: bad}))
+
+
+def test_readme_names_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    missing = [k for k in sorted(_ALLOWED_KEYS | set(_ESTIMATOR_KEYS)) if f"`{k}`" not in readme]
+    assert not missing
 
 
 def test_resolve_h_auto_commensurate():
@@ -569,14 +596,23 @@ def test_cli_config_errors_exit_four(tmp_path, capsys):
         _cfg(experiment="segment_continuity", epsilons=[0.05], T=1.0, p=4.0,
              sample_times=[0.3333]),
         _cfg(h=5e-324),  # tau / h overflows to inf
+        # Grids of 2**53 steps or more, where every float ratio is an integer.
+        _cfg(experiment="simulate", tau=1e-300),
+        _cfg(experiment="simulate", T=1e300),
+        _cfg(experiment="simulate", h_factor=1e-300),
+        _cfg(experiment="auxiliary_gap", epsilons=[0.05, 0.01], delta=1e-300),
+        _cfg(experiment="check", xi=None),
     ]
-    commands = {"converge": "converge", "auxiliary_gap": "aux-gap",
-                "segment_continuity": "seg-cont"}
-    for i, cfg in enumerate(cases):
-        path = _write_cfg(tmp_path, f"case{i}.json", cfg)
+    files = [_write_cfg(tmp_path, f"case{i}.json", cfg) for i, cfg in enumerate(cases)]
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b'{"experiment": "converge", "seed": "\xe9"}')
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100000)
+    runs = [(_COMMAND_OF[cfg["experiment"]], path) for cfg, path in zip(cases, files)]
+    runs += [("converge", str(undecodable)), ("converge", str(nested))]
+    for i, (command, path) in enumerate(runs):
         out = tmp_path / f"out{i}"
-        assert cli_main([commands[cfg["experiment"]], "--config", path,
-                         "--out", str(out)]) == 4, cfg
+        assert cli_main([command, "--config", path, "--out", str(out)]) == 4, path
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not out.exists()
