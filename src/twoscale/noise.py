@@ -56,8 +56,11 @@ class NoiseStream:
         self.tag = tag
         self.m = int(m)
         self.position = 0
-        ss = SeedSequence(self.seed, spawn_key=(self.path_index, _TAG_CODES[tag]))
-        self._bits = Philox(key=ss.generate_state(2, np.uint64))
+        # Philox keys itself from the sequence's generate_state(2, np.uint64)
+        # with a zero counter; passing that key instead would also draw an
+        # unused OS-entropy SeedSequence for every stream.
+        self._bits = Philox(SeedSequence(self.seed,
+                                         spawn_key=(self.path_index, _TAG_CODES[tag])))
 
     def normals(self, count: int) -> np.ndarray:
         """Draw count standard normals, two raw words each."""

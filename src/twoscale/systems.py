@@ -446,28 +446,45 @@ def register_system(name: str, factory: Callable[[], SystemSpec], *, replace: bo
     _REGISTRY[name] = factory
 
 
+# The keys build_system reads for each system kind.  Any other key would
+# move the scenario digest without moving a result.
+_SYSTEM_KEYS = {"linear_benchmark": ("kind", "params", "tau"),
+                "registered": ("kind", "name", "tau")}
+
+
+def system_kind(config: dict) -> str:
+    """The kind of a system config object; ConfigError for an unknown kind or an unread key."""
+    kind = config.get("kind")
+    if not isinstance(kind, str) or kind not in _SYSTEM_KEYS:
+        raise ConfigError(f"system kind must be one of {tuple(_SYSTEM_KEYS)}, got {kind!r}")
+    unread = set(config) - set(_SYSTEM_KEYS[kind])
+    if unread:
+        raise ConfigError(f"system kind {kind!r} does not read keys {sorted(unread)}")
+    return kind
+
+
 def build_system(config: dict) -> SystemSpec:
     """Instantiate a SystemSpec from scenario-config JSON."""
     if not isinstance(config, dict):
         raise ConfigError(f"system config must be an object, got {type(config).__name__}")
-    kind = config.get("kind")
-    if kind == "linear_benchmark":
+    if system_kind(config) == "linear_benchmark":
         params = config.get("params")
         if not isinstance(params, dict):
             raise ConfigError("linear_benchmark config needs a params object")
-        tau = float(config.get("tau", 1.0))
+        tau = _number(config.get("tau", 1.0), "system tau")
         values = {k: _number(v, f"linear_benchmark params {k}") for k, v in params.items()}
         try:
             bench = LinearBenchmarkParams(**values)
         except TypeError as exc:
             raise ConfigError(f"bad linear_benchmark params: {exc}") from exc
         return linear_benchmark(bench, tau=tau)
-    if kind == "registered":
-        name = config.get("name")
-        if not isinstance(name, str) or name not in _REGISTRY:
-            raise ConfigError(f"unknown registered system {name!r}")
-        spec = _REGISTRY[name]()
-        if not isinstance(spec, SystemSpec):
-            raise ConfigError(f"factory for {name!r} did not return a SystemSpec")
-        return spec
-    raise ConfigError(f"unknown system kind {kind!r}")
+    name = config.get("name")
+    if not isinstance(name, str) or name not in _REGISTRY:
+        raise ConfigError(f"unknown registered system {name!r}")
+    spec = _REGISTRY[name]()
+    if not isinstance(spec, SystemSpec):
+        raise ConfigError(f"factory for {name!r} did not return a SystemSpec")
+    tau = _number(config.get("tau", spec.tau), "system tau")
+    if abs(spec.tau - tau) > 1e-12 * tau:
+        raise ConfigError(f"registered system {name!r} has tau={spec.tau}, config declares {tau}")
+    return spec

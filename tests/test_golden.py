@@ -98,6 +98,9 @@ CASES = {
                               eta={"constant": 0.0}, eta_prime={"constant": 0.0}),
     "aux_fixed_delta": dict(_MOMENTS, experiment="auxiliary_gap", paths=3, T=0.25,
                             epsilons=[0.05, 0.02], delta=0.3),
+    # T > tau: the last reset windows lie wholly past the history rows.
+    "aux_gap_long": dict(_MOMENTS, experiment="auxiliary_gap", T=2.5, delta=0.25,
+                         epsilons=[0.1, 0.05]),
     "segcont_deltas": dict(_MOMENTS, experiment="segment_continuity", paths=3, T=1.0,
                            epsilons=[0.05], p=4.0, deltas=[0.3, 0.1, 0.05, 0.049]),
     # n = 2 with per-path sigma2: pins the Euclidean node norms and the
@@ -130,6 +133,7 @@ GOLDEN = {
     "mixing": "c2be10a1542a55289874cf0d175667318e50587ff9e2b1dcb1fab166ec47b821",
     "mixing_degenerate": "82ad7375ce59134ae5afdd86f85dc693d18bf9d1f57d4226ec4266ca88608cf9",
     "aux_fixed_delta": "1e6fa34de4fe7f95afd6c765d04bacba12f1b728e99746baa954373a53a1c55a",
+    "aux_gap_long": "ec018a47ebeb742f5fb7d27083ead4f803c7a508d8120400bc590020e39a5f69",
     "segcont_deltas": "760468670487ebc7eb18842c2e6eb40ac3d49114b2d8b724646b32e49b12497c",
     "segment_continuity": "1e44b3623fc7e3f62d1654ad6f57eec627881d8829b2125d3f17abb1af0c00c0",
     "simulate_dump": "3aab6dfde4b0c719b1d8d59a0b412972286bddc184b701e37af7d1bd12b0d5df",

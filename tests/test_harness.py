@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import twoscale
 from twoscale import harness
-from twoscale.averaging import khasminskii_delta
+from twoscale.averaging import DeltaSchedule, khasminskii_delta
 from twoscale.cli import _SUBCOMMANDS
 from twoscale.cli import main as cli_main
 from twoscale.errors import ConfigError, DataError, UsageError
@@ -34,6 +34,9 @@ from twoscale.harness import (
     run_scenario,
     run_simulate,
 )
+from twoscale.metrics import sup_distance
+from twoscale.segment import _node_norms, _row_dots
+from twoscale.solver import make_grid
 from twoscale.systems import LinearBenchmarkParams, SystemSpec, register_system
 from test_frozen import switch_spec
 from test_golden import CASES as GOLDEN_CASES
@@ -65,6 +68,13 @@ def _cfg(**over):
 
 
 # Each of these fails Scenario.from_config with a ConfigError.
+def _nested(depth):
+    value = 1
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 _BAD_PARSE_CONFIGS = [
     _cfg(experiment="segment_continuity", deltas=[0.25, "abc"]),
     _cfg(experiment="segment_continuity", deltas=[float("inf")]),
@@ -91,6 +101,11 @@ _BAD_PARSE_CONFIGS = [
     # Only eta_prime may be null.
     _cfg(xi=None),
     _cfg(eta=None),
+    # A system object takes only the keys its kind reads: kind, tau, and
+    # params or name.  A note would move the digest, or crash it nested deep.
+    _cfg(system=dict(BENCH_SYS, note=1)),
+    _cfg(system=dict(BENCH_SYS, note=_nested(900))),
+    _cfg(system={"kind": "registered", "name": "golden_plane", "params": {}}),
 ]
 
 
@@ -801,6 +816,64 @@ def test_chunk_cut_does_not_move_per_path_results(case, paths, data):
             for r in _run_chunk((body, scen, *row, a, b))] == whole
 
 
+def _aux_row(scen, eps, delta):
+    """The (epsilon, h, extra) row run_auxiliary_gap builds for a delta or "auto"."""
+    if delta == "auto":
+        schedule = khasminskii_delta(eps, scen.tau)
+    else:
+        n = round(scen.tau / delta)
+        schedule = DeltaSchedule(epsilon=eps, delta_raw=delta, delta=scen.tau / n, N_delta=n)
+    return eps, scen.resolve_h(epsilon=eps, anchor=schedule.delta), {"schedule": schedule}
+
+
+def _aux_gaps_by_block(pair, grid):
+    """_aux_chunk's per-path results from one window rescan per block reset."""
+    ts, y, yt = grid.tau_steps, pair.y, pair.y_aux
+    audit = y_gap = np.zeros(y.shape[1])
+    for i in pair.reset_indices:
+        jump = yt[i] - y[i]
+        audit = np.maximum(audit, np.sqrt(_row_dots(jump, jump)))
+        y_gap = np.maximum(y_gap, _node_norms(yt[i - ts: i + 1] - y[i - ts: i + 1]).max(axis=0))
+    x_gap = sup_distance(pair.x, pair.x_aux, grid)
+    return list(zip(x_gap.tolist(), y_gap.tolist(), audit.tolist()))
+
+
+@pytest.mark.parametrize("system", [BENCH_SYS, {"kind": "registered", "name": "golden_plane"}],
+                         ids=["n1", "n2"])
+@pytest.mark.parametrize("T, delta", [(0.1, 0.25), (0.5, 0.25), (2.5, 0.25), (0.5, "auto"),
+                                      (1.5, "auto")],
+                         ids=["T<delta", "T<tau", "T>tau", "T<tau-auto", "T>tau-auto"])
+def test_aux_gaps_equal_the_per_block_loop(system, T, delta, monkeypatch):
+    """One reduction over the union of the reset windows equals the per-block maxima, bitwise."""
+    scen = Scenario.from_config(_cfg(experiment="auxiliary_gap", system=system, T=T,
+                                     delta=delta, epsilons=[0.05], paths=3))
+    row = _aux_row(scen, 0.05, delta)
+    pairs = []
+    simulate = harness.simulate_auxiliary
+    monkeypatch.setattr(harness, "simulate_auxiliary",
+                        lambda *a, **k: pairs.append(simulate(*a, **k)) or pairs[-1])
+    got = _run_chunk((_aux_chunk, scen, *row, 0, 3))
+    [pair] = pairs
+    assert [r[0] for r in got] == ["ok"] * 3
+    want = _aux_gaps_by_block(pair, make_grid(scen.T, row[1], scen.tau))
+    assert np.array([r[1] for r in got]).tobytes() == np.array(want).tobytes()
+
+
+def test_aux_chunk_fast_gap_scans_do_not_grow_with_the_blocks(monkeypatch):
+    scen = Scenario.from_config(_cfg(experiment="auxiliary_gap", T=1.0, epsilons=[0.1],
+                                     paths=2))
+    calls = []
+    node_norms = harness._node_norms
+    monkeypatch.setattr(harness, "_node_norms", lambda a: calls.append(a.shape) or node_norms(a))
+    counts = []
+    for n in (4, 64):  # delta = tau/4 and tau/64 on h = tau/256
+        schedule = DeltaSchedule(epsilon=0.1, delta_raw=1.0 / n, delta=1.0 / n, N_delta=n)
+        calls.clear()
+        _run_chunk((_aux_chunk, scen, 0.1, 1.0 / 256.0, {"schedule": schedule}, 0, 2))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_missing_closed_form_exits_four_before_any_path(tmp_path, monkeypatch, capsys):
     """converge with the closed-form drift needs a system that has one, checked up front."""
     def factory():
@@ -820,6 +893,21 @@ def test_missing_closed_form_exits_four_before_any_path(tmp_path, monkeypatch, c
     assert cli_main(["converge", "--config", _write_cfg(tmp_path, "cfg.json", cfg),
                      "--out", str(out)]) == 4
     assert "no benchmark closed form" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("note", [1, _nested(900)], ids=["flat", "nested"])
+def test_unread_system_key_exits_four_before_any_path(note, tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(harness, "_run_ensemble", lambda *a: calls.append(a))
+    cfg = _cfg(experiment="auxiliary_gap", epsilons=[0.05, 0.02],
+               system=dict(BENCH_SYS, note=note))
+    out = tmp_path / "out"
+    assert cli_main(["aux-gap", "--config", _write_cfg(tmp_path, "cfg.json", cfg),
+                     "--out", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        "error: system kind 'linear_benchmark' does not read keys ['note']\n")
     assert calls == []
     assert not out.exists()
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.random import Philox, SeedSequence
 
 from twoscale.errors import DomainError, UsageError
 from twoscale.noise import (
@@ -20,6 +21,19 @@ def test_replay_is_bit_identical():
     zb = b.normals(257)
     assert np.array_equal(za, zb)
     assert a.position == b.position == 257
+
+
+@pytest.mark.parametrize("seed, path, tag", [(0, 0, W1), (123, 4, W2), (2 ** 40, 1000, W1),
+                                             (12345, 63, W2)])
+def test_stream_philox_is_keyed_as_from_its_seed_sequence(seed, path, tag):
+    """Keying Philox from the SeedSequence gives the key and draws of keying it by hand."""
+    ss = SeedSequence(seed, spawn_key=(path, {W1: 1, W2: 2}[tag]))
+    by_key = Philox(key=ss.generate_state(2, np.uint64))
+    stream = NoiseStream(seed, path, tag)
+    state, expected = stream._bits.state["state"], by_key.state["state"]
+    assert np.array_equal(state["key"], expected["key"])
+    assert np.array_equal(state["counter"], expected["counter"])
+    assert np.array_equal(stream._bits.random_raw(64), by_key.random_raw(64))
 
 
 def test_split_draws_equal_one_draw():

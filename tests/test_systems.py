@@ -229,6 +229,29 @@ def test_build_system_validation():
         build_system("not a dict")
 
 
+@pytest.mark.parametrize("cfg, unread", [
+    ({"kind": "linear_benchmark", "params": {}, "note": 1}, "note"),
+    ({"kind": "linear_benchmark", "params": {}, "name": "unit_test_linear"}, "name"),
+    ({"kind": "registered", "name": "unit_test_linear", "params": {}}, "params"),
+    ({"kind": "registered", "name": "unit_test_linear", "note": [[[1]]]}, "note"),
+])
+def test_build_system_refuses_keys_its_kind_does_not_read(cfg, unread):
+    """Each kind reads kind, tau and its own params or name; any other key is named."""
+    register_system("unit_test_linear", lambda: linear_benchmark(BENCH), replace=True)
+    with pytest.raises(ConfigError, match=rf"does not read keys \['{unread}'\]"):
+        build_system(cfg)
+
+
+def test_registered_system_tau_must_match_its_factory():
+    register_system("unit_test_linear", lambda: linear_benchmark(BENCH), replace=True)
+    cfg = {"kind": "registered", "name": "unit_test_linear"}
+    assert build_system(dict(cfg, tau=1.0)).tau == 1.0
+    with pytest.raises(ConfigError, match="has tau=1.0, config declares 2.0"):
+        build_system(dict(cfg, tau=2.0))
+    with pytest.raises(ConfigError, match="system tau must be a number"):
+        build_system(dict(cfg, tau="1"))
+
+
 def test_samplers_produce_wellformed_tuples():
     rng = np.random.default_rng(1)
     pt = random_point_sampler(1.0, 0.25, 2)(rng)
