@@ -18,6 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateFitError,
@@ -102,14 +103,15 @@ def estimate_averaged_drift(
     being replica r of window p, driven by stream (r, W2) of window p's
     factory and started from the window eta (zero by default).  Each
     drops [0, burn_in], then averages b1 over every grid step of
-    [burn_in, burn_in + horizon], summed in time order.  Window p's
-    value[p] is its replica mean and std_error[p] its replica scatter /
-    sqrt(R), both of shape (P, n).  If any replica fails, the batch's
-    first failure is raised: the earliest step, then the lowest column,
-    so of two failing replicas the one that fails first in time is
-    reported, not the lower-numbered one.  The start bias decays
-    exponentially, so burn_in of a few multiples of 1/rate suffices;
-    below 5 tau a warning is emitted.
+    [burn_in, burn_in + horizon], summed in time order; b1 sees one
+    column's steps as its batch, or one step's columns if there are more
+    columns than steps.  Window p's value[p] is its replica mean and
+    std_error[p] its replica scatter / sqrt(R), both of shape (P, n).
+    If any replica fails, the batch's first failure is raised: the
+    earliest step, then the lowest column, so of two failing replicas the
+    one that fails first in time is reported, not the lower-numbered one.
+    The start bias decays exponentially, so burn_in of a few multiples of
+    1/rate suffices; below 5 tau a warning is emitted.
     """
     if zeta.ndim != 3 or zeta.shape[1:] != (len(streams), spec.n):
         raise UsageError(
@@ -147,13 +149,23 @@ def estimate_averaged_drift(
             exc.step_index, exc.time, exc.last_state,
             "frozen trajectory diverged; run check_dissipativity on this system",
         ) from exc
-    b1, cols = spec.b1, chi.shape[1]
-    acc = np.zeros((cols, spec.n))
-    for k in range(k_burn, k_burn + k_len + 1):
-        acc += _drift(b1(chi, y[k: ts + k + 1]), cols, spec.n, "b1")
-    # Window p's statistics reduce its own (R, n) block, as a batch of one does.
-    blocks = (acc / (k_len + 1)).reshape(len(streams), replicas, spec.n)
-    std_error = np.zeros((len(streams), spec.n))
+    b1, (rows, cols, n), steps = spec.b1, chi.shape, k_len + 1
+    # Zero-copy (window row, step, column, n) views of the pinned and the
+    # fast windows.  b1 sees one column's steps or one step's columns as
+    # its batch, whichever makes fewer calls.
+    chis = np.broadcast_to(chi[:, None], (rows, steps, cols, n))
+    fast = y[k_burn: k_burn + k_len + ts + 1]
+    phis = np.moveaxis(sliding_window_view(fast, ts + 1, axis=0), -1, 0)
+    vals = np.zeros((steps + 1, cols, n))  # a zero row, then b1 in time order
+    out = vals[1:]
+    if cols <= steps:
+        chis, phis, out = chis.swapaxes(1, 2), phis.swapaxes(1, 2), out.swapaxes(0, 1)
+    for i, batch in enumerate(out):
+        batch[...] = _drift(b1(chis[:, i], phis[:, i]), *batch.shape, "b1")
+    # The running sum keeps the order and the sign of zero of adding step by
+    # step; window p's statistics reduce its own (R, n) block, as a batch of one does.
+    blocks = (np.add.accumulate(vals)[-1] / steps).reshape(len(streams), replicas, n)
+    std_error = np.zeros((len(streams), n))
     if replicas >= 2:
         std_error = blocks.std(axis=1, ddof=1) / np.sqrt(replicas)
     return AveragedDriftEstimate(value=blocks.mean(axis=1), std_error=std_error)

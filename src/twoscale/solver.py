@@ -239,7 +239,8 @@ def _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf, freeze=None):
     n, m = spec.n, spec.m
     h = grid.h
     ts = grid.tau_steps
-    h_over_eps = h / epsilon
+    # 0-d arrays: the same IEEE products without a Python float's conversion per call
+    h_dt, h_over_eps = np.array(h), np.array(h / epsilon)
     lag = fast_lag_steps(epsilon, grid)
     b1, sigma1, b2, sigma2 = spec.b1, spec.sigma1, spec.b2, spec.sigma2
     p = dw1.shape[1]
@@ -274,7 +275,7 @@ def _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf, freeze=None):
                 if (sy := sigma2(xseg, yk, ytau)) is not c2:
                     sy, c2, n2 = _checked_noise(sy, k, dwf, p, n, m, "sigma2")
                 xn, yn = x[i + 1], y[i + 1]
-                np.add(x[i], bx * h, out=xn)
+                np.add(x[i], bx * h_dt, out=xn)
                 xn += n1[k] if sx is c1 else _noise(sx, dw1[k])
                 np.add(y[i], by * h_over_eps, out=yn)
                 yn += n2[k] if sy is c2 else _noise(sy, dwf[k])
@@ -311,6 +312,7 @@ def simulate_sdde(
     """
     xi = _history(xi, grid, n, "xi")
     h = grid.h
+    h_dt = np.array(h)  # as in _coupled_core
     ts = grid.tau_steps
     dw = _increments(ws, m, lambda w: gaussian_increments(w, grid.steps, h))
     p = dw.shape[1]
@@ -326,7 +328,7 @@ def simulate_sdde(
                 if (s := diffusion(window)) is not c:
                     s, c, rows = _checked_noise(s, k, dw, p, n, m, "diffusion")
                 new = path[i + 1]
-                np.add(path[i], b * h, out=new)
+                np.add(path[i], b * h_dt, out=new)
                 new += rows[k] if s is c else _noise(s, dw[k])
                 if k + 1 - done == GUARD_STEPS or k + 1 == grid.steps:
                     done = _guard((path,), done, k + 1, ts, h, messages)

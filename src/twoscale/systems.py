@@ -4,9 +4,10 @@ A SystemSpec bundles the four coefficient maps of a slow/fast pair with
 delay: the slow drift b1(chi, phi) and diffusion sigma1(chi) read whole
 history windows, while the fast drift b2(chi, y, y_tau) and diffusion
 sigma2(chi, y, y_tau) read the slow window plus the fast state now and
-one delay ago.  Maps see a batch of P paths at once: windows are float64
-arrays of shape (M + 1, P, n) with row M = tau / h being "now" (chi[-1]
-is the (P, n) current slow state), and y and y_tau have shape (P, n).
+one delay ago.  Maps see a batch of P paths at once (b1, in the frozen
+time average, the steps of one path): windows are float64 arrays of
+shape (M + 1, P, n) with row M = tau / h being "now" (chi[-1] is the
+(P, n) current slow state), and y and y_tau have shape (P, n).
 Maps act on the last axis and return a drift of shape (P, n) and a
 diffusion of shape (n, m), shared by the batch, or (P, n, m); returning
 the same read-only array, owning its data, every call makes a diffusion
@@ -126,8 +127,9 @@ class LinearBenchmarkParams:
 
 def linear_benchmark(params: LinearBenchmarkParams, tau: float = 1.0) -> SystemSpec:
     """Build the scalar linear SystemSpec for the given parameters."""
-    a11, a12 = params.a11, params.a12
-    c1, c2, c3 = params.c1, params.c2, params.c3
+    # 0-d float64 arrays give the Python floats' products, with less numpy overhead
+    a11, a12, c1, c2, c3 = (np.array(v) for v in
+                            (params.a11, params.a12, params.c1, params.c2, params.c3))
     s1_mat = np.array([[params.s1]])
     s1_mat.setflags(write=False)
     s2_mat = np.array([[params.s2]])

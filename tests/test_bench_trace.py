@@ -22,8 +22,10 @@ _BASE = {"system": {"kind": "linear_benchmark", "params": PARAMS},
          "tau": 1.0, "p": 2.0, "seed": 5}
 
 RUNS = [
+    # eps a decade apart: at 2 paths, eps = 0.2 and 0.1 fail the final_reduction
+    # gate on most seeds, which would fail this run for a reason unrelated to tracing.
     ("converge", dict(_BASE, experiment="converge", T=0.1, h_factor=0.1,
-                      epsilons=[0.2, 0.1], paths=2, drift_source="estimator",
+                      epsilons=[0.2, 0.02], paths=2, drift_source="estimator",
                       estimator={"burn_in": 5.0, "horizon": 1.0, "replicas": 2, "h": 0.1}),
      ("solver.sdde.calls", "averaging.estimator.calls")),
     ("aux-gap", dict(_BASE, experiment="auxiliary_gap", T=0.25,

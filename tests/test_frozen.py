@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from twoscale.errors import DegenerateFitError, DomainError, UsageError
+from twoscale.errors import DataError, DegenerateFitError, DomainError, UsageError
 from twoscale.frozen import (
     estimate_averaged_drift,
     mixing_decay,
@@ -226,3 +226,66 @@ def test_mixing_decay_sums_replicas_in_order():
             gaps[j - 1] += node[a - ts: a + 1].max() ** 2
     gaps /= replicas
     assert fit.log_gaps == np.log(gaps).tolist()
+
+
+def _per_step_average(spec, zeta, burn_in, horizon, replicas, grid, streams):
+    """estimate_averaged_drift's (value, std_error) from one b1 call per averaged step."""
+    ts, n, h = grid.tau_steps, spec.n, grid.h
+    k_burn, k_len = round(burn_in / h), round(horizon / h)
+    chi = np.repeat(zeta, replicas, axis=1)
+    y = simulate_frozen(spec, chi, np.zeros((ts + 1, n)), grid,
+                        [f.stream(r, W2) for f in streams for r in range(replicas)])
+    acc = np.zeros((chi.shape[1], n))
+    for k in range(k_burn, k_burn + k_len + 1):
+        acc += spec.b1(chi, y[k: ts + k + 1])
+    blocks = (acc / (k_len + 1)).reshape(len(streams), replicas, n)
+    return blocks.mean(axis=1), blocks.std(axis=1, ddof=1) / np.sqrt(replicas)
+
+
+BENCH_SPEC = linear_benchmark(BENCH, tau=1.0)
+
+
+def _negative_zero_spec():
+    # b1 is -0.0 everywhere.  Summed from zero, as step by step, the time
+    # average is +0.0; summed from its first value it would be -0.0, but
+    # the replica mean turns both into +0.0, so only the values are compared.
+    return SystemSpec(n=1, m=1, tau=1.0, b1=lambda chi, phi: -np.zeros_like(phi[-1]),
+                      sigma1=BENCH_SPEC.sigma1, b2=BENCH_SPEC.b2, sigma2=BENCH_SPEC.sigma2)
+
+
+@pytest.mark.parametrize("system", ["linear", "plane", "negative_zero"])
+@pytest.mark.parametrize("horizon, batch, calls", [(5.0, 101, 8), (0.25, 8, 6)])
+def test_time_average_matches_per_step_loop_bit_for_bit(system, horizon, batch, calls):
+    """Bench shape (4 windows x 2 replicas, 101 steps): one b1 call per column; 6 steps: per step."""
+    spec = {"linear": BENCH_SPEC, "negative_zero": _negative_zero_spec(),
+            "plane": build_system({"kind": "registered", "name": "golden_plane"})}[system]
+    grid = make_grid(T=5.0 + horizon, h=0.05, tau=1.0)
+    zeta = np.random.default_rng(3).standard_normal((grid.tau_steps + 1, 4, spec.n))
+    streams = [StreamFactory(11 + p, spec.m) for p in range(4)]
+    seen = []
+
+    def b1(chi, phi):
+        seen.append(chi.shape[1])
+        return spec.b1(chi, phi)
+
+    counted = SystemSpec(n=spec.n, m=spec.m, tau=1.0, b1=b1, sigma1=spec.sigma1,
+                         b2=spec.b2, sigma2=spec.sigma2)
+    est = estimate_averaged_drift(counted, zeta, 5.0, horizon, 2, grid, streams)
+    value, std_error = _per_step_average(spec, zeta, 5.0, horizon, 2, grid, streams)
+    assert seen == [batch] * calls
+    assert est.value.tobytes() == value.tobytes()
+    assert est.std_error.tobytes() == std_error.tobytes()
+    if system == "negative_zero":
+        assert not np.signbit(est.value).any()
+
+
+@pytest.mark.parametrize("horizon", [5.0, 0.25])
+def test_time_average_rejects_misshaped_b1(horizon):
+    """A b1 that drops the state axis is a DataError in either loop order."""
+    spec = SystemSpec(n=1, m=1, tau=1.0, b1=lambda chi, phi: phi[-1, :, 0],
+                      sigma1=BENCH_SPEC.sigma1, b2=BENCH_SPEC.b2, sigma2=BENCH_SPEC.sigma2)
+    grid = make_grid(T=5.0 + horizon, h=0.05, tau=1.0)
+    zeta = np.zeros((grid.tau_steps + 1, 4, 1))
+    with pytest.raises(DataError, match=r"b1 returned shape \(\d+,\)"):
+        estimate_averaged_drift(spec, zeta, 5.0, horizon, 2, grid,
+                                [StreamFactory(p) for p in range(4)])

@@ -8,11 +8,14 @@ one has to say why.
 """
 
 import hashlib
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from twoscale import harness
+from twoscale import cli, harness
 from twoscale.harness import Scenario, run_scenario, run_simulate
 from twoscale.systems import LinearBenchmarkParams, SystemSpec, register_system
 
@@ -202,3 +205,37 @@ def test_golden_hash_with_uneven_path_chunks(name, threads, tmp_path, monkeypatc
     assert [job[5:] for job in pool.jobs[:per_row]] == [
         (paths * j // per_row, paths * (j + 1) // per_row) for j in range(per_row)]
     assert len(pool.jobs) == 2 * per_row
+
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+
+# report.csv sha256 of each benchmark workload at --seed 0, as bench/run.py
+# computes it; aux-gap-threads2 also runs at threads 1 (the hash does not
+# depend on the worker count).
+BENCH_HASHES = {
+    "aux-gap-threads2": "84669149b24cf62e0141fc907efbec2266487f3ff76e913bfee98e6c083fcb57",
+    "converge-estimator": "d89150cb5d2405d875ef5219fb8e58098fa7ca1a824d289f3ef087274c7e9954",
+}
+
+
+@pytest.fixture(scope="module")
+def bench_workloads():
+    sys.path.insert(0, str(BENCH_DIR))  # workloads.py imports its sibling reference.py
+    try:
+        from workloads import WORKLOADS, Report
+    finally:
+        sys.path.remove(str(BENCH_DIR))
+    return WORKLOADS, Report
+
+
+@pytest.mark.parametrize("name, threads", [("aux-gap-threads2", 1), ("aux-gap-threads2", 2),
+                                           ("converge-estimator", 1)])
+def test_bench_workload_hash(name, threads, bench_workloads, tmp_path):
+    """The benchmark's scenarios, run in process through the CLI, keep their report hashes."""
+    workloads, report = bench_workloads
+    workload = workloads[name]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(workload.scenario(0, threads=threads)))
+    code = cli.main([workload.command, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert report.load(tmp_path / "out").csv_hash == BENCH_HASHES[name]

@@ -696,6 +696,20 @@ def test_misshaped_drift_gives_error_rows_and_exit_two(tmp_path, capsys):
     assert "gate rows_complete: FAIL" in captured.out
 
 
+def test_misshaped_b1_in_the_time_average_exits_four(tmp_path, capsys):
+    """The frozen experiment's time average hands b1 a column's steps; (K,) is exit 4."""
+    register_system("flat_drift", _flat_drift_factory, replace=True)
+    cfg_path = _write_cfg(tmp_path, "flat_frozen.json", _cfg(
+        experiment="frozen", system={"kind": "registered", "name": "flat_drift"}, h=0.02,
+        T=1.0, burn_in=5.0, horizon=0.5, replicas=2, mixing_replicas=8, checkpoints=3))
+    capsys.readouterr()
+    code = cli_main(["frozen", "--config", cfg_path, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "b1 returned shape (26,), expected (paths, n) = (26, 1)" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_averaged_stage_errors_only_reach_surviving_paths():
     """A path that diverges in the coupled pass keeps that error over later stages.
 

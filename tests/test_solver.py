@@ -236,7 +236,7 @@ def test_divergence_error_carries_context():
         simulate_coupled(spec, _const(g, 0.0), _const(g, 2.0), 0.05, g, w1, w2)
     err = info.value
     assert 0 < err.step_index < 20
-    assert err.time == pytest.approx((err.step_index + 1) * g.h)
+    assert type(err.time) is float and err.time == (err.step_index + 1) * g.h
     # The run that stops one step short ends in exactly the reported state.
     short = make_grid(T=err.step_index * g.h, h=g.h, tau=0.5)
     x, y = simulate_coupled(spec, _const(g, 0.0), _const(g, 2.0), 0.05, short, w1, w2)
@@ -315,16 +315,16 @@ def test_maps_receive_window_arrays():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # burn_in below 5 tau
         estimate_averaged_drift(spec, zeta, 0.25, 0.25, 1, sub, [StreamFactory(4)])
-    chis, phis = calls("chi"), calls("phi")
-    assert all(np.array_equal(c, zeta) for c in chis)
-    assert all(p.shape == (sub.tau_steps + 1, 1, 2) for p in phis)
-    # b1 reads the frozen path's windows over [burn_in, burn_in + horizon].
-    yf = simulate_frozen(spec, zeta, np.zeros((sub.tau_steps + 1, 2)), sub,
+    # One column, fewer than its 6 averaged steps: one b1 call whose batch
+    # axis is the steps of [burn_in, burn_in + horizon].
+    [chi], [phi] = calls("chi"), calls("phi")
+    ts, k_burn = sub.tau_steps, 5
+    assert chi.shape == (len(zeta), 6, 2) and phi.shape == (ts + 1, 6, 2)
+    yf = simulate_frozen(spec, zeta, np.zeros((ts + 1, 2)), sub,
                          [StreamFactory(4).stream(0, W2)])
-    k_burn = 5
-    assert len(phis) == 6
-    for j, phi in enumerate(phis):
-        assert np.array_equal(phi[-1], yf[sub.tau_steps + k_burn + j])
+    for j in range(6):  # each step's whole window, its "now" row yf[ts + k_burn + j] included
+        assert np.array_equal(chi[:, j], zeta[:, 0])
+        assert np.array_equal(phi[:, j], yf[k_burn + j: k_burn + j + ts + 1, 0])
 
 
 

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoscale.errors import ConfigError, DataError, DomainError, UsageError
 from twoscale.segment import Segment, constant_segment
@@ -61,6 +65,32 @@ def test_linear_benchmark_coefficients():
     # c1 x - c2 y + c3 y_tau with x = chi(0) = 2.
     assert spec.b2(chi, y, yt)[0] == pytest.approx(2.0 - 1.0 + 0.125)
     assert spec.sigma2(chi, y, yt)[0, 0] == 0.3
+
+
+# Signed zeros, the smallest subnormal, a subnormal near the normal range
+# and the largest magnitudes the products below keep finite.
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-308, -1e-308, 1e300, -1e300]
+_INPUTS = st.one_of(st.sampled_from(_EDGES), st.floats(-1e300, 1e300))
+_PARAMS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_PARAMS, min_size=7, max_size=7),
+       st.lists(st.tuples(_INPUTS, _INPUTS, _INPUTS, _INPUTS), min_size=1, max_size=4))
+def test_linear_benchmark_maps_match_float_formulas(values, points):
+    """The maps give, bit for bit, the formulas evaluated in Python floats."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # parameters outside the contraction regime
+        params = LinearBenchmarkParams(*values)
+    spec = linear_benchmark(params)
+    x, phi, y, y_tau = (np.array([[pt[i]] for pt in points]) for i in range(4))
+    # Two-row windows whose rows before "now" hold a value the maps must not read.
+    chi, phi = (np.stack([np.full_like(v, 7.0), v]) for v in (x, phi))
+    b1 = [params.a11 * u + params.a12 * f for u, f, _, _ in points]
+    b2 = [params.c1 * u - params.c2 * v + params.c3 * w for u, _, v, w in points]
+    for got, want in ((spec.b1(chi, phi), b1), (spec.b2(chi, y, y_tau), b2)):
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array(want)[:, None].tobytes()
 
 
 def test_spec_validates_dimensions():
