@@ -49,7 +49,7 @@ from .metrics import p_moment, segment_displacement_moment, slope_fit, sup_dista
 from .noise import W1, W2, StreamFactory
 from .segment import (Segment, _node_norms, _row_dots, constant_segment, exact_steps,
                       lipschitz_modulus)
-from .solver import make_grid, simulate_coupled
+from .solver import fast_lag_steps, make_grid, simulate_coupled
 from .systems import (
     _number,
     build_system,
@@ -186,6 +186,25 @@ class _Key:
         return {k: key.read(value, k, tau, f"{label} {k}") for k, key in self.parse.items()}
 
 
+# The most a fixed h may move the fast delay eps * tau by snapping it to
+# whole steps.  A delay of 10 steps or more always passes (half a step in
+# ten); auto h takes about tau / h_factor, 20 at tau = 1 by default.
+_FAST_DELAY_SNAP = 0.05
+
+
+def _check_fast_delay(epsilon: float, tau: float, h: float) -> None:
+    """ConfigError when the fixed h snaps the fast delay by more than _FAST_DELAY_SNAP."""
+    try:
+        grid = make_grid(tau, h, tau)
+    except TwoscaleError:
+        return  # resolve_h refuses a misaligned h before any path runs
+    wanted, realized = epsilon * tau, fast_lag_steps(epsilon, grid) * h
+    if abs(realized - wanted) > _FAST_DELAY_SNAP * wanted:
+        raise ConfigError(f"fixed h={h} snaps the fast delay of epsilon={epsilon}, "
+                          f"eps*tau={wanted:.6g}, to lag*h={realized:.6g}, more than "
+                          f"{_FAST_DELAY_SNAP:.0%} off; choose an h that divides eps*tau")
+
+
 def _key(parse, default=None, reads=EXPERIMENTS, alias=None):
     return field(metadata={"key": _Key(parse, default, reads, alias)})
 
@@ -272,6 +291,8 @@ class Scenario:
         if v["sample_times"] is not None and any(not (0.0 < t <= v["T"])
                                                  for t in v["sample_times"]):
             raise ConfigError(f"sample_times must lie in (0, T], got {v['sample_times']}")
+        for eps in epsilons if v["h"] != "auto" else ():
+            _check_fast_delay(eps, v["tau"], v["h"])
         if v["drift_source"] == "estimator":
             est = v["estimator"]
             # The spans the estimator's sub-simulation grid has to tile.
@@ -323,9 +344,10 @@ class Scenario:
         """Pick the grid step for one run.
 
         Fixed h is validated (divides tau and the block anchor, honors the
-        stability cap).  Auto h targets h_factor * epsilon (or the given
-        default) and is snapped DOWN to divide the anchor (the block
-        length when there is one, else tau).
+        stability cap, moves the fast delay by at most _FAST_DELAY_SNAP).
+        Auto h targets h_factor * epsilon (or the given default) and is
+        snapped DOWN to divide the anchor (the block length when there is
+        one, else tau).
         """
         if self.h != "auto":
             h = float(self.h)
@@ -337,9 +359,9 @@ class Scenario:
             except TwoscaleError as exc:
                 raise ConfigError(f"fixed h={h} misaligned: {exc}") from exc
             if epsilon is not None and h > self.kappa_stab * epsilon * (1.0 + 1e-12):
-                raise ConfigError(
-                    f"fixed h={h} violates the stability cap for epsilon={epsilon}"
-                )
+                raise ConfigError(f"fixed h={h} violates the stability cap for epsilon={epsilon}")
+            if epsilon is not None:
+                _check_fast_delay(epsilon, self.tau, h)
             return h
         if epsilon is not None:
             target = self.h_factor * epsilon
@@ -651,16 +673,13 @@ def run_converge(scenario: Scenario) -> ExperimentReport:
         rows.append(row)
         ok_rows.append(row)
 
-    fit = None
     fit_rows = [r for r in reversed(ok_rows) if r["value"] > 0.0]
     if len(fit_rows) >= 3:
         try:
-            fit = slope_fit([r["epsilon"] for r in fit_rows],
-                            [r["value"] for r in fit_rows])
+            fit = slope_fit([r["epsilon"] for r in fit_rows], [r["value"] for r in fit_rows])
+            rows.append(_slope_row(None, scenario, fit))
         except UsageError:
-            fit = None
-    if fit is not None:
-        rows.append(_slope_row(None, scenario, fit))
+            pass  # a degenerate sweep reports no slope row
 
     gates = _trend_gates(ok_rows, complete=len(ok_rows) == len(eps_desc))
     return _finish(scenario, rows, gates, [], t0)
@@ -948,52 +967,31 @@ def run_check(scenario: Scenario) -> ExperimentReport:
     h = scenario.resolve_h(default_target=scenario.tau / 64.0)
     xi = scenario.materialize_segment("xi", h, spec.n)
 
-    candidate = None
-    if spec.benchmark is not None and spec.benchmark.dissipative:
-        candidate = spec.benchmark.lambda_pair
-    diss = check_dissipativity(
-        spec, random_point_sampler(scenario.tau, h, spec.n),
-        scenario.trials, candidate, rng_seed=scenario.seed,
-    )
-    growth = check_growth_and_lipschitz(
-        spec, random_segment_pair_sampler(scenario.tau, h, spec.n),
-        scenario.trials, rng_seed=scenario.seed + 1,
-    )
-    seg_ok = check_initial_segment(xi, scenario.lambda3_cap)
-    modulus = lipschitz_modulus(xi)
-    pure = spot_check_purity(spec, h=h, rng_seed=scenario.seed + 2)
+    rows, gates = [], []
 
-    rows = [
-        {"epsilon": None, "delta": None, "p": None, "paths": diss.sample_count,
-         "value": diss.worst_violation, "std_error": None,
-         "extra": {"kind": "dissipativity", "lambda1": diss.lambda1,
-                   "lambda2": diss.lambda2, "verdict": diss.verdict,
-                   "candidate_supplied": candidate is not None}},
-        {"epsilon": None, "delta": None, "p": None, "paths": scenario.trials,
-         "value": growth.L_estimate, "std_error": None,
-         "extra": {"kind": "growth_lipschitz", "verdict": growth.verdict,
-                   "witnesses": growth.max_ratio_points}},
-        {"epsilon": None, "delta": None, "p": None, "paths": 1,
-         "value": modulus, "std_error": None,
-         "extra": {"kind": "initial_segment", "cap": scenario.lambda3_cap,
-                   "verdict": "pass" if seg_ok else "fail"}},
-        {"epsilon": None, "delta": None, "p": None, "paths": 1,
-         "value": 1.0 if pure else 0.0, "std_error": None,
-         "extra": {"kind": "coefficient_purity",
-                   "verdict": "pass" if pure else "fail"}},
-    ]
-    gates = [
-        {"name": "dissipativity", "passed": diss.passed,
-         "detail": f"worst_violation={diss.worst_violation:.3g} at "
-                   f"(l1={diss.lambda1:.4g}, l2={diss.lambda2:.4g})"},
-        {"name": "growth_lipschitz", "passed": growth.passed,
-         "detail": f"L_estimate={growth.L_estimate:.4g}"},
-        {"name": "initial_segment", "passed": bool(seg_ok),
-         "detail": f"modulus={modulus:.4g}, cap={scenario.lambda3_cap:.4g}"},
-        {"name": "coefficient_purity", "passed": bool(pure),
-         "detail": "maps returned identical values on repeated calls"
-                   if pure else "a coefficient map is stateful"},
-    ]
+    def check(kind, paths, value, passed, detail, **extra):
+        row = _row(None, None, None, paths, kind, h)
+        extra = dict(row["extra"], verdict="pass" if passed else "fail", **extra)
+        rows.append(dict(row, value=value, extra=extra))
+        gates.append({"name": kind, "passed": bool(passed), "detail": detail})
+
+    diss = check_dissipativity(spec, random_point_sampler(scenario.tau, h, spec.n),
+                               scenario.trials, rng_seed=scenario.seed)
+    check("dissipativity", diss.sample_count, diss.worst_violation, diss.passed,
+          f"worst_violation={diss.worst_violation:.3g} at "
+          f"(l1={diss.lambda1:.4g}, l2={diss.lambda2:.4g})",
+          lambda1=diss.lambda1, lambda2=diss.lambda2)
+    growth = check_growth_and_lipschitz(spec, random_segment_pair_sampler(
+        scenario.tau, h, spec.n), scenario.trials, rng_seed=scenario.seed + 1)
+    check("growth_lipschitz", scenario.trials, growth.L_estimate, growth.passed,
+          f"L_estimate={growth.L_estimate:.4g}", witnesses=growth.max_ratio_points)
+    modulus = lipschitz_modulus(xi)
+    check("initial_segment", 1, modulus, check_initial_segment(xi, scenario.lambda3_cap),
+          f"modulus={modulus:.4g}, cap={scenario.lambda3_cap:.4g}", cap=scenario.lambda3_cap)
+    pure = spot_check_purity(spec, h=h, rng_seed=scenario.seed + 2)
+    check("coefficient_purity", 1, 1.0 if pure else 0.0, pure,
+          "maps returned identical values on repeated calls"
+          if pure else "a coefficient map is stateful")
     return _finish(scenario, rows, gates, [], t0)
 
 

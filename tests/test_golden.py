@@ -126,7 +126,7 @@ CASES = {
 GOLDEN = {
     "auxiliary_gap": "5790b11d9ab140babe4339f0c9162cc4175ea3add1cf3751a1e26d1511dfc60c",
     "auxiliary_gap_diverging": "e842a53c760af953420eb997abdb8e94ff0e270aff5e0d780f3294a8ae7825be",
-    "check": "c12eb11809c9ad819232c09953c0ea60361c89bdcafd88df0f632ac55c0b6e35",
+    "check": "22d3c0b2f89f980e9996d05ae0a720eef2ed9187bfc5efb6032b9a262b8f19fe",
     "converge": "e6b791467fd1759b59595e3d28812fe974e1b576eb02b5379fe5bc5c813f0004",
     "converge_diverging": "4793ec5768807571b2ed4460b9518926fb6752420ebaf2fe4dd3abd974d83277",
     "converge_estimator": "68148c699e72dbbcef26973e1e0bbb84c0458c1f06334ae0a719b17fa51252fc",
@@ -141,7 +141,7 @@ GOLDEN = {
     "segment_continuity": "1e44b3623fc7e3f62d1654ad6f57eec627881d8829b2125d3f17abb1af0c00c0",
     "simulate_dump": "3aab6dfde4b0c719b1d8d59a0b412972286bddc184b701e37af7d1bd12b0d5df",
     "auxiliary_gap_n2": "302e890d7cdbf6a8586fca3e24e98908c4542c44c3cb783048cc7c0432d6d647",
-    "check_n2": "a91ee7cd3e07ea7ce639f823f6bfd12b95e03a9aa876e8c8a849363b5da0c2a6",
+    "check_n2": "092e06cc1cd143f7dbc16f4b93d1952922dc396dfe1c60c103dc0bf0ed73e63e",
     "converge_n2": "c0ab1dd923a60efe46ba8f92d9af1ef35e1a2a71de019eaebcae8c6bfe28453c",
     "frozen_n2": "d3f4d3044a4edc8eafb906969792136cf3aa15c4ce8bd1a769fc3c29d9507866",
     "mixing_n2": "1b6e6359b1a18f22e23b6860f01965c638af7ab7594b5cc39440841c7925d735",

@@ -106,6 +106,9 @@ _BAD_PARSE_CONFIGS = [
     _cfg(system=dict(BENCH_SYS, note=1)),
     _cfg(system=dict(BENCH_SYS, note=_nested(900))),
     _cfg(system={"kind": "registered", "name": "golden_plane", "params": {}}),
+    # A fixed h of 0.01 snaps the fast delays 0.015, 0.025 and 0.035 to
+    # 2, 2 and 4 steps.
+    _cfg(h=0.01, kappa_stab=1.0, epsilons=[0.015, 0.025, 0.035]),
 ]
 
 
@@ -350,6 +353,21 @@ def test_resolve_h_fixed_validation():
         offgrid_anchor.resolve_h(epsilon=0.25, anchor=1.0 / 47.0)
 
 
+def test_fixed_h_refuses_a_snapped_fast_delay():
+    with pytest.raises(ConfigError, match=r"epsilon=0\.015, eps\*tau=0\.015, to lag\*h=0\.02"):
+        Scenario.from_config(_cfg(h=0.01, kappa_stab=1.0, epsilons=[0.25, 0.015]))
+    # 0.125 / 0.01 = 12.5 steps snaps to 12, 4% off: within the bound.
+    scen = Scenario.from_config(_cfg(h=0.01, kappa_stab=1.0, epsilons=[0.25, 0.125]))
+    assert scen.resolve_h(epsilon=0.125) == 0.01
+    with pytest.raises(ConfigError, match=r"eps\*tau=0\.035, to lag\*h=0\.04"):
+        scen.resolve_h(epsilon=0.035)
+    # simulate without epsilons runs at epsilon 0.05: 2.5 steps of 0.02 snap to 2.
+    simulate = Scenario.from_config(_cfg(experiment="simulate", h=0.02, kappa_stab=1.0,
+                                         epsilons=[]))
+    with pytest.raises(ConfigError, match=r"epsilon=0\.05, eps\*tau=0\.05, to lag\*h=0\.04"):
+        run_scenario(simulate)
+
+
 def test_materialize_segment_forms():
     scen = Scenario.from_config(_cfg(xi={"constant": 2.0},
                                      eta={"values": [[0.0], [0.5], [1.0], [1.5]]}))
@@ -537,8 +555,9 @@ def test_check_runner_benchmark_passes():
     assert kinds == ["dissipativity", "growth_lipschitz",
                      "initial_segment", "coefficient_purity"]
     diss = report.rows[0]["extra"]
-    assert diss["candidate_supplied"] is True
-    assert (diss["lambda1"], diss["lambda2"]) == (3.5, 0.5)
+    # At least the gap of the Young pair (2 c2 - c3, c3) = (3.5, 0.5).
+    assert diss["lambda1"] - diss["lambda2"] >= 3.0 * (1.0 - 1e-9)
+    assert all(r["extra"]["h"] == 1.0 / 64.0 for r in report.rows)
 
 
 def test_simulate_runner_and_dump(tmp_path):

@@ -100,22 +100,12 @@ def test_spec_validates_dimensions():
         SystemSpec(n=1, m=1, tau=-1.0, b1=None, sigma1=None, b2=None, sigma2=None)
 
 
-def test_dissipativity_candidate_pass_and_fail():
-    spec = linear_benchmark(BENCH)
-    sampler = random_point_sampler(1.0, 0.25, 1)
-    good = check_dissipativity(spec, sampler, 500, candidate=BENCH.lambda_pair,
-                               rng_seed=11)
-    assert good.passed
-    assert good.worst_violation <= 1e-9
-    assert good.sample_count == 500
-    # lambda1 too aggressive: the inequality fails on sampled points.
-    bad = check_dissipativity(spec, sampler, 500, candidate=(50.0, 0.5), rng_seed=11)
-    assert not bad.passed
-    assert bad.worst_violation > 0.0
-    # Ordering l1 > l2 > 0 is part of the verdict even if no violation.
-    disordered = check_dissipativity(spec, sampler, 100, candidate=(0.4, 0.5),
-                                     rng_seed=11)
-    assert not disordered.passed
+def _benchmark_check(c2, c3, trials, seed, c1=1.0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # c2 <= c3 is outside the contraction regime
+        params = LinearBenchmarkParams(a11=-1.0, a12=1.0, s1=0.3, c1=c1, c2=c2, c3=c3, s2=0.3)
+    return check_dissipativity(linear_benchmark(params), random_point_sampler(1.0, 0.5, 1),
+                               trials, rng_seed=seed)
 
 
 def test_dissipativity_fit_finds_contraction_pair():
@@ -124,26 +114,23 @@ def test_dissipativity_fit_finds_contraction_pair():
     rep = check_dissipativity(spec, sampler, 800, rng_seed=3)
     assert rep.passed
     assert rep.lambda1 > rep.lambda2 > 0.0
-    # Certified pair is (2 c2 - c3, c3); the fitted gap should not beat
-    # the true spectral bound 2(c2 - c3) by much nor collapse below it.
+    # The pair (2 c2 - c3, c3) satisfies every sample, so the largest
+    # certified gap is at least its gap 2 (c2 - c3).
     gap = rep.lambda1 - rep.lambda2
-    assert gap > 0.5 * (2.0 * (BENCH.c2 - BENCH.c3))
+    assert gap >= 2.0 * (BENCH.c2 - BENCH.c3) * (1.0 - 1e-9)
+    assert abs(rep.worst_violation) < 1e-12
 
 
 def test_dissipativity_random_contractive_family():
-    """Every (c2, c3) with c2 > c3 > 0 passes at its certified pair."""
+    """Every (c2, c3) with c2 > c3 > 0 passes with at least its Young gap."""
     rng = np.random.default_rng(606)
     for _ in range(20):
         c3 = float(rng.uniform(0.05, 2.0))
         c2 = c3 + float(rng.uniform(0.05, 2.0))
-        params = LinearBenchmarkParams(a11=-1.0, a12=1.0, s1=0.3,
-                                       c1=float(rng.uniform(-2, 2)),
-                                       c2=c2, c3=c3, s2=0.3)
-        spec = linear_benchmark(params)
-        sampler = random_point_sampler(1.0, 0.5, 1)
-        rep = check_dissipativity(spec, sampler, 200, candidate=params.lambda_pair,
-                                  rng_seed=int(rng.integers(0, 1 << 30)))
-        assert rep.passed, (c2, c3, rep.worst_violation)
+        c1 = float(rng.uniform(-2, 2))
+        rep = _benchmark_check(c2, c3, 200, int(rng.integers(0, 1 << 30)), c1=c1)
+        assert rep.passed, (c2, c3, rep)
+        assert rep.lambda1 - rep.lambda2 >= 2.0 * (c2 - c3) * (1.0 - 1e-9), (c2, c3, rep)
 
 
 def test_dissipativity_expanding_fast_map_fails_fit():
@@ -158,15 +145,103 @@ def test_dissipativity_expanding_fast_map_fails_fit():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("c2, c3", [(4e-6, 1e-6), (4e-5, 1e-5), (2.0, 0.5), (4e5, 1e5),
+                                    (2.0, 1.9), (2.0, 1.99), (2.0, 0.0)])
+def test_dissipativity_certificate_is_scale_free(c2, c3):
+    """Contracting benchmarks pass at 2,000 samples, from slow to fast and near c2 = c3."""
+    for seed in range(20):
+        rep = _benchmark_check(c2, c3, 2000, seed)
+        assert rep.passed, (seed, rep)
+        assert rep.lambda1 - rep.lambda2 >= 2.0 * (c2 - c3) * (1.0 - 1e-9), (seed, rep)
+
+
+def test_dissipativity_pair_scales_with_the_system():
+    # Scaling b2 by s scales every Q by s, so the pair scales by s and the
+    # relative floor gives the same verdict at every time unit.
+    for seed in range(20):
+        ref = _benchmark_check(2.0, 0.5, 2000, seed)
+        for s in (2e-6, 2e-5, 2e5):
+            rep = _benchmark_check(2.0 * s, 0.5 * s, 2000, seed)
+            assert rep.lambda1 == pytest.approx(ref.lambda1 * s, rel=1e-9), (seed, s)
+            assert rep.lambda2 == pytest.approx(ref.lambda2 * s, rel=1e-9), (seed, s)
+
+
+@pytest.mark.parametrize("c2, c3", [(2.0, 2.0), (0.5, 2.0), (4e-6, 4e-6)])
+def test_dissipativity_fails_without_contraction(c2, c3):
+    for seed in range(20):
+        rep = _benchmark_check(c2, c3, 2000, seed)
+        assert not rep.passed, (seed, rep)
+        assert rep.lambda1 - rep.lambda2 <= 5e-4 * rep.lambda1
+
+
+def test_dissipativity_zero_delay_coupling_passes_at_lambda2_zero():
+    # c3 = 0: the optimum is lambda2 = 0 (up to the rounding of the
+    # intercepts a_i = 2 c2).  Every slope b_i is >= 0, so the same lambda1
+    # also holds for every small lambda2 > 0.
+    rep = _benchmark_check(2.0, 0.0, 2000, 4)
+    assert rep.passed and 0.0 <= rep.lambda2 <= 1e-12
+    assert rep.lambda1 >= 4.0 * (1.0 - 1e-9)
+
+
+def _points(rows):
+    """Prebuilt n = 1 samples (chi, x, x', y, y') from rows of (x, x', y, y')."""
+    return [(np.zeros((3, 1)), *(np.array([v]) for v in row)) for row in rows]
+
+
+def test_dissipativity_sample_with_equal_fast_states():
+    # With x = x' a sample reads Q <= lambda2 |dy|^2 only.  The benchmark's
+    # Q is 0 there, which leaves the pair as it was.
+    spec = linear_benchmark(BENCH)
+    base = [(1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.5, -0.5), (2.0, -1.0, 0.3, 0.2)]
+    plain = check_dissipativity(spec, _points(base), 0)
+    same = check_dissipativity(spec, _points(base + [(0.7, 0.7, 1.0, -1.0)]), 0)
+    assert same.passed and (same.lambda1, same.lambda2) == (plain.lambda1, plain.lambda2)
+    # A diffusion that reads the delayed state makes Q = |dy|^2 > 0 at
+    # x = x', a lower bound lambda2 >= 1; the other sample has
+    # Q = -8 |dx|^2 and dy = 0, so lambda1 <= 8.
+    noisy = SystemSpec(n=1, m=1, tau=1.0, b1=None, sigma1=None,
+                       b2=lambda chi, x, y: -4.0 * x + 0.5 * y,
+                       sigma2=lambda chi, x, y: y[:, :, None])
+    rep = check_dissipativity(noisy, _points([(1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)]), 0)
+    assert (rep.lambda1, rep.lambda2, rep.worst_violation) == (8.0, 1.0, 0.0)
+    assert rep.passed
+    # With dy = 0 as well, Q > 0 admits no pair.  Only a map that is not
+    # pure gives that: this sigma2 returns 0 on its first call, 1 after.
+    calls = []
+
+    def stateful(chi, x, y):
+        calls.append(1)
+        return np.array([[float(len(calls) > 1)]])
+
+    kicked = SystemSpec(n=1, m=1, tau=1.0, b1=None, sigma1=None,
+                        b2=lambda chi, x, y: -4.0 * x, sigma2=stateful)
+    rep = check_dissipativity(kicked, _points([(1.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.0, 0.0)]), 0)
+    assert not rep.passed
+    assert np.isnan([rep.lambda1, rep.lambda2, rep.worst_violation]).all()
+
+
+def test_dissipativity_unbounded_gap_fails():
+    # Every sample has |dy| > |dx|: lambda1 <= a_i + b_i lambda2 with all
+    # b_i > 1, so the gap grows without bound and certifies nothing.
+    spec = linear_benchmark(BENCH)
+    rows = [(1.0, 0.0, 3.0, 0.0), (0.0, 0.5, -1.0, 1.0), (2.0, 1.5, 0.0, 4.0)]
+    rep = check_dissipativity(spec, _points(rows), 0)
+    assert not rep.passed
+    assert np.isnan(rep.lambda1) and np.isnan(rep.lambda2)
+    # Samples with x = x' alone do not pin lambda1 either.
+    rep = check_dissipativity(spec, _points([(0.5, 0.5, 1.0, 0.0)]), 0)
+    assert not rep.passed
+
+
 def test_dissipativity_accepts_prebuilt_sample_list():
     spec = linear_benchmark(BENCH)
     sampler = random_point_sampler(1.0, 0.5, 1)
     rng = np.random.default_rng(0)
     samples = [sampler(rng) for _ in range(50)]
-    rep = check_dissipativity(spec, samples, 0, candidate=BENCH.lambda_pair)
+    rep = check_dissipativity(spec, samples, 0)
     assert rep.sample_count == 50
     with pytest.raises(UsageError):
-        check_dissipativity(spec, [], 0, candidate=BENCH.lambda_pair)
+        check_dissipativity(spec, [], 0)
 
 
 def test_growth_check_passes_linear_system():
@@ -314,7 +389,7 @@ def test_checkers_name_the_first_bad_sample():
     ]
     for samples, message in cases:
         with pytest.raises(DataError, match=message):
-            check_dissipativity(spec, samples, 0, candidate=BENCH.lambda_pair)
+            check_dissipativity(spec, samples, 0)
 
     # A map that returns a non-finite value on one sample of the batch.
     spiky = SystemSpec(
@@ -331,14 +406,49 @@ def test_checkers_name_the_first_bad_sample():
         check_dissipativity(spiky, hot, 0)
 
 
+def _one_sample_terms(spec, point):
+    """Q, |dx|^2 and |dy|^2 of one sample, from one-sample map calls."""
+    chi, x, xp, y, yp = point
+    chi = chi[:, None]
+    b, bp = (np.asarray(spec.b2(chi, u[None], v[None]))[0] for u, v in ((x, y), (xp, yp)))
+    s, sp = (np.asarray(spec.sigma2(chi, u[None], v[None])) for u, v in ((x, y), (xp, yp)))
+    dx, dy = x - xp, y - yp
+    q = 2.0 * float(dx @ (b - bp)) + float(((s - sp) ** 2).sum())
+    return q, float(dx @ dx), float(dy @ dy)
+
+
+def _brute_force_gap(q, dx2, dy2):
+    """max of min_i(a_i + b_i l2) - l2 over l2 >= lo, tried at lo and at every pair's crossing."""
+    moved = dx2 > 0.0
+    lo = max([0.0] + [qi / d for qi, d in zip(q[~moved], dy2[~moved]) if d > 0.0])
+    a, b = -q[moved] / dx2[moved], dy2[moved] / dx2[moved]
+    tries = [np.array([lo])]
+    for ai, bi in zip(a, b):
+        apart = b != bi
+        cross = (a[apart] - ai) / (bi - b[apart])
+        tries.append(cross[cross >= lo])
+    lam2 = np.concatenate(tries)
+    gaps = np.array([(a + b * lam).min() - lam for lam in lam2])
+    best = int(gaps.argmax())
+    return gaps[best] + lam2[best], lam2[best]
+
+
 def test_checkers_match_their_one_sample_results():
-    """A batched check of many samples equals the checks of each sample on its own."""
-    spec = build_system({"kind": "registered", "name": "golden_plane"})
+    """The batched certificate is the largest gap of an O(N^2) search over one-sample terms."""
     rng = np.random.default_rng(8)
-    points = [random_point_sampler(1.0, 0.25, 2)(rng) for _ in range(40)]
+    for spec, n in ((build_system({"kind": "registered", "name": "golden_plane"}), 2),
+                    (linear_benchmark(BENCH), 1)):
+        points = [random_point_sampler(1.0, 0.25, n)(rng) for _ in range(200)]
+        q, dx2, dy2 = (np.array(v) for v in zip(*(_one_sample_terms(spec, pt) for pt in points)))
+        lam1, lam2 = _brute_force_gap(q, dx2, dy2)
+        rep = check_dissipativity(spec, points, 0)
+        assert rep.passed
+        assert rep.lambda1 == pytest.approx(lam1, rel=1e-12, abs=0.0)
+        assert rep.lambda2 == pytest.approx(lam2, rel=1e-12, abs=0.0)
+        assert rep.lambda1 - rep.lambda2 == pytest.approx(lam1 - lam2, rel=1e-12, abs=0.0)
+        assert rep.worst_violation == pytest.approx((q + lam1 * dx2 - lam2 * dy2).max(),
+                                                    abs=1e-12 * lam1)
+    spec = build_system({"kind": "registered", "name": "golden_plane"})
     pairs = [random_segment_pair_sampler(1.0, 0.25, 2)(rng) for _ in range(40)]
-    worst = max(check_dissipativity(spec, [pt], 0, candidate=(2.0, 0.5)).worst_violation
-                for pt in points)
-    assert check_dissipativity(spec, points, 0, candidate=(2.0, 0.5)).worst_violation == worst
     estimate = max(check_growth_and_lipschitz(spec, [pair], 0).L_estimate for pair in pairs)
     assert check_growth_and_lipschitz(spec, pairs, 0).L_estimate == estimate
