@@ -14,7 +14,6 @@ from .segment import (
     constant_segment,
     exact_steps,
     lipschitz_modulus,
-    sup_norm,
 )
 from .noise import W1, W2, NoiseStream, StreamFactory, fast_increments, gaussian_increments
 from .systems import (
@@ -41,7 +40,6 @@ from .solver import (
 from .frozen import (
     AveragedDriftEstimate,
     DecayFit,
-    DriftEstimatorBudget,
     estimate_averaged_drift,
     mixing_decay,
     simulate_frozen,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .frozen import DriftEstimatorBudget, estimate_averaged_drift
+from .frozen import estimate_averaged_drift
 from .noise import StreamFactory
 from .segment import exact_steps
 from .solver import (
@@ -47,7 +47,6 @@ _SEED_QUANT = 1e-4
 class DeltaSchedule:
     """Block length for one epsilon: raw value and its tau/N snap."""
 
-    epsilon: float
     delta_raw: float
     delta: float
     N_delta: int
@@ -71,12 +70,7 @@ def khasminskii_delta(epsilon: float, tau: float) -> DeltaSchedule:
         raise DomainError(f"tau must be positive, got {tau}")
     delta_raw = epsilon * math.sqrt(-math.log(epsilon))
     n = max(1, math.ceil(tau / delta_raw))
-    return DeltaSchedule(
-        epsilon=float(epsilon),
-        delta_raw=delta_raw,
-        delta=tau / n,
-        N_delta=n,
-    )
+    return DeltaSchedule(delta_raw=delta_raw, delta=tau / n, N_delta=n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,18 +155,20 @@ class EstimatedDriftSource:
     """Averaged drift evaluated by on-demand frozen sub-simulation.
 
     A call runs one estimate_averaged_drift for all P windows of its
-    batch.  Each window's streams are seeded from a digest of the window
-    rounded to _SEED_QUANT, so a window's value is a pure function of
-    (window, seed, budget), whatever batch it comes in.  calls counts
-    windows.  Nothing is memoized: a diffusing path does not revisit a
-    window.
+    batch, each with replicas frozen sub-simulations on the step h that
+    drop [0, burn_in] and average over the next horizon.  Each window's
+    streams are seeded from a digest of the window rounded to
+    _SEED_QUANT, so a window's value is a pure function of (window,
+    seed, budget), whatever batch it comes in.  calls counts windows.
+    Nothing is memoized: a diffusing path does not revisit a window.
     """
 
-    def __init__(self, spec: SystemSpec, budget: DriftEstimatorBudget, sub_h: float, seed: int):
+    def __init__(self, spec: SystemSpec, seed: int, *, burn_in: float, horizon: float,
+                 replicas: int, h: float):
         self.spec = spec
-        self.budget = budget
         self.seed = int(seed)
-        self.sub_grid = make_grid(budget.burn_in + budget.horizon, sub_h, spec.tau)
+        self.burn_in, self.horizon, self.replicas = burn_in, horizon, replicas
+        self.sub_grid = make_grid(burn_in + horizon, h, spec.tau)
         self.calls = 0
         self.max_std_error = 0.0
 
@@ -187,8 +183,8 @@ class EstimatedDriftSource:
                      for p in range(windows.shape[1])]
         self.calls += len(factories)
         est = estimate_averaged_drift(
-            self.spec, windows, self.budget.burn_in, self.budget.horizon,
-            self.budget.replicas, self.sub_grid, factories,
+            self.spec, windows, self.burn_in, self.horizon, self.replicas, self.sub_grid,
+            factories,
         )
         self.max_std_error = max(self.max_std_error, float(np.max(est.std_error)))
         return est.value

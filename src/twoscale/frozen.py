@@ -49,15 +49,6 @@ class DecayFit:
     r_squared: float
 
 
-@dataclass(frozen=True)
-class DriftEstimatorBudget:
-    """Sub-simulation sizes for estimator-backed averaged drift."""
-
-    burn_in: float
-    horizon: float
-    replicas: int
-
-
 def simulate_frozen(
     spec: SystemSpec,
     zeta: np.ndarray,

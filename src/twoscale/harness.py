@@ -40,11 +40,7 @@ from .averaging import (
     simulate_averaged,
 )
 from .errors import ConfigError, DegenerateFitError, TwoscaleError, UsageError
-from .frozen import (
-    DriftEstimatorBudget,
-    estimate_averaged_drift,
-    mixing_decay,
-)
+from .frozen import estimate_averaged_drift, mixing_decay
 from .metrics import p_moment, segment_displacement_moment, slope_fit, sup_distance
 from .noise import W1, W2, StreamFactory
 from .segment import (Segment, _node_norms, _row_dots, constant_segment, exact_steps,
@@ -186,22 +182,27 @@ class _Key:
         return {k: key.read(value, k, tau, f"{label} {k}") for k, key in self.parse.items()}
 
 
-# The most a fixed h may move the fast delay eps * tau by snapping it to
-# whole steps.  A delay of 10 steps or more always passes (half a step in
-# ten); auto h takes about tau / h_factor, 20 at tau = 1 by default.
+# The most h may move the fast delay eps * tau by snapping it to whole
+# steps.  A delay of 10 steps or more always passes (half a step in ten);
+# auto h takes about tau / h_factor, 20 at tau = 1 by default.
 _FAST_DELAY_SNAP = 0.05
+
+
+def _snapped_fast_delay(epsilon: float, tau: float, h: float):
+    """(eps * tau, lag * h) if h, which divides tau, snaps the fast delay too far; else None."""
+    wanted, realized = epsilon * tau, fast_lag_steps(epsilon, make_grid(tau, h, tau)) * h
+    return (wanted, realized) if abs(realized - wanted) > _FAST_DELAY_SNAP * wanted else None
 
 
 def _check_fast_delay(epsilon: float, tau: float, h: float) -> None:
     """ConfigError when the fixed h snaps the fast delay by more than _FAST_DELAY_SNAP."""
     try:
-        grid = make_grid(tau, h, tau)
+        snapped = _snapped_fast_delay(epsilon, tau, h)
     except TwoscaleError:
         return  # resolve_h refuses a misaligned h before any path runs
-    wanted, realized = epsilon * tau, fast_lag_steps(epsilon, grid) * h
-    if abs(realized - wanted) > _FAST_DELAY_SNAP * wanted:
+    if snapped:
         raise ConfigError(f"fixed h={h} snaps the fast delay of epsilon={epsilon}, "
-                          f"eps*tau={wanted:.6g}, to lag*h={realized:.6g}, more than "
+                          f"eps*tau={snapped[0]:.6g}, to lag*h={snapped[1]:.6g}, more than "
                           f"{_FAST_DELAY_SNAP:.0%} off; choose an h that divides eps*tau")
 
 
@@ -280,6 +281,8 @@ class Scenario:
             raise ConfigError(f"duplicate epsilon values: {list(epsilons)}")
         if experiment in ("converge", "auxiliary_gap") and not epsilons:
             raise ConfigError(f"{experiment} needs a non-empty epsilons list")
+        if experiment in ("simulate", "segment_continuity") and len(epsilons) > 1:
+            raise ConfigError(f"{experiment} runs one epsilon, got {list(epsilons)}")
         if experiment == "auxiliary_gap" and v["delta"] == "auto":
             bad = [e for e in epsilons if e >= _INV_E]
             if bad:
@@ -347,7 +350,8 @@ class Scenario:
         stability cap, moves the fast delay by at most _FAST_DELAY_SNAP).
         Auto h targets h_factor * epsilon (or the given default) and is
         snapped DOWN to divide the anchor (the block length when there is
-        one, else tau).
+        one, else tau), skipping any step that moves the fast delay by
+        more than _FAST_DELAY_SNAP.
         """
         if self.h != "auto":
             h = float(self.h)
@@ -373,8 +377,8 @@ class Scenario:
             raise ConfigError("auto h needs an epsilon or a default target")
         base = anchor if anchor is not None else self.tau
         k0 = max(1, math.ceil(base / target - 1e-12))
-        # The step must tile the anchor, the delay, and the horizon; walk
-        # the divisor up until all three land on the same grid.
+        # The step must tile the anchor, the delay, and the horizon, and
+        # keep the fast delay; walk the divisor up until all of them hold.
         for k in range(k0, k0 + 4096):
             h = base / k
             try:
@@ -382,21 +386,18 @@ class Scenario:
                 exact_steps(self.T, h, "T")
             except TwoscaleError:
                 continue
-            return h
+            if epsilon is None or not _snapped_fast_delay(epsilon, self.tau, h):
+                return h
         raise ConfigError(
             f"no step near {target} divides tau={self.tau}, T={self.T}, "
-            f"and block {base}; choose commensurate durations"
+            f"and block {base} and keeps the fast delay within {_FAST_DELAY_SNAP:.0%}; "
+            "choose commensurate durations"
         )
 
     def drift_callable(self, spec):
         if self.drift_source == "closed_form":
             return closed_form_drift(spec)
-        budget = DriftEstimatorBudget(
-            burn_in=self.estimator["burn_in"],
-            horizon=self.estimator["horizon"],
-            replicas=self.estimator["replicas"],
-        )
-        return EstimatedDriftSource(spec, budget, self.estimator["h"], self.seed)
+        return EstimatedDriftSource(spec, self.seed, **self.estimator)
 
 
 # experiment -> the config keys it reads; any other key is refused.
@@ -528,6 +529,14 @@ def _attempt(body, chunk: _Chunk, paths) -> list:
         return [("err", type(exc).__name__, str(exc))] * len(paths)
 
 
+def _caught(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the messages of the warnings it raised, each once, in order."""
+    with _warnings.catch_warnings(record=True) as caught:
+        _warnings.simplefilter("always")
+        value = fn(*args, **kwargs)
+    return value, list(dict.fromkeys(str(w.message) for w in caught))
+
+
 def _run_chunk(job):
     """Run paths [start, stop) of one row through body as one batch.
 
@@ -539,9 +548,13 @@ def _run_chunk(job):
     chunk and gets its own value or ("err", type, message) from its
     one-path run.  Each path keeps its own streams and every kernel
     operation is elementwise over paths, so the results do not depend on
-    the chunk cut.
+    the chunk cut.  Returns the results and the messages of the warnings
+    the chunk raised, each once.
     """
-    body, scen, epsilon, h, extra, start, stop = job
+    return _caught(_chunk_results, *job)
+
+
+def _chunk_results(body, scen, epsilon, h, extra, start, stop) -> list:
     spec = scen.build_spec()
     chunk = _Chunk(
         scenario=scen, spec=spec, epsilon=epsilon,
@@ -557,8 +570,8 @@ def _run_chunk(job):
     return results
 
 
-def _run_ensemble(scenario: Scenario, body, rows) -> list:
-    """Per-path results of every (epsilon, h, extra) row, in path order.
+def _run_ensemble(scenario: Scenario, body, rows) -> tuple[list, list]:
+    """Per-path results of every (epsilon, h, extra) row, in path order, and the warnings.
 
     There are min(threads, CPUs) workers.  Each job is one whole row as
     a single batch, unless there are fewer rows than workers: then each
@@ -566,7 +579,8 @@ def _run_ensemble(scenario: Scenario, body, rows) -> list:
     pool takes the jobs longest grid first (round(T / h) steps); one
     worker runs them serially and opens no pool.  Paths draw from
     streams addressed by their own index, so the results depend on
-    neither the cut nor the order.
+    neither the cut nor the order.  The chunks' warning messages come
+    back each once, in row and path order.
     """
     paths = scenario.paths
     workers = min(scenario.threads, os.cpu_count() or 1)
@@ -580,8 +594,9 @@ def _run_ensemble(scenario: Scenario, body, rows) -> list:
         order = sorted(range(len(jobs)), key=lambda i: -round(scenario.T / jobs[i][3]))
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             done = dict(zip(order, pool.map(_run_chunk, [jobs[i] for i in order])))
-    return [[r for j in range(i, i + per_row) for r in done[j]]
-            for i in range(0, len(jobs), per_row)]
+    results = [[r for j in range(i, i + per_row) for r in done[j][0]]
+               for i in range(0, len(jobs), per_row)]
+    return results, list(dict.fromkeys(w for j in range(len(jobs)) for w in done[j][1]))
 
 
 def _row_values(results, row):
@@ -659,7 +674,8 @@ def run_converge(scenario: Scenario) -> ExperimentReport:
         closed_form_drift(scenario.build_spec())
     eps_desc = sorted(scenario.epsilons, reverse=True)
     hs = [scenario.resolve_h(epsilon=eps) for eps in eps_desc]
-    results = _run_ensemble(scenario, _converge_chunk, [(e, h, {}) for e, h in zip(eps_desc, hs)])
+    results, warns = _run_ensemble(scenario, _converge_chunk,
+                                   [(e, h, {}) for e, h in zip(eps_desc, hs)])
 
     rows = []
     ok_rows = []
@@ -682,7 +698,7 @@ def run_converge(scenario: Scenario) -> ExperimentReport:
             pass  # a degenerate sweep reports no slope row
 
     gates = _trend_gates(ok_rows, complete=len(ok_rows) == len(eps_desc))
-    return _finish(scenario, rows, gates, [], t0)
+    return _finish(scenario, rows, gates, warns, t0)
 
 
 def _slope_row(epsilon, scenario: Scenario, fit) -> dict:
@@ -760,11 +776,11 @@ def run_auxiliary_gap(scenario: Scenario) -> ExperimentReport:
             schedule = khasminskii_delta(eps, scenario.tau)
         else:
             delta, n = _snap_to_tau(scenario.tau, scenario.delta, warns)
-            schedule = DeltaSchedule(epsilon=eps, delta_raw=scenario.delta, delta=delta,
-                                     N_delta=n)
+            schedule = DeltaSchedule(delta_raw=scenario.delta, delta=delta, N_delta=n)
         h = scenario.resolve_h(epsilon=eps, anchor=schedule.delta)
         sweep.append((eps, h, {"schedule": schedule}))
-    results = _run_ensemble(scenario, _aux_chunk, sweep)
+    results, chunk_warns = _run_ensemble(scenario, _aux_chunk, sweep)
+    warns += chunk_warns
 
     rows = []
     ok_rows = []
@@ -864,7 +880,8 @@ def run_segment_continuity(scenario: Scenario) -> ExperimentReport:
             idxs.add(min(grid.steps, j * grid.steps // 8 + r))
         times = [k * h for k in sorted(idxs) if k > 0]
     extra = {"deltas": deltas, "times": times}
-    [results] = _run_ensemble(scenario, _segcont_chunk, [(epsilon, h, extra)])
+    [results], chunk_warns = _run_ensemble(scenario, _segcont_chunk, [(epsilon, h, extra)])
+    warns += chunk_warns
     row = _row(epsilon, None, scenario.p, scenario.paths, "segment_displacement_moment", h)
     values, error_row = _row_values(results, row)
     if error_row is not None:
@@ -921,13 +938,9 @@ def run_frozen(scenario: Scenario) -> ExperimentReport:
 
     if scenario.experiment == "frozen":
         grid_est = make_grid(scenario.burn_in + scenario.horizon, h, scenario.tau)
-        with _warnings.catch_warnings(record=True) as caught:
-            _warnings.simplefilter("always")
-            est = estimate_averaged_drift(
-                spec, zeta.values[:, None], scenario.burn_in, scenario.horizon,
-                scenario.replicas, grid_est, [fac], eta=eta.values,
-            )
-        warns = [str(w.message) for w in caught]
+        est, warns = _caught(estimate_averaged_drift, spec, zeta.values[:, None],
+                             scenario.burn_in, scenario.horizon, scenario.replicas, grid_est,
+                             [fac], eta=eta.values)
         row = _row(None, None, None, scenario.replicas, "bbar_estimate", h)
         rows.append(dict(
             row,
@@ -975,20 +988,21 @@ def run_check(scenario: Scenario) -> ExperimentReport:
         rows.append(dict(row, value=value, extra=extra))
         gates.append({"name": kind, "passed": bool(passed), "detail": detail})
 
-    diss = check_dissipativity(spec, random_point_sampler(scenario.tau, h, spec.n),
-                               scenario.trials, rng_seed=scenario.seed)
+    points = random_point_sampler(scenario.tau, h, spec.n)
+    diss = check_dissipativity(spec, *points(np.random.default_rng(scenario.seed), scenario.trials))
     check("dissipativity", diss.sample_count, diss.worst_violation, diss.passed,
           f"worst_violation={diss.worst_violation:.3g} at "
           f"(l1={diss.lambda1:.4g}, l2={diss.lambda2:.4g})",
           lambda1=diss.lambda1, lambda2=diss.lambda2)
-    growth = check_growth_and_lipschitz(spec, random_segment_pair_sampler(
-        scenario.tau, h, spec.n), scenario.trials, rng_seed=scenario.seed + 1)
+    pairs = random_segment_pair_sampler(scenario.tau, h, spec.n)
+    growth = check_growth_and_lipschitz(
+        spec, *pairs(np.random.default_rng(scenario.seed + 1), scenario.trials))
     check("growth_lipschitz", scenario.trials, growth.L_estimate, growth.passed,
           f"L_estimate={growth.L_estimate:.4g}", witnesses=growth.max_ratio_points)
     modulus = lipschitz_modulus(xi)
     check("initial_segment", 1, modulus, check_initial_segment(xi, scenario.lambda3_cap),
           f"modulus={modulus:.4g}, cap={scenario.lambda3_cap:.4g}", cap=scenario.lambda3_cap)
-    pure = spot_check_purity(spec, h=h, rng_seed=scenario.seed + 2)
+    pure = spot_check_purity(spec, h, scenario.seed + 2)
     check("coefficient_purity", 1, 1.0 if pure else 0.0, pure,
           "maps returned identical values on repeated calls"
           if pure else "a coefficient map is stateful")
@@ -1022,11 +1036,11 @@ def run_simulate(scenario: Scenario, *, dump_dir=None, stem: str = "scenario") -
     epsilon = scenario.epsilons[0] if scenario.epsilons else 0.05
     h = scenario.resolve_h(epsilon=epsilon)
     extra = {"dump_dir": str(dump_dir) if dump_dir is not None else None, "stem": stem}
-    [results] = _run_ensemble(scenario, _simulate_chunk, [(epsilon, h, extra)])
+    [results], warns = _run_ensemble(scenario, _simulate_chunk, [(epsilon, h, extra)])
     row = _row(epsilon, None, 1.0, scenario.paths, "endpoint_slow_norm", h)
     endpoints, error_row = _row_values(results, row)
     if error_row is not None:
-        return _finish(scenario, [error_row], [_failed_paths_gate(error_row)], [], t0)
+        return _finish(scenario, [error_row], [_failed_paths_gate(error_row)], warns, t0)
     if len(endpoints) >= 2:
         moment = p_moment(endpoints, 1.0)
         value, se, paths = moment.value, moment.std_error, moment.paths
@@ -1036,7 +1050,7 @@ def run_simulate(scenario: Scenario, *, dump_dir=None, stem: str = "scenario") -
                extra=dict(row["extra"], dumped=dump_dir is not None))
     gates = [{"name": "rows_complete", "passed": True,
               "detail": f"{len(endpoints)} path(s)"}]
-    return _finish(scenario, [row], gates, [], t0)
+    return _finish(scenario, [row], gates, warns, t0)
 
 
 _RUNNERS = {
@@ -1050,6 +1064,5 @@ _RUNNERS = {
 }
 
 
-def run_scenario(scenario: Scenario, **kwargs) -> ExperimentReport:
-    runner = _RUNNERS[scenario.experiment]
-    return runner(scenario, **kwargs)
+def run_scenario(scenario: Scenario) -> ExperimentReport:
+    return _RUNNERS[scenario.experiment](scenario)

@@ -19,7 +19,6 @@ from .segment import _node_norms, exact_steps
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    p: float
     value: float
     std_error: float
     paths: int
@@ -28,7 +27,6 @@ class MomentEstimate:
 @dataclass(frozen=True)
 class SlopeFit:
     xs: list  # ln x
-    ys: list  # ln y
     slope: float
     intercept: float
     r_squared: float
@@ -62,7 +60,7 @@ def p_moment(samples, p: float) -> MomentEstimate:
     powered = s ** p
     value = float(powered.mean())
     std_error = float(powered.std(ddof=1) / np.sqrt(s.size))
-    return MomentEstimate(p=float(p), value=value, std_error=std_error, paths=int(s.size))
+    return MomentEstimate(value=value, std_error=std_error, paths=int(s.size))
 
 
 def segment_displacement_moment(
@@ -123,8 +121,7 @@ def slope_fit(xs, ys) -> SlopeFit:
     lx = np.log(x)
     ly = np.log(y)
     slope, intercept, r2 = _log_linear_fit(lx, ly)
-    return SlopeFit(xs=lx.tolist(), ys=ly.tolist(), slope=slope,
-                    intercept=intercept, r_squared=r2)
+    return SlopeFit(xs=lx.tolist(), slope=slope, intercept=intercept, r_squared=r2)
 
 
 def _log_linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:

@@ -36,13 +36,12 @@ _U53 = 2.0 ** -53
 class NoiseStream:
     """Deterministic N(0,1) source for one (seed, path, tag) address.
 
-    position counts Gaussians drawn so far; it only moves forward.  There
-    is deliberately no seek: resuming a stream means rebuilding it and
-    replaying, which keeps the counter bookkeeping impossible to get
-    subtly wrong.
+    Draws only move forward.  There is deliberately no seek: resuming a
+    stream means rebuilding it and replaying, which keeps the counter
+    bookkeeping impossible to get subtly wrong.
     """
 
-    __slots__ = ("seed", "path_index", "tag", "m", "position", "_bits")
+    __slots__ = ("m", "_bits")
 
     def __init__(self, seed: int, path_index: int, tag: str, m: int = 1):
         if tag not in _TAG_CODES:
@@ -51,16 +50,12 @@ class NoiseStream:
             raise DomainError(f"path_index must be >= 0, got {path_index}")
         if m < 1:
             raise DomainError(f"noise dimension m must be >= 1, got {m}")
-        self.seed = int(seed)
-        self.path_index = int(path_index)
-        self.tag = tag
         self.m = int(m)
-        self.position = 0
         # Philox keys itself from the sequence's generate_state(2, np.uint64)
         # with a zero counter; passing that key instead would also draw an
         # unused OS-entropy SeedSequence for every stream.
-        self._bits = Philox(SeedSequence(self.seed,
-                                         spawn_key=(self.path_index, _TAG_CODES[tag])))
+        self._bits = Philox(SeedSequence(int(seed),
+                                         spawn_key=(int(path_index), _TAG_CODES[tag])))
 
     def normals(self, count: int) -> np.ndarray:
         """Draw count standard normals, two raw words each."""
@@ -72,9 +67,7 @@ class NoiseStream:
         # Top 53 bits, shifted into (0, 1] so log never sees zero.
         u1 = ((raw[0::2] >> np.uint64(11)) + np.uint64(1)) * _U53
         u2 = ((raw[1::2] >> np.uint64(11)) + np.uint64(1)) * _U53
-        z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-        self.position += count
-        return z
+        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
 def gaussian_increments(stream: NoiseStream, count: int, dt: float) -> np.ndarray:

@@ -83,7 +83,7 @@ class Segment:
 
 def _node_norms(arr: np.ndarray) -> np.ndarray:
     # Euclidean length along the last axis; exact |.| in the scalar case
-    # so that sup_norm of a 1-d segment is free of sqrt(x*x) rounding.
+    # so that the sup norm of a 1-d window is free of sqrt(x*x) rounding.
     if arr.shape[-1] == 1:
         return np.abs(arr[..., 0])
     return np.sqrt(np.einsum("...i,...i->...", arr, arr))
@@ -95,11 +95,6 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # bits of its own a[i] @ b[i] (and np.sqrt of it those of
     # np.linalg.norm(a[i])); an einsum can round the sum differently.
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def sup_norm(window: np.ndarray) -> float:
-    """Largest Euclidean node norm over an (M + 1, n) window array."""
-    return float(_node_norms(window).max())
 
 
 def lipschitz_modulus(seg: Segment) -> float:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,6 +37,9 @@ from .segment import Segment, _node_norms, _row_dots, exact_steps, lipschitz_mod
 # The relative gap (lambda1 - lambda2) / lambda1 that check_dissipativity
 # must exceed; no finite sample certifies lambda1 = lambda2 (see README).
 _GAP_FLOOR = 5e-4
+
+# The scale of the states the samplers draw.
+_AMPLITUDE = 3.0
 
 
 def _number(raw, what: str) -> float:
@@ -64,7 +67,6 @@ class SystemSpec:
     b2: Callable
     sigma2: Callable
     benchmark: Optional["LinearBenchmarkParams"] = None
-    name: Optional[str] = None
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
@@ -104,11 +106,6 @@ class LinearBenchmarkParams:
     @property
     def dissipative(self) -> bool:
         return self.c2 > self.c3 > 0.0
-
-    @property
-    def lambda_pair(self) -> tuple[float, float]:
-        """Contraction pair (2 c2 - c3, c3) certified by Young's inequality."""
-        return (2.0 * self.c2 - self.c3, self.c3)
 
     @property
     def gain(self) -> float:
@@ -152,7 +149,7 @@ def linear_benchmark(params: LinearBenchmarkParams, tau: float = 1.0) -> SystemS
     return SystemSpec(
         n=1, m=1, tau=tau,
         b1=b1, sigma1=sigma1, b2=b2, sigma2=sigma2,
-        benchmark=params, name="linear_benchmark",
+        benchmark=params,
     )
 
 
@@ -162,22 +159,14 @@ class DissipativityReport:
     lambda2: float
     worst_violation: float
     sample_count: int
-    verdict: str  # "pass" | "fail"
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
+    passed: bool
 
 
 @dataclass(frozen=True)
 class GrowthReport:
     L_estimate: float
-    max_ratio_points: list = field(default_factory=list)
-    verdict: str = "fail"
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
+    max_ratio_points: list
+    passed: bool
 
 
 def _drift(value, p: int, n: int, name: str) -> np.ndarray:
@@ -207,41 +196,24 @@ def _finite(value: np.ndarray, size: int, what: str) -> np.ndarray:
     return value
 
 
-def _fits(value, shape: tuple) -> bool:
-    try:
-        return np.asarray(value, dtype=float).shape == shape
-    except (TypeError, ValueError):
-        return False
+def _sampled(n: int, windows: dict, points: dict) -> list:
+    """Contiguous float arrays: the windows (M + 1, N, n), the points (N, n).
 
-
-def _stacked(values, shape: tuple, what: str) -> np.ndarray:
-    """Sampled arrays as one finite (count, *shape) array; DataError names the first bad one."""
-    try:
-        out = np.array(values, dtype=float)
-    except (TypeError, ValueError):
-        out = None
-    if out is None or out.shape[1:] != shape:
-        i = next(i for i, v in enumerate(values) if not _fits(v, shape))
-        raise DataError(f"{what} of sample {i} is not a float array of shape {shape}")
-    return _finite(out, max(1, out[0].size), what)
-
-
-def _windows(values, shape: tuple, what: str) -> np.ndarray:
-    """Sampled (M + 1, n) windows as one contiguous (M + 1, count, n) batch."""
-    return np.ascontiguousarray(_stacked(values, shape, what).swapaxes(0, 1))
-
-
-def _materialize(sampler, trials: int, rng_seed: int) -> list:
-    """Accept either a callable sampler(rng) or a pre-built sequence."""
-    if callable(sampler):
-        if trials < 1:
-            raise UsageError(f"trials must be >= 1, got {trials}")
-        rng = np.random.default_rng(rng_seed)
-        return [sampler(rng) for _ in range(trials)]
-    samples = list(sampler)
-    if not samples:
-        raise UsageError("sampler sequence is empty")
-    return samples
+    M + 1 and N >= 1 are read off the first window batch.  DataError for
+    any other shape, or naming the first sample with a non-finite entry.
+    """
+    shape = np.shape(next(iter(windows.values())))
+    if len(shape) != 3 or shape[1] < 1:
+        raise DataError(f"window batches must have shape (M + 1, samples >= 1, n), got {shape}")
+    arrays = []
+    for what, value in [*windows.items(), *points.items()]:
+        want = (shape[0], shape[1], n) if what in windows else (shape[1], n)
+        arr = np.ascontiguousarray(value, dtype=float)
+        if arr.shape != want:
+            raise DataError(f"{what} has shape {arr.shape}, expected {want}")
+        _finite(np.moveaxis(arr, -2, 0), arr.size // shape[1], what)  # one sample a row
+        arrays.append(arr)
+    return arrays
 
 
 def _largest_gap(q: np.ndarray, dx2: np.ndarray, dy2: np.ndarray):
@@ -284,11 +256,11 @@ def _largest_gap(q: np.ndarray, dx2: np.ndarray, dy2: np.ndarray):
     return float((a + b * lam2).min()), lam2
 
 
-def check_dissipativity(spec: SystemSpec, point_sampler, trials: int, *,
-                        rng_seed: int = 0) -> DissipativityReport:
+def check_dissipativity(spec: SystemSpec, chi, x, x_prime, y, y_prime) -> DissipativityReport:
     """Certify the one-sided contraction inequality of the fast coefficients.
 
-    For sampled (chi, x, x', y, y') this computes
+    Sample i is the window chi[:, i] of the (M + 1, N, n) batch chi and
+    row i of each (N, n) point array.  For each sample this computes
         Q = 2 <x - x', b2(chi, x, y) - b2(chi, x', y')>
             + ||sigma2(chi, x, y) - sigma2(chi, x', y')||_F^2
     and solves exactly for the pair with Q <= -lambda1 |x - x'|^2 +
@@ -297,11 +269,9 @@ def check_dissipativity(spec: SystemSpec, point_sampler, trials: int, *,
     passes when the gap exceeds _GAP_FLOOR * lambda1.  With no such pair,
     or an unbounded gap, it fails and reports NaN.
     """
-    samples = _materialize(point_sampler, trials, rng_seed)
-    count, n, m = len(samples), spec.n, spec.m
-    chis, *points = zip(*samples)
-    chi = _windows(chis, np.shape(chis[0]), "chi")
-    x, xp, y, yp = (_stacked(v, (n,), what) for v, what in zip(points, ("x", "x'", "y", "y'")))
+    n, m = spec.n, spec.m
+    chi, x, xp, y, yp = _sampled(n, {"chi": chi}, {"x": x, "x'": x_prime, "y": y, "y'": y_prime})
+    count = chi.shape[1]
     b, bp = (_finite(_drift(spec.b2(chi, u, v), count, n, "b2"), n, "b2 value")
              for u, v in ((x, y), (xp, yp)))
     s, sp = (_finite(_diffusion(spec.sigma2(chi, u, v), count, n, m, "sigma2"), n * m,
@@ -314,18 +284,16 @@ def check_dissipativity(spec: SystemSpec, point_sampler, trials: int, *,
     dy2 = _row_dots(dy, dy)
     l1, l2 = _largest_gap(q, dx2, dy2) or (math.nan, math.nan)
     worst = float((q + l1 * dx2 - l2 * dy2).max())
-    return DissipativityReport(l1, l2, worst, count,
-                               "pass" if l1 - l2 > _GAP_FLOOR * l1 else "fail")
+    return DissipativityReport(l1, l2, worst, count, l1 - l2 > _GAP_FLOOR * l1)
 
 
-def _ratio_series_stable(ratios: np.ndarray) -> bool:
+def _ratio_series_stable(r: np.ndarray) -> bool:
     # Drift detector: the last quartile of the sampled ratios must not blow
     # past the maximum seen over the first three quarters.
-    r = np.asarray(ratios, dtype=float)
-    if r.size < 8:
-        return bool(np.isfinite(r).all()) if r.size else True
     if not np.isfinite(r).all():
         return False
+    if r.size < 8:
+        return True
     cut = (3 * r.size) // 4
     head = float(r[:cut].max())
     tail = float(r[cut:].max())
@@ -334,25 +302,19 @@ def _ratio_series_stable(ratios: np.ndarray) -> bool:
     return tail <= 2.0 * head
 
 
-def check_growth_and_lipschitz(
-    spec: SystemSpec,
-    segment_sampler,
-    trials: int,
-    *,
-    rng_seed: int = 0,
-) -> GrowthReport:
+def check_growth_and_lipschitz(spec: SystemSpec, chi, phi) -> GrowthReport:
     """Estimate the slow pair's growth/Lipschitz constant by sampling.
 
-    Ratios |b1(chi, phi)| / (1 + sup_norm(chi)) and
+    Sample i is the window pair chi[:, i], phi[:, i] of two (M + 1, N, n)
+    batches.  Ratios |b1(chi, phi)| / (1 + sup norm of chi) and
     ||sigma1(phi) - sigma1(chi)||_F / sup-gap(phi, chi) are collected over
-    sampled window pairs; coincident pairs are skipped for the second.
-    The verdict fails when either series is non-finite or its last
-    quartile drifts above twice the earlier maximum.
+    the samples; coincident pairs are skipped for the second.  The check
+    fails when either series is non-finite or its last quartile drifts
+    above twice the earlier maximum.
     """
-    samples = _materialize(segment_sampler, trials, rng_seed)
-    count, n, m = len(samples), spec.n, spec.m
-    chis, phis = zip(*samples)
-    chi, phi = (_windows(v, np.shape(chis[0]), what) for v, what in ((chis, "chi"), (phis, "phi")))
+    n, m = spec.n, spec.m
+    chi, phi = _sampled(n, {"chi": chi, "phi": phi}, {})
+    count = chi.shape[1]
     chi_sup = _node_norms(chi).max(axis=0)
     phi_sup = _node_norms(phi).max(axis=0)
 
@@ -374,11 +336,10 @@ def check_growth_and_lipschitz(
 
     l_est = max(float(growth.max()), float(lip.max(initial=0.0)))
     stable = _ratio_series_stable(growth) and _ratio_series_stable(lip)
-    verdict = "pass" if (np.isfinite(l_est) and stable) else "fail"
     witnesses = [witness("b1_growth", growth, np.arange(count))]
     if moved.size:
         witnesses.append(witness("sigma1_lipschitz", lip, moved))
-    return GrowthReport(L_estimate=l_est, max_ratio_points=witnesses, verdict=verdict)
+    return GrowthReport(l_est, witnesses, bool(np.isfinite(l_est) and stable))
 
 
 def check_initial_segment(seg: Segment, lambda3_cap: float) -> bool:
@@ -388,10 +349,8 @@ def check_initial_segment(seg: Segment, lambda3_cap: float) -> bool:
     return lipschitz_modulus(seg) <= lambda3_cap * (1.0 + 1e-6) + 1e-12
 
 
-def spot_check_purity(spec: SystemSpec, *, h: float | None = None, rng_seed: int = 0) -> bool:
+def spot_check_purity(spec: SystemSpec, h: float, rng_seed: int) -> bool:
     """Call every coefficient map twice on one input; compare bit-exactly."""
-    if h is None:
-        h = spec.tau / 8.0
     steps = exact_steps(spec.tau, h, "tau")
     rng = np.random.default_rng(rng_seed)
     # One-path batches: windows (M + 1, 1, n), states (1, n).
@@ -408,27 +367,35 @@ def spot_check_purity(spec: SystemSpec, *, h: float | None = None, rng_seed: int
     return all(np.array_equal(np.asarray(a, float), np.asarray(b, float)) for a, b in pairs)
 
 
-def random_point_sampler(tau: float, h: float, n: int, amplitude: float = 3.0):
-    """Sampler of (chi, x, x', y, y') tuples for check_dissipativity; chi is a window array."""
+def random_point_sampler(tau: float, h: float, n: int):
+    """Sampler of (chi, x, x', y, y') arrays for check_dissipativity, given (rng, trials).
+
+    Each sample draws its window's M + 1 rows, then its four points.
+    """
     steps = exact_steps(tau, h, "tau")
 
-    def sample(rng: np.random.Generator):
-        chi = amplitude * rng.standard_normal((steps + 1, n))
-        pts = amplitude * rng.standard_normal((4, n))
-        return (chi, pts[0], pts[1], pts[2], pts[3])
+    def sample(rng: np.random.Generator, trials: int):
+        draw = _AMPLITUDE * rng.standard_normal((trials, steps + 5, n))
+        chi = np.ascontiguousarray(draw[:, :steps + 1].swapaxes(0, 1))
+        return (chi, *(draw[:, steps + k] for k in range(1, 5)))
 
     return sample
 
 
-def random_segment_pair_sampler(tau: float, h: float, n: int, amplitude: float = 3.0):
-    """Sampler of (chi, phi) window-array pairs with comparable amplitudes."""
+def random_segment_pair_sampler(tau: float, h: float, n: int):
+    """Sampler of (chi, phi) window batches for check_growth_and_lipschitz, given (rng, trials).
+
+    Each sample draws an amplitude, then its two windows at that amplitude.
+    """
     steps = exact_steps(tau, h, "tau")
 
-    def sample(rng: np.random.Generator):
-        amp = amplitude * rng.uniform(0.2, 1.0)
-        chi = amp * rng.standard_normal((steps + 1, n))
-        phi = amp * rng.standard_normal((steps + 1, n))
-        return chi, phi
+    def sample(rng: np.random.Generator, trials: int):
+        pairs = np.empty((2, steps + 1, trials, n))
+        for i in range(trials):
+            amp = _AMPLITUDE * rng.uniform(0.2, 1.0)
+            pairs[0, :, i] = amp * rng.standard_normal((steps + 1, n))
+            pairs[1, :, i] = amp * rng.standard_normal((steps + 1, n))
+        return pairs[0], pairs[1]
 
     return sample
 

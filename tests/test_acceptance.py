@@ -173,7 +173,8 @@ def test_criterion_7_dissipativity_verdicts():
                                        c1=float(rng.uniform(0.2, 2.0)),
                                        c2=c2, c3=c3, s2=0.3)
         spec = linear_benchmark(params)
-        rep = check_dissipativity(spec, random_point_sampler(1.0, 0.5, 1), 200, rng_seed=99)
+        rep = check_dissipativity(spec, *random_point_sampler(1.0, 0.5, 1)(
+            np.random.default_rng(99), 200))
         # The Young pair (2 c2 - c3, c3) fits every sample, so the largest
         # certified gap is at least 2 (c2 - c3).
         certified = rep.lambda1 - rep.lambda2 >= 2.0 * (c2 - c3) * (1.0 - 1e-9)
@@ -181,8 +182,8 @@ def test_criterion_7_dissipativity_verdicts():
     with pytest.warns(UserWarning, match="contraction regime"):
         expanding = LinearBenchmarkParams(a11=-1.0, a12=1.0, s1=0.3,
                                           c1=1.0, c2=0.5, c3=2.0, s2=0.3)
-    bad = check_dissipativity(linear_benchmark(expanding),
-                              random_point_sampler(1.0, 0.5, 1), 800, rng_seed=17)
+    bad = check_dissipativity(linear_benchmark(expanding), *random_point_sampler(1.0, 0.5, 1)(
+        np.random.default_rng(17), 800))
     ok = all_good and not bad.passed
     _verdict(7, "dissipativity check separates contractive from expanding", ok)
     assert all_good

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -13,12 +14,13 @@ from twoscale.averaging import (
     simulate_averaged,
 )
 from twoscale.errors import DivergenceError, DomainError, UsageError
-from twoscale.frozen import DriftEstimatorBudget
 from twoscale.metrics import sup_distance
 from twoscale.noise import W1, W2, NoiseStream
 from twoscale.segment import constant_segment
 from twoscale.solver import _coupled_core, make_grid, simulate_coupled
-from twoscale.systems import LinearBenchmarkParams, SystemSpec, linear_benchmark
+from twoscale.systems import LinearBenchmarkParams, SystemSpec, build_system, linear_benchmark
+
+from test_golden import BENCH_SYS, PLANE_SYS  # importing registers "golden_plane"
 
 BENCH = LinearBenchmarkParams(a11=-1.0, a12=1.0, s1=0.3, c1=1.0, c2=2.0, c3=0.5, s2=0.3)
 
@@ -62,10 +64,9 @@ def test_block_schedule_invariants_randomized():
         assert sch.N_delta * sch.delta == pytest.approx(tau, rel=1e-12)
 
 
-def _manual_schedule(epsilon, delta, tau=1.0):
+def _manual_schedule(delta, tau=1.0):
     # Hand-built block length for grid-exactness tests.
-    return DeltaSchedule(epsilon=epsilon, delta_raw=delta, delta=delta,
-                         N_delta=int(round(tau / delta)))
+    return DeltaSchedule(delta_raw=delta, delta=delta, N_delta=int(round(tau / delta)))
 
 
 def test_auxiliary_coupled_part_matches_direct_run():
@@ -75,7 +76,7 @@ def test_auxiliary_coupled_part_matches_direct_run():
     g = make_grid(T=0.5, h=h, tau=1.0)
     xi = constant_segment(1.0, h, 1.0).values
     eta = constant_segment(1.0, h, 0.0).values
-    sch = _manual_schedule(0.1, 0.25)
+    sch = _manual_schedule(0.25)
     pair = simulate_auxiliary(spec, xi, eta, 0.1, sch, g,
                               [NoiseStream(8, 0, W1)], [NoiseStream(8, 0, W2)])
     x, y = simulate_coupled(spec, xi, eta, 0.1, g,
@@ -90,7 +91,7 @@ def test_auxiliary_resets_are_bit_exact():
     g = make_grid(T=0.5, h=h, tau=1.0)
     xi = constant_segment(1.0, h, 1.0).values
     eta = constant_segment(1.0, h, 0.0).values
-    sch = _manual_schedule(0.1, 0.125)
+    sch = _manual_schedule(0.125)
     pair = simulate_auxiliary(spec, xi, eta, 0.1, sch, g,
                               [NoiseStream(9, 0, W1)], [NoiseStream(9, 0, W2)])
     delta_steps = int(round(sch.delta / h))
@@ -144,7 +145,7 @@ def test_auxiliary_validation():
     g = make_grid(T=0.5, h=h, tau=1.0)
     xi = constant_segment(1.0, h, 1.0).values
     eta = constant_segment(1.0, h, 0.0).values
-    sch = _manual_schedule(0.05, 0.25)
+    sch = _manual_schedule(0.25)
     with pytest.raises(DomainError):
         simulate_auxiliary(spec, xi, eta, 1.5, sch, g,
                            [NoiseStream(0, 0, W1)], [NoiseStream(0, 0, W2)])
@@ -219,8 +220,8 @@ def test_closed_form_drift_requires_benchmark():
 
 def test_estimated_drift_source_accuracy_and_cache():
     spec = linear_benchmark(BENCH)
-    budget = DriftEstimatorBudget(burn_in=5.0, horizon=20.0, replicas=4)
-    src = EstimatedDriftSource(spec, budget, sub_h=0.01, seed=77)
+    budget = dict(burn_in=5.0, horizon=20.0, replicas=4)
+    src = EstimatedDriftSource(spec, 77, h=0.01, **budget)
     zeta = constant_segment(1.0, 0.01, 1.0).values[:, None]  # a batch of one window
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -235,18 +236,18 @@ def test_estimated_drift_source_accuracy_and_cache():
 
 def test_estimated_drift_source_is_reproducible():
     spec = linear_benchmark(BENCH)
-    budget = DriftEstimatorBudget(burn_in=3.0, horizon=8.0, replicas=3)
+    budget = dict(burn_in=3.0, horizon=8.0, replicas=3)
     zeta = constant_segment(1.0, 0.02, -0.5).values[:, None]
     outs = []
     for _ in range(2):
-        src = EstimatedDriftSource(spec, budget, sub_h=0.02, seed=9)
+        src = EstimatedDriftSource(spec, 9, h=0.02, **budget)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             outs.append(src(zeta).copy())
     assert np.array_equal(outs[0], outs[1])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        other = EstimatedDriftSource(spec, budget, sub_h=0.02, seed=10)(zeta)
+        other = EstimatedDriftSource(spec, 10, h=0.02, **budget)(zeta)
     assert not np.array_equal(outs[0], other)
 
 
@@ -254,13 +255,13 @@ def test_estimated_drift_source_is_reproducible():
 def test_estimator_batch_equals_one_window_calls(replicas):
     """One call on P windows gives what P one-window calls give, bit for bit."""
     spec = linear_benchmark(BENCH)
-    budget = DriftEstimatorBudget(burn_in=3.0, horizon=2.0, replicas=replicas)
+    budget = dict(burn_in=3.0, horizon=2.0, replicas=replicas)
     h = 0.05
     rng = np.random.default_rng(4)
     windows = np.stack([constant_segment(1.0, h, v).values + 0.1 * rng.normal(size=(21, 1))
                         for v in (-0.5, 0.0, 0.7, 1.3, 0.7)], axis=1)
-    together = EstimatedDriftSource(spec, budget, sub_h=h, seed=9)
-    apart = EstimatedDriftSource(spec, budget, sub_h=h, seed=9)
+    together = EstimatedDriftSource(spec, 9, h=h, **budget)
+    apart = EstimatedDriftSource(spec, 9, h=h, **budget)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         batch = together(windows)
@@ -272,11 +273,24 @@ def test_estimator_batch_equals_one_window_calls(replicas):
     assert (together.max_std_error > 0.0) == (replicas > 1)
 
 
+@pytest.mark.parametrize("system, digest", [
+    (BENCH_SYS, "ba8fa50995ee4110b774795f1effe1b8a61b0dc3290264a1eae1c3e53df34e46"),
+    (PLANE_SYS, "e431babb416823620c644861d2e8e0c0ffe6e1e24fb5a4ec0e8339c45bfb9acc"),
+], ids=["n1", "golden_plane"])
+def test_estimated_drift_bytes_are_pinned(system, digest):
+    """The estimates' bits, which the golden hashes do not see: a last-bit change in the
+    time average (say * (1 / steps) for / steps) moves no report hash but fails here."""
+    spec = build_system(dict(system))
+    windows = 0.5 + 0.3 * np.random.default_rng(12).standard_normal((21, 4, spec.n))
+    src = EstimatedDriftSource(spec, 21, burn_in=5.0, horizon=1.0, replicas=3, h=0.05)
+    assert hashlib.sha256(src(windows).tobytes()).hexdigest() == digest
+
+
 def test_estimator_route_agrees_with_closed_form_route():
     """Integrate the averaged equation through both drift sources on one stream."""
     spec = linear_benchmark(BENCH)
-    budget = DriftEstimatorBudget(burn_in=3.0, horizon=8.0, replicas=3)
-    src = EstimatedDriftSource(spec, budget, sub_h=0.02, seed=55)
+    budget = dict(burn_in=3.0, horizon=8.0, replicas=3)
+    src = EstimatedDriftSource(spec, 55, h=0.02, **budget)
     h = 0.01
     g = make_grid(T=0.3, h=h, tau=1.0)
     xi = constant_segment(1.0, h, 1.0).values

@@ -35,7 +35,6 @@ def _blowup_factory():
         b2=lambda chi, y, y_tau: -y + y ** 3,
         sigma2=lambda chi, y, y_tau: np.array([[0.9]]),
         benchmark=LinearBenchmarkParams(**BENCH_PARAMS),
-        name="golden_blowup",
     )
 
 
@@ -59,8 +58,7 @@ def _plane_factory():
     def sigma2(chi, y, y_tau):
         return s2 * (1.0 + 0.2 * np.tanh(y))[:, :, None]
 
-    return SystemSpec(n=2, m=2, tau=1.0, b1=b1, sigma1=lambda chi: s1, b2=b2, sigma2=sigma2,
-                      name="golden_plane")
+    return SystemSpec(n=2, m=2, tau=1.0, b1=b1, sigma1=lambda chi: s1, b2=b2, sigma2=sigma2)
 
 
 register_system("golden_plane", _plane_factory, replace=True)

@@ -36,7 +36,7 @@ from twoscale.harness import (
 )
 from twoscale.metrics import sup_distance
 from twoscale.segment import _node_norms, _row_dots
-from twoscale.solver import make_grid
+from twoscale.solver import fast_lag_steps, make_grid
 from twoscale.systems import LinearBenchmarkParams, SystemSpec, register_system
 from test_frozen import switch_spec
 from test_golden import CASES as GOLDEN_CASES
@@ -61,6 +61,8 @@ def _cfg(**over):
         "paths": 6,
         "seed": 777,
     }
+    if over.get("experiment") in ("simulate", "segment_continuity"):
+        base["epsilons"] = [0.25]  # the one epsilon they run
     reads = _EXPERIMENT_KEYS.get(over.get("experiment", "converge"), _ALLOWED_KEYS)
     base = {k: v for k, v in base.items() if k in reads}
     base.update(over)
@@ -109,6 +111,9 @@ _BAD_PARSE_CONFIGS = [
     # A fixed h of 0.01 snaps the fast delays 0.015, 0.025 and 0.035 to
     # 2, 2 and 4 steps.
     _cfg(h=0.01, kappa_stab=1.0, epsilons=[0.015, 0.025, 0.035]),
+    # These run one epsilon; another would move the digest and no result.
+    _cfg(experiment="simulate", epsilons=[0.05, 0.1]),
+    _cfg(experiment="segment_continuity", epsilons=[0.05, 0.1]),
 ]
 
 
@@ -366,6 +371,22 @@ def test_fixed_h_refuses_a_snapped_fast_delay():
                                          epsilons=[]))
     with pytest.raises(ConfigError, match=r"epsilon=0\.05, eps\*tau=0\.05, to lag\*h=0\.04"):
         run_scenario(simulate)
+
+
+def test_auto_h_skips_steps_that_snap_the_fast_delay():
+    """Auto h holds the fast delay to the bound a fixed h is held to.
+
+    At tau = T = 0.25 and eps = 0.55 the first divisor, h = 0.025, puts
+    the delay 0.1375 at 6 steps, 9.1% off; the next, h = 0.25 / 11, at
+    6 steps 0.8% off.
+    """
+    scen = Scenario.from_config(_cfg(experiment="simulate", tau=0.25, T=0.25, epsilons=[0.55]))
+    h = scen.resolve_h(epsilon=0.55)
+    assert h == 0.25 / 11
+    lag = fast_lag_steps(0.55, make_grid(0.25, h, 0.25))
+    assert abs(lag * h - 0.1375) <= 0.05 * 0.1375
+    [row] = run_scenario(scen).rows
+    assert row["extra"]["h"] == h
 
 
 def test_materialize_segment_forms():
@@ -744,9 +765,10 @@ def test_averaged_stage_errors_only_reach_surviving_paths():
     averaged = "frozen trajectory diverged"
     scen = Scenario.from_config(cfg)
     job = (_converge_chunk, scen, 0.125, scen.resolve_h(epsilon=0.125), {}, 0, 4)
+    results, warns = _run_chunk(job)
+    assert warns == []  # burn_in = 5 tau
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # the estimator's short burn_in
-        results = _run_chunk(job)
+        warnings.simplefilter("error")  # a run records its warnings instead of raising them
         assert [(r[1], coupled in r[2], averaged in r[2]) for r in results] == [
             ("DivergenceError", True, False)] * 2 + [("DivergenceError", False, True)] * 2
         for threads in (1, 2):
@@ -799,14 +821,12 @@ def test_failed_chunk_is_rerun_path_by_path(case):
 
     def cut(bounds):
         return [r for a, b in zip(bounds, bounds[1:])
-                for r in _run_chunk((body, scen, *row, a, b))]
+                for r in _run_chunk((body, scen, *row, a, b))[0]]
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # the estimator's short burn_in
-        whole = cut([0, 6])
-        assert {r[0] for r in whole} == {"ok", "err"}
-        assert whole == cut(list(range(7)))
-        assert whole == cut([0, 1, 6])
+    whole = cut([0, 6])
+    assert {r[0] for r in whole} == {"ok", "err"}
+    assert whole == cut(list(range(7)))
+    assert whole == cut([0, 1, 6])
 
 
 def _cut_rows():
@@ -843,10 +863,10 @@ def test_chunk_cut_does_not_move_per_path_results(case, paths, data):
     body, scen, row = _CUT_ROWS[case]
     cuts = data.draw(st.lists(st.integers(1, paths - 1), unique=True)) if paths > 1 else []
     bounds = [0, *sorted(cuts), paths]
-    whole = _run_chunk((body, scen, *row, 0, paths))
+    whole = _run_chunk((body, scen, *row, 0, paths))[0]
     assert [r[0] for r in whole] == ["ok"] * paths
     assert [r for a, b in zip(bounds, bounds[1:])
-            for r in _run_chunk((body, scen, *row, a, b))] == whole
+            for r in _run_chunk((body, scen, *row, a, b))[0]] == whole
 
 
 def _aux_row(scen, eps, delta):
@@ -855,7 +875,7 @@ def _aux_row(scen, eps, delta):
         schedule = khasminskii_delta(eps, scen.tau)
     else:
         n = round(scen.tau / delta)
-        schedule = DeltaSchedule(epsilon=eps, delta_raw=delta, delta=scen.tau / n, N_delta=n)
+        schedule = DeltaSchedule(delta_raw=delta, delta=scen.tau / n, N_delta=n)
     return eps, scen.resolve_h(epsilon=eps, anchor=schedule.delta), {"schedule": schedule}
 
 
@@ -885,7 +905,7 @@ def test_aux_gaps_equal_the_per_block_loop(system, T, delta, monkeypatch):
     simulate = harness.simulate_auxiliary
     monkeypatch.setattr(harness, "simulate_auxiliary",
                         lambda *a, **k: pairs.append(simulate(*a, **k)) or pairs[-1])
-    got = _run_chunk((_aux_chunk, scen, *row, 0, 3))
+    got, _ = _run_chunk((_aux_chunk, scen, *row, 0, 3))
     [pair] = pairs
     assert [r[0] for r in got] == ["ok"] * 3
     want = _aux_gaps_by_block(pair, make_grid(scen.T, row[1], scen.tau))
@@ -900,7 +920,7 @@ def test_aux_chunk_fast_gap_scans_do_not_grow_with_the_blocks(monkeypatch):
     monkeypatch.setattr(harness, "_node_norms", lambda a: calls.append(a.shape) or node_norms(a))
     counts = []
     for n in (4, 64):  # delta = tau/4 and tau/64 on h = tau/256
-        schedule = DeltaSchedule(epsilon=0.1, delta_raw=1.0 / n, delta=1.0 / n, N_delta=n)
+        schedule = DeltaSchedule(delta_raw=1.0 / n, delta=1.0 / n, N_delta=n)
         calls.clear()
         _run_chunk((_aux_chunk, scen, 0.1, 1.0 / 256.0, {"schedule": schedule}, 0, 2))
         counts.append(len(calls))
@@ -1032,6 +1052,28 @@ def test_cli_frozen_prints_summary(tmp_path, capsys):
     payload = json.loads((tmp_path / "out" / "report.json").read_text())
     assert "frozen_summary" not in payload
     assert [r["extra"]["kind"] for r in payload["rows"]] == ["bbar_estimate", "mixing_fit"]
+
+
+def test_chunk_warnings_reach_the_report_once(tmp_path):
+    """A short estimator burn_in is reported once, at any worker count, and not on stderr."""
+    cfg = _write_cfg(tmp_path, "converge.json", _cfg(
+        T=0.1, h_factor=0.1, epsilons=[0.2, 0.1], paths=2, seed=5, drift_source="estimator",
+        estimator={"burn_in": 1.0, "horizon": 1.0, "replicas": 2, "h": 0.1}))
+    env = dict(os.environ, PYTHONPATH=str(Path(twoscale.__file__).resolve().parents[1]))
+    reports = []
+    for threads in (1, 2):
+        out = tmp_path / f"out{threads}"
+        done = subprocess.run([sys.executable, "-m", "twoscale.cli", "converge", "--config", cfg,
+                               "--out", str(out), "--threads", str(threads)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode in (0, 2), done.stderr
+        assert done.stderr == ""
+        reports.append(json.loads((out / "report.json").read_text()))
+        [warning] = reports[-1]["warnings"]
+        assert warning.startswith("burn_in=1.0 is below 5*tau=5.0")
+        assert done.stdout.count("warning: ") == 1 and f"warning: {warning}\n" in done.stdout
+    assert reports[0]["warnings"] == reports[1]["warnings"]
+    assert reports[0]["reproducibility_hash"] == reports[1]["reproducibility_hash"]
 
 
 def test_cli_runs_without_loading_scipy(tmp_path):

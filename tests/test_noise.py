@@ -20,7 +20,7 @@ def test_replay_is_bit_identical():
     za = a.normals(257)
     zb = b.normals(257)
     assert np.array_equal(za, zb)
-    assert a.position == b.position == 257
+    assert np.array_equal(a.normals(3), b.normals(3))
 
 
 @pytest.mark.parametrize("seed, path, tag", [(0, 0, W1), (123, 4, W2), (2 ** 40, 1000, W1),
@@ -76,9 +76,10 @@ def test_zero_and_negative_counts():
     s = NoiseStream(0, 0, W1)
     out = s.normals(0)
     assert out.shape == (0,)
-    assert s.position == 0
     with pytest.raises(DomainError):
         s.normals(-1)
+    # Neither call moved the stream.
+    assert np.array_equal(s.normals(5), NoiseStream(0, 0, W1).normals(5))
 
 
 def test_address_validation():
@@ -131,7 +132,7 @@ def test_fast_increments_variance_scaling():
 def test_factory_wires_seed_and_dimension():
     fac = StreamFactory(seed=314, m=2)
     s = fac.stream(7, W2)
-    assert (s.seed, s.path_index, s.tag, s.m) == (314, 7, W2, 2)
+    assert s.m == 2
     direct = NoiseStream(314, 7, W2, 2)
     assert np.array_equal(s.normals(20), direct.normals(20))
 

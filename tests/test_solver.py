@@ -339,7 +339,7 @@ def _golden_kernels():
     eps = 0.25
     g = make_grid(T=0.5, h=0.0125, tau=1.0)
     xi, eta = _const(g, 1.0), _const(g, 0.0)
-    schedule = DeltaSchedule(epsilon=eps, delta_raw=0.125, delta=0.125, N_delta=8)
+    schedule = DeltaSchedule(delta_raw=0.125, delta=0.125, N_delta=8)
     sub = make_grid(T=6.0, h=0.05, tau=1.0)
     short = make_grid(T=1.0, h=0.01, tau=0.1)
     # Frozen windows above zeta(0) = 1 make switch_spec's fast drift blow up.
@@ -444,16 +444,15 @@ def test_batch_without_failures_equals_its_singles():
     """Every column of a batch is bit-identical to that path's one-path run."""
     from test_frozen import switch_spec
     from twoscale.averaging import DeltaSchedule, EstimatedDriftSource, simulate_auxiliary
-    from twoscale.frozen import DriftEstimatorBudget
 
     spec = linear_benchmark(BENCH)
     g = make_grid(T=0.25, h=0.0125, tau=1.0)
     xi, eta = _const(g, 1.0), _const(g, 0.0)
-    schedule = DeltaSchedule(epsilon=0.25, delta_raw=0.125, delta=0.125, N_delta=8)
+    schedule = DeltaSchedule(delta_raw=0.125, delta=0.125, N_delta=8)
     sub = make_grid(T=2.0, h=0.05, tau=1.0)
     levels = [0.0, 0.5, -1.0, 0.9, 0.25]
     zetas = np.stack([constant_segment(1.0, 0.05, v).values for v in levels], axis=1)
-    budget = DriftEstimatorBudget(burn_in=1.0, horizon=1.0, replicas=2)
+    budget = dict(burn_in=1.0, horizon=1.0, replicas=2)
 
     def streams(ps, tag):
         return [NoiseStream(6, p, tag) for p in ps]
@@ -464,7 +463,7 @@ def test_batch_without_failures_equals_its_singles():
         return pair.x, pair.y, pair.x_aux, pair.y_aux
 
     def estimated(ps):
-        src = EstimatedDriftSource(spec, budget, sub_h=0.05, seed=3)
+        src = EstimatedDriftSource(spec, 3, h=0.05, **budget)
         return (simulate_averaged(spec, xi, src, g, streams(ps, W1)),)
 
     kernels = [
@@ -586,7 +585,7 @@ def test_auxiliary_fast_divergence_just_before_a_reset_is_raised():
                       sigma2=_zero_diffusion)
     g = make_grid(T=2.0, h=H, tau=0.5)
     xi = np.zeros((g.tau_steps + 1, 1))
-    schedule = DeltaSchedule(epsilon=1.0, delta_raw=5 * H, delta=5 * H, N_delta=1)
+    schedule = DeltaSchedule(delta_raw=5 * H, delta=5 * H, N_delta=1)
     with pytest.raises(DivergenceError) as info:
         simulate_auxiliary(spec, xi, xi, 1.0, schedule, g,
                            [NoiseStream(0, p, W1) for p in range(2)],
@@ -707,7 +706,7 @@ def test_constant_diffusion_noise_is_bit_identical(n, monkeypatch):
     a = np.array([[1.0, 0.5], [-0.25, 1.5]])[:n, :n]
     sig1 = _diffusions(np.array([[0.3, -0.2], [0.1, 0.4]])[:n, :n])
     sig2 = _diffusions(np.array([[0.5, 0.25], [-0.3, 0.2]])[:n, :n])
-    schedule = DeltaSchedule(epsilon=0.25, delta_raw=0.125, delta=0.125, N_delta=2)
+    schedule = DeltaSchedule(delta_raw=0.125, delta=0.125, N_delta=2)
 
     def run(mode):
         spec = SystemSpec(n=n, m=n, tau=0.25,

@@ -30,7 +30,6 @@ def test_benchmark_closed_forms():
     assert BENCH.dissipative
     assert BENCH.gain == pytest.approx(2.0 / 3.0)
     assert BENCH.kappa == pytest.approx(-1.0 / 3.0)
-    assert BENCH.lambda_pair == (3.5, 0.5)
 
 
 def test_benchmark_averaged_drift_reads_window_endpoint():
@@ -104,14 +103,14 @@ def _benchmark_check(c2, c3, trials, seed, c1=1.0):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # c2 <= c3 is outside the contraction regime
         params = LinearBenchmarkParams(a11=-1.0, a12=1.0, s1=0.3, c1=c1, c2=c2, c3=c3, s2=0.3)
-    return check_dissipativity(linear_benchmark(params), random_point_sampler(1.0, 0.5, 1),
-                               trials, rng_seed=seed)
+    points = random_point_sampler(1.0, 0.5, 1)(np.random.default_rng(seed), trials)
+    return check_dissipativity(linear_benchmark(params), *points)
 
 
 def test_dissipativity_fit_finds_contraction_pair():
     spec = linear_benchmark(BENCH)
     sampler = random_point_sampler(1.0, 0.25, 1)
-    rep = check_dissipativity(spec, sampler, 800, rng_seed=3)
+    rep = check_dissipativity(spec, *sampler(np.random.default_rng(3), 800))
     assert rep.passed
     assert rep.lambda1 > rep.lambda2 > 0.0
     # The pair (2 c2 - c3, c3) satisfies every sample, so the largest
@@ -141,7 +140,7 @@ def test_dissipativity_expanding_fast_map_fails_fit():
                                        c1=1.0, c2=0.5, c3=2.0, s2=0.3)
     spec = linear_benchmark(params)
     sampler = random_point_sampler(1.0, 0.5, 1)
-    rep = check_dissipativity(spec, sampler, 800, rng_seed=17)
+    rep = check_dissipativity(spec, *sampler(np.random.default_rng(17), 800))
     assert not rep.passed
 
 
@@ -184,8 +183,8 @@ def test_dissipativity_zero_delay_coupling_passes_at_lambda2_zero():
 
 
 def _points(rows):
-    """Prebuilt n = 1 samples (chi, x, x', y, y') from rows of (x, x', y, y')."""
-    return [(np.zeros((3, 1)), *(np.array([v]) for v in row)) for row in rows]
+    """n = 1 sample arrays (chi, x, x', y, y') from rows of (x, x', y, y')."""
+    return (np.zeros((3, len(rows), 1)), *np.array(rows, dtype=float).T[:, :, None])
 
 
 def test_dissipativity_sample_with_equal_fast_states():
@@ -193,8 +192,8 @@ def test_dissipativity_sample_with_equal_fast_states():
     # Q is 0 there, which leaves the pair as it was.
     spec = linear_benchmark(BENCH)
     base = [(1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.5, -0.5), (2.0, -1.0, 0.3, 0.2)]
-    plain = check_dissipativity(spec, _points(base), 0)
-    same = check_dissipativity(spec, _points(base + [(0.7, 0.7, 1.0, -1.0)]), 0)
+    plain = check_dissipativity(spec, *_points(base))
+    same = check_dissipativity(spec, *_points(base + [(0.7, 0.7, 1.0, -1.0)]))
     assert same.passed and (same.lambda1, same.lambda2) == (plain.lambda1, plain.lambda2)
     # A diffusion that reads the delayed state makes Q = |dy|^2 > 0 at
     # x = x', a lower bound lambda2 >= 1; the other sample has
@@ -202,7 +201,7 @@ def test_dissipativity_sample_with_equal_fast_states():
     noisy = SystemSpec(n=1, m=1, tau=1.0, b1=None, sigma1=None,
                        b2=lambda chi, x, y: -4.0 * x + 0.5 * y,
                        sigma2=lambda chi, x, y: y[:, :, None])
-    rep = check_dissipativity(noisy, _points([(1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)]), 0)
+    rep = check_dissipativity(noisy, *_points([(1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)]))
     assert (rep.lambda1, rep.lambda2, rep.worst_violation) == (8.0, 1.0, 0.0)
     assert rep.passed
     # With dy = 0 as well, Q > 0 admits no pair.  Only a map that is not
@@ -215,7 +214,7 @@ def test_dissipativity_sample_with_equal_fast_states():
 
     kicked = SystemSpec(n=1, m=1, tau=1.0, b1=None, sigma1=None,
                         b2=lambda chi, x, y: -4.0 * x, sigma2=stateful)
-    rep = check_dissipativity(kicked, _points([(1.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.0, 0.0)]), 0)
+    rep = check_dissipativity(kicked, *_points([(1.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.0, 0.0)]))
     assert not rep.passed
     assert np.isnan([rep.lambda1, rep.lambda2, rep.worst_violation]).all()
 
@@ -225,29 +224,28 @@ def test_dissipativity_unbounded_gap_fails():
     # b_i > 1, so the gap grows without bound and certifies nothing.
     spec = linear_benchmark(BENCH)
     rows = [(1.0, 0.0, 3.0, 0.0), (0.0, 0.5, -1.0, 1.0), (2.0, 1.5, 0.0, 4.0)]
-    rep = check_dissipativity(spec, _points(rows), 0)
+    rep = check_dissipativity(spec, *_points(rows))
     assert not rep.passed
     assert np.isnan(rep.lambda1) and np.isnan(rep.lambda2)
     # Samples with x = x' alone do not pin lambda1 either.
-    rep = check_dissipativity(spec, _points([(0.5, 0.5, 1.0, 0.0)]), 0)
+    rep = check_dissipativity(spec, *_points([(0.5, 0.5, 1.0, 0.0)]))
     assert not rep.passed
 
 
-def test_dissipativity_accepts_prebuilt_sample_list():
+def test_checkers_count_samples_and_refuse_none():
     spec = linear_benchmark(BENCH)
-    sampler = random_point_sampler(1.0, 0.5, 1)
-    rng = np.random.default_rng(0)
-    samples = [sampler(rng) for _ in range(50)]
-    rep = check_dissipativity(spec, samples, 0)
-    assert rep.sample_count == 50
-    with pytest.raises(UsageError):
-        check_dissipativity(spec, [], 0)
+    points = random_point_sampler(1.0, 0.5, 1)
+    assert check_dissipativity(spec, *points(np.random.default_rng(0), 50)).sample_count == 50
+    pairs = random_segment_pair_sampler(1.0, 0.5, 1)
+    for check, sample in ((check_dissipativity, points), (check_growth_and_lipschitz, pairs)):
+        with pytest.raises(DataError, match=r"must have shape \(M \+ 1, samples >= 1, n\)"):
+            check(spec, *sample(np.random.default_rng(0), 0))
 
 
 def test_growth_check_passes_linear_system():
     spec = linear_benchmark(BENCH)
     sampler = random_segment_pair_sampler(1.0, 0.25, 1)
-    rep = check_growth_and_lipschitz(spec, sampler, 400, rng_seed=5)
+    rep = check_growth_and_lipschitz(spec, *sampler(np.random.default_rng(5), 400))
     assert rep.passed
     assert np.isfinite(rep.L_estimate)
     parts = {w["part"] for w in rep.max_ratio_points}
@@ -266,18 +264,12 @@ def test_growth_check_flags_superlinear_drift():
 
     spec = SystemSpec(n=1, m=1, tau=1.0, b1=b1, sigma1=sigma1,
                       b2=lambda c, y, yt: -y, sigma2=lambda c, y, yt: np.array([[0.1]]))
-    state = {"i": 0}
-
-    def ramped(rng):
-        # Geometric amplitude ramp: the cubic ratio ~ amp^2 then grows
-        # fast enough that the last quartile dwarfs the earlier maximum.
-        state["i"] += 1
-        amp = 0.5 * 1.15 ** state["i"]
-        chi = amp * np.ones((steps + 1, 1))
-        phi = rng.standard_normal((steps + 1, 1))
-        return chi, phi
-
-    rep = check_growth_and_lipschitz(spec, ramped, 64, rng_seed=0)
+    # Geometric amplitude ramp over the samples: the cubic ratio ~ amp^2
+    # then grows fast enough that the last quartile dwarfs the earlier maximum.
+    amp = 0.5 * 1.15 ** np.arange(1, 65)
+    chi = np.tile(amp[None, :, None], (steps + 1, 1, 1))
+    phi = np.random.default_rng(0).standard_normal((64, steps + 1, 1)).swapaxes(0, 1)
+    rep = check_growth_and_lipschitz(spec, chi, phi)
     assert not rep.passed
 
 
@@ -291,7 +283,7 @@ def test_initial_segment_slope_cap():
 
 
 def test_purity_spot_check():
-    assert spot_check_purity(linear_benchmark(BENCH), rng_seed=2)
+    assert spot_check_purity(linear_benchmark(BENCH), 0.125, 2)
 
     hits = {"n": 0}
 
@@ -303,7 +295,7 @@ def test_purity_spot_check():
                       sigma1=lambda c: np.array([[1.0]]),
                       b2=lambda c, y, yt: -y,
                       sigma2=lambda c, y, yt: np.array([[1.0]]))
-    assert not spot_check_purity(spec, rng_seed=2)
+    assert not spot_check_purity(spec, 0.125, 2)
 
 
 def test_registry_round_trip():
@@ -358,52 +350,60 @@ def test_registered_system_tau_must_match_its_factory():
 
 
 def test_samplers_produce_wellformed_tuples():
-    rng = np.random.default_rng(1)
-    pt = random_point_sampler(1.0, 0.25, 2)(rng)
-    chi, x, xp, y, yp = pt
-    assert chi.shape == (5, 2)
-    for v in (x, xp, y, yp):
-        assert v.shape == (2,)
-    chi2, phi2 = random_segment_pair_sampler(1.0, 0.25, 3)(rng)
-    assert chi2.shape == phi2.shape == (5, 3)
+    """Sample i is column i of the window batches and row i of the points, drawn in turn."""
+    chi, *points = random_point_sampler(1.0, 0.25, 2)(np.random.default_rng(1), 7)
+    assert chi.shape == (5, 7, 2) and chi.flags.c_contiguous
+    assert [v.shape for v in points] == [(7, 2)] * 4
+    ref = np.random.default_rng(1)
+    for i in range(7):
+        assert np.array_equal(chi[:, i], 3.0 * ref.standard_normal((5, 2)))
+        assert np.array_equal(np.stack([v[i] for v in points]), 3.0 * ref.standard_normal((4, 2)))
+    chi, phi = random_segment_pair_sampler(1.0, 0.25, 3)(np.random.default_rng(1), 6)
+    assert chi.shape == phi.shape == (5, 6, 3)
+    assert chi.flags.c_contiguous and phi.flags.c_contiguous
+    ref = np.random.default_rng(1)
+    for i in range(6):
+        amp = 3.0 * ref.uniform(0.2, 1.0)
+        assert np.array_equal(chi[:, i], amp * ref.standard_normal((5, 3)))
+        assert np.array_equal(phi[:, i], amp * ref.standard_normal((5, 3)))
 
 
 def test_checkers_name_the_first_bad_sample():
-    """Samples are stacked into one batch, yet a bad one is still named by its index."""
+    """The samples are checked as whole arrays, yet a non-finite one is named by its index."""
     spec = linear_benchmark(BENCH)
-    rng = np.random.default_rng(4)
-    points = [random_point_sampler(1.0, 0.5, 1)(rng) for _ in range(6)]
+    arrays = random_point_sampler(1.0, 0.5, 1)(np.random.default_rng(4), 6)
 
-    def with_point(i, slot, value):
-        out = list(points)
-        out[i] = tuple(value if j == slot else v for j, v in enumerate(points[i]))
+    def with_entry(slot, i, value):
+        # Sample i is column i of chi (slot 0) and row i of the points.
+        out = [a.copy() for a in arrays]
+        out[slot][..., i, :] = value
         return out
 
     cases = [
-        (with_point(3, 1, np.zeros(2)), r"x of sample 3 is not a float array of shape \(1,\)"),
-        (with_point(2, 4, 0.5), r"y' of sample 2 is not a float array of shape \(1,\)"),
-        (with_point(5, 2, ["abc"]), r"x' of sample 5 is not a float array of shape \(1,\)"),
-        (with_point(1, 2, {}), r"x' of sample 1 is not a float array of shape \(1,\)"),
-        (with_point(4, 3, np.array([np.nan])), "non-finite y on sample 4"),
-        (with_point(1, 0, np.full((3, 1), np.inf)), "non-finite chi on sample 1"),
+        ([arrays[0], np.zeros((6, 2)), *arrays[2:]], r"x has shape \(6, 2\), expected \(6, 1\)"),
+        ([*arrays[:4], arrays[4][:5]], r"y' has shape \(5, 1\), expected \(6, 1\)"),
+        ([arrays[0][:, :, 0], *arrays[1:]], r"must have shape \(M \+ 1, samples >= 1, n\)"),
+        (with_entry(3, 4, np.nan), "non-finite y on sample 4"),
+        (with_entry(4, 2, -np.inf), "non-finite y' on sample 2"),
+        (with_entry(0, 1, np.inf), "non-finite chi on sample 1"),
     ]
     for samples, message in cases:
         with pytest.raises(DataError, match=message):
-            check_dissipativity(spec, samples, 0)
+            check_dissipativity(spec, *samples)
 
     # A map that returns a non-finite value on one sample of the batch.
     spiky = SystemSpec(
         n=1, m=1, tau=1.0, b1=lambda chi, phi: np.where(chi[-1] > 50.0, np.inf, 0.0),
         sigma1=lambda chi: np.array([[0.3]]), b2=lambda c, y, yt: -y,
         sigma2=lambda c, y, yt: np.where(y[:, :, None] > 50.0, np.nan, 0.1))
-    pairs = [(np.full((3, 1), v), np.zeros((3, 1))) for v in (1.0, 2.0, 99.0, 1.0)]
+    chi = np.tile(np.array([1.0, 2.0, 99.0, 1.0])[None, :, None], (3, 1, 1))
     with pytest.raises(DataError, match="non-finite b1 value on sample 2"):
-        check_growth_and_lipschitz(spiky, pairs, 0)
-    with pytest.raises(DataError, match=r"phi of sample 1 is not a float array of shape \(3, 1\)"):
-        check_growth_and_lipschitz(spiky, [pairs[0], (pairs[1][0], np.zeros((4, 1)))], 0)
-    hot = with_point(5, 1, np.array([99.0]))  # x is the fast state the maps read as y
+        check_growth_and_lipschitz(spiky, chi, np.zeros((3, 4, 1)))
+    with pytest.raises(DataError, match=r"phi has shape \(4, 4, 1\), expected \(3, 4, 1\)"):
+        check_growth_and_lipschitz(spiky, chi, np.zeros((4, 4, 1)))
+    hot = with_entry(1, 5, 99.0)  # x is the fast state the maps read as y
     with pytest.raises(DataError, match="non-finite sigma2 value on sample 5"):
-        check_dissipativity(spiky, hot, 0)
+        check_dissipativity(spiky, *hot)
 
 
 def _one_sample_terms(spec, point):
@@ -438,10 +438,11 @@ def test_checkers_match_their_one_sample_results():
     rng = np.random.default_rng(8)
     for spec, n in ((build_system({"kind": "registered", "name": "golden_plane"}), 2),
                     (linear_benchmark(BENCH), 1)):
-        points = [random_point_sampler(1.0, 0.25, n)(rng) for _ in range(200)]
+        arrays = random_point_sampler(1.0, 0.25, n)(rng, 200)
+        points = [(arrays[0][:, i], *(v[i] for v in arrays[1:])) for i in range(200)]
         q, dx2, dy2 = (np.array(v) for v in zip(*(_one_sample_terms(spec, pt) for pt in points)))
         lam1, lam2 = _brute_force_gap(q, dx2, dy2)
-        rep = check_dissipativity(spec, points, 0)
+        rep = check_dissipativity(spec, *arrays)
         assert rep.passed
         assert rep.lambda1 == pytest.approx(lam1, rel=1e-12, abs=0.0)
         assert rep.lambda2 == pytest.approx(lam2, rel=1e-12, abs=0.0)
@@ -449,6 +450,7 @@ def test_checkers_match_their_one_sample_results():
         assert rep.worst_violation == pytest.approx((q + lam1 * dx2 - lam2 * dy2).max(),
                                                     abs=1e-12 * lam1)
     spec = build_system({"kind": "registered", "name": "golden_plane"})
-    pairs = [random_segment_pair_sampler(1.0, 0.25, 2)(rng) for _ in range(40)]
-    estimate = max(check_growth_and_lipschitz(spec, [pair], 0).L_estimate for pair in pairs)
-    assert check_growth_and_lipschitz(spec, pairs, 0).L_estimate == estimate
+    chi, phi = random_segment_pair_sampler(1.0, 0.25, 2)(rng, 40)
+    estimate = max(check_growth_and_lipschitz(spec, chi[:, i:i + 1], phi[:, i:i + 1]).L_estimate
+                   for i in range(40))
+    assert check_growth_and_lipschitz(spec, chi, phi).L_estimate == estimate
