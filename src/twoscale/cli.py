@@ -22,7 +22,7 @@ from .errors import (
     DomainError,
     UsageError,
 )
-from .harness import Scenario, run_simulate, run_scenario
+from .harness import Scenario, run_scenario
 
 # subcommand -> experiments it accepts; the first is the default when the
 # config omits the experiment key.
@@ -61,8 +61,9 @@ def _build_parser() -> _Parser:
                        help="override the worker count: whole rows go to at most one "
                             "worker per CPU, longest grid first; a row's paths are cut "
                             "into chunks only when there are fewer rows than workers")
-        p.add_argument("--dump-paths", action="store_true",
-                       help="write per-path trajectory CSVs (simulate only)")
+        if name == "simulate":
+            p.add_argument("--dump-paths", action="store_true",
+                           help="write per-path trajectory CSVs beside the report")
     return parser
 
 
@@ -111,14 +112,10 @@ def main(argv=None) -> int:
         scenario = Scenario.from_config(cfg)
         out_dir = Path(args.out)
         _check_out_dir(out_dir)
-        if scenario.experiment == "simulate":
-            report = run_simulate(
-                scenario,
-                dump_dir=out_dir if args.dump_paths else None,
-                stem=Path(args.config).stem,
-            )
-        else:
-            report = run_scenario(scenario)
+        # Only simulate has --dump-paths; its trajectory CSVs go beside the report.
+        dump = args.command == "simulate" and args.dump_paths
+        options = {"dump_dir": out_dir, "stem": Path(args.config).stem} if dump else {}
+        report = run_scenario(scenario, **options)
         csv_path, json_path = report.write(out_dir)
     except (ConfigError, UsageError, DomainError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

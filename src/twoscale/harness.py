@@ -18,6 +18,7 @@ reproducibility hash.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -230,8 +231,8 @@ class Scenario:
     h: object = _key(_or("auto", _real()), "auto")  # "auto" or float
     h_factor: float = _key(_real(), 0.05, _ENSEMBLE_EXPERIMENTS)
     kappa_stab: float = _key(_real(), 0.1, _ENSEMBLE_EXPERIMENTS)
-    epsilons: tuple = _key(_numbers(_real(most=1.0), empty=True), None, _ENSEMBLE_EXPERIMENTS,
-                           alias="epsilon")
+    epsilons: tuple = _key(_numbers(_real(most=1.0), empty=True, descending=True), None,
+                           _ENSEMBLE_EXPERIMENTS, alias="epsilon")
     p: float = _key(_real(), 2.0, _MOMENT_EXPERIMENTS)
     paths: int = _key(_integer(1), 64, _ENSEMBLE_EXPERIMENTS)
     seed: int = _key(_integer(0), 12345)
@@ -481,18 +482,28 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _finish(scenario: Scenario, rows, gates, warns, t0) -> ExperimentReport:
-    report = ExperimentReport(
-        experiment=scenario.experiment,
-        scenario_digest=scenario.digest(),
-        rows=rows,
-        gates=gates,
-        warnings=list(warns),
-        runtime_seconds=time.perf_counter() - t0,
-        reproducibility_hash="",
-    )
-    report.reproducibility_hash = hashlib.sha256(report.csv_text().encode()).hexdigest()
-    return report
+def _reported(body):
+    """The runner that reports body(scenario, **options) -> (rows, gates), timed and hashed.
+
+    The report lists the message of every warning the run raised, here or
+    in a chunk, once each, in the order first raised; none reaches stderr.
+    """
+    @functools.wraps(body)
+    def run(scenario: Scenario, **options) -> ExperimentReport:
+        t0 = time.perf_counter()
+        (rows, gates), messages = _caught(body, scenario, **options)
+        report = ExperimentReport(
+            experiment=scenario.experiment,
+            scenario_digest=scenario.digest(),
+            rows=rows,
+            gates=gates,
+            warnings=messages,
+            runtime_seconds=time.perf_counter() - t0,
+            reproducibility_hash="",
+        )
+        report.reproducibility_hash = hashlib.sha256(report.csv_text().encode()).hexdigest()
+        return report
+    return run
 
 
 # ------------------------------------------------------- path ensembles
@@ -570,8 +581,8 @@ def _chunk_results(body, scen, epsilon, h, extra, start, stop) -> list:
     return results
 
 
-def _run_ensemble(scenario: Scenario, body, rows) -> tuple[list, list]:
-    """Per-path results of every (epsilon, h, extra) row, in path order, and the warnings.
+def _run_ensemble(scenario: Scenario, body, rows) -> list:
+    """Per-path results of every (epsilon, h, extra) row, in path order.
 
     There are min(threads, CPUs) workers.  Each job is one whole row as
     a single batch, unless there are fewer rows than workers: then each
@@ -579,8 +590,8 @@ def _run_ensemble(scenario: Scenario, body, rows) -> tuple[list, list]:
     pool takes the jobs longest grid first (round(T / h) steps); one
     worker runs them serially and opens no pool.  Paths draw from
     streams addressed by their own index, so the results depend on
-    neither the cut nor the order.  The chunks' warning messages come
-    back each once, in row and path order.
+    neither the cut nor the order.  The chunks' warning messages are
+    raised again here, in row and path order.
     """
     paths = scenario.paths
     workers = min(scenario.threads, os.cpu_count() or 1)
@@ -594,9 +605,10 @@ def _run_ensemble(scenario: Scenario, body, rows) -> tuple[list, list]:
         order = sorted(range(len(jobs)), key=lambda i: -round(scenario.T / jobs[i][3]))
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             done = dict(zip(order, pool.map(_run_chunk, [jobs[i] for i in order])))
-    results = [[r for j in range(i, i + per_row) for r in done[j][0]]
-               for i in range(0, len(jobs), per_row)]
-    return results, list(dict.fromkeys(w for j in range(len(jobs)) for w in done[j][1]))
+    for message in (w for j in range(len(jobs)) for w in done[j][1]):
+        _warnings.warn(message)
+    return [[r for j in range(i, i + per_row) for r in done[j][0]]
+            for i in range(0, len(jobs), per_row)]
 
 
 def _row_values(results, row):
@@ -659,7 +671,8 @@ def _converge_chunk(c: _Chunk, paths) -> list:
     return sup_distance(x, xbar, c.grid).tolist()
 
 
-def run_converge(scenario: Scenario) -> ExperimentReport:
+@_reported
+def run_converge(scenario: Scenario):
     """Strong-limit experiment: E sup |X^eps - Xbar|^p per epsilon.
 
     Per path, the coupled pair and the averaged equation run under one
@@ -668,18 +681,15 @@ def run_converge(scenario: Scenario) -> ExperimentReport:
     inversion allowed), the last moment must be below a third of the
     first, and every row must complete.
     """
-    t0 = time.perf_counter()
     if scenario.drift_source == "closed_form":
         # A system without one fails here, before any path is simulated.
         closed_form_drift(scenario.build_spec())
-    eps_desc = sorted(scenario.epsilons, reverse=True)
-    hs = [scenario.resolve_h(epsilon=eps) for eps in eps_desc]
-    results, warns = _run_ensemble(scenario, _converge_chunk,
-                                   [(e, h, {}) for e, h in zip(eps_desc, hs)])
+    sweep = [(eps, scenario.resolve_h(epsilon=eps), {}) for eps in scenario.epsilons]
+    results = _run_ensemble(scenario, _converge_chunk, sweep)
 
     rows = []
     ok_rows = []
-    for eps, h, res in zip(eps_desc, hs, results):
+    for (eps, h, _), res in zip(sweep, results):
         row = _row(eps, None, scenario.p, scenario.paths, "sup_gap_moment", h)
         gaps, error_row = _row_values(res, row)
         if error_row is not None:
@@ -697,8 +707,7 @@ def run_converge(scenario: Scenario) -> ExperimentReport:
         except UsageError:
             pass  # a degenerate sweep reports no slope row
 
-    gates = _trend_gates(ok_rows, complete=len(ok_rows) == len(eps_desc))
-    return _finish(scenario, rows, gates, warns, t0)
+    return rows, _trend_gates(ok_rows, complete=len(ok_rows) == len(sweep))
 
 
 def _slope_row(epsilon, scenario: Scenario, fit) -> dict:
@@ -733,12 +742,12 @@ def _trend_gates(ok_rows, complete: bool):
 
 # ---------------------------------------------------------- auxiliary gap
 
-def _snap_to_tau(tau: float, delta: float, warns: list) -> tuple[float, int]:
+def _snap_to_tau(tau: float, delta: float) -> tuple[float, int]:
     """Snap delta to tau / N so blocks tile the delay; a moved delta is warned."""
     n = max(1, round(tau / delta))
     snapped = tau / n
     if abs(snapped - delta) > 1e-9 * delta:
-        warns.append(f"delta={delta} snapped to tau/{n}={snapped}")
+        _warnings.warn(f"delta={delta} snapped to tau/{n}={snapped}")
     return snapped, n
 
 
@@ -760,32 +769,25 @@ def _aux_chunk(c: _Chunk, paths) -> list:
     return list(zip(x_gap.tolist(), y_gap.tolist(), audit.tolist()))
 
 
-def run_auxiliary_gap(scenario: Scenario) -> ExperimentReport:
+@_reported
+def run_auxiliary_gap(scenario: Scenario):
     """Block-frozen construction error: E sup |X - Xtilde|^p per epsilon.
 
     Alongside the slow gap moment, each epsilon row reports the moment of
     the worst fast window gap over block boundaries and the reset audit
     (max pointwise |Ytilde - Y| at boundaries, exactly 0 by construction).
     """
-    t0 = time.perf_counter()
-    eps_desc = sorted(scenario.epsilons, reverse=True)
-    warns = []
-    sweep = []
-    for eps in eps_desc:
-        if scenario.delta == "auto":
-            schedule = khasminskii_delta(eps, scenario.tau)
-        else:
-            delta, n = _snap_to_tau(scenario.tau, scenario.delta, warns)
-            schedule = DeltaSchedule(delta_raw=scenario.delta, delta=delta, N_delta=n)
-        h = scenario.resolve_h(epsilon=eps, anchor=schedule.delta)
-        sweep.append((eps, h, {"schedule": schedule}))
-    results, chunk_warns = _run_ensemble(scenario, _aux_chunk, sweep)
-    warns += chunk_warns
+    # A fixed delta is snapped, and warned of, once for the whole sweep.
+    fixed = None if scenario.delta == "auto" else DeltaSchedule(
+        scenario.delta, *_snap_to_tau(scenario.tau, scenario.delta))
+    schedules = [fixed or khasminskii_delta(eps, scenario.tau) for eps in scenario.epsilons]
+    sweep = [(eps, scenario.resolve_h(epsilon=eps, anchor=s.delta), {"schedule": s})
+             for eps, s in zip(scenario.epsilons, schedules)]
+    results = _run_ensemble(scenario, _aux_chunk, sweep)
 
     rows = []
     ok_rows = []
-    for (eps, h, extra), res in zip(sweep, results):
-        schedule = extra["schedule"]
+    for (eps, h, _), schedule, res in zip(sweep, schedules, results):
         row = _row(eps, schedule.delta, scenario.p, scenario.paths, "aux_slow_gap_moment", h)
         gaps, error_row = _row_values(res, row)
         if error_row is not None:
@@ -802,7 +804,7 @@ def run_auxiliary_gap(scenario: Scenario) -> ExperimentReport:
                  dict(audit, value=audit_max)]
         ok_rows.append(row)
 
-    gates = _trend_gates(ok_rows, complete=len(ok_rows) == len(eps_desc))
+    gates = _trend_gates(ok_rows, complete=len(ok_rows) == len(sweep))
     if len(ok_rows) >= 2:
         big, small = ok_rows[0], ok_rows[-1]
         sigma = math.sqrt(big["std_error"] ** 2 + small["std_error"] ** 2)
@@ -820,7 +822,7 @@ def run_auxiliary_gap(scenario: Scenario) -> ExperimentReport:
         "passed": bool(ok_rows) and all(a == 0.0 for a in audits),
         "detail": f"max over rows: {max(audits) if audits else 'n/a'}",
     })
-    return _finish(scenario, rows, gates, warns, t0)
+    return rows, gates
 
 
 # ----------------------------------------------------- segment continuity
@@ -832,24 +834,23 @@ def _segcont_chunk(c: _Chunk, paths) -> list:
     return np.stack(moments, axis=1).tolist()
 
 
-def run_segment_continuity(scenario: Scenario) -> ExperimentReport:
+@_reported
+def run_segment_continuity(scenario: Scenario):
     """Window displacement scaling: E ||X_t - X_{t_delta}||^p vs delta.
 
     One ensemble of coupled paths is reused across the delta sweep; the
     fitted log-log slope must clear 0.9 * (p - 2) / 2 (one-sided, since
     the per-block bound has a steeper exponent than the global one).
     """
-    t0 = time.perf_counter()
     epsilon = scenario.epsilons[0] if scenario.epsilons else 0.05
-    warns = []
     deltas = list(scenario.deltas) if scenario.deltas is not None else [
         scenario.tau / 16.0, scenario.tau / 32.0,
         scenario.tau / 64.0, scenario.tau / 128.0,
     ]
-    normed = [_snap_to_tau(scenario.tau, d, warns)[0] for d in deltas]
+    normed = [_snap_to_tau(scenario.tau, d)[0] for d in deltas]
     deltas = sorted(set(normed), reverse=True)
     if len(deltas) < len(normed):
-        warns.append("duplicate deltas merged after snapping")
+        _warnings.warn("duplicate deltas merged after snapping")
     d_min = deltas[-1]
     # At least 4 nodes per smallest block so mid-block samples exist.
     h = scenario.resolve_h(epsilon=epsilon, anchor=d_min,
@@ -857,7 +858,7 @@ def run_segment_continuity(scenario: Scenario) -> ExperimentReport:
     for i, d in enumerate(deltas):
         k = max(1, round(d / h))
         if abs(k * h - d) > 1e-9 * d:
-            warns.append(f"delta={d} snapped to {k}*h={k * h}")
+            _warnings.warn(f"delta={d} snapped to {k}*h={k * h}")
             deltas[i] = k * h
 
     grid = make_grid(scenario.T, h, scenario.tau)
@@ -880,12 +881,11 @@ def run_segment_continuity(scenario: Scenario) -> ExperimentReport:
             idxs.add(min(grid.steps, j * grid.steps // 8 + r))
         times = [k * h for k in sorted(idxs) if k > 0]
     extra = {"deltas": deltas, "times": times}
-    [results], chunk_warns = _run_ensemble(scenario, _segcont_chunk, [(epsilon, h, extra)])
-    warns += chunk_warns
+    [results] = _run_ensemble(scenario, _segcont_chunk, [(epsilon, h, extra)])
     row = _row(epsilon, None, scenario.p, scenario.paths, "segment_displacement_moment", h)
     values, error_row = _row_values(results, row)
     if error_row is not None:
-        return _finish(scenario, [error_row], [_failed_paths_gate(error_row)], warns, t0)
+        return [error_row], [_failed_paths_gate(error_row)]
 
     per_path = np.array(values)  # (paths, n_deltas)
     moments = per_path.mean(axis=0)
@@ -912,7 +912,7 @@ def run_segment_continuity(scenario: Scenario) -> ExperimentReport:
         })
     gates.append({"name": "rows_complete", "passed": True,
                   "detail": f"{len(results)} path(s)"})
-    return _finish(scenario, rows, gates, warns, t0)
+    return rows, gates
 
 
 # ------------------------------------------------------- frozen / mixing
@@ -922,25 +922,25 @@ def _zeta_digest(seg: Segment) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def run_frozen(scenario: Scenario) -> ExperimentReport:
+@_reported
+def run_frozen(scenario: Scenario):
     """Frozen fast equation at the window xi: bbar estimate and mixing fit.
 
     experiment "frozen" reports the stationary averaged-drift estimate
     and the contraction-rate fit; "mixing" reports the fit only.
     """
-    t0 = time.perf_counter()
     spec = scenario.build_spec()
     h = scenario.resolve_h(default_target=scenario.tau / 1000.0)
     zeta = scenario.materialize_segment("xi", h, spec.n)
     eta = scenario.materialize_segment("eta", h, spec.n)
     fac = StreamFactory(scenario.seed, spec.m)
-    rows, warns = [], []
+    rows = []
 
     if scenario.experiment == "frozen":
         grid_est = make_grid(scenario.burn_in + scenario.horizon, h, scenario.tau)
-        est, warns = _caught(estimate_averaged_drift, spec, zeta.values[:, None],
-                             scenario.burn_in, scenario.horizon, scenario.replicas, grid_est,
-                             [fac], eta=eta.values)
+        est = estimate_averaged_drift(spec, zeta.values[:, None], scenario.burn_in,
+                                      scenario.horizon, scenario.replicas, grid_est, [fac],
+                                      eta=eta.values)
         row = _row(None, None, None, scenario.replicas, "bbar_estimate", h)
         rows.append(dict(
             row,
@@ -968,14 +968,14 @@ def run_frozen(scenario: Scenario) -> ExperimentReport:
                                     times=fit.times, log_gaps=fit.log_gaps)))
         gate = {"name": "mixing_rate_positive", "passed": bool(fit.fitted_rate > 0.0),
                 "detail": f"fitted_rate={fit.fitted_rate:.4f}, r2={fit.r_squared:.4f}"}
-    return _finish(scenario, rows, [gate], warns, t0)
+    return rows, [gate]
 
 
 # ----------------------------------------------------------------- check
 
-def run_check(scenario: Scenario) -> ExperimentReport:
+@_reported
+def run_check(scenario: Scenario):
     """Sampled structure checks: contraction, growth, start window, purity."""
-    t0 = time.perf_counter()
     spec = scenario.build_spec()
     h = scenario.resolve_h(default_target=scenario.tau / 64.0)
     xi = scenario.materialize_segment("xi", h, spec.n)
@@ -1006,7 +1006,7 @@ def run_check(scenario: Scenario) -> ExperimentReport:
     check("coefficient_purity", 1, 1.0 if pure else 0.0, pure,
           "maps returned identical values on repeated calls"
           if pure else "a coefficient map is stateful")
-    return _finish(scenario, rows, gates, [], t0)
+    return rows, gates
 
 
 # -------------------------------------------------------------- simulate
@@ -1030,17 +1030,17 @@ def _dump_paths(times, x, y, out_dir: Path, name: str):
     (out_dir / name).write_text("\n".join(lines) + "\n")
 
 
-def run_simulate(scenario: Scenario, *, dump_dir=None, stem: str = "scenario") -> ExperimentReport:
+@_reported
+def run_simulate(scenario: Scenario, *, dump_dir=None, stem: str = "scenario"):
     """Plain coupled ensemble; optionally dumps per-path trajectory CSVs."""
-    t0 = time.perf_counter()
     epsilon = scenario.epsilons[0] if scenario.epsilons else 0.05
     h = scenario.resolve_h(epsilon=epsilon)
     extra = {"dump_dir": str(dump_dir) if dump_dir is not None else None, "stem": stem}
-    [results], warns = _run_ensemble(scenario, _simulate_chunk, [(epsilon, h, extra)])
+    [results] = _run_ensemble(scenario, _simulate_chunk, [(epsilon, h, extra)])
     row = _row(epsilon, None, 1.0, scenario.paths, "endpoint_slow_norm", h)
     endpoints, error_row = _row_values(results, row)
     if error_row is not None:
-        return _finish(scenario, [error_row], [_failed_paths_gate(error_row)], warns, t0)
+        return [error_row], [_failed_paths_gate(error_row)]
     if len(endpoints) >= 2:
         moment = p_moment(endpoints, 1.0)
         value, se, paths = moment.value, moment.std_error, moment.paths
@@ -1050,7 +1050,7 @@ def run_simulate(scenario: Scenario, *, dump_dir=None, stem: str = "scenario") -
                extra=dict(row["extra"], dumped=dump_dir is not None))
     gates = [{"name": "rows_complete", "passed": True,
               "detail": f"{len(endpoints)} path(s)"}]
-    return _finish(scenario, [row], gates, warns, t0)
+    return [row], gates
 
 
 _RUNNERS = {
@@ -1064,5 +1064,6 @@ _RUNNERS = {
 }
 
 
-def run_scenario(scenario: Scenario) -> ExperimentReport:
-    return _RUNNERS[scenario.experiment](scenario)
+def run_scenario(scenario: Scenario, **options) -> ExperimentReport:
+    """The report of the scenario's experiment; options go to its runner (dump_dir, stem)."""
+    return _RUNNERS[scenario.experiment](scenario, **options)

@@ -158,7 +158,7 @@ _SHORT_BURN_IN = ("burn_in=2.0 is below 5*tau=5.0; the stationary average may st
 GOLDEN_WARNINGS = {
     "frozen": [_SHORT_BURN_IN],
     "frozen_n2": [_SHORT_BURN_IN],
-    "aux_fixed_delta": [_SNAP_03, _SNAP_03],
+    "aux_fixed_delta": [_SNAP_03],
     "segcont_deltas": [
         _SNAP_03,
         "delta=0.049 snapped to tau/20=0.05",

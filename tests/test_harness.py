@@ -263,6 +263,9 @@ def test_digest_ignores_execution_knobs():
     b = Scenario.from_config(_cfg(threads=4))
     d = Scenario.from_config(_cfg(seed=778))
     assert a.digest() == b.digest()
+    # The runs sweep epsilon largest first, whatever order the config lists.
+    shuffled = Scenario.from_config(_cfg(epsilons=[0.125, 0.0625, 0.25]))
+    assert shuffled.digest() == a.digest()
     assert a.digest() != d.digest()
     assert len(a.digest()) == 16
 
@@ -644,6 +647,11 @@ def test_cli_config_errors_exit_four(tmp_path, capsys):
     # Bad usage (missing required flag) also maps to 4, not argparse's 2.
     assert cli_main(["converge"]) == 4
     capsys.readouterr()
+    # --dump-paths is a simulate flag; elsewhere it is refused before any path runs.
+    valid, out = _write_cfg(tmp_path, "valid.json", _cfg(paths=2, T=0.1)), tmp_path / "dump"
+    assert cli_main(["converge", "--config", valid, "--out", str(out), "--dump-paths"]) == 4
+    assert capsys.readouterr().err == "error: unrecognized arguments: --dump-paths\n"
+    assert not out.exists()
     cases = _BAD_PARSE_CONFIGS + [
         _cfg(system=dict(BENCH_SYS, params=dict(BENCH_SYS["params"], c1="abc"))),
         _cfg(system=dict(BENCH_SYS, params=dict(BENCH_SYS["params"], a11=True))),
@@ -1074,6 +1082,24 @@ def test_chunk_warnings_reach_the_report_once(tmp_path):
         assert done.stdout.count("warning: ") == 1 and f"warning: {warning}\n" in done.stdout
     assert reports[0]["warnings"] == reports[1]["warnings"]
     assert reports[0]["reproducibility_hash"] == reports[1]["reproducibility_hash"]
+
+
+@pytest.mark.parametrize("command", ["check", "converge"])
+def test_main_process_warnings_reach_the_report_once(command, tmp_path):
+    """A system built outside any chunk warns in the report and on stdout, never on stderr."""
+    system = dict(BENCH_SYS, params=dict(BENCH_SYS["params"], c2=0.5, c3=2.0))
+    cfg = _cfg(experiment=command, system=system, trials=50) if command == "check" else _cfg(
+        system=system, paths=2, T=0.1, epsilons=[0.2, 0.1])
+    env = dict(os.environ, PYTHONPATH=str(Path(twoscale.__file__).resolve().parents[1]))
+    out = tmp_path / "out"
+    done = subprocess.run([sys.executable, "-m", "twoscale.cli", command, "--config",
+                           _write_cfg(tmp_path, "cfg.json", cfg), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode in (0, 2), done.stderr
+    assert done.stderr == ""
+    [warning] = json.loads((out / "report.json").read_text())["warnings"]
+    assert "c2=0.5, c3=2.0 is outside the contraction regime" in warning
+    assert done.stdout.count("warning: ") == 1 and f"warning: {warning}\n" in done.stdout
 
 
 def test_cli_runs_without_loading_scipy(tmp_path):
