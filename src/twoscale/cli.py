@@ -3,8 +3,8 @@
 Each subcommand loads a scenario JSON, runs one experiment, writes
 report.csv / report.json into the output directory, and prints a gate
 summary.  Exit codes: 0 all gates passed, 2 a gate failed, 3 a
-trajectory diverged, 4 the config or invocation was invalid or the
-output could not be written.
+trajectory diverged, 4 the config or invocation was invalid, the
+output could not be written, a pool worker died or memory ran out.
 """
 
 from __future__ import annotations
@@ -104,6 +104,14 @@ def _check_out_dir(out: Path) -> None:
         raise UsageError(f"cannot create output directory {out}: {existing} is not writable")
 
 
+def _fail(label: str, exc: BaseException, code: int) -> int:
+    """Print the warnings the run raised before exc ended it, then exc; return code."""
+    for message in dict.fromkeys(getattr(exc, "warnings", ())):  # see harness._caught
+        print(f"warning: {message}", file=sys.stderr)
+    print(f"{label}: {str(exc) or type(exc).__name__}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -118,11 +126,11 @@ def main(argv=None) -> int:
         report = run_scenario(scenario, **options)
         csv_path, json_path = report.write(out_dir)
     except (ConfigError, UsageError, DomainError, DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return _fail("error", exc, 4)
     except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return 3
+        return _fail("divergence", exc, 3)
+    except MemoryError as exc:
+        return _fail("error: out of memory", exc, 4)
 
     print(f"experiment: {report.experiment}  digest: {report.scenario_digest}")
     print(f"rows: {len(report.rows)}  runtime: {report.runtime_seconds:.2f}s")

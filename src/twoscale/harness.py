@@ -23,9 +23,10 @@ import hashlib
 import json
 import math
 import os
+import pickle
+import signal
 import time
 import warnings as _warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -487,6 +488,7 @@ def _reported(body):
 
     The report lists the message of every warning the run raised, here or
     in a chunk, once each, in the order first raised; none reaches stderr.
+    A TwoscaleError that ends the run carries them instead (see _caught).
     """
     @functools.wraps(body)
     def run(scenario: Scenario, **options) -> ExperimentReport:
@@ -541,10 +543,18 @@ def _attempt(body, chunk: _Chunk, paths) -> list:
 
 
 def _caught(fn, *args, **kwargs):
-    """fn(*args, **kwargs) and the messages of the warnings it raised, each once, in order."""
+    """fn(*args, **kwargs) and the messages of the warnings it raised, each once, in order.
+
+    A TwoscaleError it raises carries them, ahead of those of any inner
+    call, as its `warnings` list.
+    """
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
-        value = fn(*args, **kwargs)
+        try:
+            value = fn(*args, **kwargs)
+        except TwoscaleError as exc:
+            exc.warnings = [str(w.message) for w in caught] + getattr(exc, "warnings", [])
+            raise
     return value, list(dict.fromkeys(str(w.message) for w in caught))
 
 
@@ -586,12 +596,12 @@ def _run_ensemble(scenario: Scenario, body, rows) -> list:
 
     There are min(threads, CPUs) workers.  Each job is one whole row as
     a single batch, unless there are fewer rows than workers: then each
-    row is cut into ceil(workers / rows) contiguous path chunks.  The
-    pool takes the jobs longest grid first (round(T / h) steps); one
-    worker runs them serially and opens no pool.  Paths draw from
-    streams addressed by their own index, so the results depend on
-    neither the cut nor the order.  The chunks' warning messages are
-    raised again here, in row and path order.
+    row is cut into ceil(workers / rows) contiguous path chunks.  One
+    worker runs the jobs serially in-process; more go to _forked,
+    longest grid first (round(T / h) steps).  Paths draw from streams
+    addressed by their own index, so the results depend on neither the
+    cut nor the order.  The chunks' warning messages are raised again
+    here, in row and path order.
     """
     paths = scenario.paths
     workers = min(scenario.threads, os.cpu_count() or 1)
@@ -603,12 +613,79 @@ def _run_ensemble(scenario: Scenario, body, rows) -> list:
         done = [_run_chunk(job) for job in jobs]
     else:
         order = sorted(range(len(jobs)), key=lambda i: -round(scenario.T / jobs[i][3]))
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            done = dict(zip(order, pool.map(_run_chunk, [jobs[i] for i in order])))
+        done = dict(zip(order, _forked([jobs[i] for i in order], min(workers, len(jobs)))))
     for message in (w for j in range(len(jobs)) for w in done[j][1]):
         _warnings.warn(message)
     return [[r for j in range(i, i + per_row) for r in done[j][0]]
             for i in range(0, len(jobs), per_row)]
+
+
+def _plan(jobs, workers: int) -> list:
+    """Job indices per worker: each job in turn to the least-loaded one, costing steps * paths."""
+    plan, load = [[] for _ in range(workers)], [0] * workers
+    for i, (_, scen, _, h, _, start, stop) in enumerate(jobs):
+        w = load.index(min(load))  # the lowest index on ties
+        plan[w].append(i)
+        load[w] += round(scen.T / h) * (stop - start)
+    return plan
+
+
+def _forked(jobs, workers: int) -> list:
+    """_run_chunk of every job, in job order, run by forked children as _plan deals them.
+
+    A child inherits its jobs and pipes back one pickle of its results or
+    its exception, which is raised again here (as a RuntimeError if it
+    does not survive pickling); a child that exits without either raises
+    OSError.  Every child is reaped before this returns.
+    """
+    children, done = [], {}  # (pid, read end) of each child not yet reaped
+    try:
+        for mine in _plan(jobs, workers):
+            rfd, wfd = os.pipe()
+            if (pid := os.fork()) == 0:
+                _child(wfd, [(i, jobs[i]) for i in mine])
+            os.close(wfd)
+            children.append((pid, open(rfd, "rb")))
+        for worker in range(workers):
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            if status != 0:
+                raise OSError(f"worker {worker} exited without a result (wait status "
+                              f"{status}, exit code {os.waitstatus_to_exitcode(status)})")
+            value = pickle.loads(data)
+            if isinstance(value, BaseException):
+                raise value
+            done.update(value)
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [done[i] for i in range(len(jobs))]
+
+
+def _child(fd: int, jobs) -> None:
+    """Pipe the results of (index, job) pairs, or the exception, to fd and exit; never returns.
+
+    os._exit leaves the caller's stack and flushes none of the parent's stdio buffers.
+    """
+    try:
+        try:
+            outcome = [(i, _run_chunk(job)) for i, job in jobs]
+        except BaseException as exc:  # raised again in the parent
+            outcome = exc
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                outcome = RuntimeError(f"{type(exc).__name__}: {exc}")
+        with open(fd, "wb") as pipe:
+            pickle.dump(outcome, pipe)
+        os._exit(0)
+    finally:
+        os._exit(1)  # the outcome was not written
 
 
 def _row_values(results, row):

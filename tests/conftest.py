@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from twoscale import harness
@@ -5,29 +7,20 @@ from twoscale import harness
 
 @pytest.fixture
 def serial_pool(monkeypatch):
-    """Swap the harness's process pool for one that runs its jobs in order, in-process.
+    """Swap the harness's forked pool for one that runs its jobs in-process.
 
-    Returns the pools the run opens; each records its size and the jobs
-    it was given, in the order they were submitted.
+    Returns the pools the run opens; each records its worker count, the
+    jobs in the order they were handed over and the plan that deals them
+    to workers (harness._plan).  The jobs run worker by worker, in plan
+    order, and come back in job order, as from harness._forked.
     """
     opened = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-            self.jobs = []
-            opened.append(self)
+    def forked(jobs, workers):
+        plan = harness._plan(jobs, workers)
+        opened.append(SimpleNamespace(workers=workers, jobs=list(jobs), plan=plan))
+        done = {i: harness._run_chunk(jobs[i]) for mine in plan for i in mine}
+        return [done[i] for i in range(len(jobs))]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            jobs = list(jobs)
-            self.jobs.extend(jobs)
-            return map(fn, jobs)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(harness, "_forked", forked)
     return opened

@@ -1026,7 +1026,7 @@ def test_pool_has_at_most_one_worker_per_cpu(monkeypatch, serial_pool):
         workers = min(threads, cpus)
         rows = len(cfg["epsilons"])
         assert len(pool.jobs) == rows * min(-(-workers // rows), cfg["paths"])
-        assert pool.max_workers == size == min(workers, len(pool.jobs))
+        assert pool.workers == size == min(workers, len(pool.jobs)) == len(pool.plan)
 
 
 def test_pool_gets_whole_rows_longest_grid_first(monkeypatch, serial_pool):
@@ -1036,13 +1036,132 @@ def test_pool_gets_whole_rows_longest_grid_first(monkeypatch, serial_pool):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     report = run_scenario(Scenario.from_config(dict(cfg, threads=2)))
     [pool] = serial_pool
-    assert pool.max_workers == 2
+    assert pool.workers == 2
     assert [job[2] for job in pool.jobs] == [0.005, 0.01, 0.02, 0.05]
+    assert [[pool.jobs[i][2] for i in mine] for mine in pool.plan] == [[0.005], [0.01, 0.02, 0.05]]
     steps = [round(cfg["T"] / job[3]) for job in pool.jobs]
     assert steps == sorted(steps, reverse=True) and len(set(steps)) == 4
     assert [job[5:] for job in pool.jobs] == [(0, 4)] * 4
     assert report.csv_text() == serial.csv_text()
     assert report.warnings == serial.warnings
+
+
+def test_plan_deals_each_job_to_the_least_loaded_worker():
+    """A job costs round(T / h) * its paths; ties go to the lowest worker."""
+    scen = Scenario.from_config(_cfg(T=1.0))
+    jobs = [(None, scen, None, h, {}, start, stop)  # costs 100, 300, 200, 20
+            for h, start, stop in [(0.01, 0, 1), (0.01, 1, 4), (0.02, 0, 4), (0.05, 0, 1)]]
+    assert harness._plan(jobs, 2) == [[0, 2, 3], [1]]
+    assert harness._plan(jobs, 4) == [[0], [1], [2], [3]]
+
+
+_POOLED_AUX = _cfg(experiment="auxiliary_gap", epsilons=[0.05, 0.02], paths=2, T=0.25, threads=2)
+
+
+def _in_workers(monkeypatch, fault):
+    """Make _aux_chunk call fault() in forked workers only, on a two-CPU pool.
+
+    A forked child inherits the patch, so the body compares pids: a run
+    that stayed in-process would otherwise call fault() inside pytest.
+    """
+    parent, body = os.getpid(), harness._aux_chunk
+
+    def patched(c, paths):
+        if os.getpid() != parent:
+            fault()
+        return body(c, paths)
+
+    monkeypatch.setattr(harness, "_aux_chunk", patched)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_dead_pool_worker_exits_four(monkeypatch, tmp_path, capsys):
+    """A worker that exits without a result is one `error:` line naming its status, exit 4."""
+    _in_workers(monkeypatch, lambda: os._exit(7))
+    cfg = _write_cfg(tmp_path, "aux.json", _POOLED_AUX)
+    assert cli_main(["aux-gap", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: worker ") and "exit code 7" in line
+    assert not (tmp_path / "out").exists()
+    _assert_no_child_left()
+
+
+def test_worker_exception_is_raised_again_in_the_parent(monkeypatch):
+    """An exception in a forked worker comes back with its type; an unpicklable one as RuntimeError."""
+    def value_error():
+        raise ValueError("bad value in a worker")
+
+    _in_workers(monkeypatch, value_error)
+    with pytest.raises(ValueError, match="bad value in a worker"):
+        run_scenario(Scenario.from_config(_POOLED_AUX))
+    _assert_no_child_left()
+
+    class Unpicklable(Exception):  # a local class does not pickle
+        pass
+
+    def unpicklable():
+        raise Unpicklable("cannot travel")
+
+    _in_workers(monkeypatch, unpicklable)
+    with pytest.raises(RuntimeError, match="^Unpicklable: cannot travel$"):
+        run_scenario(Scenario.from_config(_POOLED_AUX))
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_memory_error_exits_four(threads, monkeypatch, tmp_path, capsys):
+    """Out of memory in-process (threads 1) or in a forked worker (threads 2): one line, exit 4."""
+    def out_of_memory():
+        raise MemoryError("no room for the batch")
+
+    if threads == 1:
+        monkeypatch.setattr(harness, "_aux_chunk", lambda c, paths: out_of_memory())
+    else:
+        _in_workers(monkeypatch, out_of_memory)
+    cfg = _write_cfg(tmp_path, "aux.json", dict(_POOLED_AUX, threads=threads))
+    assert cli_main(["aux-gap", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    assert capsys.readouterr().err == "error: out of memory: no room for the batch\n"
+    _assert_no_child_left()
+
+
+def test_divergence_keeps_the_warnings_that_explain_it(tmp_path, capsys):
+    """A run that ends with exit 3 prints the warnings it raised before its `divergence:` line."""
+    system = dict(BENCH_SYS, params=dict(BENCH_SYS["params"], c2=0.5, c3=2.0))
+    cfg = _write_cfg(tmp_path, "frozen.json", _cfg(
+        experiment="frozen", system=system, h=0.02, burn_in=40.0, horizon=40.0, seed=1))
+    assert cli_main(["frozen", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    warning, divergence = capsys.readouterr().err.splitlines()
+    assert warning.startswith("warning: benchmark with c2=0.5, c3=2.0 is outside the contraction")
+    assert divergence.startswith("divergence: state diverged at step ")
+
+
+def test_cli_loads_no_executor_or_multiprocessing(tmp_path):
+    """Neither importing the CLI nor a pooled run loads concurrent.futures or multiprocessing."""
+    cfg = _write_cfg(tmp_path, "aux.json", _POOLED_AUX)
+    script = (
+        "import os, sys\n"
+        "import twoscale.cli\n"
+        "from twoscale import harness\n"
+        "loaded = lambda: [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
+        "print(loaded())\n"
+        "os.cpu_count = lambda: 2\n"
+        "pools, forked = [], harness._forked\n"
+        "harness._forked = lambda jobs, workers: pools.append(workers) or forked(jobs, workers)\n"
+        f"code = twoscale.cli.main(['aux-gap', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, pools, loaded())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(twoscale.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] in ("0 [2] []", "2 [2] []"), done.stdout
 
 
 def test_cli_frozen_prints_summary(tmp_path, capsys):
