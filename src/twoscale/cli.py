@@ -3,8 +3,9 @@
 Each subcommand loads a scenario JSON, runs one experiment, writes
 report.csv / report.json into the output directory, and prints a gate
 summary.  Exit codes: 0 all gates passed, 2 a gate failed, 3 a
-trajectory diverged, 4 the config or invocation was invalid, the
-output could not be written, a pool worker died or memory ran out.
+trajectory diverged, 4 any other library error (the config or
+invocation was invalid, say), the output could not be written, a pool
+worker died or memory ran out.
 """
 
 from __future__ import annotations
@@ -15,13 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import (
-    ConfigError,
-    DataError,
-    DivergenceError,
-    DomainError,
-    UsageError,
-)
+from .errors import ConfigError, DivergenceError, TwoscaleError, UsageError
 from .harness import Scenario, run_scenario
 
 # subcommand -> experiments it accepts; the first is the default when the
@@ -125,10 +120,10 @@ def main(argv=None) -> int:
         options = {"dump_dir": out_dir, "stem": Path(args.config).stem} if dump else {}
         report = run_scenario(scenario, **options)
         csv_path, json_path = report.write(out_dir)
-    except (ConfigError, UsageError, DomainError, DataError, OSError) as exc:
-        return _fail("error", exc, 4)
     except DivergenceError as exc:
         return _fail("divergence", exc, 3)
+    except (TwoscaleError, OSError) as exc:
+        return _fail("error", exc, 4)
     except MemoryError as exc:
         return _fail("error: out of memory", exc, 4)
 

@@ -42,7 +42,13 @@ class DivergenceError(TwoscaleError, RuntimeError):
         self.step_index = int(step_index)
         self.time = float(time)
         self.last_state = last_state
+        self.detail = detail
         msg = f"state diverged at step {self.step_index} (t={self.time:.6g})"
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
+
+    def __reduce__(self):
+        # args holds the message, not the constructor's arguments.
+        args = (self.step_index, self.time, self.last_state, self.detail)
+        return type(self), args, self.__dict__

@@ -420,7 +420,10 @@ class ExperimentReport:
     gates: list
     warnings: list
     runtime_seconds: float
-    reproducibility_hash: str
+    reproducibility_hash: str = field(init=False)
+
+    def __post_init__(self):
+        self.reproducibility_hash = hashlib.sha256(self.csv_text().encode()).hexdigest()
 
     @property
     def passed(self) -> bool:
@@ -434,34 +437,16 @@ class ExperimentReport:
     def csv_text(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
         for row in self.rows:
-            extra = json.dumps(row.get("extra", {}), sort_keys=True,
-                               separators=(",", ":"))
-            cells = [
-                str(SCHEMA_VERSION),
-                self.experiment,
-                _fmt(row.get("epsilon")),
-                _fmt(row.get("delta")),
-                _fmt(row.get("p")),
-                _fmt(row.get("paths")),
-                _fmt(row.get("value")),
-                _fmt(row.get("std_error")),
-                '"' + extra.replace('"', '""') + '"',
-            ]
+            extra = json.dumps(row.get("extra", {}), sort_keys=True, separators=(",", ":"))
+            cells = [str(SCHEMA_VERSION), self.experiment,
+                     *(_fmt(row.get(c)) for c in CSV_COLUMNS[2:-1]),
+                     '"' + extra.replace('"', '""') + '"']
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "experiment": self.experiment,
-            "scenario_digest": self.scenario_digest,
-            "rows": self.rows,
-            "gates": self.gates,
-            "warnings": self.warnings,
-            "runtime_seconds": self.runtime_seconds,
-            "reproducibility_hash": self.reproducibility_hash,
-            "passed": self.passed,
-        }
+        return {"schema_version": SCHEMA_VERSION,
+                **{f.name: getattr(self, f.name) for f in fields(self)}, "passed": self.passed}
 
     def write(self, out_dir) -> tuple[Path, Path]:
         out = Path(out_dir)
@@ -476,8 +461,6 @@ class ExperimentReport:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
@@ -494,17 +477,9 @@ def _reported(body):
     def run(scenario: Scenario, **options) -> ExperimentReport:
         t0 = time.perf_counter()
         (rows, gates), messages = _caught(body, scenario, **options)
-        report = ExperimentReport(
-            experiment=scenario.experiment,
-            scenario_digest=scenario.digest(),
-            rows=rows,
-            gates=gates,
-            warnings=messages,
-            runtime_seconds=time.perf_counter() - t0,
-            reproducibility_hash="",
-        )
-        report.reproducibility_hash = hashlib.sha256(report.csv_text().encode()).hexdigest()
-        return report
+        return ExperimentReport(experiment=scenario.experiment,
+                                scenario_digest=scenario.digest(), rows=rows, gates=gates,
+                                warnings=messages, runtime_seconds=time.perf_counter() - t0)
     return run
 
 
@@ -594,17 +569,17 @@ def _chunk_results(body, scen, epsilon, h, extra, start, stop) -> list:
 def _run_ensemble(scenario: Scenario, body, rows) -> list:
     """Per-path results of every (epsilon, h, extra) row, in path order.
 
-    There are min(threads, CPUs) workers.  Each job is one whole row as
-    a single batch, unless there are fewer rows than workers: then each
-    row is cut into ceil(workers / rows) contiguous path chunks.  One
-    worker runs the jobs serially in-process; more go to _forked,
-    longest grid first (round(T / h) steps).  Paths draw from streams
-    addressed by their own index, so the results depend on neither the
-    cut nor the order.  The chunks' warning messages are raised again
-    here, in row and path order.
+    There are min(threads, CPUs) workers, or one where os has no fork.
+    Each job is one whole row as a single batch, unless there are fewer
+    rows than workers: then each row is cut into ceil(workers / rows)
+    contiguous path chunks.  One worker runs the jobs serially
+    in-process; more go to _forked, longest grid first (round(T / h)
+    steps).  Paths draw from streams addressed by their own index, so
+    the results depend on neither the cut nor the order.  The chunks'
+    warning messages are raised again here, in row and path order.
     """
     paths = scenario.paths
-    workers = min(scenario.threads, os.cpu_count() or 1)
+    workers = min(scenario.threads, os.cpu_count() or 1) if hasattr(os, "fork") else 1
     per_row = min(-(-workers // len(rows)), paths)
     bounds = [paths * j // per_row for j in range(per_row + 1)]
     jobs = [(body, scenario, epsilon, h, extra, bounds[j], bounds[j + 1])
@@ -712,9 +687,13 @@ def _with_moment(row: dict, moment, **extra) -> dict:
                 std_error=moment.std_error, extra=dict(row["extra"], **extra))
 
 
+def _gate(name: str, passed, detail: str) -> dict:
+    """A gate record; passed becomes a plain bool, as a numpy bool does not serialize to JSON."""
+    return {"name": name, "passed": bool(passed), "detail": detail}
+
+
 def _failed_paths_gate(error_row: dict) -> dict:
-    return {"name": "rows_complete", "passed": False,
-            "detail": f"{error_row['extra']['failed_paths']} failed path(s)"}
+    return _gate("rows_complete", False, f"{error_row['extra']['failed_paths']} failed path(s)")
 
 
 def _monotone_gate(moments, std_errors):
@@ -729,12 +708,8 @@ def _monotone_gate(moments, std_errors):
                 soft += 1
             else:
                 hard += 1
-    passed = hard == 0 and soft <= 1
-    return {
-        "name": "monotone_trend",
-        "passed": passed,
-        "detail": f"{soft} soft inversion(s), {hard} hard inversion(s) over {len(moments)} rows",
-    }
+    return _gate("monotone_trend", hard == 0 and soft <= 1,
+                 f"{soft} soft inversion(s), {hard} hard inversion(s) over {len(moments)} rows")
 
 
 # ---------------------------------------------------------------- converge
@@ -802,18 +777,12 @@ def _trend_gates(ok_rows, complete: bool):
         gates.append(_monotone_gate(moments, ses))
         first, last = moments[0], moments[-1]
         degenerate = first <= 1e-10
-        reduced = degenerate or last <= first / 3.0
-        gates.append({
-            "name": "final_reduction",
-            "passed": bool(reduced),
-            "detail": ("all moments at roundoff level" if degenerate
-                       else f"first={first:.6g}, last={last:.6g}"),
-        })
+        gates.append(_gate("final_reduction", degenerate or last <= first / 3.0,
+                           "all moments at roundoff level" if degenerate
+                           else f"first={first:.6g}, last={last:.6g}"))
     else:
-        gates.append({"name": "monotone_trend", "passed": True,
-                      "detail": "fewer than 2 rows; trivially satisfied"})
-    gates.append({"name": "rows_complete", "passed": complete,
-                  "detail": f"{len(ok_rows)} successful row(s)"})
+        gates.append(_gate("monotone_trend", True, "fewer than 2 rows; trivially satisfied"))
+    gates.append(_gate("rows_complete", complete, f"{len(ok_rows)} successful row(s)"))
     return gates
 
 
@@ -885,20 +854,14 @@ def run_auxiliary_gap(scenario: Scenario):
     if len(ok_rows) >= 2:
         big, small = ok_rows[0], ok_rows[-1]
         sigma = math.sqrt(big["std_error"] ** 2 + small["std_error"] ** 2)
-        separated = big["value"] - small["value"] > 2.0 * sigma
-        gates.append({
-            "name": "extremes_separated_2sigma",
-            "passed": bool(separated),
-            "detail": (f"moment({big['epsilon']})={big['value']:.6g} vs "
-                       f"moment({small['epsilon']})={small['value']:.6g}, "
-                       f"2*sigma={2 * sigma:.3g}"),
-        })
+        gates.append(_gate("extremes_separated_2sigma",
+                           big["value"] - small["value"] > 2.0 * sigma,
+                           f"moment({big['epsilon']})={big['value']:.6g} vs "
+                           f"moment({small['epsilon']})={small['value']:.6g}, "
+                           f"2*sigma={2 * sigma:.3g}"))
     audits = [r["extra"]["reset_audit_max"] for r in ok_rows]
-    gates.append({
-        "name": "reset_audit_zero",
-        "passed": bool(ok_rows) and all(a == 0.0 for a in audits),
-        "detail": f"max over rows: {max(audits) if audits else 'n/a'}",
-    })
+    gates.append(_gate("reset_audit_zero", ok_rows and all(a == 0.0 for a in audits),
+                       f"max over rows: {max(audits) if audits else 'n/a'}"))
     return rows, gates
 
 
@@ -976,19 +939,11 @@ def run_segment_continuity(scenario: Scenario):
     if len(deltas) >= 3 and (moments > 0.0).all():
         fit = slope_fit(list(reversed(deltas)), list(reversed(moments.tolist())))
         rows.append(_slope_row(epsilon, scenario, fit))
-        gates.append({
-            "name": "slope_floor",
-            "passed": bool(fit.slope >= floor),
-            "detail": f"slope={fit.slope:.4f}, floor={floor:.4f}",
-        })
+        gates.append(_gate("slope_floor", fit.slope >= floor,
+                           f"slope={fit.slope:.4f}, floor={floor:.4f}"))
     else:
-        gates.append({
-            "name": "slope_floor",
-            "passed": False,
-            "detail": "need >= 3 positive moments to fit a slope",
-        })
-    gates.append({"name": "rows_complete", "passed": True,
-                  "detail": f"{len(results)} path(s)"})
+        gates.append(_gate("slope_floor", False, "need >= 3 positive moments to fit a slope"))
+    gates.append(_gate("rows_complete", True, f"{len(results)} path(s)"))
     return rows, gates
 
 
@@ -1037,14 +992,14 @@ def run_frozen(scenario: Scenario):
                            scenario.mixing_replicas, fac)
     except DegenerateFitError as exc:
         rows.append(dict(row, extra=dict(row["extra"], degenerate=True, detail=str(exc))))
-        gate = {"name": "mixing_rate_positive", "passed": True,
-                "detail": "gap contracted below the fit floor (strong mixing)"}
+        gate = _gate("mixing_rate_positive", True,
+                     "gap contracted below the fit floor (strong mixing)")
     else:
         rows.append(dict(row, value=fit.fitted_rate,
                          extra=dict(row["extra"], r_squared=fit.r_squared,
                                     times=fit.times, log_gaps=fit.log_gaps)))
-        gate = {"name": "mixing_rate_positive", "passed": bool(fit.fitted_rate > 0.0),
-                "detail": f"fitted_rate={fit.fitted_rate:.4f}, r2={fit.r_squared:.4f}"}
+        gate = _gate("mixing_rate_positive", fit.fitted_rate > 0.0,
+                     f"fitted_rate={fit.fitted_rate:.4f}, r2={fit.r_squared:.4f}")
     return rows, [gate]
 
 
@@ -1063,7 +1018,7 @@ def run_check(scenario: Scenario):
         row = _row(None, None, None, paths, kind, h)
         extra = dict(row["extra"], verdict="pass" if passed else "fail", **extra)
         rows.append(dict(row, value=value, extra=extra))
-        gates.append({"name": kind, "passed": bool(passed), "detail": detail})
+        gates.append(_gate(kind, passed, detail))
 
     points = random_point_sampler(scenario.tau, h, spec.n)
     diss = check_dissipativity(spec, *points(np.random.default_rng(scenario.seed), scenario.trials))
@@ -1125,9 +1080,7 @@ def run_simulate(scenario: Scenario, *, dump_dir=None, stem: str = "scenario"):
         value, se, paths = float(endpoints[0]), 0.0, 1
     row = dict(row, paths=paths, value=value, std_error=se,
                extra=dict(row["extra"], dumped=dump_dir is not None))
-    gates = [{"name": "rows_complete", "passed": True,
-              "detail": f"{len(endpoints)} path(s)"}]
-    return [row], gates
+    return [row], [_gate("rows_complete", True, f"{len(endpoints)} path(s)")]
 
 
 _RUNNERS = {

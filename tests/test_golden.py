@@ -2,9 +2,9 @@
 
 Each case runs one small scenario at threads 1, 2 and 3 and compares the
 sha256 of its report.csv (plus, for simulate, of the dumped trajectory
-files) with the value recorded here.  The hashes are the guard for
-refactors that must not move any reported number: a change that moves
-one has to say why.
+files) and of its gates with the values recorded here.  The hashes are
+the guard for refactors that must not move any reported number: a change
+that moves one has to say why.
 """
 
 import hashlib
@@ -119,6 +119,14 @@ CASES = {
     "check_n2": dict(_BASE, experiment="check", system=PLANE_SYS, trials=200),
     "simulate_n2": dict(_BASE, experiment="simulate", system=PLANE_SYS, epsilons=[0.25],
                         paths=3),
+    # Three of four paths diverge: an error row and a failed rows_complete.
+    "segcont_diverging": dict(_MOMENTS, experiment="segment_continuity", system=BLOWUP_SYS,
+                              T=1.0, epsilons=[0.25], p=4.0),
+    # Two deltas are too few to fit a slope: slope_floor fails.
+    "segcont_two_deltas": dict(_MOMENTS, experiment="segment_continuity", T=1.0,
+                               epsilons=[0.05], p=4.0, paths=3, deltas=[0.25, 0.125]),
+    # One path has no spread: std_error 0.
+    "simulate_one_path": dict(_BASE, experiment="simulate", epsilons=[0.25], paths=1),
 }
 
 GOLDEN = {
@@ -146,6 +154,40 @@ GOLDEN = {
     "segment_continuity_n2":
         "3d01eb43d6dd5fd21261f2267b2c167ad9aa45de228219fcb35d247fc7dae04f",
     "simulate_n2": "0ea63702419dfb58678c4ff473a772e48f19e4ff6cfcb61bb14dc0b31a5a6ad2",
+    "segcont_diverging": "c33e2c0e4d10198f33b3f8cb8d976a7df4b3a48e931c67e01558dd4397302785",
+    "segcont_two_deltas": "18858d22fcc19e61494e2c3ca7095cb35f410e3b3d529e823a6a476fc4f6036a",
+    "simulate_one_path": "b50dd1ee8d4effeba90f57097cfdfa1a2b05b2ba3562ad450b84b462d862b649",
+}
+
+# sha256 of json.dumps(report.gates, sort_keys=True): the gates are not in
+# report.csv, so GOLDEN does not pin them.
+GOLDEN_GATES = {
+    "aux_fixed_delta": "f83c0e623be68009c9d608c2f13db732087b4af5b4cd72c567f7c7bfe872d029",
+    "aux_gap_long": "6063e8aac95348b2e8b1eca831c6614c040d70741d0441bb7ac006ce078c1db7",
+    "auxiliary_gap": "babd3bb82d765bf2af805ef2c7f96fb90f3681cb18152eeddc39bd5931c8a2d1",
+    "auxiliary_gap_diverging": "022d829edf601c0d299d4d17c447ebbd385dce77808e5b1620160879c2a4a62b",
+    "auxiliary_gap_n2": "b345d5a321013d681c040d8db0eba00a99351e41d05908e5008374b37dd0c0b2",
+    "check": "692935aec4cc3bc52a68cdfe37babaf5d3235c306d92a2826cf63f3a2dc74cbf",
+    "check_n2": "99194f3cf36ec0658d77ddb2e20b2646307c9aaf676377b1cde5dd96a80a729f",
+    "converge": "5256dfb3b8ef46218ceb56680c53c9150046abc98723f3a4104f58f985a163a7",
+    "converge_diverging": "96ed241a5e048a42ab7ec34c8edecf7860a82a18322659a13799cb04d0da2fe0",
+    "converge_estimator": "e09568295aaee1f833f40bfc3dbfb42f9472c22d00e6e19e691e08c927c726d5",
+    "converge_estimator_uneven":
+        "4cfcbb7708a9ed670669bfecb4d9ac26bf3520590fc0e5b613ad1805dc54b739",
+    "converge_n2": "9a8ade733c5532a8a0de501e7be32bbe8221a3da292ba41d71d2832acd251aa0",
+    "frozen": "529cb1a854794e3f891a4386c964b7e20f926cad2f4a2760a7b411f826c9d279",
+    "frozen_n2": "38f452da9c15017e98ee1fa298150aa31c3c72e617445df22be4f76940e162ee",
+    "mixing": "529cb1a854794e3f891a4386c964b7e20f926cad2f4a2760a7b411f826c9d279",
+    "mixing_degenerate": "cdf1ef20da9faf104721b1424be5b5b1e53a5de1cbdd6e7a1c4e0a9d7d7d4510",
+    "mixing_n2": "56c62648c712e1ac0ba301affa30367ed6de2339a2a7887bf9ba9a3265639b7d",
+    "segcont_deltas": "8cab76bdf4e662dd32e0243f73e6a8b255baec9e135eb309e76490665d0d6100",
+    "segcont_diverging": "04356d632568ffa3362382f515a13462ccc331f824905383ae107b2d0e6ce523",
+    "segcont_two_deltas": "7a3d04e30dcf06dda3fd2cfd036ced712b7631b3eb5bec9b1272897c2519cd50",
+    "segment_continuity": "b4a883451d81573afddeea7a344f4f219f14a7fdf1d1964f860a91896d401273",
+    "segment_continuity_n2": "d40eae81e8733e60c40ca6ce941701adbdef320769cb8913b6f21257d7a64177",
+    "simulate_dump": "874b53e221d62d306a0f1df82ce9be2ea1918ef13e2c8579434108295e0274f7",
+    "simulate_n2": "874b53e221d62d306a0f1df82ce9be2ea1918ef13e2c8579434108295e0274f7",
+    "simulate_one_path": "edfb2a69a20eb10437c810671ced58f3ed922b4db7804eac55af090c477d619b",
 }
 
 
@@ -178,16 +220,18 @@ def _run(name, threads, tmp_path):
     for dump in sorted(tmp_path.glob("golden_*.csv")):
         sha.update(dump.name.encode())
         sha.update(dump.read_bytes())
-    return sha.hexdigest(), report.warnings
+    return sha.hexdigest(), report
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_report_hash(name, threads, tmp_path):
-    digest, warnings = _run(name, threads, tmp_path)
+    digest, report = _run(name, threads, tmp_path)
     assert digest == GOLDEN[name]
+    gates = json.dumps(report.gates, sort_keys=True)
+    assert hashlib.sha256(gates.encode()).hexdigest() == GOLDEN_GATES[name]
     if name in GOLDEN_WARNINGS:
-        assert warnings == GOLDEN_WARNINGS[name]
+        assert report.warnings == GOLDEN_WARNINGS[name]
 
 
 @pytest.mark.parametrize("threads", [3, 5])

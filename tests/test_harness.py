@@ -18,7 +18,7 @@ from twoscale import harness
 from twoscale.averaging import DeltaSchedule, khasminskii_delta
 from twoscale.cli import _SUBCOMMANDS
 from twoscale.cli import main as cli_main
-from twoscale.errors import ConfigError, DataError, UsageError
+from twoscale.errors import ConfigError, DataError, DegenerateFitError, UsageError
 from twoscale.harness import (
     _ALLOWED_KEYS,
     _ESTIMATOR_KEYS,
@@ -1127,6 +1127,30 @@ def test_memory_error_exits_four(threads, monkeypatch, tmp_path, capsys):
     assert cli_main(["aux-gap", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
     assert capsys.readouterr().err == "error: out of memory: no room for the batch\n"
     _assert_no_child_left()
+
+
+def test_any_library_error_but_a_divergence_exits_four(tmp_path, capsys):
+    """A TwoscaleError the CLI names nowhere, from a registered factory, is one `error:` line."""
+    def factory():
+        raise DegenerateFitError("nothing to fit in the factory")
+
+    register_system("degenerate_factory", factory, replace=True)
+    cfg = _write_cfg(tmp_path, "check.json", _cfg(
+        experiment="check", system={"kind": "registered", "name": "degenerate_factory"}))
+    assert cli_main(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "error: nothing to fit in the factory\n"
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_threads_without_fork_run_in_process(monkeypatch, serial_pool):
+    """Where os has no fork, threads > 1 open no pool and give the threads-1 hash."""
+    serial = run_scenario(Scenario.from_config(dict(_POOLED_AUX, threads=1)))
+    monkeypatch.delattr(harness.os, "fork")
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    report = run_scenario(Scenario.from_config(_POOLED_AUX))
+    assert report.reproducibility_hash == serial.reproducibility_hash
+    assert serial_pool == []
 
 
 def test_divergence_keeps_the_warnings_that_explain_it(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import pickle
 import warnings
 
 import numpy as np
@@ -242,6 +243,22 @@ def test_divergence_error_carries_context():
     x, y = simulate_coupled(spec, _const(g, 0.0), _const(g, 2.0), 0.05, short, w1, w2)
     assert np.array_equal(err.last_state, np.concatenate([x[-1, 0], y[-1, 0]]))
     assert np.abs(err.last_state).max() <= DIVERGENCE_CAP
+
+
+def test_divergence_error_survives_pickling():
+    """A forked worker pickles its exception; a DivergenceError comes back whole."""
+    spec = _cubic_fast_spec()
+    g = make_grid(T=1.0, h=0.005, tau=0.5)
+    w1, w2 = [NoiseStream(0, 0, W1)], [NoiseStream(0, 0, W2)]
+    with pytest.raises(DivergenceError) as info:
+        simulate_coupled(spec, _const(g, 0.0), _const(g, 2.0), 0.05, g, w1, w2)
+    err = info.value
+    err.warnings = ["raised before the divergence"]
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is DivergenceError and str(back) == str(err)
+    assert (back.step_index, back.time) == (err.step_index, err.time)
+    assert np.array_equal(back.last_state, err.last_state)
+    assert back.warnings == err.warnings
 
 
 def test_maps_receive_window_arrays():
