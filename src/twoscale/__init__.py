@@ -10,12 +10,12 @@ from .errors import (
     UsageError,
 )
 from .segment import (
-    Segment,
     constant_segment,
     exact_steps,
     lipschitz_modulus,
+    window,
 )
-from .noise import W1, W2, NoiseStream, StreamFactory, fast_increments, gaussian_increments
+from .noise import W1, W2, NoiseStream, fast_increments, gaussian_increments
 from .systems import (
     DissipativityReport,
     GrowthReport,
@@ -26,8 +26,8 @@ from .systems import (
     check_growth_and_lipschitz,
     check_initial_segment,
     linear_benchmark,
-    random_point_sampler,
-    random_segment_pair_sampler,
+    random_points,
+    random_segment_pairs,
     register_system,
     spot_check_purity,
 )

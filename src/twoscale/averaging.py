@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .frozen import estimate_averaged_drift
-from .noise import StreamFactory
 from .segment import exact_steps
 from .solver import (
     DEFAULT_KAPPA_STAB,
@@ -179,12 +178,11 @@ class EstimatedDriftSource:
 
     def __call__(self, windows: np.ndarray) -> np.ndarray:
         """bbar1 of each (M + 1, n) window of the (M + 1, P, n) batch, shape (P, n)."""
-        factories = [StreamFactory(self._sub_seed(windows[:, p]), self.spec.m)
-                     for p in range(windows.shape[1])]
-        self.calls += len(factories)
+        seeds = [self._sub_seed(windows[:, p]) for p in range(windows.shape[1])]
+        self.calls += len(seeds)
         est = estimate_averaged_drift(
             self.spec, windows, self.burn_in, self.horizon, self.replicas, self.sub_grid,
-            factories,
+            seeds,
         )
         self.max_std_error = max(self.max_std_error, float(np.max(est.std_error)))
         return est.value

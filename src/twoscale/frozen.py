@@ -26,7 +26,7 @@ from .errors import (
     DomainError,
     UsageError,
 )
-from .noise import W2, StreamFactory
+from .noise import W2, NoiseStream
 from .metrics import _float_pow, _log_linear_fit
 from .segment import _node_norms, exact_steps
 from .solver import TimeGrid, simulate_sdde
@@ -82,32 +82,32 @@ def estimate_averaged_drift(
     horizon: float,
     replicas: int,
     grid: TimeGrid,
-    streams,
+    seeds,
     *,
     eta: np.ndarray | None = None,
 ) -> AveragedDriftEstimate:
     """Time-average b1(zeta, Y-window) along frozen trajectories.
 
     zeta is a batch of P pinned slow windows, (M + 1, P, n), with a
-    sequence of P stream factories; a single window is the batch of one.
-    All P x R replicas run as one frozen sub-simulation, column p * R + r
-    being replica r of window p, driven by stream (r, W2) of window p's
-    factory and started from the window eta (zero by default).  Each
-    drops [0, burn_in], then averages b1 over every grid step of
-    [burn_in, burn_in + horizon], summed in time order; b1 sees one
-    column's steps as its batch, or one step's columns if there are more
-    columns than steps.  Window p's value[p] is its replica mean and
-    std_error[p] its replica scatter / sqrt(R), both of shape (P, n).
+    sequence of P seeds; a single window is the batch of one.  All P x R
+    replicas run as one frozen sub-simulation, column p * R + r being
+    replica r of window p, driven by stream (seeds[p], r, W2) and started
+    from the window eta (zero by default).  Each drops [0, burn_in], then
+    averages b1 over every grid step of [burn_in, burn_in + horizon],
+    summed in time order; b1 sees one column's steps as its batch, or one
+    step's columns if there are more columns than steps.  Window p's
+    value[p] is its replica mean and std_error[p] its replica scatter /
+    sqrt(R), both of shape (P, n).
     If any replica fails, the batch's first failure is raised: the
     earliest step, then the lowest column, so of two failing replicas the
     one that fails first in time is reported, not the lower-numbered one.
     The start bias decays exponentially, so burn_in of a few multiples of
     1/rate suffices; below 5 tau a warning is emitted.
     """
-    if zeta.ndim != 3 or zeta.shape[1:] != (len(streams), spec.n):
+    if zeta.ndim != 3 or zeta.shape[1:] != (len(seeds), spec.n):
         raise UsageError(
-            f"zeta has shape {zeta.shape}; {len(streams)} stream factories of a system "
-            f"with n={spec.n} need (M + 1, {len(streams)}, {spec.n})"
+            f"zeta has shape {zeta.shape}; {len(seeds)} seeds of a system "
+            f"with n={spec.n} need (M + 1, {len(seeds)}, {spec.n})"
         )
     if replicas < 1:
         raise UsageError(f"replicas must be >= 1, got {replicas}")
@@ -133,8 +133,8 @@ def estimate_averaged_drift(
 
     chi = np.repeat(zeta, replicas, axis=1)
     try:
-        y = simulate_frozen(spec, chi, eta, grid,
-                            [f.stream(r, W2) for f in streams for r in range(replicas)])
+        y = simulate_frozen(spec, chi, eta, grid, [NoiseStream(s, r, W2, spec.m)
+                                                   for s in seeds for r in range(replicas)])
     except DivergenceError as exc:
         raise DivergenceError(
             exc.step_index, exc.time, exc.last_state,
@@ -155,8 +155,8 @@ def estimate_averaged_drift(
         batch[...] = _drift(b1(chis[:, i], phis[:, i]), *batch.shape, "b1")
     # The running sum keeps the order and the sign of zero of adding step by
     # step; window p's statistics reduce its own (R, n) block, as a batch of one does.
-    blocks = (np.add.accumulate(vals)[-1] / steps).reshape(len(streams), replicas, n)
-    std_error = np.zeros((len(streams), n))
+    blocks = (np.add.accumulate(vals)[-1] / steps).reshape(len(seeds), replicas, n)
+    std_error = np.zeros((len(seeds), n))
     if replicas >= 2:
         std_error = blocks.std(axis=1, ddof=1) / np.sqrt(replicas)
     return AveragedDriftEstimate(value=blocks.mean(axis=1), std_error=std_error)
@@ -169,7 +169,7 @@ def mixing_decay(
     eta_prime: np.ndarray,
     grid: TimeGrid,
     replicas: int,
-    streams: StreamFactory,
+    seed: int,
 ) -> DecayFit:
     """Fit the contraction rate of synchronously coupled frozen pairs.
 
@@ -193,9 +193,10 @@ def mixing_decay(
 
     # Same stream addresses twice: bit-identical driving increments.
     zeta = np.broadcast_to(zeta[:, None], (zeta.shape[0], replicas) + zeta.shape[1:])
-    ya = simulate_frozen(spec, zeta, eta, grid, [streams.stream(r, W2) for r in range(replicas)])
+    ya = simulate_frozen(spec, zeta, eta, grid,
+                         [NoiseStream(seed, r, W2, spec.m) for r in range(replicas)])
     yb = simulate_frozen(spec, zeta, eta_prime, grid,
-                         [streams.stream(r, W2) for r in range(replicas)])
+                         [NoiseStream(seed, r, W2, spec.m) for r in range(replicas)])
     node = _node_norms(ya - yb)
     # Squared window sup gaps (checkpoint, replica), summed in replica order.
     squares = np.stack([_float_pow(node[a - ts: a + 1].max(axis=0), 2)

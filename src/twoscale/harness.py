@@ -41,12 +41,12 @@ from .averaging import (
     simulate_auxiliary,
     simulate_averaged,
 )
-from .errors import ConfigError, DegenerateFitError, TwoscaleError, UsageError
+from .errors import ConfigError, DegenerateFitError, TwoscaleError
 from .frozen import estimate_averaged_drift, mixing_decay
 from .metrics import p_moment, segment_displacement_moment, slope_fit, sup_distance
-from .noise import W1, W2, StreamFactory
-from .segment import (Segment, _node_norms, _row_dots, constant_segment, exact_steps,
-                      lipschitz_modulus)
+from .noise import W1, W2, NoiseStream
+from .segment import (_node_norms, _row_dots, constant_segment, exact_steps,
+                      lipschitz_modulus, window)
 from .solver import fast_lag_steps, make_grid, simulate_coupled
 from .systems import (
     _number,
@@ -54,8 +54,8 @@ from .systems import (
     check_dissipativity,
     check_growth_and_lipschitz,
     check_initial_segment,
-    random_point_sampler,
-    random_segment_pair_sampler,
+    random_points,
+    random_segment_pairs,
     spot_check_purity,
     system_kind,
 )
@@ -330,7 +330,7 @@ class Scenario:
         sys_cfg["tau"] = self.tau
         return build_system(sys_cfg)
 
-    def materialize_segment(self, role: str, h: float, n: int) -> Segment | None:
+    def materialize_segment(self, role: str, h: float, n: int) -> np.ndarray | None:
         cfg = getattr(self, role)
         if cfg is None:
             return None
@@ -339,10 +339,10 @@ class Scenario:
             if isinstance(value, (int, float)):
                 value = np.full(n, float(value))
             return constant_segment(self.tau, h, value, n=n)
-        seg = Segment(self.tau, h, cfg["values"])
-        if seg.values.shape[1] != n:
-            raise ConfigError(f"{role} has dimension {seg.values.shape[1]}, system needs {n}")
-        return seg
+        values = window(self.tau, h, cfg["values"])
+        if values.shape[1] != n:
+            raise ConfigError(f"{role} has dimension {values.shape[1]}, system needs {n}")
+        return values
 
     def resolve_h(self, epsilon: float | None = None, anchor: float | None = None,
                   default_target: float | None = None) -> float:
@@ -495,11 +495,10 @@ class _Chunk:
     grid: object
     xi: np.ndarray
     eta: np.ndarray
-    streams: StreamFactory
     extra: dict
 
     def noise(self, paths, tag: str) -> list:
-        return [self.streams.stream(path, tag) for path in paths]
+        return [NoiseStream(self.scenario.seed, path, tag, self.spec.m) for path in paths]
 
     def coupled(self, paths):
         return simulate_coupled(
@@ -536,9 +535,9 @@ def _caught(fn, *args, **kwargs):
 def _run_chunk(job):
     """Run paths [start, stop) of one row through body as one batch.
 
-    The system, grid, start windows and stream factory are built once
-    per chunk, so set-up errors propagate.  body(chunk, paths) returns
-    one value per path in path order, each reported as ("ok", value).
+    The system, grid and start windows are built once per chunk, so
+    set-up errors propagate.  body(chunk, paths) returns one value per
+    path in path order, each reported as ("ok", value).
     This is the one place that isolates a failed path: if body raises a
     TwoscaleError, every path of the chunk is rerun alone on the same
     chunk and gets its own value or ("err", type, message) from its
@@ -555,9 +554,8 @@ def _chunk_results(body, scen, epsilon, h, extra, start, stop) -> list:
     chunk = _Chunk(
         scenario=scen, spec=spec, epsilon=epsilon,
         grid=make_grid(scen.T, h, scen.tau),
-        xi=scen.materialize_segment("xi", h, spec.n).values,
-        eta=scen.materialize_segment("eta", h, spec.n).values,
-        streams=StreamFactory(scen.seed, spec.m), extra=extra,
+        xi=scen.materialize_segment("xi", h, spec.n),
+        eta=scen.materialize_segment("eta", h, spec.n), extra=extra,
     )
     paths = range(start, stop)
     results = _attempt(body, chunk, paths)
@@ -573,10 +571,10 @@ def _run_ensemble(scenario: Scenario, body, rows) -> list:
     Each job is one whole row as a single batch, unless there are fewer
     rows than workers: then each row is cut into ceil(workers / rows)
     contiguous path chunks.  One worker runs the jobs serially
-    in-process; more go to _forked, longest grid first (round(T / h)
-    steps).  Paths draw from streams addressed by their own index, so
-    the results depend on neither the cut nor the order.  The chunks'
-    warning messages are raised again here, in row and path order.
+    in-process; more go to _forked, which deals them as _plan does.
+    Paths draw from streams addressed by their own index, so the results
+    depend on neither the cut nor the order.  The chunks' warning
+    messages are raised again here, in row and path order.
     """
     paths = scenario.paths
     workers = min(scenario.threads, os.cpu_count() or 1) if hasattr(os, "fork") else 1
@@ -587,8 +585,7 @@ def _run_ensemble(scenario: Scenario, body, rows) -> list:
     if workers <= 1 or len(jobs) <= 1:
         done = [_run_chunk(job) for job in jobs]
     else:
-        order = sorted(range(len(jobs)), key=lambda i: -round(scenario.T / jobs[i][3]))
-        done = dict(zip(order, _forked([jobs[i] for i in order], min(workers, len(jobs)))))
+        done = _forked(jobs, min(workers, len(jobs)))
     for message in (w for j in range(len(jobs)) for w in done[j][1]):
         _warnings.warn(message)
     return [[r for j in range(i, i + per_row) for r in done[j][0]]
@@ -596,12 +593,16 @@ def _run_ensemble(scenario: Scenario, body, rows) -> list:
 
 
 def _plan(jobs, workers: int) -> list:
-    """Job indices per worker: each job in turn to the least-loaded one, costing steps * paths."""
+    """Job indices per worker: each job to the least-loaded one, costing steps * paths.
+
+    Jobs are dealt longest grid (round(T / h) steps) first, ties in job order.
+    """
     plan, load = [[] for _ in range(workers)], [0] * workers
-    for i, (_, scen, _, h, _, start, stop) in enumerate(jobs):
+    cost = [(round(scen.T / h), stop - start) for _, scen, _, h, _, start, stop in jobs]
+    for i in sorted(range(len(jobs)), key=lambda i: -cost[i][0]):
         w = load.index(min(load))  # the lowest index on ties
         plan[w].append(i)
-        load[w] += round(scen.T / h) * (stop - start)
+        load[w] += cost[i][0] * cost[i][1]
     return plan
 
 
@@ -609,9 +610,10 @@ def _forked(jobs, workers: int) -> list:
     """_run_chunk of every job, in job order, run by forked children as _plan deals them.
 
     A child inherits its jobs and pipes back one pickle of its results or
-    its exception, which is raised again here (as a RuntimeError if it
-    does not survive pickling); a child that exits without either raises
-    OSError.  Every child is reaped before this returns.
+    its exception, which is raised again here; an exception that does not
+    survive pickling comes back as an OSError naming its type and message,
+    and a child that exits without either raises OSError.  Every child is
+    reaped before this returns.
     """
     children, done = [], {}  # (pid, read end) of each child not yet reaped
     try:
@@ -655,7 +657,7 @@ def _child(fd: int, jobs) -> None:
             try:
                 pickle.loads(pickle.dumps(exc))
             except Exception:
-                outcome = RuntimeError(f"{type(exc).__name__}: {exc}")
+                outcome = OSError(f"{type(exc).__name__}: {exc}")
         with open(fd, "wb") as pipe:
             pickle.dump(outcome, pipe)
         os._exit(0)
@@ -753,11 +755,8 @@ def run_converge(scenario: Scenario):
 
     fit_rows = [r for r in reversed(ok_rows) if r["value"] > 0.0]
     if len(fit_rows) >= 3:
-        try:
-            fit = slope_fit([r["epsilon"] for r in fit_rows], [r["value"] for r in fit_rows])
-            rows.append(_slope_row(None, scenario, fit))
-        except UsageError:
-            pass  # a degenerate sweep reports no slope row
+        fit = slope_fit([r["epsilon"] for r in fit_rows], [r["value"] for r in fit_rows])
+        rows.append(_slope_row(None, scenario, fit))
 
     return rows, _trend_gates(ok_rows, complete=len(ok_rows) == len(sweep))
 
@@ -810,7 +809,6 @@ def _aux_chunk(c: _Chunk, paths) -> list:
     y_gap = _node_norms(yt[union] - y[union]).max(axis=0)
     jumps = (yt[resets] - y[resets]).reshape(-1, y.shape[-1])
     audit = np.sqrt(_row_dots(jumps, jumps)).reshape(len(resets), -1).max(axis=0)
-    audit = np.maximum(np.zeros(len(paths)), audit)
     x_gap = sup_distance(pair.x, pair.x_aux, c.grid)
     return list(zip(x_gap.tolist(), y_gap.tolist(), audit.tolist()))
 
@@ -949,8 +947,8 @@ def run_segment_continuity(scenario: Scenario):
 
 # ------------------------------------------------------- frozen / mixing
 
-def _zeta_digest(seg: Segment) -> str:
-    payload = seg.values.tobytes() + repr((seg.tau, seg.h)).encode()
+def _zeta_digest(zeta: np.ndarray, tau: float, h: float) -> str:
+    payload = zeta.tobytes() + repr((tau, h)).encode()
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
@@ -965,14 +963,13 @@ def run_frozen(scenario: Scenario):
     h = scenario.resolve_h(default_target=scenario.tau / 1000.0)
     zeta = scenario.materialize_segment("xi", h, spec.n)
     eta = scenario.materialize_segment("eta", h, spec.n)
-    fac = StreamFactory(scenario.seed, spec.m)
     rows = []
 
     if scenario.experiment == "frozen":
         grid_est = make_grid(scenario.burn_in + scenario.horizon, h, scenario.tau)
-        est = estimate_averaged_drift(spec, zeta.values[:, None], scenario.burn_in,
-                                      scenario.horizon, scenario.replicas, grid_est, [fac],
-                                      eta=eta.values)
+        est = estimate_averaged_drift(spec, zeta[:, None], scenario.burn_in,
+                                      scenario.horizon, scenario.replicas, grid_est,
+                                      [scenario.seed], eta=eta)
         row = _row(None, None, None, scenario.replicas, "bbar_estimate", h)
         rows.append(dict(
             row,
@@ -980,16 +977,16 @@ def run_frozen(scenario: Scenario):
             std_error=float(np.linalg.norm(est.std_error)),
             extra=dict(row["extra"], bbar=est.value[0].tolist(),
                        std_error=est.std_error[0].tolist(), burn_in=scenario.burn_in,
-                       horizon=scenario.horizon, zeta_digest=_zeta_digest(zeta)),
+                       horizon=scenario.horizon, zeta_digest=_zeta_digest(zeta, scenario.tau, h)),
         ))
 
     grid = make_grid(scenario.checkpoints * scenario.tau, h, scenario.tau)
     eta_prime = scenario.materialize_segment("eta_prime", h, spec.n)
-    eta_prime = eta.values + 1.0 if eta_prime is None else eta_prime.values
+    eta_prime = eta + 1.0 if eta_prime is None else eta_prime
     row = _row(None, None, None, scenario.mixing_replicas, "mixing_fit", h)
     try:
-        fit = mixing_decay(spec, zeta.values, eta.values, eta_prime, grid,
-                           scenario.mixing_replicas, fac)
+        fit = mixing_decay(spec, zeta, eta, eta_prime, grid, scenario.mixing_replicas,
+                           scenario.seed)
     except DegenerateFitError as exc:
         rows.append(dict(row, extra=dict(row["extra"], degenerate=True, detail=str(exc))))
         gate = _gate("mixing_rate_positive", True,
@@ -1020,19 +1017,20 @@ def run_check(scenario: Scenario):
         rows.append(dict(row, value=value, extra=extra))
         gates.append(_gate(kind, passed, detail))
 
-    points = random_point_sampler(scenario.tau, h, spec.n)
-    diss = check_dissipativity(spec, *points(np.random.default_rng(scenario.seed), scenario.trials))
+    points = random_points(np.random.default_rng(scenario.seed), scenario.trials,
+                           scenario.tau, h, spec.n)
+    diss = check_dissipativity(spec, *points)
     check("dissipativity", diss.sample_count, diss.worst_violation, diss.passed,
           f"worst_violation={diss.worst_violation:.3g} at "
           f"(l1={diss.lambda1:.4g}, l2={diss.lambda2:.4g})",
           lambda1=diss.lambda1, lambda2=diss.lambda2)
-    pairs = random_segment_pair_sampler(scenario.tau, h, spec.n)
-    growth = check_growth_and_lipschitz(
-        spec, *pairs(np.random.default_rng(scenario.seed + 1), scenario.trials))
+    pairs = random_segment_pairs(np.random.default_rng(scenario.seed + 1), scenario.trials,
+                                 scenario.tau, h, spec.n)
+    growth = check_growth_and_lipschitz(spec, *pairs)
     check("growth_lipschitz", scenario.trials, growth.L_estimate, growth.passed,
           f"L_estimate={growth.L_estimate:.4g}", witnesses=growth.max_ratio_points)
-    modulus = lipschitz_modulus(xi)
-    check("initial_segment", 1, modulus, check_initial_segment(xi, scenario.lambda3_cap),
+    modulus = lipschitz_modulus(xi, h)
+    check("initial_segment", 1, modulus, check_initial_segment(xi, h, scenario.lambda3_cap),
           f"modulus={modulus:.4g}, cap={scenario.lambda3_cap:.4g}", cap=scenario.lambda3_cap)
     pure = spot_check_purity(spec, h, scenario.seed + 2)
     check("coefficient_purity", 1, 1.0 if pure else 0.0, pure,

@@ -18,8 +18,6 @@ between runs or platforms as long as the draw sequence is the same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.random import Philox, SeedSequence
 
@@ -92,13 +90,3 @@ def fast_increments(stream: NoiseStream, count: int, dt: float, epsilon: float) 
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     return gaussian_increments(stream, count, dt) * (epsilon ** -0.5)
 
-
-@dataclass(frozen=True)
-class StreamFactory:
-    """Hands out streams for one experiment seed and noise dimension."""
-
-    seed: int
-    m: int = 1
-
-    def stream(self, path_index: int, tag: str) -> NoiseStream:
-        return NoiseStream(self.seed, path_index, tag, self.m)

@@ -4,8 +4,8 @@ A window is the last tau units of a path sampled every h units: an array
 of shape (M + 1, n) with M = tau / h, whose row i is the state at offset
 -tau + i * h.  Row M is "now" (offset 0), row 0 is the oldest point.
 Coefficient maps receive a batch of windows, (M + 1, P, n), as plain
-slices of the path array being built; a Segment is the validated,
-immutable start window of a run, and the kernels take its values.
+slices of the path array being built; window() validates the start
+window of a run and returns it read-only, and the kernels take it as is.
 
 All delay bookkeeping in the package is done in index space on top of
 these windows, so tau / h (and later delta / h) must be an exact integer
@@ -13,8 +13,6 @@ ratio.  _integer_ratio is the single place that ratio is checked.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,30 +53,23 @@ def exact_steps(span: float, h: float, what: str = "span") -> int:
     return steps
 
 
-@dataclass(frozen=True, eq=False)
-class Segment:
-    """Immutable sampled history over [-tau, 0]."""
-
-    tau: float
-    h: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        steps = exact_steps(self.tau, self.h, "tau")
-        arr = np.array(self.values, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.ndim != 2:
-            raise DataError(f"segment values must be 1-d or 2-d, got shape {arr.shape}")
-        if arr.shape[0] != steps + 1:
-            raise DataError(
-                f"segment needs {steps + 1} rows for tau={self.tau}, h={self.h}; "
-                f"got {arr.shape[0]}"
-            )
-        if not np.isfinite(arr).all():
-            raise DataError("segment values must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+def window(tau: float, h: float, values) -> np.ndarray:
+    """values as a validated, read-only (M + 1, n) start window; 1-d values are n = 1."""
+    steps = exact_steps(tau, h, "tau")
+    arr = np.array(values, dtype=float)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    if arr.ndim != 2:
+        raise DataError(f"segment values must be 1-d or 2-d, got shape {arr.shape}")
+    if arr.shape[0] != steps + 1:
+        raise DataError(
+            f"segment needs {steps + 1} rows for tau={tau}, h={h}; "
+            f"got {arr.shape[0]}"
+        )
+    if not np.isfinite(arr).all():
+        raise DataError("segment values must be finite")
+    arr.setflags(write=False)
+    return arr
 
 
 def _node_norms(arr: np.ndarray) -> np.ndarray:
@@ -97,13 +88,13 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def lipschitz_modulus(seg: Segment) -> float:
+def lipschitz_modulus(values: np.ndarray, h: float) -> float:
     """Largest per-step slope |v[i+1] - v[i]| / h over the window."""
-    diffs = np.diff(seg.values, axis=0)
-    return float(_node_norms(diffs).max() / seg.h)
+    diffs = np.diff(values, axis=0)
+    return float(_node_norms(diffs).max() / h)
 
 
-def constant_segment(tau: float, h: float, value, n: int | None = None) -> Segment:
+def constant_segment(tau: float, h: float, value, n: int | None = None) -> np.ndarray:
     """Window that sits at a single state for all offsets."""
     row = np.asarray(value, dtype=float)
     if row.ndim == 0:
@@ -114,4 +105,4 @@ def constant_segment(tau: float, h: float, value, n: int | None = None) -> Segme
         raise UsageError(f"constant value has dimension {row.shape[0]}, expected {n}")
     steps = exact_steps(tau, h, "tau")
     values = np.tile(row, (steps + 1, 1))
-    return Segment(tau, h, values)
+    return window(tau, h, values)

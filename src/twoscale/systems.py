@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, UsageError
-from .segment import Segment, _node_norms, _row_dots, exact_steps, lipschitz_modulus
+from .segment import _node_norms, _row_dots, exact_steps, lipschitz_modulus
 
 # The relative gap (lambda1 - lambda2) / lambda1 that check_dissipativity
 # must exceed; no finite sample certifies lambda1 = lambda2 (see README).
@@ -342,11 +342,11 @@ def check_growth_and_lipschitz(spec: SystemSpec, chi, phi) -> GrowthReport:
     return GrowthReport(l_est, witnesses, bool(np.isfinite(l_est) and stable))
 
 
-def check_initial_segment(seg: Segment, lambda3_cap: float) -> bool:
+def check_initial_segment(values: np.ndarray, h: float, lambda3_cap: float) -> bool:
     """True when the window's discrete slope stays within lambda3_cap."""
     if lambda3_cap < 0.0:
         raise DomainError(f"lambda3_cap must be >= 0, got {lambda3_cap}")
-    return lipschitz_modulus(seg) <= lambda3_cap * (1.0 + 1e-6) + 1e-12
+    return lipschitz_modulus(values, h) <= lambda3_cap * (1.0 + 1e-6) + 1e-12
 
 
 def spot_check_purity(spec: SystemSpec, h: float, rng_seed: int) -> bool:
@@ -367,37 +367,29 @@ def spot_check_purity(spec: SystemSpec, h: float, rng_seed: int) -> bool:
     return all(np.array_equal(np.asarray(a, float), np.asarray(b, float)) for a, b in pairs)
 
 
-def random_point_sampler(tau: float, h: float, n: int):
-    """Sampler of (chi, x, x', y, y') arrays for check_dissipativity, given (rng, trials).
+def random_points(rng: np.random.Generator, trials: int, tau: float, h: float, n: int):
+    """(chi, x, x', y, y') sample arrays for check_dissipativity.
 
     Each sample draws its window's M + 1 rows, then its four points.
     """
     steps = exact_steps(tau, h, "tau")
-
-    def sample(rng: np.random.Generator, trials: int):
-        draw = _AMPLITUDE * rng.standard_normal((trials, steps + 5, n))
-        chi = np.ascontiguousarray(draw[:, :steps + 1].swapaxes(0, 1))
-        return (chi, *(draw[:, steps + k] for k in range(1, 5)))
-
-    return sample
+    draw = _AMPLITUDE * rng.standard_normal((trials, steps + 5, n))
+    chi = np.ascontiguousarray(draw[:, :steps + 1].swapaxes(0, 1))
+    return (chi, *(draw[:, steps + k] for k in range(1, 5)))
 
 
-def random_segment_pair_sampler(tau: float, h: float, n: int):
-    """Sampler of (chi, phi) window batches for check_growth_and_lipschitz, given (rng, trials).
+def random_segment_pairs(rng: np.random.Generator, trials: int, tau: float, h: float, n: int):
+    """(chi, phi) window batches for check_growth_and_lipschitz.
 
     Each sample draws an amplitude, then its two windows at that amplitude.
     """
     steps = exact_steps(tau, h, "tau")
-
-    def sample(rng: np.random.Generator, trials: int):
-        pairs = np.empty((2, steps + 1, trials, n))
-        for i in range(trials):
-            amp = _AMPLITUDE * rng.uniform(0.2, 1.0)
-            pairs[0, :, i] = amp * rng.standard_normal((steps + 1, n))
-            pairs[1, :, i] = amp * rng.standard_normal((steps + 1, n))
-        return pairs[0], pairs[1]
-
-    return sample
+    pairs = np.empty((2, steps + 1, trials, n))
+    for i in range(trials):
+        amp = _AMPLITUDE * rng.uniform(0.2, 1.0)
+        pairs[0, :, i] = amp * rng.standard_normal((steps + 1, n))
+        pairs[1, :, i] = amp * rng.standard_normal((steps + 1, n))
+    return pairs[0], pairs[1]
 
 
 _REGISTRY: dict[str, Callable[[], SystemSpec]] = {}

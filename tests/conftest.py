@@ -10,8 +10,8 @@ def serial_pool(monkeypatch):
     """Swap the harness's forked pool for one that runs its jobs in-process.
 
     Returns the pools the run opens; each records its worker count, the
-    jobs in the order they were handed over and the plan that deals them
-    to workers (harness._plan).  The jobs run worker by worker, in plan
+    jobs as handed over (in row order) and the plan that deals them to
+    workers (harness._plan), longest grid first.  The jobs run worker by worker, in plan
     order, and come back in job order, as from harness._forked.
     """
     opened = []

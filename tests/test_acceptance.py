@@ -14,14 +14,14 @@ from twoscale.averaging import closed_form_drift, khasminskii_delta, simulate_av
 from twoscale.errors import DomainError
 from twoscale.frozen import estimate_averaged_drift, mixing_decay
 from twoscale.harness import Scenario, run_scenario
-from twoscale.noise import W1, W2, NoiseStream, StreamFactory
+from twoscale.noise import W1, W2, NoiseStream
 from twoscale.segment import constant_segment
 from twoscale.solver import make_grid
 from twoscale.systems import (
     LinearBenchmarkParams,
     check_dissipativity,
     linear_benchmark,
-    random_point_sampler,
+    random_points,
 )
 
 BENCH = LinearBenchmarkParams(a11=-1.0, a12=1.0, s1=0.3,
@@ -44,7 +44,7 @@ def test_criterion_1_averaged_endpoint_closed_form():
     spec = linear_benchmark(params)
     h = 0.001
     g = make_grid(T=1.0, h=h, tau=1.0)
-    xi = constant_segment(1.0, h, 1.0).values
+    xi = constant_segment(1.0, h, 1.0)
     xbar = simulate_averaged(spec, xi, closed_form_drift(spec), g, [NoiseStream(0, 0, W1)])
     end = float(xbar[-1, 0, 0])
     ref = np.array([1.0])
@@ -63,8 +63,8 @@ def test_criterion_2_frozen_drift_estimate_hits_kappa():
     spec = linear_benchmark(BENCH)
     h = 0.001
     g = make_grid(T=60.0, h=h, tau=1.0)
-    zeta = constant_segment(1.0, h, 1.0).values[:, None]
-    est = estimate_averaged_drift(spec, zeta, 10.0, 50.0, 16, g, [StreamFactory(2)])
+    zeta = constant_segment(1.0, h, 1.0)[:, None]
+    est = estimate_averaged_drift(spec, zeta, 10.0, 50.0, 16, g, [2])
     target = BENCH.kappa * 1.0
     err = abs(float(est.value[0, 0]) - target)
     tol = max(3.0 * float(est.std_error[0, 0]), 0.02)
@@ -84,11 +84,11 @@ def test_criterion_3_mixing_rate_brackets_the_root():
     spec = linear_benchmark(BENCH)
     h = 0.001
     g = make_grid(T=8.0, h=h, tau=1.0)
-    zeta = constant_segment(1.0, h, 1.0).values
+    zeta = constant_segment(1.0, h, 1.0)
     fit = mixing_decay(spec, zeta,
-                       constant_segment(1.0, h, 1.0).values,
-                       constant_segment(1.0, h, 2.0).values,
-                       g, 8, StreamFactory(3))
+                       constant_segment(1.0, h, 1.0),
+                       constant_segment(1.0, h, 2.0),
+                       g, 8, 3)
     mu = brentq(lambda r: r + BENCH.c3 * np.exp(r) - BENCH.c2, 0.0, BENCH.c2)
     ratio = fit.fitted_rate / (2.0 * mu)
     in_band = 0.95 <= ratio <= 1.05
@@ -173,8 +173,8 @@ def test_criterion_7_dissipativity_verdicts():
                                        c1=float(rng.uniform(0.2, 2.0)),
                                        c2=c2, c3=c3, s2=0.3)
         spec = linear_benchmark(params)
-        rep = check_dissipativity(spec, *random_point_sampler(1.0, 0.5, 1)(
-            np.random.default_rng(99), 200))
+        rep = check_dissipativity(spec, *random_points(np.random.default_rng(99), 200,
+                                                       1.0, 0.5, 1))
         # The Young pair (2 c2 - c3, c3) fits every sample, so the largest
         # certified gap is at least 2 (c2 - c3).
         certified = rep.lambda1 - rep.lambda2 >= 2.0 * (c2 - c3) * (1.0 - 1e-9)
@@ -182,8 +182,8 @@ def test_criterion_7_dissipativity_verdicts():
     with pytest.warns(UserWarning, match="contraction regime"):
         expanding = LinearBenchmarkParams(a11=-1.0, a12=1.0, s1=0.3,
                                           c1=1.0, c2=0.5, c3=2.0, s2=0.3)
-    bad = check_dissipativity(linear_benchmark(expanding), *random_point_sampler(1.0, 0.5, 1)(
-        np.random.default_rng(17), 800))
+    bad = check_dissipativity(linear_benchmark(expanding),
+                              *random_points(np.random.default_rng(17), 800, 1.0, 0.5, 1))
     ok = all_good and not bad.passed
     _verdict(7, "dissipativity check separates contractive from expanding", ok)
     assert all_good

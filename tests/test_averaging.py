@@ -74,8 +74,8 @@ def test_auxiliary_coupled_part_matches_direct_run():
     spec = linear_benchmark(BENCH)
     h = 1.0 / 160.0
     g = make_grid(T=0.5, h=h, tau=1.0)
-    xi = constant_segment(1.0, h, 1.0).values
-    eta = constant_segment(1.0, h, 0.0).values
+    xi = constant_segment(1.0, h, 1.0)
+    eta = constant_segment(1.0, h, 0.0)
     sch = _manual_schedule(0.25)
     pair = simulate_auxiliary(spec, xi, eta, 0.1, sch, g,
                               [NoiseStream(8, 0, W1)], [NoiseStream(8, 0, W2)])
@@ -89,8 +89,8 @@ def test_auxiliary_resets_are_bit_exact():
     spec = linear_benchmark(BENCH)
     h = 1.0 / 160.0
     g = make_grid(T=0.5, h=h, tau=1.0)
-    xi = constant_segment(1.0, h, 1.0).values
-    eta = constant_segment(1.0, h, 0.0).values
+    xi = constant_segment(1.0, h, 1.0)
+    eta = constant_segment(1.0, h, 0.0)
     sch = _manual_schedule(0.125)
     pair = simulate_auxiliary(spec, xi, eta, 0.1, sch, g,
                               [NoiseStream(9, 0, W1)], [NoiseStream(9, 0, W2)])
@@ -110,8 +110,8 @@ def test_auxiliary_pass_reports_its_divergence():
     spec = linear_benchmark(BENCH)
     h = 1.0 / 160.0
     g = make_grid(T=0.5, h=h, tau=1.0)
-    xi = constant_segment(1.0, h, 1.0).values
-    eta = constant_segment(1.0, h, 0.0).values
+    xi = constant_segment(1.0, h, 1.0)
+    eta = constant_segment(1.0, h, 0.0)
     dw1 = np.zeros((g.steps, 1, 1))
     dwf = np.zeros((g.steps, 1, 1))
     x, y = _coupled_core(spec, xi, eta, 0.1, g, dw1, dwf)
@@ -129,8 +129,8 @@ def test_auxiliary_slow_gap_shrinks_with_epsilon():
     gaps = {}
     for eps, h in ((0.05, 1.0 / 240.0), (0.005, 1.0 / 2001.0)):
         g = make_grid(T=1.0, h=h, tau=1.0)
-        xi = constant_segment(1.0, h, 1.0).values
-        eta = constant_segment(1.0, h, 0.0).values
+        xi = constant_segment(1.0, h, 1.0)
+        eta = constant_segment(1.0, h, 0.0)
         sch = khasminskii_delta(eps, 1.0)
         pair = simulate_auxiliary(spec, xi, eta, eps, sch, g,
                                   [NoiseStream(5, p, W1) for p in range(4)],
@@ -143,8 +143,8 @@ def test_auxiliary_validation():
     spec = linear_benchmark(BENCH)
     h = 0.01
     g = make_grid(T=0.5, h=h, tau=1.0)
-    xi = constant_segment(1.0, h, 1.0).values
-    eta = constant_segment(1.0, h, 0.0).values
+    xi = constant_segment(1.0, h, 1.0)
+    eta = constant_segment(1.0, h, 0.0)
     sch = _manual_schedule(0.25)
     with pytest.raises(DomainError):
         simulate_auxiliary(spec, xi, eta, 1.5, sch, g,
@@ -161,7 +161,7 @@ def test_averaged_deterministic_endpoint():
     spec = linear_benchmark(params)
     h = 0.001
     g = make_grid(T=1.0, h=h, tau=1.0)
-    xi = constant_segment(1.0, h, 1.0).values
+    xi = constant_segment(1.0, h, 1.0)
     xbar = simulate_averaged(spec, xi, closed_form_drift(spec), g, [NoiseStream(0, 0, W1)])
     ref = np.array([1.0])
     zero = np.zeros((1, 1)) @ np.zeros(1)
@@ -175,8 +175,8 @@ def test_averaged_tracks_coupled_run_on_shared_noise():
     spec = linear_benchmark(BENCH)
     h = 0.001
     g = make_grid(T=0.5, h=h, tau=1.0)
-    xi = constant_segment(1.0, h, 1.0).values
-    eta = constant_segment(1.0, h, 0.0).values
+    xi = constant_segment(1.0, h, 1.0)
+    eta = constant_segment(1.0, h, 0.0)
     x, _ = simulate_coupled(spec, xi, eta, 0.01, g,
                             [NoiseStream(11, 0, W1)], [NoiseStream(11, 0, W2)])
     xbar = simulate_averaged(spec, xi, closed_form_drift(spec), g, [NoiseStream(11, 0, W1)])
@@ -190,7 +190,7 @@ def test_averaged_stationary_statistics():
     spec = linear_benchmark(params)
     h = 0.004
     g = make_grid(T=1.0, h=h, tau=1.0)
-    xi = constant_segment(1.0, h, 1.0).values
+    xi = constant_segment(1.0, h, 1.0)
     drift = closed_form_drift(spec)
     n_paths = 1500
     xbar = simulate_averaged(spec, xi, drift, g,
@@ -214,7 +214,7 @@ def test_closed_form_drift_requires_benchmark():
     with pytest.raises(UsageError):
         closed_form_drift(plain)
     with pytest.raises(UsageError):
-        simulate_averaged(plain, constant_segment(1.0, 0.5, 0.0).values, "not callable",
+        simulate_averaged(plain, constant_segment(1.0, 0.5, 0.0), "not callable",
                           make_grid(1.0, 0.5, 1.0), [NoiseStream(0, 0, W1)])
 
 
@@ -222,7 +222,7 @@ def test_estimated_drift_source_accuracy_and_cache():
     spec = linear_benchmark(BENCH)
     budget = dict(burn_in=5.0, horizon=20.0, replicas=4)
     src = EstimatedDriftSource(spec, 77, h=0.01, **budget)
-    zeta = constant_segment(1.0, 0.01, 1.0).values[:, None]  # a batch of one window
+    zeta = constant_segment(1.0, 0.01, 1.0)[:, None]  # a batch of one window
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         v1 = src(zeta)
@@ -237,7 +237,7 @@ def test_estimated_drift_source_accuracy_and_cache():
 def test_estimated_drift_source_is_reproducible():
     spec = linear_benchmark(BENCH)
     budget = dict(burn_in=3.0, horizon=8.0, replicas=3)
-    zeta = constant_segment(1.0, 0.02, -0.5).values[:, None]
+    zeta = constant_segment(1.0, 0.02, -0.5)[:, None]
     outs = []
     for _ in range(2):
         src = EstimatedDriftSource(spec, 9, h=0.02, **budget)
@@ -258,7 +258,7 @@ def test_estimator_batch_equals_one_window_calls(replicas):
     budget = dict(burn_in=3.0, horizon=2.0, replicas=replicas)
     h = 0.05
     rng = np.random.default_rng(4)
-    windows = np.stack([constant_segment(1.0, h, v).values + 0.1 * rng.normal(size=(21, 1))
+    windows = np.stack([constant_segment(1.0, h, v) + 0.1 * rng.normal(size=(21, 1))
                         for v in (-0.5, 0.0, 0.7, 1.3, 0.7)], axis=1)
     together = EstimatedDriftSource(spec, 9, h=h, **budget)
     apart = EstimatedDriftSource(spec, 9, h=h, **budget)
@@ -293,7 +293,7 @@ def test_estimator_route_agrees_with_closed_form_route():
     src = EstimatedDriftSource(spec, 55, h=0.02, **budget)
     h = 0.01
     g = make_grid(T=0.3, h=h, tau=1.0)
-    xi = constant_segment(1.0, h, 1.0).values
+    xi = constant_segment(1.0, h, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         by_estimate = simulate_averaged(spec, xi, src, g, [NoiseStream(31, 0, W1)])

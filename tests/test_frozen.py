@@ -10,7 +10,7 @@ from twoscale.frozen import (
     mixing_decay,
     simulate_frozen,
 )
-from twoscale.noise import W2, NoiseStream, StreamFactory
+from twoscale.noise import W2, NoiseStream
 from twoscale.segment import _node_norms, constant_segment
 from twoscale.solver import make_grid
 from twoscale.systems import LinearBenchmarkParams, SystemSpec, build_system, linear_benchmark
@@ -34,8 +34,8 @@ def test_simulate_frozen_deterministic_decay():
     h = 0.005
     g = make_grid(T=5.0, h=h, tau=1.0)
     spec = _pure_decay_spec()
-    zeta = constant_segment(1.0, h, 7.0).values[:, None]  # ignored by this b2
-    eta = constant_segment(1.0, h, 1.0).values
+    zeta = constant_segment(1.0, h, 7.0)[:, None]  # ignored by this b2
+    eta = constant_segment(1.0, h, 1.0)
     y = simulate_frozen(spec, zeta, eta, g, [NoiseStream(0, 0, W2)])
     end = float(y[-1, 0, 0])
     assert abs(end - np.exp(-5.0)) < 5e-4
@@ -52,12 +52,12 @@ def test_simulate_frozen_reads_pinned_window():
     )
     h = 0.01
     g = make_grid(T=8.0, h=h, tau=1.0)
-    zeta = constant_segment(1.0, h, 3.0).values[:, None]
-    eta = constant_segment(1.0, h, 0.0).values
+    zeta = constant_segment(1.0, h, 3.0)[:, None]
+    eta = constant_segment(1.0, h, 0.0)
     y = simulate_frozen(spec, zeta, eta, g, [NoiseStream(0, 0, W2)])
     assert abs(float(y[-1, 0, 0]) - 3.0) < 1e-3
     with pytest.raises(UsageError):
-        simulate_frozen(spec, constant_segment(1.0, h, np.zeros(2)).values[:, None], eta, g,
+        simulate_frozen(spec, constant_segment(1.0, h, np.zeros(2))[:, None], eta, g,
                         [NoiseStream(0, 0, W2)])
 
 
@@ -96,10 +96,10 @@ def test_averaged_drift_exact_when_fast_independent():
     spec = linear_benchmark(params)
     h = 0.02
     g = make_grid(T=12.0, h=h, tau=1.0)
-    zeta = constant_segment(1.0, h, 1.5).values[:, None]
+    zeta = constant_segment(1.0, h, 1.5)[:, None]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        est = estimate_averaged_drift(spec, zeta, 2.0, 10.0, 3, g, [StreamFactory(1)])
+        est = estimate_averaged_drift(spec, zeta, 2.0, 10.0, 3, g, [1])
     assert est.value.shape == est.std_error.shape == (1, 1)
     assert est.value[0, 0] == pytest.approx(-3.0, abs=1e-12)
     assert est.std_error[0, 0] == pytest.approx(0.0, abs=1e-12)
@@ -109,10 +109,10 @@ def test_averaged_drift_matches_benchmark_closed_form():
     spec = linear_benchmark(BENCH)
     h = 0.01
     g = make_grid(T=38.0, h=h, tau=1.0)
-    zeta = constant_segment(1.0, h, 1.0).values[:, None]
+    zeta = constant_segment(1.0, h, 1.0)[:, None]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        est = estimate_averaged_drift(spec, zeta, 8.0, 30.0, 6, g, [StreamFactory(5)])
+        est = estimate_averaged_drift(spec, zeta, 8.0, 30.0, 6, g, [5])
     target = BENCH.kappa  # -1/3 for these parameters
     tol = max(3.5 * float(est.std_error[0, 0]), 0.03)
     assert abs(float(est.value[0, 0]) - target) < tol
@@ -122,31 +122,31 @@ def test_averaged_drift_warns_on_short_burn_in():
     spec = linear_benchmark(BENCH)
     h = 0.05
     g = make_grid(T=6.0, h=h, tau=1.0)
-    zeta = constant_segment(1.0, h, 0.0).values[:, None]
+    zeta = constant_segment(1.0, h, 0.0)[:, None]
     with pytest.warns(UserWarning, match="burn_in"):
-        estimate_averaged_drift(spec, zeta, 1.0, 4.0, 2, g, [StreamFactory(0)])
+        estimate_averaged_drift(spec, zeta, 1.0, 4.0, 2, g, [0])
 
 
 def test_averaged_drift_budget_validation():
     spec = linear_benchmark(BENCH)
     h = 0.05
     g = make_grid(T=6.0, h=h, tau=1.0)
-    zeta = constant_segment(1.0, h, 0.0).values[:, None]
-    factories = [StreamFactory(0)]
+    zeta = constant_segment(1.0, h, 0.0)[:, None]
+    seeds = [0]
     with pytest.raises(UsageError):
-        estimate_averaged_drift(spec, zeta, 5.0, 4.0, 0, g, factories)
+        estimate_averaged_drift(spec, zeta, 5.0, 4.0, 0, g, seeds)
     with pytest.raises(DomainError):
-        estimate_averaged_drift(spec, zeta, 5.0, -1.0, 2, g, factories)
+        estimate_averaged_drift(spec, zeta, 5.0, -1.0, 2, g, seeds)
     with pytest.raises(UsageError):
         # burn_in + horizon overruns the grid.
-        estimate_averaged_drift(spec, zeta, 5.0, 4.0, 2, g, factories)
+        estimate_averaged_drift(spec, zeta, 5.0, 4.0, 2, g, seeds)
     with pytest.raises(UsageError, match=r"\(21, 2, 1\)"):
-        # Two windows, one stream factory.
+        # Two windows, one seed.
         estimate_averaged_drift(spec, np.concatenate([zeta, zeta], axis=1), 1.0, 4.0, 2, g,
-                                factories)
+                                seeds)
     with pytest.raises(UsageError, match=r"\(21, 1\)"):
         # A lone (M + 1, n) window is not a batch.
-        estimate_averaged_drift(spec, zeta[:, 0], 1.0, 4.0, 2, g, factories)
+        estimate_averaged_drift(spec, zeta[:, 0], 1.0, 4.0, 2, g, seeds)
 
 
 def test_mixing_decay_pure_contraction_rate():
@@ -154,11 +154,11 @@ def test_mixing_decay_pure_contraction_rate():
     h = 0.01
     g = make_grid(T=5.0, h=h, tau=1.0)
     spec = _pure_decay_spec()
-    zeta = constant_segment(1.0, h, 0.0).values
+    zeta = constant_segment(1.0, h, 0.0)
     fit = mixing_decay(spec, zeta,
-                       constant_segment(1.0, h, 1.0).values,
-                       constant_segment(1.0, h, 0.0).values,
-                       g, 8, StreamFactory(3))
+                       constant_segment(1.0, h, 1.0),
+                       constant_segment(1.0, h, 0.0),
+                       g, 8, 3)
     assert abs(fit.fitted_rate - 2.0) < 0.05
     assert fit.r_squared > 0.999
     assert len(fit.times) == 5
@@ -168,11 +168,11 @@ def test_mixing_decay_benchmark_rate_near_root():
     h = 0.005
     g = make_grid(T=8.0, h=h, tau=1.0)
     spec = linear_benchmark(BENCH)
-    zeta = constant_segment(1.0, h, 1.0).values
+    zeta = constant_segment(1.0, h, 1.0)
     fit = mixing_decay(spec, zeta,
-                       constant_segment(1.0, h, 0.0).values,
-                       constant_segment(1.0, h, 1.0).values,
-                       g, 8, StreamFactory(21))
+                       constant_segment(1.0, h, 0.0),
+                       constant_segment(1.0, h, 1.0),
+                       g, 8, 21)
     assert fit.r_squared >= 0.98
     # The synchronously coupled gap of the linear fast equation solves
     # g' = -c2 g + c3 g(t - tau), so its square decays at 2 mu with
@@ -185,22 +185,22 @@ def test_mixing_decay_identical_starts_degenerate():
     h = 0.01
     g = make_grid(T=5.0, h=h, tau=1.0)
     spec = linear_benchmark(BENCH)
-    zeta = constant_segment(1.0, h, 1.0).values
-    eta = constant_segment(1.0, h, 0.5).values
+    zeta = constant_segment(1.0, h, 1.0)
+    eta = constant_segment(1.0, h, 0.5)
     with pytest.raises(DegenerateFitError):
-        mixing_decay(spec, zeta, eta, eta, g, 8, StreamFactory(0))
+        mixing_decay(spec, zeta, eta, eta, g, 8, 0)
 
 
 def test_mixing_decay_input_validation():
     h = 0.05
     spec = linear_benchmark(BENCH)
-    zeta = constant_segment(1.0, h, 0.0).values
-    eta = constant_segment(1.0, h, 1.0).values
-    etap = constant_segment(1.0, h, 0.0).values
+    zeta = constant_segment(1.0, h, 0.0)
+    eta = constant_segment(1.0, h, 1.0)
+    etap = constant_segment(1.0, h, 0.0)
     with pytest.raises(UsageError, match="replicas"):
-        mixing_decay(spec, zeta, eta, etap, make_grid(5.0, h, 1.0), 4, StreamFactory(0))
+        mixing_decay(spec, zeta, eta, etap, make_grid(5.0, h, 1.0), 4, 0)
     with pytest.raises(UsageError, match="delay spans"):
-        mixing_decay(spec, zeta, eta, etap, make_grid(2.0, h, 1.0), 8, StreamFactory(0))
+        mixing_decay(spec, zeta, eta, etap, make_grid(2.0, h, 1.0), 8, 0)
 
 
 def test_mixing_decay_sums_replicas_in_order():
@@ -208,14 +208,14 @@ def test_mixing_decay_sums_replicas_in_order():
     spec = build_system({"kind": "registered", "name": "golden_plane"})  # state-dependent noise
     h, replicas = 0.05, 24
     g = make_grid(T=4.0, h=h, tau=1.0)
-    zeta = constant_segment(1.0, h, [1.0, -1.0]).values
-    eta = constant_segment(1.0, h, [0.0, 0.0]).values
-    eta_prime = constant_segment(1.0, h, [1.0, 0.5]).values
-    fit = mixing_decay(spec, zeta, eta, eta_prime, g, replicas, StreamFactory(7, 2))
+    zeta = constant_segment(1.0, h, [1.0, -1.0])
+    eta = constant_segment(1.0, h, [0.0, 0.0])
+    eta_prime = constant_segment(1.0, h, [1.0, 0.5])
+    fit = mixing_decay(spec, zeta, eta, eta_prime, g, replicas, 7)
 
     zetas = np.broadcast_to(zeta[:, None], (len(zeta), replicas, 2))
     ya, yb = (simulate_frozen(spec, zetas, start, g,
-                              [StreamFactory(7, 2).stream(r, W2) for r in range(replicas)])
+                              [NoiseStream(7, r, W2, 2) for r in range(replicas)])
               for start in (eta, eta_prime))
     ts = g.tau_steps
     gaps = np.zeros(g.steps // ts)
@@ -228,17 +228,17 @@ def test_mixing_decay_sums_replicas_in_order():
     assert fit.log_gaps == np.log(gaps).tolist()
 
 
-def _per_step_average(spec, zeta, burn_in, horizon, replicas, grid, streams):
+def _per_step_average(spec, zeta, burn_in, horizon, replicas, grid, seeds):
     """estimate_averaged_drift's (value, std_error) from one b1 call per averaged step."""
     ts, n, h = grid.tau_steps, spec.n, grid.h
     k_burn, k_len = round(burn_in / h), round(horizon / h)
     chi = np.repeat(zeta, replicas, axis=1)
     y = simulate_frozen(spec, chi, np.zeros((ts + 1, n)), grid,
-                        [f.stream(r, W2) for f in streams for r in range(replicas)])
+                        [NoiseStream(s, r, W2, spec.m) for s in seeds for r in range(replicas)])
     acc = np.zeros((chi.shape[1], n))
     for k in range(k_burn, k_burn + k_len + 1):
         acc += spec.b1(chi, y[k: ts + k + 1])
-    blocks = (acc / (k_len + 1)).reshape(len(streams), replicas, n)
+    blocks = (acc / (k_len + 1)).reshape(len(seeds), replicas, n)
     return blocks.mean(axis=1), blocks.std(axis=1, ddof=1) / np.sqrt(replicas)
 
 
@@ -261,7 +261,7 @@ def test_time_average_matches_per_step_loop_bit_for_bit(system, horizon, batch, 
             "plane": build_system({"kind": "registered", "name": "golden_plane"})}[system]
     grid = make_grid(T=5.0 + horizon, h=0.05, tau=1.0)
     zeta = np.random.default_rng(3).standard_normal((grid.tau_steps + 1, 4, spec.n))
-    streams = [StreamFactory(11 + p, spec.m) for p in range(4)]
+    seeds = [11 + p for p in range(4)]
     seen = []
 
     def b1(chi, phi):
@@ -270,8 +270,8 @@ def test_time_average_matches_per_step_loop_bit_for_bit(system, horizon, batch, 
 
     counted = SystemSpec(n=spec.n, m=spec.m, tau=1.0, b1=b1, sigma1=spec.sigma1,
                          b2=spec.b2, sigma2=spec.sigma2)
-    est = estimate_averaged_drift(counted, zeta, 5.0, horizon, 2, grid, streams)
-    value, std_error = _per_step_average(spec, zeta, 5.0, horizon, 2, grid, streams)
+    est = estimate_averaged_drift(counted, zeta, 5.0, horizon, 2, grid, seeds)
+    value, std_error = _per_step_average(spec, zeta, 5.0, horizon, 2, grid, seeds)
     assert seen == [batch] * calls
     assert est.value.tobytes() == value.tobytes()
     assert est.std_error.tobytes() == std_error.tobytes()
@@ -288,4 +288,4 @@ def test_time_average_rejects_misshaped_b1(horizon):
     zeta = np.zeros((grid.tau_steps + 1, 4, 1))
     with pytest.raises(DataError, match=r"b1 returned shape \(\d+,\)"):
         estimate_averaged_drift(spec, zeta, 5.0, horizon, 2, grid,
-                                [StreamFactory(p) for p in range(4)])
+                                list(range(4)))

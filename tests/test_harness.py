@@ -396,11 +396,11 @@ def test_materialize_segment_forms():
     scen = Scenario.from_config(_cfg(xi={"constant": 2.0},
                                      eta={"values": [[0.0], [0.5], [1.0], [1.5]]}))
     xi = scen.materialize_segment("xi", 0.25, 1)
-    assert np.all(xi.values == 2.0)
+    assert np.all(xi == 2.0)
     with pytest.raises(Exception):
         scen.materialize_segment("eta", 0.25, 1)  # 4 rows cannot span tau=1
     eta = scen.materialize_segment("eta", 1.0 / 3.0, 1)
-    assert eta.values[-1, 0] == 1.5
+    assert eta[-1, 0] == 1.5
     mismatch = Scenario.from_config(_cfg(xi={"constant": [1.0, 2.0]}))
     with pytest.raises(Exception):
         mismatch.materialize_segment("xi", 0.25, 1)
@@ -665,6 +665,9 @@ def test_cli_config_errors_exit_four(tmp_path, capsys):
         _cfg(experiment="simulate", h_factor=1e-300),
         _cfg(experiment="auxiliary_gap", epsilons=[0.05, 0.01], delta=1e-300),
         _cfg(experiment="check", xi=None),
+        # "xi has dimension 1, system needs 2".
+        _cfg(experiment="simulate", system={"kind": "registered", "name": "golden_plane"},
+             h=0.0125, xi={"values": [[1.0]] * 81}),
     ]
     files = [_write_cfg(tmp_path, f"case{i}.json", cfg) for i, cfg in enumerate(cases)]
     undecodable = tmp_path / "latin1.json"
@@ -958,6 +961,17 @@ def test_missing_closed_form_exits_four_before_any_path(tmp_path, monkeypatch, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("moments, passed, detail", [
+    ([1.0, 1.1, 0.5], True, "1 soft inversion(s), 0 hard inversion(s) over 3 rows"),
+    ([1.0, 1.1, 1.2], False, "2 soft inversion(s), 0 hard inversion(s) over 3 rows"),
+    ([1.0, 2.0, 0.5], False, "0 soft inversion(s), 1 hard inversion(s) over 3 rows"),
+])
+def test_monotone_gate_allows_one_soft_inversion(moments, passed, detail):
+    """A rise inside the two 2-sigma bars is soft, and one is allowed; a rise past them is hard."""
+    assert harness._monotone_gate(moments, [0.1] * 3) == {
+        "name": "monotone_trend", "passed": passed, "detail": detail}
+
+
 @pytest.mark.parametrize("note", [1, _nested(900)], ids=["flat", "nested"])
 def test_unread_system_key_exits_four_before_any_path(note, tmp_path, monkeypatch, capsys):
     calls = []
@@ -1037,10 +1051,11 @@ def test_pool_gets_whole_rows_longest_grid_first(monkeypatch, serial_pool):
     report = run_scenario(Scenario.from_config(dict(cfg, threads=2)))
     [pool] = serial_pool
     assert pool.workers == 2
-    assert [job[2] for job in pool.jobs] == [0.005, 0.01, 0.02, 0.05]
+    assert [job[2] for job in pool.jobs] == [0.05, 0.02, 0.01, 0.005]  # row order
     assert [[pool.jobs[i][2] for i in mine] for mine in pool.plan] == [[0.005], [0.01, 0.02, 0.05]]
-    steps = [round(cfg["T"] / job[3]) for job in pool.jobs]
-    assert steps == sorted(steps, reverse=True) and len(set(steps)) == 4
+    # Each worker runs its jobs longest grid first.
+    steps = [[round(cfg["T"] / pool.jobs[i][3]) for i in mine] for mine in pool.plan]
+    assert all(s == sorted(s, reverse=True) for s in steps) and len(set(sum(steps, []))) == 4
     assert [job[5:] for job in pool.jobs] == [(0, 4)] * 4
     assert report.csv_text() == serial.csv_text()
     assert report.warnings == serial.warnings
@@ -1075,6 +1090,13 @@ def _in_workers(monkeypatch, fault):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
 
 
+def _raise_unpicklable():
+    class Unpicklable(Exception):  # a local class does not pickle
+        pass
+
+    raise Unpicklable("cannot travel")
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -1092,7 +1114,7 @@ def test_dead_pool_worker_exits_four(monkeypatch, tmp_path, capsys):
 
 
 def test_worker_exception_is_raised_again_in_the_parent(monkeypatch):
-    """An exception in a forked worker comes back with its type; an unpicklable one as RuntimeError."""
+    """An exception in a forked worker comes back with its type; an unpicklable one as OSError."""
     def value_error():
         raise ValueError("bad value in a worker")
 
@@ -1101,15 +1123,22 @@ def test_worker_exception_is_raised_again_in_the_parent(monkeypatch):
         run_scenario(Scenario.from_config(_POOLED_AUX))
     _assert_no_child_left()
 
-    class Unpicklable(Exception):  # a local class does not pickle
-        pass
-
-    def unpicklable():
-        raise Unpicklable("cannot travel")
-
-    _in_workers(monkeypatch, unpicklable)
-    with pytest.raises(RuntimeError, match="^Unpicklable: cannot travel$"):
+    _in_workers(monkeypatch, _raise_unpicklable)
+    with pytest.raises(OSError, match="^Unpicklable: cannot travel$"):
         run_scenario(Scenario.from_config(_POOLED_AUX))
+    _assert_no_child_left()
+
+
+def test_unpicklable_worker_exception_exits_four(monkeypatch, tmp_path, capsys):
+    """A worker exception that does not pickle is one `error:` line naming it, exit 4."""
+    _in_workers(monkeypatch, _raise_unpicklable)
+    cfg = _write_cfg(tmp_path, "aux.json", _POOLED_AUX)
+    assert cli_main(["aux-gap", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and "Unpicklable: cannot travel" in line
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "out").exists()
     _assert_no_child_left()
 
 

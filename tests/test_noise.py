@@ -7,7 +7,6 @@ from twoscale.noise import (
     W1,
     W2,
     NoiseStream,
-    StreamFactory,
     fast_increments,
     gaussian_increments,
 )
@@ -127,14 +126,6 @@ def test_fast_increments_variance_scaling():
         assert abs(var - expect) < 5.0 * expect * np.sqrt(2.0 / 40000)
     with pytest.raises(DomainError):
         fast_increments(NoiseStream(0, 0, W2), 1, 0.1, 0.0)
-
-
-def test_factory_wires_seed_and_dimension():
-    fac = StreamFactory(seed=314, m=2)
-    s = fac.stream(7, W2)
-    assert s.m == 2
-    direct = NoiseStream(314, 7, W2, 2)
-    assert np.array_equal(s.normals(20), direct.normals(20))
 
 
 def test_partial_then_rebuild_replays_prefix():

@@ -3,11 +3,11 @@ import pytest
 
 from twoscale.errors import DataError, DomainError, UsageError
 from twoscale.segment import (
-    Segment,
     _node_norms,
     constant_segment,
     exact_steps,
     lipschitz_modulus,
+    window,
 )
 
 
@@ -40,19 +40,19 @@ def test_exact_steps_rejects_misaligned_and_bad_inputs():
 
 def test_segment_shape_validation():
     with pytest.raises(DataError):
-        Segment(1.0, 0.5, np.zeros(4))  # needs 3 rows for tau/h = 2
+        window(1.0, 0.5, np.zeros(4))  # needs 3 rows for tau/h = 2
     with pytest.raises(DataError):
-        Segment(1.0, 0.5, np.zeros((3, 2, 2)))
+        window(1.0, 0.5, np.zeros((3, 2, 2)))
     bad = np.zeros(3)
     bad[1] = np.nan
     with pytest.raises(DataError):
-        Segment(1.0, 0.5, bad)
+        window(1.0, 0.5, bad)
 
 
 def test_segment_is_immutable():
     seg = constant_segment(1.0, 0.25, 2.0)
     with pytest.raises(ValueError):
-        seg.values[0, 0] = 9.0
+        seg[0, 0] = 9.0
 
 
 def test_sup_norm_hand_values():
@@ -77,26 +77,26 @@ def test_sup_norm_axioms_randomized():
         assert np.isclose(sup_norm(c * a), abs(c) * sup_norm(a))
         assert sup_norm(a + b) <= sup_norm(a) + sup_norm(b) + 1e-12
     zero = constant_segment(tau, h, np.zeros(2))
-    assert sup_norm(zero.values) == 0.0
+    assert sup_norm(zero) == 0.0
 
 
 def test_lipschitz_modulus_of_linear_ramp():
     # theta -> 2 theta has per-step slope exactly 2 everywhere.
-    seg = Segment(1.0, 0.125, 2.0 * (np.arange(9) - 8) * 0.125)
-    assert np.isclose(lipschitz_modulus(seg), 2.0)
+    seg = window(1.0, 0.125, 2.0 * (np.arange(9) - 8) * 0.125)
+    assert np.isclose(lipschitz_modulus(seg, 0.125), 2.0)
     flat = constant_segment(1.0, 0.125, 5.0)
-    assert lipschitz_modulus(flat) == 0.0
+    assert lipschitz_modulus(flat, 0.125) == 0.0
 
 
 def test_lipschitz_modulus_picks_worst_step():
     vals = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
-    seg = Segment(1.0, 0.25, vals)
-    assert np.isclose(lipschitz_modulus(seg), 4.0)
+    seg = window(1.0, 0.25, vals)
+    assert np.isclose(lipschitz_modulus(seg, 0.25), 4.0)
 
 
 def test_constant_segment_dimensions():
     seg = constant_segment(1.0, 0.25, np.array([1.0, -2.0]), n=2)
-    assert seg.values.shape == (5, 2)
-    assert sup_norm(seg.values) == pytest.approx(np.sqrt(5.0))
+    assert seg.shape == (5, 2)
+    assert sup_norm(seg) == pytest.approx(np.sqrt(5.0))
     with pytest.raises(UsageError):
         constant_segment(1.0, 0.25, np.array([1.0]), n=2)

@@ -7,8 +7,8 @@ import pytest
 from twoscale.errors import DivergenceError, DomainError, UsageError
 from twoscale.averaging import DeltaSchedule, simulate_auxiliary, simulate_averaged
 from twoscale.frozen import estimate_averaged_drift, simulate_frozen
-from twoscale.noise import W1, W2, NoiseStream, StreamFactory, fast_increments, gaussian_increments
-from twoscale.segment import Segment, constant_segment
+from twoscale.noise import W1, W2, NoiseStream, fast_increments, gaussian_increments
+from twoscale.segment import constant_segment
 from twoscale.solver import (
     DIVERGENCE_CAP,
     GUARD_STEPS,
@@ -30,7 +30,7 @@ BENCH = LinearBenchmarkParams(a11=-1.0, a12=1.0, s1=0.3, c1=1.0, c2=2.0, c3=0.5,
 
 
 def _const(grid, value):
-    return constant_segment(grid.tau, grid.h, value).values
+    return constant_segment(grid.tau, grid.h, value)
 
 
 def test_make_grid_and_index_of():
@@ -207,7 +207,7 @@ def test_stability_cap_enforced():
 def test_input_compatibility_checks():
     spec = linear_benchmark(BENCH)
     g = make_grid(T=0.5, h=0.05, tau=1.0)
-    other = constant_segment(1.0, 0.1, 1.0).values  # wrong h
+    other = constant_segment(1.0, 0.1, 1.0)  # wrong h
     with pytest.raises(UsageError):
         simulate_coupled(spec, other, _const(g, 0.0), 1.0, g,
                          [NoiseStream(0, 0, W1)], [NoiseStream(0, 0, W2)])
@@ -292,8 +292,8 @@ def test_maps_receive_window_arrays():
     spec = build_system({"kind": "registered", "name": "recording_maps"})
     g = make_grid(T=0.25, h=0.025, tau=0.5)
     ts = g.tau_steps
-    xi = constant_segment(g.tau, g.h, [1.0, -1.0]).values
-    eta = constant_segment(g.tau, g.h, [0.5, 0.0]).values
+    xi = constant_segment(g.tau, g.h, [1.0, -1.0])
+    eta = constant_segment(g.tau, g.h, [0.5, 0.0])
 
     def calls(name):
         rows = [(kind, w) for n, kind, w in seen if n == name]
@@ -331,14 +331,14 @@ def test_maps_receive_window_arrays():
     zeta = xi[:, None]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # burn_in below 5 tau
-        estimate_averaged_drift(spec, zeta, 0.25, 0.25, 1, sub, [StreamFactory(4)])
+        estimate_averaged_drift(spec, zeta, 0.25, 0.25, 1, sub, [4])
     # One column, fewer than its 6 averaged steps: one b1 call whose batch
     # axis is the steps of [burn_in, burn_in + horizon].
     [chi], [phi] = calls("chi"), calls("phi")
     ts, k_burn = sub.tau_steps, 5
     assert chi.shape == (len(zeta), 6, 2) and phi.shape == (ts + 1, 6, 2)
     yf = simulate_frozen(spec, zeta, np.zeros((ts + 1, 2)), sub,
-                         [StreamFactory(4).stream(0, W2)])
+                         [NoiseStream(4, 0, W2)])
     for j in range(6):  # each step's whole window, its "now" row yf[ts + k_burn + j] included
         assert np.array_equal(chi[:, j], zeta[:, 0])
         assert np.array_equal(phi[:, j], yf[k_burn + j: k_burn + j + ts + 1, 0])
@@ -361,7 +361,7 @@ def _golden_kernels():
     short = make_grid(T=1.0, h=0.01, tau=0.1)
     # Frozen windows above zeta(0) = 1 make switch_spec's fast drift blow up.
     levels = np.array([2.0, 0.0, 2.0, 0.5, 0.0, 1.5, 0.0, 2.0, -1.0, 0.0])
-    zetas = np.stack([constant_segment(1.0, 0.05, v).values for v in levels], axis=1)
+    zetas = np.stack([constant_segment(1.0, 0.05, v) for v in levels], axis=1)
 
     def streams(ps, tag, seed=5):
         return [NoiseStream(seed, p, tag) for p in ps]
@@ -468,7 +468,7 @@ def test_batch_without_failures_equals_its_singles():
     schedule = DeltaSchedule(delta_raw=0.125, delta=0.125, N_delta=8)
     sub = make_grid(T=2.0, h=0.05, tau=1.0)
     levels = [0.0, 0.5, -1.0, 0.9, 0.25]
-    zetas = np.stack([constant_segment(1.0, 0.05, v).values for v in levels], axis=1)
+    zetas = np.stack([constant_segment(1.0, 0.05, v) for v in levels], axis=1)
     budget = dict(burn_in=1.0, horizon=1.0, replicas=2)
 
     def streams(ps, tag):
@@ -718,8 +718,8 @@ def test_constant_diffusion_noise_is_bit_identical(n, monkeypatch):
     monkeypatch.setattr(solver, "_noise", counted_noise)
     p = 3
     g = make_grid(T=0.5, h=0.025, tau=0.25)
-    xi = constant_segment(g.tau, g.h, [1.0, -0.5][:n]).values
-    eta = constant_segment(g.tau, g.h, [0.0, 0.5][:n]).values
+    xi = constant_segment(g.tau, g.h, [1.0, -0.5][:n])
+    eta = constant_segment(g.tau, g.h, [0.0, 0.5][:n])
     a = np.array([[1.0, 0.5], [-0.25, 1.5]])[:n, :n]
     sig1 = _diffusions(np.array([[0.3, -0.2], [0.1, 0.4]])[:n, :n])
     sig2 = _diffusions(np.array([[0.5, 0.25], [-0.3, 0.2]])[:n, :n])

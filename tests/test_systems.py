@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twoscale.errors import ConfigError, DataError, DomainError, UsageError
-from twoscale.segment import Segment, constant_segment
+from twoscale.segment import constant_segment, window
 from twoscale.systems import (
     LinearBenchmarkParams,
     SystemSpec,
@@ -15,8 +15,8 @@ from twoscale.systems import (
     check_growth_and_lipschitz,
     check_initial_segment,
     linear_benchmark,
-    random_point_sampler,
-    random_segment_pair_sampler,
+    random_points,
+    random_segment_pairs,
     register_system,
     spot_check_purity,
 )
@@ -55,8 +55,8 @@ def test_benchmark_params_must_be_finite():
 def test_linear_benchmark_coefficients():
     spec = linear_benchmark(BENCH, tau=1.0)
     assert (spec.n, spec.m, spec.tau) == (1, 1, 1.0)
-    chi = constant_segment(1.0, 0.25, 2.0).values
-    phi = constant_segment(1.0, 0.25, -1.0).values
+    chi = constant_segment(1.0, 0.25, 2.0)
+    phi = constant_segment(1.0, 0.25, -1.0)
     assert spec.b1(chi, phi)[0] == pytest.approx(-1.0 * 2.0 + 1.0 * -1.0)
     assert spec.sigma1(chi)[0, 0] == 0.3
     y = np.array([0.5])
@@ -103,14 +103,13 @@ def _benchmark_check(c2, c3, trials, seed, c1=1.0):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # c2 <= c3 is outside the contraction regime
         params = LinearBenchmarkParams(a11=-1.0, a12=1.0, s1=0.3, c1=c1, c2=c2, c3=c3, s2=0.3)
-    points = random_point_sampler(1.0, 0.5, 1)(np.random.default_rng(seed), trials)
+    points = random_points(np.random.default_rng(seed), trials, 1.0, 0.5, 1)
     return check_dissipativity(linear_benchmark(params), *points)
 
 
 def test_dissipativity_fit_finds_contraction_pair():
     spec = linear_benchmark(BENCH)
-    sampler = random_point_sampler(1.0, 0.25, 1)
-    rep = check_dissipativity(spec, *sampler(np.random.default_rng(3), 800))
+    rep = check_dissipativity(spec, *random_points(np.random.default_rng(3), 800, 1.0, 0.25, 1))
     assert rep.passed
     assert rep.lambda1 > rep.lambda2 > 0.0
     # The pair (2 c2 - c3, c3) satisfies every sample, so the largest
@@ -139,8 +138,7 @@ def test_dissipativity_expanding_fast_map_fails_fit():
         params = LinearBenchmarkParams(a11=-1.0, a12=1.0, s1=0.3,
                                        c1=1.0, c2=0.5, c3=2.0, s2=0.3)
     spec = linear_benchmark(params)
-    sampler = random_point_sampler(1.0, 0.5, 1)
-    rep = check_dissipativity(spec, *sampler(np.random.default_rng(17), 800))
+    rep = check_dissipativity(spec, *random_points(np.random.default_rng(17), 800, 1.0, 0.5, 1))
     assert not rep.passed
 
 
@@ -234,18 +232,18 @@ def test_dissipativity_unbounded_gap_fails():
 
 def test_checkers_count_samples_and_refuse_none():
     spec = linear_benchmark(BENCH)
-    points = random_point_sampler(1.0, 0.5, 1)
-    assert check_dissipativity(spec, *points(np.random.default_rng(0), 50)).sample_count == 50
-    pairs = random_segment_pair_sampler(1.0, 0.5, 1)
-    for check, sample in ((check_dissipativity, points), (check_growth_and_lipschitz, pairs)):
+    points = random_points(np.random.default_rng(0), 50, 1.0, 0.5, 1)
+    assert check_dissipativity(spec, *points).sample_count == 50
+    for check, sample in ((check_dissipativity, random_points),
+                          (check_growth_and_lipschitz, random_segment_pairs)):
         with pytest.raises(DataError, match=r"must have shape \(M \+ 1, samples >= 1, n\)"):
-            check(spec, *sample(np.random.default_rng(0), 0))
+            check(spec, *sample(np.random.default_rng(0), 0, 1.0, 0.5, 1))
 
 
 def test_growth_check_passes_linear_system():
     spec = linear_benchmark(BENCH)
-    sampler = random_segment_pair_sampler(1.0, 0.25, 1)
-    rep = check_growth_and_lipschitz(spec, *sampler(np.random.default_rng(5), 400))
+    pairs = random_segment_pairs(np.random.default_rng(5), 400, 1.0, 0.25, 1)
+    rep = check_growth_and_lipschitz(spec, *pairs)
     assert rep.passed
     assert np.isfinite(rep.L_estimate)
     parts = {w["part"] for w in rep.max_ratio_points}
@@ -274,12 +272,12 @@ def test_growth_check_flags_superlinear_drift():
 
 
 def test_initial_segment_slope_cap():
-    ramp = Segment(1.0, 0.125, 2.0 * (np.arange(9) - 8) * 0.125)
-    assert check_initial_segment(ramp, 10.0)
-    assert check_initial_segment(ramp, 2.0)
-    assert not check_initial_segment(ramp, 1.0)
+    ramp = window(1.0, 0.125, 2.0 * (np.arange(9) - 8) * 0.125)
+    assert check_initial_segment(ramp, 0.125, 10.0)
+    assert check_initial_segment(ramp, 0.125, 2.0)
+    assert not check_initial_segment(ramp, 0.125, 1.0)
     with pytest.raises(DomainError):
-        check_initial_segment(ramp, -1.0)
+        check_initial_segment(ramp, 0.125, -1.0)
 
 
 def test_purity_spot_check():
@@ -351,14 +349,14 @@ def test_registered_system_tau_must_match_its_factory():
 
 def test_samplers_produce_wellformed_tuples():
     """Sample i is column i of the window batches and row i of the points, drawn in turn."""
-    chi, *points = random_point_sampler(1.0, 0.25, 2)(np.random.default_rng(1), 7)
+    chi, *points = random_points(np.random.default_rng(1), 7, 1.0, 0.25, 2)
     assert chi.shape == (5, 7, 2) and chi.flags.c_contiguous
     assert [v.shape for v in points] == [(7, 2)] * 4
     ref = np.random.default_rng(1)
     for i in range(7):
         assert np.array_equal(chi[:, i], 3.0 * ref.standard_normal((5, 2)))
         assert np.array_equal(np.stack([v[i] for v in points]), 3.0 * ref.standard_normal((4, 2)))
-    chi, phi = random_segment_pair_sampler(1.0, 0.25, 3)(np.random.default_rng(1), 6)
+    chi, phi = random_segment_pairs(np.random.default_rng(1), 6, 1.0, 0.25, 3)
     assert chi.shape == phi.shape == (5, 6, 3)
     assert chi.flags.c_contiguous and phi.flags.c_contiguous
     ref = np.random.default_rng(1)
@@ -371,7 +369,7 @@ def test_samplers_produce_wellformed_tuples():
 def test_checkers_name_the_first_bad_sample():
     """The samples are checked as whole arrays, yet a non-finite one is named by its index."""
     spec = linear_benchmark(BENCH)
-    arrays = random_point_sampler(1.0, 0.5, 1)(np.random.default_rng(4), 6)
+    arrays = random_points(np.random.default_rng(4), 6, 1.0, 0.5, 1)
 
     def with_entry(slot, i, value):
         # Sample i is column i of chi (slot 0) and row i of the points.
@@ -438,7 +436,7 @@ def test_checkers_match_their_one_sample_results():
     rng = np.random.default_rng(8)
     for spec, n in ((build_system({"kind": "registered", "name": "golden_plane"}), 2),
                     (linear_benchmark(BENCH), 1)):
-        arrays = random_point_sampler(1.0, 0.25, n)(rng, 200)
+        arrays = random_points(rng, 200, 1.0, 0.25, n)
         points = [(arrays[0][:, i], *(v[i] for v in arrays[1:])) for i in range(200)]
         q, dx2, dy2 = (np.array(v) for v in zip(*(_one_sample_terms(spec, pt) for pt in points)))
         lam1, lam2 = _brute_force_gap(q, dx2, dy2)
@@ -450,7 +448,7 @@ def test_checkers_match_their_one_sample_results():
         assert rep.worst_violation == pytest.approx((q + lam1 * dx2 - lam2 * dy2).max(),
                                                     abs=1e-12 * lam1)
     spec = build_system({"kind": "registered", "name": "golden_plane"})
-    chi, phi = random_segment_pair_sampler(1.0, 0.25, 2)(rng, 40)
+    chi, phi = random_segment_pairs(rng, 40, 1.0, 0.25, 2)
     estimate = max(check_growth_and_lipschitz(spec, chi[:, i:i + 1], phi[:, i:i + 1]).L_estimate
                    for i in range(40))
     assert check_growth_and_lipschitz(spec, chi, phi).L_estimate == estimate
