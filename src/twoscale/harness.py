@@ -487,7 +487,7 @@ def _reported(body):
 
 @dataclass(frozen=True, eq=False)
 class _Chunk:
-    """What a chunk body sees: one parsed scenario on one row's grid."""
+    """What a chunk body sees: one row's system, grid and start windows, built once per run."""
 
     scenario: Scenario
     spec: object
@@ -533,11 +533,11 @@ def _caught(fn, *args, **kwargs):
 
 
 def _run_chunk(job):
-    """Run paths [start, stop) of one row through body as one batch.
+    """Run paths [start, stop) of a (body, chunk, start, stop) job as one batch.
 
-    The system, grid and start windows are built once per chunk, so
-    set-up errors propagate.  body(chunk, paths) returns one value per
-    path in path order, each reported as ("ok", value).
+    The chunk is the row _run_ensemble built, shared by all of the row's
+    jobs.  body(chunk, paths) returns one value per path in path order,
+    each reported as ("ok", value).
     This is the one place that isolates a failed path: if body raises a
     TwoscaleError, every path of the chunk is rerun alone on the same
     chunk and gets its own value or ("err", type, message) from its
@@ -549,14 +549,7 @@ def _run_chunk(job):
     return _caught(_chunk_results, *job)
 
 
-def _chunk_results(body, scen, epsilon, h, extra, start, stop) -> list:
-    spec = scen.build_spec()
-    chunk = _Chunk(
-        scenario=scen, spec=spec, epsilon=epsilon,
-        grid=make_grid(scen.T, h, scen.tau),
-        xi=scen.materialize_segment("xi", h, spec.n),
-        eta=scen.materialize_segment("eta", h, spec.n), extra=extra,
-    )
+def _chunk_results(body, chunk: _Chunk, start, stop) -> list:
     paths = range(start, stop)
     results = _attempt(body, chunk, paths)
     if len(paths) > 1 and results[0][0] == "err":
@@ -564,9 +557,10 @@ def _chunk_results(body, scen, epsilon, h, extra, start, stop) -> list:
     return results
 
 
-def _run_ensemble(scenario: Scenario, body, rows) -> list:
-    """Per-path results of every (epsilon, h, extra) row, in path order.
+def _run_ensemble(scenario: Scenario, spec, body, rows) -> list:
+    """Per-path results of every (epsilon, h, extra) row of the system spec, in path order.
 
+    Each row is built here, before any worker forks: workers only integrate.
     There are min(threads, CPUs) workers, or one where os has no fork.
     Each job is one whole row as a single batch, unless there are fewer
     rows than workers: then each row is cut into ceil(workers / rows)
@@ -576,12 +570,15 @@ def _run_ensemble(scenario: Scenario, body, rows) -> list:
     depend on neither the cut nor the order.  The chunks' warning
     messages are raised again here, in row and path order.
     """
+    chunks = [_Chunk(scenario, spec, epsilon, make_grid(scenario.T, h, scenario.tau),
+                     scenario.materialize_segment("xi", h, spec.n),
+                     scenario.materialize_segment("eta", h, spec.n), extra)
+              for epsilon, h, extra in rows]
     paths = scenario.paths
     workers = min(scenario.threads, os.cpu_count() or 1) if hasattr(os, "fork") else 1
     per_row = min(-(-workers // len(rows)), paths)
     bounds = [paths * j // per_row for j in range(per_row + 1)]
-    jobs = [(body, scenario, epsilon, h, extra, bounds[j], bounds[j + 1])
-            for epsilon, h, extra in rows for j in range(per_row)]
+    jobs = [(body, chunk, bounds[j], bounds[j + 1]) for chunk in chunks for j in range(per_row)]
     if workers <= 1 or len(jobs) <= 1:
         done = [_run_chunk(job) for job in jobs]
     else:
@@ -595,10 +592,10 @@ def _run_ensemble(scenario: Scenario, body, rows) -> list:
 def _plan(jobs, workers: int) -> list:
     """Job indices per worker: each job to the least-loaded one, costing steps * paths.
 
-    Jobs are dealt longest grid (round(T / h) steps) first, ties in job order.
+    Jobs are dealt longest grid (its chunk's grid.steps) first, ties in job order.
     """
     plan, load = [[] for _ in range(workers)], [0] * workers
-    cost = [(round(scen.T / h), stop - start) for _, scen, _, h, _, start, stop in jobs]
+    cost = [(chunk.grid.steps, stop - start) for _, chunk, start, stop in jobs]
     for i in sorted(range(len(jobs)), key=lambda i: -cost[i][0]):
         w = load.index(min(load))  # the lowest index on ties
         plan[w].append(i)
@@ -720,8 +717,7 @@ def _converge_chunk(c: _Chunk, paths) -> list:
     x, _ = c.coupled(paths)
     # Fresh streams with the same addresses: the averaged equation
     # replays the identical W1 increments (pathwise coupling).
-    xbar = simulate_averaged(c.spec, c.xi, c.scenario.drift_callable(c.spec), c.grid,
-                             c.noise(paths, W1))
+    xbar = simulate_averaged(c.spec, c.xi, c.extra["drift"], c.grid, c.noise(paths, W1))
     return sup_distance(x, xbar, c.grid).tolist()
 
 
@@ -735,11 +731,11 @@ def run_converge(scenario: Scenario):
     inversion allowed), the last moment must be below a third of the
     first, and every row must complete.
     """
-    if scenario.drift_source == "closed_form":
-        # A system without one fails here, before any path is simulated.
-        closed_form_drift(scenario.build_spec())
-    sweep = [(eps, scenario.resolve_h(epsilon=eps), {}) for eps in scenario.epsilons]
-    results = _run_ensemble(scenario, _converge_chunk, sweep)
+    spec = scenario.build_spec()
+    # A system without a closed form fails here, before any path is simulated.
+    drift = scenario.drift_callable(spec)
+    sweep = [(eps, scenario.resolve_h(epsilon=eps), {"drift": drift}) for eps in scenario.epsilons]
+    results = _run_ensemble(scenario, spec, _converge_chunk, sweep)
 
     rows = []
     ok_rows = []
@@ -827,7 +823,7 @@ def run_auxiliary_gap(scenario: Scenario):
     schedules = [fixed or khasminskii_delta(eps, scenario.tau) for eps in scenario.epsilons]
     sweep = [(eps, scenario.resolve_h(epsilon=eps, anchor=s.delta), {"schedule": s})
              for eps, s in zip(scenario.epsilons, schedules)]
-    results = _run_ensemble(scenario, _aux_chunk, sweep)
+    results = _run_ensemble(scenario, scenario.build_spec(), _aux_chunk, sweep)
 
     rows = []
     ok_rows = []
@@ -919,7 +915,8 @@ def run_segment_continuity(scenario: Scenario):
             idxs.add(min(grid.steps, j * grid.steps // 8 + r))
         times = [k * h for k in sorted(idxs) if k > 0]
     extra = {"deltas": deltas, "times": times}
-    [results] = _run_ensemble(scenario, _segcont_chunk, [(epsilon, h, extra)])
+    [results] = _run_ensemble(scenario, scenario.build_spec(), _segcont_chunk,
+                              [(epsilon, h, extra)])
     row = _row(epsilon, None, scenario.p, scenario.paths, "segment_displacement_moment", h)
     values, error_row = _row_values(results, row)
     if error_row is not None:
@@ -1066,7 +1063,8 @@ def run_simulate(scenario: Scenario, *, dump_dir=None, stem: str = "scenario"):
     epsilon = scenario.epsilons[0] if scenario.epsilons else 0.05
     h = scenario.resolve_h(epsilon=epsilon)
     extra = {"dump_dir": str(dump_dir) if dump_dir is not None else None, "stem": stem}
-    [results] = _run_ensemble(scenario, _simulate_chunk, [(epsilon, h, extra)])
+    [results] = _run_ensemble(scenario, scenario.build_spec(), _simulate_chunk,
+                              [(epsilon, h, extra)])
     row = _row(epsilon, None, 1.0, scenario.paths, "endpoint_slow_norm", h)
     endpoints, error_row = _row_values(results, row)
     if error_row is not None:

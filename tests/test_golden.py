@@ -244,7 +244,7 @@ def test_golden_hash_with_uneven_path_chunks(name, threads, tmp_path, monkeypatc
     [pool] = serial_pool
     paths = CASES[name]["paths"]
     per_row = min(-(-threads // 2), paths)
-    assert [job[5:] for job in pool.jobs[:per_row]] == [
+    assert [job[2:] for job in pool.jobs[:per_row]] == [
         (paths * j // per_row, paths * (j + 1) // per_row) for j in range(per_row)]
     assert len(pool.jobs) == 2 * per_row
 

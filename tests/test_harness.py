@@ -761,6 +761,21 @@ def test_misshaped_b1_in_the_time_average_exits_four(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+def _job(body, scen, row, start, stop):
+    """The (body, chunk, start, stop) job _run_ensemble cuts from scen's (epsilon, h, extra) row.
+
+    A converge row carries the run's drift source, as run_converge gives it.
+    """
+    epsilon, h, extra = row
+    spec = scen.build_spec()
+    if body is _converge_chunk:
+        extra = dict(extra, drift=scen.drift_callable(spec))
+    chunk = harness._Chunk(scen, spec, epsilon, make_grid(scen.T, h, scen.tau),
+                           scen.materialize_segment("xi", h, spec.n),
+                           scen.materialize_segment("eta", h, spec.n), extra)
+    return body, chunk, start, stop
+
+
 def test_averaged_stage_errors_only_reach_surviving_paths():
     """A path that diverges in the coupled pass keeps that error over later stages.
 
@@ -775,7 +790,7 @@ def test_averaged_stage_errors_only_reach_surviving_paths():
     coupled = "fast component left the admissible range"
     averaged = "frozen trajectory diverged"
     scen = Scenario.from_config(cfg)
-    job = (_converge_chunk, scen, 0.125, scen.resolve_h(epsilon=0.125), {}, 0, 4)
+    job = _job(_converge_chunk, scen, (0.125, scen.resolve_h(epsilon=0.125), {}), 0, 4)
     results, warns = _run_chunk(job)
     assert warns == []  # burn_in = 5 tau
     with warnings.catch_warnings():
@@ -832,7 +847,7 @@ def test_failed_chunk_is_rerun_path_by_path(case):
 
     def cut(bounds):
         return [r for a, b in zip(bounds, bounds[1:])
-                for r in _run_chunk((body, scen, *row, a, b))[0]]
+                for r in _run_chunk(_job(body, scen, row, a, b))[0]]
 
     whole = cut([0, 6])
     assert {r[0] for r in whole} == {"ok", "err"}
@@ -874,10 +889,10 @@ def test_chunk_cut_does_not_move_per_path_results(case, paths, data):
     body, scen, row = _CUT_ROWS[case]
     cuts = data.draw(st.lists(st.integers(1, paths - 1), unique=True)) if paths > 1 else []
     bounds = [0, *sorted(cuts), paths]
-    whole = _run_chunk((body, scen, *row, 0, paths))[0]
+    whole = _run_chunk(_job(body, scen, row, 0, paths))[0]
     assert [r[0] for r in whole] == ["ok"] * paths
     assert [r for a, b in zip(bounds, bounds[1:])
-            for r in _run_chunk((body, scen, *row, a, b))[0]] == whole
+            for r in _run_chunk(_job(body, scen, row, a, b))[0]] == whole
 
 
 def _aux_row(scen, eps, delta):
@@ -916,7 +931,7 @@ def test_aux_gaps_equal_the_per_block_loop(system, T, delta, monkeypatch):
     simulate = harness.simulate_auxiliary
     monkeypatch.setattr(harness, "simulate_auxiliary",
                         lambda *a, **k: pairs.append(simulate(*a, **k)) or pairs[-1])
-    got, _ = _run_chunk((_aux_chunk, scen, *row, 0, 3))
+    got, _ = _run_chunk(_job(_aux_chunk, scen, row, 0, 3))
     [pair] = pairs
     assert [r[0] for r in got] == ["ok"] * 3
     want = _aux_gaps_by_block(pair, make_grid(scen.T, row[1], scen.tau))
@@ -933,7 +948,7 @@ def test_aux_chunk_fast_gap_scans_do_not_grow_with_the_blocks(monkeypatch):
     for n in (4, 64):  # delta = tau/4 and tau/64 on h = tau/256
         schedule = DeltaSchedule(delta_raw=1.0 / n, delta=1.0 / n, N_delta=n)
         calls.clear()
-        _run_chunk((_aux_chunk, scen, 0.1, 1.0 / 256.0, {"schedule": schedule}, 0, 2))
+        _run_chunk(_job(_aux_chunk, scen, (0.1, 1.0 / 256.0, {"schedule": schedule}), 0, 2))
         counts.append(len(calls))
     assert counts[0] == counts[1]
 
@@ -1044,27 +1059,86 @@ def test_pool_has_at_most_one_worker_per_cpu(monkeypatch, serial_pool):
 
 
 def test_pool_gets_whole_rows_longest_grid_first(monkeypatch, serial_pool):
-    """With as many rows as workers or more, each job is a full-P row, largest round(T / h) first."""
+    """With as many rows as workers or more, each job is a full-P row, longest grid first."""
     cfg = _cfg(experiment="auxiliary_gap", epsilons=[0.05, 0.01, 0.02, 0.005], paths=4, T=0.25)
     serial = run_scenario(Scenario.from_config(cfg))
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     report = run_scenario(Scenario.from_config(dict(cfg, threads=2)))
     [pool] = serial_pool
     assert pool.workers == 2
-    assert [job[2] for job in pool.jobs] == [0.05, 0.02, 0.01, 0.005]  # row order
-    assert [[pool.jobs[i][2] for i in mine] for mine in pool.plan] == [[0.005], [0.01, 0.02, 0.05]]
+    assert [job[1].epsilon for job in pool.jobs] == [0.05, 0.02, 0.01, 0.005]  # row order
+    assert [[pool.jobs[i][1].epsilon for i in mine] for mine in pool.plan] == [
+        [0.005], [0.01, 0.02, 0.05]]
     # Each worker runs its jobs longest grid first.
-    steps = [[round(cfg["T"] / pool.jobs[i][3]) for i in mine] for mine in pool.plan]
+    steps = [[pool.jobs[i][1].grid.steps for i in mine] for mine in pool.plan]
     assert all(s == sorted(s, reverse=True) for s in steps) and len(set(sum(steps, []))) == 4
-    assert [job[5:] for job in pool.jobs] == [(0, 4)] * 4
+    assert [job[2:] for job in pool.jobs] == [(0, 4)] * 4
     assert report.csv_text() == serial.csv_text()
     assert report.warnings == serial.warnings
 
 
+_BUILD_RUNS = {
+    "converge_closed_form": _cfg(epsilons=[0.25, 0.125], paths=4, T=0.25),
+    "converge_estimator": _cfg(epsilons=[0.25, 0.125], paths=4, T=0.25,
+                               drift_source="estimator",
+                               estimator={"burn_in": 1.0, "horizon": 0.5, "replicas": 2,
+                                          "h": 0.125}),
+    "auxiliary_gap": _cfg(experiment="auxiliary_gap", epsilons=[0.05, 0.02], paths=2, T=0.25),
+    "segment_continuity": _cfg(experiment="segment_continuity", paths=4, T=0.25, p=4.0),
+    "simulate": _cfg(experiment="simulate", paths=4, T=0.25),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(_BUILD_RUNS))
+def test_each_run_builds_its_system_once(name, threads, monkeypatch, serial_pool):
+    """A run builds its system, and converge its drift source, once, whatever the pool."""
+    counts = {"build_spec": 0, "drift_callable": 0}
+
+    def counted(method):
+        original = getattr(Scenario, method)
+
+        def call(scenario, *args):
+            counts[method] += 1
+            return original(scenario, *args)
+        return call
+
+    for method in counts:
+        monkeypatch.setattr(Scenario, method, counted(method))
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    cfg = _BUILD_RUNS[name]
+    run_scenario(Scenario.from_config(dict(cfg, threads=threads)))
+    assert len(serial_pool) == threads - 1
+    assert counts == {"build_spec": 1,
+                      "drift_callable": int(cfg["experiment"] == "converge")}
+
+
+def test_setup_errors_open_no_pool(tmp_path, monkeypatch, capsys, serial_pool):
+    """A bad start window or a factory that returns no SystemSpec exits 4 before any fork."""
+    register_system("returns_42", lambda: 42, replace=True)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    cases = [
+        ("simulate", _cfg(experiment="simulate", h=0.0125, xi={"values": [[1.0]] * 81},
+                          system={"kind": "registered", "name": "golden_plane"}),
+         "xi has dimension 1, system needs 2"),
+        ("aux-gap", _cfg(experiment="auxiliary_gap", epsilons=[0.05, 0.02],
+                         system={"kind": "registered", "name": "returns_42"}),
+         "factory for 'returns_42' did not return a SystemSpec"),
+    ]
+    for i, (command, cfg, message) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        assert cli_main([command, "--config", _write_cfg(tmp_path, f"cfg{i}.json", cfg),
+                         "--out", str(out), "--threads", "2"]) == 4
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and message in line
+        assert not out.exists()
+    assert serial_pool == []
+
+
 def test_plan_deals_each_job_to_the_least_loaded_worker():
-    """A job costs round(T / h) * its paths; ties go to the lowest worker."""
+    """A job costs its grid's steps * its paths; ties go to the lowest worker."""
     scen = Scenario.from_config(_cfg(T=1.0))
-    jobs = [(None, scen, None, h, {}, start, stop)  # costs 100, 300, 200, 20
+    jobs = [_job(None, scen, (None, h, {}), start, stop)  # costs 100, 300, 200, 20
             for h, start, stop in [(0.01, 0, 1), (0.01, 1, 4), (0.02, 0, 4), (0.05, 0, 1)]]
     assert harness._plan(jobs, 2) == [[0, 2, 3], [1]]
     assert harness._plan(jobs, 4) == [[0], [1], [2], [3]]

@@ -215,6 +215,15 @@ def test_input_compatibility_checks():
     with pytest.raises(UsageError):
         simulate_coupled(spec, _const(g, 1.0), _const(g, 0.0), 1.0, g,
                          [wide], [NoiseStream(0, 0, W2)])
+    with pytest.raises(UsageError, match="got none"):
+        simulate_coupled(spec, _const(g, 1.0), _const(g, 0.0), 1.0, g, [], [])
+    half = make_grid(T=0.5, h=0.05, tau=0.5)  # built for tau = 0.5, spec.tau = 1
+    with pytest.raises(UsageError, match="different delay"):
+        simulate_coupled(spec, _const(half, 1.0), _const(half, 0.0), 1.0, half,
+                         [NoiseStream(0, 0, W1)], [NoiseStream(0, 0, W2)])
+    with pytest.raises(UsageError, match="2 W1 streams for 1 W2 streams"):
+        simulate_coupled(spec, _const(g, 1.0), _const(g, 0.0), 1.0, g,
+                         [NoiseStream(0, p, W1) for p in range(2)], [NoiseStream(0, 0, W2)])
 
 
 def _cubic_fast_spec():

@@ -304,6 +304,13 @@ def test_registry_round_trip():
         register_system("unit_test_linear", lambda: linear_benchmark(BENCH))
     with pytest.raises(ConfigError):
         build_system({"kind": "registered", "name": "missing_system"})
+    with pytest.raises(UsageError, match="non-empty string"):
+        register_system("", lambda: linear_benchmark(BENCH))
+    with pytest.raises(UsageError, match="must be callable"):
+        register_system("unit_test_not_callable", linear_benchmark(BENCH))
+    register_system("unit_test_returns_42", lambda: 42, replace=True)
+    with pytest.raises(ConfigError, match="did not return a SystemSpec"):
+        build_system({"kind": "registered", "name": "unit_test_returns_42"})
 
 
 def test_build_system_validation():
