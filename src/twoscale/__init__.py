@@ -15,7 +15,7 @@ from .segment import (
     lipschitz_modulus,
     window,
 )
-from .noise import W1, W2, NoiseStream, fast_increments, gaussian_increments
+from .noise import W1, W2, NoiseStream, increments
 from .systems import (
     DissipativityReport,
     GrowthReport,

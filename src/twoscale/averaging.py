@@ -9,9 +9,9 @@ eps/delta < 1), snapped to tau / N so block boundaries land on delay
 multiples and on the grid.
 
 The averaged equation replaces the fast dependence of the slow drift by
-the stationary average bbar1; simulate_averaged integrates it with the
-same W1 stream as the coupled system it is compared against, which is
-what makes pathwise sup-distance comparisons meaningful.
+the stationary average bbar1; simulate_averaged integrates it on the
+same W1 increments as the coupled system it is compared against, which
+is what makes pathwise sup-distance comparisons meaningful.
 """
 
 from __future__ import annotations
@@ -93,16 +93,16 @@ def simulate_auxiliary(
     epsilon: float,
     schedule: DeltaSchedule,
     grid: TimeGrid,
-    w1s,
-    w2s,
+    dw1: np.ndarray,
+    dw2: np.ndarray,
     *,
     kappa_stab: float = DEFAULT_KAPPA_STAB,
 ) -> AuxiliaryPair:
     """Run a batch of true pairs and block-frozen auxiliary pairs on shared noise.
 
     Both passes run the one coupled recursion of solver._coupled_core on
-    the same increments, drawn from one (w1s[p], w2s[p]) stream pair per
-    path.  The first pass is the true pair (X, Y), bit-identical to
+    the same increments dw1 and dw2, taken as simulate_coupled takes
+    them.  The first pass is the true pair (X, Y), bit-identical to
     simulate_coupled.  The second reruns the recursion with block
     freezing and resets: at each block start the coefficients' slow
     window is frozen to the true slow window (sigma1 evaluated once per
@@ -111,20 +111,21 @@ def simulate_auxiliary(
     the true pass is raised before the auxiliary pass starts, then the
     auxiliary pass's first failure, as solver._coupled_core raises them.
     """
-    xi, eta, dw1, dwf = _pair_increments(spec, xi, eta, epsilon, grid, w1s, w2s, kappa_stab)
+    xi, eta, dw1, dw2 = _pair_increments(spec, xi, eta, epsilon, grid, dw1, dw2, kappa_stab)
     delta_steps = exact_steps(min(schedule.delta, grid.T), grid.h, "delta")
-    x, y = _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf)
-    x_aux, y_aux = _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf,
+    x, y = _coupled_core(spec, xi, eta, epsilon, grid, dw1, dw2)
+    x_aux, y_aux = _coupled_core(spec, xi, eta, epsilon, grid, dw1, dw2,
                                  freeze=(x, y, delta_steps))
     resets = grid.tau_steps + np.arange(0, grid.steps, delta_steps)
     return AuxiliaryPair(x, y, x_aux, y_aux, resets)
 
 
 def closed_form_drift(spec: SystemSpec):
-    """Averaged drift callable from the benchmark's closed form."""
+    """Closed-form averaged drift kappa * chi[-1], kappa read once, here."""
     if spec.benchmark is None:
         raise UsageError("spec has no benchmark closed form; use an estimator source")
-    return spec.benchmark.averaged_drift
+    kappa = spec.benchmark.kappa
+    return lambda chi: kappa * chi[-1]
 
 
 def simulate_averaged(
@@ -132,21 +133,20 @@ def simulate_averaged(
     xi: np.ndarray,
     drift_source,
     grid: TimeGrid,
-    w1s,
+    dw1: np.ndarray,
 ):
     """Integrate a batch of dXbar = bbar1(Xbar_t) dt + sigma1(Xbar_t) dW1.
 
     drift_source(window) supplies bbar1, shape (P, n), on the
     (M + 1, P, n) window array: either a closed form or an
-    EstimatedDriftSource.  Pass streams with the same addresses as the
-    coupled run's W1 to realize the shared-noise comparison.  Returns
-    the read-only (grid.total, P, n) paths and raises the first failure
-    of any path, a drift source's own error included, as simulate_sdde
-    does.
+    EstimatedDriftSource.  Pass the coupled run's dw1 to realize the
+    shared-noise comparison.  Returns the read-only (grid.total, P, n)
+    paths and raises the first failure of any path, a drift source's own
+    error included, as simulate_sdde does.
     """
     if not callable(drift_source):
         raise UsageError("drift_source must be callable on a window array")
-    return simulate_sdde(spec.n, spec.m, drift_source, spec.sigma1, xi, grid, w1s,
+    return simulate_sdde(spec.n, spec.m, drift_source, spec.sigma1, xi, grid, dw1,
                          label="Xbar")
 
 

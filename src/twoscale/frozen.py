@@ -26,10 +26,10 @@ from .errors import (
     DomainError,
     UsageError,
 )
-from .noise import W2, NoiseStream
+from .noise import W2, increments
 from .metrics import _float_pow, _log_linear_fit
 from .segment import _node_norms, exact_steps
-from .solver import TimeGrid, simulate_sdde
+from .solver import TimeGrid, _increments, simulate_sdde
 from .systems import SystemSpec, _drift
 
 GAP_FLOOR = 1e-12
@@ -54,17 +54,17 @@ def simulate_frozen(
     zeta: np.ndarray,
     eta: np.ndarray,
     grid: TimeGrid,
-    w2s,
+    dw2: np.ndarray,
 ):
     """Integrate a batch of the fast equation with the slow window pinned at zeta.
 
-    zeta is an (M + 1, P, n) array whose column p path p (stream w2s[p])
-    reads; paths that share one window read an np.broadcast_to view.
-    eta is the (M + 1, n) start window.  Returns the read-only
+    zeta is an (M + 1, P, n) array whose column p path p (increments
+    dw2[:, p]) reads; paths that share one window read an np.broadcast_to
+    view.  eta is the (M + 1, n) start window.  Returns the read-only
     (grid.total, P, n) paths and raises the first failure of any path,
     as simulate_sdde does.
     """
-    paths, n = len(w2s), spec.n
+    paths, n = _increments(dw2, grid, spec.m).shape[1], spec.n
     if zeta.ndim != 3 or zeta.shape[1:] != (paths, n):
         raise UsageError(
             f"zeta has shape {zeta.shape}; {paths} path(s) of a system with n={n} "
@@ -72,7 +72,7 @@ def simulate_frozen(
         )
     b2, sigma2 = spec.b2, spec.sigma2
     return simulate_sdde(n, spec.m, lambda w: b2(zeta, w[-1], w[0]),
-                         lambda w: sigma2(zeta, w[-1], w[0]), eta, grid, w2s, label="Yzeta")
+                         lambda w: sigma2(zeta, w[-1], w[0]), eta, grid, dw2, label="Yzeta")
 
 
 def estimate_averaged_drift(
@@ -104,6 +104,8 @@ def estimate_averaged_drift(
     The start bias decays exponentially, so burn_in of a few multiples of
     1/rate suffices; below 5 tau a warning is emitted.
     """
+    if len(seeds) == 0:
+        raise UsageError("need at least one window and its seed, got none")
     if zeta.ndim != 3 or zeta.shape[1:] != (len(seeds), spec.n):
         raise UsageError(
             f"zeta has shape {zeta.shape}; {len(seeds)} seeds of a system "
@@ -132,9 +134,10 @@ def estimate_averaged_drift(
         eta = np.zeros((ts + 1, spec.n))
 
     chi = np.repeat(zeta, replicas, axis=1)
+    dw2 = np.concatenate([increments(s, range(replicas), W2, spec.m, grid.steps, grid.h)
+                          for s in seeds], axis=1)
     try:
-        y = simulate_frozen(spec, chi, eta, grid, [NoiseStream(s, r, W2, spec.m)
-                                                   for s in seeds for r in range(replicas)])
+        y = simulate_frozen(spec, chi, eta, grid, dw2)
     except DivergenceError as exc:
         raise DivergenceError(
             exc.step_index, exc.time, exc.last_state,
@@ -174,8 +177,8 @@ def mixing_decay(
     """Fit the contraction rate of synchronously coupled frozen pairs.
 
     Two batches of trajectories started from the (M + 1, n) windows eta
-    and eta_prime replay the identical W2 stream per replica, so their
-    gap is driven purely by the dynamics; all read the slow window zeta.
+    and eta_prime run on one array of W2 increments, so their gap is
+    driven purely by the dynamics; all read the slow window zeta.
     g(t) = replica mean of the squared window sup gap is recorded at
     checkpoints t = tau, 2 tau, ... and log g is fitted by least squares
     over the checkpoints with g above GAP_FLOOR; fitted_rate = -slope.
@@ -191,12 +194,10 @@ def mixing_decay(
     if n_checks < 3:
         raise UsageError(f"grid covers only {n_checks} delay spans; need >= 3")
 
-    # Same stream addresses twice: bit-identical driving increments.
     zeta = np.broadcast_to(zeta[:, None], (zeta.shape[0], replicas) + zeta.shape[1:])
-    ya = simulate_frozen(spec, zeta, eta, grid,
-                         [NoiseStream(seed, r, W2, spec.m) for r in range(replicas)])
-    yb = simulate_frozen(spec, zeta, eta_prime, grid,
-                         [NoiseStream(seed, r, W2, spec.m) for r in range(replicas)])
+    dw2 = increments(seed, range(replicas), W2, spec.m, grid.steps, grid.h)
+    ya = simulate_frozen(spec, zeta, eta, grid, dw2)
+    yb = simulate_frozen(spec, zeta, eta_prime, grid, dw2)
     node = _node_norms(ya - yb)
     # Squared window sup gaps (checkpoint, replica), summed in replica order.
     squares = np.stack([_float_pow(node[a - ts: a + 1].max(axis=0), 2)

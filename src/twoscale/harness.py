@@ -44,7 +44,7 @@ from .averaging import (
 from .errors import ConfigError, DegenerateFitError, TwoscaleError
 from .frozen import estimate_averaged_drift, mixing_decay
 from .metrics import p_moment, segment_displacement_moment, slope_fit, sup_distance
-from .noise import W1, W2, NoiseStream
+from .noise import W1, W2, increments
 from .segment import (_node_norms, _row_dots, constant_segment, exact_steps,
                       lipschitz_modulus, window)
 from .solver import fast_lag_steps, make_grid, simulate_coupled
@@ -497,14 +497,14 @@ class _Chunk:
     eta: np.ndarray
     extra: dict
 
-    def noise(self, paths, tag: str) -> list:
-        return [NoiseStream(self.scenario.seed, path, tag, self.spec.m) for path in paths]
+    def noise(self, paths, tag: str) -> np.ndarray:
+        return increments(self.scenario.seed, paths, tag, self.spec.m,
+                          self.grid.steps, self.grid.h)
 
-    def coupled(self, paths):
+    def coupled(self, paths, dw1: np.ndarray):
         return simulate_coupled(
             self.spec, self.xi, self.eta, self.epsilon, self.grid,
-            self.noise(paths, W1), self.noise(paths, W2),
-            kappa_stab=self.scenario.kappa_stab,
+            dw1, self.noise(paths, W2), kappa_stab=self.scenario.kappa_stab,
         )
 
 
@@ -714,10 +714,9 @@ def _monotone_gate(moments, std_errors):
 # ---------------------------------------------------------------- converge
 
 def _converge_chunk(c: _Chunk, paths) -> list:
-    x, _ = c.coupled(paths)
-    # Fresh streams with the same addresses: the averaged equation
-    # replays the identical W1 increments (pathwise coupling).
-    xbar = simulate_averaged(c.spec, c.xi, c.extra["drift"], c.grid, c.noise(paths, W1))
+    dw1 = c.noise(paths, W1)
+    x, _ = c.coupled(paths, dw1)
+    xbar = simulate_averaged(c.spec, c.xi, c.extra["drift"], c.grid, dw1)
     return sup_distance(x, xbar, c.grid).tolist()
 
 
@@ -725,8 +724,8 @@ def _converge_chunk(c: _Chunk, paths) -> list:
 def run_converge(scenario: Scenario):
     """Strong-limit experiment: E sup |X^eps - Xbar|^p per epsilon.
 
-    Per path, the coupled pair and the averaged equation run under one
-    W1 stream; the sup gap over [0, T] feeds a p-th moment per epsilon.
+    Per path, the coupled pair and the averaged equation run on the same
+    W1 increments; the sup gap over [0, T] feeds a p-th moment per epsilon.
     Gates: the moment sequence must trend down as epsilon does (one soft
     inversion allowed), the last moment must be below a third of the
     first, and every row must complete.
@@ -862,7 +861,7 @@ def run_auxiliary_gap(scenario: Scenario):
 # ----------------------------------------------------- segment continuity
 
 def _segcont_chunk(c: _Chunk, paths) -> list:
-    x, _ = c.coupled(paths)
+    x, _ = c.coupled(paths, c.noise(paths, W1))
     moments = [segment_displacement_moment(x, c.grid, d, c.scenario.p, c.extra["times"])
                for d in c.extra["deltas"]]
     return np.stack(moments, axis=1).tolist()
@@ -1039,7 +1038,7 @@ def run_check(scenario: Scenario):
 # -------------------------------------------------------------- simulate
 
 def _simulate_chunk(c: _Chunk, paths) -> list:
-    x, y = c.coupled(paths)
+    x, y = c.coupled(paths, c.noise(paths, W1))
     if c.extra["dump_dir"]:
         for j, path in enumerate(paths):
             _dump_paths(c.grid.times(), x[:, j], y[:, j], Path(c.extra["dump_dir"]),

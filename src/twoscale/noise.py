@@ -5,15 +5,18 @@ NoiseStream addressed by (seed, path_index, tag).  Streams with different
 addresses are statistically independent (distinct Philox keys derived via
 SeedSequence spawn keys), and a stream is a pure function of its address:
 re-creating it and drawing the same number of values replays the exact
-bit pattern.  That replay property is what the coupling constructions
-rely on, e.g. driving a pair of systems with "the same" Brownian motion
-means giving both simulations streams with the same address.
+bit pattern.  increments draws the (steps, P, m) array of one noise
+family for P paths; the kernels take that array, and a coupling that
+drives two systems with "the same" Brownian motion hands both the one
+array.
 
 Gaussians come from an explicit Box-Muller transform over raw 64-bit
-Philox output rather than Generator.standard_normal, so the mapping from
-counter position to normal deviate is fixed by this file alone and each
-normal consumes exactly two raw words.  Positions therefore never drift
-between runs or platforms as long as the draw sequence is the same.
+Philox output rather than Generator.standard_normal, so this file alone
+fixes which counter positions feed each normal deviate: each normal
+consumes exactly two raw words.  The bits of a deviate also depend on
+numpy's float64 log and cos on the host, which differ between SIMD code
+paths by up to 2 ulp; on one host, the same draw sequence gives the same
+bits.
 """
 
 from __future__ import annotations
@@ -68,25 +71,14 @@ class NoiseStream:
         return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
-def gaussian_increments(stream: NoiseStream, count: int, dt: float) -> np.ndarray:
-    """count Brownian increments over steps of length dt, shape (count, m)."""
+def increments(seed: int, indices, tag: str, m: int, steps: int, dt: float) -> np.ndarray:
+    """Brownian increments over steps of length dt, shape (steps, len(indices), m).
+
+    Column p comes from stream (seed, indices[p], tag).
+    """
     if dt <= 0.0:
         raise DomainError(f"dt must be positive, got {dt}")
-    if count < 0:
-        raise DomainError(f"count must be >= 0, got {count}")
-    if count == 0:
-        return np.empty((0, stream.m))
-    z = stream.normals(count * stream.m).reshape(count, stream.m)
-    return z * np.sqrt(dt)
-
-
-def fast_increments(stream: NoiseStream, count: int, dt: float, epsilon: float) -> np.ndarray:
-    """Increments of the accelerated motion: gaussian_increments / sqrt(epsilon).
-
-    epsilon = 1 reproduces gaussian_increments bit for bit (the scale
-    factor is exactly 1.0).
-    """
-    if epsilon <= 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
-    return gaussian_increments(stream, count, dt) * (epsilon ** -0.5)
-
+    if len(indices) == 0:
+        raise UsageError("need at least one path index, got none")
+    z = [NoiseStream(seed, i, tag, m).normals(steps * m).reshape(steps, m) for i in indices]
+    return np.stack(z, axis=1) * np.sqrt(dt)

@@ -3,10 +3,10 @@
 Two kernels live here.  simulate_coupled advances the slow/fast pair
     X_{k+1} = X_k + b1(Xseg_k, Yseg_k) h + sigma1(Xseg_k) dW1_k
     Y_{k+1} = Y_k + (1/eps) b2(Xseg_k, Y_k, Y(t_k - tau)) h
-                  + sigma2(Xseg_k, Y_k, Y(t_k - tau)) dWfast_k
-where dWfast comes from fast_increments (already carrying the 1/sqrt(eps)
-scale).  The same recursion, with the slow window frozen per block and
-the fast state reset, runs the auxiliary pair of averaging.py.
+                  + sigma2(Xseg_k, Y_k, Y(t_k - tau)) dW2_k / sqrt(eps)
+on the Brownian increment arrays dW1 and dW2 of noise.increments.  The
+same recursion, with the slow window frozen per block and the fast state
+reset, runs the auxiliary pair of averaging.py.
 simulate_sdde advances a single equation whose drift and diffusion are
 arbitrary functionals of the trailing window; the frozen and averaged
 equations are both built on it.
@@ -17,11 +17,12 @@ history window; a coefficient map receives each window as the
 (tau_steps + 1, P, n) slice of the array being built, row tau_steps being
 "now" (chi[-1] is the (P, n) current state).  Maps act on the last axis:
 a drift returns (P, n), a diffusion (n, m) for the whole batch or
-(P, n, m).  Path p draws from its own streams and every operation is
-elementwise over the batch axis (sigma @ dW is an ordered sum over the m
-noise components), so a path's numbers do not depend on its batch.  A
-diffusion is constant while it returns the read-only, data-owning array
-it returned at step 0; its noise is then summed for all steps at once.
+(P, n, m).  Path p reads column p of the (grid.steps, P, m) increment
+arrays and every operation is elementwise over the batch axis (sigma @ dW
+is an ordered sum over the m noise components), so a path's numbers do
+not depend on its batch.  A diffusion is constant while it returns the
+read-only, data-owning array it returned at step 0; its noise is then
+summed for all steps at once.
 
 Delay arithmetic is pure index bookkeeping: h divides tau exactly, so
 Y(t_k - tau) is the array entry tau_steps rows back and no float time
@@ -47,7 +48,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, DomainError, UsageError
-from .noise import fast_increments, gaussian_increments
 from .segment import _integer_ratio, exact_steps
 from .systems import SystemSpec, _diffusion, _drift
 
@@ -107,14 +107,15 @@ def _history(start, grid: TimeGrid, n: int, name: str) -> np.ndarray:
     return arr
 
 
-def _increments(streams, m: int, draw) -> np.ndarray:
-    """draw(stream) for one stream per path, stacked time-major: (steps, P, m)."""
-    if len(streams) == 0:
-        raise UsageError("need one noise stream per path, got none")
-    for s in streams:
-        if s.m != m:
-            raise UsageError(f"stream dimension m={s.m} does not match m={m}")
-    return np.stack([draw(s) for s in streams], axis=1)
+def _increments(dw, grid: TimeGrid, m: int) -> np.ndarray:
+    """dw checked as the (grid.steps, P >= 1, m) increments of a batch of P paths."""
+    dw = np.asarray(dw, dtype=float)
+    if dw.ndim != 3 or dw.shape[0] != grid.steps or dw.shape[1] < 1 or dw.shape[2] != m:
+        raise UsageError(
+            f"increments have shape {dw.shape}; the grid and system need "
+            f"({grid.steps}, P >= 1, {m})"
+        )
+    return dw
 
 
 def _start(history: np.ndarray, grid: TimeGrid, paths: int) -> np.ndarray:
@@ -167,8 +168,8 @@ def _guard(paths, k0, k1, ts, h, messages):
     return k1
 
 
-def _pair_increments(spec, xi, eta, epsilon, grid, w1s, w2s, kappa_stab):
-    """Validate a batch of pair runs: (xi, eta, dW1, fast dW2), increments (steps, P, m)."""
+def _pair_increments(spec, xi, eta, epsilon, grid, dw1, dw2, kappa_stab):
+    """Validate a batch of pair runs: (xi, eta, dW1, fast dW2 = dW2 / sqrt(eps))."""
     if not (0.0 < epsilon <= 1.0):
         raise DomainError(f"epsilon must lie in (0, 1], got {epsilon}")
     if grid.h > kappa_stab * epsilon * (1.0 + 1e-12):
@@ -180,11 +181,10 @@ def _pair_increments(spec, xi, eta, epsilon, grid, w1s, w2s, kappa_stab):
         raise UsageError(f"grid was built for a different delay than spec.tau={spec.tau}")
     xi = _history(xi, grid, spec.n, "xi")
     eta = _history(eta, grid, spec.n, "eta")
-    if len(w1s) != len(w2s):
-        raise UsageError(f"{len(w1s)} W1 streams for {len(w2s)} W2 streams")
-    return (xi, eta,
-            _increments(w1s, spec.m, lambda w: gaussian_increments(w, grid.steps, grid.h)),
-            _increments(w2s, spec.m, lambda w: fast_increments(w, grid.steps, grid.h, epsilon)))
+    dw1, dw2 = _increments(dw1, grid, spec.m), _increments(dw2, grid, spec.m)
+    if dw1.shape != dw2.shape:
+        raise UsageError(f"dW1 has shape {dw1.shape} but dW2 has shape {dw2.shape}")
+    return xi, eta, dw1, dw2 * (epsilon ** -0.5)
 
 
 def simulate_coupled(
@@ -193,19 +193,21 @@ def simulate_coupled(
     eta: np.ndarray,
     epsilon: float,
     grid: TimeGrid,
-    w1s,
-    w2s,
+    dw1: np.ndarray,
+    dw2: np.ndarray,
     *,
     kappa_stab: float = DEFAULT_KAPPA_STAB,
 ):
     """Integrate a batch of coupled slow/fast pairs from the (M + 1, n) starts xi, eta.
 
-    w1s and w2s hold one stream per path.  Returns the read-only
-    (grid.total, P, n) paths (x, y); the first failure of any path is
-    raised (see the module docstring).
+    dw1 and dw2 are the (grid.steps, P, m) increments of W1 and W2 on
+    the slow clock; the fast equation reads dw2 / sqrt(epsilon).  Returns
+    the read-only (grid.total, P, n) paths (x, y); the first failure of
+    any path is raised (see the module docstring).
     """
-    xi, eta, dw1, dwf = _pair_increments(spec, xi, eta, epsilon, grid, w1s, w2s, kappa_stab)
-    return _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf)
+    # Rebinding dw2 to the fast increments: this frame does not hold the unscaled array.
+    xi, eta, dw1, dw2 = _pair_increments(spec, xi, eta, epsilon, grid, dw1, dw2, kappa_stab)
+    return _coupled_core(spec, xi, eta, epsilon, grid, dw1, dw2)
 
 
 def fast_lag_steps(epsilon: float, grid: TimeGrid) -> int:
@@ -296,7 +298,7 @@ def simulate_sdde(
     diffusion,
     xi: np.ndarray,
     grid: TimeGrid,
-    ws,
+    dw: np.ndarray,
     *,
     label: str = "X",
 ):
@@ -305,16 +307,16 @@ def simulate_sdde(
     drift(window) -> (P, n) and diffusion(window) -> (n, m) or (P, n, m)
     see the trailing (tau_steps + 1, P, n) window of the paths being
     built, row tau_steps being "now".  xi is the (M + 1, n) start window
-    and ws holds one stream per path.  Returns the read-only
-    (grid.total, P, n) paths.  The first failure of any path is raised:
-    the earliest step, then the lowest column; label names the equation
-    in divergence messages.
+    and dw the (grid.steps, P, m) Brownian increments.  Returns the
+    read-only (grid.total, P, n) paths.  The first failure of any path is
+    raised: the earliest step, then the lowest column; label names the
+    equation in divergence messages.
     """
     xi = _history(xi, grid, n, "xi")
     h = grid.h
     h_dt = np.array(h)  # as in _coupled_core
     ts = grid.tau_steps
-    dw = _increments(ws, m, lambda w: gaussian_increments(w, grid.steps, h))
+    dw = _increments(dw, grid, m)
     p = dw.shape[1]
     path = _start(xi, grid, p)
     messages = (f"{label} left the admissible range",)

@@ -119,10 +119,6 @@ class LinearBenchmarkParams:
         """Rate of the scalar averaged equation: a11 + a12 * gain."""
         return self.a11 + self.a12 * self.gain
 
-    def averaged_drift(self, chi: np.ndarray) -> np.ndarray:
-        """Closed-form averaged slow drift kappa * chi(0)."""
-        return self.kappa * chi[-1]
-
 
 def linear_benchmark(params: LinearBenchmarkParams, tau: float = 1.0) -> SystemSpec:
     """Build the scalar linear SystemSpec for the given parameters."""

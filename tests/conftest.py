@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import pytest
 
 from twoscale import harness
+from twoscale.noise import increments
 
 
 @pytest.fixture
@@ -24,3 +25,8 @@ def serial_pool(monkeypatch):
 
     monkeypatch.setattr(harness, "_forked", forked)
     return opened
+
+
+def brownian(seed, paths, tag, grid, m=1):
+    """The increments of streams (seed, p, tag), p in paths, on grid, as the kernels take them."""
+    return increments(seed, paths, tag, m, grid.steps, grid.h)

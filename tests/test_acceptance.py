@@ -24,6 +24,8 @@ from twoscale.systems import (
     random_points,
 )
 
+from conftest import brownian
+
 BENCH = LinearBenchmarkParams(a11=-1.0, a12=1.0, s1=0.3,
                               c1=1.0, c2=2.0, c3=0.5, s2=0.3)
 BENCH_SYS = {
@@ -45,7 +47,7 @@ def test_criterion_1_averaged_endpoint_closed_form():
     h = 0.001
     g = make_grid(T=1.0, h=h, tau=1.0)
     xi = constant_segment(1.0, h, 1.0)
-    xbar = simulate_averaged(spec, xi, closed_form_drift(spec), g, [NoiseStream(0, 0, W1)])
+    xbar = simulate_averaged(spec, xi, closed_form_drift(spec), g, brownian(0, [0], W1, g))
     end = float(xbar[-1, 0, 0])
     ref = np.array([1.0])
     zero = np.zeros((1, 1)) @ np.zeros(1)

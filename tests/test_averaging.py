@@ -15,11 +15,12 @@ from twoscale.averaging import (
 )
 from twoscale.errors import DivergenceError, DomainError, UsageError
 from twoscale.metrics import sup_distance
-from twoscale.noise import W1, W2, NoiseStream
+from twoscale.noise import W1, W2
 from twoscale.segment import constant_segment
 from twoscale.solver import _coupled_core, make_grid, simulate_coupled
 from twoscale.systems import LinearBenchmarkParams, SystemSpec, build_system, linear_benchmark
 
+from conftest import brownian
 from test_golden import BENCH_SYS, PLANE_SYS  # importing registers "golden_plane"
 
 BENCH = LinearBenchmarkParams(a11=-1.0, a12=1.0, s1=0.3, c1=1.0, c2=2.0, c3=0.5, s2=0.3)
@@ -78,9 +79,9 @@ def test_auxiliary_coupled_part_matches_direct_run():
     eta = constant_segment(1.0, h, 0.0)
     sch = _manual_schedule(0.25)
     pair = simulate_auxiliary(spec, xi, eta, 0.1, sch, g,
-                              [NoiseStream(8, 0, W1)], [NoiseStream(8, 0, W2)])
+                              brownian(8, [0], W1, g), brownian(8, [0], W2, g))
     x, y = simulate_coupled(spec, xi, eta, 0.1, g,
-                            [NoiseStream(8, 0, W1)], [NoiseStream(8, 0, W2)])
+                            brownian(8, [0], W1, g), brownian(8, [0], W2, g))
     assert np.array_equal(pair.x, x)
     assert np.array_equal(pair.y, y)
 
@@ -93,7 +94,7 @@ def test_auxiliary_resets_are_bit_exact():
     eta = constant_segment(1.0, h, 0.0)
     sch = _manual_schedule(0.125)
     pair = simulate_auxiliary(spec, xi, eta, 0.1, sch, g,
-                              [NoiseStream(9, 0, W1)], [NoiseStream(9, 0, W2)])
+                              brownian(9, [0], W1, g), brownian(9, [0], W2, g))
     delta_steps = int(round(sch.delta / h))
     expect = [g.tau_steps + k for k in range(0, g.steps, delta_steps)]
     assert pair.reset_indices.tolist() == expect
@@ -133,8 +134,8 @@ def test_auxiliary_slow_gap_shrinks_with_epsilon():
         eta = constant_segment(1.0, h, 0.0)
         sch = khasminskii_delta(eps, 1.0)
         pair = simulate_auxiliary(spec, xi, eta, eps, sch, g,
-                                  [NoiseStream(5, p, W1) for p in range(4)],
-                                  [NoiseStream(5, p, W2) for p in range(4)])
+                                  brownian(5, range(4), W1, g),
+                                  brownian(5, range(4), W2, g))
         gaps[eps] = float(np.mean(sup_distance(pair.x, pair.x_aux, g)))
     assert gaps[0.005] < 0.5 * gaps[0.05]
 
@@ -148,10 +149,10 @@ def test_auxiliary_validation():
     sch = _manual_schedule(0.25)
     with pytest.raises(DomainError):
         simulate_auxiliary(spec, xi, eta, 1.5, sch, g,
-                           [NoiseStream(0, 0, W1)], [NoiseStream(0, 0, W2)])
+                           brownian(0, [0], W1, g), brownian(0, [0], W2, g))
     with pytest.raises(DomainError, match="stability"):
         simulate_auxiliary(spec, xi, eta, 0.05, sch, g,
-                           [NoiseStream(0, 0, W1)], [NoiseStream(0, 0, W2)])
+                           brownian(0, [0], W1, g), brownian(0, [0], W2, g))
 
 
 def test_averaged_deterministic_endpoint():
@@ -162,7 +163,7 @@ def test_averaged_deterministic_endpoint():
     h = 0.001
     g = make_grid(T=1.0, h=h, tau=1.0)
     xi = constant_segment(1.0, h, 1.0)
-    xbar = simulate_averaged(spec, xi, closed_form_drift(spec), g, [NoiseStream(0, 0, W1)])
+    xbar = simulate_averaged(spec, xi, closed_form_drift(spec), g, brownian(0, [0], W1, g))
     ref = np.array([1.0])
     zero = np.zeros((1, 1)) @ np.zeros(1)
     for _ in range(g.steps):
@@ -178,8 +179,8 @@ def test_averaged_tracks_coupled_run_on_shared_noise():
     xi = constant_segment(1.0, h, 1.0)
     eta = constant_segment(1.0, h, 0.0)
     x, _ = simulate_coupled(spec, xi, eta, 0.01, g,
-                            [NoiseStream(11, 0, W1)], [NoiseStream(11, 0, W2)])
-    xbar = simulate_averaged(spec, xi, closed_form_drift(spec), g, [NoiseStream(11, 0, W1)])
+                            brownian(11, [0], W1, g), brownian(11, [0], W2, g))
+    xbar = simulate_averaged(spec, xi, closed_form_drift(spec), g, brownian(11, [0], W1, g))
     assert sup_distance(x, xbar, g)[0] < 0.05
 
 
@@ -194,7 +195,7 @@ def test_averaged_stationary_statistics():
     drift = closed_form_drift(spec)
     n_paths = 1500
     xbar = simulate_averaged(spec, xi, drift, g,
-                             [NoiseStream(1234, i, W1) for i in range(n_paths)])
+                             brownian(1234, range(n_paths), W1, g))
     ends = xbar[-1, :, 0]
     a = 1.0 + params.kappa * h
     K = g.steps
@@ -213,9 +214,10 @@ def test_closed_form_drift_requires_benchmark():
                        sigma2=lambda c, y, yt: np.zeros((1, 1)))
     with pytest.raises(UsageError):
         closed_form_drift(plain)
+    g = make_grid(1.0, 0.5, 1.0)
     with pytest.raises(UsageError):
-        simulate_averaged(plain, constant_segment(1.0, 0.5, 0.0), "not callable",
-                          make_grid(1.0, 0.5, 1.0), [NoiseStream(0, 0, W1)])
+        simulate_averaged(plain, constant_segment(1.0, 0.5, 0.0), "not callable", g,
+                          brownian(0, [0], W1, g))
 
 
 def test_estimated_drift_source_accuracy_and_cache():
@@ -296,9 +298,9 @@ def test_estimator_route_agrees_with_closed_form_route():
     xi = constant_segment(1.0, h, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        by_estimate = simulate_averaged(spec, xi, src, g, [NoiseStream(31, 0, W1)])
+        by_estimate = simulate_averaged(spec, xi, src, g, brownian(31, [0], W1, g))
     by_formula = simulate_averaged(spec, xi, closed_form_drift(spec), g,
-                                   [NoiseStream(31, 0, W1)])
+                                   brownian(31, [0], W1, g))
     # Shared W1 cancels the noise; what is left is the drift estimate error
     # integrated over [0, T].
     assert sup_distance(by_estimate, by_formula, g)[0] < 0.05

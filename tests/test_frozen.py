@@ -10,10 +10,11 @@ from twoscale.frozen import (
     mixing_decay,
     simulate_frozen,
 )
-from twoscale.noise import W2, NoiseStream
+from twoscale.noise import W2
 from twoscale.segment import _node_norms, constant_segment
 from twoscale.solver import make_grid
 from twoscale.systems import LinearBenchmarkParams, SystemSpec, build_system, linear_benchmark
+from conftest import brownian
 import test_golden  # noqa: F401  (registers the n = 2 system "golden_plane")
 
 BENCH = LinearBenchmarkParams(a11=-1.0, a12=1.0, s1=0.3, c1=1.0, c2=2.0, c3=0.5, s2=0.3)
@@ -36,7 +37,7 @@ def test_simulate_frozen_deterministic_decay():
     spec = _pure_decay_spec()
     zeta = constant_segment(1.0, h, 7.0)[:, None]  # ignored by this b2
     eta = constant_segment(1.0, h, 1.0)
-    y = simulate_frozen(spec, zeta, eta, g, [NoiseStream(0, 0, W2)])
+    y = simulate_frozen(spec, zeta, eta, g, brownian(0, [0], W2, g))
     end = float(y[-1, 0, 0])
     assert abs(end - np.exp(-5.0)) < 5e-4
 
@@ -54,11 +55,11 @@ def test_simulate_frozen_reads_pinned_window():
     g = make_grid(T=8.0, h=h, tau=1.0)
     zeta = constant_segment(1.0, h, 3.0)[:, None]
     eta = constant_segment(1.0, h, 0.0)
-    y = simulate_frozen(spec, zeta, eta, g, [NoiseStream(0, 0, W2)])
+    y = simulate_frozen(spec, zeta, eta, g, brownian(0, [0], W2, g))
     assert abs(float(y[-1, 0, 0]) - 3.0) < 1e-3
     with pytest.raises(UsageError):
         simulate_frozen(spec, constant_segment(1.0, h, np.zeros(2))[:, None], eta, g,
-                        [NoiseStream(0, 0, W2)])
+                        brownian(0, [0], W2, g))
 
 
 def switch_spec(threshold: float) -> SystemSpec:
@@ -77,14 +78,14 @@ def test_simulate_frozen_rejects_misshaped_zeta():
     h = 0.05
     g = make_grid(T=1.0, h=h, tau=1.0)
     eta = np.zeros((g.tau_steps + 1, 1))
-    streams = [NoiseStream(0, p, W2) for p in range(3)]
+    dw2 = brownian(0, range(3), W2, g)
     for zeta in (np.zeros((g.tau_steps + 1, 2, 1)),   # two windows for three paths
                  np.zeros((g.tau_steps + 1, 3, 2)),   # wrong n
                  np.zeros((g.tau_steps + 1, 2)),
                  np.zeros((g.tau_steps + 1, 1)),  # one window: pass a batch, (M + 1, 3, 1)
                  np.zeros(g.tau_steps + 1)):
         with pytest.raises(UsageError) as info:
-            simulate_frozen(spec, zeta, eta, g, streams)
+            simulate_frozen(spec, zeta, eta, g, dw2)
         assert str(zeta.shape) in str(info.value)
         assert "(M + 1, 3, 1)" in str(info.value)
 
@@ -137,6 +138,10 @@ def test_averaged_drift_budget_validation():
         estimate_averaged_drift(spec, zeta, 5.0, 4.0, 0, g, seeds)
     with pytest.raises(DomainError):
         estimate_averaged_drift(spec, zeta, 5.0, -1.0, 2, g, seeds)
+    with pytest.raises(DomainError, match="burn_in"):
+        estimate_averaged_drift(spec, zeta, -1.0, 4.0, 2, g, seeds)
+    with pytest.raises(UsageError, match="got none"):
+        estimate_averaged_drift(spec, zeta[:, :0], 1.0, 4.0, 2, g, [])
     with pytest.raises(UsageError):
         # burn_in + horizon overruns the grid.
         estimate_averaged_drift(spec, zeta, 5.0, 4.0, 2, g, seeds)
@@ -215,7 +220,7 @@ def test_mixing_decay_sums_replicas_in_order():
 
     zetas = np.broadcast_to(zeta[:, None], (len(zeta), replicas, 2))
     ya, yb = (simulate_frozen(spec, zetas, start, g,
-                              [NoiseStream(7, r, W2, 2) for r in range(replicas)])
+                              brownian(7, range(replicas), W2, g, 2))
               for start in (eta, eta_prime))
     ts = g.tau_steps
     gaps = np.zeros(g.steps // ts)
@@ -233,8 +238,8 @@ def _per_step_average(spec, zeta, burn_in, horizon, replicas, grid, seeds):
     ts, n, h = grid.tau_steps, spec.n, grid.h
     k_burn, k_len = round(burn_in / h), round(horizon / h)
     chi = np.repeat(zeta, replicas, axis=1)
-    y = simulate_frozen(spec, chi, np.zeros((ts + 1, n)), grid,
-                        [NoiseStream(s, r, W2, spec.m) for s in seeds for r in range(replicas)])
+    dw2 = np.concatenate([brownian(s, range(replicas), W2, grid, spec.m) for s in seeds], axis=1)
+    y = simulate_frozen(spec, chi, np.zeros((ts + 1, n)), grid, dw2)
     acc = np.zeros((chi.shape[1], n))
     for k in range(k_burn, k_burn + k_len + 1):
         acc += spec.b1(chi, y[k: ts + k + 1])

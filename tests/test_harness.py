@@ -674,14 +674,26 @@ def test_cli_config_errors_exit_four(tmp_path, capsys):
     undecodable.write_bytes(b'{"experiment": "converge", "seed": "\xe9"}')
     nested = tmp_path / "nested.json"
     nested.write_text("[" * 100000)
+    array = tmp_path / "array.json"
+    array.write_text("[1, 2]")  # valid JSON, but not an object
     runs = [(_COMMAND_OF[cfg["experiment"]], path) for cfg, path in zip(cases, files)]
-    runs += [("converge", str(undecodable)), ("converge", str(nested))]
+    runs += [("converge", str(undecodable)), ("converge", str(nested)), ("converge", str(array))]
     for i, (command, path) in enumerate(runs):
         out = tmp_path / f"out{i}"
         assert cli_main([command, "--config", path, "--out", str(out)]) == 4, path
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not out.exists()
+    # A closed-form drift with c2 == c3 has no kappa: refused before any path
+    # runs, after the contraction-regime warning.
+    flat = _write_cfg(tmp_path, "flat.json", _cfg(system=dict(
+        BENCH_SYS, params=dict(BENCH_SYS["params"], c2=0.5, c3=0.5))))
+    out = tmp_path / "flat_out"
+    assert cli_main(["converge", "--config", flat, "--out", str(out)]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("warning: ") and "contraction regime" in lines[0], lines
+    assert lines[-1].startswith("error: ") and lines[-1].endswith("stationary gain undefined")
+    assert not out.exists()
 
 
 def test_cli_divergence_exit_three(tmp_path):

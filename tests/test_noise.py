@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.random import Philox, SeedSequence
@@ -7,8 +10,7 @@ from twoscale.noise import (
     W1,
     W2,
     NoiseStream,
-    fast_increments,
-    gaussian_increments,
+    increments,
 )
 
 
@@ -90,42 +92,25 @@ def test_address_validation():
         NoiseStream(0, 0, W1, m=0)
 
 
-def test_gaussian_increments_shape_and_scale():
-    s = NoiseStream(5, 0, W1, m=3)
+def test_increments_shape_scale_and_bits():
+    """Column p is stream (seed, indices[p], tag) drawn step-major, times sqrt(dt)."""
     dt = 0.01
-    dw = gaussian_increments(s, 50, dt)
-    assert dw.shape == (50, 3)
-    ref = NoiseStream(5, 0, W1, m=3).normals(150).reshape(50, 3) * np.sqrt(dt)
-    assert np.array_equal(dw, ref)
+    dw = increments(5, [0, 7], W1, 3, 50, dt)
+    assert dw.shape == (50, 2, 3)
+    for p, path in enumerate([0, 7]):
+        ref = NoiseStream(5, path, W1, m=3).normals(150).reshape(50, 3) * np.sqrt(dt)
+        assert np.array_equal(dw[:, p], ref)
     with pytest.raises(DomainError):
-        gaussian_increments(s, 5, 0.0)
-    assert gaussian_increments(s, 0, dt).shape == (0, 3)
+        increments(5, [0], W1, 3, 5, 0.0)
+    with pytest.raises(UsageError, match="got none"):
+        increments(5, [], W1, 3, 5, dt)
+    assert increments(5, range(2), W1, 3, 0, dt).shape == (0, 2, 3)
 
 
-def test_fast_increments_quarter_epsilon_is_exactly_double():
-    # 1/sqrt(0.25) = 2.0 exactly, so the scaled draw is bit-predictable.
-    dt = 0.02
-    base = gaussian_increments(NoiseStream(3, 2, W2), 40, dt)
-    fast = fast_increments(NoiseStream(3, 2, W2), 40, dt, 0.25)
-    assert np.array_equal(fast, base * 2.0)
-
-
-def test_fast_increments_epsilon_one_is_identity():
-    dt = 0.05
-    base = gaussian_increments(NoiseStream(11, 0, W2), 33, dt)
-    fast = fast_increments(NoiseStream(11, 0, W2), 33, dt, 1.0)
-    assert np.array_equal(fast, base)
-
-
-def test_fast_increments_variance_scaling():
-    rng_checks = [(0.1, 64), (0.01, 65)]
-    for eps, seed in rng_checks:
-        dw = fast_increments(NoiseStream(seed, 0, W2), 40000, 0.001, eps)
-        var = float(dw.var())
-        expect = 0.001 / eps
-        assert abs(var - expect) < 5.0 * expect * np.sqrt(2.0 / 40000)
-    with pytest.raises(DomainError):
-        fast_increments(NoiseStream(0, 0, W2), 1, 0.1, 0.0)
+def test_increments_variance_scales_with_dt():
+    for dt, seed in ((0.01, 64), (0.1, 65)):
+        dw = increments(seed, [0], W2, 1, 40000, dt)
+        assert abs(float(dw.var()) - dt) < 5.0 * dt * np.sqrt(2.0 / 40000)
 
 
 def test_partial_then_rebuild_replays_prefix():
@@ -140,3 +125,29 @@ def test_partial_then_rebuild_replays_prefix():
         fresh = NoiseStream(seed, 0, W1)
         assert np.array_equal(fresh.normals(k), full[:k])
         assert np.array_equal(fresh.normals(total - k), full[k:])
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "twoscale"
+
+
+def _imported(tree):
+    """Every module name tree imports, relative imports resolved inside twoscale."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["twoscale" if node.level else "", node.module]))
+            yield base
+            yield from (f"{base}.{a.name}" for a in node.names)
+
+
+def test_noise_crosses_the_kernel_boundary_as_arrays():
+    """The kernels import nothing from noise; only noise.py builds a NoiseStream."""
+    for name in ("solver.py", "averaging.py"):
+        assert "twoscale.noise" not in set(_imported(ast.parse((SRC / name).read_text()))), name
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "noise.py":
+            continue
+        called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                  for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)}
+        assert "NoiseStream" not in called, path.name

@@ -100,3 +100,5 @@ def test_constant_segment_dimensions():
     assert sup_norm(seg) == pytest.approx(np.sqrt(5.0))
     with pytest.raises(UsageError):
         constant_segment(1.0, 0.25, np.array([1.0]), n=2)
+    with pytest.raises(DataError, match=r"scalar or 1-d, got shape \(1, 2\)"):
+        constant_segment(1.0, 0.25, np.array([[1.0, -2.0]]))

@@ -7,7 +7,7 @@ import pytest
 from twoscale.errors import DivergenceError, DomainError, UsageError
 from twoscale.averaging import DeltaSchedule, simulate_auxiliary, simulate_averaged
 from twoscale.frozen import estimate_averaged_drift, simulate_frozen
-from twoscale.noise import W1, W2, NoiseStream, fast_increments, gaussian_increments
+from twoscale.noise import W1, W2
 from twoscale.segment import constant_segment
 from twoscale.solver import (
     DIVERGENCE_CAP,
@@ -25,6 +25,8 @@ from twoscale.systems import (
     linear_benchmark,
     register_system,
 )
+
+from conftest import brownian
 
 BENCH = LinearBenchmarkParams(a11=-1.0, a12=1.0, s1=0.3, c1=1.0, c2=2.0, c3=0.5, s2=0.3)
 
@@ -66,7 +68,7 @@ def test_coupled_replay_is_bit_identical():
 
     def run():
         return simulate_coupled(spec, xi, eta, 0.1, g,
-                                [NoiseStream(42, 0, W1)], [NoiseStream(42, 0, W2)])
+                                brownian(42, [0], W1, g), brownian(42, [0], W2, g))
 
     (xa, ya), (xb, yb) = run(), run()
     assert np.array_equal(xa, xb)
@@ -81,10 +83,10 @@ def test_epsilon_one_matches_hand_assembled_recursion():
     xi = _const(g, 1.0)
     eta = _const(g, 0.5)
     x_run, y_run = simulate_coupled(spec, xi, eta, 1.0, g,
-                                    [NoiseStream(7, 3, W1)], [NoiseStream(7, 3, W2)])
+                                    brownian(7, [3], W1, g), brownian(7, [3], W2, g))
 
-    dw1 = gaussian_increments(NoiseStream(7, 3, W1), g.steps, h)
-    dwf = fast_increments(NoiseStream(7, 3, W2), g.steps, h, 1.0)
+    dw1 = brownian(7, [3], W1, g)[:, 0]
+    dwf = brownian(7, [3], W2, g)[:, 0]
     ts = g.tau_steps
     s1 = np.array([[BENCH.s1]])
     s2 = np.array([[BENCH.s2]])
@@ -103,6 +105,19 @@ def test_epsilon_one_matches_hand_assembled_recursion():
     assert np.array_equal(y_run[:, 0], y)
 
 
+def test_fast_noise_is_dw2_over_sqrt_epsilon():
+    """A pure-noise fast equation steps by dw2[k] * epsilon ** -0.5, bit for bit."""
+    with pytest.warns(UserWarning, match="contraction regime"):
+        spec = linear_benchmark(LinearBenchmarkParams(a11=-1.0, a12=1.0, s1=0.3,
+                                                      c1=0.0, c2=0.0, c3=0.0, s2=1.0))
+    g = make_grid(T=0.5, h=0.025, tau=1.0)
+    dw2 = brownian(3, range(2), W2, g)
+    for eps, fast in ((1.0, dw2), (0.25, 2.0 * dw2)):
+        _, y = simulate_coupled(spec, _const(g, 1.0), _const(g, 0.0), eps, g,
+                                brownian(3, range(2), W1, g), dw2)
+        assert np.array_equal(y[g.tau_steps + 1:], np.add.accumulate(fast, axis=0))
+
+
 def test_noise_free_coupled_converges_under_refinement():
     """Deterministic two-scale pair: halving h roughly halves the endpoint error."""
     params = LinearBenchmarkParams(a11=-1.0, a12=1.0, s1=0.0,
@@ -113,7 +128,7 @@ def test_noise_free_coupled_converges_under_refinement():
     def endpoint(h):
         g = make_grid(T=1.0, h=h, tau=1.0)
         x, _ = simulate_coupled(spec, _const(g, 1.0), _const(g, 0.0), eps, g,
-                                [NoiseStream(0, 0, W1)], [NoiseStream(0, 0, W2)])
+                                brownian(0, [0], W1, g), brownian(0, [0], W2, g))
         return float(x[-1, 0, 0])
 
     ref = endpoint(0.001)
@@ -133,7 +148,7 @@ def test_sdde_linear_decay_endpoint():
         1, 1,
         lambda window: -window[-1],
         lambda window: np.zeros((1, 1)),
-        xi, g, [NoiseStream(1, 0, W1)],
+        xi, g, brownian(1, [0], W1, g),
     )
     # Reference: the identical float recursion, then the continuous limit.
     ref = np.array([1.0])
@@ -152,9 +167,9 @@ def test_sdde_pure_noise_collapses_to_cumsum():
         1, 1,
         lambda window: np.zeros_like(window[-1]),
         lambda window: np.eye(1),
-        xi, g, [NoiseStream(31, 0, W1)],
+        xi, g, brownian(31, [0], W1, g),
     )
-    dw = gaussian_increments(NoiseStream(31, 0, W1), g.steps, h)
+    dw = brownian(31, [0], W1, g)[:, 0]
     expect = 2.0 + np.concatenate([[0.0], np.cumsum(dw[:, 0])])
     assert np.allclose(path[g.tau_steps:, 0, 0], expect, rtol=0, atol=1e-12)
 
@@ -169,7 +184,7 @@ def test_sdde_delayed_drift_reads_window_start():
         1, 1,
         lambda window: -window[0],
         lambda window: np.zeros((1, 1)),
-        xi, g, [NoiseStream(0, 0, W1)],
+        xi, g, brownian(0, [0], W1, g),
     )
     times = np.arange(g.steps + 1) * h
     assert np.allclose(path[g.tau_steps:, 0, 0], 1.0 - times, atol=1e-12)
@@ -182,8 +197,8 @@ def test_moment_bound_uniform_over_epsilon():
     for eps in (0.2, 0.1, 0.05):
         g = make_grid(T=0.5, h=0.005, tau=1.0)
         x, _ = simulate_coupled(spec, _const(g, 1.0), _const(g, 0.0), eps, g,
-                                [NoiseStream(99, path, W1) for path in range(8)],
-                                [NoiseStream(99, path, W2) for path in range(8)])
+                                brownian(99, range(8), W1, g),
+                                brownian(99, range(8), W2, g))
         sups = np.abs(x[g.tau_steps:, :, 0]).max(axis=0)
         worst = max(worst, float(np.mean(np.square(sups))))
     assert worst < 5.0
@@ -193,7 +208,7 @@ def test_stability_cap_enforced():
     spec = linear_benchmark(BENCH)
     g = make_grid(T=0.5, h=0.05, tau=1.0)
     xi, eta = _const(g, 1.0), _const(g, 0.0)
-    w1, w2 = [NoiseStream(0, 0, W1)], [NoiseStream(0, 0, W2)]
+    w1, w2 = brownian(0, [0], W1, g), brownian(0, [0], W2, g)
     with pytest.raises(DomainError, match="stability cap"):
         simulate_coupled(spec, xi, eta, 0.1, g, w1, w2)
     # Same h is fine for epsilon = 1.
@@ -210,20 +225,21 @@ def test_input_compatibility_checks():
     other = constant_segment(1.0, 0.1, 1.0)  # wrong h
     with pytest.raises(UsageError):
         simulate_coupled(spec, other, _const(g, 0.0), 1.0, g,
-                         [NoiseStream(0, 0, W1)], [NoiseStream(0, 0, W2)])
-    wide = NoiseStream(0, 0, W1, m=2)
-    with pytest.raises(UsageError):
+                         brownian(0, [0], W1, g), brownian(0, [0], W2, g))
+    wide = brownian(0, [0], W1, g, 2)  # m = 2 for a system with m = 1
+    with pytest.raises(UsageError, match=r"\(10, 1, 2\); .* need \(10, P >= 1, 1\)"):
         simulate_coupled(spec, _const(g, 1.0), _const(g, 0.0), 1.0, g,
-                         [wide], [NoiseStream(0, 0, W2)])
-    with pytest.raises(UsageError, match="got none"):
-        simulate_coupled(spec, _const(g, 1.0), _const(g, 0.0), 1.0, g, [], [])
+                         wide, brownian(0, [0], W2, g))
+    none = np.empty((g.steps, 0, 1))
+    with pytest.raises(UsageError, match="P >= 1"):
+        simulate_coupled(spec, _const(g, 1.0), _const(g, 0.0), 1.0, g, none, none)
     half = make_grid(T=0.5, h=0.05, tau=0.5)  # built for tau = 0.5, spec.tau = 1
     with pytest.raises(UsageError, match="different delay"):
         simulate_coupled(spec, _const(half, 1.0), _const(half, 0.0), 1.0, half,
-                         [NoiseStream(0, 0, W1)], [NoiseStream(0, 0, W2)])
-    with pytest.raises(UsageError, match="2 W1 streams for 1 W2 streams"):
+                         brownian(0, [0], W1, half), brownian(0, [0], W2, half))
+    with pytest.raises(UsageError, match=r"dW1 has shape \(10, 2, 1\) but dW2 .* \(10, 1, 1\)"):
         simulate_coupled(spec, _const(g, 1.0), _const(g, 0.0), 1.0, g,
-                         [NoiseStream(0, p, W1) for p in range(2)], [NoiseStream(0, 0, W2)])
+                         brownian(0, range(2), W1, g), brownian(0, [0], W2, g))
 
 
 def _cubic_fast_spec():
@@ -241,7 +257,7 @@ def test_divergence_error_carries_context():
     """A one-path run raises its DivergenceError with the step, time and last state."""
     spec = _cubic_fast_spec()
     g = make_grid(T=1.0, h=0.005, tau=0.5)
-    w1, w2 = [NoiseStream(0, 0, W1)], [NoiseStream(0, 0, W2)]
+    w1, w2 = brownian(0, [0], W1, g), brownian(0, [0], W2, g)
     with pytest.raises(DivergenceError, match="fast component left") as info:
         simulate_coupled(spec, _const(g, 0.0), _const(g, 2.0), 0.05, g, w1, w2)
     err = info.value
@@ -249,7 +265,8 @@ def test_divergence_error_carries_context():
     assert type(err.time) is float and err.time == (err.step_index + 1) * g.h
     # The run that stops one step short ends in exactly the reported state.
     short = make_grid(T=err.step_index * g.h, h=g.h, tau=0.5)
-    x, y = simulate_coupled(spec, _const(g, 0.0), _const(g, 2.0), 0.05, short, w1, w2)
+    x, y = simulate_coupled(spec, _const(g, 0.0), _const(g, 2.0), 0.05, short,
+                            w1[: short.steps], w2[: short.steps])
     assert np.array_equal(err.last_state, np.concatenate([x[-1, 0], y[-1, 0]]))
     assert np.abs(err.last_state).max() <= DIVERGENCE_CAP
 
@@ -258,7 +275,7 @@ def test_divergence_error_survives_pickling():
     """A forked worker pickles its exception; a DivergenceError comes back whole."""
     spec = _cubic_fast_spec()
     g = make_grid(T=1.0, h=0.005, tau=0.5)
-    w1, w2 = [NoiseStream(0, 0, W1)], [NoiseStream(0, 0, W2)]
+    w1, w2 = brownian(0, [0], W1, g), brownian(0, [0], W2, g)
     with pytest.raises(DivergenceError) as info:
         simulate_coupled(spec, _const(g, 0.0), _const(g, 2.0), 0.05, g, w1, w2)
     err = info.value
@@ -310,8 +327,8 @@ def test_maps_receive_window_arrays():
         return [w for _, w in rows]
 
     x, y = simulate_coupled(spec, xi, eta, 0.5, g,
-                            [NoiseStream(3, p, W1) for p in range(2)],
-                            [NoiseStream(3, p, W2) for p in range(2)])
+                            brownian(3, range(2), W1, g),
+                            brownian(3, range(2), W2, g))
     assert x.shape == (g.total, 2, 2)
     for name in ("chi", "phi", "sigma1", "b2", "sigma2"):
         windows = calls(name)
@@ -328,7 +345,7 @@ def test_maps_receive_window_arrays():
         record("drift", window)
         return -window[-1]
 
-    xbar = simulate_averaged(spec, xi, drift, g, [NoiseStream(3, p, W1) for p in range(2)])
+    xbar = simulate_averaged(spec, xi, drift, g, brownian(3, range(2), W1, g))
     windows = calls("drift")
     assert len(windows) == g.steps
     for k, w in enumerate(windows):
@@ -347,7 +364,7 @@ def test_maps_receive_window_arrays():
     ts, k_burn = sub.tau_steps, 5
     assert chi.shape == (len(zeta), 6, 2) and phi.shape == (ts + 1, 6, 2)
     yf = simulate_frozen(spec, zeta, np.zeros((ts + 1, 2)), sub,
-                         [NoiseStream(4, 0, W2)])
+                         brownian(4, [0], W2, sub))
     for j in range(6):  # each step's whole window, its "now" row yf[ts + k_burn + j] included
         assert np.array_equal(chi[:, j], zeta[:, 0])
         assert np.array_equal(phi[:, j], yf[k_burn + j: k_burn + j + ts + 1, 0])
@@ -372,27 +389,25 @@ def _golden_kernels():
     levels = np.array([2.0, 0.0, 2.0, 0.5, 0.0, 1.5, 0.0, 2.0, -1.0, 0.0])
     zetas = np.stack([constant_segment(1.0, 0.05, v) for v in levels], axis=1)
 
-    def streams(ps, tag, seed=5):
-        return [NoiseStream(seed, p, tag) for p in ps]
-
     def auxiliary(ps):
         pair = simulate_auxiliary(spec, xi, eta, eps, schedule, g,
-                                  streams(ps, W1), streams(ps, W2))
+                                  brownian(5, ps, W1, g), brownian(5, ps, W2, g))
         return pair.x, pair.y, pair.x_aux, pair.y_aux
 
     return {
         "coupled": lambda ps: simulate_coupled(spec, xi, eta, eps, g,
-                                               streams(ps, W1), streams(ps, W2)),
+                                               brownian(5, ps, W1, g), brownian(5, ps, W2, g)),
         "auxiliary": auxiliary,
         "frozen": lambda ps: (simulate_frozen(spec, np.zeros((21, len(ps), 1)),
-                                              np.zeros((21, 1)), sub, streams(ps, W2)),),
+                                              np.zeros((21, 1)), sub,
+                                              brownian(5, ps, W2, sub)),),
         # exp overflows on the step that leaves the admissible range.
         "explosive": lambda ps: (simulate_sdde(1, 1, lambda w: np.exp(w[-1]) - 1.0,
                                                lambda w: np.eye(1), np.zeros((11, 1)), short,
-                                               streams(ps, W1, seed=2)),),
+                                               brownian(2, ps, W1, short)),),
         "per_column_zeta": lambda ps: (simulate_frozen(switch_spec(1.0), zetas[:, list(ps)],
                                                        np.zeros((21, 1)), sub,
-                                                       streams(ps, W2, seed=3)),),
+                                                       brownian(3, ps, W2, sub)),),
     }
 
 
@@ -480,23 +495,21 @@ def test_batch_without_failures_equals_its_singles():
     zetas = np.stack([constant_segment(1.0, 0.05, v) for v in levels], axis=1)
     budget = dict(burn_in=1.0, horizon=1.0, replicas=2)
 
-    def streams(ps, tag):
-        return [NoiseStream(6, p, tag) for p in ps]
-
     def auxiliary(ps):
         pair = simulate_auxiliary(spec, xi, eta, 0.25, schedule, g,
-                                  streams(ps, W1), streams(ps, W2))
+                                  brownian(6, ps, W1, g), brownian(6, ps, W2, g))
         return pair.x, pair.y, pair.x_aux, pair.y_aux
 
     def estimated(ps):
         src = EstimatedDriftSource(spec, 3, h=0.05, **budget)
-        return (simulate_averaged(spec, xi, src, g, streams(ps, W1)),)
+        return (simulate_averaged(spec, xi, src, g, brownian(6, ps, W1, g)),)
 
     kernels = [
-        lambda ps: simulate_coupled(spec, xi, eta, 0.25, g, streams(ps, W1), streams(ps, W2)),
+        lambda ps: simulate_coupled(spec, xi, eta, 0.25, g,
+                                    brownian(6, ps, W1, g), brownian(6, ps, W2, g)),
         auxiliary,
         lambda ps: (simulate_frozen(switch_spec(1.0), zetas[:, list(ps)], np.zeros((21, 1)),
-                                    sub, streams(ps, W2)),),
+                                    sub, brownian(6, ps, W2, sub)),),
         estimated,
     ]
     paths = range(len(levels))
@@ -529,8 +542,8 @@ def test_map_error_propagates_from_the_kernel():
 
     def run(ps):
         return simulate_coupled(spec, _const(g, 0.0), _const(g, 0.0), 0.1, g,
-                                [NoiseStream(8, p, W1) for p in ps],
-                                [NoiseStream(8, p, W2) for p in ps])
+                                brownian(8, ps, W1, g),
+                                brownian(8, ps, W2, g))
 
     outcomes = []
     for p in range(8):
@@ -554,7 +567,7 @@ def test_maps_must_return_batch_shapes():
     xi = _const(g, 1.0)
 
     def ws(paths):
-        return [NoiseStream(0, p, W1) for p in range(paths)]
+        return brownian(0, range(paths), W1, g)
 
     cases = [
         (lambda w: w[-1, :, 0], lambda w: np.eye(1), r"drift returned shape \({p},\), "
@@ -614,8 +627,8 @@ def test_auxiliary_fast_divergence_just_before_a_reset_is_raised():
     schedule = DeltaSchedule(delta_raw=5 * H, delta=5 * H, N_delta=1)
     with pytest.raises(DivergenceError) as info:
         simulate_auxiliary(spec, xi, xi, 1.0, schedule, g,
-                           [NoiseStream(0, p, W1) for p in range(2)],
-                           [NoiseStream(0, p, W2) for p in range(2)])
+                           brownian(0, range(2), W1, g),
+                           brownian(0, range(2), W2, g))
     _assert_error(info, 4, 0.3125, [0.25, 0.25], "auxiliary fast component diverged")
 
 
@@ -639,10 +652,10 @@ def test_map_raising_on_an_unchecked_divergence_gives_the_divergence():
     g = make_grid(T=2.0, h=H, tau=0.5)
     xi = np.zeros((g.tau_steps + 1, 1))
     with pytest.raises(DivergenceError) as info:
-        simulate_coupled(spec, xi, xi, 1.0, g, [NoiseStream(0, 0, W1)], [NoiseStream(0, 0, W2)])
+        simulate_coupled(spec, xi, xi, 1.0, g, brownian(0, [0], W1, g), brownian(0, [0], W2, g))
     _assert_error(info, 5, 0.375, [0.0, 0.3125], "fast component left the admissible range")
     with pytest.raises(DivergenceError) as info:
-        simulate_sdde(1, 1, drift, _zero_diffusion, xi, g, [NoiseStream(0, 0, W1)])
+        simulate_sdde(1, 1, drift, _zero_diffusion, xi, g, brownian(0, [0], W1, g))
     _assert_error(info, 5, 0.375, [0.3125], "X left the admissible range")
 
 
@@ -668,8 +681,8 @@ def test_divergence_at_the_block_edges(steps, step):
         spec = SystemSpec(n=1, m=1, tau=0.5,
                           b1=lambda chi, phi: slow_drift(chi[-1]), sigma1=_zero_diffusion,
                           b2=lambda chi, y, y_tau: fast_drift(y), sigma2=_zero_diffusion)
-        simulate_coupled(spec, xi, xi, 1.0, g, [NoiseStream(0, p, W1) for p in range(3)],
-                         [NoiseStream(0, p, W2) for p in range(3)])
+        simulate_coupled(spec, xi, xi, 1.0, g, brownian(0, range(3), W1, g),
+                         brownian(0, range(3), W2, g))
 
     time = (step + 1) * H
     with pytest.raises(DivergenceError) as info:
@@ -680,7 +693,7 @@ def test_divergence_at_the_block_edges(steps, step):
     _assert_error(info, step, time, [state, state], "fast component left the admissible range")
     with pytest.raises(DivergenceError) as info:
         simulate_sdde(1, 1, lambda w: climb(w[-1]), _zero_diffusion, xi, g,
-                      [NoiseStream(0, p, W1) for p in range(3)])
+                      brownian(0, range(3), W1, g))
     _assert_error(info, step, time, [state], "X left the admissible range")
 
 
@@ -740,10 +753,10 @@ def test_constant_diffusion_noise_is_bit_identical(n, monkeypatch):
                           b2=lambda chi, y, y_tau: chi[-1] - y + 0.25 * y_tau, sigma2=sig2[mode])
         calls.clear()
         pair = simulate_auxiliary(spec, xi, eta, 0.25, schedule, g,
-                                  [NoiseStream(9, q, W1, m=n) for q in range(p)],
-                                  [NoiseStream(9, q, W2, m=n) for q in range(p)])
+                                  brownian(9, range(p), W1, g, n),
+                                  brownian(9, range(p), W2, g, n))
         path = simulate_sdde(n, n, lambda w: -w[-1] @ a.T, sig1[mode], xi, g,
-                             [NoiseStream(9, q, W1, m=n) for q in range(p)])
+                             brownian(9, range(p), W1, g, n))
         return (pair.x, pair.y, pair.x_aux, pair.y_aux, path), list(calls)
 
     fast, fast_calls = run("cached")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twoscale.averaging import closed_form_drift
 from twoscale.errors import ConfigError, DataError, DomainError, UsageError
 from twoscale.segment import constant_segment, window
 from twoscale.systems import (
@@ -34,7 +35,7 @@ def test_benchmark_closed_forms():
 
 def test_benchmark_averaged_drift_reads_window_endpoint():
     chi = (2.0 + (np.arange(5) - 4) * 0.25)[:, None]
-    out = BENCH.averaged_drift(chi)
+    out = closed_form_drift(linear_benchmark(BENCH))(chi)
     assert out.shape == (1,)
     assert out[0] == pytest.approx(BENCH.kappa * 2.0)
 
