@@ -12,6 +12,11 @@ from twoscale.noise import (
     NoiseStream,
     increments,
 )
+from twoscale.segment import constant_segment
+from twoscale.solver import make_grid, simulate_coupled
+from twoscale.systems import LinearBenchmarkParams, linear_benchmark
+
+from conftest import brownian
 
 
 def test_replay_is_bit_identical():
@@ -111,6 +116,31 @@ def test_increments_variance_scales_with_dt():
     for dt, seed in ((0.01, 64), (0.1, 65)):
         dw = increments(seed, [0], W2, 1, 40000, dt)
         assert abs(float(dw.var()) - dt) < 5.0 * dt * np.sqrt(2.0 / 40000)
+
+
+def _fast_path_and_dw2(eps):
+    """A pure-noise fast equation (no drift, s2 = 1): its path after the history and dw2."""
+    with pytest.warns(UserWarning, match="contraction regime"):
+        spec = linear_benchmark(LinearBenchmarkParams(a11=-1.0, a12=1.0, s1=0.3,
+                                                      c1=0.0, c2=0.0, c3=0.0, s2=1.0))
+    g = make_grid(T=0.5, h=0.025, tau=1.0)
+    dw2 = brownian(3, range(2), W2, g)
+    _, y = simulate_coupled(spec, constant_segment(g.tau, g.h, 1.0),
+                            constant_segment(g.tau, g.h, 0.0), eps, g,
+                            brownian(3, range(2), W1, g), dw2)
+    return y[g.tau_steps + 1:], dw2
+
+
+def test_fast_increments_quarter_epsilon_is_exactly_double():
+    """The kernel scales the fast noise by epsilon ** -0.5: each step is 2 * dw2, bit for bit."""
+    y, dw2 = _fast_path_and_dw2(0.25)
+    assert np.array_equal(y, np.add.accumulate(2.0 * dw2, axis=0))
+
+
+def test_fast_increments_epsilon_one_is_identity():
+    """At epsilon = 1 each fast step is dw2 itself, bit for bit."""
+    y, dw2 = _fast_path_and_dw2(1.0)
+    assert np.array_equal(y, np.add.accumulate(dw2, axis=0))
 
 
 def test_partial_then_rebuild_replays_prefix():

@@ -105,19 +105,6 @@ def test_epsilon_one_matches_hand_assembled_recursion():
     assert np.array_equal(y_run[:, 0], y)
 
 
-def test_fast_noise_is_dw2_over_sqrt_epsilon():
-    """A pure-noise fast equation steps by dw2[k] * epsilon ** -0.5, bit for bit."""
-    with pytest.warns(UserWarning, match="contraction regime"):
-        spec = linear_benchmark(LinearBenchmarkParams(a11=-1.0, a12=1.0, s1=0.3,
-                                                      c1=0.0, c2=0.0, c3=0.0, s2=1.0))
-    g = make_grid(T=0.5, h=0.025, tau=1.0)
-    dw2 = brownian(3, range(2), W2, g)
-    for eps, fast in ((1.0, dw2), (0.25, 2.0 * dw2)):
-        _, y = simulate_coupled(spec, _const(g, 1.0), _const(g, 0.0), eps, g,
-                                brownian(3, range(2), W1, g), dw2)
-        assert np.array_equal(y[g.tau_steps + 1:], np.add.accumulate(fast, axis=0))
-
-
 def test_noise_free_coupled_converges_under_refinement():
     """Deterministic two-scale pair: halving h roughly halves the endpoint error."""
     params = LinearBenchmarkParams(a11=-1.0, a12=1.0, s1=0.0,
