@@ -1,5 +1,11 @@
 """Simulation and verification toolkit for slow/fast delay SDE systems."""
 
+import os
+
+# Forked workers are the only parallelism; an unused OpenBLAS thread pool costs CPU to start.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .errors import (
     ConfigError,
     DataError,

@@ -72,7 +72,7 @@ class NoiseStream:
 
 
 def increments(seed: int, indices, tag: str, m: int, steps: int, dt: float) -> np.ndarray:
-    """Brownian increments over steps of length dt, shape (steps, len(indices), m).
+    """C-contiguous Brownian increments over steps of length dt, shape (steps, len(indices), m).
 
     Column p comes from stream (seed, indices[p], tag).
     """
@@ -80,5 +80,8 @@ def increments(seed: int, indices, tag: str, m: int, steps: int, dt: float) -> n
         raise DomainError(f"dt must be positive, got {dt}")
     if len(indices) == 0:
         raise UsageError("need at least one path index, got none")
-    z = [NoiseStream(seed, i, tag, m).normals(steps * m).reshape(steps, m) for i in indices]
-    return np.stack(z, axis=1) * np.sqrt(dt)
+    out = np.empty((len(indices), steps * m))
+    for p, i in enumerate(indices):
+        out[p] = NoiseStream(seed, i, tag, m).normals(steps * m)
+    out *= np.sqrt(dt)
+    return np.ascontiguousarray(out.reshape(len(indices), steps, m).transpose(1, 0, 2))

@@ -261,23 +261,44 @@ BENCH_HASHES = {
 
 
 @pytest.fixture(scope="module")
-def bench_workloads():
-    sys.path.insert(0, str(BENCH_DIR))  # workloads.py imports its sibling reference.py
+def bench():
+    """bench/workloads.py, which imports its sibling reference.py."""
+    sys.path.insert(0, str(BENCH_DIR))
     try:
-        from workloads import WORKLOADS, Report
+        import workloads
     finally:
         sys.path.remove(str(BENCH_DIR))
-    return WORKLOADS, Report
+    return workloads
 
 
 @pytest.mark.parametrize("name, threads", [("aux-gap-threads2", 1), ("aux-gap-threads2", 2),
                                            ("converge-estimator", 1)])
-def test_bench_workload_hash(name, threads, bench_workloads, tmp_path):
-    """The benchmark's scenarios, run in process through the CLI, keep their report hashes."""
-    workloads, report = bench_workloads
-    workload = workloads[name]
+def test_bench_workload_hash(name, threads, bench, tmp_path):
+    """The benchmark's scenarios, run in process through the CLI, keep their report hashes
+    and pass the benchmark's own checks against bench/reference.py."""
+    workload = bench.WORKLOADS[name]
+    cfg = workload.scenario(0, threads=threads)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(workload.scenario(0, threads=threads)))
+    config.write_text(json.dumps(cfg))
     code = cli.main([workload.command, "--config", str(config), "--out", str(tmp_path / "out")])
     assert code == 0
-    assert report.load(tmp_path / "out").csv_hash == BENCH_HASHES[name]
+    report = bench.Report.load(tmp_path / "out")
+    assert report.csv_hash == BENCH_HASHES[name]
+    assert workload.check(report, cfg) == []
+
+
+def test_closed_form_converge_matches_reference(bench, tmp_path):
+    """Criterion 4's sweep with the closed-form drift gives bench/reference.py's moments."""
+    cfg = {"experiment": "converge", "system": bench.SYSTEM, "tau": 1.0, "T": 0.5,
+           "epsilons": [0.05, 0.02, 0.01, 0.005], "p": 2.0, "paths": 128, "seed": 2024}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    assert cli.main(["converge", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    rows = bench.Report.load(tmp_path / "out").kind("sup_gap_moment")
+    assert [float(r["epsilon"]) for r in rows] == cfg["epsilons"]
+    for row in rows:
+        gaps = bench.reference.sup_gaps(bench.PAIR, cfg["seed"], cfg["paths"],
+                                        float(row["epsilon"]), row["extra"]["h"], cfg["T"],
+                                        cfg["tau"])
+        ref = bench.reference.moment(gaps, cfg["p"])
+        assert float(row["value"]) == pytest.approx(ref, rel=bench.REFERENCE_RTOL, abs=0.0)

@@ -1303,6 +1303,26 @@ def test_cli_loads_no_executor_or_multiprocessing(tmp_path):
     assert lines[-1] in ("0 [2] []", "2 [2] []"), done.stdout
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+@pytest.mark.parametrize("caller, blas, threads", [
+    ({}, "1", 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "2", 2),
+    ({"OMP_NUM_THREADS": "2"}, None, 2),
+], ids=["unset", "openblas-2", "omp-2"])
+def test_import_pins_blas_to_one_thread_unless_the_caller_chose(caller, blas, threads):
+    """Importing twoscale before numpy starts no OpenBLAS pool; a caller's own count wins."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env.update(caller, PYTHONPATH=str(Path(twoscale.__file__).resolve().parents[1]))
+    script = ("import os, twoscale\n"
+              "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    # OpenBLAS caps its pool at the CPUs this process may run on.
+    assert done.stdout.split() == [str(blas), str(min(threads, len(os.sched_getaffinity(0))))]
+
+
 def test_cli_frozen_prints_summary(tmp_path, capsys):
     cfg = _cfg(experiment="frozen", h=0.02,
                burn_in=2.0, horizon=4.0, replicas=2,

@@ -102,6 +102,7 @@ def test_increments_shape_scale_and_bits():
     dt = 0.01
     dw = increments(5, [0, 7], W1, 3, 50, dt)
     assert dw.shape == (50, 2, 3)
+    assert dw.flags.c_contiguous  # the kernels slice dw[k] on every step
     for p, path in enumerate([0, 7]):
         ref = NoiseStream(5, path, W1, m=3).normals(150).reshape(50, 3) * np.sqrt(dt)
         assert np.array_equal(dw[:, p], ref)
