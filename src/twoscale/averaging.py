@@ -178,7 +178,8 @@ class EstimatedDriftSource:
 
     def __call__(self, windows: np.ndarray) -> np.ndarray:
         """bbar1 of each (M + 1, n) window of the (M + 1, P, n) batch, shape (P, n)."""
-        seeds = [self._sub_seed(windows[:, p]) for p in range(windows.shape[1])]
+        keys = np.round(windows / _SEED_QUANT).astype(np.int64)
+        seeds = [self._sub_seed(keys[:, p]) for p in range(windows.shape[1])]
         self.calls += len(seeds)
         est = estimate_averaged_drift(
             self.spec, windows, self.burn_in, self.horizon, self.replicas, self.sub_grid,
@@ -187,7 +188,7 @@ class EstimatedDriftSource:
         self.max_std_error = max(self.max_std_error, float(np.max(est.std_error)))
         return est.value
 
-    def _sub_seed(self, window: np.ndarray) -> int:
-        key = np.round(window / _SEED_QUANT).astype(np.int64).tobytes()
-        digest = hashlib.blake2b(key + b"|" + str(self.seed).encode(), digest_size=8)
+    def _sub_seed(self, key: np.ndarray) -> int:
+        """Stream seed of a window from its (M + 1, n) multiples of _SEED_QUANT."""
+        digest = hashlib.blake2b(key.tobytes() + b"|" + str(self.seed).encode(), digest_size=8)
         return int.from_bytes(digest.digest(), "big")

@@ -70,9 +70,8 @@ def simulate_frozen(
             f"zeta has shape {zeta.shape}; {paths} path(s) of a system with n={n} "
             f"need (M + 1, {paths}, {n})"
         )
-    b2, sigma2 = spec.b2, spec.sigma2
-    return simulate_sdde(n, spec.m, lambda w: b2(zeta, w[-1], w[0]),
-                         lambda w: sigma2(zeta, w[-1], w[0]), eta, grid, dw2, label="Yzeta")
+    return simulate_sdde(n, spec.m, spec.b2, spec.sigma2, eta, grid, dw2, label="Yzeta",
+                         chi=zeta)
 
 
 def estimate_averaged_drift(
@@ -134,8 +133,8 @@ def estimate_averaged_drift(
         eta = np.zeros((ts + 1, spec.n))
 
     chi = np.repeat(zeta, replicas, axis=1)
-    dw2 = np.concatenate([increments(s, range(replicas), W2, spec.m, grid.steps, grid.h)
-                          for s in seeds], axis=1)
+    dw2 = increments([s for s in seeds for _ in range(replicas)],
+                     [r for _ in seeds for r in range(replicas)], W2, spec.m, grid.steps, grid.h)
     try:
         y = simulate_frozen(spec, chi, eta, grid, dw2)
     except DivergenceError as exc:

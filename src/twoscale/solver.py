@@ -9,7 +9,8 @@ same recursion, with the slow window frozen per block and the fast state
 reset, runs the auxiliary pair of averaging.py.
 simulate_sdde advances a single equation whose drift and diffusion are
 arbitrary functionals of the trailing window; the frozen and averaged
-equations are both built on it.
+equations are both built on it, the frozen one calling b2 and sigma2
+on its pinned slow window directly.
 
 Both kernels step a batch of P paths at once, time-major.  A path array
 has shape (grid.total, P, n) and starts with the (tau_steps + 1, n)
@@ -301,16 +302,19 @@ def simulate_sdde(
     dw: np.ndarray,
     *,
     label: str = "X",
+    chi: np.ndarray | None = None,
 ):
     """Integrate a batch of one delay equation with window-functional coefficients.
 
     drift(window) -> (P, n) and diffusion(window) -> (n, m) or (P, n, m)
     see the trailing (tau_steps + 1, P, n) window of the paths being
-    built, row tau_steps being "now".  xi is the (M + 1, n) start window
-    and dw the (grid.steps, P, m) Brownian increments.  Returns the
-    read-only (grid.total, P, n) paths.  The first failure of any path is
-    raised: the earliest step, then the lowest column; label names the
-    equation in divergence messages.
+    built, row tau_steps being "now".  With a pinned slow window chi
+    they are instead a fast pair's b2 and sigma2, called as
+    f(chi, y, y_tau) on chi itself and the rows "now" and one delay ago.
+    xi is the (M + 1, n) start window and dw the (grid.steps, P, m)
+    Brownian increments.  Returns the read-only (grid.total, P, n) paths.
+    The first failure of any path is raised: the earliest step, then the
+    lowest column; label names the equation in divergence messages.
     """
     xi = _history(xi, grid, n, "xi")
     h = grid.h
@@ -325,9 +329,9 @@ def simulate_sdde(
         try:
             for k in range(grid.steps):
                 i = ts + k
-                window = path[k: i + 1]
-                b = _drift(drift(window), p, n, "drift")
-                if (s := diffusion(window)) is not c:
+                args = (path[k: i + 1],) if chi is None else (chi, path[i], path[k])
+                b = _drift(drift(*args), p, n, "drift")
+                if (s := diffusion(*args)) is not c:
                     s, c, rows = _checked_noise(s, k, dw, p, n, m, "diffusion")
                 new = path[i + 1]
                 np.add(path[i], b * h_dt, out=new)

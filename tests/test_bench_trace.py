@@ -4,7 +4,8 @@ bench/tracer.py wraps package functions by name (harness.simulate_coupled,
 averaging.simulate_sdde, Scenario.drift_callable, ...).  A rename under
 src/ would leave those layers unmeasured without failing anything else,
 so this runs bench/op.py traced on two small scenarios and checks that
-the solver, estimator and auxiliary layers each recorded calls.
+the solver, estimator, frozen and auxiliary layers each recorded calls,
+and that the frozen sub-simulations reached the solver layer.
 """
 
 import importlib.util
@@ -27,7 +28,7 @@ RUNS = [
     ("converge", dict(_BASE, experiment="converge", T=0.1, h_factor=0.1,
                       epsilons=[0.2, 0.02], paths=2, drift_source="estimator",
                       estimator={"burn_in": 5.0, "horizon": 1.0, "replicas": 2, "h": 0.1}),
-     ("solver.sdde.calls", "averaging.estimator.calls")),
+     ("solver.sdde.calls", "averaging.estimator.calls", "frozen.estimate.calls")),
     ("aux-gap", dict(_BASE, experiment="auxiliary_gap", T=0.25,
                      epsilons=[0.05, 0.02, 0.01], paths=4),
      ("averaging.auxiliary.calls",)),
@@ -58,3 +59,7 @@ def test_traced_operation_records_every_layer(tmp_path):
         summary = summarize(json.loads(spans.read_text()))
         for layer in layers:
             assert summary[layer] > 0, (command, layer, summary)
+        if command == "converge":
+            # The frozen pass is traced through frozen.simulate_sdde: a route around
+            # it would leave solver.sdde with only the averaged equation's calls.
+            assert summary["solver.sdde.calls"] > summary["averaging.averaged.calls"], summary

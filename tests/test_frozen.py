@@ -62,6 +62,36 @@ def test_simulate_frozen_reads_pinned_window():
                         brownian(0, [0], W2, g))
 
 
+def test_simulate_frozen_hands_the_maps_zeta_and_both_fast_rows():
+    """b2 and sigma2 get the pinned zeta itself, then rows i and i - tau_steps of the path."""
+    seen = []
+
+    def recorder(name, value):
+        def fn(chi, y, y_tau):
+            seen.append((name, chi, y.copy(), y_tau.copy()))
+            return value(y, y_tau)
+        return fn
+
+    spec = SystemSpec(
+        n=1, m=1, tau=1.0,
+        b1=lambda chi, phi: np.zeros_like(chi[-1]),
+        sigma1=lambda chi: np.zeros((1, 1)),
+        b2=recorder("b2", lambda y, y_tau: 0.5 * y_tau - y),
+        sigma2=recorder("sigma2", lambda y, y_tau: np.array([[0.3]])),
+    )
+    h = 0.05
+    g = make_grid(T=0.5, h=h, tau=1.0)
+    ts = g.tau_steps
+    zeta = np.linspace(1.0, 2.0, 2 * (ts + 1)).reshape(ts + 1, 2, 1)
+    eta = np.linspace(-1.0, 1.0, ts + 1)[:, None]  # every row different
+    y = simulate_frozen(spec, zeta, eta, g, brownian(0, range(2), W2, g))
+    assert [name for name, *_ in seen] == ["b2", "sigma2"] * g.steps
+    for j, (_, chi, now, lagged) in enumerate(seen):
+        k = j // 2
+        assert chi is zeta
+        assert np.array_equal(now, y[ts + k]) and np.array_equal(lagged, y[k]), k
+
+
 def switch_spec(threshold: float) -> SystemSpec:
     """Fast drift -y while zeta(0) <= threshold, 1 + y^3 (finite-time blow-up) above it."""
     return SystemSpec(

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,13 @@ def test_address_validation():
         NoiseStream(0, -1, W1)
     with pytest.raises(DomainError):
         NoiseStream(0, 0, W1, m=0)
+    with pytest.raises(DomainError, match="seed"):
+        NoiseStream(-1, 0, W1)
+    # A fractional address is refused, not truncated onto stream 1.
+    with pytest.raises(UsageError, match="seed"):
+        NoiseStream(1.5, 0, W1)
+    with pytest.raises(UsageError, match="path_index"):
+        NoiseStream(0, 1.5, W1)
 
 
 def test_increments_shape_scale_and_bits():
@@ -111,6 +119,52 @@ def test_increments_shape_scale_and_bits():
     with pytest.raises(UsageError, match="got none"):
         increments(5, [], W1, 3, 5, dt)
     assert increments(5, range(2), W1, 3, 0, dt).shape == (0, 2, 3)
+    for bad_dt in (float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="dt"):
+            increments(5, [0], W1, 3, 5, bad_dt)
+    with pytest.raises(DomainError, match="steps"):
+        increments(1, [0], W1, 1, -1, 0.1)
+    with pytest.raises(DomainError, match="noise dimension"):
+        increments(1, [0], W1, 0, 5, 0.1)
+    with pytest.raises(DomainError, match="seed"):
+        increments(-1, [0], W1, 1, 5, 0.1)
+    with pytest.raises(DomainError, match="seed"):
+        increments([1, -1], [0, 1], W1, 1, 5, 0.1)
+    with pytest.raises(DomainError, match="path index"):
+        increments(1, [0, -1], W1, 1, 5, 0.1)
+    # A fractional address is refused, not truncated onto stream 1.
+    with pytest.raises(UsageError, match="seed"):
+        increments(1.5, [0], W1, 1, 5, 0.1)
+    with pytest.raises(UsageError, match="path index"):
+        increments(1, [1.5], W1, 1, 5, 0.1)
+    with pytest.raises(UsageError, match="2 seeds for 3 path indices"):
+        increments([1, 2], range(3), W1, 1, 5, 0.1)
+    with pytest.raises(UsageError, match="tag"):
+        increments(1, [0], "W3", 1, 5, 0.1)
+
+
+@pytest.mark.parametrize("paths, steps, m", [(24, 2000, 1), (3, 9000, 2), (4, 0, 1)])
+def test_blocked_draw_equals_each_stream(paths, steps, m):
+    """Per-column seeds, drawn in shared blocks or in pieces of one stream, replay each stream."""
+    dt = 0.005
+    seeds = [2 ** 63 + 17 * c for c in range(paths)]  # _sub_seed digests reach 2^64
+    indices = [c % 2 for c in range(paths)]
+    dw = increments(seeds, indices, W2, m, steps, dt)
+    assert dw.shape == (steps, paths, m) and dw.flags.c_contiguous
+    for c in range(paths):
+        ref = NoiseStream(seeds[c], indices[c], W2, m).normals(steps * m)
+        assert np.array_equal(dw[:, c], ref.reshape(steps, m) * np.sqrt(dt)), c
+
+
+def test_increments_allocate_little_beyond_their_output():
+    """The draw goes straight into the output: no per-path buffer or transposed copy."""
+    tracemalloc.start()
+    try:
+        dw = increments(3, range(64), W1, 1, 20_000, 0.001)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * dw.nbytes, (peak, dw.nbytes)
 
 
 def test_increments_variance_scales_with_dt():
