@@ -58,15 +58,15 @@ def khasminskii_delta(epsilon: float, tau: float) -> DeltaSchedule:
     stays below 1.  N = ceil(tau / delta_raw), hence delta <= delta_raw
     and delta divides tau exactly.
     """
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     if epsilon >= _INV_E:
         raise DomainError(
             f"epsilon={epsilon} >= 1/e; the schedule needs eps/delta < 1, "
             "i.e. -ln(eps) > 1"
         )
-    if tau <= 0.0:
-        raise DomainError(f"tau must be positive, got {tau}")
+    if not 0.0 < tau < math.inf:
+        raise DomainError(f"tau must be positive and finite, got {tau}")
     delta_raw = epsilon * math.sqrt(-math.log(epsilon))
     n = max(1, math.ceil(tau / delta_raw))
     return DeltaSchedule(delta_raw=delta_raw, delta=tau / n, N_delta=n)

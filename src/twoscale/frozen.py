@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -29,7 +30,7 @@ from .errors import (
 from .noise import W2, increments
 from .metrics import _float_pow, _log_linear_fit
 from .segment import _node_norms, exact_steps
-from .solver import TimeGrid, _increments, simulate_sdde
+from .solver import TimeGrid, simulate_sdde
 from .systems import SystemSpec, _drift
 
 GAP_FLOOR = 1e-12
@@ -64,13 +65,7 @@ def simulate_frozen(
     (grid.total, P, n) paths and raises the first failure of any path,
     as simulate_sdde does.
     """
-    paths, n = _increments(dw2, grid, spec.m).shape[1], spec.n
-    if zeta.ndim != 3 or zeta.shape[1:] != (paths, n):
-        raise UsageError(
-            f"zeta has shape {zeta.shape}; {paths} path(s) of a system with n={n} "
-            f"need (M + 1, {paths}, {n})"
-        )
-    return simulate_sdde(n, spec.m, spec.b2, spec.sigma2, eta, grid, dw2, label="Yzeta",
+    return simulate_sdde(spec.n, spec.m, spec.b2, spec.sigma2, eta, grid, dw2, label="Yzeta",
                          chi=zeta)
 
 
@@ -110,8 +105,8 @@ def estimate_averaged_drift(
             f"zeta has shape {zeta.shape}; {len(seeds)} seeds of a system "
             f"with n={spec.n} need (M + 1, {len(seeds)}, {spec.n})"
         )
-    if replicas < 1:
-        raise UsageError(f"replicas must be >= 1, got {replicas}")
+    if not isinstance(replicas, Integral) or replicas < 1:
+        raise UsageError(f"replicas must be an integer >= 1, got {replicas!r}")
     if horizon <= 0.0:
         raise DomainError(f"horizon must be positive, got {horizon}")
     if burn_in < 0.0:
@@ -186,8 +181,8 @@ def mixing_decay(
     A failed trajectory raises the eta batch's first failure before any
     of the eta_prime batch's.
     """
-    if replicas < 8:
-        raise UsageError(f"mixing_decay needs replicas >= 8, got {replicas}")
+    if not isinstance(replicas, Integral) or replicas < 8:
+        raise UsageError(f"mixing_decay needs an integer replicas >= 8, got {replicas!r}")
     ts = grid.tau_steps
     n_checks = grid.steps // ts
     if n_checks < 3:

@@ -47,7 +47,7 @@ from .metrics import p_moment, segment_displacement_moment, slope_fit, sup_dista
 from .noise import W1, W2, increments
 from .segment import (_node_norms, _row_dots, constant_segment, exact_steps,
                       lipschitz_modulus, window)
-from .solver import fast_lag_steps, make_grid, simulate_coupled
+from .solver import DEFAULT_KAPPA_STAB, fast_lag_steps, make_grid, simulate_coupled
 from .systems import (
     _number,
     build_system,
@@ -189,23 +189,19 @@ class _Key:
 # auto h takes about tau / h_factor, 20 at tau = 1 by default.
 _FAST_DELAY_SNAP = 0.05
 
-
-def _snapped_fast_delay(epsilon: float, tau: float, h: float):
-    """(eps * tau, lag * h) if h, which divides tau, snaps the fast delay too far; else None."""
-    wanted, realized = epsilon * tau, fast_lag_steps(epsilon, make_grid(tau, h, tau)) * h
-    return (wanted, realized) if abs(realized - wanted) > _FAST_DELAY_SNAP * wanted else None
+# The epsilon of simulate and segment_continuity when epsilons is empty.
+_SINGLE_EPSILON = 0.05
 
 
-def _check_fast_delay(epsilon: float, tau: float, h: float) -> None:
-    """ConfigError when the fixed h snaps the fast delay by more than _FAST_DELAY_SNAP."""
+def _misalignment(h: float, spans: dict) -> str | None:
+    """The fault "misaligned: ..." of the first nonzero {what: span} h does not tile, or None."""
     try:
-        snapped = _snapped_fast_delay(epsilon, tau, h)
-    except TwoscaleError:
-        return  # resolve_h refuses a misaligned h before any path runs
-    if snapped:
-        raise ConfigError(f"fixed h={h} snaps the fast delay of epsilon={epsilon}, "
-                          f"eps*tau={snapped[0]:.6g}, to lag*h={snapped[1]:.6g}, more than "
-                          f"{_FAST_DELAY_SNAP:.0%} off; choose an h that divides eps*tau")
+        for what, span in spans.items():
+            if span:
+                exact_steps(span, h, what)
+    except TwoscaleError as exc:
+        return f"misaligned: {exc}"
+    return None
 
 
 def _key(parse, default=None, reads=EXPERIMENTS, alias=None):
@@ -231,7 +227,7 @@ class Scenario:
     T: float = _key(_real(), 1.0)
     h: object = _key(_or("auto", _real()), "auto")  # "auto" or float
     h_factor: float = _key(_real(), 0.05, _ENSEMBLE_EXPERIMENTS)
-    kappa_stab: float = _key(_real(), 0.1, _ENSEMBLE_EXPERIMENTS)
+    kappa_stab: float = _key(_real(), DEFAULT_KAPPA_STAB, _ENSEMBLE_EXPERIMENTS)
     epsilons: tuple = _key(_numbers(_real(most=1.0), empty=True, descending=True), None,
                            _ENSEMBLE_EXPERIMENTS, alias="epsilon")
     p: float = _key(_real(), 2.0, _MOMENT_EXPERIMENTS)
@@ -296,20 +292,22 @@ class Scenario:
         if v["sample_times"] is not None and any(not (0.0 < t <= v["T"])
                                                  for t in v["sample_times"]):
             raise ConfigError(f"sample_times must lie in (0, T], got {v['sample_times']}")
-        for eps in epsilons if v["h"] != "auto" else ():
-            _check_fast_delay(eps, v["tau"], v["h"])
         if v["drift_source"] == "estimator":
             est = v["estimator"]
             # The spans the estimator's sub-simulation grid has to tile.
-            spans = {"tau": v["tau"], "burn_in + horizon": est["burn_in"] + est["horizon"],
-                     "horizon": est["horizon"], "burn_in": est["burn_in"]}
-            try:
-                for what, span in spans.items():
-                    if span > 0.0:
-                        exact_steps(span, est["h"], what)
-            except TwoscaleError as exc:
-                raise ConfigError(f"estimator h={est['h']} misaligned: {exc}") from exc
-        return cls(**v)
+            fault = _misalignment(est["h"], {
+                "tau": v["tau"], "burn_in + horizon": est["burn_in"] + est["horizon"],
+                "horizon": est["horizon"], "burn_in": est["burn_in"]})
+            if fault:
+                raise ConfigError(f"estimator h={est['h']} {fault}")
+        scenario = cls(**v)
+        # A fixed h meets every step rule at every epsilon the run uses;
+        # only the block length, which the runner resolves, is left.
+        if scenario.h != "auto":
+            single = _SINGLE_EPSILON if experiment in ("simulate", "segment_continuity") else None
+            for eps in epsilons or (single,):
+                scenario.resolve_h(epsilon=eps)
+        return scenario
 
     def digest(self) -> str:
         # The worker count changes execution, not results.
@@ -346,55 +344,51 @@ class Scenario:
 
     def resolve_h(self, epsilon: float | None = None, anchor: float | None = None,
                   default_target: float | None = None) -> float:
-        """Pick the grid step for one run.
+        """Pick the grid step for one run: one that passes _step_fault.
 
-        Fixed h is validated (divides tau and the block anchor, honors the
-        stability cap, moves the fast delay by at most _FAST_DELAY_SNAP).
-        Auto h targets h_factor * epsilon (or the given default) and is
-        snapped DOWN to divide the anchor (the block length when there is
-        one, else tau), skipping any step that moves the fast delay by
-        more than _FAST_DELAY_SNAP.
+        A fixed h either passes or is refused.  Auto h targets the smaller
+        of h_factor * epsilon and the given default, and is snapped DOWN
+        to the first base / k that passes, base being the anchor (the
+        block length when there is one) else tau.
         """
         if self.h != "auto":
             h = float(self.h)
-            try:
-                exact_steps(self.tau, h, "tau")
-                exact_steps(self.T, h, "T")
-                if anchor is not None:
-                    exact_steps(anchor, h, "delta")
-            except TwoscaleError as exc:
-                raise ConfigError(f"fixed h={h} misaligned: {exc}") from exc
-            if epsilon is not None and h > self.kappa_stab * epsilon * (1.0 + 1e-12):
-                raise ConfigError(f"fixed h={h} violates the stability cap for epsilon={epsilon}")
-            if epsilon is not None:
-                _check_fast_delay(epsilon, self.tau, h)
+            fault = self._step_fault(h, epsilon, anchor)
+            if fault:
+                raise ConfigError(f"fixed h={h} {fault}")
             return h
-        if epsilon is not None:
-            target = self.h_factor * epsilon
-            if default_target is not None:
-                target = min(target, default_target)
-        elif default_target is not None:
-            target = default_target
-        else:
-            raise ConfigError("auto h needs an epsilon or a default target")
+        target = min(t for t in (epsilon and self.h_factor * epsilon, default_target)
+                     if t is not None)
         base = anchor if anchor is not None else self.tau
         k0 = max(1, math.ceil(base / target - 1e-12))
-        # The step must tile the anchor, the delay, and the horizon, and
-        # keep the fast delay; walk the divisor up until all of them hold.
         for k in range(k0, k0 + 4096):
-            h = base / k
-            try:
-                exact_steps(self.tau, h, "tau")
-                exact_steps(self.T, h, "T")
-            except TwoscaleError:
-                continue
-            if epsilon is None or not _snapped_fast_delay(epsilon, self.tau, h):
-                return h
+            if not self._step_fault(base / k, epsilon, anchor):
+                return base / k
         raise ConfigError(
             f"no step near {target} divides tau={self.tau}, T={self.T}, "
             f"and block {base} and keeps the fast delay within {_FAST_DELAY_SNAP:.0%}; "
             "choose commensurate durations"
         )
+
+    def _step_fault(self, h: float, epsilon: float | None, anchor: float | None) -> str | None:
+        """The first step rule h breaks, as the tail of a message, or None.
+
+        h must tile tau, T and the block anchor; with an epsilon it must
+        also honor the stability cap and realize the fast delay eps * tau
+        on the run's grid to within _FAST_DELAY_SNAP.
+        """
+        fault = _misalignment(h, {"tau": self.tau, "T": self.T, "delta": anchor})
+        if fault or epsilon is None:
+            return fault
+        if h > self.kappa_stab * epsilon * (1.0 + 1e-12):
+            return f"violates the stability cap for epsilon={epsilon}"
+        wanted = epsilon * self.tau
+        realized = fast_lag_steps(epsilon, make_grid(self.T, h, self.tau)) * h
+        if abs(realized - wanted) > _FAST_DELAY_SNAP * wanted:
+            return (f"snaps the fast delay of epsilon={epsilon}, eps*tau={wanted:.6g}, to "
+                    f"lag*h={realized:.6g}, more than {_FAST_DELAY_SNAP:.0%} off; "
+                    "choose an h that divides eps*tau")
+        return None
 
     def drift_callable(self, spec):
         if self.drift_source == "closed_form":
@@ -875,7 +869,7 @@ def run_segment_continuity(scenario: Scenario):
     fitted log-log slope must clear 0.9 * (p - 2) / 2 (one-sided, since
     the per-block bound has a steeper exponent than the global one).
     """
-    epsilon = scenario.epsilons[0] if scenario.epsilons else 0.05
+    epsilon = scenario.epsilons[0] if scenario.epsilons else _SINGLE_EPSILON
     deltas = list(scenario.deltas) if scenario.deltas is not None else [
         scenario.tau / 16.0, scenario.tau / 32.0,
         scenario.tau / 64.0, scenario.tau / 128.0,
@@ -1059,7 +1053,7 @@ def _dump_paths(times, x, y, out_dir: Path, name: str):
 @_reported
 def run_simulate(scenario: Scenario, *, dump_dir=None, stem: str = "scenario"):
     """Plain coupled ensemble; optionally dumps per-path trajectory CSVs."""
-    epsilon = scenario.epsilons[0] if scenario.epsilons else 0.05
+    epsilon = scenario.epsilons[0] if scenario.epsilons else _SINGLE_EPSILON
     h = scenario.resolve_h(epsilon=epsilon)
     extra = {"dump_dir": str(dump_dir) if dump_dir is not None else None, "stem": stem}
     [results] = _run_ensemble(scenario, scenario.build_spec(), _simulate_chunk,

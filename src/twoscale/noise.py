@@ -96,21 +96,16 @@ class NoiseStream:
     bookkeeping impossible to get subtly wrong.
     """
 
-    __slots__ = ("m", "_bits")
+    __slots__ = ("_bits",)
 
-    def __init__(self, seed: int, path_index: int, tag: str, m: int = 1):
+    def __init__(self, seed: int, path_index: int, tag: str):
         code = _tag_code(tag)
         seed, path_index = _whole(seed, "seed"), _whole(path_index, "path_index")
-        if m < 1:
-            raise DomainError(f"noise dimension m must be >= 1, got {m}")
-        self.m = int(m)
         self._bits = _philox(seed, path_index, code)
 
     def normals(self, count: int) -> np.ndarray:
         """Draw count standard normals, two raw words each."""
-        if count < 0:
-            raise DomainError(f"count must be >= 0, got {count}")
-        if count == 0:
+        if _whole(count, "count") == 0:
             return np.empty(0)
         return _box_muller(self._bits.random_raw(2 * count))
 
@@ -120,7 +115,7 @@ def increments(seed, indices, tag: str, m: int, steps: int, dt: float) -> np.nda
 
     Column p comes from stream (seed[p], indices[p], tag); a single
     integer seed stands for that seed in every column.  Column p equals
-    NoiseStream(seed[p], indices[p], tag, m).normals(steps * m) taken
+    NoiseStream(seed[p], indices[p], tag).normals(steps * m) taken
     step-major and times sqrt(dt), bit for bit.
     """
     code = _tag_code(tag)

@@ -128,8 +128,6 @@ def _start(history: np.ndarray, grid: TimeGrid, paths: int) -> np.ndarray:
 
 def _noise(s: np.ndarray, dw: np.ndarray) -> np.ndarray:
     """s @ dW for every path of the (..., P, m) increments, summed over m in order."""
-    if dw.shape[-1] == 1:
-        return s[..., 0] * dw
     inc = s[..., 0] * dw[..., :1]
     for j in range(1, dw.shape[-1]):
         inc = inc + s[..., j] * dw[..., j: j + 1]
@@ -308,9 +306,10 @@ def simulate_sdde(
 
     drift(window) -> (P, n) and diffusion(window) -> (n, m) or (P, n, m)
     see the trailing (tau_steps + 1, P, n) window of the paths being
-    built, row tau_steps being "now".  With a pinned slow window chi
-    they are instead a fast pair's b2 and sigma2, called as
-    f(chi, y, y_tau) on chi itself and the rows "now" and one delay ago.
+    built, row tau_steps being "now".  With a pinned slow window chi, an
+    (M + 1, P, n) array whose column p path p reads, they are instead a
+    fast pair's b2 and sigma2, called as f(chi, y, y_tau) on chi itself
+    and the rows "now" and one delay ago.
     xi is the (M + 1, n) start window and dw the (grid.steps, P, m)
     Brownian increments.  Returns the read-only (grid.total, P, n) paths.
     The first failure of any path is raised: the earliest step, then the
@@ -322,6 +321,9 @@ def simulate_sdde(
     ts = grid.tau_steps
     dw = _increments(dw, grid, m)
     p = dw.shape[1]
+    if chi is not None and (chi.ndim != 3 or chi.shape[1:] != (p, n)):
+        raise UsageError(f"chi has shape {chi.shape}; {p} path(s) of a system with n={n} "
+                         f"need (M + 1, {p}, {n})")
     path = _start(xi, grid, p)
     messages = (f"{label} left the admissible range",)
     c, done = _VARYING, 0

@@ -47,6 +47,10 @@ def test_block_schedule_domain():
         khasminskii_delta(0.0, 1.0)
     with pytest.raises(DomainError):
         khasminskii_delta(0.01, -1.0)
+    # NaN, and an infinite tau, fail the range checks, not math.ceil.
+    for eps, tau in ((math.nan, 1.0), (0.01, math.nan), (0.01, math.inf)):
+        with pytest.raises(DomainError):
+            khasminskii_delta(eps, tau)
     # Just inside the admissible range still works.
     sch = khasminskii_delta(inv_e * 0.999, 1.0)
     assert sch.delta > 0.0

@@ -166,6 +166,8 @@ def test_averaged_drift_budget_validation():
     seeds = [0]
     with pytest.raises(UsageError):
         estimate_averaged_drift(spec, zeta, 5.0, 4.0, 0, g, seeds)
+    with pytest.raises(UsageError, match="replicas must be an integer >= 1, got 1.5"):
+        estimate_averaged_drift(spec, zeta, 1.0, 4.0, 1.5, g, seeds)
     with pytest.raises(DomainError):
         estimate_averaged_drift(spec, zeta, 5.0, -1.0, 2, g, seeds)
     with pytest.raises(DomainError, match="burn_in"):
@@ -234,6 +236,8 @@ def test_mixing_decay_input_validation():
     etap = constant_segment(1.0, h, 0.0)
     with pytest.raises(UsageError, match="replicas"):
         mixing_decay(spec, zeta, eta, etap, make_grid(5.0, h, 1.0), 4, 0)
+    with pytest.raises(UsageError, match="integer replicas >= 8, got 8.5"):
+        mixing_decay(spec, zeta, eta, etap, make_grid(5.0, h, 1.0), 8.5, 0)
     with pytest.raises(UsageError, match="delay spans"):
         mixing_decay(spec, zeta, eta, etap, make_grid(2.0, h, 1.0), 8, 0)
 

@@ -111,6 +111,15 @@ _BAD_PARSE_CONFIGS = [
     # A fixed h of 0.01 snaps the fast delays 0.015, 0.025 and 0.035 to
     # 2, 2 and 4 steps.
     _cfg(h=0.01, kappa_stab=1.0, epsilons=[0.015, 0.025, 0.035]),
+    # A fixed h meets every step rule at every epsilon the run uses, or
+    # fails at parse: it must tile tau and T ...
+    _cfg(h=0.003),
+    _cfg(h=5e-324),  # tau / h overflows to inf
+    # ... keep under the stability cap, here 0.1 * 0.0625 ...
+    _cfg(h=0.01),
+    # ... and keep the fast delay of simulate's default epsilon 0.05,
+    # which 2.5 steps of 0.02 snap to 2.
+    _cfg(experiment="simulate", h=0.02, kappa_stab=1.0, epsilons=[]),
     # These run one epsilon; another would move the digest and no result.
     _cfg(experiment="simulate", epsilons=[0.05, 0.1]),
     _cfg(experiment="segment_continuity", epsilons=[0.05, 0.1]),
@@ -349,16 +358,20 @@ def test_resolve_h_auto_commensurate():
 
 
 def test_resolve_h_fixed_validation():
-    scen = Scenario.from_config(_cfg(h=0.01))
+    scen = Scenario.from_config(_cfg(h=0.01, epsilons=[0.25, 0.125]))
     assert scen.resolve_h(epsilon=0.25) == 0.01
-    with pytest.raises(ConfigError, match="stability"):
+    with pytest.raises(ConfigError, match=r"^fixed h=0\.01 violates the stability cap for "
+                                          r"epsilon=0\.05$"):
         scen.resolve_h(epsilon=0.05)
-    misaligned = Scenario.from_config(_cfg(h=0.003))
-    with pytest.raises(ConfigError, match="misaligned"):
-        misaligned.resolve_h(epsilon=0.25)
-    offgrid_anchor = Scenario.from_config(_cfg(h=0.01))
-    with pytest.raises(ConfigError, match="misaligned"):
-        offgrid_anchor.resolve_h(epsilon=0.25, anchor=1.0 / 47.0)
+    # The run's epsilons are checked at parse: 0.0625 puts h over the cap.
+    with pytest.raises(ConfigError, match=r"^fixed h=0\.01 violates the stability cap for "
+                                          r"epsilon=0\.0625$"):
+        Scenario.from_config(_cfg(h=0.01))
+    with pytest.raises(ConfigError, match=r"^fixed h=0\.003 misaligned: tau=1\.0 is not"):
+        Scenario.from_config(_cfg(h=0.003))
+    # The block length is the runner's to resolve, so it is checked there.
+    with pytest.raises(ConfigError, match=r"^fixed h=0\.01 misaligned: delta="):
+        scen.resolve_h(epsilon=0.25, anchor=1.0 / 47.0)
 
 
 def test_fixed_h_refuses_a_snapped_fast_delay():
@@ -370,10 +383,8 @@ def test_fixed_h_refuses_a_snapped_fast_delay():
     with pytest.raises(ConfigError, match=r"eps\*tau=0\.035, to lag\*h=0\.04"):
         scen.resolve_h(epsilon=0.035)
     # simulate without epsilons runs at epsilon 0.05: 2.5 steps of 0.02 snap to 2.
-    simulate = Scenario.from_config(_cfg(experiment="simulate", h=0.02, kappa_stab=1.0,
-                                         epsilons=[]))
     with pytest.raises(ConfigError, match=r"epsilon=0\.05, eps\*tau=0\.05, to lag\*h=0\.04"):
-        run_scenario(simulate)
+        Scenario.from_config(_cfg(experiment="simulate", h=0.02, kappa_stab=1.0, epsilons=[]))
 
 
 def test_auto_h_skips_steps_that_snap_the_fast_delay():
@@ -658,7 +669,6 @@ def test_cli_config_errors_exit_four(tmp_path, capsys):
         # Off the grid the runner resolves; rejected before any path runs.
         _cfg(experiment="segment_continuity", epsilons=[0.05], T=1.0, p=4.0,
              sample_times=[0.3333]),
-        _cfg(h=5e-324),  # tau / h overflows to inf
         # Grids of 2**53 steps or more, where every float ratio is an integer.
         _cfg(experiment="simulate", tau=1e-300),
         _cfg(experiment="simulate", T=1e300),

@@ -94,8 +94,6 @@ def test_address_validation():
         NoiseStream(0, 0, "W3")
     with pytest.raises(DomainError):
         NoiseStream(0, -1, W1)
-    with pytest.raises(DomainError):
-        NoiseStream(0, 0, W1, m=0)
     with pytest.raises(DomainError, match="seed"):
         NoiseStream(-1, 0, W1)
     # A fractional address is refused, not truncated onto stream 1.
@@ -103,6 +101,11 @@ def test_address_validation():
         NoiseStream(1.5, 0, W1)
     with pytest.raises(UsageError, match="path_index"):
         NoiseStream(0, 1.5, W1)
+    # So is a fractional count, and a negative one is out of range.
+    with pytest.raises(UsageError, match="count"):
+        NoiseStream(0, 0, W1).normals(1.5)
+    with pytest.raises(DomainError, match="count"):
+        NoiseStream(0, 0, W1).normals(-1)
 
 
 def test_increments_shape_scale_and_bits():
@@ -112,7 +115,7 @@ def test_increments_shape_scale_and_bits():
     assert dw.shape == (50, 2, 3)
     assert dw.flags.c_contiguous  # the kernels slice dw[k] on every step
     for p, path in enumerate([0, 7]):
-        ref = NoiseStream(5, path, W1, m=3).normals(150).reshape(50, 3) * np.sqrt(dt)
+        ref = NoiseStream(5, path, W1).normals(150).reshape(50, 3) * np.sqrt(dt)
         assert np.array_equal(dw[:, p], ref)
     with pytest.raises(DomainError):
         increments(5, [0], W1, 3, 5, 0.0)
@@ -152,7 +155,7 @@ def test_blocked_draw_equals_each_stream(paths, steps, m):
     dw = increments(seeds, indices, W2, m, steps, dt)
     assert dw.shape == (steps, paths, m) and dw.flags.c_contiguous
     for c in range(paths):
-        ref = NoiseStream(seeds[c], indices[c], W2, m).normals(steps * m)
+        ref = NoiseStream(seeds[c], indices[c], W2).normals(steps * m)
         assert np.array_equal(dw[:, c], ref.reshape(steps, m) * np.sqrt(dt)), c
 
 

@@ -227,6 +227,11 @@ def test_input_compatibility_checks():
     with pytest.raises(UsageError, match=r"dW1 has shape \(10, 2, 1\) but dW2 .* \(10, 1, 1\)"):
         simulate_coupled(spec, _const(g, 1.0), _const(g, 0.0), 1.0, g,
                          brownian(0, range(2), W1, g), brownian(0, [0], W2, g))
+    # A pinned window has one column per path: one window for 4 paths is refused.
+    g = make_grid(T=0.5, h=0.1, tau=1.0)
+    with pytest.raises(UsageError, match=r"chi has shape \(11, 1, 1\); .* need \(M \+ 1, 4, 1\)"):
+        simulate_sdde(1, 1, spec.b2, spec.sigma2, _const(g, 0.0), g,
+                      brownian(0, range(4), W2, g), chi=np.zeros((11, 1, 1)))
 
 
 def _cubic_fast_spec():
