@@ -25,14 +25,7 @@ import numpy as np
 from .errors import DomainError, UsageError
 from .frozen import estimate_averaged_drift
 from .segment import exact_steps
-from .solver import (
-    DEFAULT_KAPPA_STAB,
-    TimeGrid,
-    _coupled_core,
-    _pair_increments,
-    make_grid,
-    simulate_sdde,
-)
+from .solver import TimeGrid, _coupled_core, _pair_increments, make_grid, simulate_sdde
 from .systems import SystemSpec
 
 _INV_E = math.exp(-1.0)
@@ -95,8 +88,6 @@ def simulate_auxiliary(
     grid: TimeGrid,
     dw1: np.ndarray,
     dw2: np.ndarray,
-    *,
-    kappa_stab: float = DEFAULT_KAPPA_STAB,
 ) -> AuxiliaryPair:
     """Run a batch of true pairs and block-frozen auxiliary pairs on shared noise.
 
@@ -111,7 +102,7 @@ def simulate_auxiliary(
     the true pass is raised before the auxiliary pass starts, then the
     auxiliary pass's first failure, as solver._coupled_core raises them.
     """
-    xi, eta, dw1, dw2 = _pair_increments(spec, xi, eta, epsilon, grid, dw1, dw2, kappa_stab)
+    xi, eta, dw1, dw2 = _pair_increments(spec, xi, eta, epsilon, grid, dw1, dw2)
     delta_steps = exact_steps(min(schedule.delta, grid.T), grid.h, "delta")
     x, y = _coupled_core(spec, xi, eta, epsilon, grid, dw1, dw2)
     x_aux, y_aux = _coupled_core(spec, xi, eta, epsilon, grid, dw1, dw2,

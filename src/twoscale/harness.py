@@ -47,7 +47,7 @@ from .metrics import p_moment, segment_displacement_moment, slope_fit, sup_dista
 from .noise import W1, W2, increments
 from .segment import (_node_norms, _row_dots, constant_segment, exact_steps,
                       lipschitz_modulus, window)
-from .solver import DEFAULT_KAPPA_STAB, fast_lag_steps, make_grid, simulate_coupled
+from .solver import fast_lag_steps, make_grid, simulate_coupled
 from .systems import (
     _number,
     build_system,
@@ -227,7 +227,6 @@ class Scenario:
     T: float = _key(_real(), 1.0)
     h: object = _key(_or("auto", _real()), "auto")  # "auto" or float
     h_factor: float = _key(_real(), 0.05, _ENSEMBLE_EXPERIMENTS)
-    kappa_stab: float = _key(_real(), DEFAULT_KAPPA_STAB, _ENSEMBLE_EXPERIMENTS)
     epsilons: tuple = _key(_numbers(_real(most=1.0), empty=True, descending=True), None,
                            _ENSEMBLE_EXPERIMENTS, alias="epsilon")
     p: float = _key(_real(), 2.0, _MOMENT_EXPERIMENTS)
@@ -264,16 +263,13 @@ class Scenario:
         # The rules that tie keys together.  A key that the run does not
         # read would move the digest without moving a result.
         experiment = v["experiment"]
-        unread_beside = {"epsilon": raw.get("epsilons") is not None, "h_factor": v["h"] != "auto",
+        unread_beside = {"epsilon": raw.get("epsilons") is not None,
                          "estimator": v["drift_source"] != "estimator"}
         ignored = set(raw) - _EXPERIMENT_KEYS[experiment]
         ignored |= {k for k, unread in unread_beside.items() if unread and k in raw}
         if ignored:
             raise ConfigError(f"experiment {experiment!r} does not read config keys "
                               f"{sorted(ignored)}")
-        if v["h_factor"] > v["kappa_stab"]:
-            raise ConfigError(f"h_factor={v['h_factor']} exceeds kappa_stab={v['kappa_stab']}; "
-                              "auto-resolved steps would violate the stability cap")
         epsilons = v["epsilons"]
         if len(set(epsilons)) != len(epsilons):
             raise ConfigError(f"duplicate epsilon values: {list(epsilons)}")
@@ -347,7 +343,7 @@ class Scenario:
         """Pick the grid step for one run: one that passes _step_fault.
 
         A fixed h either passes or is refused.  Auto h targets the smaller
-        of h_factor * epsilon and the given default, and is snapped DOWN
+        of the cap h_factor * epsilon and the given default, and is snapped DOWN
         to the first base / k that passes, base being the anchor (the
         block length when there is one) else tau.
         """
@@ -373,15 +369,19 @@ class Scenario:
     def _step_fault(self, h: float, epsilon: float | None, anchor: float | None) -> str | None:
         """The first step rule h breaks, as the tail of a message, or None.
 
-        h must tile tau, T and the block anchor; with an epsilon it must
-        also honor the stability cap and realize the fast delay eps * tau
-        on the run's grid to within _FAST_DELAY_SNAP.
+        h must tile tau, T, the block anchor and the frozen run's burn_in
+        and horizon; with an epsilon it must also stay at or below
+        h_factor * epsilon, which bounds the fast chain's step h / eps,
+        and realize the fast delay eps * tau on the run's grid to within
+        _FAST_DELAY_SNAP.
         """
-        fault = _misalignment(h, {"tau": self.tau, "T": self.T, "delta": anchor})
+        fault = _misalignment(h, {"tau": self.tau, "T": self.T, "delta": anchor,
+                                  "burn_in": self.burn_in, "horizon": self.horizon})
         if fault or epsilon is None:
             return fault
-        if h > self.kappa_stab * epsilon * (1.0 + 1e-12):
-            return f"violates the stability cap for epsilon={epsilon}"
+        if h > self.h_factor * epsilon * (1.0 + 1e-12):
+            return (f"exceeds h_factor*epsilon={self.h_factor * epsilon:.6g} at "
+                    f"epsilon={epsilon}; refine h or raise h_factor")
         wanted = epsilon * self.tau
         realized = fast_lag_steps(epsilon, make_grid(self.T, h, self.tau)) * h
         if abs(realized - wanted) > _FAST_DELAY_SNAP * wanted:
@@ -496,10 +496,8 @@ class _Chunk:
                           self.grid.steps, self.grid.h)
 
     def coupled(self, paths, dw1: np.ndarray):
-        return simulate_coupled(
-            self.spec, self.xi, self.eta, self.epsilon, self.grid,
-            dw1, self.noise(paths, W2), kappa_stab=self.scenario.kappa_stab,
-        )
+        return simulate_coupled(self.spec, self.xi, self.eta, self.epsilon, self.grid,
+                                dw1, self.noise(paths, W2))
 
 
 def _attempt(body, chunk: _Chunk, paths) -> list:
@@ -786,10 +784,8 @@ def _snap_to_tau(tau: float, delta: float) -> tuple[float, int]:
 
 
 def _aux_chunk(c: _Chunk, paths) -> list:
-    pair = simulate_auxiliary(
-        c.spec, c.xi, c.eta, c.epsilon, c.extra["schedule"], c.grid,
-        c.noise(paths, W1), c.noise(paths, W2), kappa_stab=c.scenario.kappa_stab,
-    )
+    pair = simulate_auxiliary(c.spec, c.xi, c.eta, c.epsilon, c.extra["schedule"], c.grid,
+                              c.noise(paths, W1), c.noise(paths, W2))
     ts, y, yt, resets = c.grid.tau_steps, pair.y, pair.y_aux, pair.reset_indices
     # The reset windows [i - ts, i] start delta = tau / N <= tau apart, so
     # together they cover rows resets[0] - ts to resets[-1] without a gap:
@@ -875,18 +871,20 @@ def run_segment_continuity(scenario: Scenario):
         scenario.tau / 64.0, scenario.tau / 128.0,
     ]
     normed = [_snap_to_tau(scenario.tau, d)[0] for d in deltas]
-    deltas = sorted(set(normed), reverse=True)
-    if len(deltas) < len(normed):
-        _warnings.warn("duplicate deltas merged after snapping")
-    d_min = deltas[-1]
+    d_min = min(normed)
     # At least 4 nodes per smallest block so mid-block samples exist.
     h = scenario.resolve_h(epsilon=epsilon, anchor=d_min,
                            default_target=d_min / 4.0)
-    for i, d in enumerate(deltas):
+    snapped = set()
+    for d in sorted(set(normed), reverse=True):
         k = max(1, round(d / h))
         if abs(k * h - d) > 1e-9 * d:
             _warnings.warn(f"delta={d} snapped to {k}*h={k * h}")
-            deltas[i] = k * h
+            d = k * h
+        snapped.add(d)
+    deltas = sorted(snapped, reverse=True)
+    if len(deltas) < len(normed):
+        _warnings.warn("duplicate deltas merged after snapping")
 
     grid = make_grid(scenario.T, h, scenario.tau)
     if scenario.sample_times is not None:

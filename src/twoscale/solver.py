@@ -27,9 +27,8 @@ summed for all steps at once.
 
 Delay arithmetic is pure index bookkeeping: h divides tau exactly, so
 Y(t_k - tau) is the array entry tau_steps rows back and no float time
-comparison ever happens in the hot loop.  The explicit scheme needs
-h / eps bounded for the contractive linear part of the fast drift, so
-simulate_coupled enforces h <= kappa_stab * eps (default 0.1).
+comparison ever happens in the hot loop.  The kernels do not bound the
+fast step h / eps; harness.Scenario._step_fault holds h <= h_factor * eps.
 
 A path whose state goes non-finite or past DIVERGENCE_CAP fails with a
 DivergenceError carrying the step index and the last finite state; a
@@ -54,8 +53,6 @@ from .systems import SystemSpec, _diffusion, _drift
 
 DIVERGENCE_CAP = 1e12
 GUARD_STEPS = 16  # steps between checks of the rows written since the last
-
-DEFAULT_KAPPA_STAB = 0.1
 
 # max over all entries, NaN-propagating, without ndarray.max's Python wrapper
 _amax = np.maximum.reduce
@@ -167,15 +164,10 @@ def _guard(paths, k0, k1, ts, h, messages):
     return k1
 
 
-def _pair_increments(spec, xi, eta, epsilon, grid, dw1, dw2, kappa_stab):
+def _pair_increments(spec, xi, eta, epsilon, grid, dw1, dw2):
     """Validate a batch of pair runs: (xi, eta, dW1, fast dW2 = dW2 / sqrt(eps))."""
     if not (0.0 < epsilon <= 1.0):
         raise DomainError(f"epsilon must lie in (0, 1], got {epsilon}")
-    if grid.h > kappa_stab * epsilon * (1.0 + 1e-12):
-        raise DomainError(
-            f"step h={grid.h} violates the stability cap {kappa_stab}*epsilon="
-            f"{kappa_stab * epsilon:.3g}; refine h or raise kappa_stab"
-        )
     if exact_steps(spec.tau, grid.h, "tau") != grid.tau_steps:
         raise UsageError(f"grid was built for a different delay than spec.tau={spec.tau}")
     xi = _history(xi, grid, spec.n, "xi")
@@ -194,8 +186,6 @@ def simulate_coupled(
     grid: TimeGrid,
     dw1: np.ndarray,
     dw2: np.ndarray,
-    *,
-    kappa_stab: float = DEFAULT_KAPPA_STAB,
 ):
     """Integrate a batch of coupled slow/fast pairs from the (M + 1, n) starts xi, eta.
 
@@ -205,7 +195,7 @@ def simulate_coupled(
     any path is raised (see the module docstring).
     """
     # Rebinding dw2 to the fast increments: this frame does not hold the unscaled array.
-    xi, eta, dw1, dw2 = _pair_increments(spec, xi, eta, epsilon, grid, dw1, dw2, kappa_stab)
+    xi, eta, dw1, dw2 = _pair_increments(spec, xi, eta, epsilon, grid, dw1, dw2)
     return _coupled_core(spec, xi, eta, epsilon, grid, dw1, dw2)
 
 

@@ -154,9 +154,6 @@ def test_auxiliary_validation():
     with pytest.raises(DomainError):
         simulate_auxiliary(spec, xi, eta, 1.5, sch, g,
                            brownian(0, [0], W1, g), brownian(0, [0], W2, g))
-    with pytest.raises(DomainError, match="stability"):
-        simulate_auxiliary(spec, xi, eta, 0.05, sch, g,
-                           brownian(0, [0], W1, g), brownian(0, [0], W2, g))
 
 
 def test_averaged_deterministic_endpoint():

@@ -204,8 +204,8 @@ GOLDEN_WARNINGS = {
     "segcont_deltas": [
         _SNAP_03,
         "delta=0.049 snapped to tau/20=0.05",
-        "duplicate deltas merged after snapping",
         "delta=0.3333333333333333 snapped to 133*h=0.3325",
+        "duplicate deltas merged after snapping",
     ],
 }
 

@@ -110,16 +110,18 @@ _BAD_PARSE_CONFIGS = [
     _cfg(system={"kind": "registered", "name": "golden_plane", "params": {}}),
     # A fixed h of 0.01 snaps the fast delays 0.015, 0.025 and 0.035 to
     # 2, 2 and 4 steps.
-    _cfg(h=0.01, kappa_stab=1.0, epsilons=[0.015, 0.025, 0.035]),
+    _cfg(h=0.01, h_factor=1.0, epsilons=[0.015, 0.025, 0.035]),
     # A fixed h meets every step rule at every epsilon the run uses, or
     # fails at parse: it must tile tau and T ...
     _cfg(h=0.003),
     _cfg(h=5e-324),  # tau / h overflows to inf
-    # ... keep under the stability cap, here 0.1 * 0.0625 ...
+    # ... keep under the cap h_factor * epsilon, here 0.05 * 0.125 ...
     _cfg(h=0.01),
-    # ... and keep the fast delay of simulate's default epsilon 0.05,
-    # which 2.5 steps of 0.02 snap to 2.
-    _cfg(experiment="simulate", h=0.02, kappa_stab=1.0, epsilons=[]),
+    # ... keep the fast delay of simulate's default epsilon 0.05,
+    # which 2.5 steps of 0.02 snap to 2 ...
+    _cfg(experiment="simulate", h=0.02, h_factor=1.0, epsilons=[]),
+    # ... and tile the frozen run's burn_in and horizon.
+    _cfg(experiment="frozen", h=0.5, burn_in=0.25, horizon=2.0),
     # These run one epsilon; another would move the digest and no result.
     _cfg(experiment="simulate", epsilons=[0.05, 0.1]),
     _cfg(experiment="segment_continuity", epsilons=[0.05, 0.1]),
@@ -143,7 +145,7 @@ def test_from_config_validation_errors():
         Scenario.from_config(_cfg(epsilons=[0.5, 0.5]))
     with pytest.raises(ConfigError):
         Scenario.from_config(_cfg(epsilons="0.5"))
-    with pytest.raises(ConfigError, match="h_factor"):
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['kappa_stab'\]"):
         Scenario.from_config(_cfg(h_factor=0.2, kappa_stab=0.1))
     with pytest.raises(ConfigError):
         Scenario.from_config(_cfg(paths=0))
@@ -282,7 +284,7 @@ def test_digest_ignores_execution_knobs():
 # A valid value for every config key, so a rejection below can only come
 # from the experiment not reading the key.
 _VALID_VALUES = {
-    "epsilon": 0.1, "epsilons": [0.1], "h_factor": 0.05, "kappa_stab": 0.1, "paths": 4,
+    "epsilon": 0.1, "epsilons": [0.1], "h_factor": 0.05, "paths": 4,
     "xi": {"constant": 1.0}, "eta": {"constant": 0.0}, "eta_prime": {"constant": 1.0},
     "p": 2.0, "drift_source": "closed_form", "estimator": {}, "delta": 0.25,
     "deltas": [0.25, 0.125], "sample_times": [0.25], "burn_in": 5.0, "horizon": 5.0,
@@ -308,12 +310,15 @@ def test_keys_the_experiment_does_not_read_exit_four(experiment, tmp_path, capsy
 
 
 def test_keys_read_only_beside_another_key_are_rejected():
-    # epsilon is read only without epsilons, h_factor only under auto h,
-    # estimator only with the estimator source.
+    # epsilon is read only without epsilons, estimator only with the
+    # estimator source.
     with pytest.raises(ConfigError, match=r"\['epsilon'\]"):
         Scenario.from_config(_cfg(epsilon=0.5))
-    with pytest.raises(ConfigError, match=r"\['h_factor'\]"):
-        Scenario.from_config(_cfg(h=0.0125, h_factor=0.07))
+    # h_factor caps a fixed h as it caps auto h: 0.0125 <= 0.21 * 0.0625.
+    scen = Scenario.from_config(_cfg(h=0.0125, h_factor=0.21))
+    assert scen.h_factor == 0.21 and scen.resolve_h(epsilon=0.0625) == 0.0125
+    with pytest.raises(ConfigError, match=r"h_factor\*epsilon=0\.011875 at epsilon=0\.0625"):
+        Scenario.from_config(_cfg(h=0.0125, h_factor=0.19))
     with pytest.raises(ConfigError, match=r"\['estimator'\]"):
         Scenario.from_config(_cfg(estimator={"replicas": 2}))
     assert Scenario.from_config(_cfg(drift_source="estimator",
@@ -358,17 +363,23 @@ def test_resolve_h_auto_commensurate():
 
 
 def test_resolve_h_fixed_validation():
-    scen = Scenario.from_config(_cfg(h=0.01, epsilons=[0.25, 0.125]))
+    scen = Scenario.from_config(_cfg(h=0.01, h_factor=0.1, epsilons=[0.25, 0.125]))
     assert scen.resolve_h(epsilon=0.25) == 0.01
-    with pytest.raises(ConfigError, match=r"^fixed h=0\.01 violates the stability cap for "
-                                          r"epsilon=0\.05$"):
+    with pytest.raises(ConfigError, match=r"^fixed h=0\.01 exceeds h_factor\*epsilon=0\.005 at "
+                                          r"epsilon=0\.05; refine h or raise h_factor$"):
         scen.resolve_h(epsilon=0.05)
     # The run's epsilons are checked at parse: 0.0625 puts h over the cap.
-    with pytest.raises(ConfigError, match=r"^fixed h=0\.01 violates the stability cap for "
-                                          r"epsilon=0\.0625$"):
-        Scenario.from_config(_cfg(h=0.01))
+    with pytest.raises(ConfigError, match=r"^fixed h=0\.01 exceeds h_factor\*epsilon=0\.00625 at "
+                                          r"epsilon=0\.0625; refine h or raise h_factor$"):
+        Scenario.from_config(_cfg(h=0.01, h_factor=0.1))
+    # The default h_factor 0.05 caps h at 0.00625 for epsilon 0.125.
+    with pytest.raises(ConfigError, match=r"^fixed h=0\.01 exceeds h_factor\*epsilon=0\.00625 at "
+                                          r"epsilon=0\.125;"):
+        Scenario.from_config(_cfg(h=0.01, epsilons=[0.25, 0.125]))
     with pytest.raises(ConfigError, match=r"^fixed h=0\.003 misaligned: tau=1\.0 is not"):
         Scenario.from_config(_cfg(h=0.003))
+    with pytest.raises(ConfigError, match=r"^fixed h=0\.5 misaligned: burn_in=0\.25 is not"):
+        Scenario.from_config(_cfg(experiment="frozen", h=0.5, burn_in=0.25, horizon=2.0))
     # The block length is the runner's to resolve, so it is checked there.
     with pytest.raises(ConfigError, match=r"^fixed h=0\.01 misaligned: delta="):
         scen.resolve_h(epsilon=0.25, anchor=1.0 / 47.0)
@@ -376,15 +387,15 @@ def test_resolve_h_fixed_validation():
 
 def test_fixed_h_refuses_a_snapped_fast_delay():
     with pytest.raises(ConfigError, match=r"epsilon=0\.015, eps\*tau=0\.015, to lag\*h=0\.02"):
-        Scenario.from_config(_cfg(h=0.01, kappa_stab=1.0, epsilons=[0.25, 0.015]))
+        Scenario.from_config(_cfg(h=0.01, h_factor=1.0, epsilons=[0.25, 0.015]))
     # 0.125 / 0.01 = 12.5 steps snaps to 12, 4% off: within the bound.
-    scen = Scenario.from_config(_cfg(h=0.01, kappa_stab=1.0, epsilons=[0.25, 0.125]))
+    scen = Scenario.from_config(_cfg(h=0.01, h_factor=1.0, epsilons=[0.25, 0.125]))
     assert scen.resolve_h(epsilon=0.125) == 0.01
     with pytest.raises(ConfigError, match=r"eps\*tau=0\.035, to lag\*h=0\.04"):
         scen.resolve_h(epsilon=0.035)
     # simulate without epsilons runs at epsilon 0.05: 2.5 steps of 0.02 snap to 2.
     with pytest.raises(ConfigError, match=r"epsilon=0\.05, eps\*tau=0\.05, to lag\*h=0\.04"):
-        Scenario.from_config(_cfg(experiment="simulate", h=0.02, kappa_stab=1.0, epsilons=[]))
+        Scenario.from_config(_cfg(experiment="simulate", h=0.02, h_factor=1.0, epsilons=[]))
 
 
 def test_auto_h_skips_steps_that_snap_the_fast_delay():
@@ -401,6 +412,14 @@ def test_auto_h_skips_steps_that_snap_the_fast_delay():
     assert abs(lag * h - 0.1375) <= 0.05 * 0.1375
     [row] = run_scenario(scen).rows
     assert row["extra"]["h"] == h
+
+
+def test_auto_h_tiles_the_frozen_burn_in():
+    """A burn_in of 0.0015 is no multiple of tau / 1000; auto h walks on to 0.0005."""
+    scen = Scenario.from_config(_cfg(experiment="frozen", burn_in=0.0015, horizon=0.5,
+                                     replicas=2, checkpoints=3))
+    report = run_scenario(scen)
+    assert [r["extra"]["h"] for r in report.rows] == [0.0005, 0.0005]
 
 
 def test_materialize_segment_forms():
@@ -551,6 +570,20 @@ def test_segment_continuity_report():
     assert gate["passed"]
 
 
+def test_segment_continuity_merges_deltas_after_the_step_snap(tmp_path):
+    """At h = 0.1 the delta 0.25 snaps to 2*h = 0.2, a delta the sweep already holds."""
+    cfg = _cfg(experiment="segment_continuity", h=0.1, h_factor=1.0, epsilons=[0.5],
+               p=4.0, paths=3, T=1.0, deltas=[0.5, 0.3, 0.25, 0.2])
+    out = tmp_path / "out"
+    assert cli_main(["seg-cont", "--config", _write_cfg(tmp_path, "sc.json", cfg),
+                     "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    rows = [r for r in report["rows"] if r["extra"]["kind"] == "segment_displacement_moment"]
+    assert [r["delta"] for r in rows] == pytest.approx([0.5, 0.3, 0.2])
+    assert report["warnings"][-2:] == ["delta=0.25 snapped to 2*h=0.2",
+                                       "duplicate deltas merged after snapping"]
+
+
 def test_frozen_report_and_summary():
     """b-bar and the mixing rate are reported as rows, with no separate summary."""
     cfg = _cfg(experiment="frozen", h=0.02,
@@ -675,6 +708,7 @@ def test_cli_config_errors_exit_four(tmp_path, capsys):
         _cfg(experiment="simulate", h_factor=1e-300),
         _cfg(experiment="auxiliary_gap", epsilons=[0.05, 0.01], delta=1e-300),
         _cfg(experiment="check", xi=None),
+        _cfg(h_factor=0.2, kappa_stab=0.1),  # kappa_stab is not a config key
         # "xi has dimension 1, system needs 2".
         _cfg(experiment="simulate", system={"kind": "registered", "name": "golden_plane"},
              h=0.0125, xi={"values": [[1.0]] * 81}),

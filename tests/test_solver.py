@@ -191,14 +191,11 @@ def test_moment_bound_uniform_over_epsilon():
     assert worst < 5.0
 
 
-def test_stability_cap_enforced():
+def test_epsilon_domain_enforced():
     spec = linear_benchmark(BENCH)
     g = make_grid(T=0.5, h=0.05, tau=1.0)
     xi, eta = _const(g, 1.0), _const(g, 0.0)
     w1, w2 = brownian(0, [0], W1, g), brownian(0, [0], W2, g)
-    with pytest.raises(DomainError, match="stability cap"):
-        simulate_coupled(spec, xi, eta, 0.1, g, w1, w2)
-    # Same h is fine for epsilon = 1.
     simulate_coupled(spec, xi, eta, 1.0, g, w1, w2)
     with pytest.raises(DomainError):
         simulate_coupled(spec, xi, eta, 1.5, g, w1, w2)
