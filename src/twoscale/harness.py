@@ -553,7 +553,7 @@ def _run_ensemble(scenario: Scenario, spec, body, rows) -> list:
     """Per-path results of every (epsilon, h, extra) row of the system spec, in path order.
 
     Each row is built here, before any worker forks: workers only integrate.
-    There are min(threads, CPUs) workers, or one where os has no fork.
+    There are min(threads, len(_cpus())) workers, or one where os has no fork.
     Each job is one whole row as a single batch, unless there are fewer
     rows than workers: then each row is cut into ceil(workers / rows)
     contiguous path chunks.  One worker runs the jobs serially
@@ -567,7 +567,7 @@ def _run_ensemble(scenario: Scenario, spec, body, rows) -> list:
                      scenario.materialize_segment("eta", h, spec.n), extra)
               for epsilon, h, extra in rows]
     paths = scenario.paths
-    workers = min(scenario.threads, os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    workers = min(scenario.threads, len(_cpus())) if hasattr(os, "fork") else 1
     per_row = min(-(-workers // len(rows)), paths)
     bounds = [paths * j // per_row for j in range(per_row + 1)]
     jobs = [(body, chunk, bounds[j], bounds[j + 1]) for chunk in chunks for j in range(per_row)]
@@ -579,6 +579,13 @@ def _run_ensemble(scenario: Scenario, spec, body, rows) -> list:
         _warnings.warn(message)
     return [[r for j in range(i, i + per_row) for r in done[j][0]]
             for i in range(0, len(jobs), per_row)]
+
+
+def _cpus() -> list:
+    """The CPUs this process may run on, sorted; range(cpu_count) where os cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
 
 
 def _plan(jobs, workers: int) -> list:
@@ -598,6 +605,7 @@ def _plan(jobs, workers: int) -> list:
 def _forked(jobs, workers: int) -> list:
     """_run_chunk of every job, in job order, run by forked children as _plan deals them.
 
+    Worker w is placed alone on CPU cpus[w % len(cpus)], cpus = _cpus().
     A child inherits its jobs and pipes back one pickle of its results or
     its exception, which is raised again here; an exception that does not
     survive pickling comes back as an OSError naming its type and message,
@@ -606,10 +614,11 @@ def _forked(jobs, workers: int) -> list:
     """
     children, done = [], {}  # (pid, read end) of each child not yet reaped
     try:
-        for mine in _plan(jobs, workers):
+        cpus = _cpus()
+        for w, mine in enumerate(_plan(jobs, workers)):
             rfd, wfd = os.pipe()
             if (pid := os.fork()) == 0:
-                _child(wfd, [(i, jobs[i]) for i in mine])
+                _child(wfd, [(i, jobs[i]) for i in mine], cpus[w % len(cpus)])
             os.close(wfd)
             children.append((pid, open(rfd, "rb")))
         for worker in range(workers):
@@ -633,12 +642,17 @@ def _forked(jobs, workers: int) -> list:
     return [done[i] for i in range(len(jobs))]
 
 
-def _child(fd: int, jobs) -> None:
+def _child(fd: int, jobs, cpu: int) -> None:
     """Pipe the results of (index, job) pairs, or the exception, to fd and exit; never returns.
 
     os._exit leaves the caller's stack and flushes none of the parent's stdio buffers.
     """
     try:
+        try:  # run on cpu alone where os can; placement is only a hint, so OSError is ignored
+            if hasattr(os, "sched_setaffinity"):
+                os.sched_setaffinity(0, {cpu})
+        except OSError:
+            pass
         try:
             outcome = [(i, _run_chunk(job)) for i, job in jobs]
         except BaseException as exc:  # raised again in the parent
@@ -707,7 +721,7 @@ def _monotone_gate(moments, std_errors):
 
 def _converge_chunk(c: _Chunk, paths) -> list:
     dw1 = c.noise(paths, W1)
-    x, _ = c.coupled(paths, dw1)
+    x = c.coupled(paths, dw1)[0]  # y is freed before the averaged pass
     xbar = simulate_averaged(c.spec, c.xi, c.extra["drift"], c.grid, dw1)
     return sup_distance(x, xbar, c.grid).tolist()
 

@@ -238,7 +238,7 @@ def test_golden_report_hash(name, threads, tmp_path):
 @pytest.mark.parametrize("name", ["converge_estimator_uneven", "converge_n2", "auxiliary_gap_n2"])
 def test_golden_hash_with_uneven_path_chunks(name, threads, tmp_path, monkeypatch, serial_pool):
     """Two-row cases on more workers than rows cut each row into path chunks, some uneven."""
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(harness, "_cpus", lambda: list(range(8)))
     digest, _ = _run(name, threads, tmp_path)
     assert digest == GOLDEN[name]
     [pool] = serial_pool

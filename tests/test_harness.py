@@ -7,6 +7,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1091,7 +1092,7 @@ def test_pool_has_at_most_one_worker_per_cpu(monkeypatch, serial_pool):
     """
     configs = {"simulate": _cfg(experiment="simulate", epsilons=[0.25], paths=6, T=0.25),
                "converge": _cfg(paths=6, T=0.25)}  # one row and three rows
-    cases = [  # config, threads, cpu_count, pool size (None: no pool)
+    cases = [  # config, threads, CPUs, pool size (None: no pool)
         ("simulate", 5, None, None), ("simulate", 5, 1, None), ("simulate", 1, 64, None),
         ("simulate", 5, 2, 2), ("simulate", 5, 64, 5), ("simulate", 8, 64, 6),
         ("converge", 1, 64, None), ("converge", 2, 64, 2), ("converge", 5, 64, 5),
@@ -1100,7 +1101,11 @@ def test_pool_has_at_most_one_worker_per_cpu(monkeypatch, serial_pool):
               for name, cfg in configs.items()}
     for name, threads, cpus, size in cases:
         cfg = configs[name]
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        if cpus is None:  # os names no CPU: the fallback counts one
+            monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr(harness, "_cpus", lambda: list(range(cpus)))
         opened = len(serial_pool)
         report = run_scenario(Scenario.from_config(dict(cfg, threads=threads)))
         assert report.reproducibility_hash == serial[name]
@@ -1118,7 +1123,7 @@ def test_pool_gets_whole_rows_longest_grid_first(monkeypatch, serial_pool):
     """With as many rows as workers or more, each job is a full-P row, longest grid first."""
     cfg = _cfg(experiment="auxiliary_gap", epsilons=[0.05, 0.01, 0.02, 0.005], paths=4, T=0.25)
     serial = run_scenario(Scenario.from_config(cfg))
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "_cpus", lambda: [0, 1])
     report = run_scenario(Scenario.from_config(dict(cfg, threads=2)))
     [pool] = serial_pool
     assert pool.workers == 2
@@ -1161,7 +1166,7 @@ def test_each_run_builds_its_system_once(name, threads, monkeypatch, serial_pool
 
     for method in counts:
         monkeypatch.setattr(Scenario, method, counted(method))
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "_cpus", lambda: [0, 1])
     cfg = _BUILD_RUNS[name]
     run_scenario(Scenario.from_config(dict(cfg, threads=threads)))
     assert len(serial_pool) == threads - 1
@@ -1172,7 +1177,7 @@ def test_each_run_builds_its_system_once(name, threads, monkeypatch, serial_pool
 def test_setup_errors_open_no_pool(tmp_path, monkeypatch, capsys, serial_pool):
     """A bad start window or a factory that returns no SystemSpec exits 4 before any fork."""
     register_system("returns_42", lambda: 42, replace=True)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "_cpus", lambda: [0, 1])
     cases = [
         ("simulate", _cfg(experiment="simulate", h=0.0125, xi={"values": [[1.0]] * 81},
                           system={"kind": "registered", "name": "golden_plane"}),
@@ -1217,7 +1222,7 @@ def _in_workers(monkeypatch, fault):
         return body(c, paths)
 
     monkeypatch.setattr(harness, "_aux_chunk", patched)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "_cpus", lambda: [0, 1])
 
 
 def _raise_unpicklable():
@@ -1306,10 +1311,53 @@ def test_threads_without_fork_run_in_process(monkeypatch, serial_pool):
     """Where os has no fork, threads > 1 open no pool and give the threads-1 hash."""
     serial = run_scenario(Scenario.from_config(dict(_POOLED_AUX, threads=1)))
     monkeypatch.delattr(harness.os, "fork")
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "_cpus", lambda: [0, 1])
     report = run_scenario(Scenario.from_config(_POOLED_AUX))
     assert report.reproducibility_hash == serial.reproducibility_hash
     assert serial_pool == []
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(harness._cpus()) < 2,
+                    reason="needs two CPUs this process may run on")
+def test_forked_workers_each_run_on_a_cpu_of_their_own():
+    """Worker w of the pool is placed alone on the w-th CPU; the parent keeps its own set."""
+    def body(c, paths):
+        return [sorted(os.sched_getaffinity(0)) for _ in paths]
+
+    before = harness._cpus()
+    chunk = SimpleNamespace(grid=SimpleNamespace(steps=1))
+    done = harness._forked([(body, chunk, 0, 1), (body, chunk, 0, 1)], 2)
+    placed = [results[0][1] for results, _ in done]
+    assert all(len(cpus) == 1 for cpus in placed) and placed[0] != placed[1]
+    assert sorted(sum(placed, [])) == before[:2]
+    assert harness._cpus() == before
+    _assert_no_child_left()
+
+
+def test_refused_placement_leaves_the_run_as_it_was(monkeypatch, tmp_path):
+    """A worker whose placement raises OSError runs on: the threads-1 hash, and CLI exit 0.
+
+    The pooled aux-gap run fails a gate at 2 paths (exit 2), so the CLI
+    run is a two-worker simulate, which has no gate to fail.
+    """
+    serial = run_scenario(Scenario.from_config(dict(_POOLED_AUX, threads=1)))
+    refusals = tmp_path / "refusals"
+    refusals.mkdir()
+
+    def refuse(pid, cpus):
+        (refusals / str(os.getpid())).touch()
+        raise OSError(22, "placement refused")
+
+    monkeypatch.setattr(harness.os, "sched_setaffinity", refuse, raising=False)
+    monkeypatch.setattr(harness, "_cpus", lambda: [0, 1])
+    report = run_scenario(Scenario.from_config(_POOLED_AUX))
+    assert report.reproducibility_hash == serial.reproducibility_hash
+    assert len(list(refusals.iterdir())) == 2  # one refusal in each forked worker
+    cfg = _write_cfg(tmp_path, "sim.json", _cfg(experiment="simulate", epsilons=[0.25],
+                                                 paths=4, T=0.25, threads=2))
+    assert cli_main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(list(refusals.iterdir())) == 4
+    _assert_no_child_left()
 
 
 def test_divergence_keeps_the_warnings_that_explain_it(tmp_path, capsys):
@@ -1332,7 +1380,7 @@ def test_cli_loads_no_executor_or_multiprocessing(tmp_path):
         "from twoscale import harness\n"
         "loaded = lambda: [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
         "print(loaded())\n"
-        "os.cpu_count = lambda: 2\n"
+        "harness._cpus = lambda: [0, 1]\n"
         "pools, forked = [], harness._forked\n"
         "harness._forked = lambda jobs, workers: pools.append(workers) or forked(jobs, workers)\n"
         f"code = twoscale.cli.main(['aux-gap', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}])\n"
