@@ -42,7 +42,7 @@ from .averaging import (
     simulate_averaged,
 )
 from .errors import ConfigError, DegenerateFitError, TwoscaleError
-from .frozen import estimate_averaged_drift, mixing_decay
+from .frozen import GAP_FLOOR, estimate_averaged_drift, mixing_decay
 from .metrics import p_moment, segment_displacement_moment, slope_fit, sup_distance
 from .noise import W1, W2, increments
 from .segment import (_node_norms, _row_dots, constant_segment, exact_steps,
@@ -224,7 +224,7 @@ class Scenario:
     experiment: str = _key(_one_of(EXPERIMENTS))
     system: dict = _key(_system)
     tau: float = _key(_real(), 1.0)
-    T: float = _key(_real(), 1.0)
+    T: float = _key(_real(), 1.0, _ENSEMBLE_EXPERIMENTS)
     h: object = _key(_or("auto", _real()), "auto")  # "auto" or float
     h_factor: float = _key(_real(), 0.05, _ENSEMBLE_EXPERIMENTS)
     epsilons: tuple = _key(_numbers(_real(most=1.0), empty=True, descending=True), None,
@@ -369,13 +369,14 @@ class Scenario:
     def _step_fault(self, h: float, epsilon: float | None, anchor: float | None) -> str | None:
         """The first step rule h breaks, as the tail of a message, or None.
 
-        h must tile tau, T, the block anchor and the frozen run's burn_in
-        and horizon; with an epsilon it must also stay at or below
-        h_factor * epsilon, which bounds the fast chain's step h / eps,
-        and realize the fast delay eps * tau on the run's grid to within
-        _FAST_DELAY_SNAP.
+        h must tile tau, T if the run reads it, the block anchor and the
+        frozen run's burn_in and horizon; with an epsilon it must also stay
+        at or below h_factor * epsilon, which bounds the fast chain's step
+        h / eps, and realize the fast delay eps * tau on the run's grid to
+        within _FAST_DELAY_SNAP.
         """
-        fault = _misalignment(h, {"tau": self.tau, "T": self.T, "delta": anchor,
+        T = self.T if "T" in _EXPERIMENT_KEYS[self.experiment] else None
+        fault = _misalignment(h, {"tau": self.tau, "T": T, "delta": anchor,
                                   "burn_in": self.burn_in, "horizon": self.horizon})
         if fault or epsilon is None:
             return fault
@@ -550,8 +551,13 @@ def _chunk_results(body, chunk: _Chunk, start, stop) -> list:
 
 
 def _run_ensemble(scenario: Scenario, spec, body, rows) -> list:
-    """Per-path results of every (epsilon, h, extra) row of the system spec, in path order.
+    """A (record, values) pair per (record, extra) row of the system spec, in row order.
 
+    record is the row's report record; its epsilon and extra["h"] fix the
+    chunk's epsilon and grid.  values lists the per-path values in path
+    order, or is None if any path failed: record then comes back as the
+    error record, with the first failing path's error_type and error, the
+    number of failed_paths, and no value or std_error.
     Each row is built here, before any worker forks: workers only integrate.
     There are min(threads, len(_cpus())) workers, or one where os has no fork.
     Each job is one whole row as a single batch, unless there are fewer
@@ -562,10 +568,10 @@ def _run_ensemble(scenario: Scenario, spec, body, rows) -> list:
     depend on neither the cut nor the order.  The chunks' warning
     messages are raised again here, in row and path order.
     """
-    chunks = [_Chunk(scenario, spec, epsilon, make_grid(scenario.T, h, scenario.tau),
+    chunks = [_Chunk(scenario, spec, record["epsilon"], make_grid(scenario.T, h, scenario.tau),
                      scenario.materialize_segment("xi", h, spec.n),
                      scenario.materialize_segment("eta", h, spec.n), extra)
-              for epsilon, h, extra in rows]
+              for record, extra in rows for h in [record["extra"]["h"]]]
     paths = scenario.paths
     workers = min(scenario.threads, len(_cpus())) if hasattr(os, "fork") else 1
     per_row = min(-(-workers // len(rows)), paths)
@@ -577,8 +583,16 @@ def _run_ensemble(scenario: Scenario, spec, body, rows) -> list:
         done = _forked(jobs, min(workers, len(jobs)))
     for message in (w for j in range(len(jobs)) for w in done[j][1]):
         _warnings.warn(message)
-    return [[r for j in range(i, i + per_row) for r in done[j][0]]
-            for i in range(0, len(jobs), per_row)]
+    pairs = []
+    for i, (record, _) in enumerate(rows):
+        results = [r for j in range(i * per_row, (i + 1) * per_row) for r in done[j][0]]
+        errors = [r for r in results if r[0] == "err"]
+        if errors:
+            _, kind, msg = errors[0]
+            record = dict(record, value=None, std_error=None, extra=dict(
+                record["extra"], error_type=kind, error=msg, failed_paths=len(errors)))
+        pairs.append((record, None if errors else [r[1] for r in results]))
+    return pairs
 
 
 def _cpus() -> list:
@@ -668,20 +682,6 @@ def _child(fd: int, jobs, cpu: int) -> None:
         os._exit(1)  # the outcome was not written
 
 
-def _row_values(results, row):
-    """Per-path values of a row, or (None, error row) if any path failed.
-
-    The error row keeps row's coordinates and reports the first failing
-    path's error type and message with the number of failed paths.
-    """
-    errors = [r for r in results if r[0] == "err"]
-    if not errors:
-        return [r[1] for r in results], None
-    _, kind, msg = errors[0]
-    extra = dict(row["extra"], error_type=kind, error=msg, failed_paths=len(errors))
-    return None, dict(row, value=None, std_error=None, extra=extra)
-
-
 def _row(epsilon, delta, p, paths, kind, h) -> dict:
     return {"epsilon": epsilon, "delta": delta, "p": p, "paths": paths,
             "value": None, "std_error": None, "extra": {"kind": kind, "h": h}}
@@ -739,20 +739,15 @@ def run_converge(scenario: Scenario):
     spec = scenario.build_spec()
     # A system without a closed form fails here, before any path is simulated.
     drift = scenario.drift_callable(spec)
-    sweep = [(eps, scenario.resolve_h(epsilon=eps), {"drift": drift}) for eps in scenario.epsilons]
-    results = _run_ensemble(scenario, spec, _converge_chunk, sweep)
-
-    rows = []
-    ok_rows = []
-    for (eps, h, _), res in zip(sweep, results):
-        row = _row(eps, None, scenario.p, scenario.paths, "sup_gap_moment", h)
-        gaps, error_row = _row_values(res, row)
-        if error_row is not None:
-            rows.append(error_row)
-            continue
-        row = _with_moment(row, p_moment(gaps, scenario.p))
+    sweep = [(_row(eps, None, scenario.p, scenario.paths, "sup_gap_moment",
+                   scenario.resolve_h(epsilon=eps)), {"drift": drift})
+             for eps in scenario.epsilons]
+    rows, ok_rows = [], []
+    for row, gaps in _run_ensemble(scenario, spec, _converge_chunk, sweep):
+        if gaps is not None:
+            row = _with_moment(row, p_moment(gaps, scenario.p))
+            ok_rows.append(row)
         rows.append(row)
-        ok_rows.append(row)
 
     fit_rows = [r for r in reversed(ok_rows) if r["value"] > 0.0]
     if len(fit_rows) >= 3:
@@ -823,29 +818,24 @@ def run_auxiliary_gap(scenario: Scenario):
     # A fixed delta is snapped, and warned of, once for the whole sweep.
     fixed = None if scenario.delta == "auto" else DeltaSchedule(
         scenario.delta, *_snap_to_tau(scenario.tau, scenario.delta))
-    schedules = [fixed or khasminskii_delta(eps, scenario.tau) for eps in scenario.epsilons]
-    sweep = [(eps, scenario.resolve_h(epsilon=eps, anchor=s.delta), {"schedule": s})
-             for eps, s in zip(scenario.epsilons, schedules)]
-    results = _run_ensemble(scenario, scenario.build_spec(), _aux_chunk, sweep)
-
-    rows = []
-    ok_rows = []
-    for (eps, h, _), schedule, res in zip(sweep, schedules, results):
-        row = _row(eps, schedule.delta, scenario.p, scenario.paths, "aux_slow_gap_moment", h)
-        gaps, error_row = _row_values(res, row)
-        if error_row is not None:
-            rows.append(error_row)
+    schedules = {eps: fixed or khasminskii_delta(eps, scenario.tau) for eps in scenario.epsilons}
+    sweep = [(_row(eps, s.delta, scenario.p, scenario.paths, "aux_slow_gap_moment",
+                   scenario.resolve_h(epsilon=eps, anchor=s.delta)), {"schedule": s})
+             for eps, s in schedules.items()]
+    rows, ok_rows = [], []
+    for row, gaps in _run_ensemble(scenario, scenario.build_spec(), _aux_chunk, sweep):
+        if gaps is None:
+            rows.append(row)
             continue
         x_gaps, y_gaps, audits = zip(*gaps)
         audit_max = max(audits)
-        row = _with_moment(row, p_moment(x_gaps, scenario.p),
-                           N_delta=schedule.N_delta, reset_audit_max=audit_max)
-        fast = _row(eps, schedule.delta, scenario.p, scenario.paths,
-                    "aux_fast_checkpoint_gap_moment", h)
-        audit = _row(eps, schedule.delta, None, scenario.paths, "reset_audit", h)
-        rows += [row, _with_moment(fast, p_moment(y_gaps, scenario.p)),
-                 dict(audit, value=audit_max)]
-        ok_rows.append(row)
+        slow = _with_moment(row, p_moment(x_gaps, scenario.p),
+                            N_delta=schedules[row["epsilon"]].N_delta, reset_audit_max=audit_max)
+        fast = dict(row, extra=dict(row["extra"], kind="aux_fast_checkpoint_gap_moment"))
+        audit = dict(row, p=None, value=audit_max,
+                     extra=dict(row["extra"], kind="reset_audit"))
+        rows += [slow, _with_moment(fast, p_moment(y_gaps, scenario.p)), audit]
+        ok_rows.append(slow)
 
     gates = _trend_gates(ok_rows, complete=len(ok_rows) == len(sweep))
     if len(ok_rows) >= 2:
@@ -919,13 +909,11 @@ def run_segment_continuity(scenario: Scenario):
             r = max(1, ((2 * j + 1) * d_max_steps) // 16)
             idxs.add(min(grid.steps, j * grid.steps // 8 + r))
         times = [k * h for k in sorted(idxs) if k > 0]
-    extra = {"deltas": deltas, "times": times}
-    [results] = _run_ensemble(scenario, scenario.build_spec(), _segcont_chunk,
-                              [(epsilon, h, extra)])
     row = _row(epsilon, None, scenario.p, scenario.paths, "segment_displacement_moment", h)
-    values, error_row = _row_values(results, row)
-    if error_row is not None:
-        return [error_row], [_failed_paths_gate(error_row)]
+    [(row, values)] = _run_ensemble(scenario, scenario.build_spec(), _segcont_chunk,
+                                    [(row, {"deltas": deltas, "times": times})])
+    if values is None:
+        return [row], [_failed_paths_gate(row)]
 
     per_path = np.array(values)  # (paths, n_deltas)
     moments = per_path.mean(axis=0)
@@ -943,7 +931,7 @@ def run_segment_continuity(scenario: Scenario):
                            f"slope={fit.slope:.4f}, floor={floor:.4f}"))
     else:
         gates.append(_gate("slope_floor", False, "need >= 3 positive moments to fit a slope"))
-    gates.append(_gate("rows_complete", True, f"{len(results)} path(s)"))
+    gates.append(_gate("rows_complete", True, f"{len(values)} path(s)"))
     return rows, gates
 
 
@@ -991,8 +979,13 @@ def run_frozen(scenario: Scenario):
                            scenario.seed)
     except DegenerateFitError as exc:
         rows.append(dict(row, extra=dict(row["extra"], degenerate=True, detail=str(exc))))
-        gate = _gate("mixing_rate_positive", True,
-                     "gap contracted below the fit floor (strong mixing)")
+        # A gap below the fit floor is evidence of mixing only if the starts were apart.
+        start_gap = _node_norms(eta - eta_prime).max() ** 2
+        gate = _gate("mixing_rate_positive", start_gap > GAP_FLOOR,
+                     "gap contracted below the fit floor (strong mixing)"
+                     if start_gap > GAP_FLOOR else
+                     f"start windows eta and eta_prime coincide (squared sup gap "
+                     f"{start_gap:.3g} <= {GAP_FLOOR:g}): nothing contracted")
     else:
         rows.append(dict(row, value=fit.fitted_rate,
                          extra=dict(row["extra"], r_squared=fit.r_squared,
@@ -1067,13 +1060,12 @@ def run_simulate(scenario: Scenario, *, dump_dir=None, stem: str = "scenario"):
     """Plain coupled ensemble; optionally dumps per-path trajectory CSVs."""
     epsilon = scenario.epsilons[0] if scenario.epsilons else _SINGLE_EPSILON
     h = scenario.resolve_h(epsilon=epsilon)
-    extra = {"dump_dir": str(dump_dir) if dump_dir is not None else None, "stem": stem}
-    [results] = _run_ensemble(scenario, scenario.build_spec(), _simulate_chunk,
-                              [(epsilon, h, extra)])
     row = _row(epsilon, None, 1.0, scenario.paths, "endpoint_slow_norm", h)
-    endpoints, error_row = _row_values(results, row)
-    if error_row is not None:
-        return [error_row], [_failed_paths_gate(error_row)]
+    extra = {"dump_dir": str(dump_dir) if dump_dir is not None else None, "stem": stem}
+    [(row, endpoints)] = _run_ensemble(scenario, scenario.build_spec(), _simulate_chunk,
+                                       [(row, extra)])
+    if endpoints is None:
+        return [row], [_failed_paths_gate(row)]
     if len(endpoints) >= 2:
         moment = p_moment(endpoints, 1.0)
         value, se, paths = moment.value, moment.std_error, moment.paths

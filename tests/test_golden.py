@@ -64,9 +64,11 @@ def _plane_factory():
 register_system("golden_plane", _plane_factory, replace=True)
 PLANE_SYS = {"kind": "registered", "name": "golden_plane"}
 
-_BASE = {"system": BENCH_SYS, "tau": 1.0, "T": 0.5, "seed": 5}
+_BASE = {"system": BENCH_SYS, "tau": 1.0, "seed": 5}
+# The path ensembles also read the horizon T; the frozen runs and check do not.
+_ENSEMBLE = dict(_BASE, T=0.5)
 # Experiments that reduce paths to p-th moments also read p and paths.
-_MOMENTS = dict(_BASE, p=2.0, paths=4)
+_MOMENTS = dict(_ENSEMBLE, p=2.0, paths=4)
 _ESTIMATOR = dict(_MOMENTS, experiment="converge", T=0.1, h_factor=0.1, epsilons=[0.2, 0.1],
                   drift_source="estimator",
                   estimator={"burn_in": 5.0, "horizon": 1.0, "replicas": 2, "h": 0.1})
@@ -82,19 +84,20 @@ CASES = {
                           epsilons=[0.05, 0.02, 0.01]),
     "segment_continuity": dict(_MOMENTS, experiment="segment_continuity", T=1.0,
                                epsilons=[0.05], p=4.0, paths=3),
-    "simulate_dump": dict(_BASE, experiment="simulate", epsilons=[0.25], paths=3),
+    "simulate_dump": dict(_ENSEMBLE, experiment="simulate", epsilons=[0.25], paths=3),
     "converge_diverging": dict(_MOMENTS, experiment="converge", system=BLOWUP_SYS,
                                epsilons=[0.25, 0.125, 0.0625]),
     "auxiliary_gap_diverging": dict(_MOMENTS, experiment="auxiliary_gap", system=BLOWUP_SYS,
                                     epsilons=[0.1, 0.05, 0.02]),
-    "frozen": dict(_BASE, experiment="frozen", h=0.02, T=1.0,
+    "frozen": dict(_BASE, experiment="frozen", h=0.02,
                    burn_in=2.0, horizon=4.0, replicas=2,
                    mixing_replicas=8, checkpoints=3),
     "check": dict(_BASE, experiment="check", trials=200),
-    "mixing": dict(_BASE, experiment="mixing", h=0.02, T=1.0,
+    "mixing": dict(_BASE, experiment="mixing", h=0.02,
                    mixing_replicas=8, checkpoints=3),
-    # Identical starts: the coupled gap is 0, so the fit is degenerate.
-    "mixing_degenerate": dict(_BASE, experiment="mixing", h=0.02, T=1.0,
+    # Identical starts: the coupled gap is 0, so the fit is degenerate, and
+    # with nothing to contract mixing_rate_positive fails.
+    "mixing_degenerate": dict(_BASE, experiment="mixing", h=0.02,
                               mixing_replicas=8, checkpoints=3,
                               eta={"constant": 0.0}, eta_prime={"constant": 0.0}),
     "aux_fixed_delta": dict(_MOMENTS, experiment="auxiliary_gap", paths=3, T=0.25,
@@ -112,12 +115,12 @@ CASES = {
                              T=0.25, epsilons=[0.05, 0.02]),
     "segment_continuity_n2": dict(_MOMENTS, experiment="segment_continuity", system=PLANE_SYS,
                                   paths=3, T=1.0, epsilons=[0.05], p=4.0),
-    "frozen_n2": dict(_BASE, experiment="frozen", system=PLANE_SYS, h=0.02, T=1.0,
+    "frozen_n2": dict(_BASE, experiment="frozen", system=PLANE_SYS, h=0.02,
                       burn_in=2.0, horizon=4.0, replicas=2, mixing_replicas=8, checkpoints=3),
-    "mixing_n2": dict(_BASE, experiment="mixing", system=PLANE_SYS, h=0.02, T=1.0,
+    "mixing_n2": dict(_BASE, experiment="mixing", system=PLANE_SYS, h=0.02,
                       mixing_replicas=8, checkpoints=3, eta_prime={"constant": [1.0, -0.5]}),
     "check_n2": dict(_BASE, experiment="check", system=PLANE_SYS, trials=200),
-    "simulate_n2": dict(_BASE, experiment="simulate", system=PLANE_SYS, epsilons=[0.25],
+    "simulate_n2": dict(_ENSEMBLE, experiment="simulate", system=PLANE_SYS, epsilons=[0.25],
                         paths=3),
     # Three of four paths diverge: an error row and a failed rows_complete.
     "segcont_diverging": dict(_MOMENTS, experiment="segment_continuity", system=BLOWUP_SYS,
@@ -126,7 +129,7 @@ CASES = {
     "segcont_two_deltas": dict(_MOMENTS, experiment="segment_continuity", T=1.0,
                                epsilons=[0.05], p=4.0, paths=3, deltas=[0.25, 0.125]),
     # One path has no spread: std_error 0.
-    "simulate_one_path": dict(_BASE, experiment="simulate", epsilons=[0.25], paths=1),
+    "simulate_one_path": dict(_ENSEMBLE, experiment="simulate", epsilons=[0.25], paths=1),
 }
 
 GOLDEN = {
@@ -178,7 +181,7 @@ GOLDEN_GATES = {
     "frozen": "529cb1a854794e3f891a4386c964b7e20f926cad2f4a2760a7b411f826c9d279",
     "frozen_n2": "38f452da9c15017e98ee1fa298150aa31c3c72e617445df22be4f76940e162ee",
     "mixing": "529cb1a854794e3f891a4386c964b7e20f926cad2f4a2760a7b411f826c9d279",
-    "mixing_degenerate": "cdf1ef20da9faf104721b1424be5b5b1e53a5de1cbdd6e7a1c4e0a9d7d7d4510",
+    "mixing_degenerate": "3cf50d2ef027db8114735bd711adcd7de32ccafae2edabd1bf820313a9e864e9",
     "mixing_n2": "56c62648c712e1ac0ba301affa30367ed6de2339a2a7887bf9ba9a3265639b7d",
     "segcont_deltas": "8cab76bdf4e662dd32e0243f73e6a8b255baec9e135eb309e76490665d0d6100",
     "segcont_diverging": "04356d632568ffa3362382f515a13462ccc331f824905383ae107b2d0e6ce523",
@@ -271,20 +274,35 @@ def bench():
     return workloads
 
 
-@pytest.mark.parametrize("name, threads", [("aux-gap-threads2", 1), ("aux-gap-threads2", 2),
-                                           ("converge-estimator", 1)])
-def test_bench_workload_hash(name, threads, bench, tmp_path):
-    """The benchmark's scenarios, run in process through the CLI, keep their report hashes
-    and pass the benchmark's own checks against bench/reference.py."""
+@pytest.fixture(scope="module", params=[("aux-gap-threads2", 1), ("aux-gap-threads2", 2),
+                                        ("converge-estimator", 1)],
+                ids=lambda param: "-".join(map(str, param)))
+def bench_run(request, bench, tmp_path_factory):
+    """A benchmark scenario run once, in process through the CLI: (name, cfg, exit code, out)."""
+    name, threads = request.param
     workload = bench.WORKLOADS[name]
     cfg = workload.scenario(0, threads=threads)
+    tmp_path = tmp_path_factory.mktemp(f"{name}-{threads}")
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg))
     code = cli.main([workload.command, "--config", str(config), "--out", str(tmp_path / "out")])
+    return name, cfg, code, tmp_path / "out"
+
+
+def test_bench_workload_passes_its_checks(bench_run, bench):
+    """The benchmark's scenarios exit 0 and pass its own checks against bench/reference.py."""
+    name, cfg, code, out = bench_run
+    workload = bench.WORKLOADS[name]
     assert code == 0
-    report = bench.Report.load(tmp_path / "out")
-    assert report.csv_hash == BENCH_HASHES[name]
+    report = bench.Report.load(out)
     assert workload.check(report, cfg) == []
+
+
+def test_bench_workload_hash(bench_run, bench):
+    """The benchmark's scenarios keep their report hashes."""
+    name, _, _, out = bench_run
+    report = bench.Report.load(out)
+    assert report.csv_hash == BENCH_HASHES[name]
 
 
 def test_closed_form_converge_matches_reference(bench, tmp_path):

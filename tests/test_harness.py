@@ -126,6 +126,8 @@ _BAD_PARSE_CONFIGS = [
     # These run one epsilon; another would move the digest and no result.
     _cfg(experiment="simulate", epsilons=[0.05, 0.1]),
     _cfg(experiment="segment_continuity", epsilons=[0.05, 0.1]),
+    # check, frozen and mixing size their grids from tau, not from T.
+    _cfg(experiment="check", T=1.0),
 ]
 
 
@@ -290,6 +292,7 @@ _VALID_VALUES = {
     "p": 2.0, "drift_source": "closed_form", "estimator": {}, "delta": 0.25,
     "deltas": [0.25, 0.125], "sample_times": [0.25], "burn_in": 5.0, "horizon": 5.0,
     "replicas": 2, "mixing_replicas": 8, "checkpoints": 3, "trials": 3, "lambda3_cap": 10.0,
+    "T": 1.0,
 }
 
 
@@ -589,7 +592,7 @@ def test_frozen_report_and_summary():
     """b-bar and the mixing rate are reported as rows, with no separate summary."""
     cfg = _cfg(experiment="frozen", h=0.02,
                burn_in=2.0, horizon=4.0, replicas=2,
-               mixing_replicas=8, checkpoints=3, T=1.0)
+               mixing_replicas=8, checkpoints=3)
     report = run_scenario(Scenario.from_config(cfg))
     kinds = [r["extra"]["kind"] for r in report.rows]
     assert kinds == ["bbar_estimate", "mixing_fit"]
@@ -607,7 +610,7 @@ def test_frozen_report_and_summary():
 
 def test_mixing_runner_fit_only():
     cfg = _cfg(experiment="mixing", h=0.02,
-               mixing_replicas=8, checkpoints=3, T=1.0,
+               mixing_replicas=8, checkpoints=3,
                eta={"constant": 0.0}, eta_prime={"constant": 1.0})
     report = run_scenario(Scenario.from_config(cfg))
     assert [r["extra"]["kind"] for r in report.rows] == ["mixing_fit"]
@@ -616,8 +619,45 @@ def test_mixing_runner_fit_only():
     assert report.passed
 
 
+def test_mixing_gate_needs_starts_that_were_apart(tmp_path):
+    """A gap below the fit floor passes the gate only if the start windows differed.
+
+    With c2 = 20 the default starts eta and eta + 1 contract below the
+    floor within two checkpoints: degenerate, and passed.  Starts 0 or
+    1e-9 apart are under the floor from the outset: the gate fails, exit 2.
+    """
+    fast = dict(BENCH_SYS, params=dict(BENCH_SYS["params"], c2=20.0, c3=0.01))
+    cfg = _cfg(experiment="mixing", system=fast, h=0.02, checkpoints=3, mixing_replicas=8)
+    report = run_scenario(Scenario.from_config(cfg))
+    [row] = report.rows
+    assert row["extra"]["degenerate"] and row["value"] is None
+    assert report.gates == [{"name": "mixing_rate_positive", "passed": True,
+                             "detail": "gap contracted below the fit floor (strong mixing)"}]
+    for gap in (0.0, 1e-9):
+        same = dict(cfg, system=BENCH_SYS, eta={"constant": 0.0}, eta_prime={"constant": gap})
+        out = tmp_path / f"out{gap}"
+        assert cli_main(["frozen", "--config", _write_cfg(tmp_path, "same.json", same),
+                         "--out", str(out)]) == 2
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["rows"][0]["extra"]["degenerate"]
+        [gate] = payload["gates"]
+        assert not gate["passed"] and "start windows eta and eta_prime coincide" in gate["detail"]
+
+
+@pytest.mark.parametrize("experiment, over, h", [
+    ("mixing", {"checkpoints": 3}, 0.7 / 1000), ("check", {"trials": 50}, 0.7 / 64)])
+def test_auto_h_of_runs_that_do_not_read_T_follows_tau(experiment, over, h):
+    """check and mixing size h from tau alone: the default T = 1 no longer tiles it.
+
+    tau / 1000 and tau / 64 are the targets; under the old rule that h
+    had to tile T = 1 as well, they became 0.7 / 1001 and 0.01.
+    """
+    report = run_scenario(Scenario.from_config(_cfg(experiment=experiment, tau=0.7, **over)))
+    assert {r["extra"]["h"] for r in report.rows} == {h}
+
+
 def test_check_runner_benchmark_passes():
-    cfg = _cfg(experiment="check", trials=200, T=1.0)
+    cfg = _cfg(experiment="check", trials=200)
     report = run_scenario(Scenario.from_config(cfg))
     assert report.passed
     kinds = [r["extra"]["kind"] for r in report.rows]
@@ -671,7 +711,7 @@ def test_cli_gate_failure_exit_two(tmp_path):
                    "c1": 1.0, "c2": 0.5, "c3": 2.0, "s2": 0.3},
     }
     cfg_path = _write_cfg(tmp_path, "check.json",
-                          _cfg(experiment="check", system=bad_sys, trials=300, T=1.0))
+                          _cfg(experiment="check", system=bad_sys, trials=300))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         code = cli_main(["check", "--config", cfg_path,
@@ -809,7 +849,7 @@ def test_misshaped_b1_in_the_time_average_exits_four(tmp_path, capsys):
     register_system("flat_drift", _flat_drift_factory, replace=True)
     cfg_path = _write_cfg(tmp_path, "flat_frozen.json", _cfg(
         experiment="frozen", system={"kind": "registered", "name": "flat_drift"}, h=0.02,
-        T=1.0, burn_in=5.0, horizon=0.5, replicas=2, mixing_replicas=8, checkpoints=3))
+        burn_in=5.0, horizon=0.5, replicas=2, mixing_replicas=8, checkpoints=3))
     capsys.readouterr()
     code = cli_main(["frozen", "--config", cfg_path, "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
@@ -819,9 +859,10 @@ def test_misshaped_b1_in_the_time_average_exits_four(tmp_path, capsys):
 
 
 def _job(body, scen, row, start, stop):
-    """The (body, chunk, start, stop) job _run_ensemble cuts from scen's (epsilon, h, extra) row.
+    """The (body, chunk, start, stop) job _run_ensemble cuts from a row of scen.
 
-    A converge row carries the run's drift source, as run_converge gives it.
+    row is (epsilon, h, extra): the row record's epsilon and extra["h"], and
+    the chunk's extra.  A converge row carries the run's drift source, as run_converge gives it.
     """
     epsilon, h, extra = row
     spec = scen.build_spec()
@@ -953,7 +994,7 @@ def test_chunk_cut_does_not_move_per_path_results(case, paths, data):
 
 
 def _aux_row(scen, eps, delta):
-    """The (epsilon, h, extra) row run_auxiliary_gap builds for a delta or "auto"."""
+    """The (epsilon, h, extra) of the row run_auxiliary_gap builds for a delta or "auto"."""
     if delta == "auto":
         schedule = khasminskii_delta(eps, scen.tau)
     else:
@@ -1418,7 +1459,7 @@ def test_import_pins_blas_to_one_thread_unless_the_caller_chose(caller, blas, th
 def test_cli_frozen_prints_summary(tmp_path, capsys):
     cfg = _cfg(experiment="frozen", h=0.02,
                burn_in=2.0, horizon=4.0, replicas=2,
-               mixing_replicas=8, checkpoints=3, T=1.0)
+               mixing_replicas=8, checkpoints=3)
     cfg_path = _write_cfg(tmp_path, "frozen.json", cfg)
     code = cli_main(["frozen", "--config", cfg_path,
                      "--out", str(tmp_path / "out")])
@@ -1476,7 +1517,7 @@ def test_cli_runs_without_loading_scipy(tmp_path):
     """scipy is a test-only dependency: no CLI run may import it."""
     frozen = _write_cfg(tmp_path, "frozen.json", _cfg(
         experiment="frozen", h=0.02, burn_in=2.0, horizon=4.0,
-        replicas=2, mixing_replicas=8, checkpoints=3, T=1.0))
+        replicas=2, mixing_replicas=8, checkpoints=3))
     converge = _write_cfg(tmp_path, "converge.json", _cfg(
         T=0.1, h_factor=0.1, epsilons=[0.2, 0.1], paths=2, seed=5,
         drift_source="estimator",

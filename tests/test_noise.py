@@ -1,4 +1,6 @@
 import ast
+import importlib.util
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -18,6 +20,21 @@ from twoscale.solver import make_grid, simulate_coupled
 from twoscale.systems import LinearBenchmarkParams, linear_benchmark
 
 from conftest import brownian
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _reference():
+    """bench/reference.py, loaded by path: a Philox and Box-Muller draw that shares no code
+    with twoscale.noise, so a fault in _philox or _box_muller cannot cancel out."""
+    spec = importlib.util.spec_from_file_location("bench_reference", BENCH / "reference.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+reference = _reference()
 
 
 def test_replay_is_bit_identical():
@@ -115,7 +132,7 @@ def test_increments_shape_scale_and_bits():
     assert dw.shape == (50, 2, 3)
     assert dw.flags.c_contiguous  # the kernels slice dw[k] on every step
     for p, path in enumerate([0, 7]):
-        ref = NoiseStream(5, path, W1).normals(150).reshape(50, 3) * np.sqrt(dt)
+        ref = reference.normals(5, path, reference.TAG_W1, 150).reshape(50, 3) * np.sqrt(dt)
         assert np.array_equal(dw[:, p], ref)
     with pytest.raises(DomainError):
         increments(5, [0], W1, 3, 5, 0.0)
@@ -155,7 +172,7 @@ def test_blocked_draw_equals_each_stream(paths, steps, m):
     dw = increments(seeds, indices, W2, m, steps, dt)
     assert dw.shape == (steps, paths, m) and dw.flags.c_contiguous
     for c in range(paths):
-        ref = NoiseStream(seeds[c], indices[c], W2).normals(steps * m)
+        ref = reference.normals(seeds[c], indices[c], reference.TAG_W2, steps * m)
         assert np.array_equal(dw[:, c], ref.reshape(steps, m) * np.sqrt(dt)), c
 
 
