@@ -11,16 +11,17 @@ multiples and on the grid.
 The averaged equation replaces the fast dependence of the slow drift by
 the stationary average bbar1; simulate_averaged integrates it on the
 same W1 increments as the coupled system it is compared against, which
-is what makes pathwise sup-distance comparisons meaningful.
+is what makes pathwise sup-distance comparisons meaningful.  Estimated
+bbar1 draws from streams addressed by (seed, row, path, macro step).
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import SeedSequence
 
 from .errors import DomainError, UsageError
 from .frozen import estimate_averaged_drift
@@ -29,10 +30,6 @@ from .solver import TimeGrid, _coupled_core, _pair_increments, make_grid, simula
 from .systems import SystemSpec
 
 _INV_E = math.exp(-1.0)
-
-# Sub-seed resolution of EstimatedDriftSource: windows that round to the
-# same multiples of this share their sub-simulation streams.
-_SEED_QUANT = 1e-4
 
 
 @dataclass(frozen=True)
@@ -112,11 +109,11 @@ def simulate_auxiliary(
 
 
 def closed_form_drift(spec: SystemSpec):
-    """Closed-form averaged drift kappa * chi[-1], kappa read once, here."""
+    """Closed-form averaged drift kappa * chi[-1]; a call's (row, paths, step) is ignored."""
     if spec.benchmark is None:
         raise UsageError("spec has no benchmark closed form; use an estimator source")
     kappa = spec.benchmark.kappa
-    return lambda chi: kappa * chi[-1]
+    return lambda chi, *address: kappa * chi[-1]
 
 
 def simulate_averaged(
@@ -128,12 +125,12 @@ def simulate_averaged(
 ):
     """Integrate a batch of dXbar = bbar1(Xbar_t) dt + sigma1(Xbar_t) dW1.
 
-    drift_source(window) supplies bbar1, shape (P, n), on the
-    (M + 1, P, n) window array: either a closed form or an
-    EstimatedDriftSource.  Pass the coupled run's dw1 to realize the
-    shared-noise comparison.  Returns the read-only (grid.total, P, n)
-    paths and raises the first failure of any path, a drift source's own
-    error included, as simulate_sdde does.
+    drift_source(window) supplies bbar1, shape (P, n), on the (M + 1, P, n)
+    window array once per step: a closed form, or an EstimatedDriftSource
+    bound to its address as harness._converge_chunk binds it.  Pass the
+    coupled run's dw1 to realize the shared-noise comparison.  Returns the
+    read-only (grid.total, P, n) paths and raises the first failure of any
+    path, a drift source's own error included, as simulate_sdde does.
     """
     if not callable(drift_source):
         raise UsageError("drift_source must be callable on a window array")
@@ -146,11 +143,12 @@ class EstimatedDriftSource:
 
     A call runs one estimate_averaged_drift for all P windows of its
     batch, each with replicas frozen sub-simulations on the step h that
-    drop [0, burn_in] and average over the next horizon.  Each window's
-    streams are seeded from a digest of the window rounded to
-    _SEED_QUANT, so a window's value is a pure function of (window,
-    seed, budget), whatever batch it comes in.  calls counts windows.
-    Nothing is memoized: a diffusing path does not revisit a window.
+    drop [0, burn_in] and average over the next horizon, seeded from
+    SeedSequence(seed, spawn_key=(row, path, step)) for its row, global
+    path index and macro step.  A path's value is thus a pure function of
+    (window, address, seed, budget), whatever batch it comes in, and paths
+    with equal windows, as all are at step 0, get independent estimates.
+    calls counts windows.  Nothing is memoized.
     """
 
     def __init__(self, spec: SystemSpec, seed: int, *, burn_in: float, horizon: float,
@@ -167,10 +165,11 @@ class EstimatedDriftSource:
         # Windows estimated: every one of them.
         return self.calls
 
-    def __call__(self, windows: np.ndarray) -> np.ndarray:
-        """bbar1 of each (M + 1, n) window of the (M + 1, P, n) batch, shape (P, n)."""
-        keys = np.round(windows / _SEED_QUANT).astype(np.int64)
-        seeds = [self._sub_seed(keys[:, p]) for p in range(windows.shape[1])]
+    def __call__(self, windows: np.ndarray, row: int, paths, step: int) -> np.ndarray:
+        """bbar1 of each window of the (M + 1, P, n) batch, shape (P, n); column i is
+        path paths[i] of report row `row` at macro step `step`."""
+        seeds = [int(SeedSequence(self.seed, spawn_key=(row, p, step))
+                     .generate_state(1, np.uint64)[0]) for p in paths]
         self.calls += len(seeds)
         est = estimate_averaged_drift(
             self.spec, windows, self.burn_in, self.horizon, self.replicas, self.sub_grid,
@@ -178,8 +177,3 @@ class EstimatedDriftSource:
         )
         self.max_std_error = max(self.max_std_error, float(np.max(est.std_error)))
         return est.value
-
-    def _sub_seed(self, key: np.ndarray) -> int:
-        """Stream seed of a window from its (M + 1, n) multiples of _SEED_QUANT."""
-        digest = hashlib.blake2b(key.tobytes() + b"|" + str(self.seed).encode(), digest_size=8)
-        return int.from_bytes(digest.digest(), "big")

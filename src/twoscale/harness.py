@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -360,24 +361,26 @@ class Scenario:
         for k in range(k0, k0 + 4096):
             if not self._step_fault(base / k, epsilon, anchor):
                 return base / k
-        raise ConfigError(
-            f"no step near {target} divides tau={self.tau}, T={self.T}, "
-            f"and block {base} and keeps the fast delay within {_FAST_DELAY_SNAP:.0%}; "
-            "choose commensurate durations"
-        )
+        spans = ", ".join(f"{what}={span:.6g}" for what, span in self._spans(anchor).items())
+        delay = f" and keeps the fast delay within {_FAST_DELAY_SNAP:.0%}" if epsilon else ""
+        raise ConfigError(f"no step near {target:.6g} divides {spans}{delay}; "
+                          "choose commensurate durations")
+
+    def _spans(self, anchor: float | None) -> dict:
+        """{what: span} of every span the run's step must tile: those it reads, and the anchor."""
+        reads = _EXPERIMENT_KEYS[self.experiment] | {"delta"}
+        spans = {"tau": self.tau, "T": self.T, "delta": anchor, "burn_in": self.burn_in,
+                 "horizon": self.horizon}
+        return {what: span for what, span in spans.items() if span and what in reads}
 
     def _step_fault(self, h: float, epsilon: float | None, anchor: float | None) -> str | None:
         """The first step rule h breaks, as the tail of a message, or None.
 
-        h must tile tau, T if the run reads it, the block anchor and the
-        frozen run's burn_in and horizon; with an epsilon it must also stay
-        at or below h_factor * epsilon, which bounds the fast chain's step
-        h / eps, and realize the fast delay eps * tau on the run's grid to
-        within _FAST_DELAY_SNAP.
+        h must tile the run's _spans; with an epsilon it must also stay at or below
+        h_factor * epsilon, which bounds the fast chain's step h / eps, and realize
+        the fast delay eps * tau on the run's grid to within _FAST_DELAY_SNAP.
         """
-        T = self.T if "T" in _EXPERIMENT_KEYS[self.experiment] else None
-        fault = _misalignment(h, {"tau": self.tau, "T": T, "delta": anchor,
-                                  "burn_in": self.burn_in, "horizon": self.horizon})
+        fault = _misalignment(h, self._spans(anchor))
         if fault or epsilon is None:
             return fault
         if h > self.h_factor * epsilon * (1.0 + 1e-12):
@@ -722,7 +725,10 @@ def _monotone_gate(moments, std_errors):
 def _converge_chunk(c: _Chunk, paths) -> list:
     dw1 = c.noise(paths, W1)
     x = c.coupled(paths, dw1)[0]  # y is freed before the averaged pass
-    xbar = simulate_averaged(c.spec, c.xi, c.extra["drift"], c.grid, dw1)
+    # Each attempt counts its macro steps afresh, so any cut keys a path alike.
+    drift, row, steps = c.extra["drift"], c.extra["row"], itertools.count()
+    xbar = simulate_averaged(c.spec, c.xi, lambda w: drift(w, row, paths, next(steps)),
+                             c.grid, dw1)
     return sup_distance(x, xbar, c.grid).tolist()
 
 
@@ -740,8 +746,8 @@ def run_converge(scenario: Scenario):
     # A system without a closed form fails here, before any path is simulated.
     drift = scenario.drift_callable(spec)
     sweep = [(_row(eps, None, scenario.p, scenario.paths, "sup_gap_moment",
-                   scenario.resolve_h(epsilon=eps)), {"drift": drift})
-             for eps in scenario.epsilons]
+                   scenario.resolve_h(epsilon=eps)), {"drift": drift, "row": i})
+             for i, eps in enumerate(scenario.epsilons)]
     rows, ok_rows = [], []
     for row, gaps in _run_ensemble(scenario, spec, _converge_chunk, sweep):
         if gaps is not None:

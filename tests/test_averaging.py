@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import warnings
 
@@ -228,9 +229,9 @@ def test_estimated_drift_source_accuracy_and_cache():
     zeta = constant_segment(1.0, 0.01, 1.0)[:, None]  # a batch of one window
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        v1 = src(zeta)
-        # No memo: the same window is simulated again, from the same sub-seed.
-        v2 = src(zeta)
+        v1 = src(zeta, 0, [0], 0)
+        # No memo: the same address is simulated again, from the same sub-seed.
+        v2 = src(zeta, 0, [0], 0)
     tol = max(3.5 * src.max_std_error, 0.03)
     assert abs(float(v1[0, 0]) - BENCH.kappa) < tol
     assert np.array_equal(v1, v2)
@@ -246,29 +247,30 @@ def test_estimated_drift_source_is_reproducible():
         src = EstimatedDriftSource(spec, 9, h=0.02, **budget)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            outs.append(src(zeta).copy())
+            outs.append(src(zeta, 2, [5], 7).copy())
     assert np.array_equal(outs[0], outs[1])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        other = EstimatedDriftSource(spec, 10, h=0.02, **budget)(zeta)
+        other = EstimatedDriftSource(spec, 10, h=0.02, **budget)(zeta, 2, [5], 7)
     assert not np.array_equal(outs[0], other)
 
 
 @pytest.mark.parametrize("replicas", [1, 3, 9])
 def test_estimator_batch_equals_one_window_calls(replicas):
-    """One call on P windows gives what P one-window calls give, bit for bit."""
+    """A batch call equals its one-path calls made with the same global indices, bit for bit."""
     spec = linear_benchmark(BENCH)
     budget = dict(burn_in=3.0, horizon=2.0, replicas=replicas)
     h = 0.05
     rng = np.random.default_rng(4)
     windows = np.stack([constant_segment(1.0, h, v) + 0.1 * rng.normal(size=(21, 1))
                         for v in (-0.5, 0.0, 0.7, 1.3, 0.7)], axis=1)
+    paths = [3, 4, 8, 11, 30]  # a chunk's global path indices need not start at 0
     together = EstimatedDriftSource(spec, 9, h=h, **budget)
     apart = EstimatedDriftSource(spec, 9, h=h, **budget)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        batch = together(windows)
-        singles = [apart(windows[:, p: p + 1]) for p in range(windows.shape[1])]
+        batch = together(windows, 1, paths, 6)
+        singles = [apart(windows[:, i: i + 1], 1, [p], 6) for i, p in enumerate(paths)]
     assert batch.shape == (5, 1)
     assert batch.tobytes() == np.concatenate(singles).tobytes()
     assert together.calls == apart.calls == 5
@@ -276,9 +278,22 @@ def test_estimator_batch_equals_one_window_calls(replicas):
     assert (together.max_std_error > 0.0) == (replicas > 1)
 
 
+def test_equal_windows_at_one_step_get_their_own_estimates():
+    """The sub-seed follows the address, not the window: paths, rows and steps apart differ."""
+    spec = linear_benchmark(BENCH)
+    src = EstimatedDriftSource(spec, 9, burn_in=3.0, horizon=2.0, replicas=2, h=0.05)
+    windows = np.broadcast_to(constant_segment(1.0, 0.05, 1.0)[:, None], (21, 2, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pair = src(windows, 0, [0, 1], 0)
+        elsewhere = [src(windows[:, :1], *address) for address in [(1, [0], 0), (0, [0], 1)]]
+    assert pair[0, 0] != pair[1, 0]
+    assert all(v[0, 0] != pair[0, 0] for v in elsewhere)
+
+
 @pytest.mark.parametrize("system, digest", [
-    (BENCH_SYS, "ba8fa50995ee4110b774795f1effe1b8a61b0dc3290264a1eae1c3e53df34e46"),
-    (PLANE_SYS, "e431babb416823620c644861d2e8e0c0ffe6e1e24fb5a4ec0e8339c45bfb9acc"),
+    (BENCH_SYS, "9a7d4e2654577e846935bace9c087954506cbdb8f787b5615d3cd445e2500a15"),
+    (PLANE_SYS, "83a6c2a20968b37307c3abc99677b676dd19b0f294e7fb801a62d3e7cb814cda"),
 ], ids=["n1", "golden_plane"])
 def test_estimated_drift_bytes_are_pinned(system, digest):
     """The estimates' bits, which the golden hashes do not see: a last-bit change in the
@@ -286,7 +301,7 @@ def test_estimated_drift_bytes_are_pinned(system, digest):
     spec = build_system(dict(system))
     windows = 0.5 + 0.3 * np.random.default_rng(12).standard_normal((21, 4, spec.n))
     src = EstimatedDriftSource(spec, 21, burn_in=5.0, horizon=1.0, replicas=3, h=0.05)
-    assert hashlib.sha256(src(windows).tobytes()).hexdigest() == digest
+    assert hashlib.sha256(src(windows, 1, range(2, 6), 3).tobytes()).hexdigest() == digest
 
 
 def test_estimator_route_agrees_with_closed_form_route():
@@ -297,9 +312,11 @@ def test_estimator_route_agrees_with_closed_form_route():
     h = 0.01
     g = make_grid(T=0.3, h=h, tau=1.0)
     xi = constant_segment(1.0, h, 1.0)
+    steps = itertools.count()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        by_estimate = simulate_averaged(spec, xi, src, g, brownian(31, [0], W1, g))
+        by_estimate = simulate_averaged(spec, xi, lambda w: src(w, 0, [0], next(steps)), g,
+                                        brownian(31, [0], W1, g))
     by_formula = simulate_averaged(spec, xi, closed_form_drift(spec), g,
                                    brownian(31, [0], W1, g))
     # Shared W1 cancels the noise; what is left is the drift estimate error

@@ -138,9 +138,9 @@ GOLDEN = {
     "check": "22d3c0b2f89f980e9996d05ae0a720eef2ed9187bfc5efb6032b9a262b8f19fe",
     "converge": "e6b791467fd1759b59595e3d28812fe974e1b576eb02b5379fe5bc5c813f0004",
     "converge_diverging": "4793ec5768807571b2ed4460b9518926fb6752420ebaf2fe4dd3abd974d83277",
-    "converge_estimator": "68148c699e72dbbcef26973e1e0bbb84c0458c1f06334ae0a719b17fa51252fc",
+    "converge_estimator": "73cad30bf1ffb73fd890df9d5bbe04e080c26d2ffe5d6f4e69d6d441bb032d18",
     "converge_estimator_uneven":
-        "2d03b51a0aa3b5a1e2e0e1c9453bdc390c5f36b686b6b972c38e96be9471592e",
+        "298e5dc4929f83b4659ff4fe45ddadc67d8eeafcdd791b191358b4280ded2642",
     "frozen": "ecc232dbb879929d6c779c9a0db5cad1dc4e8bda688c3dc6b9aa24d4f7142c72",
     "mixing": "c2be10a1542a55289874cf0d175667318e50587ff9e2b1dcb1fab166ec47b821",
     "mixing_degenerate": "82ad7375ce59134ae5afdd86f85dc693d18bf9d1f57d4226ec4266ca88608cf9",
@@ -151,7 +151,7 @@ GOLDEN = {
     "simulate_dump": "3aab6dfde4b0c719b1d8d59a0b412972286bddc184b701e37af7d1bd12b0d5df",
     "auxiliary_gap_n2": "302e890d7cdbf6a8586fca3e24e98908c4542c44c3cb783048cc7c0432d6d647",
     "check_n2": "092e06cc1cd143f7dbc16f4b93d1952922dc396dfe1c60c103dc0bf0ed73e63e",
-    "converge_n2": "c0ab1dd923a60efe46ba8f92d9af1ef35e1a2a71de019eaebcae8c6bfe28453c",
+    "converge_n2": "453b7d399571383c26789bbdfd6be3a7041097015353448736ac554f6a533cd5",
     "frozen_n2": "d3f4d3044a4edc8eafb906969792136cf3aa15c4ce8bd1a769fc3c29d9507866",
     "mixing_n2": "1b6e6359b1a18f22e23b6860f01965c638af7ab7594b5cc39440841c7925d735",
     "segment_continuity_n2":
@@ -174,10 +174,10 @@ GOLDEN_GATES = {
     "check_n2": "99194f3cf36ec0658d77ddb2e20b2646307c9aaf676377b1cde5dd96a80a729f",
     "converge": "5256dfb3b8ef46218ceb56680c53c9150046abc98723f3a4104f58f985a163a7",
     "converge_diverging": "96ed241a5e048a42ab7ec34c8edecf7860a82a18322659a13799cb04d0da2fe0",
-    "converge_estimator": "e09568295aaee1f833f40bfc3dbfb42f9472c22d00e6e19e691e08c927c726d5",
+    "converge_estimator": "cec95544014a7f70cd13ca9bda73429e92808e2f7a0fb5fc2cfc19cc96e2c467",
     "converge_estimator_uneven":
-        "4cfcbb7708a9ed670669bfecb4d9ac26bf3520590fc0e5b613ad1805dc54b739",
-    "converge_n2": "9a8ade733c5532a8a0de501e7be32bbe8221a3da292ba41d71d2832acd251aa0",
+        "811e4f3ad5feb4193ec40b0089488639b57a12bbac23e3355d9d407a858fb0fd",
+    "converge_n2": "46012352261c7b290b9f83747864374b95f732e5eb5f92fbdb3f9be03df9f8d3",
     "frozen": "529cb1a854794e3f891a4386c964b7e20f926cad2f4a2760a7b411f826c9d279",
     "frozen_n2": "38f452da9c15017e98ee1fa298150aa31c3c72e617445df22be4f76940e162ee",
     "mixing": "529cb1a854794e3f891a4386c964b7e20f926cad2f4a2760a7b411f826c9d279",
@@ -259,7 +259,7 @@ BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 # depend on the worker count).
 BENCH_HASHES = {
     "aux-gap-threads2": "84669149b24cf62e0141fc907efbec2266487f3ff76e913bfee98e6c083fcb57",
-    "converge-estimator": "d89150cb5d2405d875ef5219fb8e58098fa7ca1a824d289f3ef087274c7e9954",
+    "converge-estimator": "df147bade352346b91e63f44f49b53daef27944bb4fc7f07a2efc2502cb5259a",
 }
 
 

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -424,6 +426,20 @@ def test_auto_h_tiles_the_frozen_burn_in():
                                      replicas=2, checkpoints=3))
     report = run_scenario(scen)
     assert [r["extra"]["h"] for r in report.rows] == [0.0005, 0.0005]
+
+
+def test_auto_h_failure_names_the_spans_the_run_tiles():
+    """The message names the spans the walk tested, a block and the fast delay only if checked."""
+    frozen = Scenario.from_config(_cfg(experiment="frozen", burn_in=math.pi, horizon=1.0))
+    with pytest.raises(ConfigError, match=r"^no step near 0\.001 divides tau=1, burn_in=3\.14159, "
+                                          r"horizon=1; choose commensurate durations$"):
+        frozen.resolve_h(default_target=0.001)
+    converge = Scenario.from_config(_cfg(T=math.pi, epsilons=[0.1]))
+    with pytest.raises(ConfigError, match=r"^no step near 0\.005 divides tau=1, T=3\.14159 and "
+                                          r"keeps the fast delay within 5%; choose"):
+        converge.resolve_h(epsilon=0.1)
+    with pytest.raises(ConfigError, match=r"divides tau=1, T=3\.14159, delta=0\.125 and keeps"):
+        converge.resolve_h(epsilon=0.1, anchor=0.125)
 
 
 def test_materialize_segment_forms():
@@ -862,7 +878,8 @@ def _job(body, scen, row, start, stop):
     """The (body, chunk, start, stop) job _run_ensemble cuts from a row of scen.
 
     row is (epsilon, h, extra): the row record's epsilon and extra["h"], and
-    the chunk's extra.  A converge row carries the run's drift source, as run_converge gives it.
+    the chunk's extra.  A converge row carries the run's drift source, as run_converge gives it;
+    its extra names the row's index, as run_converge's does.
     """
     epsilon, h, extra = row
     spec = scen.build_spec()
@@ -888,7 +905,7 @@ def test_averaged_stage_errors_only_reach_surviving_paths():
     coupled = "fast component left the admissible range"
     averaged = "frozen trajectory diverged"
     scen = Scenario.from_config(cfg)
-    job = _job(_converge_chunk, scen, (0.125, scen.resolve_h(epsilon=0.125), {}), 0, 4)
+    job = _job(_converge_chunk, scen, (0.125, scen.resolve_h(epsilon=0.125), {"row": 0}), 0, 4)
     results, warns = _run_chunk(job)
     assert warns == []  # burn_in = 5 tau
     with warnings.catch_warnings():
@@ -901,6 +918,26 @@ def test_averaged_stage_errors_only_reach_surviving_paths():
             assert row["extra"]["error"] == results[0][2]
             assert row["extra"]["failed_paths"] == 4
             assert report.had_divergence
+
+
+def test_estimator_keys_each_path_apart_at_step_zero():
+    """At a converge row's step 0 every window is xi, yet each path gets its own estimate."""
+    scen = Scenario.from_config(dict(GOLDEN_CASES["converge_estimator"], paths=3))
+    row = (0.1, scen.resolve_h(epsilon=0.1), {"row": 1})
+    body, chunk, start, stop = _job(_converge_chunk, scen, row, 0, 3)
+    source, calls = chunk.extra["drift"], []
+
+    def recording(windows, *address):
+        calls.append((windows.copy(), address, source(windows, *address)))
+        return calls[-1][2]
+
+    chunk = dataclasses.replace(chunk, extra=dict(chunk.extra, drift=recording))
+    assert [r[0] for r in _run_chunk((body, chunk, start, stop))[0]] == ["ok"] * 3
+    assert [(r, list(ps), k) for _, (r, ps, k), _ in calls] == [
+        (1, [0, 1, 2], k) for k in range(chunk.grid.steps)]
+    windows, _, values = calls[0]
+    assert all(np.array_equal(windows[:, p], chunk.xi) for p in range(3))
+    assert len(set(values[:, 0].tolist())) == 3
 
 
 def _refusing_factory():
@@ -941,7 +978,7 @@ def test_failed_chunk_is_rerun_path_by_path(case):
         schedule = khasminskii_delta(eps, scen.tau)
         row = (eps, scen.resolve_h(epsilon=eps, anchor=schedule.delta), {"schedule": schedule})
     else:
-        row = (eps, scen.resolve_h(epsilon=eps), {})
+        row = (eps, scen.resolve_h(epsilon=eps), {"row": scen.epsilons.index(eps)})
 
     def cut(bounds):
         return [r for a, b in zip(bounds, bounds[1:])
@@ -962,9 +999,9 @@ def _cut_rows():
     segcont = Scenario.from_config(GOLDEN_CASES["segment_continuity_n2"])
     return {
         "converge_closed_form": (_converge_chunk, converge,
-                                 (0.25, converge.resolve_h(epsilon=0.25), {})),
+                                 (0.25, converge.resolve_h(epsilon=0.25), {"row": 0})),
         "converge_estimator": (_converge_chunk, estimator,
-                               (0.2, estimator.resolve_h(epsilon=0.2), {})),
+                               (0.2, estimator.resolve_h(epsilon=0.2), {"row": 0})),
         "auxiliary_gap": (_aux_chunk, aux, (
             0.05, aux.resolve_h(epsilon=0.05, anchor=schedule.delta), {"schedule": schedule})),
         # Blocks of tau/4, tau/8 and tau/16 on h = tau/256, sampled mid-block.

@@ -167,7 +167,7 @@ def test_increments_shape_scale_and_bits():
 def test_blocked_draw_equals_each_stream(paths, steps, m):
     """Per-column seeds, drawn in shared blocks or in pieces of one stream, replay each stream."""
     dt = 0.005
-    seeds = [2 ** 63 + 17 * c for c in range(paths)]  # _sub_seed digests reach 2^64
+    seeds = [2 ** 63 + 17 * c for c in range(paths)]  # estimator sub-seeds reach 2^64
     indices = [c % 2 for c in range(paths)]
     dw = increments(seeds, indices, W2, m, steps, dt)
     assert dw.shape == (steps, paths, m) and dw.flags.c_contiguous

@@ -1,3 +1,4 @@
+import itertools
 import pickle
 import warnings
 
@@ -490,8 +491,9 @@ def test_batch_without_failures_equals_its_singles():
         return pair.x, pair.y, pair.x_aux, pair.y_aux
 
     def estimated(ps):
-        src = EstimatedDriftSource(spec, 3, h=0.05, **budget)
-        return (simulate_averaged(spec, xi, src, g, brownian(6, ps, W1, g)),)
+        src, steps = EstimatedDriftSource(spec, 3, h=0.05, **budget), itertools.count()
+        return (simulate_averaged(spec, xi, lambda w: src(w, 0, ps, next(steps)), g,
+                                  brownian(6, ps, W1, g)),)
 
     kernels = [
         lambda ps: simulate_coupled(spec, xi, eta, 0.25, g,
