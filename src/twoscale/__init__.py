@@ -52,7 +52,6 @@ from .frozen import (
 )
 from .averaging import (
     AuxiliaryPair,
-    DeltaSchedule,
     EstimatedDriftSource,
     closed_form_drift,
     khasminskii_delta,

@@ -17,6 +17,7 @@ bbar1 draws from streams addressed by (seed, row, path, macro step).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,27 +27,19 @@ from numpy.random import SeedSequence
 from .errors import DomainError, UsageError
 from .frozen import estimate_averaged_drift
 from .segment import exact_steps
-from .solver import TimeGrid, _coupled_core, _pair_increments, make_grid, simulate_sdde
+from .solver import (TimeGrid, _check_delay, _coupled_core, _pair_increments, make_grid,
+                     simulate_sdde)
 from .systems import SystemSpec
 
 _INV_E = math.exp(-1.0)
 
 
-@dataclass(frozen=True)
-class DeltaSchedule:
-    """Block length for one epsilon: raw value and its tau/N snap."""
-
-    delta_raw: float
-    delta: float
-    N_delta: int
-
-
-def khasminskii_delta(epsilon: float, tau: float) -> DeltaSchedule:
-    """Block schedule delta_raw = eps * sqrt(-ln eps), snapped to tau / N.
+def khasminskii_delta(epsilon: float, tau: float) -> int:
+    """Block count N of the schedule delta_raw = eps * sqrt(-ln eps) snapped to tau / N.
 
     Requires 0 < eps < 1/e so that eps / delta_raw = (-ln eps)^{-1/2}
-    stays below 1.  N = ceil(tau / delta_raw), hence delta <= delta_raw
-    and delta divides tau exactly.
+    stays below 1.  N = ceil(tau / delta_raw), hence the block length
+    delta = tau / N is at most delta_raw and divides tau exactly.
     """
     if not epsilon > 0.0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
@@ -58,8 +51,7 @@ def khasminskii_delta(epsilon: float, tau: float) -> DeltaSchedule:
     if not 0.0 < tau < math.inf:
         raise DomainError(f"tau must be positive and finite, got {tau}")
     delta_raw = epsilon * math.sqrt(-math.log(epsilon))
-    n = max(1, math.ceil(tau / delta_raw))
-    return DeltaSchedule(delta_raw=delta_raw, delta=tau / n, N_delta=n)
+    return max(1, math.ceil(tau / delta_raw))
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +73,7 @@ def simulate_auxiliary(
     xi: np.ndarray,
     eta: np.ndarray,
     epsilon: float,
-    schedule: DeltaSchedule,
+    delta: float,
     grid: TimeGrid,
     dw1: np.ndarray,
     dw2: np.ndarray,
@@ -92,7 +84,8 @@ def simulate_auxiliary(
     the same increments dw1 and dw2, taken as simulate_coupled takes
     them.  The first pass is the true pair (X, Y), bit-identical to
     simulate_coupled.  The second reruns the recursion with block
-    freezing and resets: at each block start the coefficients' slow
+    freezing and resets: at each start of a block of length delta (a
+    multiple of h, cut at grid.T) the coefficients' slow
     window is frozen to the true slow window (sigma1 evaluated once per
     block) and the auxiliary fast process restarts from the true fast
     state (bit-exact reset, audited by callers).  The first failure of
@@ -100,7 +93,7 @@ def simulate_auxiliary(
     auxiliary pass's first failure, as solver._coupled_core raises them.
     """
     xi, eta, dw1, dw2 = _pair_increments(spec, xi, eta, epsilon, grid, dw1, dw2)
-    delta_steps = exact_steps(min(schedule.delta, grid.T), grid.h, "delta")
+    delta_steps = exact_steps(min(delta, grid.T), grid.h, "delta")
     x, y = _coupled_core(spec, xi, eta, epsilon, grid, dw1, dw2)
     x_aux, y_aux = _coupled_core(spec, xi, eta, epsilon, grid, dw1, dw2,
                                  freeze=(x, y, delta_steps))
@@ -119,23 +112,31 @@ def closed_form_drift(spec: SystemSpec):
 def simulate_averaged(
     spec: SystemSpec,
     xi: np.ndarray,
-    drift_source,
+    source,
     grid: TimeGrid,
     dw1: np.ndarray,
+    row: int = 0,
+    paths=None,
 ):
     """Integrate a batch of dXbar = bbar1(Xbar_t) dt + sigma1(Xbar_t) dW1.
 
-    drift_source(window) supplies bbar1, shape (P, n), on the (M + 1, P, n)
-    window array once per step: a closed form, or an EstimatedDriftSource
-    bound to its address as harness._converge_chunk binds it.  Pass the
+    source(windows, row, paths, step) supplies bbar1, shape (P, n), on the
+    (M + 1, P, n) window array once per step: a closed form, or an
+    EstimatedDriftSource.  Column i is path paths[i] (default range(P))
+    of report row `row`, and step counts from 0 in every call.  Pass the
     coupled run's dw1 to realize the shared-noise comparison.  Returns the
     read-only (grid.total, P, n) paths and raises the first failure of any
-    path, a drift source's own error included, as simulate_sdde does.
+    path, a drift source's own error included, as simulate_sdde does; a
+    grid built for another delay is refused.
     """
-    if not callable(drift_source):
-        raise UsageError("drift_source must be callable on a window array")
-    return simulate_sdde(spec.n, spec.m, drift_source, spec.sigma1, xi, grid, dw1,
-                         label="Xbar")
+    if not callable(source):
+        raise UsageError("source must be callable on a window array")
+    _check_delay(spec, grid)
+    steps = itertools.count()
+    return simulate_sdde(
+        spec.n, spec.m,
+        lambda w: source(w, row, range(w.shape[1]) if paths is None else paths, next(steps)),
+        spec.sigma1, xi, grid, dw1, label="Xbar")
 
 
 class EstimatedDriftSource:
@@ -155,8 +156,8 @@ class EstimatedDriftSource:
                  replicas: int, h: float):
         self.spec = spec
         self.seed = int(seed)
-        self.burn_in, self.horizon, self.replicas = burn_in, horizon, replicas
-        self.sub_grid = make_grid(burn_in + horizon, h, spec.tau)
+        self.burn_in, self.horizon, self.replicas, self.h = burn_in, horizon, replicas, h
+        make_grid(burn_in + horizon, h, spec.tau)  # refuses a misaligned budget here
         self.calls = 0
         self.max_std_error = 0.0
 
@@ -172,8 +173,7 @@ class EstimatedDriftSource:
                      .generate_state(1, np.uint64)[0]) for p in paths]
         self.calls += len(seeds)
         est = estimate_averaged_drift(
-            self.spec, windows, self.burn_in, self.horizon, self.replicas, self.sub_grid,
-            seeds,
+            self.spec, windows, self.burn_in, self.horizon, self.replicas, self.h, seeds,
         )
         self.max_std_error = max(self.max_std_error, float(np.max(est.std_error)))
         return est.value

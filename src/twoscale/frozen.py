@@ -30,7 +30,7 @@ from .errors import (
 from .noise import W2, increments
 from .metrics import _float_pow, _log_linear_fit
 from .segment import _node_norms, exact_steps
-from .solver import TimeGrid, simulate_sdde
+from .solver import TimeGrid, _check_delay, make_grid, simulate_sdde
 from .systems import SystemSpec, _drift
 
 GAP_FLOOR = 1e-12
@@ -63,8 +63,9 @@ def simulate_frozen(
     dw2[:, p]) reads; paths that share one window read an np.broadcast_to
     view.  eta is the (M + 1, n) start window.  Returns the read-only
     (grid.total, P, n) paths and raises the first failure of any path,
-    as simulate_sdde does.
+    as simulate_sdde does; a grid built for another delay is refused.
     """
+    _check_delay(spec, grid)
     return simulate_sdde(spec.n, spec.m, spec.b2, spec.sigma2, eta, grid, dw2, label="Yzeta",
                          chi=zeta)
 
@@ -75,7 +76,7 @@ def estimate_averaged_drift(
     burn_in: float,
     horizon: float,
     replicas: int,
-    grid: TimeGrid,
+    h: float,
     seeds,
     *,
     eta: np.ndarray | None = None,
@@ -86,12 +87,13 @@ def estimate_averaged_drift(
     sequence of P seeds; a single window is the batch of one.  All P x R
     replicas run as one frozen sub-simulation, column p * R + r being
     replica r of window p, driven by stream (seeds[p], r, W2) and started
-    from the window eta (zero by default).  Each drops [0, burn_in], then
-    averages b1 over every grid step of [burn_in, burn_in + horizon],
-    summed in time order; b1 sees one column's steps as its batch, or one
-    step's columns if there are more columns than steps.  Window p's
-    value[p] is its replica mean and std_error[p] its replica scatter /
-    sqrt(R), both of shape (P, n).
+    from the window eta (zero by default) on the step-h grid of
+    [-tau, burn_in + horizon].  Each drops [0, burn_in], then averages b1
+    over every grid step of [burn_in, burn_in + horizon], summed in time
+    order; b1 sees one column's steps as its batch, or one step's columns
+    if there are more columns than steps.  Window p's value[p] is its
+    replica mean and std_error[p] its replica scatter / sqrt(R), both of
+    shape (P, n).
     If any replica fails, the batch's first failure is raised: the
     earliest step, then the lowest column, so of two failing replicas the
     one that fails first in time is reported, not the lower-numbered one.
@@ -111,17 +113,14 @@ def estimate_averaged_drift(
         raise DomainError(f"horizon must be positive, got {horizon}")
     if burn_in < 0.0:
         raise DomainError(f"burn_in must be >= 0, got {burn_in}")
+    k_burn = 0 if burn_in == 0.0 else exact_steps(burn_in, h, "burn_in")
+    k_len = exact_steps(horizon, h, "horizon")
+    grid = make_grid(burn_in + horizon, h, spec.tau)
     if burn_in < 5.0 * grid.tau:
         warnings.warn(
             f"burn_in={burn_in} is below 5*tau={5 * grid.tau}; the stationary "
             "average may still carry start bias",
             stacklevel=2,
-        )
-    k_burn = 0 if burn_in == 0.0 else exact_steps(burn_in, grid.h, "burn_in")
-    k_len = exact_steps(horizon, grid.h, "horizon")
-    if k_burn + k_len > grid.steps:
-        raise UsageError(
-            f"grid horizon T={grid.T} shorter than burn_in + horizon = {burn_in + horizon}"
         )
     ts = grid.tau_steps
     if eta is None:
@@ -164,7 +163,8 @@ def mixing_decay(
     zeta: np.ndarray,
     eta: np.ndarray,
     eta_prime: np.ndarray,
-    grid: TimeGrid,
+    h: float,
+    checkpoints: int,
     replicas: int,
     seed: int,
 ) -> DecayFit:
@@ -172,10 +172,11 @@ def mixing_decay(
 
     Two batches of trajectories started from the (M + 1, n) windows eta
     and eta_prime run on one array of W2 increments, so their gap is
-    driven purely by the dynamics; all read the slow window zeta.
+    driven purely by the dynamics; all read the slow window zeta on the
+    step-h grid of [-tau, checkpoints * tau], checkpoints >= 3.
     g(t) = replica mean of the squared window sup gap is recorded at
-    checkpoints t = tau, 2 tau, ... and log g is fitted by least squares
-    over the checkpoints with g above GAP_FLOOR; fitted_rate = -slope.
+    t = tau, 2 tau, ..., checkpoints * tau and log g is fitted by least
+    squares over the checkpoints with g above GAP_FLOOR; fitted_rate = -slope.
     Fewer than 3 usable checkpoints raise DegenerateFitError (gaps that
     hit the floor that fast are themselves strong evidence of mixing).
     A failed trajectory raises the eta batch's first failure before any
@@ -183,10 +184,10 @@ def mixing_decay(
     """
     if not isinstance(replicas, Integral) or replicas < 8:
         raise UsageError(f"mixing_decay needs an integer replicas >= 8, got {replicas!r}")
+    if not isinstance(checkpoints, Integral) or checkpoints < 3:
+        raise UsageError(f"mixing_decay needs an integer checkpoints >= 3, got {checkpoints!r}")
+    grid = make_grid(checkpoints * spec.tau, h, spec.tau)
     ts = grid.tau_steps
-    n_checks = grid.steps // ts
-    if n_checks < 3:
-        raise UsageError(f"grid covers only {n_checks} delay spans; need >= 3")
 
     zeta = np.broadcast_to(zeta[:, None], (zeta.shape[0], replicas) + zeta.shape[1:])
     dw2 = increments(seed, range(replicas), W2, spec.m, grid.steps, grid.h)
@@ -195,10 +196,10 @@ def mixing_decay(
     node = _node_norms(ya - yb)
     # Squared window sup gaps (checkpoint, replica), summed in replica order.
     squares = np.stack([_float_pow(node[a - ts: a + 1].max(axis=0), 2)
-                        for a in range(2 * ts, ts + n_checks * ts + 1, ts)])
+                        for a in range(2 * ts, ts + checkpoints * ts + 1, ts)])
     gaps = np.add.accumulate(squares, axis=1)[:, -1] / replicas
 
-    times = [(j + 1) * grid.tau for j in range(n_checks)]
+    times = [(j + 1) * grid.tau for j in range(checkpoints)]
     usable = [(t, g) for t, g in zip(times, gaps) if g > GAP_FLOOR]
     if len(usable) < 3:
         raise DegenerateFitError(

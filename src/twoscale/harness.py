@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -35,7 +34,6 @@ import numpy as np
 
 from .averaging import (
     _INV_E,
-    DeltaSchedule,
     EstimatedDriftSource,
     closed_form_drift,
     khasminskii_delta,
@@ -725,10 +723,7 @@ def _monotone_gate(moments, std_errors):
 def _converge_chunk(c: _Chunk, paths) -> list:
     dw1 = c.noise(paths, W1)
     x = c.coupled(paths, dw1)[0]  # y is freed before the averaged pass
-    # Each attempt counts its macro steps afresh, so any cut keys a path alike.
-    drift, row, steps = c.extra["drift"], c.extra["row"], itertools.count()
-    xbar = simulate_averaged(c.spec, c.xi, lambda w: drift(w, row, paths, next(steps)),
-                             c.grid, dw1)
+    xbar = simulate_averaged(c.spec, c.xi, c.extra["drift"], c.grid, dw1, c.extra["row"], paths)
     return sup_distance(x, xbar, c.grid).tolist()
 
 
@@ -799,7 +794,7 @@ def _snap_to_tau(tau: float, delta: float) -> tuple[float, int]:
 
 
 def _aux_chunk(c: _Chunk, paths) -> list:
-    pair = simulate_auxiliary(c.spec, c.xi, c.eta, c.epsilon, c.extra["schedule"], c.grid,
+    pair = simulate_auxiliary(c.spec, c.xi, c.eta, c.epsilon, c.extra["delta"], c.grid,
                               c.noise(paths, W1), c.noise(paths, W2))
     ts, y, yt, resets = c.grid.tau_steps, pair.y, pair.y_aux, pair.reset_indices
     # The reset windows [i - ts, i] start delta = tau / N <= tau apart, so
@@ -822,12 +817,11 @@ def run_auxiliary_gap(scenario: Scenario):
     (max pointwise |Ytilde - Y| at boundaries, exactly 0 by construction).
     """
     # A fixed delta is snapped, and warned of, once for the whole sweep.
-    fixed = None if scenario.delta == "auto" else DeltaSchedule(
-        scenario.delta, *_snap_to_tau(scenario.tau, scenario.delta))
-    schedules = {eps: fixed or khasminskii_delta(eps, scenario.tau) for eps in scenario.epsilons}
-    sweep = [(_row(eps, s.delta, scenario.p, scenario.paths, "aux_slow_gap_moment",
-                   scenario.resolve_h(epsilon=eps, anchor=s.delta)), {"schedule": s})
-             for eps, s in schedules.items()]
+    fixed = None if scenario.delta == "auto" else _snap_to_tau(scenario.tau, scenario.delta)[1]
+    blocks = {eps: fixed or khasminskii_delta(eps, scenario.tau) for eps in scenario.epsilons}
+    sweep = [(_row(eps, d, scenario.p, scenario.paths, "aux_slow_gap_moment",
+                   scenario.resolve_h(epsilon=eps, anchor=d)), {"delta": d})
+             for eps, n in blocks.items() for d in [scenario.tau / n]]
     rows, ok_rows = [], []
     for row, gaps in _run_ensemble(scenario, scenario.build_spec(), _aux_chunk, sweep):
         if gaps is None:
@@ -836,7 +830,7 @@ def run_auxiliary_gap(scenario: Scenario):
         x_gaps, y_gaps, audits = zip(*gaps)
         audit_max = max(audits)
         slow = _with_moment(row, p_moment(x_gaps, scenario.p),
-                            N_delta=schedules[row["epsilon"]].N_delta, reset_audit_max=audit_max)
+                            N_delta=blocks[row["epsilon"]], reset_audit_max=audit_max)
         fast = dict(row, extra=dict(row["extra"], kind="aux_fast_checkpoint_gap_moment"))
         audit = dict(row, p=None, value=audit_max,
                      extra=dict(row["extra"], kind="reset_audit"))
@@ -962,9 +956,8 @@ def run_frozen(scenario: Scenario):
     rows = []
 
     if scenario.experiment == "frozen":
-        grid_est = make_grid(scenario.burn_in + scenario.horizon, h, scenario.tau)
         est = estimate_averaged_drift(spec, zeta[:, None], scenario.burn_in,
-                                      scenario.horizon, scenario.replicas, grid_est,
+                                      scenario.horizon, scenario.replicas, h,
                                       [scenario.seed], eta=eta)
         row = _row(None, None, None, scenario.replicas, "bbar_estimate", h)
         rows.append(dict(
@@ -976,13 +969,12 @@ def run_frozen(scenario: Scenario):
                        horizon=scenario.horizon, zeta_digest=_zeta_digest(zeta, scenario.tau, h)),
         ))
 
-    grid = make_grid(scenario.checkpoints * scenario.tau, h, scenario.tau)
     eta_prime = scenario.materialize_segment("eta_prime", h, spec.n)
     eta_prime = eta + 1.0 if eta_prime is None else eta_prime
     row = _row(None, None, None, scenario.mixing_replicas, "mixing_fit", h)
     try:
-        fit = mixing_decay(spec, zeta, eta, eta_prime, grid, scenario.mixing_replicas,
-                           scenario.seed)
+        fit = mixing_decay(spec, zeta, eta, eta_prime, h, scenario.checkpoints,
+                           scenario.mixing_replicas, scenario.seed)
     except DegenerateFitError as exc:
         rows.append(dict(row, extra=dict(row["extra"], degenerate=True, detail=str(exc))))
         # A gap below the fit floor is evidence of mixing only if the starts were apart.

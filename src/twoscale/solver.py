@@ -164,12 +164,17 @@ def _guard(paths, k0, k1, ts, h, messages):
     return k1
 
 
+def _check_delay(spec, grid: TimeGrid) -> None:
+    """Refuse a grid built for a delay other than spec.tau."""
+    if exact_steps(spec.tau, grid.h, "tau") != grid.tau_steps:
+        raise UsageError(f"grid was built for a different delay than spec.tau={spec.tau}")
+
+
 def _pair_increments(spec, xi, eta, epsilon, grid, dw1, dw2):
     """Validate a batch of pair runs: (xi, eta, dW1, fast dW2 = dW2 / sqrt(eps))."""
     if not (0.0 < epsilon <= 1.0):
         raise DomainError(f"epsilon must lie in (0, 1], got {epsilon}")
-    if exact_steps(spec.tau, grid.h, "tau") != grid.tau_steps:
-        raise UsageError(f"grid was built for a different delay than spec.tau={spec.tau}")
+    _check_delay(spec, grid)
     xi = _history(xi, grid, spec.n, "xi")
     eta = _history(eta, grid, spec.n, "eta")
     dw1, dw2 = _increments(dw1, grid, spec.m), _increments(dw2, grid, spec.m)

@@ -6,6 +6,8 @@ the individual conditions so a failure still points at the broken piece.
 These run at full scale; the whole file takes about five seconds on one core.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -64,9 +66,8 @@ def test_criterion_2_frozen_drift_estimate_hits_kappa():
     """Time-averaged b1 along frozen paths recovers kappa * zeta(0)."""
     spec = linear_benchmark(BENCH)
     h = 0.001
-    g = make_grid(T=60.0, h=h, tau=1.0)
     zeta = constant_segment(1.0, h, 1.0)[:, None]
-    est = estimate_averaged_drift(spec, zeta, 10.0, 50.0, 16, g, [2])
+    est = estimate_averaged_drift(spec, zeta, 10.0, 50.0, 16, h, [2])
     target = BENCH.kappa * 1.0
     err = abs(float(est.value[0, 0]) - target)
     tol = max(3.0 * float(est.std_error[0, 0]), 0.02)
@@ -85,12 +86,11 @@ def test_criterion_3_mixing_rate_brackets_the_root():
     """
     spec = linear_benchmark(BENCH)
     h = 0.001
-    g = make_grid(T=8.0, h=h, tau=1.0)
     zeta = constant_segment(1.0, h, 1.0)
     fit = mixing_decay(spec, zeta,
                        constant_segment(1.0, h, 1.0),
                        constant_segment(1.0, h, 2.0),
-                       g, 8, 3)
+                       h, 8, 8, 3)
     mu = brentq(lambda r: r + BENCH.c3 * np.exp(r) - BENCH.c2, 0.0, BENCH.c2)
     ratio = fit.fitted_rate / (2.0 * mu)
     in_band = 0.95 <= ratio <= 1.05
@@ -123,9 +123,9 @@ def test_criterion_5_block_schedule_and_auxiliary_gap():
     """Block length eps*sqrt(-ln eps): domain guard, snapping, and small gaps."""
     with pytest.raises(DomainError):
         khasminskii_delta(0.5, 1.0)
-    sch = khasminskii_delta(0.01, 1.0)
-    schedule_ok = (sch.N_delta == 47 and sch.delta == 1.0 / 47.0
-                   and sch.delta_raw == 0.021459660262893473)
+    n = khasminskii_delta(0.01, 1.0)
+    delta_raw = 0.01 * math.sqrt(-math.log(0.01))
+    schedule_ok = n == 47 and delta_raw == 0.021459660262893473 and 1.0 / n <= delta_raw
     cfg = {
         "experiment": "auxiliary_gap",
         "system": BENCH_SYS,
@@ -139,7 +139,7 @@ def test_criterion_5_block_schedule_and_auxiliary_gap():
     audit_zero = all(v == 0.0 for v in audits)
     ok = schedule_ok and report.passed and audit_zero
     _verdict(5, "auxiliary construction: exact resets, separated extremes", ok)
-    assert schedule_ok, (sch.N_delta, sch.delta, sch.delta_raw)
+    assert schedule_ok, (n, delta_raw)
     for gate in report.gates:
         assert gate["passed"], f"gate {gate['name']}: {gate['detail']}"
     assert audit_zero, audits

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import math
 import warnings
 
@@ -7,7 +6,6 @@ import numpy as np
 import pytest
 
 from twoscale.averaging import (
-    DeltaSchedule,
     EstimatedDriftSource,
     closed_form_drift,
     khasminskii_delta,
@@ -28,14 +26,12 @@ BENCH = LinearBenchmarkParams(a11=-1.0, a12=1.0, s1=0.3, c1=1.0, c2=2.0, c3=0.5,
 
 
 def test_block_schedule_hand_values():
-    sch = khasminskii_delta(0.01, 1.0)
-    assert sch.delta_raw == 0.021459660262893473
-    assert sch.N_delta == 47
-    assert sch.delta == 1.0 / 47.0
+    assert 0.01 * math.sqrt(-math.log(0.01)) == 0.021459660262893473
+    assert khasminskii_delta(0.01, 1.0) == 47
     # Familiar sweep: these block counts are pinned by the formula.
-    assert khasminskii_delta(0.05, 1.0).N_delta == 12
-    assert khasminskii_delta(0.02, 1.0).N_delta == 26
-    assert khasminskii_delta(0.005, 1.0).N_delta == 87
+    assert khasminskii_delta(0.05, 1.0) == 12
+    assert khasminskii_delta(0.02, 1.0) == 26
+    assert khasminskii_delta(0.005, 1.0) == 87
 
 
 def test_block_schedule_domain():
@@ -53,8 +49,7 @@ def test_block_schedule_domain():
         with pytest.raises(DomainError):
             khasminskii_delta(eps, tau)
     # Just inside the admissible range still works.
-    sch = khasminskii_delta(inv_e * 0.999, 1.0)
-    assert sch.delta > 0.0
+    assert khasminskii_delta(inv_e * 0.999, 1.0) >= 1
 
 
 def test_block_schedule_invariants_randomized():
@@ -63,16 +58,12 @@ def test_block_schedule_invariants_randomized():
     for _ in range(100):
         eps = float(np.exp(rng.uniform(np.log(1e-4), np.log(0.3))))
         tau = float(rng.uniform(0.25, 4.0))
-        sch = khasminskii_delta(eps, tau)
-        assert 0.0 < eps / sch.delta_raw < 1.0
-        assert sch.delta <= sch.delta_raw * (1.0 + 1e-12)
-        assert sch.N_delta == math.ceil(tau / sch.delta_raw)
-        assert sch.N_delta * sch.delta == pytest.approx(tau, rel=1e-12)
-
-
-def _manual_schedule(delta, tau=1.0):
-    # Hand-built block length for grid-exactness tests.
-    return DeltaSchedule(delta_raw=delta, delta=delta, N_delta=int(round(tau / delta)))
+        n = khasminskii_delta(eps, tau)
+        delta_raw = eps * math.sqrt(-math.log(eps))
+        assert 0.0 < eps / delta_raw < 1.0
+        assert tau / n <= delta_raw * (1.0 + 1e-12)
+        assert n == math.ceil(tau / delta_raw)
+        assert n * (tau / n) == pytest.approx(tau, rel=1e-12)
 
 
 def test_auxiliary_coupled_part_matches_direct_run():
@@ -82,8 +73,7 @@ def test_auxiliary_coupled_part_matches_direct_run():
     g = make_grid(T=0.5, h=h, tau=1.0)
     xi = constant_segment(1.0, h, 1.0)
     eta = constant_segment(1.0, h, 0.0)
-    sch = _manual_schedule(0.25)
-    pair = simulate_auxiliary(spec, xi, eta, 0.1, sch, g,
+    pair = simulate_auxiliary(spec, xi, eta, 0.1, 0.25, g,
                               brownian(8, [0], W1, g), brownian(8, [0], W2, g))
     x, y = simulate_coupled(spec, xi, eta, 0.1, g,
                             brownian(8, [0], W1, g), brownian(8, [0], W2, g))
@@ -97,10 +87,9 @@ def test_auxiliary_resets_are_bit_exact():
     g = make_grid(T=0.5, h=h, tau=1.0)
     xi = constant_segment(1.0, h, 1.0)
     eta = constant_segment(1.0, h, 0.0)
-    sch = _manual_schedule(0.125)
-    pair = simulate_auxiliary(spec, xi, eta, 0.1, sch, g,
+    pair = simulate_auxiliary(spec, xi, eta, 0.1, 0.125, g,
                               brownian(9, [0], W1, g), brownian(9, [0], W2, g))
-    delta_steps = int(round(sch.delta / h))
+    delta_steps = int(round(0.125 / h))
     expect = [g.tau_steps + k for k in range(0, g.steps, delta_steps)]
     assert pair.reset_indices.tolist() == expect
     y = pair.y
@@ -137,8 +126,7 @@ def test_auxiliary_slow_gap_shrinks_with_epsilon():
         g = make_grid(T=1.0, h=h, tau=1.0)
         xi = constant_segment(1.0, h, 1.0)
         eta = constant_segment(1.0, h, 0.0)
-        sch = khasminskii_delta(eps, 1.0)
-        pair = simulate_auxiliary(spec, xi, eta, eps, sch, g,
+        pair = simulate_auxiliary(spec, xi, eta, eps, 1.0 / khasminskii_delta(eps, 1.0), g,
                                   brownian(5, range(4), W1, g),
                                   brownian(5, range(4), W2, g))
         gaps[eps] = float(np.mean(sup_distance(pair.x, pair.x_aux, g)))
@@ -151,9 +139,8 @@ def test_auxiliary_validation():
     g = make_grid(T=0.5, h=h, tau=1.0)
     xi = constant_segment(1.0, h, 1.0)
     eta = constant_segment(1.0, h, 0.0)
-    sch = _manual_schedule(0.25)
     with pytest.raises(DomainError):
-        simulate_auxiliary(spec, xi, eta, 1.5, sch, g,
+        simulate_auxiliary(spec, xi, eta, 1.5, 0.25, g,
                            brownian(0, [0], W1, g), brownian(0, [0], W2, g))
 
 
@@ -312,11 +299,9 @@ def test_estimator_route_agrees_with_closed_form_route():
     h = 0.01
     g = make_grid(T=0.3, h=h, tau=1.0)
     xi = constant_segment(1.0, h, 1.0)
-    steps = itertools.count()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        by_estimate = simulate_averaged(spec, xi, lambda w: src(w, 0, [0], next(steps)), g,
-                                        brownian(31, [0], W1, g))
+        by_estimate = simulate_averaged(spec, xi, src, g, brownian(31, [0], W1, g))
     by_formula = simulate_averaged(spec, xi, closed_form_drift(spec), g,
                                    brownian(31, [0], W1, g))
     # Shared W1 cancels the noise; what is left is the drift estimate error

@@ -126,11 +126,10 @@ def test_averaged_drift_exact_when_fast_independent():
                                    c1=1.0, c2=2.0, c3=0.5, s2=0.3)
     spec = linear_benchmark(params)
     h = 0.02
-    g = make_grid(T=12.0, h=h, tau=1.0)
     zeta = constant_segment(1.0, h, 1.5)[:, None]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        est = estimate_averaged_drift(spec, zeta, 2.0, 10.0, 3, g, [1])
+        est = estimate_averaged_drift(spec, zeta, 2.0, 10.0, 3, h, [1])
     assert est.value.shape == est.std_error.shape == (1, 1)
     assert est.value[0, 0] == pytest.approx(-3.0, abs=1e-12)
     assert est.std_error[0, 0] == pytest.approx(0.0, abs=1e-12)
@@ -139,11 +138,10 @@ def test_averaged_drift_exact_when_fast_independent():
 def test_averaged_drift_matches_benchmark_closed_form():
     spec = linear_benchmark(BENCH)
     h = 0.01
-    g = make_grid(T=38.0, h=h, tau=1.0)
     zeta = constant_segment(1.0, h, 1.0)[:, None]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        est = estimate_averaged_drift(spec, zeta, 8.0, 30.0, 6, g, [5])
+        est = estimate_averaged_drift(spec, zeta, 8.0, 30.0, 6, h, [5])
     target = BENCH.kappa  # -1/3 for these parameters
     tol = max(3.5 * float(est.std_error[0, 0]), 0.03)
     assert abs(float(est.value[0, 0]) - target) < tol
@@ -152,50 +150,44 @@ def test_averaged_drift_matches_benchmark_closed_form():
 def test_averaged_drift_warns_on_short_burn_in():
     spec = linear_benchmark(BENCH)
     h = 0.05
-    g = make_grid(T=6.0, h=h, tau=1.0)
     zeta = constant_segment(1.0, h, 0.0)[:, None]
     with pytest.warns(UserWarning, match="burn_in"):
-        estimate_averaged_drift(spec, zeta, 1.0, 4.0, 2, g, [0])
+        estimate_averaged_drift(spec, zeta, 1.0, 4.0, 2, h, [0])
 
 
 def test_averaged_drift_budget_validation():
     spec = linear_benchmark(BENCH)
     h = 0.05
-    g = make_grid(T=6.0, h=h, tau=1.0)
     zeta = constant_segment(1.0, h, 0.0)[:, None]
     seeds = [0]
     with pytest.raises(UsageError):
-        estimate_averaged_drift(spec, zeta, 5.0, 4.0, 0, g, seeds)
+        estimate_averaged_drift(spec, zeta, 5.0, 4.0, 0, h, seeds)
     with pytest.raises(UsageError, match="replicas must be an integer >= 1, got 1.5"):
-        estimate_averaged_drift(spec, zeta, 1.0, 4.0, 1.5, g, seeds)
+        estimate_averaged_drift(spec, zeta, 1.0, 4.0, 1.5, h, seeds)
     with pytest.raises(DomainError):
-        estimate_averaged_drift(spec, zeta, 5.0, -1.0, 2, g, seeds)
+        estimate_averaged_drift(spec, zeta, 5.0, -1.0, 2, h, seeds)
     with pytest.raises(DomainError, match="burn_in"):
-        estimate_averaged_drift(spec, zeta, -1.0, 4.0, 2, g, seeds)
+        estimate_averaged_drift(spec, zeta, -1.0, 4.0, 2, h, seeds)
     with pytest.raises(UsageError, match="got none"):
-        estimate_averaged_drift(spec, zeta[:, :0], 1.0, 4.0, 2, g, [])
-    with pytest.raises(UsageError):
-        # burn_in + horizon overruns the grid.
-        estimate_averaged_drift(spec, zeta, 5.0, 4.0, 2, g, seeds)
+        estimate_averaged_drift(spec, zeta[:, :0], 1.0, 4.0, 2, h, [])
     with pytest.raises(UsageError, match=r"\(21, 2, 1\)"):
         # Two windows, one seed.
-        estimate_averaged_drift(spec, np.concatenate([zeta, zeta], axis=1), 1.0, 4.0, 2, g,
+        estimate_averaged_drift(spec, np.concatenate([zeta, zeta], axis=1), 1.0, 4.0, 2, h,
                                 seeds)
     with pytest.raises(UsageError, match=r"\(21, 1\)"):
         # A lone (M + 1, n) window is not a batch.
-        estimate_averaged_drift(spec, zeta[:, 0], 1.0, 4.0, 2, g, seeds)
+        estimate_averaged_drift(spec, zeta[:, 0], 1.0, 4.0, 2, h, seeds)
 
 
 def test_mixing_decay_pure_contraction_rate():
     """b2 = -y with no noise: squared gap decays at rate 2 exactly."""
     h = 0.01
-    g = make_grid(T=5.0, h=h, tau=1.0)
     spec = _pure_decay_spec()
     zeta = constant_segment(1.0, h, 0.0)
     fit = mixing_decay(spec, zeta,
                        constant_segment(1.0, h, 1.0),
                        constant_segment(1.0, h, 0.0),
-                       g, 8, 3)
+                       h, 5, 8, 3)
     assert abs(fit.fitted_rate - 2.0) < 0.05
     assert fit.r_squared > 0.999
     assert len(fit.times) == 5
@@ -203,13 +195,12 @@ def test_mixing_decay_pure_contraction_rate():
 
 def test_mixing_decay_benchmark_rate_near_root():
     h = 0.005
-    g = make_grid(T=8.0, h=h, tau=1.0)
     spec = linear_benchmark(BENCH)
     zeta = constant_segment(1.0, h, 1.0)
     fit = mixing_decay(spec, zeta,
                        constant_segment(1.0, h, 0.0),
                        constant_segment(1.0, h, 1.0),
-                       g, 8, 21)
+                       h, 8, 8, 21)
     assert fit.r_squared >= 0.98
     # The synchronously coupled gap of the linear fast equation solves
     # g' = -c2 g + c3 g(t - tau), so its square decays at 2 mu with
@@ -220,12 +211,11 @@ def test_mixing_decay_benchmark_rate_near_root():
 
 def test_mixing_decay_identical_starts_degenerate():
     h = 0.01
-    g = make_grid(T=5.0, h=h, tau=1.0)
     spec = linear_benchmark(BENCH)
     zeta = constant_segment(1.0, h, 1.0)
     eta = constant_segment(1.0, h, 0.5)
     with pytest.raises(DegenerateFitError):
-        mixing_decay(spec, zeta, eta, eta, g, 8, 0)
+        mixing_decay(spec, zeta, eta, eta, h, 5, 8, 0)
 
 
 def test_mixing_decay_input_validation():
@@ -235,11 +225,13 @@ def test_mixing_decay_input_validation():
     eta = constant_segment(1.0, h, 1.0)
     etap = constant_segment(1.0, h, 0.0)
     with pytest.raises(UsageError, match="replicas"):
-        mixing_decay(spec, zeta, eta, etap, make_grid(5.0, h, 1.0), 4, 0)
+        mixing_decay(spec, zeta, eta, etap, h, 5, 4, 0)
     with pytest.raises(UsageError, match="integer replicas >= 8, got 8.5"):
-        mixing_decay(spec, zeta, eta, etap, make_grid(5.0, h, 1.0), 8.5, 0)
-    with pytest.raises(UsageError, match="delay spans"):
-        mixing_decay(spec, zeta, eta, etap, make_grid(2.0, h, 1.0), 8, 0)
+        mixing_decay(spec, zeta, eta, etap, h, 5, 8.5, 0)
+    with pytest.raises(UsageError, match="integer checkpoints >= 3, got 2"):
+        mixing_decay(spec, zeta, eta, etap, h, 2, 8, 0)
+    with pytest.raises(UsageError, match="integer checkpoints >= 3, got 3.5"):
+        mixing_decay(spec, zeta, eta, etap, h, 3.5, 8, 0)
 
 
 def test_mixing_decay_sums_replicas_in_order():
@@ -250,7 +242,7 @@ def test_mixing_decay_sums_replicas_in_order():
     zeta = constant_segment(1.0, h, [1.0, -1.0])
     eta = constant_segment(1.0, h, [0.0, 0.0])
     eta_prime = constant_segment(1.0, h, [1.0, 0.5])
-    fit = mixing_decay(spec, zeta, eta, eta_prime, g, replicas, 7)
+    fit = mixing_decay(spec, zeta, eta, eta_prime, h, 4, replicas, 7)
 
     zetas = np.broadcast_to(zeta[:, None], (len(zeta), replicas, 2))
     ya, yb = (simulate_frozen(spec, zetas, start, g,
@@ -309,7 +301,7 @@ def test_time_average_matches_per_step_loop_bit_for_bit(system, horizon, batch, 
 
     counted = SystemSpec(n=spec.n, m=spec.m, tau=1.0, b1=b1, sigma1=spec.sigma1,
                          b2=spec.b2, sigma2=spec.sigma2)
-    est = estimate_averaged_drift(counted, zeta, 5.0, horizon, 2, grid, seeds)
+    est = estimate_averaged_drift(counted, zeta, 5.0, horizon, 2, grid.h, seeds)
     value, std_error = _per_step_average(spec, zeta, 5.0, horizon, 2, grid, seeds)
     assert seen == [batch] * calls
     assert est.value.tobytes() == value.tobytes()
@@ -326,5 +318,4 @@ def test_time_average_rejects_misshaped_b1(horizon):
     grid = make_grid(T=5.0 + horizon, h=0.05, tau=1.0)
     zeta = np.zeros((grid.tau_steps + 1, 4, 1))
     with pytest.raises(DataError, match=r"b1 returned shape \(\d+,\)"):
-        estimate_averaged_drift(spec, zeta, 5.0, horizon, 2, grid,
-                                list(range(4)))
+        estimate_averaged_drift(spec, zeta, 5.0, horizon, 2, grid.h, list(range(4)))

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import twoscale
 from twoscale import harness
-from twoscale.averaging import DeltaSchedule, khasminskii_delta
+from twoscale.averaging import khasminskii_delta, simulate_averaged
 from twoscale.cli import _SUBCOMMANDS
 from twoscale.cli import main as cli_main
 from twoscale.errors import ConfigError, DataError, DegenerateFitError, UsageError
@@ -38,9 +38,10 @@ from twoscale.harness import (
     run_simulate,
 )
 from twoscale.metrics import sup_distance
+from twoscale.noise import W1
 from twoscale.segment import _node_norms, _row_dots
 from twoscale.solver import fast_lag_steps, make_grid
-from twoscale.systems import LinearBenchmarkParams, SystemSpec, register_system
+from twoscale.systems import LinearBenchmarkParams, SystemSpec, build_system, register_system
 from test_frozen import switch_spec
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import _blowup_factory as _golden_blowup
@@ -720,6 +721,37 @@ def test_cli_success_exit_zero(tmp_path, capsys):
     assert (tmp_path / "out" / "report.json").exists()
 
 
+def test_cli_default_experiment_is_the_subcommands_first(tmp_path, capsys):
+    """A config without an experiment key runs the subcommand's first experiment."""
+    cfg = _cfg(experiment="auxiliary_gap", epsilons=[0.05, 0.02], paths=2)
+    hashes = []
+    for name, body in (("explicit.json", cfg),
+                       ("implicit.json", {k: v for k, v in cfg.items() if k != "experiment"})):
+        cli_main(["aux-gap", "--config", _write_cfg(tmp_path, name, body),
+                  "--out", str(tmp_path / f"out_{name}")])
+        out = capsys.readouterr().out
+        assert out.startswith("experiment: auxiliary_gap ")
+        hashes.append(out.split("hash: ")[1])
+    assert hashes[0] == hashes[1]
+
+
+def test_check_fails_growth_on_an_overflowing_slow_drift():
+    """A b1 of 1e200 squares past float range: the growth series is not finite, so it fails."""
+    def factory():
+        base = build_system(BENCH_SYS)
+        return SystemSpec(n=1, m=1, tau=1.0, b1=lambda chi, phi: np.full_like(chi[-1], 1e200),
+                          sigma1=base.sigma1, b2=base.b2, sigma2=base.sigma2)
+
+    register_system("overflowing_slow_drift", factory, replace=True)
+    report = run_scenario(Scenario.from_config(_cfg(
+        experiment="check", system={"kind": "registered", "name": "overflowing_slow_drift"},
+        trials=50)))
+    gates = {g["name"]: g for g in report.gates}
+    assert not gates["growth_lipschitz"]["passed"]
+    assert gates["growth_lipschitz"]["detail"] == "L_estimate=inf"
+    assert "overflow encountered in matmul" in report.warnings
+
+
 def test_cli_gate_failure_exit_two(tmp_path):
     bad_sys = {
         "kind": "linear_benchmark",
@@ -975,8 +1007,8 @@ def test_failed_chunk_is_rerun_path_by_path(case):
     body, cfg, eps = _RERUN_CASES[case]
     scen = Scenario.from_config(dict(cfg, paths=6))
     if body is _aux_chunk:
-        schedule = khasminskii_delta(eps, scen.tau)
-        row = (eps, scen.resolve_h(epsilon=eps, anchor=schedule.delta), {"schedule": schedule})
+        delta = scen.tau / khasminskii_delta(eps, scen.tau)
+        row = (eps, scen.resolve_h(epsilon=eps, anchor=delta), {"delta": delta})
     else:
         row = (eps, scen.resolve_h(epsilon=eps), {"row": scen.epsilons.index(eps)})
 
@@ -995,7 +1027,7 @@ def _cut_rows():
     converge = Scenario.from_config(GOLDEN_CASES["converge"])
     estimator = Scenario.from_config(GOLDEN_CASES["converge_n2"])
     aux = Scenario.from_config(GOLDEN_CASES["auxiliary_gap_n2"])
-    schedule = khasminskii_delta(0.05, aux.tau)
+    delta = aux.tau / khasminskii_delta(0.05, aux.tau)
     segcont = Scenario.from_config(GOLDEN_CASES["segment_continuity_n2"])
     return {
         "converge_closed_form": (_converge_chunk, converge,
@@ -1003,7 +1035,7 @@ def _cut_rows():
         "converge_estimator": (_converge_chunk, estimator,
                                (0.2, estimator.resolve_h(epsilon=0.2), {"row": 0})),
         "auxiliary_gap": (_aux_chunk, aux, (
-            0.05, aux.resolve_h(epsilon=0.05, anchor=schedule.delta), {"schedule": schedule})),
+            0.05, aux.resolve_h(epsilon=0.05, anchor=delta), {"delta": delta})),
         # Blocks of tau/4, tau/8 and tau/16 on h = tau/256, sampled mid-block.
         "segment_continuity": (_segcont_chunk, segcont, (0.05, 1.0 / 256.0, {
             "deltas": [0.25, 0.125, 0.0625], "times": [0.3125, 0.5625, 0.8125]})),
@@ -1030,14 +1062,30 @@ def test_chunk_cut_does_not_move_per_path_results(case, paths, data):
             for r in _run_chunk(_job(body, scen, row, a, b))[0]] == whole
 
 
+def test_bare_estimator_source_replays_the_converge_chunk(monkeypatch):
+    """simulate_averaged binds (row, paths, step) itself: a bare EstimatedDriftSource given a
+    chunk's row index and paths integrates that chunk's averaged paths bit for bit."""
+    scen = Scenario.from_config(GOLDEN_CASES["converge_n2"])
+    row, eps = 1, scen.epsilons[1]
+    job = _job(_converge_chunk, scen, (eps, scen.resolve_h(epsilon=eps), {"row": row}), 1, 3)
+    xbars = []
+    simulate = harness.simulate_averaged
+    monkeypatch.setattr(harness, "simulate_averaged",
+                        lambda *a, **k: xbars.append(simulate(*a, **k)) or xbars[-1])
+    got, _ = _run_chunk(job)
+    assert [r[0] for r in got] == ["ok"] * 2
+    chunk, paths = job[1], range(1, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # burn_in below 5 tau
+        bare = simulate_averaged(chunk.spec, chunk.xi, scen.drift_callable(chunk.spec),
+                                 chunk.grid, chunk.noise(paths, W1), row, paths)
+    assert bare.tobytes() == xbars[0].tobytes()
+
+
 def _aux_row(scen, eps, delta):
     """The (epsilon, h, extra) of the row run_auxiliary_gap builds for a delta or "auto"."""
-    if delta == "auto":
-        schedule = khasminskii_delta(eps, scen.tau)
-    else:
-        n = round(scen.tau / delta)
-        schedule = DeltaSchedule(delta_raw=delta, delta=scen.tau / n, N_delta=n)
-    return eps, scen.resolve_h(epsilon=eps, anchor=schedule.delta), {"schedule": schedule}
+    n = khasminskii_delta(eps, scen.tau) if delta == "auto" else round(scen.tau / delta)
+    return eps, scen.resolve_h(epsilon=eps, anchor=scen.tau / n), {"delta": scen.tau / n}
 
 
 def _aux_gaps_by_block(pair, grid):
@@ -1081,9 +1129,8 @@ def test_aux_chunk_fast_gap_scans_do_not_grow_with_the_blocks(monkeypatch):
     monkeypatch.setattr(harness, "_node_norms", lambda a: calls.append(a.shape) or node_norms(a))
     counts = []
     for n in (4, 64):  # delta = tau/4 and tau/64 on h = tau/256
-        schedule = DeltaSchedule(delta_raw=1.0 / n, delta=1.0 / n, N_delta=n)
         calls.clear()
-        _run_chunk(_job(_aux_chunk, scen, (0.1, 1.0 / 256.0, {"schedule": schedule}), 0, 2))
+        _run_chunk(_job(_aux_chunk, scen, (0.1, 1.0 / 256.0, {"delta": 1.0 / n}), 0, 2))
         counts.append(len(calls))
     assert counts[0] == counts[1]
 

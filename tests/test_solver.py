@@ -1,4 +1,3 @@
-import itertools
 import pickle
 import warnings
 
@@ -6,7 +5,7 @@ import numpy as np
 import pytest
 
 from twoscale.errors import DivergenceError, DomainError, UsageError
-from twoscale.averaging import DeltaSchedule, simulate_auxiliary, simulate_averaged
+from twoscale.averaging import closed_form_drift, simulate_auxiliary, simulate_averaged
 from twoscale.frozen import estimate_averaged_drift, simulate_frozen
 from twoscale.noise import W1, W2
 from twoscale.segment import constant_segment
@@ -34,6 +33,23 @@ BENCH = LinearBenchmarkParams(a11=-1.0, a12=1.0, s1=0.3, c1=1.0, c2=2.0, c3=0.5,
 
 def _const(grid, value):
     return constant_segment(grid.tau, grid.h, value)
+
+
+@pytest.mark.parametrize("kernel", ["coupled", "auxiliary", "averaged", "frozen"])
+def test_kernels_refuse_a_grid_built_for_another_delay(kernel):
+    """A tau = 0.5 grid under a tau = 1 system would read every delayed state at the wrong lag."""
+    spec = linear_benchmark(BENCH)
+    g = make_grid(T=0.5, h=0.05, tau=0.5)
+    start = _const(g, 1.0)
+    dw1, dw2 = brownian(0, [0], W1, g), brownian(0, [0], W2, g)
+    run = {
+        "coupled": lambda: simulate_coupled(spec, start, start, 0.25, g, dw1, dw2),
+        "auxiliary": lambda: simulate_auxiliary(spec, start, start, 0.25, 0.25, g, dw1, dw2),
+        "averaged": lambda: simulate_averaged(spec, start, closed_form_drift(spec), g, dw1),
+        "frozen": lambda: simulate_frozen(spec, start[:, None], start, g, dw2),
+    }[kernel]
+    with pytest.raises(UsageError, match="different delay than spec.tau=1.0"):
+        run()
 
 
 def test_make_grid_and_index_of():
@@ -331,7 +347,7 @@ def test_maps_receive_window_arrays():
 
     seen.clear()
 
-    def drift(window):
+    def drift(window, *address):
         record("drift", window)
         return -window[-1]
 
@@ -347,7 +363,7 @@ def test_maps_receive_window_arrays():
     zeta = xi[:, None]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # burn_in below 5 tau
-        estimate_averaged_drift(spec, zeta, 0.25, 0.25, 1, sub, [4])
+        estimate_averaged_drift(spec, zeta, 0.25, 0.25, 1, sub.h, [4])
     # One column, fewer than its 6 averaged steps: one b1 call whose batch
     # axis is the steps of [burn_in, burn_in + horizon].
     [chi], [phi] = calls("chi"), calls("phi")
@@ -366,13 +382,12 @@ def _golden_kernels():
     """Batched runs in which some paths diverge: the golden blow-up system and switch_spec."""
     from test_frozen import switch_spec
     from test_golden import _blowup_factory
-    from twoscale.averaging import DeltaSchedule, simulate_auxiliary
+    from twoscale.averaging import simulate_auxiliary
 
     spec = _blowup_factory()
     eps = 0.25
     g = make_grid(T=0.5, h=0.0125, tau=1.0)
     xi, eta = _const(g, 1.0), _const(g, 0.0)
-    schedule = DeltaSchedule(delta_raw=0.125, delta=0.125, N_delta=8)
     sub = make_grid(T=6.0, h=0.05, tau=1.0)
     short = make_grid(T=1.0, h=0.01, tau=0.1)
     # Frozen windows above zeta(0) = 1 make switch_spec's fast drift blow up.
@@ -380,7 +395,7 @@ def _golden_kernels():
     zetas = np.stack([constant_segment(1.0, 0.05, v) for v in levels], axis=1)
 
     def auxiliary(ps):
-        pair = simulate_auxiliary(spec, xi, eta, eps, schedule, g,
+        pair = simulate_auxiliary(spec, xi, eta, eps, 0.125, g,
                                   brownian(5, ps, W1, g), brownian(5, ps, W2, g))
         return pair.x, pair.y, pair.x_aux, pair.y_aux
 
@@ -474,26 +489,24 @@ def test_divergence_names_the_lowest_column_slow_before_fast():
 def test_batch_without_failures_equals_its_singles():
     """Every column of a batch is bit-identical to that path's one-path run."""
     from test_frozen import switch_spec
-    from twoscale.averaging import DeltaSchedule, EstimatedDriftSource, simulate_auxiliary
+    from twoscale.averaging import EstimatedDriftSource, simulate_auxiliary
 
     spec = linear_benchmark(BENCH)
     g = make_grid(T=0.25, h=0.0125, tau=1.0)
     xi, eta = _const(g, 1.0), _const(g, 0.0)
-    schedule = DeltaSchedule(delta_raw=0.125, delta=0.125, N_delta=8)
     sub = make_grid(T=2.0, h=0.05, tau=1.0)
     levels = [0.0, 0.5, -1.0, 0.9, 0.25]
     zetas = np.stack([constant_segment(1.0, 0.05, v) for v in levels], axis=1)
     budget = dict(burn_in=1.0, horizon=1.0, replicas=2)
 
     def auxiliary(ps):
-        pair = simulate_auxiliary(spec, xi, eta, 0.25, schedule, g,
+        pair = simulate_auxiliary(spec, xi, eta, 0.25, 0.125, g,
                                   brownian(6, ps, W1, g), brownian(6, ps, W2, g))
         return pair.x, pair.y, pair.x_aux, pair.y_aux
 
     def estimated(ps):
-        src, steps = EstimatedDriftSource(spec, 3, h=0.05, **budget), itertools.count()
-        return (simulate_averaged(spec, xi, lambda w: src(w, 0, ps, next(steps)), g,
-                                  brownian(6, ps, W1, g)),)
+        src = EstimatedDriftSource(spec, 3, h=0.05, **budget)
+        return (simulate_averaged(spec, xi, src, g, brownian(6, ps, W1, g), 0, ps),)
 
     kernels = [
         lambda ps: simulate_coupled(spec, xi, eta, 0.25, g,
@@ -615,9 +628,8 @@ def test_auxiliary_fast_divergence_just_before_a_reset_is_raised():
                       sigma2=_zero_diffusion)
     g = make_grid(T=2.0, h=H, tau=0.5)
     xi = np.zeros((g.tau_steps + 1, 1))
-    schedule = DeltaSchedule(delta_raw=5 * H, delta=5 * H, N_delta=1)
     with pytest.raises(DivergenceError) as info:
-        simulate_auxiliary(spec, xi, xi, 1.0, schedule, g,
+        simulate_auxiliary(spec, xi, xi, 1.0, 5 * H, g,
                            brownian(0, range(2), W1, g),
                            brownian(0, range(2), W2, g))
     _assert_error(info, 4, 0.3125, [0.25, 0.25], "auxiliary fast component diverged")
@@ -736,14 +748,12 @@ def test_constant_diffusion_noise_is_bit_identical(n, monkeypatch):
     a = np.array([[1.0, 0.5], [-0.25, 1.5]])[:n, :n]
     sig1 = _diffusions(np.array([[0.3, -0.2], [0.1, 0.4]])[:n, :n])
     sig2 = _diffusions(np.array([[0.5, 0.25], [-0.3, 0.2]])[:n, :n])
-    schedule = DeltaSchedule(delta_raw=0.125, delta=0.125, N_delta=2)
-
     def run(mode):
         spec = SystemSpec(n=n, m=n, tau=0.25,
                           b1=lambda chi, phi: -chi[-1] @ a.T + 0.5 * phi[-1], sigma1=sig1[mode],
                           b2=lambda chi, y, y_tau: chi[-1] - y + 0.25 * y_tau, sigma2=sig2[mode])
         calls.clear()
-        pair = simulate_auxiliary(spec, xi, eta, 0.25, schedule, g,
+        pair = simulate_auxiliary(spec, xi, eta, 0.25, 0.125, g,
                                   brownian(9, range(p), W1, g, n),
                                   brownian(9, range(p), W2, g, n))
         path = simulate_sdde(n, n, lambda w: -w[-1] @ a.T, sig1[mode], xi, g,
