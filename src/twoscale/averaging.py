@@ -27,8 +27,7 @@ from numpy.random import SeedSequence
 from .errors import DomainError, UsageError
 from .frozen import estimate_averaged_drift
 from .segment import exact_steps
-from .solver import (TimeGrid, _check_delay, _coupled_core, _pair_increments, make_grid,
-                     simulate_sdde)
+from .solver import TimeGrid, _check_delay, _coupled_core, _pair_increments, simulate_sdde
 from .systems import SystemSpec
 
 _INV_E = math.exp(-1.0)
@@ -157,7 +156,10 @@ class EstimatedDriftSource:
         self.spec = spec
         self.seed = int(seed)
         self.burn_in, self.horizon, self.replicas, self.h = burn_in, horizon, replicas, h
-        make_grid(burn_in + horizon, h, spec.tau)  # refuses a misaligned budget here
+        exact_steps(spec.tau, h, "tau")  # a budget h does not tile fails here, not in a call
+        exact_steps(horizon, h, "horizon")
+        if burn_in:
+            exact_steps(burn_in, h, "burn_in")
         self.calls = 0
         self.max_std_error = 0.0
 

@@ -42,7 +42,7 @@ from .averaging import (
 )
 from .errors import ConfigError, DegenerateFitError, TwoscaleError
 from .frozen import GAP_FLOOR, estimate_averaged_drift, mixing_decay
-from .metrics import p_moment, segment_displacement_moment, slope_fit, sup_distance
+from .metrics import MomentEstimate, p_moment, segment_displacement_moment, slope_fit, sup_distance
 from .noise import W1, W2, increments
 from .segment import (_node_norms, _row_dots, constant_segment, exact_steps,
                       lipschitz_modulus, window)
@@ -274,8 +274,12 @@ class Scenario:
             raise ConfigError(f"duplicate epsilon values: {list(epsilons)}")
         if experiment in ("converge", "auxiliary_gap") and not epsilons:
             raise ConfigError(f"{experiment} needs a non-empty epsilons list")
-        if experiment in ("simulate", "segment_continuity") and len(epsilons) > 1:
-            raise ConfigError(f"{experiment} runs one epsilon, got {list(epsilons)}")
+        if experiment in ("simulate", "segment_continuity"):
+            if len(epsilons) > 1:
+                raise ConfigError(f"{experiment} runs one epsilon, got {list(epsilons)}")
+            v["epsilons"] = epsilons or (_SINGLE_EPSILON,)
+        if experiment == "segment_continuity" and v["deltas"] is None:  # omitted or null
+            v["deltas"] = tuple(v["tau"] / 2.0 ** k for k in range(4, 8))  # tau/16 ... tau/128
         if experiment == "auxiliary_gap" and v["delta"] == "auto":
             bad = [e for e in epsilons if e >= _INV_E]
             if bad:
@@ -299,8 +303,7 @@ class Scenario:
         # A fixed h meets every step rule at every epsilon the run uses;
         # only the block length, which the runner resolves, is left.
         if scenario.h != "auto":
-            single = _SINGLE_EPSILON if experiment in ("simulate", "segment_continuity") else None
-            for eps in epsilons or (single,):
+            for eps in scenario.epsilons or (None,):
                 scenario.resolve_h(epsilon=eps)
         return scenario
 
@@ -312,16 +315,14 @@ class Scenario:
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
     def build_spec(self):
-        sys_cfg = dict(self.system)
-        declared = sys_cfg.get("tau")
+        declared = self.system.get("tau")
         if declared is not None:
             declared = _number(declared, "system tau")
         if declared is not None and abs(declared - self.tau) > 1e-12 * self.tau:
             raise ConfigError(
                 f"system tau={declared} conflicts with scenario tau={self.tau}"
             )
-        sys_cfg["tau"] = self.tau
-        return build_system(sys_cfg)
+        return build_system(dict(self.system, tau=self.tau))
 
     def materialize_segment(self, role: str, h: float, n: int) -> np.ndarray | None:
         cfg = getattr(self, role)
@@ -502,14 +503,6 @@ class _Chunk:
                                 dw1, self.noise(paths, W2))
 
 
-def _attempt(body, chunk: _Chunk, paths) -> list:
-    """body(chunk, paths) as ("ok", value) per path, or its error for every path."""
-    try:
-        return [("ok", v) for v in body(chunk, paths)]
-    except TwoscaleError as exc:
-        return [("err", type(exc).__name__, str(exc))] * len(paths)
-
-
 def _caught(fn, *args, **kwargs):
     """fn(*args, **kwargs) and the messages of the warnings it raised, each once, in order.
 
@@ -527,28 +520,28 @@ def _caught(fn, *args, **kwargs):
 
 
 def _run_chunk(job):
-    """Run paths [start, stop) of a (body, chunk, start, stop) job as one batch.
-
-    The chunk is the row _run_ensemble built, shared by all of the row's
-    jobs.  body(chunk, paths) returns one value per path in path order,
-    each reported as ("ok", value).
-    This is the one place that isolates a failed path: if body raises a
-    TwoscaleError, every path of the chunk is rerun alone on the same
-    chunk and gets its own value or ("err", type, message) from its
-    one-path run.  Each path keeps its own streams and every kernel
-    operation is elementwise over paths, so the results do not depend on
-    the chunk cut.  Returns the results and the messages of the warnings
-    the chunk raised, each once.
-    """
+    """_chunk_results of a (body, chunk, start, stop) job and the messages of the warnings
+    it raised, each once.  The chunk is the row _run_ensemble built, shared by all of the
+    row's jobs."""
     return _caught(_chunk_results, *job)
 
 
 def _chunk_results(body, chunk: _Chunk, start, stop) -> list:
+    """body(chunk, paths) on paths [start, stop) as one batch: ("ok", value) per path in order.
+
+    This is the one place that isolates a failed path: if body raises a
+    TwoscaleError, each path of a chunk of more than one is run again
+    alone on the same chunk, and a one-path chunk reports ("err", type,
+    message).  Each path keeps its own streams and every kernel operation
+    is elementwise over paths, so the results do not depend on the cut.
+    """
     paths = range(start, stop)
-    results = _attempt(body, chunk, paths)
-    if len(paths) > 1 and results[0][0] == "err":
-        results = [r for p in paths for r in _attempt(body, chunk, range(p, p + 1))]
-    return results
+    try:
+        return [("ok", v) for v in body(chunk, paths)]
+    except TwoscaleError as exc:
+        if len(paths) == 1:
+            return [("err", type(exc).__name__, str(exc))]
+    return [r for p in paths for r in _chunk_results(body, chunk, p, p + 1)]
 
 
 def _run_ensemble(scenario: Scenario, spec, body, rows) -> list:
@@ -802,8 +795,7 @@ def _aux_chunk(c: _Chunk, paths) -> list:
     # one max over that run is the max over the windows, exact in every bit.
     union = slice(resets[0] - ts, resets[-1] + 1)
     y_gap = _node_norms(yt[union] - y[union]).max(axis=0)
-    jumps = (yt[resets] - y[resets]).reshape(-1, y.shape[-1])
-    audit = np.sqrt(_row_dots(jumps, jumps)).reshape(len(resets), -1).max(axis=0)
+    audit = _node_norms(yt[resets] - y[resets]).max(axis=0)
     x_gap = sup_distance(pair.x, pair.x_aux, c.grid)
     return list(zip(x_gap.tolist(), y_gap.tolist(), audit.tolist()))
 
@@ -831,10 +823,11 @@ def run_auxiliary_gap(scenario: Scenario):
         audit_max = max(audits)
         slow = _with_moment(row, p_moment(x_gaps, scenario.p),
                             N_delta=blocks[row["epsilon"]], reset_audit_max=audit_max)
-        fast = dict(row, extra=dict(row["extra"], kind="aux_fast_checkpoint_gap_moment"))
+        fast = _with_moment(row, p_moment(y_gaps, scenario.p),
+                            kind="aux_fast_checkpoint_gap_moment")
         audit = dict(row, p=None, value=audit_max,
                      extra=dict(row["extra"], kind="reset_audit"))
-        rows += [slow, _with_moment(fast, p_moment(y_gaps, scenario.p)), audit]
+        rows += [slow, fast, audit]
         ok_rows.append(slow)
 
     gates = _trend_gates(ok_rows, complete=len(ok_rows) == len(sweep))
@@ -869,24 +862,22 @@ def run_segment_continuity(scenario: Scenario):
     fitted log-log slope must clear 0.9 * (p - 2) / 2 (one-sided, since
     the per-block bound has a steeper exponent than the global one).
     """
-    epsilon = scenario.epsilons[0] if scenario.epsilons else _SINGLE_EPSILON
-    deltas = list(scenario.deltas) if scenario.deltas is not None else [
-        scenario.tau / 16.0, scenario.tau / 32.0,
-        scenario.tau / 64.0, scenario.tau / 128.0,
-    ]
-    normed = [_snap_to_tau(scenario.tau, d)[0] for d in deltas]
-    d_min = min(normed)
+    [epsilon] = scenario.epsilons
+    # The deltas come largest first and both snaps are monotone, so every
+    # list below stays largest first.
+    normed = [_snap_to_tau(scenario.tau, d)[0] for d in scenario.deltas]
+    d_min = normed[-1]
     # At least 4 nodes per smallest block so mid-block samples exist.
     h = scenario.resolve_h(epsilon=epsilon, anchor=d_min,
                            default_target=d_min / 4.0)
-    snapped = set()
-    for d in sorted(set(normed), reverse=True):
+    deltas = []
+    for d in dict.fromkeys(normed):
         k = max(1, round(d / h))
         if abs(k * h - d) > 1e-9 * d:
             _warnings.warn(f"delta={d} snapped to {k}*h={k * h}")
             d = k * h
-        snapped.add(d)
-    deltas = sorted(snapped, reverse=True)
+        deltas.append(d)
+    deltas = list(dict.fromkeys(deltas))
     if len(deltas) < len(normed):
         _warnings.warn("duplicate deltas merged after snapping")
 
@@ -902,13 +893,11 @@ def run_segment_continuity(scenario: Scenario):
         # Block-boundary samples would make every displacement zero, and
         # a shared offset would make them delta-independent.  Odd
         # multiples of d_max/16 reduce to offsets proportional to each
-        # block size across a dyadic sweep.
+        # block size across a dyadic sweep.  No index falls as j grows.
         d_max_steps = exact_steps(deltas[0], h, "delta")
-        idxs = set()
-        for j in range(8):
-            r = max(1, ((2 * j + 1) * d_max_steps) // 16)
-            idxs.add(min(grid.steps, j * grid.steps // 8 + r))
-        times = [k * h for k in sorted(idxs) if k > 0]
+        idxs = [min(grid.steps, j * grid.steps // 8 + max(1, (2 * j + 1) * d_max_steps // 16))
+                for j in range(8)]
+        times = [k * h for k in dict.fromkeys(idxs)]
     row = _row(epsilon, None, scenario.p, scenario.paths, "segment_displacement_moment", h)
     [(row, values)] = _run_ensemble(scenario, scenario.build_spec(), _segcont_chunk,
                                     [(row, {"deltas": deltas, "times": times})])
@@ -918,9 +907,9 @@ def run_segment_continuity(scenario: Scenario):
     per_path = np.array(values)  # (paths, n_deltas)
     moments = per_path.mean(axis=0)
     ses = per_path.std(axis=0, ddof=1) / math.sqrt(len(values))
-    rows = [dict(row, delta=d, value=float(moments[j]), std_error=float(ses[j]),
-                 extra=dict(row["extra"], sample_times=len(times)))
-            for j, d in enumerate(deltas)]
+    rows = [_with_moment(dict(row, delta=d), MomentEstimate(float(m), float(se), len(values)),
+                         sample_times=len(times))
+            for d, m, se in zip(deltas, moments, ses)]
     gates = []
 
     floor = 0.9 * (scenario.p - 2.0) / 2.0
@@ -960,14 +949,12 @@ def run_frozen(scenario: Scenario):
                                       scenario.horizon, scenario.replicas, h,
                                       [scenario.seed], eta=eta)
         row = _row(None, None, None, scenario.replicas, "bbar_estimate", h)
-        rows.append(dict(
-            row,
-            value=float(est.value[0, 0]) if spec.n == 1 else float(np.linalg.norm(est.value)),
-            std_error=float(np.linalg.norm(est.std_error)),
-            extra=dict(row["extra"], bbar=est.value[0].tolist(),
-                       std_error=est.std_error[0].tolist(), burn_in=scenario.burn_in,
-                       horizon=scenario.horizon, zeta_digest=_zeta_digest(zeta, scenario.tau, h)),
-        ))
+        value = float(est.value[0, 0]) if spec.n == 1 else float(np.linalg.norm(est.value))
+        moment = MomentEstimate(value, float(np.linalg.norm(est.std_error)), scenario.replicas)
+        rows.append(_with_moment(
+            row, moment, bbar=est.value[0].tolist(), std_error=est.std_error[0].tolist(),
+            burn_in=scenario.burn_in, horizon=scenario.horizon,
+            zeta_digest=_zeta_digest(zeta, scenario.tau, h)))
 
     eta_prime = scenario.materialize_segment("eta_prime", h, spec.n)
     eta_prime = eta + 1.0 if eta_prime is None else eta_prime
@@ -1056,7 +1043,7 @@ def _dump_paths(times, x, y, out_dir: Path, name: str):
 @_reported
 def run_simulate(scenario: Scenario, *, dump_dir=None, stem: str = "scenario"):
     """Plain coupled ensemble; optionally dumps per-path trajectory CSVs."""
-    epsilon = scenario.epsilons[0] if scenario.epsilons else _SINGLE_EPSILON
+    [epsilon] = scenario.epsilons
     h = scenario.resolve_h(epsilon=epsilon)
     row = _row(epsilon, None, 1.0, scenario.paths, "endpoint_slow_norm", h)
     extra = {"dump_dir": str(dump_dir) if dump_dir is not None else None, "stem": stem}
@@ -1064,13 +1051,9 @@ def run_simulate(scenario: Scenario, *, dump_dir=None, stem: str = "scenario"):
                                        [(row, extra)])
     if endpoints is None:
         return [row], [_failed_paths_gate(row)]
-    if len(endpoints) >= 2:
-        moment = p_moment(endpoints, 1.0)
-        value, se, paths = moment.value, moment.std_error, moment.paths
-    else:
-        value, se, paths = float(endpoints[0]), 0.0, 1
-    row = dict(row, paths=paths, value=value, std_error=se,
-               extra=dict(row["extra"], dumped=dump_dir is not None))
+    moment = (p_moment(endpoints, 1.0) if len(endpoints) >= 2
+              else MomentEstimate(float(endpoints[0]), 0.0, 1))
+    row = _with_moment(row, moment, dumped=dump_dir is not None)
     return [row], [_gate("rows_complete", True, f"{len(endpoints)} path(s)")]
 
 

@@ -242,6 +242,18 @@ def test_estimated_drift_source_is_reproducible():
     assert not np.array_equal(outs[0], other)
 
 
+def test_estimated_drift_source_refuses_a_misaligned_budget_up_front():
+    """A tau, burn_in or horizon that h does not tile is refused at construction, not one
+    drift call in, even where burn_in + horizon is a multiple of h."""
+    spec = linear_benchmark(BENCH)
+    for budget, what in [((0.05, 0.15, 0.1), "horizon=0.15"), ((0.05, 0.2, 0.1), "burn_in=0.05"),
+                         ((0.6, 0.3, 0.3), "tau=1.0")]:
+        burn_in, horizon, h = budget
+        with pytest.raises(DomainError, match=f"{what} is not an integer multiple of h={h}"):
+            EstimatedDriftSource(spec, 0, burn_in=burn_in, horizon=horizon, replicas=1, h=h)
+    EstimatedDriftSource(spec, 0, burn_in=0.0, horizon=0.2, replicas=1, h=0.1)  # no burn-in
+
+
 @pytest.mark.parametrize("replicas", [1, 3, 9])
 def test_estimator_batch_equals_one_window_calls(replicas):
     """A batch call equals its one-path calls made with the same global indices, bit for bit."""

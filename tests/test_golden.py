@@ -9,13 +9,17 @@ that moves one has to say why.
 
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from twoscale import cli, harness
+from twoscale.averaging import closed_form_drift, khasminskii_delta
 from twoscale.harness import Scenario, run_scenario, run_simulate
 from twoscale.systems import LinearBenchmarkParams, SystemSpec, register_system
 
@@ -228,13 +232,29 @@ def _run(name, threads, tmp_path):
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_report_hash(name, threads, tmp_path):
+def test_golden_report_hash(name, threads, tmp_path, monkeypatch):
+    """threads = k runs on k CPUs, whatever the host has, so k > 1 forks k workers."""
+    monkeypatch.setattr(harness, "_cpus", lambda: list(range(threads)))
+    forked, workers = harness._forked, []
+    monkeypatch.setattr(harness, "_forked",
+                        lambda jobs, n: workers.append(n) or forked(jobs, n))
     digest, report = _run(name, threads, tmp_path)
+    # Every ensemble case of more than one path has at least `threads` path chunks.
+    ensemble = CASES[name]["experiment"] in harness._ENSEMBLE_EXPERIMENTS
+    assert workers == ([threads] if ensemble and threads > 1 and CASES[name]["paths"] > 1
+                       else [])
     assert digest == GOLDEN[name]
     gates = json.dumps(report.gates, sort_keys=True)
     assert hashlib.sha256(gates.encode()).hexdigest() == GOLDEN_GATES[name]
     if name in GOLDEN_WARNINGS:
         assert report.warnings == GOLDEN_WARNINGS[name]
+
+
+@pytest.mark.parametrize("name", ["converge_n2", "segment_continuity_n2"])
+def test_golden_report_hash_on_the_hosts_cpus(name, tmp_path):
+    """threads=3 through the real affinity set: as many workers as the host lets the run have."""
+    digest, _ = _run(name, 3, tmp_path)
+    assert digest == GOLDEN[name]
 
 
 @pytest.mark.parametrize("threads", [3, 5])
@@ -320,3 +340,57 @@ def test_closed_form_converge_matches_reference(bench, tmp_path):
                                         cfg["tau"])
         ref = bench.reference.moment(gaps, cfg["p"])
         assert float(row["value"]) == pytest.approx(ref, rel=bench.REFERENCE_RTOL, abs=0.0)
+
+
+@st.composite
+def _generic_params(draw):
+    """Linear-benchmark parameters off the bench point, where a12 = c1 and s1 = s2 hide a
+    map that reads one for the other."""
+    unit = st.floats(0.1, 2.0)
+    params = {"a11": draw(st.floats(-2.0, 0.5)), "a12": draw(unit), "s1": draw(unit),
+              "c1": draw(unit), "c2": draw(st.floats(1.0, 3.0)), "s2": draw(unit)}
+    params["c3"] = draw(st.floats(0.05, 0.9)) * params["c2"]
+    return params
+
+
+@settings(max_examples=50, deadline=None)
+@given(_generic_params())
+def test_benchmark_kappa_and_gain_match_reference(bench, params):
+    pair = bench.reference.LinearPair(**params)
+    got = LinearBenchmarkParams(**params)
+    assert (got.kappa, got.gain) == (pair.kappa, pair.c1 / (pair.c2 - pair.c3))
+
+
+@settings(max_examples=32, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_generic_params(), st.sampled_from([0.1, 0.05, 0.02]), st.integers(2, 4),
+       st.integers(1, 4), st.integers(0, 2 ** 16))
+@example(dict(BENCH_PARAMS, a12=0.7, s2=1.1), 0.05, 4, 3, 1)  # uneven chunks 1, 1, 2
+def test_chunk_gaps_match_reference_at_generic_parameters(bench, monkeypatch, serial_pool,
+                                                          params, epsilon, paths, workers,
+                                                          seed):
+    """converge's and aux-gap's per-path sup gaps, run by _run_ensemble with the row cut into
+    up to `workers` path chunks, equal bench/reference.py's bit for bit.
+
+    h = delta / ceil(delta / (0.05 eps)) tiles the Khasminskii block delta.
+    """
+    monkeypatch.setattr(harness, "_cpus", lambda: list(range(workers)))
+    delta = 1.0 / khasminskii_delta(epsilon, 1.0)
+    h = delta / math.ceil(delta / (0.05 * epsilon))
+    T = round(0.2 / h) * h
+    scenario = Scenario.from_config({
+        "experiment": "converge", "system": {"kind": "linear_benchmark", "params": params},
+        "T": T, "epsilons": [epsilon], "paths": paths, "seed": seed, "threads": workers})
+    spec = scenario.build_spec()
+    row = {"epsilon": epsilon, "extra": {"h": h}}
+    pools = len(serial_pool)
+    [(_, gaps)] = harness._run_ensemble(scenario, spec, harness._converge_chunk,
+                                        [(row, {"drift": closed_form_drift(spec), "row": 0})])
+    [(_, aux)] = harness._run_ensemble(scenario, spec, harness._aux_chunk,
+                                       [(row, {"delta": delta})])
+    cut = min(workers, paths)
+    assert [len(pool.jobs) for pool in serial_pool[pools:]] == ([cut] * 2 if cut > 1 else [])
+    pair, ref = bench.reference.LinearPair(**params), bench.reference
+    assert np.array(gaps).tobytes() == ref.sup_gaps(pair, seed, paths, epsilon, h, T).tobytes()
+    assert (np.array([a[0] for a in aux]).tobytes()
+            == ref.aux_sup_gaps(pair, seed, paths, epsilon, h, T, delta).tobytes())

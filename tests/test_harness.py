@@ -546,7 +546,28 @@ def test_empty_epsilons_rejected_at_parse():
             Scenario.from_config(_cfg(experiment=experiment, epsilons=None))
     # The single-epsilon experiments fall back to their default.
     for experiment in ("segment_continuity", "simulate"):
-        assert Scenario.from_config(_cfg(experiment=experiment, epsilons=[])).epsilons == ()
+        assert Scenario.from_config(_cfg(experiment=experiment, epsilons=[])).epsilons == (0.05,)
+
+
+@pytest.mark.parametrize("experiment", ["simulate", "segment_continuity"])
+def test_single_epsilon_default_is_resolved_at_parse(experiment):
+    """An omitted epsilon and the default spelled out are one scenario, with one digest."""
+    cfg = {k: v for k, v in _cfg(experiment=experiment).items() if k != "epsilons"}
+    omitted = Scenario.from_config(cfg)
+    spelled = Scenario.from_config(dict(cfg, epsilons=[0.05]))
+    assert omitted.epsilons == spelled.epsilons == (0.05,)
+    assert omitted.digest() == spelled.digest()
+
+
+def test_default_deltas_are_resolved_at_parse():
+    """Omitted, null and the four default deltas spelled out: one digest, one report."""
+    cfg = GOLDEN_CASES["segment_continuity"]
+    assert "deltas" not in cfg
+    scenarios = [Scenario.from_config(c) for c in (
+        cfg, dict(cfg, deltas=None), dict(cfg, deltas=[1 / 16, 1 / 32, 1 / 64, 1 / 128]))]
+    assert {s.deltas for s in scenarios} == {(1 / 16, 1 / 32, 1 / 64, 1 / 128)}
+    assert len({s.digest() for s in scenarios}) == 1
+    assert len({run_scenario(s).reproducibility_hash for s in scenarios}) == 1
 
 
 def test_runner_table_covers_experiments():
