@@ -25,8 +25,8 @@ import numpy as np
 from numpy.random import SeedSequence
 
 from .errors import DomainError, UsageError
-from .frozen import estimate_averaged_drift
-from .segment import exact_steps
+from .frozen import _budget, estimate_averaged_drift
+from .segment import _whole, exact_steps
 from .solver import TimeGrid, _check_delay, _coupled_core, _pair_increments, simulate_sdde
 from .systems import SystemSpec
 
@@ -154,12 +154,9 @@ class EstimatedDriftSource:
     def __init__(self, spec: SystemSpec, seed: int, *, burn_in: float, horizon: float,
                  replicas: int, h: float):
         self.spec = spec
-        self.seed = int(seed)
+        self.seed = _whole(seed, "seed")
         self.burn_in, self.horizon, self.replicas, self.h = burn_in, horizon, replicas, h
-        exact_steps(spec.tau, h, "tau")  # a budget h does not tile fails here, not in a call
-        exact_steps(horizon, h, "horizon")
-        if burn_in:
-            exact_steps(burn_in, h, "burn_in")
+        _budget(spec.tau, burn_in, horizon, replicas, h)  # a bad budget fails here, not in a call
         self.calls = 0
         self.max_std_error = 0.0
 

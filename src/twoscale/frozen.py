@@ -70,6 +70,21 @@ def simulate_frozen(
                          chi=zeta)
 
 
+def _budget(tau: float, burn_in: float, horizon: float, replicas: int, h: float):
+    """The step-h grid of [-tau, burn_in + horizon] and the steps of burn_in and horizon:
+    the one budget check that the parser, the estimator source and every drift call share."""
+    if not isinstance(replicas, Integral) or replicas < 1:
+        raise UsageError(f"replicas must be an integer >= 1, got {replicas!r}")
+    if horizon <= 0.0:
+        raise DomainError(f"horizon must be positive, got {horizon}")
+    if burn_in < 0.0:
+        raise DomainError(f"burn_in must be >= 0, got {burn_in}")
+    exact_steps(tau, h, "tau")
+    k_len = exact_steps(horizon, h, "horizon")
+    k_burn = 0 if burn_in == 0.0 else exact_steps(burn_in, h, "burn_in")
+    return make_grid(burn_in + horizon, h, tau), k_burn, k_len
+
+
 def estimate_averaged_drift(
     spec: SystemSpec,
     zeta: np.ndarray,
@@ -107,15 +122,7 @@ def estimate_averaged_drift(
             f"zeta has shape {zeta.shape}; {len(seeds)} seeds of a system "
             f"with n={spec.n} need (M + 1, {len(seeds)}, {spec.n})"
         )
-    if not isinstance(replicas, Integral) or replicas < 1:
-        raise UsageError(f"replicas must be an integer >= 1, got {replicas!r}")
-    if horizon <= 0.0:
-        raise DomainError(f"horizon must be positive, got {horizon}")
-    if burn_in < 0.0:
-        raise DomainError(f"burn_in must be >= 0, got {burn_in}")
-    k_burn = 0 if burn_in == 0.0 else exact_steps(burn_in, h, "burn_in")
-    k_len = exact_steps(horizon, h, "horizon")
-    grid = make_grid(burn_in + horizon, h, spec.tau)
+    grid, k_burn, k_len = _budget(spec.tau, burn_in, horizon, replicas, h)
     if burn_in < 5.0 * grid.tau:
         warnings.warn(
             f"burn_in={burn_in} is below 5*tau={5 * grid.tau}; the stationary "

@@ -33,7 +33,6 @@ from pathlib import Path
 import numpy as np
 
 from .averaging import (
-    _INV_E,
     EstimatedDriftSource,
     closed_form_drift,
     khasminskii_delta,
@@ -41,7 +40,7 @@ from .averaging import (
     simulate_averaged,
 )
 from .errors import ConfigError, DegenerateFitError, TwoscaleError
-from .frozen import GAP_FLOOR, estimate_averaged_drift, mixing_decay
+from .frozen import GAP_FLOOR, _budget, estimate_averaged_drift, mixing_decay
 from .metrics import MomentEstimate, p_moment, segment_displacement_moment, slope_fit, sup_distance
 from .noise import W1, W2, increments
 from .segment import (_node_norms, _row_dots, constant_segment, exact_steps,
@@ -192,17 +191,6 @@ _FAST_DELAY_SNAP = 0.05
 _SINGLE_EPSILON = 0.05
 
 
-def _misalignment(h: float, spans: dict) -> str | None:
-    """The fault "misaligned: ..." of the first nonzero {what: span} h does not tile, or None."""
-    try:
-        for what, span in spans.items():
-            if span:
-                exact_steps(span, h, what)
-    except TwoscaleError as exc:
-        return f"misaligned: {exc}"
-    return None
-
-
 def _key(parse, default=None, reads=EXPERIMENTS, alias=None):
     return field(metadata={"key": _Key(parse, default, reads, alias)})
 
@@ -281,10 +269,11 @@ class Scenario:
         if experiment == "segment_continuity" and v["deltas"] is None:  # omitted or null
             v["deltas"] = tuple(v["tau"] / 2.0 ** k for k in range(4, 8))  # tau/16 ... tau/128
         if experiment == "auxiliary_gap" and v["delta"] == "auto":
-            bad = [e for e in epsilons if e >= _INV_E]
-            if bad:
-                raise ConfigError(
-                    f"epsilons {bad} are >= 1/e; the block schedule needs eps < 1/e")
+            try:
+                for eps in epsilons:
+                    khasminskii_delta(eps, v["tau"])
+            except TwoscaleError as exc:
+                raise ConfigError(f"auto delta: {exc}") from exc
         if experiment in _MOMENT_EXPERIMENTS and v["paths"] < 2:
             raise ConfigError(
                 f"{experiment} needs paths >= 2 for a moment's standard error, got {v['paths']}")
@@ -293,12 +282,10 @@ class Scenario:
             raise ConfigError(f"sample_times must lie in (0, T], got {v['sample_times']}")
         if v["drift_source"] == "estimator":
             est = v["estimator"]
-            # The spans the estimator's sub-simulation grid has to tile.
-            fault = _misalignment(est["h"], {
-                "tau": v["tau"], "burn_in + horizon": est["burn_in"] + est["horizon"],
-                "horizon": est["horizon"], "burn_in": est["burn_in"]})
-            if fault:
-                raise ConfigError(f"estimator h={est['h']} {fault}")
+            try:  # the key parsers leave only the spans h must tile to check
+                _budget(v["tau"], **est)
+            except TwoscaleError as exc:
+                raise ConfigError(f"estimator h={est['h']} misaligned: {exc}") from exc
         scenario = cls(**v)
         # A fixed h meets every step rule at every epsilon the run uses;
         # only the block length, which the runner resolves, is left.
@@ -379,9 +366,13 @@ class Scenario:
         h_factor * epsilon, which bounds the fast chain's step h / eps, and realize
         the fast delay eps * tau on the run's grid to within _FAST_DELAY_SNAP.
         """
-        fault = _misalignment(h, self._spans(anchor))
-        if fault or epsilon is None:
-            return fault
+        try:
+            for what, span in self._spans(anchor).items():
+                exact_steps(span, h, what)
+        except TwoscaleError as exc:
+            return f"misaligned: {exc}"
+        if epsilon is None:
+            return None
         if h > self.h_factor * epsilon * (1.0 + 1e-12):
             return (f"exceeds h_factor*epsilon={self.h_factor * epsilon:.6g} at "
                     f"epsilon={epsilon}; refine h or raise h_factor")

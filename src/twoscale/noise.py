@@ -30,13 +30,13 @@ small so that its temporaries stay under glibc's mmap threshold: at
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Iterable
 
 import numpy as np
 from numpy.random import Philox, SeedSequence
 
 from .errors import DomainError, UsageError
+from .segment import _whole
 
 W1 = "W1"
 W2 = "W2"
@@ -47,17 +47,6 @@ _U53 = 2.0 ** -53
 
 # Raw words per Box-Muller pass of increments (128 KiB).
 _BLOCK_WORDS = 2 ** 14
-
-
-def _whole(value, name: str) -> int:
-    """value as a Python int >= 0; a float such as 1.5 is refused, not truncated."""
-    try:
-        k = operator.index(value)
-    except TypeError:
-        raise UsageError(f"{name} must be an integer, got {value!r}") from None
-    if k < 0:
-        raise DomainError(f"{name} must be >= 0, got {k}")
-    return k
 
 
 def _tag_code(tag: str) -> int:

@@ -14,6 +14,8 @@ ratio.  _integer_ratio is the single place that ratio is checked.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import DataError, DomainError, UsageError
@@ -51,6 +53,17 @@ def exact_steps(span: float, h: float, what: str = "span") -> int:
             f"{what}={span!r} is not an integer multiple of h={h!r} (ratio {ratio!r})"
         )
     return steps
+
+
+def _whole(value, name: str) -> int:
+    """value as a Python int >= 0; a float such as 1.5 is refused, not truncated."""
+    try:
+        k = operator.index(value)
+    except TypeError:
+        raise UsageError(f"{name} must be an integer, got {value!r}") from None
+    if k < 0:
+        raise DomainError(f"{name} must be >= 0, got {k}")
+    return k
 
 
 def window(tau: float, h: float, values) -> np.ndarray:

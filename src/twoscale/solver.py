@@ -37,8 +37,8 @@ raises the first failure of its batch: the earliest step, then the
 lowest column, its slow component before its fast one; at P = 1, the
 path's own error.  Rows are checked every GUARD_STEPS = 16 steps, and a
 failed block (or one cut short by a map's error) is rescanned step by
-step.  Kernels do not isolate failed paths; harness._run_chunk reruns a
-failed chunk path by path, so each path gets its one-path run's error.
+step.  Kernels do not isolate failed paths; harness._chunk_results reruns
+a failed chunk path by path, so each path gets its one-path run's error.
 """
 
 from __future__ import annotations

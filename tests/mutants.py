@@ -68,6 +68,16 @@ MUTANTS = [
     ("averaged_on_w2", "harness.py",
      'c.grid, dw1, c.extra["row"], paths)', 'c.grid, c.noise(paths, W2), c.extra["row"], paths)',
      "converge's averaged pass reads the W2 stream, not the coupled run's W1 increments"),
+    ("source_skips_budget", "averaging.py",
+     "_budget(spec.tau, burn_in, horizon, replicas, h)  # a bad budget fails here, not in a call",
+     "pass",
+     "the estimator drift source takes any budget and fails only at its first drift call"),
+    ("box_muller_shift12", "noise.py",
+     "u1 = ((raw[0::2] >> np.uint64(11))", "u1 = ((raw[0::2] >> np.uint64(12))",
+     "u1 keeps 52 random bits, so it lies in (0, 1/2] and every deviate is too large"),
+    ("box_muller_one_word", "noise.py",
+     "u1 = ((raw[0::2] >>", "u1 = ((raw[1::2] >>",
+     "u1 reads the raw words u2 reads, so the two uniforms of a deviate are one"),
 ]
 
 # Mutants that no test is yet expected to catch, with the reason.

@@ -12,9 +12,11 @@ from twoscale.averaging import (
     simulate_auxiliary,
     simulate_averaged,
 )
-from twoscale.errors import DivergenceError, DomainError, UsageError
+from twoscale.errors import ConfigError, DivergenceError, DomainError, TwoscaleError, UsageError
+from twoscale.frozen import estimate_averaged_drift
+from twoscale.harness import Scenario
 from twoscale.metrics import sup_distance
-from twoscale.noise import W1, W2
+from twoscale.noise import W1, W2, increments
 from twoscale.segment import constant_segment
 from twoscale.solver import _coupled_core, make_grid, simulate_coupled
 from twoscale.systems import LinearBenchmarkParams, SystemSpec, build_system, linear_benchmark
@@ -252,6 +254,41 @@ def test_estimated_drift_source_refuses_a_misaligned_budget_up_front():
         with pytest.raises(DomainError, match=f"{what} is not an integer multiple of h={h}"):
             EstimatedDriftSource(spec, 0, burn_in=burn_in, horizon=horizon, replicas=1, h=h)
     EstimatedDriftSource(spec, 0, burn_in=0.0, horizon=0.2, replicas=1, h=0.1)  # no burn-in
+
+
+_GOOD_BUDGET = (5.0, 1.0, 2, 0.1)  # burn_in, horizon, replicas, h
+
+
+@pytest.mark.parametrize("seed, budget", [
+    (0, (5.0, 1.0, 0, 0.1)),
+    (0, (5.0, 1.0, 1.5, 0.1)),
+    (0, (-0.5, 1.0, 1, 0.1)),
+    (0, (0.05, 0.15, 1, 0.1)),  # burn_in and horizon both off the grid
+    (0, (0.6, 0.3, 1, 0.3)),  # only tau is off the grid
+    (-1, _GOOD_BUDGET),
+    (1.5, _GOOD_BUDGET),
+    ("3", _GOOD_BUDGET),
+])
+def test_a_bad_estimator_input_gets_one_verdict_at_every_entry_point(seed, budget):
+    """The drift source refuses a bad budget or seed at construction, with the error that
+    estimate_averaged_drift or increments gives it, and the config parser refuses it too."""
+    spec = linear_benchmark(BENCH)
+    burn_in, horizon, replicas, h = budget
+    with pytest.raises(TwoscaleError) as expected:
+        if seed == 0:
+            estimate_averaged_drift(spec, np.zeros((11, 1, 1)), *budget, [seed])
+        else:
+            increments(seed, [0], W2, 1, 1, 0.1)
+    with pytest.raises(TwoscaleError) as raised:
+        EstimatedDriftSource(spec, seed, burn_in=burn_in, horizon=horizon, replicas=replicas,
+                             h=h)
+    assert (type(raised.value), str(raised.value)) == (type(expected.value),
+                                                       str(expected.value))
+    with pytest.raises(ConfigError):
+        Scenario.from_config({
+            "experiment": "converge", "system": BENCH_SYS, "epsilons": [0.25], "seed": seed,
+            "drift_source": "estimator",
+            "estimator": dict(burn_in=burn_in, horizon=horizon, replicas=replicas, h=h)})
 
 
 @pytest.mark.parametrize("replicas", [1, 3, 9])
