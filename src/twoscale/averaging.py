@@ -84,12 +84,12 @@ def simulate_auxiliary(
     them.  The first pass is the true pair (X, Y), bit-identical to
     simulate_coupled.  The second reruns the recursion with block
     freezing and resets: at each start of a block of length delta (a
-    multiple of h, cut at grid.T) the coefficients' slow
-    window is frozen to the true slow window (sigma1 evaluated once per
-    block) and the auxiliary fast process restarts from the true fast
-    state (bit-exact reset, audited by callers).  The first failure of
-    the true pass is raised before the auxiliary pass starts, then the
-    auxiliary pass's first failure, as solver._coupled_core raises them.
+    multiple of h, cut at grid.T) the coefficients' slow window is
+    frozen to the true slow window and the auxiliary fast process
+    restarts from the true fast state (bit-exact reset, audited by
+    callers); nothing else differs.  The first failure of the true pass
+    is raised before the auxiliary pass starts, then the auxiliary
+    pass's first failure, as solver._coupled_core raises them.
     """
     xi, eta, dw1, dw2 = _pair_increments(spec, xi, eta, epsilon, grid, dw1, dw2)
     delta_steps = exact_steps(min(delta, grid.T), grid.h, "delta")

@@ -53,9 +53,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the base seed")
         p.add_argument("--threads", type=int, default=None,
-                       help="override the worker count: whole rows go to at most one "
-                            "worker per CPU, longest grid first; a row's paths are cut "
-                            "into chunks only when there are fewer rows than workers")
+                       help="override the worker count: whole rows, longest grid first, go "
+                            "to at most one worker per CPU, cut by paths only when rows < "
+                            "workers; frozen, mixing and check run in one process")
         if name == "simulate":
             p.add_argument("--dump-paths", action="store_true",
                            help="write per-path trajectory CSVs beside the report")

@@ -63,11 +63,15 @@ def simulate_frozen(
     dw2[:, p]) reads; paths that share one window read an np.broadcast_to
     view.  eta is the (M + 1, n) start window.  Returns the read-only
     (grid.total, P, n) paths and raises the first failure of any path,
-    as simulate_sdde does; a grid built for another delay is refused.
+    as simulate_sdde does, a divergence as "frozen trajectory diverged;
+    run check_dissipativity ..."; a grid built for another delay is refused.
     """
     _check_delay(spec, grid)
-    return simulate_sdde(spec.n, spec.m, spec.b2, spec.sigma2, eta, grid, dw2, label="Yzeta",
-                         chi=zeta)
+    try:
+        return simulate_sdde(spec.n, spec.m, spec.b2, spec.sigma2, eta, grid, dw2, chi=zeta)
+    except DivergenceError as exc:
+        raise DivergenceError(exc.step_index, exc.time, exc.last_state, "frozen trajectory "
+                              "diverged; run check_dissipativity on this system") from exc
 
 
 def _budget(tau: float, burn_in: float, horizon: float, replicas: int, h: float):
@@ -99,10 +103,12 @@ def estimate_averaged_drift(
     """Time-average b1(zeta, Y-window) along frozen trajectories.
 
     zeta is a batch of P pinned slow windows, (M + 1, P, n), with a
-    sequence of P seeds; a single window is the batch of one.  All P x R
-    replicas run as one frozen sub-simulation, column p * R + r being
-    replica r of window p, driven by stream (seeds[p], r, W2) and started
-    from the window eta (zero by default) on the step-h grid of
+    sequence of P seeds; a single window is the batch of one.  b1 reads
+    zeta, like the fast window, on the step-h grid: a node on a row of
+    zeta takes that row, any other the line between its two neighbours.
+    All P x R replicas run as one frozen sub-simulation, column p * R + r
+    being replica r of window p, driven by stream (seeds[p], r, W2) and
+    started from the window eta (zero by default) on the step-h grid of
     [-tau, burn_in + horizon].  Each drops [0, burn_in], then averages b1
     over every grid step of [burn_in, burn_in + horizon], summed in time
     order; b1 sees one column's steps as its batch, or one step's columns
@@ -133,16 +139,14 @@ def estimate_averaged_drift(
     if eta is None:
         eta = np.zeros((ts + 1, spec.n))
 
-    chi = np.repeat(zeta, replicas, axis=1)
+    q, r = divmod(np.arange(ts + 1) * (len(zeta) - 1), ts)
+    nodes = zeta[q]
+    off = r > 0
+    nodes[off] += (zeta[q[off] + 1] - nodes[off]) * (r[off] / ts)[:, None, None]
+    chi = np.repeat(nodes, replicas, axis=1)
     dw2 = increments([s for s in seeds for _ in range(replicas)],
                      [r for _ in seeds for r in range(replicas)], W2, spec.m, grid.steps, grid.h)
-    try:
-        y = simulate_frozen(spec, chi, eta, grid, dw2)
-    except DivergenceError as exc:
-        raise DivergenceError(
-            exc.step_index, exc.time, exc.last_state,
-            "frozen trajectory diverged; run check_dissipativity on this system",
-        ) from exc
+    y = simulate_frozen(spec, chi, eta, grid, dw2)
     b1, (rows, cols, n), steps = spec.b1, chi.shape, k_len + 1
     # Zero-copy (window row, step, column, n) views of the pinned and the
     # fast windows.  b1 sees one column's steps or one step's columns as

@@ -43,8 +43,7 @@ from .errors import ConfigError, DegenerateFitError, TwoscaleError
 from .frozen import GAP_FLOOR, _budget, estimate_averaged_drift, mixing_decay
 from .metrics import MomentEstimate, p_moment, segment_displacement_moment, slope_fit, sup_distance
 from .noise import W1, W2, increments
-from .segment import (_node_norms, _row_dots, constant_segment, exact_steps,
-                      lipschitz_modulus, window)
+from .segment import _node_norms, _row_dots, exact_steps, lipschitz_modulus, window
 from .solver import fast_lag_steps, make_grid, simulate_coupled
 from .systems import (
     _number,
@@ -118,7 +117,7 @@ def _object(raw, name):
 
 def _system(raw, name):
     system_kind(_object(raw, name))
-    return raw
+    return dict(raw)
 
 
 def _numbers(entry, *, empty=False, descending=False):
@@ -145,13 +144,13 @@ def _segment(raw, name):
     [(form, value)] = raw.items()
     if form == "values" and not isinstance(value, list):
         raise ConfigError(f"{name} values must be a list, got {value!r}")
-    rows = value if form == "values" else [value]
-    for row in rows:
-        for c in row if isinstance(row, list) else [row]:
-            _number(c, f"{name} entries")
+    rows = []
+    for row in value if form == "values" else [value]:
+        rows.append([_number(c, f"{name} entries") for c in row] if isinstance(row, list)
+                    else _number(row, f"{name} entries"))
     if len({len(row) if isinstance(row, list) else None for row in rows}) > 1:
         raise ConfigError(f"{name} values must be rows of equal length")
-    return dict(raw)
+    return {form: rows if form == "values" else rows[0]}
 
 
 @dataclass(frozen=True)
@@ -250,6 +249,10 @@ class Scenario:
         # The rules that tie keys together.  A key that the run does not
         # read would move the digest without moving a result.
         experiment = v["experiment"]
+        declared = v["system"].pop("tau", None)  # the run reads the scenario's tau alone
+        declared = None if declared is None else _number(declared, "system tau")
+        if declared is not None and abs(declared - v["tau"]) > 1e-12 * v["tau"]:
+            raise ConfigError(f"system tau={declared} conflicts with scenario tau={v['tau']}")
         unread_beside = {"epsilon": raw.get("epsilons") is not None,
                          "estimator": v["drift_source"] != "estimator"}
         ignored = set(raw) - _EXPERIMENT_KEYS[experiment]
@@ -302,25 +305,19 @@ class Scenario:
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
     def build_spec(self):
-        declared = self.system.get("tau")
-        if declared is not None:
-            declared = _number(declared, "system tau")
-        if declared is not None and abs(declared - self.tau) > 1e-12 * self.tau:
-            raise ConfigError(
-                f"system tau={declared} conflicts with scenario tau={self.tau}"
-            )
         return build_system(dict(self.system, tau=self.tau))
 
     def materialize_segment(self, role: str, h: float, n: int) -> np.ndarray | None:
         cfg = getattr(self, role)
         if cfg is None:
             return None
-        if "constant" in cfg:
-            value = cfg["constant"]
-            if isinstance(value, (int, float)):
-                value = np.full(n, float(value))
-            return constant_segment(self.tau, h, value, n=n)
-        values = window(self.tau, h, cfg["values"])
+        if "values" in cfg:
+            rows = cfg["values"]
+        else:  # one row on every node; a number stands for each component
+            row = cfg["constant"]
+            rows = [np.full(n, row) if isinstance(row, float) else row] * (
+                exact_steps(self.tau, h, "tau") + 1)
+        values = window(self.tau, h, rows)
         if values.shape[1] != n:
             raise ConfigError(f"{role} has dimension {values.shape[1]}, system needs {n}")
         return values

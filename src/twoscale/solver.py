@@ -227,10 +227,10 @@ def _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf, freeze=None):
 
     freeze=(x_true, y_true, delta_steps) runs the block-frozen auxiliary
     pairs of the same paths instead: every delta_steps steps the slow
-    window the coefficients read is frozen to x_true's, sigma1 is
-    evaluated once for the block, and the fast state restarts from
-    y_true (bit-exact).  The pair's own slow state still integrates,
-    driven by the frozen coefficients.
+    window the coefficients read is frozen to x_true's and the fast
+    state restarts from y_true (bit-exact); nothing else changes.  The
+    pair's own slow state still integrates, driven by the frozen
+    coefficients.
     """
     n, m = spec.n, spec.m
     h = grid.h
@@ -261,11 +261,9 @@ def _coupled_core(spec, xi, eta, epsilon, grid, dw1, dwf, freeze=None):
                     if k == kb:
                         done = _guard((x, y), done, k, ts, h, messages)  # before row i is reset
                         y[i] = yt[i]
-                        if (sx := sigma1(xseg)) is not c1:
-                            sx, c1, n1 = _checked_noise(sx, k, dw1, p, n, m, "sigma1")
                 yk, ytau = y[i], y[i - lag]
                 bx = _drift(b1(xseg, y[k: i + 1]), p, n, "b1")
-                if freeze is None and (sx := sigma1(xseg)) is not c1:
+                if (sx := sigma1(xseg)) is not c1:
                     sx, c1, n1 = _checked_noise(sx, k, dw1, p, n, m, "sigma1")
                 by = _drift(b2(xseg, yk, ytau), p, n, "b2")
                 if (sy := sigma2(xseg, yk, ytau)) is not c2:

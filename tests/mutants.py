@@ -46,6 +46,9 @@ MUTANTS = [
     ("aux_no_fast_reset", "solver.py",
      "y[i] = yt[i]", "pass",
      "the auxiliary fast process is never restarted from the true one"),
+    ("aux_sigma1_live_x", "solver.py",
+     "(sx := sigma1(xseg))", "(sx := sigma1(x[k: i + 1]))",
+     "the block-frozen pass's slow noise reads its own live slow window, not the frozen one"),
     ("mixing_unsynced", "frozen.py",
      "yb = simulate_frozen(spec, zeta, eta_prime, grid, dw2)",
      "yb = simulate_frozen(spec, zeta, eta_prime, grid, dw2[::-1])",

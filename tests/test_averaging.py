@@ -14,12 +14,13 @@ from twoscale.averaging import (
 )
 from twoscale.errors import ConfigError, DivergenceError, DomainError, TwoscaleError, UsageError
 from twoscale.frozen import estimate_averaged_drift
-from twoscale.harness import Scenario
+from twoscale.harness import Scenario, run_scenario
 from twoscale.metrics import sup_distance
 from twoscale.noise import W1, W2, increments
 from twoscale.segment import constant_segment
 from twoscale.solver import _coupled_core, make_grid, simulate_coupled
-from twoscale.systems import LinearBenchmarkParams, SystemSpec, build_system, linear_benchmark
+from twoscale.systems import (LinearBenchmarkParams, SystemSpec, build_system, linear_benchmark,
+                              register_system)
 
 from conftest import brownian
 from test_golden import BENCH_SYS, PLANE_SYS  # importing registers "golden_plane"
@@ -119,6 +120,30 @@ def test_auxiliary_pass_reports_its_divergence():
     assert info.value.step_index == 0
     assert np.array_equal(info.value.last_state, np.concatenate([x[g.tau_steps, 0],
                                                                  y[g.tau_steps, 0]]))
+
+
+def test_auxiliary_sigma1_reads_its_blocks_true_window():
+    """At every step of the block-frozen pass, sigma1 reads the true slow window of the
+    block start, as b1 and b2 do: the auxiliary pair freezes the window, nothing more."""
+    bench = linear_benchmark(BENCH)
+    seen = []
+
+    def sigma1(chi):
+        seen.append(np.array(chi))
+        return np.array([[BENCH.s1]]) * (1.0 + 0.2 * np.tanh(chi[-1]))[:, :, None]
+
+    spec = SystemSpec(n=1, m=1, tau=1.0, b1=bench.b1, sigma1=sigma1, b2=bench.b2,
+                      sigma2=bench.sigma2)
+    h = 1.0 / 160.0
+    g = make_grid(T=0.25, h=h, tau=1.0)
+    pair = simulate_auxiliary(spec, constant_segment(1.0, h, 1.0), constant_segment(1.0, h, 0.0),
+                              0.1, 0.0625, g, brownian(9, range(2), W1, g),
+                              brownian(9, range(2), W2, g))
+    ts, delta_steps = g.tau_steps, 10
+    assert len(seen) == 2 * g.steps  # the true pass, then the auxiliary pass
+    for k, window in enumerate(seen[g.steps:]):
+        kb = k - k % delta_steps
+        assert np.array_equal(window, pair.x[kb: kb + ts + 1]), k
 
 
 def test_auxiliary_slow_gap_shrinks_with_epsilon():
@@ -338,6 +363,26 @@ def test_estimated_drift_bytes_are_pinned(system, digest):
     windows = 0.5 + 0.3 * np.random.default_rng(12).standard_normal((21, 4, spec.n))
     src = EstimatedDriftSource(spec, 21, burn_in=5.0, horizon=1.0, replicas=3, h=0.05)
     assert hashlib.sha256(src(windows, 1, range(2, 6), 3).tobytes()).hexdigest() == digest
+
+
+def _rowwise_factory():
+    """The linear benchmark with a b1 that reads every row of both windows."""
+    bench = linear_benchmark(BENCH)
+    return SystemSpec(n=1, m=1, tau=1.0, b1=lambda chi, phi: -chi[-1] + (chi * phi).mean(axis=0),
+                      sigma1=bench.sigma1, b2=bench.b2, sigma2=bench.sigma2)
+
+
+@pytest.mark.parametrize("estimator_h", [0.01, 1.0 / 30.0], ids=["strided", "between_rows"])
+def test_estimator_hands_b1_windows_on_one_grid(estimator_h):
+    """A b1 that multiplies its windows row by row runs through the estimator route:
+    chi and phi both come on the estimator's step, whatever the run's step."""
+    register_system("rowwise_b1", _rowwise_factory, replace=True)
+    cfg = {"experiment": "converge", "system": {"kind": "registered", "name": "rowwise_b1"},
+           "T": 0.05, "epsilons": [0.1], "paths": 2, "seed": 3, "drift_source": "estimator",
+           "estimator": {"burn_in": 1.0, "horizon": 1.0, "replicas": 2, "h": estimator_h}}
+    report = run_scenario(Scenario.from_config(cfg))
+    [row] = report.rows
+    assert "error" not in row["extra"] and math.isfinite(row["value"])
 
 
 def test_estimator_route_agrees_with_closed_form_route():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from twoscale.errors import DataError, DegenerateFitError, DomainError, UsageError
+from twoscale.errors import DataError, DegenerateFitError, DivergenceError, DomainError, UsageError
 from twoscale.frozen import (
     estimate_averaged_drift,
     mixing_decay,
@@ -101,6 +101,48 @@ def switch_spec(threshold: float) -> SystemSpec:
         b2=lambda chi, y, yt: np.where(chi[-1] > threshold, 1.0 + y ** 3, -y),
         sigma2=lambda chi, y, yt: np.array([[0.3]]),
     )
+
+
+def test_frozen_divergence_has_one_message():
+    """simulate_frozen, mixing_decay and the estimator name a blow-up alike."""
+    spec, h = switch_spec(0.0), 0.05
+    zeta = constant_segment(1.0, h, 1.0)  # above the threshold: 1 + y^3 blows up
+    eta = np.zeros((len(zeta), 1))
+    g = make_grid(T=3.0, h=h, tau=1.0)
+    runs = [lambda: simulate_frozen(spec, zeta[:, None], eta, g, brownian(0, [0], W2, g)),
+            lambda: mixing_decay(spec, zeta, eta, eta + 1.0, h, 3, 8, 0),
+            lambda: estimate_averaged_drift(spec, zeta[:, None], 2.0, 1.0, 1, h, [0])]
+    for run in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # burn_in below 5 tau
+            with pytest.raises(DivergenceError) as info:
+                run()
+        assert info.value.detail == ("frozen trajectory diverged; "
+                                     "run check_dissipativity on this system")
+
+
+def test_averaged_drift_reads_zeta_on_its_own_grid():
+    """b1's chi is zeta at the estimator's nodes: a row of zeta where a node is one,
+    the straight line between its two neighbouring rows elsewhere."""
+    seen = []
+
+    def b1(chi, phi):
+        seen.append(np.array(chi))
+        return -chi[-1] + phi[-1]
+
+    spec = SystemSpec(n=1, m=1, tau=1.0, b1=b1, sigma1=lambda chi: np.array([[0.3]]),
+                      b2=lambda chi, y, yt: -y, sigma2=lambda chi, y, yt: np.array([[0.3]]))
+    rows = np.arange(5.0) ** 2  # zeta on the step 0.25; the estimator's is 0.1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # burn_in below 5 tau
+        estimate_averaged_drift(spec, rows[:, None, None], 0.0, 0.5, 1, 0.1, [0])
+    [chi] = seen
+    nodes = np.arange(11) * 0.4  # node j lies 4 j / 10 rows into zeta
+    assert chi.shape == (11, 6, 1)
+    for j in range(6):
+        assert np.array_equal(chi[::5, j, 0], rows[::2])  # nodes 0, 5 and 10 are rows
+        assert np.allclose(chi[:, j, 0], np.interp(nodes, np.arange(5.0), rows),
+                           rtol=1e-15, atol=0.0)
 
 
 def test_simulate_frozen_rejects_misshaped_zeta():

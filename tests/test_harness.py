@@ -112,6 +112,9 @@ _BAD_PARSE_CONFIGS = [
     _cfg(system=dict(BENCH_SYS, note=1)),
     _cfg(system=dict(BENCH_SYS, note=_nested(900))),
     _cfg(system={"kind": "registered", "name": "golden_plane", "params": {}}),
+    # The system's tau, where given, is the scenario's tau.
+    _cfg(system=dict(BENCH_SYS, tau=2.0)),
+    _cfg(system=dict(BENCH_SYS, tau="1.0")),
     # A fixed h of 0.01 snaps the fast delays 0.015, 0.025 and 0.035 to
     # 2, 2 and 4 steps.
     _cfg(h=0.01, h_factor=1.0, epsilons=[0.015, 0.025, 0.035]),
@@ -459,9 +462,8 @@ def test_materialize_segment_forms():
 
 def test_build_spec_tau_conflict():
     bad_sys = dict(BENCH_SYS, tau=2.0)
-    scen = Scenario.from_config(_cfg(system=bad_sys, tau=1.0))
-    with pytest.raises(ConfigError, match="tau"):
-        scen.build_spec()
+    with pytest.raises(ConfigError, match=r"^system tau=2\.0 conflicts with scenario tau=1\.0$"):
+        Scenario.from_config(_cfg(system=bad_sys, tau=1.0))
     good = Scenario.from_config(_cfg())
     spec = good.build_spec()
     assert spec.tau == 1.0
@@ -557,6 +559,19 @@ def test_single_epsilon_default_is_resolved_at_parse(experiment):
     spelled = Scenario.from_config(dict(cfg, epsilons=[0.05]))
     assert omitted.epsilons == spelled.epsilons == (0.05,)
     assert omitted.digest() == spelled.digest()
+
+
+@pytest.mark.parametrize("over, spelled", [
+    ({}, {"system": dict(BENCH_SYS, tau=1.0)}),
+    ({}, {"system": dict(BENCH_SYS, tau=1)}),
+    ({"xi": {"constant": 1.0}}, {"xi": {"constant": 1}}),
+    ({"xi": {"constant": [1.0]}}, {"xi": {"constant": [1]}}),
+    ({"eta": {"values": [0.0, 0.5, 1.0]}}, {"eta": {"values": [0, 0.5, 1]}}),
+])
+def test_equal_spellings_share_a_digest(over, spelled):
+    """A system tau equal to the scenario's, or an integer window entry, is what it equals."""
+    assert (Scenario.from_config(_cfg(**over)).digest()
+            == Scenario.from_config(_cfg(**spelled)).digest())
 
 
 def test_default_deltas_are_resolved_at_parse():
@@ -1328,6 +1343,8 @@ def test_setup_errors_open_no_pool(tmp_path, monkeypatch, capsys, serial_pool):
         ("simulate", _cfg(experiment="simulate", h=0.0125, xi={"values": [[1.0]] * 81},
                           system={"kind": "registered", "name": "golden_plane"}),
          "xi has dimension 1, system needs 2"),
+        ("simulate", _cfg(experiment="simulate", h=0.0125, xi={"constant": [1.0, 2.0]}),
+         "xi has dimension 2, system needs 1"),
         ("aux-gap", _cfg(experiment="auxiliary_gap", epsilons=[0.05, 0.02],
                          system={"kind": "registered", "name": "returns_42"}),
          "factory for 'returns_42' did not return a SystemSpec"),

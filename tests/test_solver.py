@@ -368,11 +368,11 @@ def test_maps_receive_window_arrays():
     # axis is the steps of [burn_in, burn_in + horizon].
     [chi], [phi] = calls("chi"), calls("phi")
     ts, k_burn = sub.tau_steps, 5
-    assert chi.shape == (len(zeta), 6, 2) and phi.shape == (ts + 1, 6, 2)
+    assert chi.shape == phi.shape == (ts + 1, 6, 2)
     yf = simulate_frozen(spec, zeta, np.zeros((ts + 1, 2)), sub,
                          brownian(4, [0], W2, sub))
     for j in range(6):  # each step's whole window, its "now" row yf[ts + k_burn + j] included
-        assert np.array_equal(chi[:, j], zeta[:, 0])
+        assert np.array_equal(chi[:, j], zeta[::2, 0])  # zeta's step is half the estimator's
         assert np.array_equal(phi[:, j], yf[k_burn + j: k_burn + j + ts + 1, 0])
 
 
