@@ -49,8 +49,10 @@ def khasminskii_delta(epsilon: float, tau: float) -> int:
         )
     if not 0.0 < tau < math.inf:
         raise DomainError(f"tau must be positive and finite, got {tau}")
-    delta_raw = epsilon * math.sqrt(-math.log(epsilon))
-    return max(1, math.ceil(tau / delta_raw))
+    blocks = tau / (epsilon * math.sqrt(-math.log(epsilon)))
+    if blocks == math.inf:
+        raise DomainError(f"epsilon={epsilon} with tau={tau} gives more blocks than a float holds")
+    return max(1, math.ceil(blocks))
 
 
 @dataclass(frozen=True, eq=False)

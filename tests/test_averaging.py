@@ -51,6 +51,9 @@ def test_block_schedule_domain():
     for eps, tau in ((math.nan, 1.0), (0.01, math.nan), (0.01, math.inf)):
         with pytest.raises(DomainError):
             khasminskii_delta(eps, tau)
+    # A subnormal eps overflows tau / delta_raw: a DomainError, not an OverflowError.
+    with pytest.raises(DomainError, match="more blocks than a float holds"):
+        khasminskii_delta(5e-324, 1.0)
     # Just inside the admissible range still works.
     assert khasminskii_delta(inv_e * 0.999, 1.0) >= 1
 
