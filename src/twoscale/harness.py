@@ -271,6 +271,9 @@ class Scenario:
             v["epsilons"] = epsilons or (_SINGLE_EPSILON,)
         if experiment == "segment_continuity" and v["deltas"] is None:  # omitted or null
             v["deltas"] = tuple(v["tau"] / 2.0 ** k for k in range(4, 8))  # tau/16 ... tau/128
+        for d in [*(v["deltas"] or ()), v["delta"]]:  # the runner snaps them, and warns
+            if d != "auto":
+                _block_count(v["tau"], d)
         if experiment == "auxiliary_gap" and v["delta"] == "auto":
             try:
                 for eps in epsilons:
@@ -765,9 +768,16 @@ def _trend_gates(ok_rows, complete: bool):
 
 # ---------------------------------------------------------- auxiliary gap
 
+def _block_count(tau: float, delta: float) -> int:
+    """N = round(tau / delta), at least 1: how many blocks of about delta tile the delay."""
+    if tau / delta == math.inf:
+        raise ConfigError(f"delta={delta} with tau={tau} gives more blocks than a float holds")
+    return max(1, round(tau / delta))
+
+
 def _snap_to_tau(tau: float, delta: float) -> tuple[float, int]:
     """Snap delta to tau / N so blocks tile the delay; a moved delta is warned."""
-    n = max(1, round(tau / delta))
+    n = _block_count(tau, delta)
     snapped = tau / n
     if abs(snapped - delta) > 1e-9 * delta:
         _warnings.warn(f"delta={delta} snapped to tau/{n}={snapped}")
@@ -837,8 +847,8 @@ def run_auxiliary_gap(scenario: Scenario):
 
 def _segcont_chunk(c: _Chunk, paths) -> list:
     x, _ = c.coupled(paths, c.noise(paths, W1))
-    moments = [segment_displacement_moment(x, c.grid, d, c.scenario.p, c.extra["times"])
-               for d in c.extra["deltas"]]
+    moments = [segment_displacement_moment(x, c.grid, k, c.scenario.p, c.extra["steps"])
+               for k in c.extra["blocks"]]
     return np.stack(moments, axis=1).tolist()
 
 
@@ -858,37 +868,34 @@ def run_segment_continuity(scenario: Scenario):
     # At least 4 nodes per smallest block so mid-block samples exist.
     h = scenario.resolve_h(epsilon=epsilon, anchor=d_min,
                            default_target=d_min / 4.0)
-    deltas = []
+    blocks = {}  # reported delta: its count of grid steps, the one conversion
     for d in dict.fromkeys(normed):
         k = max(1, round(d / h))
         if abs(k * h - d) > 1e-9 * d:
             _warnings.warn(f"delta={d} snapped to {k}*h={k * h}")
             d = k * h
-        deltas.append(d)
-    deltas = list(dict.fromkeys(deltas))
-    if len(deltas) < len(normed):
+        blocks.setdefault(d, k)
+    if len(blocks) < len(normed):
         _warnings.warn("duplicate deltas merged after snapping")
 
     grid = make_grid(scenario.T, h, scenario.tau)
     if scenario.sample_times is not None:
-        times = list(scenario.sample_times)
-        for t in times:
-            try:
-                grid.index_of(t)
-            except TwoscaleError as exc:
-                raise ConfigError(f"sample time {t} is off the run's grid: {exc}") from exc
+        try:
+            steps = [exact_steps(t, h, "sample time") for t in scenario.sample_times]
+        except TwoscaleError as exc:
+            raise ConfigError(f"a sample time is off the run's grid: {exc}") from exc
     else:
         # Block-boundary samples would make every displacement zero, and
         # a shared offset would make them delta-independent.  Odd
         # multiples of d_max/16 reduce to offsets proportional to each
         # block size across a dyadic sweep.  No index falls as j grows.
-        d_max_steps = exact_steps(deltas[0], h, "delta")
-        idxs = [min(grid.steps, j * grid.steps // 8 + max(1, (2 * j + 1) * d_max_steps // 16))
-                for j in range(8)]
-        times = [k * h for k in dict.fromkeys(idxs)]
+        d_max_steps = next(iter(blocks.values()))
+        steps = list(dict.fromkeys(
+            min(grid.steps, j * grid.steps // 8 + max(1, (2 * j + 1) * d_max_steps // 16))
+            for j in range(8)))
     row = _row(epsilon, None, scenario.p, scenario.paths, "segment_displacement_moment", h)
     [(row, values)] = _run_ensemble(scenario, scenario.build_spec(), _segcont_chunk,
-                                    [(row, {"deltas": deltas, "times": times})])
+                                    [(row, {"blocks": list(blocks.values()), "steps": steps})])
     if values is None:
         return [row], [_failed_paths_gate(row)]
 
@@ -896,13 +903,13 @@ def run_segment_continuity(scenario: Scenario):
     moments = per_path.mean(axis=0)
     ses = per_path.std(axis=0, ddof=1) / math.sqrt(len(values))
     rows = [_with_moment(dict(row, delta=d), MomentEstimate(float(m), float(se), len(values)),
-                         sample_times=len(times))
-            for d, m, se in zip(deltas, moments, ses)]
+                         sample_times=len(steps))
+            for d, m, se in zip(blocks, moments, ses)]
     gates = []
 
     floor = 0.9 * (scenario.p - 2.0) / 2.0
-    if len(deltas) >= 3 and (moments > 0.0).all():
-        fit = slope_fit(list(reversed(deltas)), list(reversed(moments.tolist())))
+    if len(blocks) >= 3 and (moments > 0.0).all():
+        fit = slope_fit(list(reversed(blocks)), list(reversed(moments.tolist())))
         rows.append(_slope_row(epsilon, scenario, fit))
         gates.append(_gate("slope_floor", fit.slope >= floor,
                            f"slope={fit.slope:.4f}, floor={floor:.4f}"))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .segment import _node_norms, exact_steps
+from .segment import _node_norms, _whole
 
 
 @dataclass(frozen=True)
@@ -66,44 +66,32 @@ def p_moment(samples, p: float) -> MomentEstimate:
 def segment_displacement_moment(
     paths: np.ndarray,
     grid,
-    delta: float,
+    delta_steps: int,
     p: float,
-    sample_times,
+    steps,
 ) -> np.ndarray:
-    """Average of ||window(t) - window(t_delta)||_sup^p over the sample times, shape (P,).
+    """Average of ||window(k) - window(kd)||_sup^p over the sample steps k, shape (P,).
 
-    Path p sums its terms in sample-time order.  t_delta is the block
-    start preceding t, computed in index space so a t exactly on a
-    boundary contributes 0.  delta must be a grid multiple.
+    Path p sums its terms in sample order.  Step k is time k * h, and kd
+    the start of the block of delta_steps steps holding it, so a sample
+    exactly on a block boundary contributes 0.
     """
     if p <= 0.0:
         raise DomainError(f"moment order p must be positive, got {p}")
     if paths.ndim != 3 or paths.shape[0] != grid.total:
         raise UsageError(f"paths of shape {paths.shape} are not a (grid.total, P, n) batch "
                          f"on the grid's {grid.total} nodes")
-    try:
-        delta_steps = exact_steps(delta, grid.h, "delta")
-    except DomainError as exc:
-        raise UsageError(f"delta={delta} is not aligned with the grid: {exc}") from exc
-    ts = grid.tau_steps
-    times = list(sample_times)
-    if not times:
-        raise UsageError("sample_times must be non-empty")
-    ks = []
-    for t in times:
-        try:
-            k = grid.index_of(t) - ts
-        except DomainError as exc:
-            raise UsageError(f"sample time {t} outside (0, T]: {exc}") from exc
-        if k < 1 or k > grid.steps:
-            raise UsageError(f"sample time {t} outside (0, T]")
-        ks.append(k)
+    if _whole(delta_steps, "delta_steps") < 1:
+        raise UsageError(f"delta_steps must be >= 1, got {delta_steps}")
+    ks = [_whole(k, "sample step") for k in steps]
+    if not ks or not all(1 <= k <= grid.steps for k in ks):
+        raise UsageError(f"sample steps {ks} must be a non-empty list in 1 ... {grid.steps}")
 
+    ts = grid.tau_steps
     acc = np.zeros(paths.shape[1])
     for k in ks:
         kd = (k // delta_steps) * delta_steps
-        i, id_ = ts + k, ts + kd
-        diff = paths[i - ts: i + 1] - paths[id_ - ts: id_ + 1]
+        diff = paths[k: ts + k + 1] - paths[kd: ts + kd + 1]
         acc += _float_pow(_node_norms(diff).max(axis=0), p)
     return acc / len(ks)
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, DomainError, UsageError
-from .segment import _integer_ratio, exact_steps
+from .segment import exact_steps
 from .systems import SystemSpec, _diffusion, _drift
 
 DIVERGENCE_CAP = 1e12
@@ -78,16 +78,6 @@ class TimeGrid:
 
     def times(self) -> np.ndarray:
         return (np.arange(self.total) - self.tau_steps) * self.h
-
-    def index_of(self, t: float) -> int:
-        """Absolute array index of grid time t in [-tau, T]."""
-        k = _integer_ratio(t / self.h)
-        if k is None:
-            raise UsageError(f"t={t} does not lie on the grid (h={self.h})")
-        idx = k + self.tau_steps
-        if idx < 0 or idx >= self.total:
-            raise DomainError(f"t={t} outside [-tau, T] = [{-self.tau}, {self.T}]")
-        return idx
 
 
 def make_grid(T: float, h: float, tau: float) -> TimeGrid:

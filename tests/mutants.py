@@ -75,6 +75,9 @@ MUTANTS = [
      "_budget(spec.tau, burn_in, horizon, replicas, h)  # a bad budget fails here, not in a call",
      "pass",
      "the estimator drift source takes any budget and fails only at its first drift call"),
+    ("segcont_block_start_shifted", "metrics.py",
+     "kd = (k // delta_steps) * delta_steps", "kd = ((k - 1) // delta_steps) * delta_steps",
+     "a sample on a block boundary is measured against the previous block's start"),
     ("box_muller_shift12", "noise.py",
      "u1 = ((raw[0::2] >> np.uint64(11))", "u1 = ((raw[0::2] >> np.uint64(12))",
      "u1 keeps 52 random bits, so it lies in (0, 1/2] and every deviate is too large"),

@@ -827,6 +827,11 @@ def test_cli_config_errors_exit_four(tmp_path, capsys):
         # Off the grid the runner resolves; rejected before any path runs.
         _cfg(experiment="segment_continuity", epsilons=[0.05], T=1.0, p=4.0,
              sample_times=[0.3333]),
+        _cfg(experiment="segment_continuity", epsilons=[0.05], T=1.0, p=4.0,
+             sample_times=[1e-300]),  # rounds to step 0
+        # Subnormal block lengths: tau / delta overflows to inf.
+        _cfg(experiment="auxiliary_gap", epsilons=[0.05, 0.01], delta=5e-324),
+        _cfg(experiment="segment_continuity", epsilons=[0.05], deltas=[0.25, 5e-324]),
         # Grids of 2**53 steps or more, where every float ratio is an integer.
         _cfg(experiment="simulate", tau=1e-300),
         _cfg(experiment="simulate", T=1e300),
@@ -1074,7 +1079,7 @@ def _cut_rows():
             0.05, aux.resolve_h(epsilon=0.05, anchor=delta), {"delta": delta})),
         # Blocks of tau/4, tau/8 and tau/16 on h = tau/256, sampled mid-block.
         "segment_continuity": (_segcont_chunk, segcont, (0.05, 1.0 / 256.0, {
-            "deltas": [0.25, 0.125, 0.0625], "times": [0.3125, 0.5625, 0.8125]})),
+            "blocks": [64, 32, 16], "steps": [80, 144, 208]})),
     }
 
 

@@ -47,7 +47,7 @@ def test_sup_distance_vector_rows_use_euclidean_norm():
     g = make_grid(T=0.5, h=0.25, tau=0.25)
     base = np.zeros((g.total, 1, 2))
     offset = base.copy()
-    offset[g.index_of(0.25), 0] = [3.0, 4.0]
+    offset[g.tau_steps + 1, 0] = [3.0, 4.0]  # t = 0.25
     assert sup_distance(base, offset, g).tolist() == [5.0]
 
 
@@ -115,19 +115,18 @@ def test_displacement_moment_linear_path():
     """On x(t) = t the window shift gap is exactly t - t_delta."""
     g = make_grid(T=1.0, h=0.0625, tau=0.25)
     x = _linear_path(g)
-    delta = 0.25
-    # Mid-block samples: gaps 0.0625, 0.125, 0.1875 under delta = 0.25.
-    times = [0.3125, 0.375, 0.4375]
-    moment = segment_displacement_moment(x, g, delta, 2.0, times)
-    expect = np.mean([(t - 0.25) ** 2 for t in times])
+    # Mid-block samples at t = 0.3125, 0.375, 0.4375: gaps 0.0625, 0.125,
+    # 0.1875 under blocks of 4 steps, delta = 0.25.
+    steps = [5, 6, 7]
+    moment = segment_displacement_moment(x, g, 4, 2.0, steps)
+    expect = np.mean([(k * g.h - 0.25) ** 2 for k in steps])
     assert moment.shape == (1,)
     assert moment[0] == pytest.approx(expect, rel=1e-12)
     # A sample exactly on a block boundary contributes zero.
-    assert segment_displacement_moment(x, g, delta, 2.0, [0.5]).tolist() == [0.0]
+    assert segment_displacement_moment(x, g, 4, 2.0, [8]).tolist() == [0.0]
     # Each path of a batch gets its own moment: doubling the slope
     # multiplies the second moment by four.
-    both = segment_displacement_moment(np.concatenate([x, 2.0 * x], axis=1), g, delta, 2.0,
-                                       times)
+    both = segment_displacement_moment(np.concatenate([x, 2.0 * x], axis=1), g, 4, 2.0, steps)
     assert both.tolist() == [moment[0], 4.0 * moment[0]]
 
 
@@ -135,14 +134,16 @@ def test_displacement_moment_validation():
     g = make_grid(T=1.0, h=0.0625, tau=0.25)
     x = _linear_path(g)
     with pytest.raises(UsageError):
-        segment_displacement_moment(x, g, 0.3, 2.0, [0.5])  # delta off grid
+        segment_displacement_moment(x, g, 0, 2.0, [8])  # an empty block
     with pytest.raises(UsageError):
-        segment_displacement_moment(x, g, 0.25, 2.0, [])
+        segment_displacement_moment(x, g, 1.5, 2.0, [8])  # not a whole step count
     with pytest.raises(UsageError):
-        segment_displacement_moment(x, g, 0.25, 2.0, [1.5])  # past T
+        segment_displacement_moment(x, g, 4, 2.0, [])
     with pytest.raises(UsageError):
-        segment_displacement_moment(x, g, 0.25, 2.0, [0.0])  # not in (0, T]
+        segment_displacement_moment(x, g, 4, 2.0, [g.steps + 1])  # past T
+    with pytest.raises(UsageError):
+        segment_displacement_moment(x, g, 4, 2.0, [0])  # not in (0, T]
     with pytest.raises(DomainError):
-        segment_displacement_moment(x, g, 0.25, -1.0, [0.5])
+        segment_displacement_moment(x, g, 4, -1.0, [8])
     with pytest.raises(UsageError):
-        segment_displacement_moment(x[:, 0], g, 0.25, 2.0, [0.5])  # not a batch
+        segment_displacement_moment(x[:, 0], g, 4, 2.0, [8])  # not a batch

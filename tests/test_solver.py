@@ -52,18 +52,11 @@ def test_kernels_refuse_a_grid_built_for_another_delay(kernel):
         run()
 
 
-def test_make_grid_and_index_of():
+def test_make_grid_counts_steps_and_nodes():
     g = make_grid(T=1.0, h=0.25, tau=0.5)
     assert (g.steps, g.tau_steps, g.total) == (4, 2, 7)
     assert g.tau == 0.5
     assert np.allclose(g.times(), [-0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0])
-    assert g.index_of(0.0) == 2
-    assert g.index_of(-0.5) == 0
-    assert g.index_of(1.0) == 6
-    with pytest.raises(UsageError):
-        g.index_of(0.1)  # off grid
-    with pytest.raises(DomainError):
-        g.index_of(1.25)
     with pytest.raises(DomainError):
         make_grid(T=1.0, h=0.3, tau=0.6)
 
