@@ -137,7 +137,7 @@ def simulate_averaged(
     return simulate_sdde(
         spec.n, spec.m,
         lambda w: source(w, row, range(w.shape[1]) if paths is None else paths, next(steps)),
-        spec.sigma1, xi, grid, dw1, label="Xbar")
+        spec.sigma1, xi, grid, dw1, detail="Xbar left the admissible range")
 
 
 class EstimatedDriftSource:

@@ -16,20 +16,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    DegenerateFitError,
-    DivergenceError,
-    DomainError,
-    UsageError,
-)
+from .errors import DegenerateFitError, DomainError, UsageError
 from .noise import W2, increments
 from .metrics import _float_pow, _log_linear_fit
-from .segment import _node_norms, exact_steps
+from .segment import _node_norms, _whole, exact_steps
 from .solver import TimeGrid, _check_delay, make_grid, simulate_sdde
 from .systems import SystemSpec, _drift
 
@@ -63,22 +57,19 @@ def simulate_frozen(
     dw2[:, p]) reads; paths that share one window read an np.broadcast_to
     view.  eta is the (M + 1, n) start window.  Returns the read-only
     (grid.total, P, n) paths and raises the first failure of any path,
-    as simulate_sdde does, a divergence as "frozen trajectory diverged;
-    run check_dissipativity ..."; a grid built for another delay is refused.
+    as simulate_sdde does, a divergence with the detail "frozen trajectory
+    diverged; run check_dissipativity ..."; a grid built for another delay is refused.
     """
     _check_delay(spec, grid)
-    try:
-        return simulate_sdde(spec.n, spec.m, spec.b2, spec.sigma2, eta, grid, dw2, chi=zeta)
-    except DivergenceError as exc:
-        raise DivergenceError(exc.step_index, exc.time, exc.last_state, "frozen trajectory "
-                              "diverged; run check_dissipativity on this system") from exc
+    return simulate_sdde(spec.n, spec.m, spec.b2, spec.sigma2, eta, grid, dw2, chi=zeta,
+                         detail="frozen trajectory diverged; run check_dissipativity on "
+                                "this system")
 
 
 def _budget(tau: float, burn_in: float, horizon: float, replicas: int, h: float):
     """The step-h grid of [-tau, burn_in + horizon] and the steps of burn_in and horizon:
     the one budget check that the parser, the estimator source and every drift call share."""
-    if not isinstance(replicas, Integral) or replicas < 1:
-        raise UsageError(f"replicas must be an integer >= 1, got {replicas!r}")
+    _whole(replicas, "replicas", 1)
     if horizon <= 0.0:
         raise DomainError(f"horizon must be positive, got {horizon}")
     if burn_in < 0.0:
@@ -193,10 +184,7 @@ def mixing_decay(
     A failed trajectory raises the eta batch's first failure before any
     of the eta_prime batch's.
     """
-    if not isinstance(replicas, Integral) or replicas < 8:
-        raise UsageError(f"mixing_decay needs an integer replicas >= 8, got {replicas!r}")
-    if not isinstance(checkpoints, Integral) or checkpoints < 3:
-        raise UsageError(f"mixing_decay needs an integer checkpoints >= 3, got {checkpoints!r}")
+    replicas, checkpoints = _whole(replicas, "replicas", 8), _whole(checkpoints, "checkpoints", 3)
     grid = make_grid(checkpoints * spec.tau, h, spec.tau)
     ts = grid.tau_steps
 

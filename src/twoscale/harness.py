@@ -43,7 +43,8 @@ from .errors import ConfigError, DegenerateFitError, TwoscaleError
 from .frozen import GAP_FLOOR, _budget, estimate_averaged_drift, mixing_decay
 from .metrics import MomentEstimate, p_moment, segment_displacement_moment, slope_fit, sup_distance
 from .noise import W1, W2, increments
-from .segment import _node_norms, _row_dots, exact_steps, lipschitz_modulus, window
+from .segment import (_node_norms, _row_dots, constant_segment, exact_steps,
+                      lipschitz_modulus, window)
 from .solver import fast_lag_steps, make_grid, simulate_coupled
 from .systems import (
     _number,
@@ -315,12 +316,10 @@ class Scenario:
         if cfg is None:
             return None
         if "values" in cfg:
-            rows = cfg["values"]
-        else:  # one row on every node; a number stands for each component
-            row = cfg["constant"]
-            rows = [np.full(n, row) if isinstance(row, float) else row] * (
-                exact_steps(self.tau, h, "tau") + 1)
-        values = window(self.tau, h, rows)
+            values = window(self.tau, h, cfg["values"])
+        else:  # a number stands for each component
+            v = cfg["constant"]
+            values = constant_segment(self.tau, h, np.full(n, v) if isinstance(v, float) else v)
         if values.shape[1] != n:
             raise ConfigError(f"{role} has dimension {values.shape[1]}, system needs {n}")
         return values

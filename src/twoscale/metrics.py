@@ -81,8 +81,7 @@ def segment_displacement_moment(
     if paths.ndim != 3 or paths.shape[0] != grid.total:
         raise UsageError(f"paths of shape {paths.shape} are not a (grid.total, P, n) batch "
                          f"on the grid's {grid.total} nodes")
-    if _whole(delta_steps, "delta_steps") < 1:
-        raise UsageError(f"delta_steps must be >= 1, got {delta_steps}")
+    delta_steps = _whole(delta_steps, "delta_steps", 1)
     ks = [_whole(k, "sample step") for k in steps]
     if not ks or not all(1 <= k <= grid.steps for k in ks):
         raise UsageError(f"sample steps {ks} must be a non-empty list in 1 ... {grid.steps}")

@@ -117,9 +117,7 @@ def increments(seed, indices, tag: str, m: int, steps: int, dt: float) -> np.nda
             raise UsageError(f"{len(seeds)} seeds for {len(indices)} path indices")
     else:
         seeds = [_whole(seed, "seed")] * len(indices)
-    m, steps = _whole(m, "noise dimension m"), _whole(steps, "steps")
-    if m < 1:
-        raise DomainError(f"noise dimension m must be >= 1, got {m}")
+    m, steps = _whole(m, "noise dimension m", 1), _whole(steps, "steps")
     if not (math.isfinite(dt) and dt > 0.0):
         raise DomainError(f"dt must be positive and finite, got {dt}")
     out = np.empty((steps, len(indices), m))

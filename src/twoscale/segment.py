@@ -55,14 +55,14 @@ def exact_steps(span: float, h: float, what: str = "span") -> int:
     return steps
 
 
-def _whole(value, name: str) -> int:
-    """value as a Python int >= 0; a float such as 1.5 is refused, not truncated."""
+def _whole(value, name: str, least: int = 0) -> int:
+    """value as an int >= least, the one whole-count check: a float, even 1.0, is refused."""
     try:
         k = operator.index(value)
     except TypeError:
         raise UsageError(f"{name} must be an integer, got {value!r}") from None
-    if k < 0:
-        raise DomainError(f"{name} must be >= 0, got {k}")
+    if k < least:
+        raise DomainError(f"{name} must be >= {least}, got {k}")
     return k
 
 

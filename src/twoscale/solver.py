@@ -282,7 +282,7 @@ def simulate_sdde(
     grid: TimeGrid,
     dw: np.ndarray,
     *,
-    label: str = "X",
+    detail: str = "X left the admissible range",
     chi: np.ndarray | None = None,
 ):
     """Integrate a batch of one delay equation with window-functional coefficients.
@@ -296,7 +296,7 @@ def simulate_sdde(
     xi is the (M + 1, n) start window and dw the (grid.steps, P, m)
     Brownian increments.  Returns the read-only (grid.total, P, n) paths.
     The first failure of any path is raised: the earliest step, then the
-    lowest column; label names the equation in divergence messages.
+    lowest column; a divergence is a DivergenceError whose detail is `detail`.
     """
     xi = _history(xi, grid, n, "xi")
     h = grid.h
@@ -308,7 +308,6 @@ def simulate_sdde(
         raise UsageError(f"chi has shape {chi.shape}; {p} path(s) of a system with n={n} "
                          f"need (M + 1, {p}, {n})")
     path = _start(xi, grid, p)
-    messages = (f"{label} left the admissible range",)
     c, done = _VARYING, 0
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -322,9 +321,9 @@ def simulate_sdde(
                 np.add(path[i], b * h_dt, out=new)
                 new += rows[k] if s is c else _noise(s, dw[k])
                 if k + 1 - done == GUARD_STEPS or k + 1 == grid.steps:
-                    done = _guard((path,), done, k + 1, ts, h, messages)
+                    done = _guard((path,), done, k + 1, ts, h, (detail,))
         except Exception:
-            _guard((path,), done, k, ts, h, messages)
+            _guard((path,), done, k, ts, h, (detail,))
             raise
     path.setflags(write=False)
     return path

@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, DataError, DomainError, UsageError
-from .segment import _node_norms, _row_dots, exact_steps, lipschitz_modulus
+from .segment import _node_norms, _row_dots, _whole, exact_steps, lipschitz_modulus
 
 # The relative gap (lambda1 - lambda2) / lambda1 that check_dissipativity
 # must exceed; no finite sample certifies lambda1 = lambda2 (see README).
@@ -69,8 +69,8 @@ class SystemSpec:
     benchmark: Optional["LinearBenchmarkParams"] = None
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise DomainError(f"dimensions must be >= 1, got n={self.n}, m={self.m}")
+        _whole(self.n, "dimension n", 1)
+        _whole(self.m, "noise dimension m", 1)
         if self.tau <= 0.0:
             raise DomainError(f"delay tau must be positive, got {self.tau}")
 
@@ -165,9 +165,18 @@ class GrowthReport:
     passed: bool
 
 
+def _floats(value, name: str) -> np.ndarray:
+    """A map's value as a float array; DataError, naming the map, if numpy cannot read it so."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DataError(f"{name} returned a value of type {type(value).__name__} that numpy "
+                        "cannot read as floats") from None
+
+
 def _drift(value, p: int, n: int, name: str) -> np.ndarray:
     """A drift map's value as a (p, n) array; DataError for any other shape."""
-    out = np.asarray(value, dtype=float)
+    out = _floats(value, name)
     if out.shape != (p, n):
         raise DataError(f"{name} returned shape {out.shape}, expected (paths, n) = ({p}, {n})")
     return out
@@ -175,7 +184,7 @@ def _drift(value, p: int, n: int, name: str) -> np.ndarray:
 
 def _diffusion(value, p: int, n: int, m: int, name: str) -> np.ndarray:
     """A diffusion map's value, (n, m) or (p, n, m); DataError for any other shape."""
-    out = np.asarray(value, dtype=float)
+    out = _floats(value, name)
     if out.shape != (n, m) and out.shape != (p, n, m):
         raise DataError(
             f"{name} returned shape {out.shape}, expected (n, m) = ({n}, {m}) "
@@ -355,12 +364,12 @@ def spot_check_purity(spec: SystemSpec, h: float, rng_seed: int) -> bool:
     y = rng.standard_normal((1, spec.n))
     y_tau = rng.standard_normal((1, spec.n))
     pairs = [
-        (spec.b1(chi, phi), spec.b1(chi, phi)),
-        (spec.sigma1(chi), spec.sigma1(chi)),
-        (spec.b2(chi, y, y_tau), spec.b2(chi, y, y_tau)),
-        (spec.sigma2(chi, y, y_tau), spec.sigma2(chi, y, y_tau)),
+        ("b1", spec.b1(chi, phi), spec.b1(chi, phi)),
+        ("sigma1", spec.sigma1(chi), spec.sigma1(chi)),
+        ("b2", spec.b2(chi, y, y_tau), spec.b2(chi, y, y_tau)),
+        ("sigma2", spec.sigma2(chi, y, y_tau), spec.sigma2(chi, y, y_tau)),
     ]
-    return all(np.array_equal(np.asarray(a, float), np.asarray(b, float)) for a, b in pairs)
+    return all(np.array_equal(_floats(a, name), _floats(b, name)) for name, a, b in pairs)
 
 
 def random_points(rng: np.random.Generator, trials: int, tau: float, h: float, n: int):

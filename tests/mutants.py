@@ -78,6 +78,12 @@ MUTANTS = [
     ("segcont_block_start_shifted", "metrics.py",
      "kd = (k // delta_steps) * delta_steps", "kd = ((k - 1) // delta_steps) * delta_steps",
      "a sample on a block boundary is measured against the previous block's start"),
+    ("r2_mean_sign", "metrics.py",
+     "(y - y.mean())", "(y + y.mean())",
+     "r^2 measures the fit's residuals against y + mean(y), not against y's own scatter"),
+    ("averaged_default_paths_axis", "averaging.py",
+     "range(w.shape[1]) if paths is None", "range(w.shape[2]) if paths is None",
+     "the averaged equation's default paths count the state axis, not the batch axis"),
     ("box_muller_shift12", "noise.py",
      "u1 = ((raw[0::2] >> np.uint64(11))", "u1 = ((raw[0::2] >> np.uint64(12))",
      "u1 keeps 52 random bits, so it lies in (0, 1/2] and every deviate is too large"),

@@ -47,6 +47,8 @@ def test_block_schedule_domain():
         khasminskii_delta(0.0, 1.0)
     with pytest.raises(DomainError):
         khasminskii_delta(0.01, -1.0)
+    with pytest.raises(DomainError, match="tau must be positive and finite, got 0.0"):
+        khasminskii_delta(0.01, 0.0)
     # NaN, and an infinite tau, fail the range checks, not math.ceil.
     for eps, tau in ((math.nan, 1.0), (0.01, math.nan), (0.01, math.inf)):
         with pytest.raises(DomainError):
@@ -353,6 +355,25 @@ def test_equal_windows_at_one_step_get_their_own_estimates():
         elsewhere = [src(windows[:, :1], *address) for address in [(1, [0], 0), (0, [0], 1)]]
     assert pair[0, 0] != pair[1, 0]
     assert all(v[0, 0] != pair[0, 0] for v in elsewhere)
+
+
+def test_averaged_default_address_is_row_zero_and_every_column():
+    """Without row and paths, column i of a P > n batch is path i of row 0, bit for bit."""
+    spec = linear_benchmark(BENCH)
+    g = make_grid(T=0.2, h=0.1, tau=1.0)
+    xi = constant_segment(1.0, 0.1, 1.0)
+    dw1 = increments(4, range(3), W1, 1, g.steps, g.h)
+
+    def run(*address):
+        src = EstimatedDriftSource(spec, 9, burn_in=0.5, horizon=0.5, replicas=2, h=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # burn_in below 5 tau
+            return simulate_averaged(spec, xi, src, g, dw1, *address)
+
+    default = run()
+    assert default.tobytes() == run(0, range(3)).tobytes()
+    assert default.tobytes() != run(0, range(1, 4)).tobytes()
+    assert default.tobytes() != run(1, range(3)).tobytes()
 
 
 @pytest.mark.parametrize("system, digest", [

@@ -202,9 +202,9 @@ def test_averaged_drift_budget_validation():
     h = 0.05
     zeta = constant_segment(1.0, h, 0.0)[:, None]
     seeds = [0]
-    with pytest.raises(UsageError):
+    with pytest.raises(DomainError, match="replicas must be >= 1, got 0"):
         estimate_averaged_drift(spec, zeta, 5.0, 4.0, 0, h, seeds)
-    with pytest.raises(UsageError, match="replicas must be an integer >= 1, got 1.5"):
+    with pytest.raises(UsageError, match="replicas must be an integer, got 1.5"):
         estimate_averaged_drift(spec, zeta, 1.0, 4.0, 1.5, h, seeds)
     with pytest.raises(DomainError):
         estimate_averaged_drift(spec, zeta, 5.0, -1.0, 2, h, seeds)
@@ -266,13 +266,13 @@ def test_mixing_decay_input_validation():
     zeta = constant_segment(1.0, h, 0.0)
     eta = constant_segment(1.0, h, 1.0)
     etap = constant_segment(1.0, h, 0.0)
-    with pytest.raises(UsageError, match="replicas"):
+    with pytest.raises(DomainError, match="replicas must be >= 8, got 4"):
         mixing_decay(spec, zeta, eta, etap, h, 5, 4, 0)
-    with pytest.raises(UsageError, match="integer replicas >= 8, got 8.5"):
+    with pytest.raises(UsageError, match="replicas must be an integer, got 8.5"):
         mixing_decay(spec, zeta, eta, etap, h, 5, 8.5, 0)
-    with pytest.raises(UsageError, match="integer checkpoints >= 3, got 2"):
+    with pytest.raises(DomainError, match="checkpoints must be >= 3, got 2"):
         mixing_decay(spec, zeta, eta, etap, h, 2, 8, 0)
-    with pytest.raises(UsageError, match="integer checkpoints >= 3, got 3.5"):
+    with pytest.raises(UsageError, match="checkpoints must be an integer, got 3.5"):
         mixing_decay(spec, zeta, eta, etap, h, 3.5, 8, 0)
 
 

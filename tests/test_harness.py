@@ -894,43 +894,80 @@ def test_cli_divergence_exit_three(tmp_path):
     assert code == 3
 
 
-def _flat_drift_factory():
-    # b1 drops the state axis: shape (P,) where the contract asks for (P, n).
-    # The closed form lets converge start; the coupled pass then fails.
-    return SystemSpec(
-        n=1, m=1, tau=1.0,
-        b1=lambda chi, phi: chi[-1, :, 0],
-        sigma1=lambda chi: np.array([[0.3]]),
-        b2=lambda chi, y, yt: chi[-1] - y,
-        sigma2=lambda chi, y, yt: np.array([[0.3]]),
-        benchmark=LinearBenchmarkParams(**BENCH_SYS["params"]),
-    )
+def _b1_factory(b1):
+    # A system whose b1 breaks the (P, n) float contract.  The closed form
+    # lets converge start; the coupled pass then fails.
+    def factory():
+        return SystemSpec(
+            n=1, m=1, tau=1.0,
+            b1=b1,
+            sigma1=lambda chi: np.array([[0.3]]),
+            b2=lambda chi, y, yt: chi[-1] - y,
+            sigma2=lambda chi, y, yt: np.array([[0.3]]),
+            benchmark=LinearBenchmarkParams(**BENCH_SYS["params"]),
+        )
+    return factory
+
+
+# b1 drops the state axis: shape (P,) where the contract asks for (P, n).
+_flat_drift_factory = _b1_factory(lambda chi, phi: chi[-1, :, 0])
 
 
 def test_misshaped_drift_gives_error_rows_and_exit_two(tmp_path, capsys):
-    """A drift of shape (P,) fails every path with one DataError, for any chunk cut."""
-    register_system("flat_drift", _flat_drift_factory, replace=True)
+    """A drift of shape (P,), or one numpy cannot read as floats, fails every path with one
+    DataError, for any chunk cut; check refuses the system with exit 4."""
+    # (factory, message in the error rows, message of the 50-trial check)
+    cases = [(_flat_drift_factory, "b1 returned shape (1,), expected (paths, n) = (1, 1)",
+              "b1 returned shape (50,), expected (paths, n) = (50, 1)")]
+    for value, kind in [("abc", "str"), ({"a": 1}, "dict"), ([[1.0], [1.0, 2.0]], "list")]:
+        message = f"b1 returned a value of type {kind} that numpy cannot read as floats"
+        cases.append((_b1_factory(lambda chi, phi, v=value: v), message, message))
     system = {"kind": "registered", "name": "flat_drift"}
-    hashes = set()
-    for threads, paths in ((1, 4), (2, 4), (1, 2), (2, 2)):
+    for factory, message, check_message in cases:
+        register_system("flat_drift", factory, replace=True)
+        hashes = set()
+        for threads, paths in ((1, 4), (2, 4), (1, 2), (2, 2)):
+            report = run_scenario(Scenario.from_config(
+                _cfg(system=system, epsilons=[0.25, 0.125], paths=paths, threads=threads)))
+            for row in report.rows:
+                assert row["extra"]["error_type"] == "DataError"
+                assert row["extra"]["failed_paths"] == paths
+                assert message in row["extra"]["error"]
+            hashes.add((paths, report.reproducibility_hash))
+        assert len(hashes) == 2  # one hash per path count, whatever the threads
         report = run_scenario(Scenario.from_config(
-            _cfg(system=system, epsilons=[0.25, 0.125], paths=paths, threads=threads)))
-        for row in report.rows:
-            assert row["extra"]["error_type"] == "DataError"
-            assert row["extra"]["failed_paths"] == paths
-            assert "b1 returned shape (1,), expected (paths, n) = (1, 1)" in row["extra"]["error"]
-        hashes.add((paths, report.reproducibility_hash))
-    assert len(hashes) == 2  # one hash per path count, whatever the threads
-    report = run_scenario(Scenario.from_config(
-        _cfg(experiment="simulate", system=system, epsilons=[0.25], paths=1)))
-    assert report.rows[0]["extra"]["error_type"] == "DataError"
-    cfg_path = _write_cfg(tmp_path, "flat.json", _cfg(system=system, paths=3))
-    capsys.readouterr()
-    code = cli_main(["converge", "--config", cfg_path, "--out", str(tmp_path / "out")])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "Traceback" not in captured.out + captured.err
-    assert "gate rows_complete: FAIL" in captured.out
+            _cfg(experiment="simulate", system=system, epsilons=[0.25], paths=1)))
+        assert report.rows[0]["extra"]["error_type"] == "DataError"
+        capsys.readouterr()
+        for command, cfg, code in [
+                ("converge", _cfg(system=system, paths=3), 2),
+                ("simulate", _cfg(experiment="simulate", system=system, epsilons=[0.25], paths=3),
+                 2),
+                ("check", _cfg(experiment="check", system=system, trials=50), 4)]:
+            cfg_path = _write_cfg(tmp_path, f"{command}.json", cfg)
+            assert cli_main([command, "--config", cfg_path,
+                             "--out", str(tmp_path / command)]) == code
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.out + captured.err
+            if code == 2:
+                assert "gate rows_complete: FAIL" in captured.out
+            else:
+                assert captured.err == f"error: {check_message}\n"
+
+
+def test_fractional_dimension_exits_four(tmp_path, capsys):
+    """A registered system with n = 1.0 is refused by SystemSpec itself: exit 4, no traceback."""
+    def factory():
+        return dataclasses.replace(_flat_drift_factory(), n=1.0)
+
+    register_system("fractional_n", factory, replace=True)
+    system = {"kind": "registered", "name": "fractional_n"}
+    for command, cfg in [("simulate", _cfg(experiment="simulate", system=system, epsilons=[0.25])),
+                         ("check", _cfg(experiment="check", system=system))]:
+        capsys.readouterr()
+        cfg_path = _write_cfg(tmp_path, f"{command}.json", cfg)
+        assert cli_main([command, "--config", cfg_path, "--out", str(tmp_path / command)]) == 4
+        assert capsys.readouterr().err == "error: dimension n must be an integer, got 1.0\n"
 
 
 def test_misshaped_b1_in_the_time_average_exits_four(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import linregress
 
 from twoscale.errors import DomainError, UsageError
 from twoscale.metrics import p_moment, segment_displacement_moment, slope_fit, sup_distance
@@ -100,9 +101,29 @@ def test_slope_fit_recovers_exact_power_laws():
         assert fit.xs == pytest.approx(np.log(xs).tolist())
 
 
+def test_slope_fit_r_squared_on_scattered_data():
+    """r^2 = 1 - SS_res / SS_tot of the log-log fit, against scipy's linregress."""
+    xs = [0.01, 0.02, 0.05, 0.1, 0.2]
+    ys = [0.3, 0.2, 0.9, 0.5, 1.7]
+    fit = slope_fit(xs, ys)
+    ref = linregress(np.log(xs), np.log(ys))
+    assert fit.slope == pytest.approx(ref.slope, rel=1e-12)
+    assert fit.intercept == pytest.approx(ref.intercept, rel=1e-12)
+    assert fit.r_squared == pytest.approx(ref.rvalue ** 2, rel=1e-12)
+    assert 0.5 < fit.r_squared < 0.9  # scattered, so neither clipped nor 1
+    # A flat y has no scatter to explain: r^2 is 1 by convention.
+    assert slope_fit(xs, [2.0] * 5).r_squared == 1.0
+
+
 def test_slope_fit_validation():
     with pytest.raises(UsageError):
         slope_fit([1.0, 2.0], [1.0, 2.0])
+    with pytest.raises(UsageError, match="strictly positive"):
+        slope_fit([0.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+    with pytest.raises(UsageError, match="strictly positive"):
+        slope_fit([1.0, 2.0, 3.0], [1.0, 0.0, 3.0])
+    with pytest.raises(UsageError, match="strictly increasing"):
+        slope_fit([1.0, 2.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(UsageError):
         slope_fit([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
     with pytest.raises(UsageError):
@@ -122,8 +143,10 @@ def test_displacement_moment_linear_path():
     expect = np.mean([(k * g.h - 0.25) ** 2 for k in steps])
     assert moment.shape == (1,)
     assert moment[0] == pytest.approx(expect, rel=1e-12)
-    # A sample exactly on a block boundary contributes zero.
+    # A sample exactly on a block boundary contributes zero; with one-step
+    # blocks every sample is one.
     assert segment_displacement_moment(x, g, 4, 2.0, [8]).tolist() == [0.0]
+    assert segment_displacement_moment(x, g, 1, 2.0, steps).tolist() == [0.0]
     # Each path of a batch gets its own moment: doubling the slope
     # multiplies the second moment by four.
     both = segment_displacement_moment(np.concatenate([x, 2.0 * x], axis=1), g, 4, 2.0, steps)
@@ -133,9 +156,9 @@ def test_displacement_moment_linear_path():
 def test_displacement_moment_validation():
     g = make_grid(T=1.0, h=0.0625, tau=0.25)
     x = _linear_path(g)
-    with pytest.raises(UsageError):
+    with pytest.raises(DomainError, match="delta_steps must be >= 1, got 0"):
         segment_displacement_moment(x, g, 0, 2.0, [8])  # an empty block
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="delta_steps must be an integer, got 1.5"):
         segment_displacement_moment(x, g, 1.5, 2.0, [8])  # not a whole step count
     with pytest.raises(UsageError):
         segment_displacement_moment(x, g, 4, 2.0, [])
@@ -145,5 +168,7 @@ def test_displacement_moment_validation():
         segment_displacement_moment(x, g, 4, 2.0, [0])  # not in (0, T]
     with pytest.raises(DomainError):
         segment_displacement_moment(x, g, 4, -1.0, [8])
+    with pytest.raises(DomainError, match="moment order p must be positive, got 0.0"):
+        segment_displacement_moment(x, g, 4, 0.0, [8])
     with pytest.raises(UsageError):
         segment_displacement_moment(x[:, 0], g, 4, 2.0, [8])  # not a batch

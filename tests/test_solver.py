@@ -557,7 +557,8 @@ def test_map_error_propagates_from_the_kernel():
 
 
 def test_maps_must_return_batch_shapes():
-    """A drift of shape (P,) or a diffusion of shape (m,) is a DataError naming the shapes."""
+    """A drift of shape (P,) or a diffusion of shape (m,) is a DataError naming the shapes,
+    and a value numpy cannot read as floats is a DataError naming the map."""
     from twoscale.errors import DataError
 
     g = make_grid(T=0.1, h=0.01, tau=0.1)
@@ -572,6 +573,10 @@ def test_maps_must_return_batch_shapes():
         (lambda w: -w[-1], lambda w: np.ones(1), r"diffusion returned shape \(1,\), "
          r"expected \(n, m\) = \(1, 1\) or \(paths, n, m\) = \({p}, 1, 1\)"),
     ]
+    for value, kind in [("abc", "str"), ({"a": 1}, "dict"), ([[1.0], [1.0, 2.0]], "list")]:
+        unreadable = f"returned a value of type {kind} that numpy cannot read as floats"
+        cases += [(lambda w, v=value: v, lambda w: np.eye(1), "drift " + unreadable),
+                  (lambda w: -w[-1], lambda w, v=value: v, "diffusion " + unreadable)]
     for drift, diffusion, message in cases:
         for paths in (3, 1):
             with pytest.raises(DataError, match=message.format(p=paths)):

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -94,8 +95,12 @@ def test_linear_benchmark_maps_match_float_formulas(values, points):
 
 
 def test_spec_validates_dimensions():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="dimension n must be >= 1, got 0"):
         SystemSpec(n=0, m=1, tau=1.0, b1=None, sigma1=None, b2=None, sigma2=None)
+    with pytest.raises(UsageError, match="dimension n must be an integer, got 1.0"):
+        SystemSpec(n=1.0, m=1, tau=1.0, b1=None, sigma1=None, b2=None, sigma2=None)
+    with pytest.raises(UsageError, match="noise dimension m must be an integer, got 1.5"):
+        SystemSpec(n=1, m=1.5, tau=1.0, b1=None, sigma1=None, b2=None, sigma2=None)
     with pytest.raises(DomainError):
         SystemSpec(n=1, m=1, tau=-1.0, b1=None, sigma1=None, b2=None, sigma2=None)
 
@@ -295,6 +300,10 @@ def test_purity_spot_check():
                       b2=lambda c, y, yt: -y,
                       sigma2=lambda c, y, yt: np.array([[1.0]]))
     assert not spot_check_purity(spec, 0.125, 2)
+    # A value numpy cannot read as floats is a DataError naming the map, not a traceback.
+    unreadable = dataclasses.replace(spec, b1=lambda c, p: -c[-1], b2=lambda c, y, yt: "abc")
+    with pytest.raises(DataError, match="b2 returned a value of type str that numpy cannot"):
+        spot_check_purity(unreadable, 0.125, 2)
 
 
 def test_registry_round_trip():
